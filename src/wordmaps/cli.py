@@ -107,6 +107,19 @@ def parse_argument_word(obj, arg: str):
     return word(arg)
 
 
+def _print_integer(n: int) -> None:
+    """Print an integer result; one longer than the interpreter's int-to-str
+    digit limit is an error, not a traceback."""
+    try:
+        text = str(n)
+    except ValueError:
+        raise WordmapsError(
+            f"the result has more than {sys.get_int_max_str_digits()} digits, the "
+            "interpreter's int-to-str limit; set PYTHONINTMAXSTRDIGITS=0 to lift it"
+        ) from None
+    print(text)
+
+
 def cmd_eval(args) -> int:
     sf = load_file(args.file)
     kind, obj, index = resolve_sequence(sf, args.target, paper_literal=args.paper_literal)
@@ -120,7 +133,7 @@ def cmd_eval(args) -> int:
     elif kind == "reg":
         value = eval_regular(obj, index, w, fuel=args.fuel)
     elif kind == "poly":
-        print(eval_polynomial(obj, index, w))
+        _print_integer(eval_polynomial(obj, index, w))
         return 0
     elif kind == "hdt0l":
         w = parse_argument_word(obj, args.argument)
@@ -133,7 +146,7 @@ def cmd_eval(args) -> int:
             w = (letters[0],) * int(args.argument)
         else:
             w = word(args.argument)
-        print(linear_eval(obj, w))
+        _print_integer(linear_eval(obj, w))
         return 0
     else:
         raise WordmapsError(f"cannot eval a {kind} target")
@@ -226,7 +239,7 @@ def cmd_compose(args) -> int:
         else:
             print(show_word(value))
     elif kind2 == "linrep":
-        print(linear_eval(second, stage1))
+        _print_integer(linear_eval(second, stage1))
     else:
         raise WordmapsError("the second stage must be an hdt0l or linrep declaration")
     return 0

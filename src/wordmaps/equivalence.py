@@ -15,11 +15,12 @@ Two complementary engines answer vanishing questions:
   computation.
 
 * ``zariski_closure`` computes the vanishing ideal of the orbit closure.
-  Phase 1 iterates base-point/image closures directly and is exact whenever
-  it stabilizes (finite orbits).  For infinite orbits it switches to a
-  degree sweep: candidate low-degree vanishing polynomials are read off
-  sampled orbit points and each one is certified with the saturation engine,
-  so every returned generator provably vanishes on the whole orbit.
+  Both of its paths fit polynomials to sampled orbit points with one
+  algorithm, Buchberger-Moeller (``groebner.points_ideal``).  A finite
+  orbit enumerated by sampling gets the exact ideal of its points.  For
+  other orbits, the low-degree basis elements of the sampled points' ideal
+  are candidates, and each one is certified with the saturation engine, so
+  every returned generator provably vanishes on the whole orbit.
 
 Witness search is fair breadth-first by length, lexicographic within a
 length, so reported witnesses are minimal.  Resource limits raise
@@ -30,11 +31,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
 from typing import Optional, Union
 
 from .errors import BudgetExceededError, DomainError
-from .groebner import Ideal, groebner, in_radical, normal_form
+from .groebner import Ideal, groebner, in_radical, normal_form, points_ideal
 from .polynomials import Polynomial
 from .recurrences import PolynomialSystem, eval_polynomial_vector
 from .words import Word
@@ -63,7 +63,6 @@ class Budget:
 
     chain_additions: int = 400
     max_basis: int = 4000
-    naive_rounds: int = 6
     max_degree: int = 8
     witness_length: int = 10000
     sample_points: int = 120
@@ -311,172 +310,41 @@ def reachable_points(sys: PolynomialSystem, budget: Budget = DEFAULT_BUDGET):
     return seen, False
 
 
-def _monomials_up_to(variables, degree):
-    out = [()]
-    for d in range(1, degree + 1):
-        for combo in combinations_with_replacement(variables, d):
-            mono = []
-            for v in combo:
-                if mono and mono[-1][0] == v:
-                    mono[-1] = (v, mono[-1][1] + 1)
-                else:
-                    mono.append((v, 1))
-            out.append(tuple(mono))
-    return out
-
-
-def _nullspace(rows, n):
-    """Basis of the right nullspace of the matrix, exact over Fraction."""
-    mat = [list(r) for r in rows]
-    pivot_cols = []
-    r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, len(mat)) if mat[i][c]), None)
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        inv = mat[r][c]
-        mat[r] = [x / inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        pivot_cols.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    free_cols = [c for c in range(n) if c not in pivot_cols]
-    out = []
-    for free in free_cols:
-        vec = [Fraction(0)] * n
-        vec[free] = Fraction(1)
-        for row_ix, col in enumerate(pivot_cols):
-            vec[col] = -mat[row_ix][free]
-        out.append(vec)
-    return out
-
-
-def _vanishing_space(points, variables, degree):
-    """A basis of the space of polynomials of bounded degree vanishing at
-    all sample points, by exact nullspace computation."""
-    monos = _monomials_up_to(variables, degree)
-    rows = []
-    for pt in points:
-        row = []
-        for mono in monos:
-            val = Fraction(1)
-            for v, e in mono:
-                val *= Fraction(pt[v]) ** e
-            row.append(val)
-        rows.append(row)
-    basis = []
-    for coeffs in _nullspace(rows, len(monos)):
-        poly = Polynomial({monos[k]: coeffs[k] for k in range(len(monos)) if coeffs[k]})
-        basis.append(poly)
-    return basis
-
-
-def _point_ideal(variables, point) -> Ideal:
-    return Ideal(
-        [Polynomial.var(v) - Polynomial.const(point[v]) for v in variables], variables
-    )
-
-
-def _image_closure(sys: PolynomialSystem, a: str, j: Ideal, budget: Budget) -> Ideal:
-    """The vanishing ideal of the closure of the image of V(j) under the
-    letter-a update map, by elimination over the graph ideal."""
-    from .groebner import eliminate
-
-    variables = tuple(sys.indices)
-    rules = dict(sys.rules)
-    fresh = {i: f"_y_{i}" for i in variables}
-    gens = list(j.generators)
-    for i in variables:
-        gens.append(Polynomial.var(fresh[i]) - rules[(i, a)])
-    graph = Ideal(gens, tuple(variables) + tuple(fresh[i] for i in variables))
-    eliminated = eliminate(graph, set(variables), max_basis=budget.max_basis)
-    back = {fresh[i]: Polynomial.var(i) for i in variables}
-    renamed = [g.substitute(back) for g in eliminated.generators]
-    return Ideal(renamed, variables)
-
-
-def _intersect_all(ideals, variables, budget: Budget) -> Ideal:
-    from .groebner import ideal_intersect
-
-    out = ideals[0]
-    for j in ideals[1:]:
-        out = ideal_intersect(out, j, max_basis=budget.max_basis)
-        out = Ideal(out.generators, variables)
-    return out
-
-
 def zariski_closure(sys: PolynomialSystem, budget: Budget = DEFAULT_BUDGET) -> Ideal:
     """The vanishing ideal of the Zariski closure of the reachable set.
 
-    Phase 1 runs the direct fixpoint J <- J  intersect  image closures and is
-    exact when it stabilizes (ascending varieties must agree).  Orbits that
-    escape the round budget but are proven finite by exhaustive sampling get
-    the exact answer as an intersection of point ideals.  When the orbit is
-    infinite, phase 2 sweeps every degree up to the budget: candidate vanishing polynomials are fitted on sampled orbit
-    points and certified with the saturation engine; refuted candidates add
-    their refuting points and shrink the fit, so on termination the result
-    is exactly the ideal generated by *all* orbit-vanishing polynomials of
-    degree up to the budget.  If the corresponding variety fails to be
-    invariant under some update map, generators of higher degree provably
-    exist and a budget error is raised; when it is invariant the ideal is
-    returned (it is the full vanishing ideal whenever that ideal is
-    generated in degrees within the budget, which covers every bundled and
-    tested system).
+    When sampling enumerates the whole orbit (within ``sample_points``), this
+    is the exact ideal of its points.  Otherwise the sampled points' basis
+    elements of degree up to ``max_degree`` are candidates: each one is
+    certified with the saturation engine, and a refuted one adds its
+    refuting point to the fit.  The result is then the ideal generated by
+    all orbit-vanishing polynomials of degree up to the budget.  If its
+    variety is not invariant under every update map, generators of higher
+    degree provably exist and a budget error is raised; otherwise the ideal
+    is returned, and it is the full vanishing ideal whenever that ideal is
+    generated within the degree budget.
     """
     variables = tuple(sys.indices)
-    letters = sorted(sys.input_alphabet)
-    base = sys.base_vector()
-
-    j = _point_ideal(variables, base)
-    for _ in range(budget.naive_rounds):
-        images = [_image_closure(sys, a, j, budget) for a in letters]
-        j2 = _intersect_all([j] + images, variables, budget)
-        stable = all(j2.contains(g) for g in j.generators) and all(
-            j.contains(g) for g in j2.generators
-        )
-        if stable:
-            return j
-        j = j2
-
-    # fully enumerated finite orbits have an exact ideal: intersect the
-    # point ideals
     points, orbit_closed = reachable_points(sys, budget)
-    if orbit_closed and len(points) <= 40:
-        out = _point_ideal(variables, points[0])
-        for pt in points[1:]:
-            from .groebner import ideal_intersect
+    if orbit_closed:
+        return Ideal(points_ideal(points, variables), variables)
 
-            out = ideal_intersect(out, _point_ideal(variables, pt), max_basis=budget.max_basis)
-            out = Ideal(out.generators, variables)
-        return out
-
-    # phase 2: degree sweep with certified candidates
     verified: list[Polynomial] = []
     verified_ideal = Ideal([], variables)
-    for degree in range(1, budget.max_degree + 1):
-        while True:
-            candidates = _vanishing_space(points, variables, degree)
-            refuted = False
-            for cand in candidates:
-                if verified_ideal.contains(cand):
-                    continue
-                if orbit_closed or vanishes_on_reachables(sys, cand, budget):
-                    verified.append(cand)
-                    verified_ideal = Ideal(verified, variables)
-                else:
-                    refutation = find_witness(sys, cand, budget)
-                    vec = eval_polynomial_vector(sys, refutation)
-                    points.append(vec)
-                    refuted = True
-                    break
-            if not refuted:
+    refuted = True
+    while refuted:
+        refuted = False
+        for cand in points_ideal(points, variables, budget.max_degree):
+            if verified_ideal.contains(cand):
+                continue
+            if not vanishes_on_reachables(sys, cand, budget):
+                refutation = find_witness(sys, cand, budget)
+                points.append(eval_polynomial_vector(sys, refutation))
+                refuted = True
                 break
-    if _is_invariant(sys, verified_ideal, letters, budget):
+            verified.append(cand)
+            verified_ideal = Ideal(verified, variables)
+    if _is_invariant(sys, verified_ideal, sorted(sys.input_alphabet), budget):
         return verified_ideal
     raise BudgetExceededError(
         "closure generators above the degree budget remain; raise the budget"

@@ -1,4 +1,5 @@
-"""Buchberger Groebner bases, normal forms, elimination, and intersections.
+"""Buchberger Groebner bases, normal forms, elimination, intersections, and
+the ideals of finite point sets.
 
 Polynomials are converted to dense exponent tuples over an explicit variable
 sequence for the duration of a computation.  Supported monomial orders:
@@ -10,8 +11,10 @@ given the generator list, the variable sequence, and the order.
 
 from __future__ import annotations
 
+import heapq
+import math
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import BudgetExceededError, DomainError
 from .polynomials import Polynomial
@@ -332,3 +335,56 @@ def in_radical(p: Polynomial, ideal: Ideal, max_basis=None) -> bool:
     gens = list(ideal.generators) + [Polynomial.const(1) - Polynomial.var(z) * p]
     basis = groebner(gens, tuple(sorted(vs)) + (z,), order="grevlex", max_basis=max_basis)
     return any(g.is_constant() and not g.is_zero() for g in basis)
+
+
+def points_ideal(
+    points: Iterable[Mapping[str, int]], variables: Sequence[str], max_degree: Optional[int] = None
+) -> list[Polynomial]:
+    """The reduced grevlex Groebner basis of the ideal of all polynomials
+    vanishing on a finite point set (Buchberger-Moeller).
+
+    Monomials are visited in increasing grevlex order, skipping multiples of
+    the leading terms found so far.  A monomial's evaluation vector over the
+    points is reduced against those of the standard monomials before it: if
+    it reduces to zero, t - sum c*s is a basis element with leading term t;
+    otherwise t is standard and its successors x_i*t are queued.  With
+    max_degree=D the visit stops above degree D, leaving the basis elements
+    of degree <= D; grevlex is degree-compatible, so these generate the
+    ideal of all vanishing polynomials of degree <= D.
+    """
+    variables = tuple(variables)
+    pts = [tuple(p[v] for v in variables) for p in points]
+    # echelon rows: (pivot, evaluation vector, the polynomial it evaluates)
+    rows: list[tuple[int, list[Fraction], dict[Exps, Fraction]]] = []
+    basis: list[dict[Exps, Fraction]] = []
+    leads: list[Exps] = []
+    start = (0,) * len(variables)
+    queue = [(_grevlex_key(start), start)]
+    queued = {start}
+    while queue:
+        _, t = heapq.heappop(queue)
+        if max_degree is not None and sum(t) > max_degree:
+            break
+        if any(_divides(lead, t) for lead in leads):
+            continue
+        vec = [Fraction(math.prod(c**e for c, e in zip(pt, t))) for pt in pts]
+        poly = {t: Fraction(1)}
+        for pivot, row, row_poly in rows:
+            c = vec[pivot]
+            if c:
+                vec = [a - c * b for a, b in zip(vec, row)]
+                for m, rc in row_poly.items():
+                    poly[m] = poly.get(m, 0) - c * rc
+        pivot = next((k for k, a in enumerate(vec) if a), None)
+        if pivot is None:
+            basis.append({m: c for m, c in poly.items() if c})
+            leads.append(t)
+            continue
+        inv = vec[pivot]
+        rows.append((pivot, [a / inv for a in vec], {m: c / inv for m, c in poly.items()}))
+        for i in range(len(t)):
+            u = t[:i] + (t[i] + 1,) + t[i + 1:]
+            if u not in queued:
+                queued.add(u)
+                heapq.heappush(queue, (_grevlex_key(u), u))
+    return [_from_internal(g, variables) for g in basis]

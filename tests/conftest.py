@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -66,3 +67,23 @@ def random_graded_store(rng: random.Random, gamma: GradedAlphabet, level=None, m
         )
 
     return build(level)
+
+
+def standard_monomial_count(basis, variables):
+    """Number of monomials outside the grevlex leading-term ideal of a
+    zero-dimensional Groebner basis: the number of points of its variety,
+    counted with multiplicity."""
+
+    def exps(mono):
+        powers = dict(mono)
+        return tuple(powers.get(v, 0) for v in variables)
+
+    leads = [
+        max(map(exps, g.terms), key=lambda e: (sum(e), tuple(-x for x in reversed(e))))
+        for g in basis
+    ]
+    bounds = [min(m[k] for m in leads if m[k] == sum(m) > 0) for k in range(len(variables))]
+    return sum(
+        not any(all(a >= b for a, b in zip(e, m)) for m in leads)
+        for e in product(*(range(b) for b in bounds))
+    )

@@ -96,6 +96,17 @@ def test_error_exit_code(capsys):
     assert "Nope" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("eval", "factorial", "FC", "2000"), ("compose", "gmap", "nu", "fibrep", "1111111111111111")],
+)
+def test_integer_beyond_the_digit_limit_is_an_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "digits" in err
+
+
 def test_paper_literal_flag(capsys):
     code, out, _ = run_cli(capsys, "eval", "factorial", "UV", "babaab", "--paper-literal")
     assert code == 0 and out == "1\n"

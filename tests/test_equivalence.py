@@ -21,6 +21,8 @@ from wordmaps.groebner import Ideal
 from wordmaps.polynomials import Polynomial
 from wordmaps.recurrences import PolynomialSystem, eval_polynomial
 
+from conftest import standard_monomial_count
+
 P = Polynomial.var
 
 
@@ -283,24 +285,43 @@ def test_closure_fibonacci_catches_the_quartic_invariant():
     assert not j.contains(P("F") - P("G"))
 
 
-def test_closure_deep_finite_orbit_is_exact():
-    # an order-12 integer rotation: the orbit of the base vector is 12
-    # points, deeper than the direct fixpoint's round budget, so the
-    # finite-orbit path must deliver the exact point-set ideal
-    sys = PolynomialSystem.make(
+def _rotation12():
+    # x4' = x3 - x1 has order 12: the orbit of the base vector is 12 points
+    return PolynomialSystem.make(
         ("x1", "x2", "x3", "x4"), {"a"},
         {("x1", "a"): P("x2"), ("x2", "a"): P("x3"),
          ("x3", "a"): P("x4"), ("x4", "a"): P("x3") - P("x1")},
         {"x1": 1, "x2": 0, "x3": 0, "x4": 0}, ring="Z",
     )
+
+
+def _rotations6x8():
+    # letter a rotates (x1, x2) with order 6, letter b rotates (x3..x6)
+    # with order 8: a closed orbit of 48 points
+    vs = ("x1", "x2", "x3", "x4", "x5", "x6")
+    a = {"x1": -P("x2"), "x2": P("x1") + P("x2")}
+    b = {"x3": P("x4"), "x4": P("x5"), "x5": P("x6"), "x6": -P("x3")}
+    rules = {(v, letter): m.get(v, P(v)) for v in vs for letter, m in (("a", a), ("b", b))}
+    return PolynomialSystem.make(
+        vs, {"a", "b"}, rules, {"x1": 1, "x2": 0, "x3": 1, "x4": 0, "x5": 0, "x6": 0}, ring="Z"
+    )
+
+
+@pytest.mark.parametrize(
+    "make_system,orbit_size", [(_rotation12, 12), (_rotations6x8, 48)], ids=["order12", "order6x8"]
+)
+def test_closure_deep_finite_orbit_is_exact(make_system, orbit_size):
+    # an orbit enumerated by sampling gets the exact ideal of its points:
+    # every generator vanishes on the orbit, and one standard monomial per
+    # point leaves no room for a larger variety
+    sys = make_system()
     points, closed = reachable_points(sys)
-    assert closed and len(points) == 12
+    assert closed and len(points) == orbit_size
     j = zariski_closure(sys)
     for pt in points:
         for g in j.generators:
             assert g.evaluate(pt) == 0
-    off_orbit = {"x1": 2, "x2": 0, "x3": 0, "x4": 0}
-    assert any(g.evaluate(off_orbit) != 0 for g in j.generators)
+    assert standard_monomial_count(j.groebner_basis(), sys.indices) == orbit_size
 
 
 def test_closure_parabola_orbit():

@@ -14,9 +14,12 @@ from wordmaps.groebner import (
     ideal_membership,
     in_radical,
     normal_form,
+    points_ideal,
     s_polynomial,
 )
 from wordmaps.polynomials import Polynomial, format_polynomial, parse_polynomial
+
+from conftest import standard_monomial_count
 
 x, y, z = Polynomial.var("x"), Polynomial.var("y"), Polynomial.var("z")
 
@@ -265,3 +268,42 @@ def test_cross_check_against_sympy():
         )
         got = sorted(ours, key=lambda p: sorted(p.terms))
         assert got == expected, [str(g) for g in gens]
+
+
+# ---------------------------------------------------------------------------
+# ideals of points
+
+
+def test_points_ideal_properties():
+    sympy = pytest.importorskip("sympy")
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    point_sets = st.integers(1, 3).flatmap(
+        lambda n: st.lists(st.tuples(*[st.integers(-3, 3)] * n), min_size=1, max_size=10)
+    )
+
+    @settings(deadline=None)
+    @given(point_sets, st.integers(0, 4))
+    def check(coords, degree):
+        variables = ("x", "y", "z")[: len(coords[0])]
+        points = [dict(zip(variables, c)) for c in coords]
+        basis = points_ideal(points, variables)
+        for g in basis:
+            for pt in points:
+                assert g.evaluate(pt) == 0
+        symbols = sympy.symbols(variables)
+
+        def to_sympy(p):
+            return sympy.Poly.from_dict(
+                {tuple(dict(m).get(v, 0) for v in variables): c for m, c in p.terms.items()},
+                *symbols, domain="QQ",
+            )
+
+        theirs = sympy.groebner([to_sympy(g) for g in basis], *symbols, order="grevlex", domain="QQ")
+        assert {to_sympy(g) for g in basis} == set(theirs.polys)
+        assert standard_monomial_count(basis, variables) == len(set(coords))
+        capped = points_ideal(points, variables, max_degree=degree)
+        assert capped == [g for g in basis if g.degree() <= degree]
+
+    check()
