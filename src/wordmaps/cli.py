@@ -22,7 +22,7 @@ from .equivalence import (
 )
 from .errors import FuelExhaustedError, WordmapsError
 from .groebner import groebner
-from .kpda import Accepted, Stuck, run, step, Configuration, initial_store
+from .kpda import Accepted, Stuck, steps
 from .lowering import (
     catenative_to_hdt0l,
     compose_level3,
@@ -33,7 +33,6 @@ from .lowering import (
 )
 from .morphisms import linear_eval, eval_hdt0l
 from .polynomials import format_polynomial
-from .pushdown import topsyms
 from .recurrences import (
     eval_catenative,
     eval_compositional,
@@ -227,21 +226,20 @@ def cmd_lower(args) -> int:
 
 def cmd_compose(args) -> int:
     sf = load_file(args.file)
-    _, first, index = resolve_sequence(sf, args.first)
+    kind1, first, index = resolve_sequence(sf, args.first)
+    if kind1 != "cat":
+        raise WordmapsError(f"the first stage must be a cat declaration, not {kind1}")
     kind2, second = sf.resolve(args.second)
-    w = parse_argument_word(first, args.argument)
-    stage1 = eval_catenative(first, index, w)
-    if kind2 == "hdt0l":
-        mapping = compose_level3(first, index, second)
-        value = mapping.eval(w)
-        if args.as_length:
-            print(len(value))
-        else:
-            print(show_word(value))
-    elif kind2 == "linrep":
-        _print_integer(linear_eval(second, stage1))
-    else:
+    if kind2 not in ("hdt0l", "linrep"):
         raise WordmapsError("the second stage must be an hdt0l or linrep declaration")
+    if kind2 == "hdt0l":
+        compose_level3(first, index, second)  # rejects mismatched stage alphabets
+    stage1 = eval_catenative(first, index, parse_argument_word(first, args.argument))
+    if kind2 == "linrep":
+        _print_integer(linear_eval(second, stage1))
+        return 0
+    value = eval_hdt0l(second, stage1)
+    print(len(value) if args.as_length else show_word(value))
     return 0
 
 
@@ -249,18 +247,10 @@ def cmd_run_pda(args) -> int:
     sf = load_file(args.file)
     _, machine = sf.resolve(args.machine, "pda")
     w = word(args.word) if args.word != "eps" else ()
-    if args.trace:
-        c = Configuration(machine.start_state, (), initial_store(machine, w))
-        fuel = args.fuel
-        while fuel > 0 and not c.store.is_empty():
-            succ = step(machine, c)
-            if not succ:
-                break
-            (c2,) = succ
-            print(f"{c.state} | tops {' '.join(topsyms(c.store))} -> {c2.state} | out {show_word(c2.emitted)}")
-            c = c2
-            fuel -= 1
-    outcome = run(machine, w, fuel=args.fuel)
+    for outcome in steps(machine, w, fuel=args.fuel):
+        if args.trace and isinstance(outcome, tuple):
+            state, tops, state2, emitted = outcome
+            print(f"{state} | tops {' '.join(tops)} -> {state2} | out {show_word(emitted)}")
     if isinstance(outcome, Accepted):
         print(f"Accepted {show_word(outcome.output)}")
         return 0

@@ -100,16 +100,15 @@ def product_system(a: PolynomialSystem, b: PolynomialSystem) -> PolynomialSystem
     return PolynomialSystem.make(
         a.indices + b.indices,
         a.input_alphabet,
-        {**dict(a.rules), **dict(b.rules)},
-        {**dict(a.base), **dict(b.base)},
+        {**a.rule_map, **b.rule_map},
+        {**a.base_map, **b.base_map},
         ring=ring,
     )
 
 
 def _sigma(sys: PolynomialSystem, a: str, g: Polynomial) -> Polynomial:
     """Pull g back through the letter-a update map: g(P_{1,a}, ..., P_{n,a})."""
-    rules = dict(sys.rules)
-    return g.substitute({i: rules[(i, a)] for i in sys.indices})
+    return g.substitute(sys.maps[a])
 
 
 # ---------------------------------------------------------------------------
@@ -168,13 +167,13 @@ def find_witness(
     cap = budget.witness_length if max_length is None else max_length
     # value vectors for all suffix words of the current length, built by
     # prepending letters (the recurrence peels the first letter)
+    maps = sys.maps
     level = {(): sys.base_vector()}
     for length in range(cap + 1):
         for w in _lex_words(letters, length):
             if t.evaluate(level[w]) != 0:
                 return w
         nxt = {}
-        maps = sys.maps()
         for w, vec in level.items():
             for a in letters:
                 nxt[(a,) + w] = {i: p.evaluate_int(vec) for i, p in maps[a].items()}
@@ -277,7 +276,7 @@ def reachable_points(sys: PolynomialSystem, budget: Budget = DEFAULT_BUDGET):
     doubly exponentially with depth).
     """
     letters = sorted(sys.input_alphabet)
-    maps = sys.maps()
+    maps = sys.maps
     seen = []
     seen_keys = set()
 

@@ -6,12 +6,15 @@ deterministic machine determines by itself which letter it emits at each
 step, which makes the computed map f(w) effective without guessing f(w)
 up front.  Acceptance requires halting in the start state with an empty
 store; an empty store in any other state is Stuck.
+Every reader of the transition table uses ``KPda.moves``, built once per
+machine; ``steps`` is the one stepping loop, behind ``run`` and ``--trace``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from functools import cached_property
+from typing import Iterable, Iterator, Optional, Union
 
 from .errors import DomainError
 from .pushdown import (
@@ -119,8 +122,14 @@ class KPda:
             raise DomainError(f"start state {start_state!r} not among the states")
         return m
 
-    def delta_map(self) -> Delta:
-        return dict(self.delta)
+    @cached_property
+    def moves(self) -> dict[tuple[str, tuple[str, ...]], list[tuple[str, str, Operation]]]:
+        """(state, topsyms word) -> [(read letter or EPS, next state, op), ...],
+        eps moves first."""
+        out = {}
+        for (q, read, tops), rhs in sorted(self.delta, key=lambda kv: kv[0][1] != EPS):
+            out.setdefault((q, tops), []).extend((read, q2, op) for q2, op in rhs)
+        return out
 
 
 @dataclass(frozen=True)
@@ -155,31 +164,21 @@ RunOutcome = Union[Accepted, Stuck, FuelExhausted]
 def validate_deterministic(m: KPda) -> bool:
     """Card(delta(q,eps,g)) <= 1, Card(delta(q,b,g)) <= 1 and an eps move
     excludes reading moves for the same (q, g)."""
-    table = m.delta_map()
-    for (q, read, tops), rhs in table.items():
-        if len(rhs) > 1:
+    for moves in m.moves.values():
+        reads = [read for read, _, _ in moves]
+        if len(set(reads)) < len(reads) or (EPS in reads and len(reads) > 1):
             return False
-    for (q, read, tops), rhs in table.items():
-        if read == EPS and rhs:
-            for b in m.terminals:
-                if table.get((q, b, tops)):
-                    return False
     return True
 
 
 def validate_strongly_deterministic(m: KPda) -> bool:
     """At most one transition for each (q, g) summed over all read letters."""
-    counts: dict[tuple[str, tuple[str, ...]], int] = {}
-    for (q, read, tops), rhs in m.delta_map().items():
-        counts[(q, tops)] = counts.get((q, tops), 0) + len(rhs)
-        if counts[(q, tops)] > 1:
-            return False
-    return True
+    return all(len(moves) <= 1 for moves in m.moves.values())
 
 
 def validate_level_partitioned(m: KPda) -> bool:
     """Pushes inject only level-j symbols and TOPSYMS keys respect grading."""
-    for (q, read, tops), rhs in m.delta_map().items():
+    for (q, read, tops), rhs in m.delta:
         for i, sym in enumerate(tops, start=1):
             if m.gamma.level_of(sym) != i:
                 return False
@@ -209,7 +208,7 @@ def validate_normal_form(m: KPda) -> NormalFormReport:
         violations.append("LP: a transition uses a symbol outside its level")
     rl = True
     pi = True
-    for (q, read, tops), rhs in m.delta_map().items():
+    for (q, read, tops), rhs in m.delta:
         for q2, op in rhs:
             if read != EPS and not (isinstance(op, Pop) and op.level == 1 and len(tops) == 1):
                 rl = False
@@ -227,15 +226,10 @@ def validate_normal_form(m: KPda) -> NormalFormReport:
 def step(m: KPda, c: Configuration) -> set[Configuration]:
     """All successor configurations under the transition table (generation
     mode: a transition labelled b appends b to the emitted word)."""
-    tops = topsyms(c.store)
-    if not tops:
-        return set()
     out = set()
-    table = m.delta_map()
-    for read in [EPS] + sorted(m.terminals):
-        for q2, op in table.get((c.state, read, tops), ()):
-            emitted = c.emitted + ((read,) if read != EPS else ())
-            out.add(Configuration(q2, emitted, op.apply(c.store)))
+    for read, q2, op in m.moves.get((c.state, topsyms(c.store)), ()):
+        emitted = c.emitted + ((read,) if read != EPS else ())
+        out.add(Configuration(q2, emitted, op.apply(c.store)))
     return out
 
 
@@ -254,9 +248,11 @@ def initial_store(m: KPda, w: Word) -> IteratedPushdown:
     return cur
 
 
-def run(m: KPda, w: Word, fuel: int = 10**6) -> RunOutcome:
+def steps(m: KPda, w: Word, fuel: int = 10**6) -> Iterator:
     """Run the unique computation of a strongly deterministic machine on the
-    initial store built from w, collecting emitted letters."""
+    initial store built from w.  Yields (state, topsyms word, next state,
+    emitted letters so far: one list, grown in place) per step, then the
+    RunOutcome."""
     if not validate_strongly_deterministic(m):
         raise DomainError("run requires a strongly deterministic machine")
     for a in w:
@@ -264,21 +260,31 @@ def run(m: KPda, w: Word, fuel: int = 10**6) -> RunOutcome:
             raise DomainError(f"input letter {a!r} is not in the machine's input alphabet")
         if m.gamma.level_of(a) != m.level:
             raise DomainError(f"input letter {a!r} must be a level-{m.level} pushdown symbol")
-    c = Configuration(m.start_state, (), initial_store(m, w))
-    while True:
-        if c.store.is_empty():
-            if c.state == m.start_state:
-                return Accepted(c.emitted)
-            return Stuck(c)
-        if fuel <= 0:
-            return FuelExhausted(c)
-        succ = step(m, c)
-        if len(succ) > 1:
-            raise DomainError("strong determinism violated along the run")
-        if not succ:
-            return Stuck(c)
-        (c,) = succ
+    state, emitted, store = m.start_state, [], initial_store(m, w)
+    while not store.is_empty() and fuel > 0:
+        tops = topsyms(store)
+        enabled = m.moves.get((state, tops))
+        if not enabled:
+            break
+        ((read, q2, op),) = enabled
+        if read != EPS:
+            emitted.append(read)
+        store = op.apply(store)
+        yield state, tops, q2, emitted
+        state = q2
         fuel -= 1
+    c = Configuration(state, tuple(emitted), store)
+    if store.is_empty():
+        yield Accepted(c.emitted) if state == m.start_state else Stuck(c)
+    else:
+        yield FuelExhausted(c) if fuel <= 0 else Stuck(c)
+
+
+def run(m: KPda, w: Word, fuel: int = 10**6) -> RunOutcome:
+    """The outcome of ``steps``: Accepted, Stuck or FuelExhausted."""
+    for outcome in steps(m, w, fuel):
+        pass
+    return outcome
 
 
 # ---------------------------------------------------------------------------
@@ -290,18 +296,15 @@ SententialForm = tuple[SententialItem, ...]
 
 def _variable_rewrites(m: KPda, v: Variable):
     """One-step productions for a single variable occurrence."""
-    tops = topsyms(v.store)
-    table = m.delta_map()
     out = []
-    for read in [EPS] + sorted(m.terminals):
-        for q2, op in table.get((v.left, read, tops), ()):
-            store2 = op.apply(v.store)
-            prefix: tuple[SententialItem, ...] = (read,) if read != EPS else ()
-            if store2.is_empty():
-                if q2 == v.right:
-                    out.append(prefix)
-            else:
-                out.append(prefix + (Variable(q2, store2, v.right),))
+    for read, q2, op in m.moves.get((v.left, topsyms(v.store)), ()):
+        store2 = op.apply(v.store)
+        prefix: tuple[SententialItem, ...] = (read,) if read != EPS else ()
+        if store2.is_empty():
+            if q2 == v.right:
+                out.append(prefix)
+        else:
+            out.append(prefix + (Variable(q2, store2, v.right),))
     # decomposition rule: split the top-level entry sequence
     for cut in range(1, len(v.store.entries)):
         eta = IteratedPushdown(v.store.level, v.store.entries[:cut])
@@ -381,7 +384,6 @@ def _computes(m: KPda, p: str, u: Word, store: IteratedPushdown, q: str, bound: 
     """Bounded search for (p,u,w) |-* (q,eps,eps) in recognition mode."""
     if store.is_empty():
         return p == q and not u
-    table = m.delta_map()
     start = (p, 0, store)
     seen = {start}
     frontier = [start]
@@ -390,20 +392,17 @@ def _computes(m: KPda, p: str, u: Word, store: IteratedPushdown, q: str, bound: 
             return False
         nxt = []
         for state, pos, st in frontier:
-            tops = topsyms(st)
-            if not tops:
-                continue
-            reads = [EPS] + ([u[pos]] if pos < len(u) else [])
-            for read in reads:
-                for q2, op in table.get((state, read, tops), ()):
-                    pos2 = pos + (1 if read != EPS else 0)
-                    st2 = op.apply(st)
-                    if st2.is_empty() and pos2 == len(u) and q2 == q:
-                        return True
-                    nxt_cfg = (q2, pos2, st2)
-                    if nxt_cfg not in seen:
-                        seen.add(nxt_cfg)
-                        nxt.append(nxt_cfg)
+            for read, q2, op in m.moves.get((state, topsyms(st)), ()):
+                if read != EPS and (pos == len(u) or read != u[pos]):
+                    continue
+                pos2 = pos + (1 if read != EPS else 0)
+                st2 = op.apply(st)
+                if st2.is_empty() and pos2 == len(u) and q2 == q:
+                    return True
+                nxt_cfg = (q2, pos2, st2)
+                if nxt_cfg not in seen:
+                    seen.add(nxt_cfg)
+                    nxt.append(nxt_cfg)
         frontier = nxt
     return None if frontier else False
 

@@ -15,21 +15,26 @@ matrices act on the right, so the first letter's matrix is leftmost.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 from .errors import DomainError
 from .morphisms import (
     HDT0LSystem,
     Homomorphism,
     LinearRepresentation,
+    dot,
     eval_hdt0l,
     incidence,
     mat_mul,
+    vec_mat,
 )
 from .polynomials import Polynomial
 from .recurrences import (
     CatenativeSystem,
+    CompositionalSystem,
     PolynomialSystem,
     eval_catenative,
+    suffix_walk,
 )
 from .words import Word
 
@@ -90,7 +95,9 @@ def compose_level3(g: CatenativeSystem, i0: str, h: HDT0LSystem) -> Level3Mappin
     return Level3Mapping(g, i0, h)
 
 
-def compositional_unary_value(sys, i: str, w: Word, final: Homomorphism, seed: str) -> int:
+def compositional_unary_value(
+    sys: CompositionalSystem, i: str, w: Word, final: Homomorphism, seed: str
+) -> int:
     """|final(H_i(w)(seed))| computed in the incidence-matrix monoid.
 
     Composition of endomorphisms maps to matrix product (first factor
@@ -98,31 +105,16 @@ def compositional_unary_value(sys, i: str, w: Word, final: Homomorphism, seed: s
     counts alone; this is the road to take when explicit words would be
     astronomically long.
     """
-    from .recurrences import CompositionalSystem, _check_index, _check_word
-
-    assert isinstance(sys, CompositionalSystem)
-    _check_index(sys, i)
-    _check_word(sys, w)
-    order = tuple(sorted(sys.working))
     if seed not in sys.working:
         raise DomainError(f"seed {seed!r} is not a working letter")
+    order = tuple(sorted(sys.working))
     d = len(order)
     identity = tuple(tuple(1 if k == l else 0 for l in range(d)) for k in range(d))
-    rules = dict(sys.rules)
     values = {j: incidence(h, order, order) for j, h in sys.base}
-    for a in reversed(w):
-        nxt = {}
-        for j in sys.indices:
-            m = identity
-            for k in rules[(j, a)]:
-                m = mat_mul(m, values[k])
-            nxt[j] = m
-        values = nxt
+    m = suffix_walk(sys, i, w, values, lambda ms: reduce(mat_mul, ms, identity))
     row = tuple(1 if v == seed else 0 for v in order)
     col = tuple(len(final.images[v]) for v in order)
-    from .morphisms import vec_mat, dot
-
-    return dot(vec_mat(row, values[i]), col)
+    return dot(vec_mat(row, m), col)
 
 
 def unary_lowering(sys: HDT0LSystem) -> LinearRepresentation:
@@ -283,11 +275,11 @@ def skolem_product_system(
         rules[(uvar(i), a)] = p.substitute(u_env)
     for (i, a), p in v.rules:
         rules[(vvar(i), a)] = p.substitute(v_env)
-    u_next = dict(u.rules)[(iu, letter)].substitute(u_env)
-    v_next = dict(v.rules)[(iv, letter)].substitute(v_env)
+    u_next = u.rule(iu, letter).substitute(u_env)
+    v_next = v.rule(iv, letter).substitute(v_env)
     rules[(acc, letter)] = Polynomial.var(acc) * (u_next - v_next)
     base = {uvar(i): val for i, val in u.base}
     base.update({vvar(i): val for i, val in v.base})
-    base[acc] = dict(u.base)[iu] - dict(v.base)[iv]
+    base[acc] = u.base_value(iu) - v.base_value(iv)
     system = PolynomialSystem.make(indices, u.input_alphabet, rules, base, ring="Z")
     return SkolemProduct(system, acc)

@@ -10,6 +10,7 @@ seed applies the morphism of the first letter first,
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from typing import Iterable, Mapping
 
@@ -138,11 +139,14 @@ class HDT0LSystem:
             raise DomainError(f"seed {seed!r} is not a working letter")
         return cls(input_alphabet, working, tuple(sorted(tables.items())), final, seed)
 
+    @cached_property
+    def table_map(self) -> dict[str, Homomorphism]:
+        return dict(self.tables)
+
     def table(self, a: str) -> Homomorphism:
-        for letter, h in self.tables:
-            if letter == a:
-                return h
-        raise DomainError(f"no table for input letter {a!r}")
+        if a not in self.table_map:
+            raise DomainError(f"no table for input letter {a!r}")
+        return self.table_map[a]
 
     @property
     def output_alphabet(self) -> frozenset[str]:
@@ -226,15 +230,18 @@ class LinearRepresentation:
             norm[a] = m
         return cls(d, row, tuple(sorted(norm.items())), col)
 
+    @cached_property
+    def matrix_map(self) -> dict[str, Matrix]:
+        return dict(self.matrices)
+
     def matrix(self, a: str) -> Matrix:
-        for letter, m in self.matrices:
-            if letter == a:
-                return m
-        raise DomainError(f"no matrix for letter {a!r}")
+        if a not in self.matrix_map:
+            raise DomainError(f"no matrix for letter {a!r}")
+        return self.matrix_map[a]
 
     @property
     def letters(self) -> frozenset[str]:
-        return frozenset(a for a, _ in self.matrices)
+        return frozenset(self.matrix_map)
 
 
 def linear_eval(rep: LinearRepresentation, w: Word) -> int:

@@ -29,27 +29,6 @@ def mono_degree(m: Monomial) -> int:
     return sum(e for _, e in m)
 
 
-def mono_divides(a: Monomial, b: Monomial) -> bool:
-    db = dict(b)
-    return all(db.get(v, 0) >= e for v, e in a)
-
-
-def mono_div(a: Monomial, b: Monomial) -> Monomial:
-    out = dict(a)
-    for v, e in b:
-        out[v] = out.get(v, 0) - e
-        if out[v] < 0:
-            raise DomainError("monomial division with remainder")
-    return tuple(sorted((v, e) for v, e in out.items() if e))
-
-
-def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    out = dict(a)
-    for v, e in b:
-        out[v] = max(out.get(v, 0), e)
-    return tuple(sorted(out.items()))
-
-
 Scalar = Union[int, Fraction]
 
 

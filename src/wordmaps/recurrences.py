@@ -1,19 +1,21 @@
 """Evaluators for recurrence systems over words.
 
-Four species share the same recursion on the first letter of the argument:
-catenative (word values), compositional (endomorphism values), regular
-(congruence-classified rules with shift words, evaluated by fuel-bounded
-rewriting), and polynomial (bignum values).
+Four species recurse on the first letter of the argument: catenative (word
+values), compositional (endomorphism values), regular (congruence-classified
+rules with shift words, evaluated by fuel-bounded rewriting), and polynomial
+(bignum values).  Systems build their lookup maps once, on first use.
 
 Evaluation walks suffixes from the right, carrying the whole value vector,
 so each rule is expanded once per suffix even when rules duplicate their
-argument.  Regular systems cannot use that scheme (shift words change the
-argument), hence the explicit rewriting loop with fuel.
+argument.  ``suffix_walk`` is that one walk for the catenative, compositional
+and (in ``lowering``) incidence-matrix values.  Regular systems cannot use
+it (shift words change the argument), hence the rewriting loop with fuel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, reduce
 from itertools import chain
 from typing import Mapping
 
@@ -30,8 +32,27 @@ def _check_rules_total(indices, alphabet, rules, what):
                 raise DomainError(f"{what} has no rule for ({i!r}, {a!r})")
 
 
+class _Lookup:
+    """rule(*key) and base_value(i) for a system whose ``rules`` and ``base``
+    are sorted pairs; the maps are built on first use, once per object."""
+
+    @cached_property
+    def rule_map(self) -> dict:
+        return dict(self.rules)
+
+    @cached_property
+    def base_map(self) -> dict:
+        return dict(self.base)
+
+    def rule(self, *key):
+        return self.rule_map[key]
+
+    def base_value(self, i):
+        return self.base_map[i]
+
+
 @dataclass(frozen=True)
-class CatenativeSystem:
+class CatenativeSystem(_Lookup):
     """f_i(aw) = f_{a(i,a,1)}(w) ... f_{a(i,a,l)}(w) with word values."""
 
     indices: tuple[str, ...]
@@ -64,15 +85,9 @@ class CatenativeSystem:
             tuple(sorted((i, tuple(w)) for i, w in base.items())),
         )
 
-    def rule(self, i, a):
-        return dict(self.rules)[(i, a)]
-
-    def base_value(self, i):
-        return dict(self.base)[i]
-
 
 @dataclass(frozen=True)
-class CompositionalSystem:
+class CompositionalSystem(_Lookup):
     """Same recursion with values in the endomorphisms of a working alphabet;
     the rule product is composition, leftmost factor applying first."""
 
@@ -101,12 +116,6 @@ class CompositionalSystem:
             tuple(sorted(((i, a), tuple(rhs)) for (i, a), rhs in rules.items())),
             tuple(sorted(base.items())),
         )
-
-    def rule(self, i, a):
-        return dict(self.rules)[(i, a)]
-
-    def base_value(self, i):
-        return dict(self.base)[i]
 
 
 @dataclass(frozen=True)
@@ -149,18 +158,26 @@ class DfaClassifier:
     def classes(self) -> frozenset[str]:
         return frozenset(c for _, c in self.class_of)
 
+    @cached_property
+    def transition_map(self) -> dict[tuple[str, str], str]:
+        return dict(self.transitions)
+
+    @cached_property
+    def class_map(self) -> dict[str, str]:
+        return dict(self.class_of)
+
     def classify(self, w: Word) -> str:
-        trans = dict(self.transitions)
+        trans = self.transition_map
         q = self.start
         for a in w:
             if (q, a) not in trans:
                 raise DomainError(f"classifier has no transition for letter {a!r}")
             q = trans[(q, a)]
-        return dict(self.class_of)[q]
+        return self.class_map[q]
 
 
 @dataclass(frozen=True)
-class RegularSystem:
+class RegularSystem(_Lookup):
     """f_i(aw) = prod_j f_{a(i,a,d,j)}(u_{i,a,d,j} w) for w in class d."""
 
     indices: tuple[str, ...]
@@ -199,15 +216,9 @@ class RegularSystem:
             tuple(sorted((i, tuple(w)) for i, w in base.items())),
         )
 
-    def rule(self, i, a, d):
-        return dict(self.rules)[(i, a, d)]
-
-    def base_value(self, i):
-        return dict(self.base)[i]
-
 
 @dataclass(frozen=True)
-class PolynomialSystem:
+class PolynomialSystem(_Lookup):
     """f_i(aw) = P_{i,a}(f_1(w), ..., f_n(w)) with bignum values.
 
     The polynomial variables are the index names themselves.  ``ring`` is
@@ -251,12 +262,11 @@ class PolynomialSystem:
             ring,
         )
 
-    def rule(self, i, a) -> Polynomial:
-        return dict(self.rules)[(i, a)]
-
     def base_vector(self) -> dict[str, int]:
-        return dict(self.base)
+        """A fresh dict of the base values, which the caller may change."""
+        return dict(self.base_map)
 
+    @cached_property
     def maps(self) -> dict[str, dict[str, Polynomial]]:
         """Per-letter update maps a |-> {i: P_{i,a}}."""
         out: dict[str, dict[str, Polynomial]] = {a: {} for a in self.input_alphabet}
@@ -280,34 +290,24 @@ def _check_index(sys, i):
         raise DomainError(f"unknown index {i!r}")
 
 
-def eval_catenative(sys: CatenativeSystem, i: str, w: Word) -> Word:
+def suffix_walk(sys, i: str, w: Word, values: Mapping, product):
+    """f_i(w) for f_j(aw) = product(f_k(w) for k in rule(j, a)), where values
+    holds the f_j(eps) and product multiplies an iterable of values."""
     _check_index(sys, i)
     _check_word(sys, w)
-    rules = dict(sys.rules)
-    values = {j: word for j, word in sys.base}
+    rules = sys.rule_map
     for a in reversed(w):
-        values = {
-            j: tuple(chain.from_iterable(values[k] for k in rules[(j, a)]))
-            for j in sys.indices
-        }
+        values = {j: product(values[k] for k in rules[(j, a)]) for j in sys.indices}
     return values[i]
+
+
+def eval_catenative(sys: CatenativeSystem, i: str, w: Word) -> Word:
+    return suffix_walk(sys, i, w, sys.base_map, lambda parts: tuple(chain.from_iterable(parts)))
 
 
 def eval_compositional(sys: CompositionalSystem, i: str, w: Word) -> Homomorphism:
-    _check_index(sys, i)
-    _check_word(sys, w)
-    rules = dict(sys.rules)
     identity = Homomorphism.identity(sys.working)
-    values = dict(sys.base)
-    for a in reversed(w):
-        nxt = {}
-        for j in sys.indices:
-            h = identity
-            for k in rules[(j, a)]:
-                h = compose(h, values[k])
-            nxt[j] = h
-        values = nxt
-    return values[i]
+    return suffix_walk(sys, i, w, sys.base_map, lambda hs: reduce(compose, hs, identity))
 
 
 def eval_level3(sys: CompositionalSystem, i: str, w: Word, final: Homomorphism, seed: str) -> Word:
@@ -329,8 +329,8 @@ def eval_regular(sys: RegularSystem, i: str, w: Word, fuel: int = 10**5) -> Word
     (the argument minus its first letter) selects the rule."""
     _check_index(sys, i)
     _check_word(sys, w)
-    rules = dict(sys.rules)
-    base = dict(sys.base)
+    rules = sys.rule_map
+    base = sys.base_map
     terms: list[tuple[str, Word]] = [(i, tuple(w))]
     pos = 0
     while True:
@@ -357,8 +357,8 @@ def eval_polynomial(sys: PolynomialSystem, i: str, w: Word) -> int:
 
 def eval_polynomial_vector(sys: PolynomialSystem, w: Word) -> dict[str, int]:
     _check_word(sys, w)
-    rules = dict(sys.rules)
-    values = {j: v for j, v in sys.base}
+    rules = sys.rule_map
+    values = sys.base_vector()
     for a in reversed(w):
         values = {j: rules[(j, a)].evaluate_int(values) for j in sys.indices}
     return values
@@ -377,5 +377,5 @@ def catenative_to_regular(sys: CatenativeSystem) -> RegularSystem:
         (i, a, label): tuple((j, ()) for j in rhs) for (i, a), rhs in sys.rules
     }
     return RegularSystem.make(
-        sys.indices, sys.input_alphabet, sys.output_alphabet, classifier, rules, dict(sys.base)
+        sys.indices, sys.input_alphabet, sys.output_alphabet, classifier, rules, sys.base_map
     )

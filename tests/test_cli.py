@@ -198,8 +198,42 @@ def test_groebner_subcommand(capsys, tmp_path):
     assert code2 == 0 and out2.strip()
 
 
+POW2_AA_TRACE = """\
+q0 | tops S a -> q1 | out eps
+q1 | tops S a -> q0 | out eps
+q0 | tops S a -> q1 | out eps
+q1 | tops S -> q0 | out eps
+q0 | tops S -> q0 | out b
+q0 | tops S -> q0 | out bb
+q0 | tops S a -> q1 | out bb
+q1 | tops S -> q0 | out bb
+q0 | tops S -> q0 | out bbb
+q0 | tops S -> q0 | out bbbb
+Accepted bbbb
+"""
+
+
 def test_run_pda_trace(capsys):
-    code, out, _ = run_cli(capsys, "run-pda", "pow2-pda", "pow2", "a", "--trace")
+    code, out, _ = run_cli(capsys, "run-pda", "pow2-pda", "pow2", "aa", "--trace")
     assert code == 0
-    assert "Accepted bb" in out
-    assert "->" in out
+    assert out == POW2_AA_TRACE
+
+
+def test_run_pda_trace_rejects_a_machine_that_is_not_strongly_deterministic(capsys, tmp_path):
+    path = tmp_path / "two.sys"
+    path.write_text(
+        "pda two {\n  level: 1\n  states: q\n  terminals: a b\n  input: A\n"
+        "  gamma 1: A\n  start: q\n  q , a , A -> q , pop_1\n  q , b , A -> q , pop_1\n}\n"
+    )
+    code, out, err = run_cli(capsys, "run-pda", str(path), "two", "A", "--trace")
+    assert code == 2
+    assert out == ""
+    assert err == "error: run requires a strongly deterministic machine\n"
+
+
+@pytest.mark.parametrize("argv", [("gmap", "fibword", "fibrep", "3"), ("npown", "H", "out", "bcc")])
+def test_compose_rejects_a_first_stage_that_is_not_catenative(capsys, argv):
+    code, out, err = run_cli(capsys, "compose", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: the first stage must be a cat declaration")

@@ -1,4 +1,5 @@
 import random
+from itertools import count
 
 import pytest
 from importlib import resources
@@ -17,6 +18,7 @@ from wordmaps.kpda import (
     initial_store,
     run,
     step,
+    steps,
     validate_deterministic,
     validate_level_partitioned,
     validate_normal_form,
@@ -29,6 +31,7 @@ from wordmaps.pushdown import (
     is_graded,
     substitute,
     substitute_word,
+    topsyms,
 )
 from wordmaps.systemfile import parse_file
 
@@ -148,6 +151,50 @@ def test_run_stuck_and_fuel(pow2_pda):
     out = run(dead, ("a",))
     assert isinstance(out, Stuck)
     assert out.configuration.state == "q1"
+
+
+def _reference_run(m, w, fuel):
+    """The generation-mode run as a loop over the successor relation: the
+    outcome and the (state, topsyms, next state, emitted) of each step."""
+    c = Configuration(m.start_state, (), initial_store(m, w))
+    trace = []
+    while not c.store.is_empty():
+        if fuel <= 0:
+            return FuelExhausted(c), trace
+        succ = step(m, c)
+        if not succ:
+            return Stuck(c), trace
+        (c2,) = succ
+        trace.append((c.state, topsyms(c.store), c2.state, c2.emitted))
+        c = c2
+        fuel -= 1
+    return (Accepted(c.emitted) if c.state == m.start_state else Stuck(c)), trace
+
+
+def test_run_matches_a_loop_over_step_at_every_fuel(identity_pda, pow2_pda):
+    stuck_without_move = _toy({("q0", "a", ("S", "a")): {("q1", Pop(1))}})
+    stuck_with_empty_store = _toy({("q0", "", ("S", "a")): {("q1", Pop(2))}})
+    cases = [
+        (identity_pda, ("a", "b", "b", "a")),
+        (pow2_pda, ("a",) * 3),
+        (stuck_without_move, ("a", "b")),
+        (stuck_with_empty_store, ("a",)),
+    ]
+    for m, w in cases:
+        # the least fuel that finishes the run is its number of steps
+        n = next(f for f in count() if not isinstance(_reference_run(m, w, f)[0], FuelExhausted))
+        for fuel in range(n + 2):
+            expected, expected_trace = _reference_run(m, w, fuel)
+            got = run(m, w, fuel)
+            assert type(got) is type(expected) and got == expected, (m.name, w, fuel)
+            trace = []
+            for item in steps(m, w, fuel):
+                if isinstance(item, tuple):
+                    q, tops, q2, emitted = item
+                    trace.append((q, tops, q2, tuple(emitted)))
+            assert item == expected and trace == expected_trace, (m.name, w, fuel)
+    assert isinstance(run(stuck_without_move, ("a", "b")), Stuck)
+    assert isinstance(run(stuck_with_empty_store, ("a",)), Stuck)
 
 
 def test_run_with_exactly_enough_fuel(identity_pda):

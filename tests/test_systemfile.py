@@ -56,6 +56,10 @@ def test_duplicate_declaration_rejected():
         parse_file(text)
 
 
+# lookup maps built on first use; they are not fields
+CACHED_MAPS = ("moves", "rule_map", "base_map", "maps", "table_map", "matrix_map")
+
+
 @pytest.mark.parametrize("name", BUNDLED)
 def test_reprint_round_trip_stable(name):
     sf = parse_file(_text(name), filename=name)
@@ -66,7 +70,12 @@ def test_reprint_round_trip_stable(name):
         kind1, obj1 = sf.declarations[key]
         kind2, obj2 = sf2.declarations[key]
         assert kind1 == kind2
+        for attr in CACHED_MAPS:
+            if hasattr(type(obj1), attr):
+                getattr(obj1, attr)
         assert obj1 == obj2, key
+        if kind1 in ("pda", "poly", "cat"):
+            assert hash(obj1) == hash(obj2), key
     # printing is idempotent
     assert format_file(sf2) == printed
 
