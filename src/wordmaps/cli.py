@@ -234,6 +234,8 @@ def cmd_compose(args) -> int:
         raise WordmapsError("the second stage must be an hdt0l or linrep declaration")
     if kind2 == "hdt0l":
         compose_level3(first, index, second)  # rejects mismatched stage alphabets
+    elif not first.output_alphabet <= second.letters:
+        raise WordmapsError("the representation must cover the catenative output alphabet")
     stage1 = eval_catenative(first, index, parse_argument_word(first, args.argument))
     if kind2 == "linrep":
         _print_integer(linear_eval(second, stage1))

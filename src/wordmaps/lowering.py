@@ -4,9 +4,10 @@ Catenative systems and HDT0L systems denote the same maps and convert both
 ways; a DT0L stage composes with an HDT0L stage into a level-3 mapping; a
 unary-output HDT0L collapses to a linear (matrix) representation through
 letter counts; a catenative stage feeding a linear representation lowers to
-a polynomial recurrence by expanding the matrix products symbolically; and
-two linear integer systems combine into the running-product system whose
-zeros witness agreement of the inputs.
+a polynomial recurrence by expanding the matrix products symbolically (its
+base matrices come from ``morphisms.word_product``, as in ``linear_eval``);
+and two linear integer systems combine into the running-product system
+whose zeros witness agreement of the inputs.
 
 Matrix orientation everywhere: Parikh vectors are rows and incidence
 matrices act on the right, so the first letter's matrix is leftmost.
@@ -27,6 +28,7 @@ from .morphisms import (
     incidence,
     mat_mul,
     vec_mat,
+    word_product,
 )
 from .polynomials import Polynomial
 from .recurrences import (
@@ -158,13 +160,6 @@ def _identity_poly_matrix(d: int):
     )
 
 
-def _numeric_matrix_of_word(rep: LinearRepresentation, w: Word):
-    m = tuple(tuple(1 if k == l else 0 for l in range(rep.dimension)) for k in range(rep.dimension))
-    for a in w:
-        m = mat_mul(m, rep.matrix(a))
-    return m
-
-
 @dataclass(frozen=True)
 class LoweredSeries:
     """A polynomial system tracking the matrix images of the catenative
@@ -200,9 +195,10 @@ def series_to_polynomial_system(
         for k in range(d):
             for l in range(d):
                 rules[(_entry_var(i, k, l), a)] = prod[k][l]
+    identity = tuple(tuple(1 if k == l else 0 for l in range(d)) for k in range(d))
     base = {}
     for i, w in g.base:
-        m = _numeric_matrix_of_word(rep, w)
+        m = word_product(identity, rep, w, mat_mul)
         for k in range(d):
             for l in range(d):
                 base[_entry_var(i, k, l)] = m[k][l]

@@ -5,13 +5,16 @@ Composition follows the diagrammatic convention used throughout this library:
 convention is load-bearing: iterating a word-indexed family of morphisms on a
 seed applies the morphism of the first letter first,
 ``H^{uv}(c) == H^v(H^u(c))``.
+
+``word_product`` multiplies letter matrices along a word one maximal run a^k
+at a time, by repeated squaring: O(log k) squarings of M_a per run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, groupby
 from typing import Iterable, Mapping
 
 from .errors import DomainError
@@ -220,6 +223,8 @@ class LinearRepresentation:
         row = tuple(row)
         col = tuple(col)
         d = len(row)
+        if d < 1:
+            raise DomainError(f"a linear representation needs dimension >= 1, not dimension {d}")
         if len(col) != d:
             raise DomainError("row and column dimensions differ")
         norm = {}
@@ -244,8 +249,20 @@ class LinearRepresentation:
         return frozenset(self.matrix_map)
 
 
+def word_product(x, rep: LinearRepresentation, w: Word, mul):
+    """x . M_{w_1} ... M_{w_n}; mul is vec_mat for a row vector x, mat_mul for a matrix.
+    A run a^k costs floor(log2 k) squarings of M_a and one mul per set bit of k."""
+    for a, run in groupby(w):
+        k = len(list(run))
+        m = rep.matrix(a)
+        while k > 1:  # x . m^k == (x . m^(k & 1)) . (m m)^(k >> 1)
+            if k & 1:
+                x = mul(x, m)
+            m = mat_mul(m, m)
+            k >>= 1
+        x = mul(x, m)
+    return x
+
+
 def linear_eval(rep: LinearRepresentation, w: Word) -> int:
-    v = rep.row
-    for a in w:
-        v = vec_mat(v, rep.matrix(a))
-    return dot(v, rep.col)
+    return dot(word_product(rep.row, rep, w, vec_mat), rep.col)

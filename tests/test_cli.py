@@ -237,3 +237,41 @@ def test_compose_rejects_a_first_stage_that_is_not_catenative(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: the first stage must be a cat declaration")
+
+
+def test_linrep_of_dimension_zero_is_an_error(capsys, tmp_path):
+    path = tmp_path / "zero.sys"
+    path.write_text("linrep z {\n  dim: 0\n  row:\n  mat x = [ ]\n  col:\n}\n")
+    code, out, err = run_cli(capsys, "eval", str(path), "z", "xx")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "dimension 0" in err
+
+
+XY_CAT = """
+cat twoletters {
+  input: a
+  output: x y
+  f(eps) = eps
+  g(eps) = y
+  f(a w) = g(w) f(w)
+  g(a w) = g(w)
+}
+
+linrep fibrep {
+  dim: 2
+  row: 1 0
+  mat x = [ 1 1 / 1 0 ]
+  col: 1 0
+}
+"""
+
+
+@pytest.mark.parametrize("argument", ["eps", "a", "20"])
+def test_compose_rejects_a_representation_missing_a_stage1_letter(capsys, tmp_path, argument):
+    path = tmp_path / "xy.sys"
+    path.write_text(XY_CAT)
+    code, out, err = run_cli(capsys, "compose", str(path), "twoletters", "fibrep", argument)
+    assert code == 2
+    assert out == ""
+    assert err == "error: the representation must cover the catenative output alphabet\n"

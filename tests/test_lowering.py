@@ -1,4 +1,5 @@
 import random
+from functools import reduce
 
 import pytest
 
@@ -17,6 +18,7 @@ from wordmaps.morphisms import (
     LinearRepresentation,
     eval_hdt0l,
     linear_eval,
+    mat_mul,
 )
 from wordmaps.polynomials import Polynomial
 from wordmaps.recurrences import (
@@ -242,6 +244,32 @@ def test_series_lowering_random_instances():
         for w in _all_words(sorted(cat.input_alphabet), 4):
             staged = linear_eval(rep, eval_catenative(cat, i0, w))
             assert low.eval(w) == staged
+
+
+def test_series_lowering_base_matrices_are_the_word_products():
+    rng = random.Random(45)
+    for _ in range(25):
+        d = rng.randrange(1, 4)
+        base = {
+            i: tuple(
+                a for _ in range(rng.randrange(4)) for a in rng.choice("xy") * rng.randrange(1, 40)
+            )
+            for i in ("f", "g")
+        }
+        cat = CatenativeSystem.make(
+            ("f", "g"), {"a"}, {"x", "y"}, {("f", "a"): ("g", "f"), ("g", "a"): ("g",)}, base
+        )
+        mats = {
+            b: tuple(tuple(rng.randrange(-2, 3) for _ in range(d)) for _ in range(d)) for b in "xy"
+        }
+        rep = LinearRepresentation.make((1,) * d, mats, (1,) * d)
+        low = series_to_polynomial_system(cat, rep, "f")
+        identity = tuple(tuple(int(k == l) for l in range(d)) for k in range(d))
+        for i, w in base.items():
+            expected = reduce(mat_mul, (mats[a] for a in w), identity)
+            for k in range(d):
+                for l in range(d):
+                    assert low.system.base_value(f"u_{i}_{k}_{l}") == expected[k][l]
 
 
 def test_series_lowering_size_is_polynomial():

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wordmaps.errors import DomainError
 from wordmaps.morphisms import (
@@ -15,6 +16,7 @@ from wordmaps.morphisms import (
     incidence,
     linear_eval,
     parikh,
+    vec_mat,
 )
 from wordmaps.words import word
 
@@ -132,13 +134,61 @@ def test_linear_eval_examples():
     assert linear_eval(zero, ("a",) * 5) == 0
 
 
+def _fib_pair(n):
+    """(F(n), F(n+1)) with F(0) = 0, F(1) = 1, by fast doubling."""
+    if n == 0:
+        return 0, 1
+    a, b = _fib_pair(n // 2)
+    c = a * (2 * b - a)
+    d = a * a + b * b
+    return (d, c + d) if n % 2 else (c, d)
+
+
 def test_linear_eval_fibonacci():
     rep = LinearRepresentation.make((1, 0), {"x": ((1, 1), (1, 0))}, (1, 0))
     fib = [1, 1]
-    while len(fib) < 21:
+    while len(fib) < 65536:
         fib.append(fib[-1] + fib[-2])
     for n in range(21):
         assert linear_eval(rep, ("x",) * n) == fib[n]
+    assert linear_eval(rep, ("x",) * 65535) == fib[65535]
+    # row . M^n . col = F(n+1); an iterative loop to 2^18 would take seconds
+    assert linear_eval(rep, ("x",) * 2**18) == _fib_pair(2**18 + 1)[0]
+
+
+@st.composite
+def _rep_and_run_word(draw):
+    """Entries -2..2 (zero and identity matrices included); 0-8 runs of length 1..300."""
+    d = draw(st.integers(1, 3))
+    letters = "abc"[: draw(st.integers(1, 3))]
+    vector = st.lists(st.integers(-2, 2), min_size=d, max_size=d)
+    matrix = st.lists(vector, min_size=d, max_size=d)
+    rep = LinearRepresentation.make(
+        draw(vector), draw(st.fixed_dictionaries({a: matrix for a in letters})), draw(vector)
+    )
+    runs = draw(st.lists(st.tuples(st.sampled_from(letters), st.integers(1, 300)), max_size=8))
+    return rep, tuple(a for a, k in runs for _ in range(k))
+
+
+@settings(deadline=None, max_examples=150)
+@given(_rep_and_run_word())
+def test_linear_eval_matches_a_letter_by_letter_product(case):
+    rep, w = case
+    v = rep.row
+    for a in w:
+        v = vec_mat(v, rep.matrix(a))
+    assert linear_eval(rep, w) == sum(x * y for x, y in zip(v, rep.col))
+
+
+def test_linear_eval_unknown_letter_after_a_long_run():
+    rep = LinearRepresentation.make((1, 0), {"x": ((1, 1), (1, 0))}, (1, 0))
+    with pytest.raises(DomainError, match="no matrix for letter 'y'"):
+        linear_eval(rep, ("x",) * 5000 + ("y",))
+
+
+def test_linear_representation_rejects_dimension_zero():
+    with pytest.raises(DomainError, match="dimension 0"):
+        LinearRepresentation.make((), {"x": ()}, ())
 
 
 def test_homomorphism_extensional_equality():
