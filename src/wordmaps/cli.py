@@ -27,11 +27,10 @@ from .lowering import (
     catenative_to_hdt0l,
     compose_level3,
     hdt0l_to_catenative,
-    series_to_polynomial_system,
     skolem_product_system,
     unary_lowering,
 )
-from .morphisms import linear_eval, eval_hdt0l
+from .morphisms import LinearRepresentation, linear_eval, eval_hdt0l
 from .polynomials import format_polynomial
 from .recurrences import (
     eval_catenative,
@@ -203,9 +202,7 @@ def cmd_lower(args) -> int:
         _, sys = sf.resolve(name, "hdt0l")
         out = format_declaration("linrep", f"{name}_rep", unary_lowering(sys))
     elif args.what == "series":
-        _, sys, index = resolve_sequence(sf, args.target)
-        _, rep = sf.resolve(args.linrep, "linrep")
-        lowered = series_to_polynomial_system(sys, rep, index)
+        lowered = level3_mapping(sf, args.target, args.linrep).lower()
         out = format_declaration("poly", f"{split_target(args.target)[0]}_poly", lowered.system)
         out += f"\n# output form: {format_polynomial(lowered.output_form)}"
     elif args.what == "skolem":
@@ -224,24 +221,24 @@ def cmd_lower(args) -> int:
     return 0
 
 
-def cmd_compose(args) -> int:
-    sf = load_file(args.file)
-    kind1, first, index = resolve_sequence(sf, args.first)
+def level3_mapping(sf: SystemFile, first_target: str, second_name: str):
+    """The level-3 mapping of a cat target followed by an hdt0l or linrep."""
+    kind1, first, index = resolve_sequence(sf, first_target)
     if kind1 != "cat":
         raise WordmapsError(f"the first stage must be a cat declaration, not {kind1}")
-    kind2, second = sf.resolve(args.second)
+    kind2, second = sf.resolve(second_name)
     if kind2 not in ("hdt0l", "linrep"):
         raise WordmapsError("the second stage must be an hdt0l or linrep declaration")
-    if kind2 == "hdt0l":
-        compose_level3(first, index, second)  # rejects mismatched stage alphabets
-    elif not first.output_alphabet <= second.letters:
-        raise WordmapsError("the representation must cover the catenative output alphabet")
-    stage1 = eval_catenative(first, index, parse_argument_word(first, args.argument))
-    if kind2 == "linrep":
-        _print_integer(linear_eval(second, stage1))
-        return 0
-    value = eval_hdt0l(second, stage1)
-    print(len(value) if args.as_length else show_word(value))
+    return compose_level3(first, index, second)
+
+
+def cmd_compose(args) -> int:
+    mapping = level3_mapping(load_file(args.file), args.first, args.second)
+    w = parse_argument_word(mapping.first, args.argument)
+    if args.as_length or isinstance(mapping.second, LinearRepresentation):
+        _print_integer(mapping.value(w))
+    else:
+        print(show_word(mapping.eval(w)))
     return 0
 
 

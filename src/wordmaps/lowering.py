@@ -1,13 +1,13 @@
 """Constructive conversions between sequence representations.
 
 Catenative systems and HDT0L systems denote the same maps and convert both
-ways; a DT0L stage composes with an HDT0L stage into a level-3 mapping; a
-unary-output HDT0L collapses to a linear (matrix) representation through
-letter counts; a catenative stage feeding a linear representation lowers to
-a polynomial recurrence by expanding the matrix products symbolically (its
-base matrices come from ``morphisms.word_product``, as in ``linear_eval``);
-and two linear integer systems combine into the running-product system
-whose zeros witness agreement of the inputs.
+ways.  A level-3 mapping is a catenative (DT0L) stage followed by an HDT0L
+stage or a linear representation (``compose_level3``; a compositional system
+becomes one through ``compositional_to_level3``).  Its ``value`` runs the
+first stage's rules over the second stage's matrices, an HDT0L stage giving
+its length representation, and ``lower`` expands the same products
+symbolically into a polynomial recurrence.  Two linear integer systems
+combine into the running-product system whose zeros witness agreement.
 
 Matrix orientation everywhere: Parikh vectors are rows and incidence
 matrices act on the right, so the first letter's matrix is leftmost.
@@ -16,7 +16,7 @@ matrices act on the right, so the first letter's matrix is leftmost.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 
 from .errors import DomainError
 from .morphisms import (
@@ -36,6 +36,8 @@ from .recurrences import (
     CompositionalSystem,
     PolynomialSystem,
     eval_catenative,
+    eval_polynomial,
+    eval_polynomial_vector,
     suffix_walk,
 )
 from .words import Word
@@ -71,64 +73,119 @@ def hdt0l_to_catenative(sys: HDT0LSystem) -> CatenativeSystem:
     )
 
 
-@dataclass(frozen=True)
-class Level3Mapping:
-    """The composition of a DT0L stage with an HDT0L stage."""
-
-    first: CatenativeSystem
-    first_index: str
-    second: HDT0LSystem
-
-    def stage1(self, w: Word) -> Word:
-        return eval_catenative(self.first, self.first_index, w)
-
-    def eval(self, w: Word) -> Word:
-        return eval_hdt0l(self.second, self.stage1(w))
+def _identity(d: int):
+    return tuple(tuple(int(k == l) for l in range(d)) for k in range(d))
 
 
-def compose_level3(g: CatenativeSystem, i0: str, h: HDT0LSystem) -> Level3Mapping:
-    if i0 not in g.indices:
-        raise DomainError(f"unknown index {i0!r}")
-    if not g.output_alphabet <= h.input_alphabet:
-        raise DomainError(
-            f"stage mismatch: first stage emits {sorted(g.output_alphabet)}, "
-            f"second stage reads {sorted(h.input_alphabet)}"
-        )
-    return Level3Mapping(g, i0, h)
-
-
-def compositional_unary_value(
-    sys: CompositionalSystem, i: str, w: Word, final: Homomorphism, seed: str
-) -> int:
-    """|final(H_i(w)(seed))| computed in the incidence-matrix monoid.
-
-    Composition of endomorphisms maps to matrix product (first factor
-    leftmost), so the compositional recurrence can be evaluated on letter
-    counts alone; this is the road to take when explicit words would be
-    astronomically long.
-    """
-    if seed not in sys.working:
-        raise DomainError(f"seed {seed!r} is not a working letter")
-    order = tuple(sorted(sys.working))
-    d = len(order)
-    identity = tuple(tuple(1 if k == l else 0 for l in range(d)) for k in range(d))
-    values = {j: incidence(h, order, order) for j, h in sys.base}
-    m = suffix_walk(sys, i, w, values, lambda ms: reduce(mat_mul, ms, identity))
-    row = tuple(1 if v == seed else 0 for v in order)
-    col = tuple(len(final.images[v]) for v in order)
-    return dot(vec_mat(row, m), col)
-
-
-def unary_lowering(sys: HDT0LSystem) -> LinearRepresentation:
-    """For unary output, |f(w)| is linear in the letter counts of H^w(seed),
-    so incidence matrices compute it exactly."""
-    if len(sys.output_alphabet) != 1:
-        raise DomainError("unary lowering needs a single-letter output alphabet")
+def _length_representation(sys: HDT0LSystem) -> LinearRepresentation:
+    """|f(w)| = row . M_w . col: the seed's indicator row, the incidence
+    matrices of the tables, and col_v = |final(v)|."""
     order = tuple(sorted(sys.working))
     row = tuple(1 if v == sys.seed else 0 for v in order)
     matrices = {a: incidence(sys.table(a), order, order) for a in sys.input_alphabet}
     col = tuple(len(sys.final.images[v]) for v in order)
     return LinearRepresentation.make(row, matrices, col)
+
+
+@dataclass(frozen=True)
+class Level3Mapping:
+    """w |-> second(g_i(w)) for a catenative (DT0L) first stage g at index i;
+    the second stage is an HDT0L system or a linear representation."""
+
+    first: CatenativeSystem
+    first_index: str
+    second: HDT0LSystem | LinearRepresentation
+
+    def stage1(self, w: Word) -> Word:
+        return eval_catenative(self.first, self.first_index, w)
+
+    def eval(self, w: Word) -> Word:
+        """The output word of an HDT0L second stage, from the stage-1 word."""
+        return eval_hdt0l(self.second, self.stage1(w))
+
+    @cached_property
+    def representation(self) -> LinearRepresentation:
+        """The second stage, or the length representation of an HDT0L one."""
+        if isinstance(self.second, LinearRepresentation):
+            return self.second
+        return _length_representation(self.second)
+
+    def value(self, w: Word) -> int:
+        """row . M_{g_i(w)} . col, which is |eval(w)| for an HDT0L second
+        stage.  The first stage's rules run over matrices, so the stage-1 word
+        is never built."""
+        rep = self.representation
+        identity = _identity(rep.dimension)
+        base = {j: word_product(identity, rep, v, mat_mul) for j, v in self.first.base}
+        m = suffix_walk(
+            self.first, self.first_index, w, base, lambda ms: reduce(mat_mul, ms, identity)
+        )
+        return dot(vec_mat(rep.row, m), rep.col)
+
+    def lower(self) -> LoweredSeries:
+        """Variables u_{i,k,l} track entry (k,l) of the matrix image of g_i; the
+        rule polynomial for (i, a) is that entry of the expanded product of the
+        rule's symbolic matrices, so its degree is the rule length."""
+        g, rep = self.first, self.representation
+        d = rep.dimension
+        cells = [(k, l) for k in range(d) for l in range(d)]
+        identity = _identity(d)
+        sym = {i: _symbolic_matrix(i, d) for i in g.indices}
+        one = tuple(tuple(Polynomial.const(x) for x in row) for row in identity)
+        rules = {}
+        for (i, a), rhs in g.rules:
+            prod = reduce(mat_mul, (sym[j] for j in rhs), one)
+            rules.update({(_entry_var(i, k, l), a): prod[k][l] for k, l in cells})
+        numeric = {i: word_product(identity, rep, w, mat_mul) for i, w in g.base}
+        base = {_entry_var(i, k, l): m[k][l] for i, m in numeric.items() for k, l in cells}
+        ring = "N" if all(
+            all(x >= 0 for row in m for x in row) for _, m in rep.matrices
+        ) and all(v >= 0 for v in base.values()) else "Z"
+        indices = tuple(_entry_var(i, k, l) for i in g.indices for k, l in cells)
+        system = PolynomialSystem.make(indices, g.input_alphabet, rules, base, ring=ring)
+        output = Polynomial.zero()
+        for k, l in cells:
+            output = output + rep.row[k] * rep.col[l] * sym[self.first_index][k][l]
+        return LoweredSeries(system, output)
+
+
+def compose_level3(
+    g: CatenativeSystem, i0: str, second: HDT0LSystem | LinearRepresentation
+) -> Level3Mapping:
+    """w |-> second(g_{i0}(w)), once the second stage is known to read every
+    letter the first stage emits."""
+    if i0 not in g.indices:
+        raise DomainError(f"unknown index {i0!r}")
+    if isinstance(second, LinearRepresentation):
+        if not g.output_alphabet <= second.letters:
+            raise DomainError("the representation must cover the catenative output alphabet")
+    elif not g.output_alphabet <= second.input_alphabet:
+        raise DomainError(
+            f"stage mismatch: first stage emits {sorted(g.output_alphabet)}, "
+            f"second stage reads {sorted(second.input_alphabet)}"
+        )
+    return Level3Mapping(g, i0, second)
+
+
+def compositional_to_level3(
+    sys: CompositionalSystem, i: str, final: Homomorphism, seed: str
+) -> Level3Mapping:
+    """f(w) = final(H_i(w)(seed)).  The catenative stage (same rules, base
+    j |-> j) spells H_i(w) as a word of indices; the HDT0L stage's tables are
+    the base homomorphisms, applied in that order."""
+    first = CatenativeSystem.make(
+        sys.indices, sys.input_alphabet, sys.indices, sys.rule_map, {j: (j,) for j in sys.indices}
+    )
+    second = HDT0LSystem.make(sys.indices, sys.working, sys.base_map, final, seed)
+    return compose_level3(first, i, second)
+
+
+def unary_lowering(sys: HDT0LSystem) -> LinearRepresentation:
+    """For unary output f(w) is determined by its length, which the length
+    representation computes exactly."""
+    if len(sys.output_alphabet) != 1:
+        raise DomainError("unary lowering needs a single-letter output alphabet")
+    return _length_representation(sys)
 
 
 # ---------------------------------------------------------------------------
@@ -145,21 +202,6 @@ def _symbolic_matrix(i: str, d: int):
     )
 
 
-def _poly_mat_mul(a, b):
-    d = len(b)
-    cols = len(b[0])
-    return tuple(
-        tuple(sum((a[k][m] * b[m][l] for m in range(d)), Polynomial.zero()) for l in range(cols))
-        for k in range(d)
-    )
-
-
-def _identity_poly_matrix(d: int):
-    return tuple(
-        tuple(Polynomial.const(1 if k == l else 0) for l in range(d)) for k in range(d)
-    )
-
-
 @dataclass(frozen=True)
 class LoweredSeries:
     """A polynomial system tracking the matrix images of the catenative
@@ -169,50 +211,14 @@ class LoweredSeries:
     output_form: Polynomial
 
     def eval(self, w: Word) -> int:
-        from .recurrences import eval_polynomial_vector
-
         return self.output_form.evaluate_int(eval_polynomial_vector(self.system, w))
 
 
 def series_to_polynomial_system(
     g: CatenativeSystem, rep: LinearRepresentation, i0: str
 ) -> LoweredSeries:
-    """Variables u_{i,k,l} track entry (k,l) of the matrix image of g_i; the
-    rule polynomial for (i, a) is that entry of the expanded product of the
-    rule's symbolic matrices, so its degree is the rule length."""
-    if i0 not in g.indices:
-        raise DomainError(f"unknown index {i0!r}")
-    if not g.output_alphabet <= rep.letters:
-        raise DomainError("the representation must cover the catenative output alphabet")
-    d = rep.dimension
-    indices = tuple(_entry_var(i, k, l) for i in g.indices for k in range(d) for l in range(d))
-    sym = {i: _symbolic_matrix(i, d) for i in g.indices}
-    rules = {}
-    for (i, a), rhs in g.rules:
-        prod = _identity_poly_matrix(d)
-        for j in rhs:
-            prod = _poly_mat_mul(prod, sym[j])
-        for k in range(d):
-            for l in range(d):
-                rules[(_entry_var(i, k, l), a)] = prod[k][l]
-    identity = tuple(tuple(1 if k == l else 0 for l in range(d)) for k in range(d))
-    base = {}
-    for i, w in g.base:
-        m = word_product(identity, rep, w, mat_mul)
-        for k in range(d):
-            for l in range(d):
-                base[_entry_var(i, k, l)] = m[k][l]
-    ring = "N" if all(
-        all(x >= 0 for row in m for x in row) for _, m in rep.matrices
-    ) and all(v >= 0 for v in base.values()) else "Z"
-    system = PolynomialSystem.make(indices, g.input_alphabet, rules, base, ring=ring)
-    output = Polynomial.zero()
-    for k in range(d):
-        for l in range(d):
-            c = rep.row[k] * rep.col[l]
-            if c:
-                output = output + c * Polynomial.var(_entry_var(i0, k, l))
-    return LoweredSeries(system, output)
+    """The series lowering of ``compose_level3(g, i0, rep)``."""
+    return compose_level3(g, i0, rep).lower()
 
 
 # ---------------------------------------------------------------------------
@@ -225,8 +231,6 @@ class SkolemProduct:
     product_index: str
 
     def eval(self, n: int) -> int:
-        from .recurrences import eval_polynomial
-
         (letter,) = self.system.input_alphabet
         return eval_polynomial(self.system, self.product_index, (letter,) * n)
 

@@ -7,9 +7,10 @@ rules with shift words, evaluated by fuel-bounded rewriting), and polynomial
 
 Evaluation walks suffixes from the right, carrying the whole value vector,
 so each rule is expanded once per suffix even when rules duplicate their
-argument.  ``suffix_walk`` is that one walk for the catenative, compositional
-and (in ``lowering``) incidence-matrix values.  Regular systems cannot use
-it (shift words change the argument), hence the rewriting loop with fuel.
+argument; at the first letter only the requested index is computed.
+``suffix_walk`` is that one walk for the catenative, compositional and (in
+``lowering``) level-3 matrix values.  Regular systems cannot use it (shift
+words change the argument), hence the rewriting loop with fuel.
 """
 
 from __future__ import annotations
@@ -296,9 +297,9 @@ def suffix_walk(sys, i: str, w: Word, values: Mapping, product):
     _check_index(sys, i)
     _check_word(sys, w)
     rules = sys.rule_map
-    for a in reversed(w):
+    for a in reversed(w[1:]):
         values = {j: product(values[k] for k in rules[(j, a)]) for j in sys.indices}
-    return values[i]
+    return product(values[k] for k in rules[(i, w[0])]) if w else values[i]
 
 
 def eval_catenative(sys: CatenativeSystem, i: str, w: Word) -> Word:
@@ -308,14 +309,6 @@ def eval_catenative(sys: CatenativeSystem, i: str, w: Word) -> Word:
 def eval_compositional(sys: CompositionalSystem, i: str, w: Word) -> Homomorphism:
     identity = Homomorphism.identity(sys.working)
     return suffix_walk(sys, i, w, sys.base_map, lambda hs: reduce(compose, hs, identity))
-
-
-def eval_level3(sys: CompositionalSystem, i: str, w: Word, final: Homomorphism, seed: str) -> Word:
-    """f(w) = final(H_i(w)(seed))."""
-    if seed not in sys.working:
-        raise DomainError(f"seed {seed!r} is not a working letter")
-    h = eval_compositional(sys, i, w)
-    return final(h((seed,)))
 
 
 def is_strict(sys: RegularSystem) -> bool:

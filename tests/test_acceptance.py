@@ -32,7 +32,8 @@ from wordmaps.kpda import (
 )
 from wordmaps.lowering import (
     catenative_to_hdt0l,
-    compositional_unary_value,
+    compose_level3,
+    compositional_to_level3,
     hdt0l_to_catenative,
     series_to_polynomial_system,
 )
@@ -63,7 +64,6 @@ from wordmaps.recurrences import (
     catenative_to_regular,
     eval_catenative,
     eval_compositional,
-    eval_level3,
     eval_polynomial,
     eval_regular,
     is_strict,
@@ -343,25 +343,26 @@ def test_criterion_06_npown():
         assert eval_catenative(fsys, "f", ("a",) * n) == word("a" * n + "b" + "c" * n)
 
     out = Homomorphism({"x": ("b",), "y": ("b",)}, source={"x", "y"}, target={"b"})
+    level3 = compositional_to_level3(hsys, "H", out, "x")
 
     # explicit pipeline against the string-level unfolding oracle (n <= 3),
     # then the run-length oracle for n = 4, where the value has 4^16 letters
     for n in range(4):
         u = word("a" * n + "b" + "c" * n)
-        pipeline = eval_level3(hsys, "H", u, out, "x")
+        pipeline = level3.eval(u)
         oracle = _naive_hom_unfold("a" * n + "b" + "c" * n)["x"]
         assert pipeline == tuple("b" * len(oracle))
         assert eval_compositional(hsys, "H", u).images["x"] == tuple(oracle)
 
     rle = _rle_hom_unfold("aaaab" + "cccc")["x"]
     assert rle == (("x", 4 ** 16),)
-    assert compositional_unary_value(hsys, "H", word("aaaabcccc"), out, "x") == 4 ** 16
+    assert level3.value(word("aaaabcccc")) == 4 ** 16
 
     # n <= 12 through the letter-count (matrix) path, against an independent
     # naive count recursion and the resolved closed form n^(2^n)
     for n in range(13):
         u = word("a" * n + "b" + "c" * n)
-        lowered = compositional_unary_value(hsys, "H", u, out, "x")
+        lowered = level3.value(u)
         counts = _naive_count_unfold("a" * n + "b" + "c" * n)
         assert lowered == counts[0][0]  # letters of x in the image of x
         assert lowered == n ** (2 ** n)
@@ -430,10 +431,12 @@ def test_criterion_09_series_lowering():
         )
         i0 = rng.choice(cat.indices)
         lowered = series_to_polynomial_system(cat, rep, i0)
+        level3 = compose_level3(cat, i0, rep)
         assert len(lowered.system.indices) == len(cat.indices) * d * d
         for w in _all_words(sorted(cat.input_alphabet), 6):
             staged = linear_eval(rep, eval_catenative(cat, i0, w))
             assert lowered.eval(w) == staged
+            assert level3.value(w) == staged
 
 
 @criterion(10, "Groebner suite: zero reductions, membership invariance, spot memberships")

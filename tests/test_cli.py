@@ -25,6 +25,7 @@ GOLDEN = [
     (("compose", "gmap", "nu", "fibrep", "101"), "8\n"),
     (("compose", "gmap", "nu", "fibword", "101", "--as-length"), "8\n"),
     (("eval", "gmap", "fibrep", "12"), "233\n"),
+    (("compose", "gmap", "nu", "fibword", "10111", "--as-length"), "46368\n"),
 ]
 
 
@@ -160,6 +161,25 @@ def test_lower_emits_reparseable_files(capsys, tmp_path):
         fib.append(fib[-1] + fib[-2])
     for n in range(12):
         assert linear_eval(rep, ("x",) * n) == fib[n]
+
+
+def test_lower_series_takes_an_hdt0l_second_stage(capsys, tmp_path):
+    out_file = tmp_path / "series.sys"
+    code, _, _ = run_cli(capsys, "lower", "series", "gmap", "nu", "fibword", "-o", str(out_file))
+    assert code == 0
+    from wordmaps.systemfile import parse_file
+    from wordmaps.polynomials import parse_polynomial
+    from wordmaps.recurrences import eval_polynomial_vector
+
+    text = out_file.read_text()
+    _, low = parse_file(text).resolve("nu_poly", "poly")
+    form = parse_polynomial(text.split("# output form: ")[1])
+    fib = [1, 1]
+    while len(fib) < 64:
+        fib.append(fib[-1] + fib[-2])
+    for n in range(64):
+        w = tuple(format(n, "b")) if n else ()
+        assert form.evaluate_int(eval_polynomial_vector(low, w)) == fib[n]
 
 
 def test_lower_cat_to_hdt0l_round(capsys, tmp_path):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from functools import reduce
 
 import pytest
@@ -28,6 +29,7 @@ from wordmaps.recurrences import (
 )
 from wordmaps.words import word
 
+from test_morphisms import _fib_pair
 from test_recurrences import _random_catenative, npown_f
 
 
@@ -121,8 +123,11 @@ def test_compose_level3_identity_first_stage():
 def test_compose_level3_alphabet_mismatch():
     g = CatenativeSystem.make(("i",), {"x"}, {"y"}, {("i", "x"): ("i",)}, {"i": ("y",)})
     second = CatenativeSystem.make(("q",), {"x"}, {"z"}, {("q", "x"): ("q",)}, {"q": ("z",)})
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="stage mismatch"):
         compose_level3(g, "i", catenative_to_hdt0l(second, "q"))
+    rep = LinearRepresentation.make((1,), {"x": ((1,),)}, (1,))
+    with pytest.raises(DomainError, match="must cover"):
+        compose_level3(g, "i", rep)
 
 
 def test_compose_level3_staged_equals_direct():
@@ -141,6 +146,37 @@ def test_compose_level3_staged_equals_direct():
         m = compose_level3(g, i0, h)
         for w in _all_words(sorted(g.input_alphabet), 4):
             assert m.eval(w) == eval_hdt0l(h, m.stage1(w))
+            assert m.value(w) == len(m.eval(w))
+
+
+def _gmap_nu():
+    """nu_g(w) = x^(value of w in base 2); p tracks x^(2^|w|)."""
+    return CatenativeSystem.make(
+        ("g", "p"), {"0", "1"}, {"x"},
+        {("g", "0"): ("g",), ("g", "1"): ("p", "g"),
+         ("p", "0"): ("p", "p"), ("p", "1"): ("p", "p")},
+        {"g": (), "p": ("x",)},
+    )
+
+
+def test_level3_value_does_not_build_the_stage1_word():
+    rep = LinearRepresentation.make((1, 0), {"x": ((1, 1), (1, 0))}, (1, 0))
+    m = compose_level3(_gmap_nu(), "g", rep)
+    # the stage-1 word would have 2^20 - 1 letters, a tuple of 8 MB
+    tracemalloc.start()
+    try:
+        value = m.value(("1",) * 20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert value == _fib_pair(2**20)[0]
+    assert peak < 8 * 2**20
+    # x^(2^64 - 1) and x^(2^64 - 2) through a parity representation
+    parity = compose_level3(
+        _gmap_nu(), "g", LinearRepresentation.make((1, 0), {"x": ((0, 1), (1, 0))}, (0, 1))
+    )
+    assert parity.value(("1",) * 64) == 1
+    assert parity.value(("1",) * 63 + ("0",)) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -215,12 +251,7 @@ def test_series_lowering_empty_rule_is_identity_constants():
 
 
 def test_series_lowering_fibonacci_dtol():
-    nu = CatenativeSystem.make(
-        ("g", "p"), {"0", "1"}, {"x"},
-        {("g", "0"): ("g",), ("g", "1"): ("p", "g"),
-         ("p", "0"): ("p", "p"), ("p", "1"): ("p", "p")},
-        {"g": (), "p": ("x",)},
-    )
+    nu = _gmap_nu()
     rep = LinearRepresentation.make((1, 0), {"x": ((1, 1), (1, 0))}, (1, 0))
     low = series_to_polynomial_system(nu, rep, "g")
     for w in _all_words(("0", "1"), 8):

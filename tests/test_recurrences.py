@@ -5,6 +5,7 @@ from itertools import chain
 import pytest
 
 from wordmaps.errors import DomainError, FuelExhaustedError
+from wordmaps.lowering import compositional_to_level3
 from wordmaps.morphisms import Homomorphism, compose
 from wordmaps.polynomials import Polynomial
 from wordmaps.recurrences import (
@@ -16,7 +17,6 @@ from wordmaps.recurrences import (
     catenative_to_regular,
     eval_catenative,
     eval_compositional,
-    eval_level3,
     eval_polynomial,
     eval_regular,
     is_strict,
@@ -177,7 +177,7 @@ def test_eval_level3():
     out = Homomorphism({"x": ("b",), "y": ("b",)}, source={"x", "y"}, target={"b"})
     for n in range(0, 3):
         u = word("a" * n + "b" + "c" * n)
-        value = eval_level3(sys, "H", u, out, "x")
+        value = compositional_to_level3(sys, "H", out, "x").eval(u)
         assert value == ("b",) * (n ** (2 ** n))
 
 
