@@ -189,6 +189,9 @@ def cmd_equiv(args) -> int:
 
 
 def cmd_lower(args) -> int:
+    if args.what in ("series", "skolem") and args.linrep is None:
+        wanted = "a second stage" if args.what == "series" else "a second target"
+        raise WordmapsError(f"lower {args.what} needs {wanted}")
     sf = load_file(args.file)
     if args.what == "cat-to-hdt0l":
         _, sys, index = resolve_sequence(sf, args.target)

@@ -2,7 +2,9 @@
 the ideals of finite point sets.
 
 Polynomials are converted to dense exponent tuples over an explicit variable
-sequence for the duration of a computation.  Supported monomial orders:
+sequence, with Fraction coefficients (division by leading coefficients stays
+exact), for the duration of a computation; results come back as Polynomials,
+whose integral coefficients are ints again.  Supported monomial orders:
 grevlex (default), lex, and the block orders used for elimination (the
 dropped block is compared first, so the basis splits off the elimination
 ideal).  Bases are reduced and auto-reduced, and the output is deterministic
@@ -49,7 +51,7 @@ def _to_internal(p: Polynomial, variables: Sequence[str]) -> dict[Exps, Fraction
             if v not in index:
                 raise DomainError(f"variable {v!r} missing from the variable sequence")
             exps[index[v]] = e
-        out[tuple(exps)] = c
+        out[tuple(exps)] = Fraction(c)
     return out
 
 
@@ -81,21 +83,21 @@ def _lt(d: dict[Exps, Fraction], key) -> Exps:
     return max(d, key=key)
 
 
-def _reduce(p: dict, basis: list[dict], key) -> dict:
-    """Full multivariate division remainder of p by the basis."""
-    lts = [(_lt(g, key), g) for g in basis if g]
+def _reduce(p: dict, basis: list[dict], lts: list[Exps], key) -> dict:
+    """Full multivariate division remainder of p by the nonzero basis, whose
+    leading terms are lts."""
     work = dict(p)
     rem: dict[Exps, Fraction] = {}
     while work:
         t = _lt(work, key)
         c = work[t]
-        for g_lt, g in lts:
+        for g_lt, g in zip(lts, basis):
             if _divides(g_lt, t):
                 shift = _sub_exps(t, g_lt)
                 ratio = c / g[g_lt]
                 for m, gc in g.items():
                     mm = _add_exps(m, shift)
-                    s = work.get(mm, Fraction(0)) - ratio * gc
+                    s = work.get(mm, 0) - ratio * gc
                     if s:
                         work[mm] = s
                     else:
@@ -113,10 +115,10 @@ def _spoly(f: dict, g: dict, key) -> dict:
     out: dict[Exps, Fraction] = {}
     for m, c in f.items():
         mm = _add_exps(m, _sub_exps(l, lf))
-        out[mm] = out.get(mm, Fraction(0)) + c / f[lf]
+        out[mm] = out.get(mm, 0) + c / f[lf]
     for m, c in g.items():
         mm = _add_exps(m, _sub_exps(l, lg))
-        s = out.get(mm, Fraction(0)) - c / g[lg]
+        s = out.get(mm, 0) - c / g[lg]
         if s:
             out[mm] = s
         else:
@@ -126,39 +128,40 @@ def _spoly(f: dict, g: dict, key) -> dict:
 
 def _buchberger(gens: list[dict], key, max_basis: Optional[int] = None) -> list[dict]:
     G = [g for g in gens if g]
-    pairs = {(i, j) for i in range(len(G)) for j in range(i)}
+    LT = [_lt(g, key) for g in G]
+    # pending pairs (i, j), i > j, in a heap keyed by the order of their lcm
+    pairs: list[tuple] = []
+
+    def add_pairs(i: int) -> None:
+        for j in range(i):
+            lcm = _lcm_exps(LT[i], LT[j])
+            heapq.heappush(pairs, (key(lcm), i, j, lcm))
+
+    for i in range(len(G)):
+        add_pairs(i)
     done: set[tuple[int, int]] = set()
     while pairs:
-        i, j = min(pairs, key=lambda ij: key(_lcm_exps(_lt(G[ij[0]], key), _lt(G[ij[1]], key))))
-        pairs.discard((i, j))
+        _, i, j, lcm = heapq.heappop(pairs)
         done.add((i, j))
-        lti, ltj = _lt(G[i], key), _lt(G[j], key)
-        lcm = _lcm_exps(lti, ltj)
         # product criterion: coprime leading terms reduce to zero
-        if lcm == _add_exps(lti, ltj):
+        if lcm == _add_exps(LT[i], LT[j]):
             continue
         # chain criterion
-        skip = False
-        for k in range(len(G)):
-            if k in (i, j):
-                continue
-            if _divides(_lt(G[k], key), lcm):
-                pik = (max(i, k), min(i, k))
-                pjk = (max(j, k), min(j, k))
-                if pik in done and pjk in done:
-                    skip = True
-                    break
-        if skip:
+        if any(
+            k != i and k != j and _divides(LT[k], lcm)
+            and (max(i, k), min(i, k)) in done and (max(j, k), min(j, k)) in done
+            for k in range(len(G))
+        ):
             continue
-        r = _reduce(_spoly(G[i], G[j], key), G, key)
+        r = _reduce(_spoly(G[i], G[j], key), G, LT, key)
         if r:
             G.append(r)
+            LT.append(_lt(r, key))
             if max_basis is not None and len(G) > max_basis:
                 raise BudgetExceededError(
                     f"Groebner basis exceeded the size budget ({max_basis})"
                 )
-            new = len(G) - 1
-            pairs |= {(new, t) for t in range(new)}
+            add_pairs(len(G) - 1)
     return G
 
 
@@ -172,7 +175,7 @@ def _interreduce(G: list[dict], key) -> list[dict]:
             others = G[:i] + G[i + 1:]
             if not others:
                 continue
-            r = _reduce(G[i], others, key)
+            r = _reduce(G[i], others, [_lt(g, key) for g in others], key)
             if r != G[i]:
                 changed = True
                 if r:
@@ -241,7 +244,8 @@ def normal_form(
     variables = tuple(variables) + tuple(extra)
     key = _make_key(order, len(variables), block)
     internal = [_to_internal(g, variables) for g in basis if not g.is_zero()]
-    return _from_internal(_reduce(_to_internal(p, variables), internal, key), variables)
+    lts = [_lt(g, key) for g in internal]
+    return _from_internal(_reduce(_to_internal(p, variables), internal, lts, key), variables)
 
 
 class Ideal:

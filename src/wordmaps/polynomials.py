@@ -1,7 +1,9 @@
 """Exact multivariate polynomials over the rationals.
 
-Terms map monomials to nonzero Fraction coefficients; a monomial is a sorted
-tuple of (variable, exponent) pairs with positive exponents.  Operations on
+Terms map monomials to nonzero coefficients: an ``int`` when the coefficient
+is integral, a ``Fraction`` only for a true rational, so that equal
+polynomials have equal term dicts.  A monomial is a sorted tuple of
+(variable, exponent) pairs with positive exponents.  Operations on
 polynomials with different variable sets just work: the variable universe of
 an expression is the union of what occurs in it.
 """
@@ -19,6 +21,15 @@ MONO_ONE: Monomial = ()
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
+    if not a:
+        return b
+    if not b:
+        return a
+    if len(a) == 1 and len(b) == 1:
+        (u, e), (v, f) = a[0], b[0]
+        if u == v:
+            return ((u, e + f),)
+        return (a[0], b[0]) if u < v else (b[0], a[0])
     out = dict(a)
     for v, e in b:
         out[v] = out.get(v, 0) + e
@@ -32,14 +43,39 @@ def mono_degree(m: Monomial) -> int:
 Scalar = Union[int, Fraction]
 
 
+def _scalar(c) -> Scalar:
+    """c exactly, as an int when it is integral and as a Fraction otherwise."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _wrap(terms: dict[Monomial, Scalar]) -> "Polynomial":
+    """A polynomial over a term dict that is already clean and normalised."""
+    out = Polynomial.__new__(Polynomial)
+    object.__setattr__(out, "terms", terms)
+    object.__setattr__(out, "_hash", None)
+    return out
+
+
+def _normalised(terms: dict[Monomial, Scalar]) -> "Polynomial":
+    """Wrap a term dict of nonzero sums and products, in which Fractions
+    may have become integral."""
+    for m, c in terms.items():
+        if type(c) is Fraction and c.denominator == 1:
+            terms[m] = c.numerator
+    return _wrap(terms)
+
+
 class Polynomial:
     __slots__ = ("terms", "_hash")
 
     def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
-        clean: dict[Monomial, Fraction] = {}
+        clean: dict[Monomial, Scalar] = {}
         if terms:
             for m, c in terms.items():
-                c = Fraction(c)
+                c = _scalar(c)
                 if c:
                     clean[m] = c
         object.__setattr__(self, "terms", clean)
@@ -54,11 +90,11 @@ class Polynomial:
 
     @classmethod
     def const(cls, c: Scalar) -> "Polynomial":
-        return cls({MONO_ONE: Fraction(c)})
+        return cls({MONO_ONE: c})
 
     @classmethod
     def var(cls, name: str) -> "Polynomial":
-        return cls({((name, 1),): Fraction(1)})
+        return _wrap({((name, 1),): 1})
 
     def variables(self) -> frozenset[str]:
         return frozenset(v for m in self.terms for v, _ in m)
@@ -74,10 +110,10 @@ class Polynomial:
     def is_constant(self) -> bool:
         return all(m == MONO_ONE for m in self.terms)
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> Scalar:
         if not self.is_constant():
             raise DomainError("polynomial is not constant")
-        return self.terms.get(MONO_ONE, Fraction(0))
+        return self.terms.get(MONO_ONE, 0)
 
     def __bool__(self):
         return bool(self.terms)
@@ -86,20 +122,17 @@ class Polynomial:
         other = _coerce(other)
         res = dict(self.terms)
         for m, c in other.terms.items():
-            s = res.get(m, Fraction(0)) + c
+            s = res.get(m, 0) + c
             if s:
                 res[m] = s
             else:
                 res.pop(m, None)
-        out = Polynomial.__new__(Polynomial)
-        object.__setattr__(out, "terms", res)
-        object.__setattr__(out, "_hash", None)
-        return out
+        return _normalised(res)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial({m: -c for m, c in self.terms.items()})
+        return _wrap({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-_coerce(other))
@@ -108,23 +141,17 @@ class Polynomial:
         return _coerce(other) + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return Polynomial()
-            return Polynomial({m: c * other for m, c in self.terms.items()})
-        res: dict[Monomial, Fraction] = {}
+        other_terms = _coerce(other).terms.items()
+        res: dict[Monomial, Scalar] = {}
         for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
+            for m2, c2 in other_terms:
                 m = mono_mul(m1, m2)
-                s = res.get(m, Fraction(0)) + c1 * c2
+                s = res.get(m, 0) + c1 * c2
                 if s:
                     res[m] = s
                 else:
                     res.pop(m, None)
-        out = Polynomial.__new__(Polynomial)
-        object.__setattr__(out, "terms", res)
-        object.__setattr__(out, "_hash", None)
-        return out
+        return _normalised(res)
 
     __rmul__ = __mul__
 
@@ -152,58 +179,56 @@ class Polynomial:
             object.__setattr__(self, "_hash", h)
         return h
 
-    def evaluate(self, point: Mapping[str, Scalar]) -> Fraction:
-        total = Fraction(0)
-        for m, c in self.terms.items():
-            val = c
-            for v, e in m:
-                if v not in point:
-                    raise DomainError(f"no value for variable {v!r}")
-                val *= Fraction(point[v]) ** e
-            total += val
-        return total
+    def evaluate(self, point: Mapping[str, Scalar]) -> Scalar:
+        """The exact value at a point, an int when it is integral.  Point
+        values other than ints and Fractions are read with ``Fraction``."""
+        return _value(self.terms, point)
 
     def evaluate_int(self, point: Mapping[str, int]) -> int:
-        # pure machine-int fast path when everything in sight is integral
-        total = 0
-        for m, c in self.terms.items():
-            if c.denominator != 1:
-                break
-            val = c.numerator
-            for v, e in m:
-                x = point.get(v)
-                if not isinstance(x, int):
-                    break
-                val *= x ** e
-            else:
-                total += val
-                continue
-            break
-        else:
-            return total
-        val = self.evaluate(point)
-        if val.denominator != 1:
+        val = _value(self.terms, point)
+        if isinstance(val, Fraction):
             raise DomainError("evaluation did not produce an integer")
-        return val.numerator
+        return val
 
     def substitute(self, env: Mapping[str, "Polynomial"]) -> "Polynomial":
-        out = Polynomial()
+        # powers[v][e] is env[v] ** e, built once per call by one product each
+        powers: dict[str, list[Polynomial]] = {}
+        res: dict[Monomial, Scalar] = {}
         for m, c in self.terms.items():
-            part = Polynomial.const(c)
-            passthrough: dict = {}
+            part = _wrap({tuple((v, e) for v, e in m if v not in env): c})
             for v, e in m:
                 if v in env:
-                    part = part * (env[v] ** e)
+                    pw = powers.setdefault(v, [Polynomial.const(1)])
+                    while len(pw) <= e:
+                        pw.append(pw[-1] * env[v])
+                    part = part * pw[e]
+            for mm, cc in part.terms.items():
+                s = res.get(mm, 0) + cc
+                if s:
+                    res[mm] = s
                 else:
-                    passthrough[(v, e)] = None
-            if passthrough:
-                mono = tuple(sorted(k for k in passthrough))
-                part = part * Polynomial({mono: Fraction(1)})
-            out = out + part
-        return out
+                    res.pop(mm, None)
+        return _normalised(res)
 
     def __repr__(self):
         return format_polynomial(self)
+
+
+def _value(terms: Mapping[Monomial, Scalar], point: Mapping[str, Scalar]) -> Scalar:
+    total = 0
+    for m, c in terms.items():
+        for v, e in m:
+            try:
+                x = point[v]
+            except KeyError:
+                raise DomainError(f"no value for variable {v!r}") from None
+            if type(x) is not int and not isinstance(x, Fraction):
+                x = Fraction(x)
+            c *= x if e == 1 else x**e
+        total += c
+    if type(total) is Fraction and total.denominator == 1:
+        return total.numerator
+    return total
 
 
 def _coerce(x) -> Polynomial:

@@ -208,6 +208,17 @@ def test_lower_skolem(capsys, tmp_path):
     assert eval_polynomial(sk, "w_acc", ("a",) * 3) == 1 * 2 * 5 * 12
 
 
+@pytest.mark.parametrize(
+    "argv, wanted",
+    [(("series", "npown", "f"), "second stage"), (("skolem", "skolem-demo", "pow2.U"), "second target")],
+)
+def test_lower_without_its_second_argument_is_an_error(capsys, argv, wanted):
+    code, out, err = run_cli(capsys, "lower", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and wanted in err
+
+
 def test_groebner_subcommand(capsys, tmp_path):
     path = tmp_path / "ideal.sys"
     path.write_text("ideal tc {\n  vars: x y z\n  gen: y - x^2\n  gen: z - x^3\n}\n")

@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from wordmaps.errors import BudgetExceededError
+from wordmaps.errors import BudgetExceededError, DomainError
 from wordmaps.groebner import (
     Ideal,
     default_variables,
@@ -57,6 +57,109 @@ def test_poly_substitute():
 def test_poly_evaluate_exact():
     p = parse_polynomial("x^2 - 2 * x + 1")
     assert p.evaluate({"x": Fraction(1, 2)}) == Fraction(1, 4)
+
+
+def test_poly_coefficients_are_ints_when_integral():
+    two = Polynomial({(): Fraction(4, 2)})
+    assert type(two.terms[()]) is int and two.terms[()] == 2
+    assert two == Polynomial.const(2) and hash(two) == hash(Polynomial.const(2))
+    assert type(Polynomial.const(2).terms[()]) is int
+    assert type(x.terms[(("x", 1),)]) is int
+    assert Polynomial.const(Fraction(1, 2)).terms[()] == Fraction(1, 2)
+    half = Polynomial.const(Fraction(1, 2)) * x
+    assert type((half + half).terms[(("x", 1),)]) is int
+    assert type((2 * half).terms[(("x", 1),)]) is int
+
+
+def test_poly_rejects_non_exact_scalars():
+    for bad in (1.5, "a"):
+        with pytest.raises(TypeError):
+            x * bad
+        with pytest.raises(TypeError):
+            bad * x
+        with pytest.raises(TypeError):
+            x + bad
+
+
+def test_poly_evaluate_reads_other_values_exactly():
+    assert x.evaluate({"x": 1.5}) == Fraction(3, 2)
+    assert (x * x).evaluate({"x": 0.1}) == Fraction(0.1) ** 2
+    assert type((x * y).evaluate({"x": Fraction(2), "y": 3})) is int
+    with pytest.raises(DomainError):
+        (x * Fraction(1, 2)).evaluate_int({"x": 1})
+    with pytest.raises(DomainError):
+        x.evaluate({"y": 1})
+
+
+def _assert_normalised(p):
+    for c in p.terms.values():
+        assert c != 0
+        assert type(c) is (int if c.denominator == 1 else Fraction)
+
+
+def test_poly_kernel_against_sympy_ring():
+    pytest.importorskip("sympy")
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+    from sympy import QQ
+    from sympy.polys.rings import ring
+
+    coeff = st.integers(-6, 6) | st.fractions(-3, 3, max_denominator=4)
+    value = st.integers(-3, 3) | st.fractions(-2, 2, max_denominator=3)
+
+    def polys(variables):
+        mono = st.tuples(*[st.integers(0, 3)] * len(variables)).map(
+            lambda exps: tuple((v, e) for v, e in zip(variables, exps) if e)
+        )
+        return st.dictionaries(mono, coeff, max_size=5).map(Polynomial)
+
+    def case(n):
+        variables = ("x", "y", "z")[:n]
+        return st.tuples(
+            st.just(variables),
+            polys(variables),
+            polys(variables),
+            st.lists(polys(variables), min_size=n, max_size=n),
+            st.lists(value, min_size=n, max_size=n),
+            st.integers(1, 4),
+        )
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.one_of(case(1), case(2), case(3)))
+    def check(args):
+        variables, p, q, images, point, k = args
+        R, *gens = ring(",".join(variables), QQ)
+
+        def to_ring(f):
+            _assert_normalised(f)
+            return R.from_dict(
+                {
+                    tuple(dict(m).get(v, 0) for v in variables): QQ(c.numerator, c.denominator)
+                    for m, c in f.terms.items()
+                }
+            )
+
+        assert to_ring(p + q) == to_ring(p) + to_ring(q)
+        assert to_ring(p - q) == to_ring(p) - to_ring(q)
+        assert to_ring((p + q) - q) == to_ring(p)
+        assert to_ring(p * q) == to_ring(p) * to_ring(q)
+        assert to_ring(p**k) == to_ring(p) ** k
+        assert p**0 == 1
+        env = dict(zip(variables, images))
+        assert to_ring(p.substitute(env)) == to_ring(p).compose(
+            list(zip(gens, map(to_ring, images)))
+        )
+        keep = {variables[0]: images[0]}
+        assert to_ring(p.substitute(keep)) == to_ring(p).compose(gens[0], to_ring(images[0]))
+        theirs = to_ring(p)(*(QQ(c.numerator, c.denominator) for c in point))
+        ours = p.evaluate(dict(zip(variables, point)))
+        assert ours == Fraction(int(theirs.numerator), int(theirs.denominator))
+        assert type(ours) is (int if theirs.denominator == 1 else Fraction)
+        ints = {v: int(c) for v, c in zip(variables, point)}
+        if all(c.denominator == 1 for c in p.terms.values()):
+            assert p.evaluate_int(ints) == p.evaluate(ints)
+
+    check()
 
 
 def _hyp_polys():
@@ -217,57 +320,48 @@ def test_ideal_membership_function():
 
 def test_cross_check_against_sympy():
     sympy = pytest.importorskip("sympy")
-    rng = random.Random(71)
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
     variables = ("x", "y", "z")
     symbols = sympy.symbols(variables)
-    by_name = dict(zip(variables, symbols))
 
-    def to_sympy(p):
-        expr = sympy.Integer(0)
-        for mono, c in p.terms.items():
-            term = sympy.Rational(c.numerator, c.denominator)
-            for v, e in mono:
-                term *= by_name[v] ** e
-            expr += term
-        return expr
-
-    def from_sympy(expr):
-        poly = sympy.Poly(expr, *symbols)
-        terms = {}
-        for exps, c in poly.terms():
-            mono = tuple((variables[i], e) for i, e in enumerate(exps) if e)
-            terms[mono] = Fraction(c.p, c.q)
-        return Polynomial(terms)
-
-    def random_poly():
-        terms = {}
-        for _ in range(rng.randrange(1, 4)):
-            mono = tuple(
-                sorted((v, rng.randrange(1, 3)) for v in rng.sample(variables, rng.randrange(0, 3)))
-            )
-            terms[mono] = terms.get(mono, 0) + rng.randrange(-3, 4)
-        return Polynomial(terms)
-
-    def grevlex_monic(p):
-        def key(mono):
-            exps = dict(mono)
-            aligned = tuple(exps.get(v, 0) for v in variables)
-            return (sum(aligned), tuple(-e for e in reversed(aligned)))
-
-        lead = max(p.terms, key=key)
-        return p * (Fraction(1) / p.terms[lead])
-
-    for _ in range(25):
-        gens = [p for p in (random_poly() for _ in range(rng.randrange(1, 4))) if p]
-        if not gens:
-            continue
-        ours = groebner(gens, variables)
-        theirs = sympy.groebner([to_sympy(g) for g in gens], *symbols, order="grevlex")
-        expected = sorted(
-            (grevlex_monic(from_sympy(e)) for e in theirs.exprs), key=lambda p: sorted(p.terms)
+    def to_sympy(p, names=variables):
+        return sympy.Poly.from_dict(
+            {tuple(dict(m).get(v, 0) for v in names): c for m, c in p.terms.items()},
+            *sympy.symbols(names), domain="QQ",
         )
-        got = sorted(ours, key=lambda p: sorted(p.terms))
-        assert got == expected, [str(g) for g in gens]
+
+    mono = st.tuples(*[st.integers(0, 2)] * 3).map(
+        lambda exps: tuple((v, e) for v, e in zip(variables, exps) if e)
+    )
+    poly = st.dictionaries(mono, st.integers(-3, 3), min_size=1, max_size=3).map(Polynomial)
+    ideals = st.lists(poly.filter(bool), min_size=1, max_size=3)
+
+    @settings(deadline=None, max_examples=60)
+    @given(ideals, st.sampled_from(["grevlex", "lex"]))
+    def check_basis(gens, order):
+        ours = groebner(gens, variables, order=order)
+        theirs = sympy.groebner([to_sympy(g) for g in gens], *symbols, order=order, domain="QQ")
+        assert {to_sympy(g) for g in ours} == set(theirs.polys), [str(g) for g in gens]
+
+    @settings(deadline=None, max_examples=40)
+    @given(ideals, st.sets(st.sampled_from(variables), min_size=1, max_size=2))
+    def check_eliminate(gens, drop):
+        keep = tuple(v for v in variables if v not in drop)
+        dropped = sympy.symbols(sorted(drop))
+        kept = sympy.symbols(keep)
+        ours = [to_sympy(g, keep) for g in eliminate(Ideal(gens, variables), drop).generators]
+        lex = sympy.groebner([to_sympy(g) for g in gens], *dropped, *kept, order="lex", domain="QQ")
+        theirs = [sympy.Poly(g, *kept, domain="QQ") for g in lex.exprs if not g.has(*dropped)]
+        assert bool(ours) == bool(theirs)
+        if ours:
+            # the same ideal: each basis lies in the ideal the other generates
+            assert all(sympy.groebner(ours, *kept, domain="QQ").contains(g) for g in theirs)
+            assert all(sympy.groebner(theirs, *kept, domain="QQ").contains(g) for g in ours)
+
+    check_basis()
+    check_eliminate()
 
 
 # ---------------------------------------------------------------------------
