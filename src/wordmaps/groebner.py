@@ -2,9 +2,12 @@
 the ideals of finite point sets.
 
 Polynomials are converted to dense exponent tuples over an explicit variable
-sequence, with Fraction coefficients (division by leading coefficients stays
-exact), for the duration of a computation; results come back as Polynomials,
-whose integral coefficients are ints again.  Supported monomial orders:
+sequence, with primitive integer coefficients (denominators cleared, content
+divided out), for the duration of a computation.  The kernel is fraction-free:
+reduction cross-multiplies by leading coefficients instead of dividing, and
+points are eliminated Bareiss-style.  Results come back as Polynomials, made
+monic (or rescaled to the exact remainder) only on the way out.  Supported
+monomial orders:
 grevlex (default), lex, and the block orders used for elimination (the
 dropped block is compared first, so the basis splits off the elimination
 ideal).  Bases are reduced and auto-reduced, and the output is deterministic
@@ -42,25 +45,35 @@ def _make_key(order: str, nvars: int, block: int = 0):
     raise DomainError(f"unknown monomial order {order!r}")
 
 
-def _to_internal(p: Polynomial, variables: Sequence[str]) -> dict[Exps, Fraction]:
+def _to_internal(p: Polynomial, variables: Sequence[str]) -> tuple[dict[Exps, int], Fraction]:
+    """The primitive integer polynomial q and the rational m with p = m*q."""
     index = {v: i for i, v in enumerate(variables)}
-    out: dict[Exps, Fraction] = {}
+    den = math.lcm(*(c.denominator for c in p.terms.values()))
+    out: dict[Exps, int] = {}
     for mono, c in p.terms.items():
         exps = [0] * len(variables)
         for v, e in mono:
             if v not in index:
                 raise DomainError(f"variable {v!r} missing from the variable sequence")
             exps[index[v]] = e
-        out[tuple(exps)] = Fraction(c)
-    return out
+        out[tuple(exps)] = c.numerator * (den // c.denominator)
+    content = math.gcd(*out.values()) or 1
+    return {e: c // content for e, c in out.items()}, Fraction(content, den)
 
 
-def _from_internal(d: dict[Exps, Fraction], variables: Sequence[str]) -> Polynomial:
+def _from_internal(d: dict[Exps, int], variables: Sequence[str], scale: Fraction) -> Polynomial:
+    """The polynomial scale*d."""
     terms = {}
     for exps, c in d.items():
         mono = tuple((variables[i], e) for i, e in enumerate(exps) if e)
-        terms[mono] = c
+        terms[mono] = c * scale
     return Polynomial(terms)
+
+
+def _primitive(d: dict[Exps, int]) -> dict[Exps, int]:
+    """d divided by the gcd of its coefficients."""
+    g = math.gcd(*d.values())
+    return d if g == 1 else {m: c // g for m, c in d.items()}
 
 
 def _divides(a: Exps, b: Exps) -> bool:
@@ -79,48 +92,64 @@ def _lcm_exps(a: Exps, b: Exps) -> Exps:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def _lt(d: dict[Exps, Fraction], key) -> Exps:
+def _lt(d: dict[Exps, int], key) -> Exps:
     return max(d, key=key)
 
 
-def _reduce(p: dict, basis: list[dict], lts: list[Exps], key) -> dict:
-    """Full multivariate division remainder of p by the nonzero basis, whose
-    leading terms are lts."""
+def _reduce(p: dict, basis: list[dict], lts: list[Exps], key) -> tuple[dict, int]:
+    """Full multivariate division of p by the nonzero basis, whose leading
+    terms are lts, without division: the remainder comes back as s*r, where
+    r is the remainder over the rationals and s a nonzero integer."""
     work = dict(p)
-    rem: dict[Exps, Fraction] = {}
+    rem: dict[Exps, int] = {}
+    s = 1
     while work:
         t = _lt(work, key)
         c = work[t]
         for g_lt, g in zip(lts, basis):
             if _divides(g_lt, t):
+                lg = g[g_lt]
+                q = math.gcd(c, lg)
+                if lg < 0:
+                    q = -q
+                # lg*work - c*shift*g, both factors divided by their gcd
+                a, b = lg // q, c // q
+                if a != 1:
+                    s *= a
+                    for m in work:
+                        work[m] *= a
+                    for m in rem:
+                        rem[m] *= a
                 shift = _sub_exps(t, g_lt)
-                ratio = c / g[g_lt]
                 for m, gc in g.items():
                     mm = _add_exps(m, shift)
-                    s = work.get(mm, 0) - ratio * gc
-                    if s:
-                        work[mm] = s
+                    v = work.get(mm, 0) - b * gc
+                    if v:
+                        work[mm] = v
                     else:
                         work.pop(mm, None)
                 break
         else:
             rem[t] = c
             del work[t]
-    return rem
+    return rem, s
 
 
 def _spoly(f: dict, g: dict, key) -> dict:
+    """lc(g)*(l/lt(f))*f - lc(f)*(l/lt(g))*g for l the lcm of the leading
+    terms: lc(f)*lc(g) times the S-polynomial of the monic f and g."""
     lf, lg = _lt(f, key), _lt(g, key)
+    cf, cg = f[lf], g[lg]
     l = _lcm_exps(lf, lg)
-    out: dict[Exps, Fraction] = {}
+    out: dict[Exps, int] = {}
     for m, c in f.items():
         mm = _add_exps(m, _sub_exps(l, lf))
-        out[mm] = out.get(mm, 0) + c / f[lf]
+        out[mm] = out.get(mm, 0) + cg * c
     for m, c in g.items():
         mm = _add_exps(m, _sub_exps(l, lg))
-        s = out.get(mm, 0) - c / g[lg]
-        if s:
-            out[mm] = s
+        v = out.get(mm, 0) - cf * c
+        if v:
+            out[mm] = v
         else:
             out.pop(mm, None)
     return {m: c for m, c in out.items() if c}
@@ -153,8 +182,9 @@ def _buchberger(gens: list[dict], key, max_basis: Optional[int] = None) -> list[
             for k in range(len(G))
         ):
             continue
-        r = _reduce(_spoly(G[i], G[j], key), G, LT, key)
+        r, _ = _reduce(_spoly(G[i], G[j], key), G, LT, key)
         if r:
+            r = _primitive(r)
             G.append(r)
             LT.append(_lt(r, key))
             if max_basis is not None and len(G) > max_basis:
@@ -175,20 +205,16 @@ def _interreduce(G: list[dict], key) -> list[dict]:
             others = G[:i] + G[i + 1:]
             if not others:
                 continue
-            r = _reduce(G[i], others, [_lt(g, key) for g in others], key)
+            r, _ = _reduce(G[i], others, [_lt(g, key) for g in others], key)
             if r != G[i]:
                 changed = True
                 if r:
-                    G[i] = r
+                    G[i] = _primitive(r)
                 else:
                     del G[i]
                 break
-    out = []
-    for g in G:
-        lc = g[_lt(g, key)]
-        out.append({m: c / lc for m, c in g.items()})
-    out.sort(key=lambda g: key(_lt(g, key)), reverse=True)
-    return out
+    G.sort(key=lambda g: key(_lt(g, key)), reverse=True)
+    return G
 
 
 def default_variables(polys: Iterable[Polynomial]) -> tuple[str, ...]:
@@ -210,12 +236,13 @@ def groebner(
     if variables is None:
         variables = default_variables(gens)
     key = _make_key(order, len(variables), block)
-    internal = [_to_internal(p, variables) for p in gens if not p.is_zero()]
+    internal = [_to_internal(p, variables)[0] for p in gens if not p.is_zero()]
     if not internal:
         return []
     G = _buchberger(internal, key, max_basis)
     G = _interreduce(G, key)
-    return [_from_internal(g, variables) for g in G]
+    # the reduced basis is monic: divide by the leading coefficient
+    return [_from_internal(g, variables, Fraction(1, g[_lt(g, key)])) for g in G]
 
 
 def s_polynomial(
@@ -224,7 +251,9 @@ def s_polynomial(
     if variables is None:
         variables = default_variables([f, g])
     key = _make_key(order, len(variables))
-    return _from_internal(_spoly(_to_internal(f, variables), _to_internal(g, variables), key), variables)
+    fi, gi = _to_internal(f, variables)[0], _to_internal(g, variables)[0]
+    scale = Fraction(1, fi[_lt(fi, key)] * gi[_lt(gi, key)])
+    return _from_internal(_spoly(fi, gi, key), variables, scale)
 
 
 def normal_form(
@@ -243,9 +272,11 @@ def normal_form(
     extra = sorted(p.variables() - set(variables))
     variables = tuple(variables) + tuple(extra)
     key = _make_key(order, len(variables), block)
-    internal = [_to_internal(g, variables) for g in basis if not g.is_zero()]
+    internal = [_to_internal(g, variables)[0] for g in basis if not g.is_zero()]
     lts = [_lt(g, key) for g in internal]
-    return _from_internal(_reduce(_to_internal(p, variables), internal, lts, key), variables)
+    q, m = _to_internal(p, variables)
+    r, s = _reduce(q, internal, lts, key)
+    return _from_internal(r, variables, m / s)
 
 
 class Ideal:
@@ -355,12 +386,21 @@ def points_ideal(
     max_degree=D the visit stops above degree D, leaving the basis elements
     of degree <= D; grevlex is degree-compatible, so these generate the
     ideal of all vanishing polynomials of degree <= D.
+
+    Coordinates must be ints (a DomainError names the variable of any other
+    value): the elimination is fraction-free, on integer vectors kept
+    primitive together with their polynomials.
     """
     variables = tuple(variables)
-    pts = [tuple(p[v] for v in variables) for p in points]
-    # echelon rows: (pivot, evaluation vector, the polynomial it evaluates)
-    rows: list[tuple[int, list[Fraction], dict[Exps, Fraction]]] = []
-    basis: list[dict[Exps, Fraction]] = []
+    pts = []
+    for p in points:
+        for v in variables:
+            if not isinstance(p[v], int):
+                raise DomainError(f"points_ideal needs integer coordinates; {v!r} is {p[v]!r}")
+        pts.append(tuple(p[v] for v in variables))
+    # echelon rows: (pivot, integer evaluation vector, the polynomial it evaluates)
+    rows: list[tuple[int, list[int], dict[Exps, int]]] = []
+    basis: list[dict[Exps, int]] = []
     leads: list[Exps] = []
     start = (0,) * len(variables)
     queue = [(_grevlex_key(start), start)]
@@ -371,24 +411,35 @@ def points_ideal(
             break
         if any(_divides(lead, t) for lead in leads):
             continue
-        vec = [Fraction(math.prod(c**e for c, e in zip(pt, t))) for pt in pts]
-        poly = {t: Fraction(1)}
+        vec = [math.prod(c**e for c, e in zip(pt, t)) for pt in pts]
+        poly = {t: 1}
         for pivot, row, row_poly in rows:
             c = vec[pivot]
             if c:
-                vec = [a - c * b for a, b in zip(vec, row)]
+                # d*vec - c*row with d the row's pivot value, then divide the
+                # pair by its content (fraction-free elimination)
+                d = row[pivot]
+                g = math.gcd(c, d)
+                d, c = d // g, c // g
+                vec = [d * a - c * b for a, b in zip(vec, row)]
+                for m in poly:
+                    poly[m] *= d
                 for m, rc in row_poly.items():
                     poly[m] = poly.get(m, 0) - c * rc
+                g = math.gcd(*vec, *poly.values())
+                if g != 1:
+                    vec = [a // g for a in vec]
+                    poly = {m: a // g for m, a in poly.items()}
         pivot = next((k for k, a in enumerate(vec) if a), None)
         if pivot is None:
             basis.append({m: c for m, c in poly.items() if c})
             leads.append(t)
             continue
-        inv = vec[pivot]
-        rows.append((pivot, [a / inv for a in vec], {m: c / inv for m, c in poly.items()}))
+        rows.append((pivot, vec, poly))
         for i in range(len(t)):
             u = t[:i] + (t[i] + 1,) + t[i + 1:]
             if u not in queued:
                 queued.add(u)
                 heapq.heappush(queue, (_grevlex_key(u), u))
-    return [_from_internal(g, variables) for g in basis]
+    # poly[t] is the leading coefficient of the element with leading term t
+    return [_from_internal(g, variables, Fraction(1, g[t])) for g, t in zip(basis, leads)]

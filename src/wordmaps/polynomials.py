@@ -44,9 +44,12 @@ Scalar = Union[int, Fraction]
 
 
 def _scalar(c) -> Scalar:
-    """c exactly, as an int when it is integral and as a Fraction otherwise."""
+    """c exactly, as an int when it is integral and as a Fraction otherwise.
+    Only ints and Fractions are scalars."""
     if type(c) is int:
         return c
+    if not isinstance(c, (int, Fraction)):
+        raise TypeError(f"cannot treat {c!r} as a polynomial")
     c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
 
@@ -181,7 +184,8 @@ class Polynomial:
 
     def evaluate(self, point: Mapping[str, Scalar]) -> Scalar:
         """The exact value at a point, an int when it is integral.  Point
-        values other than ints and Fractions are read with ``Fraction``."""
+        values other than ints and Fractions are read with ``Fraction``
+        (a float as its exact binary value); strings are refused."""
         return _value(self.terms, point)
 
     def evaluate_int(self, point: Mapping[str, int]) -> int:
@@ -223,6 +227,8 @@ def _value(terms: Mapping[Monomial, Scalar], point: Mapping[str, Scalar]) -> Sca
             except KeyError:
                 raise DomainError(f"no value for variable {v!r}") from None
             if type(x) is not int and not isinstance(x, Fraction):
+                if isinstance(x, str):
+                    raise TypeError(f"point value {x!r} of {v!r} is not a number")
                 x = Fraction(x)
             c *= x if e == 1 else x**e
         total += c
@@ -232,11 +238,7 @@ def _value(terms: Mapping[Monomial, Scalar], point: Mapping[str, Scalar]) -> Sca
 
 
 def _coerce(x) -> Polynomial:
-    if isinstance(x, Polynomial):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return Polynomial.const(x)
-    raise TypeError(f"cannot treat {x!r} as a polynomial")
+    return x if isinstance(x, Polynomial) else Polynomial.const(x)
 
 
 def format_polynomial(p: Polynomial) -> str:

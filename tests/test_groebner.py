@@ -72,13 +72,21 @@ def test_poly_coefficients_are_ints_when_integral():
 
 
 def test_poly_rejects_non_exact_scalars():
-    for bad in (1.5, "a"):
+    for bad in (1.5, "a", 0.1, "1/2"):
         with pytest.raises(TypeError):
             x * bad
         with pytest.raises(TypeError):
             bad * x
         with pytest.raises(TypeError):
             x + bad
+        # construction refuses what arithmetic refuses
+        with pytest.raises(TypeError, match="cannot treat"):
+            Polynomial.const(bad)
+        with pytest.raises(TypeError, match="cannot treat"):
+            Polynomial({(): bad})
+        with pytest.raises(TypeError, match="cannot treat"):
+            Polynomial({(("x", 1),): bad})
+    assert Polynomial.const(True) == 1 and type(Polynomial.const(True).terms[()]) is int
 
 
 def test_poly_evaluate_reads_other_values_exactly():
@@ -89,6 +97,11 @@ def test_poly_evaluate_reads_other_values_exactly():
         (x * Fraction(1, 2)).evaluate_int({"x": 1})
     with pytest.raises(DomainError):
         x.evaluate({"y": 1})
+    for bad in ("3/4", "1"):
+        with pytest.raises(TypeError, match="'x'"):
+            x.evaluate({"x": bad})
+        with pytest.raises(TypeError):
+            x.evaluate_int({"x": bad})
 
 
 def _assert_normalised(p):
@@ -335,7 +348,8 @@ def test_cross_check_against_sympy():
     mono = st.tuples(*[st.integers(0, 2)] * 3).map(
         lambda exps: tuple((v, e) for v, e in zip(variables, exps) if e)
     )
-    poly = st.dictionaries(mono, st.integers(-3, 3), min_size=1, max_size=3).map(Polynomial)
+    coeff = st.integers(-3, 3) | st.fractions(-3, 3, max_denominator=4)
+    poly = st.dictionaries(mono, coeff, min_size=1, max_size=3).map(Polynomial)
     ideals = st.lists(poly.filter(bool), min_size=1, max_size=3)
 
     @settings(deadline=None, max_examples=60)
@@ -360,8 +374,18 @@ def test_cross_check_against_sympy():
             assert all(sympy.groebner(ours, *kept, domain="QQ").contains(g) for g in theirs)
             assert all(sympy.groebner(theirs, *kept, domain="QQ").contains(g) for g in ours)
 
+    @settings(deadline=None, max_examples=60)
+    @given(ideals, st.dictionaries(mono, coeff, max_size=5).map(Polynomial),
+           st.sampled_from(["grevlex", "lex"]))
+    def check_normal_form(gens, p, order):
+        # the exact remainder over QQ, not an integer multiple of it
+        ours = normal_form(p, groebner(gens, variables, order=order), variables, order)
+        theirs = sympy.groebner([to_sympy(g) for g in gens], *symbols, order=order, domain="QQ")
+        assert to_sympy(ours) == theirs.reduce(to_sympy(p))[1], [str(g) for g in gens]
+
     check_basis()
     check_eliminate()
+    check_normal_form()
 
 
 # ---------------------------------------------------------------------------
@@ -373,12 +397,13 @@ def test_points_ideal_properties():
     from hypothesis import given, settings
     from hypothesis import strategies as st
 
-    point_sets = st.integers(1, 3).flatmap(
-        lambda n: st.lists(st.tuples(*[st.integers(-3, 3)] * n), min_size=1, max_size=10)
-    )
+    def point_sets(bound, max_size):
+        return st.integers(1, 3).flatmap(
+            lambda n: st.lists(
+                st.tuples(*[st.integers(-bound, bound)] * n), min_size=1, max_size=max_size
+            )
+        )
 
-    @settings(deadline=None)
-    @given(point_sets, st.integers(0, 4))
     def check(coords, degree):
         variables = ("x", "y", "z")[: len(coords[0])]
         points = [dict(zip(variables, c)) for c in coords]
@@ -400,4 +425,34 @@ def test_points_ideal_properties():
         capped = points_ideal(points, variables, max_degree=degree)
         assert capped == [g for g in basis if g.degree() <= degree]
 
-    check()
+    # small coordinates, and wide ones whose eliminations carry large contents
+    settings(deadline=None)(given(point_sets(3, 10), st.integers(0, 4))(check))()
+    settings(deadline=None, max_examples=40)(given(point_sets(10**12, 40), st.integers(0, 4))(check))()
+
+
+def test_points_ideal_fibonacci_orbit():
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    fib = [0, 1]
+    while len(fib) < 121:
+        fib.append(fib[-1] + fib[-2])
+    points = [{"x": fib[i], "y": fib[i + 1]} for i in range(120)]
+    basis = points_ideal(points, ("x", "y"), max_degree=8)
+    # the orbit lies on (x^2 + xy - y^2)^2 = 1
+    assert [format_polynomial(g) for g in basis] == [
+        "-2 * x * y^3 - x^2 * y^2 + 2 * x^3 * y + x^4 + y^4 - 1"
+    ]
+    assert all(g.evaluate(pt) == 0 for g in basis for pt in points)
+    # the polynomials of degree <= 8 vanishing on the orbit are the multiples
+    # of the quartic: 45 monomials less the rank of the evaluation matrix
+    monomials = [(i, d - i) for d in range(9) for i in range(d + 1)]
+    rows = [[sympy.ZZ(pt["x"] ** i * pt["y"] ** j) for i, j in monomials] for pt in points]
+    rank = DomainMatrix(rows, (len(points), len(monomials)), sympy.ZZ).rank()
+    assert len(monomials) - rank == sum(i >= 4 for i, _ in monomials)
+
+
+def test_points_ideal_needs_integer_points():
+    for bad in (Fraction(1, 2), 0.5, "1"):
+        with pytest.raises(DomainError, match="'y'"):
+            points_ideal([{"x": 1, "y": 2}, {"x": 3, "y": bad}], ("x", "y"))
