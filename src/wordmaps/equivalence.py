@@ -10,7 +10,8 @@ Two complementary engines answer vanishing questions:
   generated by pulling the test polynomial back through the update maps.
   The chain stabilizes after finitely many additions (ascending chain
   condition), and on stabilization the polynomial vanishes on the orbit iff
-  every accumulated generator vanishes at the base vector.  This is total:
+  every accumulated generator vanishes at the base vector.  One incremental
+  ``groebner.GroebnerBasis`` tests and extends the chain.  This is total:
   it terminates on every input, so equality verdicts never need a variety
   computation.
 
@@ -34,7 +35,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .errors import BudgetExceededError, DomainError
-from .groebner import Ideal, groebner, in_radical, normal_form, points_ideal
+from .groebner import GroebnerBasis, Ideal, in_radical, points_ideal
 from .polynomials import Polynomial
 from .recurrences import PolynomialSystem, eval_polynomial_vector
 from .words import Word
@@ -122,28 +123,23 @@ def vanishes_on_reachables(
 
     Saturates G := {t} under the pull-backs sigma_a until every new pull-back
     already reduces to zero; then t vanishes on the orbit iff all of G
-    vanishes at the base vector.
+    vanishes at the base vector.  One ``GroebnerBasis`` serves the whole
+    chain, and each addition queues only its own S-pairs.
     """
     if not t.variables() <= set(sys.indices):
         raise DomainError("test polynomial mentions variables outside the system")
-    variables = tuple(sys.indices)
     letters = sorted(sys.input_alphabet)
+    basis = GroebnerBasis([], sys.indices, budget.order, max_basis=budget.max_basis)
     gens: list[Polynomial] = []
-    basis: list[Polynomial] = []
     worklist: list[Polynomial] = [t]
-    additions = 0
     while worklist:
         g = worklist.pop()
-        if not normal_form(g, basis, variables, order=budget.order).is_zero():
+        if basis.add(g):
             gens.append(g)
-            additions += 1
-            if additions > budget.chain_additions:
+            if len(gens) > budget.chain_additions:
                 raise BudgetExceededError(
                     "ideal chain did not stabilize within the addition budget"
                 )
-            basis = groebner(
-                basis + [g], variables, order=budget.order, max_basis=budget.max_basis
-            )
             worklist.extend(_sigma(sys, a, g) for a in letters)
     point = sys.base_vector()
     return all(g.evaluate(point) == 0 for g in gens)

@@ -5,13 +5,16 @@ Polynomials are converted to dense exponent tuples over an explicit variable
 sequence, with primitive integer coefficients (denominators cleared, content
 divided out), for the duration of a computation.  The kernel is fraction-free:
 reduction cross-multiplies by leading coefficients instead of dividing, and
-points are eliminated Bareiss-style.  Results come back as Polynomials, made
-monic (or rescaled to the exact remainder) only on the way out.  Supported
-monomial orders:
+points are eliminated Bareiss-style.  Division pops the working terms from a
+heap, computing each term's order key once.  Results come back as Polynomials,
+made monic (or rescaled to the exact remainder) only on the way out.  Supported
+monomial orders, with flat int tuple keys:
 grevlex (default), lex, and the block orders used for elimination (the
 dropped block is compared first, so the basis splits off the elimination
-ideal).  Bases are reduced and auto-reduced, and the output is deterministic
-given the generator list, the variable sequence, and the order.
+ideal).  A ``GroebnerBasis`` is completed incrementally (Gebauer and Moeller,
+J. Symb. Comp. 6, 1988): ``add`` queues only the new element's S-pairs.
+``groebner`` returns its reduced form, deterministic given the generator
+list, the variable sequence, and the order.
 """
 
 from __future__ import annotations
@@ -32,16 +35,16 @@ def _lex_key(e: Exps):
 
 
 def _grevlex_key(e: Exps):
-    return (sum(e), tuple(-x for x in reversed(e)))
+    return (sum(e), *[-x for x in reversed(e)])
 
 
-def _make_key(order: str, nvars: int, block: int = 0):
+def _make_key(order: str, block: int = 0):
     if order == "lex":
         return _lex_key
     if order == "grevlex":
         return _grevlex_key
     if order == "block-grevlex":
-        return lambda e: (_grevlex_key(e[:block]), _grevlex_key(e[block:]))
+        return lambda e: _grevlex_key(e[:block]) + _grevlex_key(e[block:])
     raise DomainError(f"unknown monomial order {order!r}")
 
 
@@ -99,13 +102,19 @@ def _lt(d: dict[Exps, int], key) -> Exps:
 def _reduce(p: dict, basis: list[dict], lts: list[Exps], key) -> tuple[dict, int]:
     """Full multivariate division of p by the nonzero basis, whose leading
     terms are lts, without division: the remainder comes back as s*r, where
-    r is the remainder over the rationals and s a nonzero integer."""
+    r is the remainder over the rationals and s a nonzero integer.  A term is
+    pushed on a heap of negated keys as it enters work; cancelled ones are
+    skipped when popped."""
     work = dict(p)
+    heap = [([-x for x in key(m)], m) for m in work]
+    heapq.heapify(heap)
     rem: dict[Exps, int] = {}
     s = 1
     while work:
-        t = _lt(work, key)
-        c = work[t]
+        t = heapq.heappop(heap)[1]
+        c = work.get(t)
+        if c is None:
+            continue
         for g_lt, g in zip(lts, basis):
             if _divides(g_lt, t):
                 lg = g[g_lt]
@@ -124,6 +133,8 @@ def _reduce(p: dict, basis: list[dict], lts: list[Exps], key) -> tuple[dict, int
                 for m, gc in g.items():
                     mm = _add_exps(m, shift)
                     v = work.get(mm, 0) - b * gc
+                    if mm not in work:
+                        heapq.heappush(heap, ([-x for x in key(mm)], mm))
                     if v:
                         work[mm] = v
                     else:
@@ -155,66 +166,97 @@ def _spoly(f: dict, g: dict, key) -> dict:
     return {m: c for m, c in out.items() if c}
 
 
-def _buchberger(gens: list[dict], key, max_basis: Optional[int] = None) -> list[dict]:
-    G = [g for g in gens if g]
-    LT = [_lt(g, key) for g in G]
-    # pending pairs (i, j), i > j, in a heap keyed by the order of their lcm
-    pairs: list[tuple] = []
+class GroebnerBasis:
+    """A minimal Groebner basis of primitive integer polynomials G, with leading
+    terms LT.  Pending S-pairs (i, j), i > j, wait in one heap keyed by their
+    lcm and are skipped by the product and chain criteria.  ``peak`` is the
+    largest size an appended element brought G to; over ``max_basis`` it raises."""
 
-    def add_pairs(i: int) -> None:
-        for j in range(i):
-            lcm = _lcm_exps(LT[i], LT[j])
-            heapq.heappush(pairs, (key(lcm), i, j, lcm))
+    def __init__(self, gens: Iterable[Polynomial], variables: Sequence[str], order: str = "grevlex",
+                 block: int = 0, max_basis: Optional[int] = None):
+        self.variables = tuple(variables)
+        self.key = _make_key(order, block)
+        self.max_basis = max_basis
+        self.G: list[dict] = []
+        self.LT: list[Exps] = []
+        self.peak = 0
+        self._pairs: list[tuple] = []
+        self._done: set[tuple[int, int]] = set()
+        # every pair among the first _old elements is treated
+        self._old = 0
+        for p in gens:
+            if not p.is_zero():
+                self._push(_to_internal(p, self.variables)[0])
+        self._complete()
 
-    for i in range(len(G)):
-        add_pairs(i)
-    done: set[tuple[int, int]] = set()
-    while pairs:
-        _, i, j, lcm = heapq.heappop(pairs)
-        done.add((i, j))
-        # product criterion: coprime leading terms reduce to zero
-        if lcm == _add_exps(LT[i], LT[j]):
-            continue
-        # chain criterion
-        if any(
-            k != i and k != j and _divides(LT[k], lcm)
-            and (max(i, k), min(i, k)) in done and (max(j, k), min(j, k)) in done
-            for k in range(len(G))
-        ):
-            continue
-        r, _ = _reduce(_spoly(G[i], G[j], key), G, LT, key)
+    def reduce(self, p: Polynomial) -> dict:
+        """A nonzero multiple of p's normal form, empty iff p lies in the ideal."""
+        return _reduce(_to_internal(p, self.variables)[0], self.G, self.LT, self.key)[0]
+
+    def add(self, p: Polynomial) -> bool:
+        """Extend the ideal by p, queueing only its remainder's pairs; False if p is in it."""
+        r = self.reduce(p)
         if r:
-            r = _primitive(r)
-            G.append(r)
-            LT.append(_lt(r, key))
-            if max_basis is not None and len(G) > max_basis:
-                raise BudgetExceededError(
-                    f"Groebner basis exceeded the size budget ({max_basis})"
-                )
-            add_pairs(len(G) - 1)
-    return G
+            self._append(r)
+            self._complete()
+        return bool(r)
 
+    def check_budget(self, max_basis: Optional[int]) -> None:
+        if max_basis is not None and self.peak > max_basis:
+            raise BudgetExceededError(f"Groebner basis exceeded the size budget ({max_basis})")
 
-def _interreduce(G: list[dict], key) -> list[dict]:
-    G = [g for g in G if g]
-    # drop generators whose leading term another one divides
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(G)):
-            others = G[:i] + G[i + 1:]
-            if not others:
+    def reduced(self) -> list[Polynomial]:
+        """The reduced monic basis, by decreasing leading term."""
+        G = list(self.G)
+        # one pass suffices: the leading terms never change, so an element
+        # stays reduced once its tail is
+        for i, g in enumerate(G):
+            r, _ = _reduce(g, G[:i] + G[i + 1:], self.LT[:i] + self.LT[i + 1:], self.key)
+            G[i] = _primitive(r)
+        ranked = sorted(zip(self.LT, G), key=lambda tg: self.key(tg[0]), reverse=True)
+        return [_from_internal(g, self.variables, Fraction(1, g[t])) for t, g in ranked]
+
+    def _push(self, g: dict) -> None:
+        self.G.append(g)
+        self.LT.append(_lt(g, self.key))
+        i = len(self.G) - 1
+        for j in range(i):
+            lcm = _lcm_exps(self.LT[i], self.LT[j])
+            heapq.heappush(self._pairs, (self.key(lcm), i, j, lcm))
+
+    def _append(self, r: dict) -> None:
+        self.peak = max(self.peak, len(self.G) + 1)
+        self.check_budget(self.max_basis)
+        self._push(_primitive(r))
+
+    def _treated(self, i: int, j: int) -> bool:
+        i, j = max(i, j), min(i, j)
+        return i < self._old or (i, j) in self._done
+
+    def _complete(self) -> None:
+        G, LT = self.G, self.LT
+        while self._pairs:
+            _, i, j, lcm = heapq.heappop(self._pairs)
+            self._done.add((i, j))
+            if lcm == _add_exps(LT[i], LT[j]):
                 continue
-            r, _ = _reduce(G[i], others, [_lt(g, key) for g in others], key)
-            if r != G[i]:
-                changed = True
-                if r:
-                    G[i] = _primitive(r)
-                else:
-                    del G[i]
-                break
-    G.sort(key=lambda g: key(_lt(g, key)), reverse=True)
-    return G
+            if any(
+                k != i and k != j and _divides(LT[k], lcm)
+                and self._treated(i, k) and self._treated(j, k)
+                for k in range(len(G))
+            ):
+                continue
+            r, _ = _reduce(_spoly(G[i], G[j], self.key), G, LT, self.key)
+            if r:
+                self._append(r)
+        # drop every element whose leading term another one's divides; of
+        # equal leading terms, the first stays
+        keep = [i for i, t in enumerate(LT) if not any(
+            _divides(u, t) and (u != t or j < i) for j, u in enumerate(LT) if j != i)]
+        self.G = [G[i] for i in keep]
+        self.LT = [LT[i] for i in keep]
+        self._done.clear()
+        self._old = len(self.G)
 
 
 def default_variables(polys: Iterable[Polynomial]) -> tuple[str, ...]:
@@ -235,14 +277,7 @@ def groebner(
     gens = list(gens)
     if variables is None:
         variables = default_variables(gens)
-    key = _make_key(order, len(variables), block)
-    internal = [_to_internal(p, variables)[0] for p in gens if not p.is_zero()]
-    if not internal:
-        return []
-    G = _buchberger(internal, key, max_basis)
-    G = _interreduce(G, key)
-    # the reduced basis is monic: divide by the leading coefficient
-    return [_from_internal(g, variables, Fraction(1, g[_lt(g, key)])) for g in G]
+    return GroebnerBasis(gens, variables, order, block, max_basis).reduced()
 
 
 def s_polynomial(
@@ -250,7 +285,7 @@ def s_polynomial(
 ) -> Polynomial:
     if variables is None:
         variables = default_variables([f, g])
-    key = _make_key(order, len(variables))
+    key = _make_key(order)
     fi, gi = _to_internal(f, variables)[0], _to_internal(g, variables)[0]
     scale = Fraction(1, fi[_lt(fi, key)] * gi[_lt(gi, key)])
     return _from_internal(_spoly(fi, gi, key), variables, scale)
@@ -271,7 +306,7 @@ def normal_form(
         variables = default_variables(basis)
     extra = sorted(p.variables() - set(variables))
     variables = tuple(variables) + tuple(extra)
-    key = _make_key(order, len(variables), block)
+    key = _make_key(order, block)
     internal = [_to_internal(g, variables)[0] for g in basis if not g.is_zero()]
     lts = [_lt(g, key) for g in internal]
     q, m = _to_internal(p, variables)
@@ -280,33 +315,38 @@ def normal_form(
 
 
 class Ideal:
-    """A polynomial ideal given by generators, with a cached reduced basis."""
+    """A polynomial ideal given by generators, with a cached basis per order."""
 
     def __init__(self, generators: Iterable[Polynomial], variables=None):
         self.generators = tuple(g for g in generators if not g.is_zero())
         self._variables = None if variables is None else tuple(variables)
-        self._cache: dict = {}
+        self._bases: dict[str, GroebnerBasis] = {}
 
     def variables(self) -> tuple[str, ...]:
         if self._variables is not None:
             return self._variables
         return default_variables(self.generators)
 
+    def _basis(self, order: str, max_basis=None) -> GroebnerBasis:
+        gb = self._bases.get(order)
+        if gb is None:
+            gb = GroebnerBasis(self.generators, self.variables(), order, max_basis=max_basis)
+            self._bases[order] = gb
+        # a cached basis answers to the budget it would have met when computed
+        gb.check_budget(max_basis)
+        return gb
+
     def groebner_basis(self, order: str = "grevlex", max_basis=None) -> list[Polynomial]:
-        key = (order, self.variables())
-        if key not in self._cache:
-            self._cache[key] = groebner(
-                self.generators, self.variables(), order, max_basis=max_basis
-            )
-        return self._cache[key]
+        return self._basis(order, max_basis).reduced()
 
     def contains(self, p: Polynomial, order: str = "grevlex") -> bool:
         if p.is_zero():
             return True
         if not self.generators:
             return False
-        basis = self.groebner_basis(order)
-        return normal_form(p, basis, self.variables(), order).is_zero()
+        if p.variables() <= set(self.variables()):
+            return not self._basis(order).reduce(p)
+        return normal_form(p, self.groebner_basis(order), self.variables(), order).is_zero()
 
     def is_zero_ideal(self) -> bool:
         return not self.generators

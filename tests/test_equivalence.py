@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -17,7 +18,7 @@ from wordmaps.equivalence import (
     zariski_closure,
 )
 from wordmaps.errors import BudgetExceededError, DomainError
-from wordmaps.groebner import Ideal
+from wordmaps.groebner import Ideal, groebner, normal_form
 from wordmaps.polynomials import Polynomial
 from wordmaps.recurrences import PolynomialSystem, eval_polynomial
 
@@ -107,6 +108,86 @@ def test_budget_error_propagates():
     with pytest.raises(BudgetExceededError):
         # quick scan is disabled by the witness distance: equal systems
         vanishes_on_reachables(fib_pair(), P("F") - P("G"), tiny)
+
+
+def test_basis_budget_fires_inside_the_saturation_engine():
+    # the chain's basis for this (false) identity reaches four elements
+    t = P("F") * P("G") - P("F") ** 2 - 1
+    assert not vanishes_on_reachables(fib_pair(), t, Budget(max_basis=4))
+    with pytest.raises(BudgetExceededError, match="size budget"):
+        vanishes_on_reachables(fib_pair(), t, Budget(max_basis=3))
+
+
+def _reference_chain(sys, t, budget):
+    """The saturation loop with a normal form against the last reduced basis
+    and a basis recomputed from scratch for every addition: (verdict, number
+    of additions), with verdict None once the addition budget is exceeded."""
+    variables = tuple(sys.indices)
+    letters = sorted(sys.input_alphabet)
+    gens, basis, worklist = [], [], [t]
+    while worklist:
+        g = worklist.pop()
+        if not normal_form(g, basis, variables, order=budget.order).is_zero():
+            gens.append(g)
+            if len(gens) > budget.chain_additions:
+                return None, len(gens)
+            basis = groebner(basis + [g], variables, order=budget.order)
+            worklist.extend(g.substitute(sys.maps[a]) for a in letters)
+    point = sys.base_vector()
+    return all(g.evaluate(point) == 0 for g in gens), len(gens)
+
+
+def test_saturation_engine_matches_the_from_scratch_chain():
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    @st.composite
+    def cases(draw):
+        indices = ("X0", "X1", "X2")[: draw(st.sampled_from([3, 2, 1]))]
+        letters = ("a", "b")[: draw(st.integers(1, 2))]
+
+        def poly(max_degree):
+            p = Polynomial.const(draw(st.integers(-2, 2)))
+            for _ in range(draw(st.integers(1, 3))):
+                term = Polynomial.const(draw(st.sampled_from([1, -1, 2])))
+                for _ in range(draw(st.integers(0, max_degree))):
+                    term = term * P(draw(st.sampled_from(indices)))
+                p = p + term
+            return p
+
+        # at most one nonlinear map keeps the pulled-back degrees small
+        nonlinear = draw(st.sampled_from([None, *[(i, a) for i in indices for a in letters]]))
+        rules = {(i, a): poly(2 if (i, a) == nonlinear else 1) for i in indices for a in letters}
+        base = {i: draw(st.integers(-2, 2)) for i in indices}
+        sys = PolynomialSystem.make(indices, letters, rules, base, ring="Z")
+        if draw(st.booleans()):
+            return sys, poly(2)
+        # a coordinate against its copy in a second, possibly perturbed system
+        i = draw(st.sampled_from(indices))
+        copy = {**base, i: base[i] + draw(st.sampled_from([0, 0, 1]))}
+        pair = product_system(
+            rename_system(sys, "A_"),
+            rename_system(PolynomialSystem.make(indices, letters, rules, copy, ring="Z"), "B_"),
+        )
+        return pair, P("A_" + i) - P("B_" + i)
+
+    @settings(deadline=None, max_examples=60)
+    @given(cases(), st.sampled_from(["grevlex", "lex"]))
+    def check(case, order):
+        sys, t = case
+        budget = Budget(chain_additions=10, order=order)
+        verdict, additions = _reference_chain(sys, t, budget)
+        if verdict is None:
+            with pytest.raises(BudgetExceededError, match="addition budget"):
+                vanishes_on_reachables(sys, t, budget)
+            return
+        assert vanishes_on_reachables(sys, t, budget) == verdict
+        # the chain makes exactly as many additions
+        if additions:
+            with pytest.raises(BudgetExceededError, match="addition budget"):
+                vanishes_on_reachables(sys, t, replace(budget, chain_additions=additions - 1))
+
+    check()
 
 
 def _random_system(rng, n_vars=3, letters=("a", "b"), degree=2):

@@ -6,6 +6,7 @@ import pytest
 
 from wordmaps.errors import BudgetExceededError, DomainError
 from wordmaps.groebner import (
+    GroebnerBasis,
     Ideal,
     default_variables,
     eliminate,
@@ -326,6 +327,19 @@ def test_budget_error():
         groebner(gens, max_basis=1)
 
 
+def test_cached_basis_keeps_its_size_budget():
+    # the grevlex completion of these two generators appends y^2 - x
+    for membership_first in (True, False):
+        ideal = Ideal([x * x - y, x * y - 1])
+        if membership_first:
+            assert ideal.contains(x ** 3 - 1)
+        for budget in (1, 2):
+            with pytest.raises(BudgetExceededError, match=f"size budget \\({budget}\\)"):
+                ideal.groebner_basis(max_basis=budget)
+        assert ideal.groebner_basis(max_basis=3) == [x * x - y, x * y - 1, y * y - x]
+        assert ideal.contains(x ** 3 - 1)
+
+
 def test_ideal_membership_function():
     assert ideal_membership(x * y, Ideal([x]))
     assert not ideal_membership(y, Ideal([x]))
@@ -383,9 +397,25 @@ def test_cross_check_against_sympy():
         theirs = sympy.groebner([to_sympy(g) for g in gens], *symbols, order=order, domain="QQ")
         assert to_sympy(ours) == theirs.reduce(to_sympy(p))[1], [str(g) for g in gens]
 
+    @settings(deadline=None, max_examples=60)
+    @given(ideals, st.dictionaries(mono, coeff, max_size=5).map(Polynomial),
+           st.sampled_from(["grevlex", "lex"]))
+    def check_incremental(gens, p, order):
+        basis = GroebnerBasis([], variables, order)
+        for g in gens:
+            basis.add(g)
+        ours = basis.reduced()
+        assert ours == groebner(gens, variables, order=order)
+        # a minimal basis is as long as the reduced one
+        assert len(basis.G) == len(ours)
+        theirs = sympy.groebner([to_sympy(g) for g in gens], *symbols, order=order, domain="QQ")
+        assert {to_sympy(g) for g in ours} == set(theirs.polys), [str(g) for g in gens]
+        assert (not basis.reduce(p)) == theirs.reduce(to_sympy(p))[1].is_zero
+
     check_basis()
     check_eliminate()
     check_normal_form()
+    check_incremental()
 
 
 # ---------------------------------------------------------------------------
