@@ -321,9 +321,6 @@ def parse_polynomial(text: str, variables: Iterable[str] | None = None) -> Polyn
                 raise ParseError("missing ')'", column=tokens[pos - 1][1] + 1)
             take()
             return p
-        if tok == "-":
-            take()
-            return -atom()
         value, at = take()
         if value.isdigit():
             return Polynomial.const(int(value))
@@ -334,6 +331,9 @@ def parse_polynomial(text: str, variables: Iterable[str] | None = None) -> Polyn
         raise ParseError(f"unexpected token {value!r}", column=at + 1)
 
     def power() -> Polynomial:
+        if peek() == "-":  # unary minus binds looser than '^': -x^2 is -(x^2)
+            take()
+            return -power()
         p = atom()
         while peek() == "^":
             take()

@@ -1,4 +1,4 @@
-"""Parsing and printing of system-definition files.
+"""Parsing and printing of system-definition (``.sys``) files.
 
 A file is a sequence of named blocks::
 
@@ -6,11 +6,24 @@ A file is a sequence of named blocks::
         ...statements...
     }
 
-``#`` starts a comment.  Statements are single lines.  Rule statements use
-the shapes ``f(eps) = ...`` for base cases and ``f(a w) = ...`` for
-recurrence steps; regular rules add an ``@class`` annotation after the head
-and may prepend shift letters to ``w`` on the right-hand side.  Inline
-homomorphisms are written ``{ x -> x y ; y -> eps }``.
+``#`` starts a comment.  Statements are lines, or ``;``-separated parts of a
+line.  ``_Block`` splits a body once into two sorts of statement:
+
+* directives ``key: text``, keyed by one or two words (``input: a b``,
+  ``gamma 2: S``, ``1: A B``), kept with their line numbers;
+* every other statement, which must match its kind's pattern: rules
+  ``f(eps) = ...`` and ``f(a w) = ...`` (``cat``, ``comp``, ``reg``, ``poly``),
+  ``table a = {...}`` and ``final = {...}`` (``hdt0l``), ``mat a = [...]``
+  (``linrep``), transitions ``q , b , S a -> q2 , op`` (``pda``), images
+  ``x -> w`` (``hom``) and bare letters (``alphabet``).
+
+Each kind's parser takes its directives through the block's accessors, so an
+unknown, repeated, missing or malformed directive is a ``ParseError`` at its
+line (a missing one at the block header), reported after any bad statement.
+Only regular rules take an ``@class`` annotation after the head and shift
+letters before ``w`` on the right-hand side.  Inline homomorphisms are
+written ``{ x -> x y ; y -> eps }``; working letters they leave out map to
+themselves.
 """
 
 from __future__ import annotations
@@ -151,533 +164,378 @@ def _blocks(text: str, filename):
         yield kind, name, body, header_line
 
 
-def _directive(stmt: str):
-    m = re.match(r"^([\w]+(?:\s+[\w]+)?)\s*:\s*(.*)$", stmt)
-    if m and "=" not in m.group(1):
-        return m.group(1), m.group(2).strip()
-    return None
+_DIRECTIVE_RE = re.compile(r"^(\w+(?:\s+\w+)?)\s*:\s*(.*)$")
+_REQUIRED = object()
+
+
+class _Block:
+    """One block body, split once into directives and statements.
+
+    Directives (``key: text``) are kept by key with their line numbers;
+    every other statement must match the kind's statement pattern.  A parser
+    takes the directives it needs through the accessors, and ``done`` rejects
+    any it left.
+    """
+
+    def __init__(self, kind, name, body, header, filename, statement):
+        self.kind, self.name, self.header, self.filename = kind, name, header, filename
+        self.directives = {}  # key -> [(lineno, text), ...]
+        self.statements = []  # [(lineno, match), ...]
+        self.lines = {}  # key -> lineno of the directive taken by one()
+        for lineno, stmt in body:
+            d = _DIRECTIVE_RE.match(stmt)
+            if d:
+                key = " ".join(d.group(1).split())
+                self.directives.setdefault(key, []).append((lineno, d.group(2).strip()))
+                continue
+            m = statement.match(stmt) if statement else None
+            if not m:
+                raise self.error(f"cannot parse statement {stmt!r}", lineno)
+            self.statements.append((lineno, m))
+
+    def error(self, message, line=None) -> ParseError:
+        return ParseError(message, line=line or self.header, filename=self.filename)
+
+    def convert(self, lineno, what, fn, text):
+        """``fn(text)``, with a ParseError it raises placed at ``lineno``."""
+        try:
+            return fn(text)
+        except ParseError as e:
+            raise self.error(f"{what}: {e}", lineno) from None
+
+    def many(self, key):
+        """Every ``key:`` directive as (lineno, text), in document order."""
+        return self.directives.pop(key, [])
+
+    def one(self, key, default=_REQUIRED, fn=str):
+        """The single ``key:`` directive's text, passed through ``fn``."""
+        entries = self.many(key)
+        if len(entries) > 1:
+            raise self.error(f"repeated directive '{key}:'", entries[1][0])
+        if not entries:
+            if default is _REQUIRED:
+                raise self.error(f"{self.kind} {self.name} needs '{key}:'")
+            return default
+        lineno, text = entries[0]
+        self.lines[key] = lineno
+        return self.convert(lineno, key, fn, text)
+
+    def words(self, key, default=_REQUIRED):
+        return self.one(key, default, lambda text: tuple(text.split()))
+
+    def done(self):
+        """Reject the first directive, in document order, that no accessor took."""
+        if self.directives:
+            lineno, key = min((entries[0][0], key) for key, entries in self.directives.items())
+            raise self.error(f"unknown directive {key!r}", lineno)
+
+
+def _int(text):
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"expected an integer, got {text.strip()!r}") from None
+
+
+def _ints(text):
+    return tuple(_int(tok) for tok in text.split())
 
 
 _RULE_RE = re.compile(
-    r"^(?P<name>[\w']+)\s*\(\s*(?P<arg>[^)]*?)\s*\)\s*(?:@(?P<cls>[\w]+)\s*)?=\s*(?P<rhs>.*)$"
+    r"^(?P<name>[\w']+)\s*\(\s*(?:eps|(?P<letter>[^\s)]+)\s+w)?\s*\)\s*"
+    r"(?:@(?P<cls>\w+)\s*)?=\s*(?P<rhs>.*)$"
 )
 
 
-def _parse_hom_body(text: str, lineno, filename) -> dict[str, Word]:
-    text = text.strip()
-    if not (text.startswith("{") and text.endswith("}")):
-        raise ParseError("expected a homomorphism body '{ ... }'", line=lineno, filename=filename)
-    images = {}
-    for part in text[1:-1].split(";"):
-        part = part.strip()
-        if not part:
-            continue
-        if "->" not in part:
-            raise ParseError(f"bad homomorphism rule {part!r}", line=lineno, filename=filename)
-        lhs, rhs = part.split("->", 1)
-        lhs = lhs.strip()
-        if not lhs or len(lhs.split()) != 1:
-            raise ParseError(f"bad homomorphism rule {part!r}", line=lineno, filename=filename)
-        if lhs in images:
-            raise ParseError(f"two images for letter {lhs!r}", line=lineno, filename=filename)
-        images[lhs] = word(rhs)
-    return images
+def _rules(blk, annotated=False):
+    """Read the rule statements of a block.
+
+    Returns ``bases`` {index: (lineno, rhs)} for the ``f(eps) = rhs``
+    statements and ``rules`` {(index, letter, class): (lineno, rhs)} for the
+    ``f(a w) @class = rhs`` ones; only an ``annotated`` kind takes a class.
+    """
+    bases, rules = {}, {}
+    for lineno, m in blk.statements:
+        name, a, cls, rhs = m["name"], m["letter"], m["cls"], m["rhs"].strip()
+        if cls is not None and not annotated:
+            raise blk.error(f"{blk.kind} rules take no @class", lineno)
+        if a is None:
+            if cls is not None:
+                raise blk.error("base cases take no @class", lineno)
+            if name in bases:
+                raise blk.error(f"two base cases for {name!r}", lineno)
+            bases[name] = (lineno, rhs)
+        elif (name, a, cls) in rules:
+            raise blk.error(f"duplicate rule for {name}({a} w)" + (f" @{cls}" if cls else ""), lineno)
+        else:
+            rules[(name, a, cls)] = (lineno, rhs)
+    return bases, rules
 
 
-def _rhs_terms(rhs: str, lineno, filename):
+_TERM_RE = re.compile(r"\s*([\w']+)\s*\(\s*([^)]*?)\s*\)")
+_RHS_RE = re.compile(f"(?:{_TERM_RE.pattern})+")
+
+
+def _rhs_terms(blk, lineno, rhs):
     """Parse `f(w) g(a w)`-style right-hand sides into (name, shift) pairs."""
-    rhs = rhs.strip()
-    if rhs == "eps" or rhs == "":
-        return []
+    if rhs in ("eps", ""):
+        return ()
+    if not _RHS_RE.fullmatch(rhs):
+        raise blk.error(f"cannot parse right-hand side {rhs!r}", lineno)
     out = []
-    pos = 0
-    for m in re.finditer(r"([\w']+)\s*\(\s*([^)]*?)\s*\)", rhs):
-        if rhs[pos:m.start()].strip():
-            raise ParseError(
-                f"unexpected text {rhs[pos:m.start()].strip()!r} in rule", line=lineno, filename=filename
-            )
-        tokens = m.group(2).split()
-        if not tokens or tokens[-1] != "w":
-            raise ParseError(
-                f"rule argument {m.group(2)!r} must end in 'w'", line=lineno, filename=filename
-            )
-        out.append((m.group(1), tuple(tokens[:-1])))
-        pos = m.end()
-    if rhs[pos:].strip():
-        raise ParseError(f"unexpected text {rhs[pos:].strip()!r} in rule", line=lineno, filename=filename)
-    if not out:
-        raise ParseError("empty rule right-hand side (use 'eps')", line=lineno, filename=filename)
+    for name, arg in _TERM_RE.findall(rhs):
+        tokens = arg.split()
+        if tokens[-1:] != ["w"]:
+            raise blk.error(f"rule argument {arg!r} must end in 'w'", lineno)
+        out.append((name, tuple(tokens[:-1])))
+    return tuple(out)
+
+
+def _index_rules(blk, rules):
+    """{(index, letter): (index, ...)} from rules without shift letters."""
+    out = {}
+    for (i, a, _), (lineno, rhs) in rules.items():
+        terms = _rhs_terms(blk, lineno, rhs)
+        if any(shift for _, shift in terms):
+            raise blk.error(f"{blk.kind} rules take no shift letters", lineno)
+        out[(i, a)] = tuple(j for j, _ in terms)
     return out
 
 
-class _RuleAccumulator:
-    def __init__(self, filename):
-        self.filename = filename
-        self.bases = {}
-        self.rules = {}
+_IMAGE_RE = re.compile(r"^\s*(?P<letter>\S+?)\s*->(?P<image>.*)$")
 
-    def feed(self, lineno, stmt):
-        m = _RULE_RE.match(stmt)
+
+def _images(blk, rules):
+    """{letter: image} from ``x -> w`` rules given as (lineno, text) pairs."""
+    images = {}
+    for lineno, rule in rules:
+        m = _IMAGE_RE.match(rule)
         if not m:
-            raise ParseError(f"cannot parse statement {stmt!r}", line=lineno, filename=self.filename)
-        name, arg, cls, rhs = m.group("name"), m.group("arg"), m.group("cls"), m.group("rhs")
-        arg_tokens = arg.split()
-        if arg_tokens == ["eps"] or arg_tokens == []:
-            if cls is not None:
-                raise ParseError("base cases take no @class", line=lineno, filename=self.filename)
-            if name in self.bases:
-                raise ParseError(f"two base cases for {name!r}", line=lineno, filename=self.filename)
-            self.bases[name] = (lineno, rhs.strip())
-        else:
-            if len(arg_tokens) != 2 or arg_tokens[1] != "w":
-                raise ParseError(
-                    f"rule head argument must be 'eps' or 'LETTER w', got {arg!r}",
-                    line=lineno,
-                    filename=self.filename,
-                )
-            key = (name, arg_tokens[0], cls)
-            if key in self.rules:
-                raise ParseError(
-                    f"duplicate rule for {name}({arg_tokens[0]} w)"
-                    + (f" @{cls}" if cls else ""),
-                    line=lineno,
-                    filename=self.filename,
-                )
-            self.rules[key] = (lineno, rhs.strip())
+            raise blk.error(f"bad homomorphism rule {rule.strip()!r}", lineno)
+        if m["letter"] in images:
+            raise blk.error(f"two images for letter {m['letter']!r}", lineno)
+        images[m["letter"]] = word(m["image"])
+    return images
 
 
-def _split_list(text: str):
-    return tuple(text.split())
+def _inline_images(blk, lineno, text):
+    """The images of an inline homomorphism ``{ x -> x y ; y -> eps }``."""
+    text = text.strip()
+    if not (text.startswith("{") and text.endswith("}")):
+        raise blk.error("expected a homomorphism body '{ ... }'", lineno)
+    return _images(blk, [(lineno, part) for part in text[1:-1].split(";") if part.strip()])
+
+
+def _working_hom(images, working, target) -> Homomorphism:
+    """The homomorphism on ``working`` with these images; unlisted letters map to themselves."""
+    images = images | {v: (v,) for v in working - images.keys()}
+    return Homomorphism(images, source=working, target=target)
 
 
 # ---------------------------------------------------------------------------
 # per-kind block parsers
 
 
-def _parse_cat(name, body, filename) -> CatenativeSystem:
-    acc = _RuleAccumulator(filename)
-    inp = out = None
-    for lineno, stmt in body:
-        d = _directive(stmt)
-        if d:
-            key, rest = d
-            if key == "input":
-                inp = _split_list(rest)
-            elif key == "output":
-                out = _split_list(rest)
-            else:
-                raise ParseError(f"unknown directive {key!r}", line=lineno, filename=filename)
-        else:
-            acc.feed(lineno, stmt)
-    if inp is None or out is None:
-        raise ParseError(f"cat {name} needs 'input:' and 'output:'", filename=filename)
-    indices = tuple(sorted(acc.bases))
-    rules = {}
-    for (i, a, cls), (lineno, rhs) in acc.rules.items():
-        if cls is not None:
-            raise ParseError("catenative rules take no @class", line=lineno, filename=filename)
-        terms = _rhs_terms(rhs, lineno, filename)
-        for j, shift in terms:
-            if shift:
-                raise ParseError("catenative rules take no shift letters", line=lineno, filename=filename)
-        rules[(i, a)] = tuple(j for j, _ in terms)
-    base = {i: word(rhs) for i, (_, rhs) in acc.bases.items()}
-    return CatenativeSystem.make(indices, inp, out, rules, base)
+def _parse_cat(blk) -> CatenativeSystem:
+    bases, rules = _rules(blk)
+    index_rules = _index_rules(blk, rules)
+    inp, out = blk.words("input"), blk.words("output")
+    blk.done()
+    base = {i: word(rhs) for i, (_, rhs) in bases.items()}
+    return CatenativeSystem.make(tuple(sorted(bases)), inp, out, index_rules, base)
 
 
-def _parse_comp(name, body, filename) -> CompositionalSystem:
-    acc = _RuleAccumulator(filename)
-    inp = working = None
-    for lineno, stmt in body:
-        d = _directive(stmt)
-        if d:
-            key, rest = d
-            if key == "input":
-                inp = _split_list(rest)
-            elif key == "working":
-                working = _split_list(rest)
-            else:
-                raise ParseError(f"unknown directive {key!r}", line=lineno, filename=filename)
-        else:
-            acc.feed(lineno, stmt)
-    if inp is None or working is None:
-        raise ParseError(f"comp {name} needs 'input:' and 'working:'", filename=filename)
-    indices = tuple(sorted(acc.bases))
-    working_set = frozenset(working)
-    base = {}
-    for i, (lineno, rhs) in acc.bases.items():
-        images = _parse_hom_body(rhs, lineno, filename)
-        for v in working_set - set(images):
-            images[v] = (v,)
-        base[i] = Homomorphism(images, source=working_set, target=working_set)
-    rules = {}
-    for (i, a, cls), (lineno, rhs) in acc.rules.items():
-        if cls is not None:
-            raise ParseError("compositional rules take no @class", line=lineno, filename=filename)
-        terms = _rhs_terms(rhs, lineno, filename)
-        for j, shift in terms:
-            if shift:
-                raise ParseError("compositional rules take no shift letters", line=lineno, filename=filename)
-        rules[(i, a)] = tuple(j for j, _ in terms)
-    return CompositionalSystem.make(indices, inp, working_set, rules, base)
+def _parse_comp(blk) -> CompositionalSystem:
+    bases, rules = _rules(blk)
+    images = {i: _inline_images(blk, lineno, rhs) for i, (lineno, rhs) in bases.items()}
+    index_rules = _index_rules(blk, rules)
+    inp, working = blk.words("input"), frozenset(blk.words("working"))
+    blk.done()
+    base = {i: _working_hom(im, working, working) for i, im in images.items()}
+    return CompositionalSystem.make(tuple(sorted(bases)), inp, working, index_rules, base)
 
 
-def _parse_reg(name, body, filename) -> RegularSystem:
-    acc = _RuleAccumulator(filename)
-    inp = out = None
-    classes = None
-    start = None
+def _parse_reg(blk) -> RegularSystem:
+    bases, rules = _rules(blk, annotated=True)
+    terms = {key: _rhs_terms(blk, lineno, rhs) for key, (lineno, rhs) in rules.items()}
+    inp, out, classes = blk.words("input"), blk.words("output"), blk.words("classes")
+    start = blk.one("start")
     steps = {}
-    for lineno, stmt in body:
-        d = _directive(stmt)
-        if d:
-            key, rest = d
-            if key == "input":
-                inp = _split_list(rest)
-            elif key == "output":
-                out = _split_list(rest)
-            elif key == "classes":
-                classes = _split_list(rest)
-            elif key == "start":
-                start = rest.strip()
-            elif key == "step":
-                m = re.match(r"^(\w+)\s+(\w+)\s*->\s*(\w+)$", rest)
-                if not m:
-                    raise ParseError(
-                        f"classifier step must be 'STATE LETTER -> STATE', got {rest!r}",
-                        line=lineno,
-                        filename=filename,
-                    )
-                steps[(m.group(1), m.group(2))] = m.group(3)
-            else:
-                raise ParseError(f"unknown directive {key!r}", line=lineno, filename=filename)
-        else:
-            acc.feed(lineno, stmt)
-    if inp is None or out is None or classes is None or start is None:
-        raise ParseError(
-            f"reg {name} needs 'input:', 'output:', 'classes:' and 'start:'", filename=filename
-        )
+    for lineno, text in blk.many("step"):
+        m = re.fullmatch(r"(\w+)\s+(\w+)\s*->\s*(\w+)", text)
+        if not m:
+            raise blk.error(f"classifier step must be 'STATE LETTER -> STATE', got {text!r}", lineno)
+        if (m[1], m[2]) in steps:
+            raise blk.error(f"two steps for state {m[1]!r} on letter {m[2]!r}", lineno)
+        steps[(m[1], m[2])] = m[3]
+    blk.done()
     classifier = DfaClassifier.make(classes, start, steps)
-    indices = tuple(sorted(acc.bases))
-    rules = {}
-    for (i, a, cls), (lineno, rhs) in acc.rules.items():
-        if cls is None:
-            # an unannotated rule applies to every class
-            targets = classifier.classes()
-        else:
-            targets = [cls]
-        terms = tuple(_rhs_terms(rhs, lineno, filename))
-        for d in targets:
-            rules[(i, a, d)] = terms
-    base = {i: word(rhs) for i, (_, rhs) in acc.bases.items()}
-    return RegularSystem.make(indices, inp, out, classifier, rules, base)
+    reg_rules = {}
+    for (i, a, cls), rhs in terms.items():
+        if cls is not None and cls not in classifier.classes():
+            raise blk.error(f"unknown class {cls!r}", rules[(i, a, cls)][0])
+        # an unannotated rule applies to every class
+        for d in classifier.classes() if cls is None else [cls]:
+            reg_rules[(i, a, d)] = rhs
+    base = {i: word(rhs) for i, (_, rhs) in bases.items()}
+    return RegularSystem.make(tuple(sorted(bases)), inp, out, classifier, reg_rules, base)
 
 
-def _parse_poly(name, body, filename) -> PolynomialSystem:
-    acc = _RuleAccumulator(filename)
-    inp = None
-    ring = "N"
-    for lineno, stmt in body:
-        d = _directive(stmt)
-        if d:
-            key, rest = d
-            if key == "input":
-                inp = _split_list(rest)
-            elif key == "ring":
-                ring = rest.strip()
-            else:
-                raise ParseError(f"unknown directive {key!r}", line=lineno, filename=filename)
-        else:
-            acc.feed(lineno, stmt)
-    if inp is None:
-        raise ParseError(f"poly {name} needs 'input:'", filename=filename)
-    indices = tuple(sorted(acc.bases))
-    rules = {}
-    for (i, a, cls), (lineno, rhs) in acc.rules.items():
-        if cls is not None:
-            raise ParseError("polynomial rules take no @class", line=lineno, filename=filename)
-        try:
-            rules[(i, a)] = parse_polynomial(rhs, indices)
-        except ParseError as e:
-            raise ParseError(f"in rule {i}({a} w): {e}", line=lineno, filename=filename)
+def _parse_poly(blk) -> PolynomialSystem:
+    bases, rules = _rules(blk)
+    indices = tuple(sorted(bases))
+    steps = {
+        (i, a): blk.convert(lineno, f"in rule {i}({a} w)", lambda t: parse_polynomial(t, indices), rhs)
+        for (i, a, _), (lineno, rhs) in rules.items()
+    }
     base = {}
-    for i, (lineno, rhs) in acc.bases.items():
-        try:
-            value = parse_polynomial(rhs, ())
-        except ParseError as e:
-            raise ParseError(f"in base {i}(eps): {e}", line=lineno, filename=filename)
-        if not value.is_constant():
-            raise ParseError(f"base of {i!r} must be an integer", line=lineno, filename=filename)
-        c = value.constant_value()
-        if c.denominator != 1:
-            raise ParseError(f"base of {i!r} must be an integer", line=lineno, filename=filename)
-        base[i] = c.numerator
-    return PolynomialSystem.make(indices, inp, rules, base, ring=ring)
+    for i, (lineno, rhs) in bases.items():
+        value = blk.convert(lineno, f"in base {i}(eps)", lambda t: parse_polynomial(t, ()), rhs)
+        if not value.is_constant() or value.constant_value().denominator != 1:
+            raise blk.error(f"base of {i!r} must be an integer", lineno)
+        base[i] = value.constant_value().numerator
+    inp, ring = blk.words("input"), blk.one("ring", "N")
+    blk.done()
+    return PolynomialSystem.make(indices, inp, steps, base, ring=ring)
 
 
-def _parse_hdt0l(name, body, filename) -> HDT0LSystem:
-    inp = working = out = seed = None
-    tables = {}
-    final = None
-    for lineno, stmt in body:
-        d = _directive(stmt)
-        if d:
-            key, rest = d
-            if key == "input":
-                inp = _split_list(rest)
-                continue
-            if key == "working":
-                working = _split_list(rest)
-                continue
-            if key == "output":
-                out = _split_list(rest)
-                continue
-            if key == "seed":
-                seed = rest.strip()
-                continue
-        m = re.match(r"^table\s+([\w']+)\s*=\s*(.*)$", stmt)
-        if m:
-            tables[m.group(1)] = (lineno, m.group(2))
-            continue
-        m = re.match(r"^final\s*=\s*(.*)$", stmt)
-        if m:
-            final = (lineno, m.group(1))
-            continue
-        raise ParseError(f"cannot parse statement {stmt!r}", line=lineno, filename=filename)
-    if None in (inp, working, out, seed) or final is None:
-        raise ParseError(
-            f"hdt0l {name} needs 'input:', 'working:', 'output:', 'seed:' and 'final ='",
-            filename=filename,
-        )
-    working_set = frozenset(working)
-    homs = {}
-    for a, (lineno, text) in tables.items():
-        images = _parse_hom_body(text, lineno, filename)
-        for v in working_set - set(images):
-            images[v] = (v,)
-        homs[a] = Homomorphism(images, source=working_set, target=working_set)
-    lineno, text = final
-    images = _parse_hom_body(text, lineno, filename)
-    for v in working_set - set(images):
-        images[v] = (v,)
-    final_hom = Homomorphism(images, source=working_set, target=frozenset(out))
-    return HDT0LSystem.make(inp, working_set, homs, final_hom, seed)
+_TABLE_RE = re.compile(r"^(?:table\s+(?P<letter>[\w']+)|final)\s*=\s*(?P<hom>.*)$")
 
 
-def _parse_int_list(text, lineno, filename):
-    try:
-        return tuple(int(tok) for tok in text.split())
-    except ValueError:
-        raise ParseError(f"expected integers, got {text!r}", line=lineno, filename=filename)
+def _parse_hdt0l(blk) -> HDT0LSystem:
+    tables, final = {}, None
+    for lineno, m in blk.statements:
+        images = _inline_images(blk, lineno, m["hom"])
+        if m["letter"] is None:
+            if final is not None:
+                raise blk.error("repeated 'final ='", lineno)
+            final = images
+        elif m["letter"] in tables:
+            raise blk.error(f"two tables for letter {m['letter']!r}", lineno)
+        else:
+            tables[m["letter"]] = images
+    inp, working, out = blk.words("input"), frozenset(blk.words("working")), blk.words("output")
+    seed = blk.one("seed")
+    blk.done()
+    if final is None:
+        raise blk.error(f"hdt0l {blk.name} needs 'final ='")
+    homs = {a: _working_hom(images, working, working) for a, images in tables.items()}
+    return HDT0LSystem.make(inp, working, homs, _working_hom(final, working, frozenset(out)), seed)
 
 
-def _parse_linrep(name, body, filename) -> LinearRepresentation:
-    row = col = None
-    dim = None
+_MAT_RE = re.compile(r"^mat\s+(?P<letter>[\w']+)\s*=\s*\[(?P<rows>.*)\]\s*$")
+
+
+def _parse_linrep(blk) -> LinearRepresentation:
     mats = {}
-    for lineno, stmt in body:
-        d = _directive(stmt)
-        if d:
-            key, rest = d
-            if key == "dim":
-                dim = int(rest)
-                continue
-            if key == "row":
-                row = _parse_int_list(rest, lineno, filename)
-                continue
-            if key == "col":
-                col = _parse_int_list(rest, lineno, filename)
-                continue
-            if key == "letters":
-                continue
-        m = re.match(r"^mat\s+([\w']+)\s*=\s*\[(.*)\]\s*$", stmt)
-        if m:
-            rows = tuple(
-                _parse_int_list(chunk, lineno, filename) for chunk in m.group(2).split("/")
-            )
-            mats[m.group(1)] = rows
-            continue
-        raise ParseError(f"cannot parse statement {stmt!r}", line=lineno, filename=filename)
-    if row is None or col is None or not mats:
-        raise ParseError(f"linrep {name} needs 'row:', 'col:' and at least one 'mat'", filename=filename)
+    for lineno, m in blk.statements:
+        a = m["letter"]
+        if a in mats:
+            raise blk.error(f"two matrices for letter {a!r}", lineno)
+        mats[a] = tuple(blk.convert(lineno, f"mat {a}", _ints, r) for r in m["rows"].split("/"))
+    if not mats:
+        raise blk.error(f"linrep {blk.name} needs at least one 'mat'")
+    row, col = blk.one("row", fn=_ints), blk.one("col", fn=_ints)
+    dim, letters = blk.one("dim", None, _int), blk.words("letters", None)
+    blk.done()
     rep = LinearRepresentation.make(row, mats, col)
     if dim is not None and rep.dimension != dim:
-        raise ParseError(f"declared dim {dim} does not match the data", filename=filename)
+        raise blk.error(f"declared dim {dim} does not match the data", blk.lines["dim"])
+    if letters is not None and frozenset(letters) != rep.letters:
+        raise blk.error("declared letters do not match the matrices", blk.lines["letters"])
     return rep
 
 
 _TRANS_RE = re.compile(
-    r"^([\w']+)\s*,\s*([\w']+)\s*,\s*([\w' ]+?)\s*->\s*([\w']+)\s*,\s*(pop_(\d+)|push_(\d+)\s*\(([^)]*)\))\s*$"
+    r"^(?P<q>[\w']+)\s*,\s*(?P<read>[\w']+)\s*,\s*(?P<tops>[\w' ]+?)\s*->\s*(?P<q2>[\w']+)\s*,\s*"
+    r"(?:pop_(?P<pop>\d+)|push_(?P<push>\d+)\s*\((?P<syms>[^)]*)\))\s*$"
 )
 
 
-def _parse_pda(name, body, filename) -> KPda:
-    level = None
-    states = terminals = inp = None
-    start = None
-    bottoms = ()
-    gamma_levels = {}
-    transitions = []
-    for lineno, stmt in body:
-        d = _directive(stmt)
-        if d:
-            key, rest = d
-            if key == "level":
-                level = int(rest)
-                continue
-            if key == "states":
-                states = _split_list(rest)
-                continue
-            if key == "terminals":
-                terminals = _split_list(rest)
-                continue
-            if key == "input":
-                inp = _split_list(rest)
-                continue
-            if key == "start":
-                start = rest.strip()
-                continue
-            if key == "bottoms":
-                bottoms = _split_list(rest)
-                continue
-            m = re.match(r"^gamma\s+(\d+)$", key)
-            if m:
-                gamma_levels[int(m.group(1))] = _split_list(rest)
-                continue
-            raise ParseError(f"unknown directive {key!r}", line=lineno, filename=filename)
-        m = _TRANS_RE.match(stmt)
-        if not m:
-            raise ParseError(
-                f"cannot parse transition {stmt!r} (expected 'q , b , g -> q2 , op')",
-                line=lineno,
-                filename=filename,
-            )
-        q, read, tops, q2 = m.group(1), m.group(2), m.group(3), m.group(4)
-        if m.group(6):
-            op = Pop(int(m.group(6)))
-        else:
-            syms = tuple(m.group(8).replace(",", " ").split())
-            if not syms:
-                raise ParseError("push needs at least one symbol", line=lineno, filename=filename)
-            op = Push(int(m.group(7)), syms)
-        read = "" if read == "eps" else read
-        transitions.append(((q, read, tuple(tops.split())), (q2, op)))
-    if level is None or states is None or terminals is None or start is None:
-        raise ParseError(
-            f"pda {name} needs 'level:', 'states:', 'terminals:' and 'start:'", filename=filename
-        )
-    if sorted(gamma_levels) != list(range(1, level + 1)):
-        raise ParseError(
-            f"pda {name} needs 'gamma i:' for each level 1..{level}", filename=filename
-        )
-    gamma = GradedAlphabet.of(*(gamma_levels[i] for i in range(1, level + 1)))
+def _parse_pda(blk) -> KPda:
     delta: dict = {}
-    for key, move in transitions:
-        delta.setdefault(key, set()).add(move)
+    for lineno, m in blk.statements:
+        if m["pop"]:
+            op = Pop(int(m["pop"]))
+        else:
+            syms = tuple(m["syms"].replace(",", " ").split())
+            if not syms:
+                raise blk.error("push needs at least one symbol", lineno)
+            op = Push(int(m["push"]), syms)
+        read = "" if m["read"] == "eps" else m["read"]
+        delta.setdefault((m["q"], read, tuple(m["tops"].split())), set()).add((m["q2"], op))
+    level = blk.one("level", fn=_int)
+    states, terminals, start = blk.words("states"), blk.words("terminals"), blk.one("start")
+    gamma = GradedAlphabet.of(*(blk.words(f"gamma {i}") for i in range(1, level + 1)))
+    inp, bottoms = blk.words("input", ()), blk.words("bottoms", ())
+    blk.done()
     return KPda.make(
-        level,
-        states,
-        terminals,
-        gamma,
-        delta,
-        start,
-        input_alphabet=inp or (),
-        bottom_symbols=bottoms,
-        name=name,
+        level, states, terminals, gamma, delta, start,
+        input_alphabet=inp, bottom_symbols=bottoms, name=blk.name,
     )
 
 
-def _parse_ideal(name, body, filename):
+def _parse_ideal(blk):
     from .groebner import Ideal
 
-    variables = None
-    gens = []
-    for lineno, stmt in body:
-        d = _directive(stmt)
-        if d:
-            key, rest = d
-            if key == "vars":
-                variables = _split_list(rest)
-                continue
-            if key == "gen":
-                gens.append(parse_polynomial(rest, variables))
-                continue
-        raise ParseError(f"cannot parse statement {stmt!r}", line=lineno, filename=filename)
-    if variables is None:
-        raise ParseError(f"ideal {name} needs 'vars:'", filename=filename)
+    variables = blk.words("vars")
+    gens = [
+        blk.convert(lineno, "gen", lambda t: parse_polynomial(t, variables), text)
+        for lineno, text in blk.many("gen")
+    ]
+    blk.done()
     return Ideal(gens, variables)
 
 
-def _parse_frac(name, body, filename) -> FractionSpec:
-    fields = {}
-    for lineno, stmt in body:
-        d = _directive(stmt)
-        if not d:
-            raise ParseError(f"cannot parse statement {stmt!r}", line=lineno, filename=filename)
-        key, rest = d
-        if key not in ("system", "g", "h", "fp", "gp"):
-            raise ParseError(f"unknown directive {key!r}", line=lineno, filename=filename)
-        fields[key] = rest.strip()
-    missing = {"system", "g", "h", "fp", "gp"} - set(fields)
-    if missing:
-        raise ParseError(f"frac {name} is missing {sorted(missing)}", filename=filename)
-    return FractionSpec(fields["system"], fields["g"], fields["h"], fields["fp"], fields["gp"])
+def _parse_frac(blk) -> FractionSpec:
+    spec = FractionSpec(*(blk.one(key) for key in ("system", "g", "h", "fp", "gp")))
+    blk.done()
+    return spec
 
 
-def _parse_alphabet(name, body, filename) -> frozenset:
-    letters = []
-    for lineno, stmt in body:
-        d = _directive(stmt)
-        if d and d[0] == "letters":
-            letters.extend(d[1].split())
-        else:
-            letters.extend(stmt.split())
-    return frozenset(letters)
+def _parse_alphabet(blk) -> frozenset:
+    texts = [text for _, text in blk.many("letters")] + [m.string for _, m in blk.statements]
+    blk.done()
+    return frozenset(a for text in texts for a in text.split())
 
 
-def _parse_graded(name, body, filename) -> GradedAlphabet:
-    levels = {}
-    for lineno, stmt in body:
-        m = re.match(r"^(\d+)\s*:\s*(.*)$", stmt)
-        if not m:
-            raise ParseError(f"graded entries look like '1: A B'", line=lineno, filename=filename)
-        levels[int(m.group(1))] = _split_list(m.group(2))
-    if sorted(levels) != list(range(1, len(levels) + 1)):
-        raise ParseError(f"graded {name} must cover levels 1..k", filename=filename)
-    return GradedAlphabet.of(*(levels[i] for i in range(1, len(levels) + 1)))
+def _parse_graded(blk) -> GradedAlphabet:
+    height = sum(key.isdigit() for key in blk.directives)
+    levels = [blk.words(str(i)) for i in range(1, height + 1)]
+    blk.done()
+    return GradedAlphabet.of(*levels)
 
 
-def _parse_hom_block(name, body, filename) -> Homomorphism:
-    rules = []
-    for lineno, stmt in body:
-        rules.append(stmt)
-    images = _parse_hom_body("{" + ";".join(rules) + "}", body[0][0] if body else None, filename)
+def _parse_hom(blk) -> Homomorphism:
+    images = _images(blk, [(lineno, m.string) for lineno, m in blk.statements])
+    blk.done()
     return Homomorphism(images)
 
 
-_PARSERS = {
-    "alphabet": _parse_alphabet,
-    "graded": _parse_graded,
-    "hom": _parse_hom_block,
-    "cat": _parse_cat,
-    "comp": _parse_comp,
-    "reg": _parse_reg,
-    "poly": _parse_poly,
-    "hdt0l": _parse_hdt0l,
-    "linrep": _parse_linrep,
-    "pda": _parse_pda,
-    "ideal": _parse_ideal,
-    "frac": _parse_frac,
+# kind -> (block parser, pattern of its non-directive statements)
+_KINDS = {
+    "alphabet": (_parse_alphabet, re.compile(r".+")),
+    "graded": (_parse_graded, None),
+    "hom": (_parse_hom, _IMAGE_RE),
+    "cat": (_parse_cat, _RULE_RE),
+    "comp": (_parse_comp, _RULE_RE),
+    "reg": (_parse_reg, _RULE_RE),
+    "poly": (_parse_poly, _RULE_RE),
+    "hdt0l": (_parse_hdt0l, _TABLE_RE),
+    "linrep": (_parse_linrep, _MAT_RE),
+    "pda": (_parse_pda, _TRANS_RE),
+    "ideal": (_parse_ideal, None),
+    "frac": (_parse_frac, None),
 }
 
 
 def parse_file(text: str, filename: Optional[str] = None) -> SystemFile:
     out = SystemFile(filename=filename)
     for kind, name, body, header in _blocks(text, filename):
-        if kind not in _PARSERS:
+        if kind not in _KINDS:
             raise ParseError(f"unknown block kind {kind!r}", line=header, filename=filename)
-        obj = _PARSERS[kind](name, body, filename)
-        out.add(kind, name, obj, line=header)
+        parse, statement = _KINDS[kind]
+        out.add(kind, name, parse(_Block(kind, name, body, header, filename, statement)), line=header)
     return out
 
 

@@ -306,3 +306,24 @@ def test_compose_rejects_a_representation_missing_a_stage1_letter(capsys, tmp_pa
     assert code == 2
     assert out == ""
     assert err == "error: the representation must cover the catenative output alphabet\n"
+
+
+@pytest.mark.parametrize(
+    "text,argv",
+    [
+        ("linrep r {\n  dim: x\n  row: 1\n  mat a = [ 1 ]\n  col: 1\n}\n", ("eval", "r", "3")),
+        (
+            "pda p {\n  level: two\n  states: q\n  terminals: a\n  gamma 1: A\n  start: q\n}\n",
+            ("run-pda", "p", "A"),
+        ),
+    ],
+    ids=["linrep-dim", "pda-level"],
+)
+def test_a_malformed_integer_directive_is_a_parse_error(capsys, tmp_path, text, argv):
+    path = tmp_path / "bad.sys"
+    path.write_text(text)
+    command, *rest = argv
+    code, out, err = run_cli(capsys, command, str(path), *rest)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {path}:2: ") and "expected an integer" in err

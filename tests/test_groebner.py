@@ -49,6 +49,14 @@ def test_poly_parse_and_format_round_trip():
         assert parse_polynomial(format_polynomial(p)) == p
 
 
+def test_unary_minus_binds_looser_than_power():
+    assert parse_polynomial("-x^2") == -(x * x)
+    assert parse_polynomial("(-x)^2") == x * x
+    p = parse_polynomial("y - x^2")
+    assert format_polynomial(p) == "-x^2 + y"
+    assert parse_polynomial(format_polynomial(p)) == p
+
+
 def test_poly_substitute():
     p = x * x + y
     assert p.substitute({"x": y}) == y * y + y

@@ -1,7 +1,9 @@
 import pytest
 from importlib import resources
 
-from wordmaps.errors import DomainError, ParseError
+from hypothesis import given, settings, strategies as st
+
+from wordmaps.errors import DomainError, ParseError, WordmapsError
 from wordmaps.recurrences import eval_catenative, eval_polynomial
 from wordmaps.systemfile import format_file, parse_file
 from wordmaps.words import word
@@ -105,3 +107,180 @@ def test_inline_and_multiline_hom_blocks():
     # the colon form is also accepted
     sf3 = parse_file("hom f : { x -> x y ; y -> eps }")
     assert sf3.resolve("f")[1] == h
+
+
+# kinds the bundled files do not contain
+INLINE_KINDS = """
+reg parity {
+  input: a b
+  output: x
+  classes: even odd
+  start: even
+  step: even a -> odd
+  step: odd a -> even
+  step: even b -> even
+  step: odd b -> odd
+  f(eps) = x
+  f(a w) @even = f(b w) f(w)
+  f(a w) @odd = f(w)
+  f(b w) = eps
+}
+
+frac half {
+  system: parity
+  g: F
+  h: Z
+  fp: Two
+  gp: One
+}
+
+ideal twisted {
+  vars: x y z
+  gen: y - x^2
+  gen: x * z - 1
+}
+
+alphabet letters { a b ; letters: c }
+
+graded stack {
+  1: A B
+  2: C
+}
+"""
+
+
+def _comparable(kind, obj):
+    return (obj.variables(), obj.generators) if kind == "ideal" else obj
+
+
+def test_reprint_round_trip_of_the_kinds_outside_the_bundled_files():
+    sf = parse_file(INLINE_KINDS, filename="inline.sys")
+    assert [sf.declarations[n][0] for n in sf.order] == ["reg", "frac", "ideal", "alphabet", "graded"]
+    printed = format_file(sf)
+    sf2 = parse_file(printed, filename="inline.sys:printed")
+    assert sf.order == sf2.order
+    for key in sf.order:
+        kind, obj = sf.declarations[key]
+        assert sf2.declarations[key][0] == kind
+        assert _comparable(kind, obj) == _comparable(kind, sf2.declarations[key][1]), key
+    assert format_file(sf2) == printed
+
+
+# kind -> (a valid body, index of a single-valued directive, index of a
+# required directive, an unparsable statement).  The repeated cases include a
+# cat block with two 'input:' lines and a frac block with two 'g:' lines.  An
+# alphabet has neither a single-valued nor a required directive, and any bare
+# statement lists letters; a hom block has no directives, so its repeated
+# case is a letter given two images.
+VALID_BODIES = {
+    "alphabet": (["letters: a b", "c"], None, None, None),
+    "graded": (["1: A B", "2: C"], 0, 0, "A B"),
+    "hom": (["x -> a", "y -> eps"], 0, None, "x y"),
+    "cat": (["input: a", "output: b", "f(eps) = b", "f(a w) = f(w)"], 0, 1, "f(a) = b"),
+    "comp": (["input: a", "working: x", "H(eps) = { x -> x x }", "H(a w) = H(w)"], 1, 0, "H(a w) H(w)"),
+    "reg": (
+        ["input: a", "output: b", "classes: c", "start: c", "step: c a -> c", "f(eps) = b",
+         "f(a w) @c = f(w)"],
+        3,
+        2,
+        "f(a w) @ = f(w)",
+    ),
+    "poly": (["input: a", "ring: Z", "F(eps) = 1", "F(a w) = 2 * F"], 1, 0, "F(a w) 2 * F"),
+    "hdt0l": (
+        ["input: x", "working: p q", "output: b", "seed: q", "table x = { p -> p q ; q -> p }",
+         "final = { p -> b ; q -> b }"],
+        3,
+        1,
+        "table = { p -> q }",
+    ),
+    "linrep": (
+        ["letters: x", "dim: 2", "row: 1 0", "mat x = [ 1 1 / 1 0 ]", "col: 1 0"], 1, 2, "mat x = 1 1"
+    ),
+    "pda": (
+        ["level: 1", "states: q", "terminals: a", "input: A", "gamma 1: A", "start: q",
+         "q , a , A -> q , pop_1"],
+        0,
+        1,
+        "q , a -> q , pop_1",
+    ),
+    "ideal": (["vars: x y", "gen: x - y"], 0, 0, "x - y"),
+    "frac": (["system: s", "g: A", "h: B", "fp: C", "gp: D"], 1, 2, "g = A"),
+}
+
+
+def _block(kind, body):
+    return f"{kind} k {{\n" + "".join(f"  {line}\n" for line in body) + "}\n"
+
+
+def _malformed_cases():
+    for kind, (body, single, required, bad) in VALID_BODIES.items():
+        end = len(body) + 2  # the line after the body (the header is line 1)
+        unknown = _block(kind, body + ["bogus: x"])
+        yield pytest.param(unknown, end, "unknown directive", id=f"{kind}-unknown")
+        if single is not None:
+            repeated = _block(kind, body[: single + 1] + body[single:])
+            wanted = "two images" if kind == "hom" else "repeated"
+            yield pytest.param(repeated, single + 3, wanted, id=f"{kind}-repeated")
+        if required is not None:
+            missing = _block(kind, body[:required] + body[required + 1 :])
+            yield pytest.param(missing, 1, "needs", id=f"{kind}-missing")
+        if bad is not None:
+            yield pytest.param(_block(kind, body + [bad]), end, "cannot parse", id=f"{kind}-unparsable")
+
+
+@pytest.mark.parametrize("kind", VALID_BODIES)
+def test_the_valid_bodies_parse(kind):
+    assert parse_file(_block(kind, VALID_BODIES[kind][0]), filename="f.sys").names() == ["k"]
+
+
+@pytest.mark.parametrize("text,line,wanted", _malformed_cases())
+def test_every_kind_rejects_malformed_input_at_its_line(text, line, wanted):
+    with pytest.raises(ParseError) as err:
+        parse_file(text, filename="f.sys")
+    assert str(err.value).startswith(f"f.sys:{line}: ")
+    assert wanted in str(err.value)
+
+
+def test_ideal_vars_apply_wherever_they_stand():
+    _, ideal = parse_file("ideal i {\n  gen: x*y - 1\n  vars: x y\n}\n").resolve("i")
+    assert ideal.variables() == ("x", "y")
+    with pytest.raises(ParseError) as err:
+        parse_file("ideal i {\n  gen: x*y - 1\n  vars: x\n}\n", filename="f.sys")
+    assert str(err.value).startswith("f.sys:2: ") and "'y'" in str(err.value)
+
+
+def test_reg_rule_with_an_unknown_class_is_rejected():
+    text = (
+        "reg r {\n  input: a\n  output: b\n  classes: c\n  start: c\n  step: c a -> c\n"
+        "  f(eps) = b\n  f(a w) = f(w)\n  f(a w) @zz = f(w)\n}\n"
+    )
+    with pytest.raises(ParseError) as err:
+        parse_file(text, filename="f.sys")
+    assert str(err.value).startswith("f.sys:9: ") and "'zz'" in str(err.value)
+
+
+def test_linrep_letters_must_match_the_matrices():
+    text = "linrep r {\n  letters: a b\n  dim: 1\n  row: 1\n  mat a = [ 1 ]\n  col: 1\n}\n"
+    with pytest.raises(ParseError) as err:
+        parse_file(text, filename="f.sys")
+    assert str(err.value).startswith("f.sys:2: ")
+    _, rep = parse_file(text.replace("letters: a b", "letters: a")).resolve("r")
+    assert rep.letters == {"a"}
+
+
+_EDITS = st.tuples(
+    st.integers(0, 10**6), st.sampled_from(["", "x", "1", ":", "{", "}", "(", ";", "=", "->", "\n"])
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.sampled_from(BUNDLED), st.lists(_EDITS, min_size=1, max_size=3))
+def test_an_edited_file_parses_or_raises_a_library_error(name, edits):
+    text = _text(name)
+    for at, replacement in edits:
+        at %= len(text)
+        text = text[:at] + replacement + text[at + 1 :]
+    try:
+        parse_file(text, filename="edited.sys")
+    except WordmapsError:
+        pass
