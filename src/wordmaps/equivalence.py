@@ -23,9 +23,13 @@ Two complementary engines answer vanishing questions:
   are candidates, and each one is certified with the saturation engine, so
   every returned generator provably vanishes on the whole orbit.
 
-Witness search is fair breadth-first by length, lexicographic within a
-length, so reported witnesses are minimal.  Resource limits raise
-``BudgetExceededError``; a verdict is never traded for termination.
+Witness search and sampling share one breadth-first orbit walk that visits
+each distinct value vector once, at its shortlex-least word: v(w) = v(w')
+implies v(uw) = v(uw') for every word u (Tzeng), so dropping repeats keeps
+witnesses minimal, and the walk ends on finite orbits.  ``witness_length``
+and ``max_point_bits`` bound witness search; ``sample_points``,
+``sample_depth`` and ``max_point_bits`` bound sampling.  Resource limits
+raise ``BudgetExceededError``; a verdict is never traded for termination.
 """
 
 from __future__ import annotations
@@ -145,36 +149,63 @@ def vanishes_on_reachables(
     return all(g.evaluate(point) == 0 for g in gens)
 
 
-def _lex_words(letters, length):
-    if length == 0:
-        yield ()
-        return
-    for a in letters:
-        for w in _lex_words(letters, length - 1):
-            yield (a,) + w
+def _orbit(sys: PolynomialSystem, max_bits: int):
+    """Yield (word, vector, big) once per distinct reachable value vector,
+    breadth-first, with the shortlex-least word reaching it.  A vector with
+    a value over max_bits bits is ``big`` and is not stepped."""
+    letters, maps, indices = sorted(sys.input_alphabet), sys.maps, sys.indices
+    vec = sys.base_vector()
+    # keys and bit sizes go through map(), cheaper than a generator per step
+    key = tuple(map(vec.__getitem__, indices))
+    seen = {key}
+    big = max(map(int.bit_length, key), default=0) > max_bits
+    yield (), vec, big
+    level = [] if big else [((), vec)]
+    while level:
+        nxt = []
+        # words are read first letter first: a letter in front of each word of
+        # the previous level, letters outermost, keeps the level lexicographic
+        for a in letters:
+            step = maps[a].items()
+            for w, vec in level:
+                new = {i: p.evaluate_int(vec) for i, p in step}
+                key = tuple(map(new.__getitem__, indices))
+                if key not in seen:
+                    seen.add(key)
+                    big = max(map(int.bit_length, key), default=0) > max_bits
+                    aw = (a,) + w
+                    yield aw, new, big
+                    if not big:
+                        nxt.append((aw, new))
+        level = nxt
+
+
+def _first_nonzero(sys: PolynomialSystem, t: Polynomial, budget: Budget, cap: Optional[int] = None):
+    """(word, vector) at the minimal word where t is nonzero; (None, None) if
+    there is none up to length cap.  With no cap, t is known not to vanish, the
+    cap is ``witness_length``, and a limit that hides the witness raises."""
+    stop, limit = budget.witness_length if cap is None else cap, "witness_length"
+    for w, vec, big in _orbit(sys, budget.max_point_bits):
+        if len(w) > stop:
+            break
+        if t.evaluate(vec) != 0:
+            return w, vec
+        if big and len(w) < stop:
+            # the unstepped vector's successors might precede a longer find
+            stop, limit = len(w), "max_point_bits"
+    if cap is None:
+        raise BudgetExceededError(f"the witness lies beyond {limit} ({getattr(budget, limit)})")
+    return None, None
 
 
 def find_witness(
     sys: PolynomialSystem, t: Polynomial, budget: Budget = DEFAULT_BUDGET, max_length=None
 ) -> Optional[Word]:
     """Shortest word (lexicographically first among its length) at which t
-    evaluates to a nonzero value; None if none up to the length cap."""
-    letters = sorted(sys.input_alphabet)
+    evaluates to a nonzero value; None if there is none up to the length cap,
+    or none before values over ``max_point_bits`` bits cut the walk short."""
     cap = budget.witness_length if max_length is None else max_length
-    # value vectors for all suffix words of the current length, built by
-    # prepending letters (the recurrence peels the first letter)
-    maps = sys.maps
-    level = {(): sys.base_vector()}
-    for length in range(cap + 1):
-        for w in _lex_words(letters, length):
-            if t.evaluate(level[w]) != 0:
-                return w
-        nxt = {}
-        for w, vec in level.items():
-            for a in letters:
-                nxt[(a,) + w] = {i: p.evaluate_int(vec) for i, p in maps[a].items()}
-        level = nxt
-    return None
+    return _first_nonzero(sys, t, budget, cap)[0]
 
 
 def decide_zero_on_reachables(
@@ -187,10 +218,7 @@ def decide_zero_on_reachables(
         return NotEqual(quick)
     if vanishes_on_reachables(sys, t, budget):
         return Equal()
-    witness = find_witness(sys, t, budget)
-    if witness is None:
-        raise BudgetExceededError("a witness exists but exceeded the search length budget")
-    return NotEqual(witness)
+    return NotEqual(_first_nonzero(sys, t, budget)[0])
 
 
 def decide_equal(
@@ -264,45 +292,16 @@ def decide_equal_fractions(
 
 
 def reachable_points(sys: PolynomialSystem, budget: Budget = DEFAULT_BUDGET):
-    """Sample distinct reachable value vectors breadth-first.
-
-    Returns (points, closed): closed is True when a whole level added
-    nothing new, which proves the listed orbit complete.  Point counts,
-    depth, and value bit-sizes are capped (values of nonlinear maps grow
-    doubly exponentially with depth).
-    """
-    letters = sorted(sys.input_alphabet)
-    maps = sys.maps
-    seen = []
-    seen_keys = set()
-
-    def add(vec):
-        key = tuple(sorted(vec.items()))
-        if key not in seen_keys:
-            seen_keys.add(key)
-            seen.append(vec)
-            return True
-        return False
-
-    add(sys.base_vector())
-    frontier = [sys.base_vector()]
-    truncated = False
-    for _ in range(budget.sample_depth):
-        nxt = []
-        for vec in frontier:
-            for a in letters:
-                new = {i: p.evaluate_int(vec) for i, p in maps[a].items()}
-                if add(new):
-                    if all(v.bit_length() <= budget.max_point_bits for v in new.values()):
-                        nxt.append(new)
-                    else:
-                        truncated = True
-                if len(seen) >= budget.sample_points:
-                    return seen, False
-        if not nxt:
-            return seen, not truncated
-        frontier = nxt
-    return seen, False
+    """The first ``sample_points`` vectors of the orbit walk whose words are
+    at most ``sample_depth`` long, as (points, closed): closed is True when
+    the walk ended with every point stepped, which proves the orbit complete."""
+    points, closed = [], True
+    for w, vec, big in _orbit(sys, budget.max_point_bits):
+        if len(w) > budget.sample_depth or len(points) == budget.sample_points:
+            return points, False
+        points.append(vec)
+        closed = closed and not big
+    return points, closed
 
 
 def zariski_closure(sys: PolynomialSystem, budget: Budget = DEFAULT_BUDGET) -> Ideal:
@@ -325,20 +324,19 @@ def zariski_closure(sys: PolynomialSystem, budget: Budget = DEFAULT_BUDGET) -> I
         return Ideal(points_ideal(points, variables), variables)
 
     verified: list[Polynomial] = []
-    verified_ideal = Ideal([], variables)
-    refuted = True
-    while refuted:
-        refuted = False
+    basis = GroebnerBasis([], variables)
+    while True:
         for cand in points_ideal(points, variables, budget.max_degree):
-            if verified_ideal.contains(cand):
+            if not basis.reduce(cand):
                 continue
             if not vanishes_on_reachables(sys, cand, budget):
-                refutation = find_witness(sys, cand, budget)
-                points.append(eval_polynomial_vector(sys, refutation))
-                refuted = True
+                points.append(_first_nonzero(sys, cand, budget)[1])
                 break
             verified.append(cand)
-            verified_ideal = Ideal(verified, variables)
+            basis.add(cand)
+        else:
+            break
+    verified_ideal = Ideal(verified, variables)
     if _is_invariant(sys, verified_ideal, sorted(sys.input_alphabet), budget):
         return verified_ideal
     raise BudgetExceededError(

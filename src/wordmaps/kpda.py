@@ -86,6 +86,8 @@ class KPda:
         bottom_symbols: Iterable[str] = (),
         name: str = "",
     ) -> "KPda":
+        if level < 1:
+            raise DomainError(f"level must be at least 1, got {level}")
         states = frozenset(states)
         terminals = frozenset(terminals)
         norm: Delta = {}

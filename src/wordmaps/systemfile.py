@@ -465,6 +465,8 @@ def _parse_pda(blk) -> KPda:
         read = "" if m["read"] == "eps" else m["read"]
         delta.setdefault((m["q"], read, tuple(m["tops"].split())), set()).add((m["q2"], op))
     level = blk.one("level", fn=_int)
+    if level < 1:
+        raise blk.error(f"level must be at least 1, got {level}", blk.lines["level"])
     states, terminals, start = blk.words("states"), blk.words("terminals"), blk.one("start")
     gamma = GradedAlphabet.of(*(blk.words(f"gamma {i}") for i in range(1, level + 1)))
     inp, bottoms = blk.words("input", ()), blk.words("bottoms", ())

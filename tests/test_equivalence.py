@@ -1,4 +1,6 @@
+import itertools
 import random
+import time
 from dataclasses import replace
 
 import pytest
@@ -10,6 +12,7 @@ from wordmaps.equivalence import (
     NotEqual,
     decide_equal,
     decide_equal_fractions,
+    decide_zero_on_reachables,
     find_witness,
     product_system,
     reachable_points,
@@ -20,7 +23,7 @@ from wordmaps.equivalence import (
 from wordmaps.errors import BudgetExceededError, DomainError
 from wordmaps.groebner import Ideal, groebner, normal_form
 from wordmaps.polynomials import Polynomial
-from wordmaps.recurrences import PolynomialSystem, eval_polynomial
+from wordmaps.recurrences import PolynomialSystem, eval_polynomial, eval_polynomial_vector
 
 from conftest import standard_monomial_count
 
@@ -457,14 +460,12 @@ def test_vanishing_engine_agrees_with_sampling():
         i = rng.choice(sys.indices)
         t = P(i) - Polynomial.const(eval_polynomial(sys, i, ()))
         vanish = vanishes_on_reachables(sys, t)
-        witness = find_witness(sys, t, max_length=6)
-        if vanish:
-            assert witness is None
-        else:
-            assert witness is not None or True  # witness may be longer than 6
-            if witness is not None:
-                vec = {j: eval_polynomial(sys, j, witness) for j in sys.indices}
-                assert t.evaluate(vec) != 0
+        # the walk ends on a finite orbit and finds a witness whenever one exists
+        witness = find_witness(sys, t)
+        assert (witness is None) == vanish
+        if witness is not None:
+            vec = {j: eval_polynomial(sys, j, witness) for j in sys.indices}
+            assert t.evaluate(vec) != 0
 
 
 def test_rename_and_product_systems():
@@ -476,3 +477,156 @@ def test_rename_and_product_systems():
     for n in range(5):
         w = ("a",) * n
         assert eval_polynomial(prod, "A_F", w) == eval_polynomial(sys, "F", w)
+
+
+# ---------------------------------------------------------------------------
+# the orbit walk behind witnesses, sampling and refutations
+
+
+def _counter():
+    return PolynomialSystem.make(
+        ("X",), {"a", "b"}, {("X", "a"): P("X") + 1, ("X", "b"): P("X")}, {"X": 0}, ring="Z"
+    )
+
+
+def _falling(var, length):
+    out = Polynomial.const(1)
+    for k in range(length):
+        out = out * (P(var) - k)
+    return out
+
+
+def _shortlex(letters, max_length):
+    for n in range(max_length + 1):
+        yield from itertools.product(sorted(letters), repeat=n)
+
+
+def test_counter_witness_is_found_without_enumerating_words():
+    # the walk meets one new vector per length, X = 0, 1, ..., 24, where a
+    # walk over words would try the 2^24 words of length 24 alone
+    start = time.perf_counter()
+    verdict = decide_zero_on_reachables(_counter(), _falling("X", 24))
+    assert verdict == NotEqual(("a",) * 24)
+    assert time.perf_counter() - start < 2.0
+
+
+def test_closure_refutation_beyond_the_witness_budget_is_a_budget_error():
+    # three sampled points fit x(x-1)(x-2), refuted only at a^3
+    counter = PolynomialSystem.make(("X",), {"a"}, {("X", "a"): P("X") + 1}, {"X": 0})
+    with pytest.raises(BudgetExceededError, match=r"witness_length \(2\)"):
+        zariski_closure(counter, Budget(sample_points=3, witness_length=2))
+
+
+def test_decide_budget_errors_name_the_limit_that_fired():
+    t = _falling("X", 6)
+    with pytest.raises(BudgetExceededError, match=r"witness_length \(4\)"):
+        decide_zero_on_reachables(_counter(), t, Budget(witness_length=4))
+    verdict = decide_zero_on_reachables(_counter(), t, Budget(witness_length=6))
+    assert verdict == NotEqual(("a",) * 6)
+    # squaring from 2: 256 needs 9 bits, so a^3 is not stepped and a^4 stays hidden
+    square = PolynomialSystem.make(("X",), {"a"}, {("X", "a"): P("X") * P("X")}, {"X": 2})
+    t = (P("X") - 2) * (P("X") - 4) * (P("X") - 16) * (P("X") - 256)
+    with pytest.raises(BudgetExceededError, match=r"max_point_bits \(8\)"):
+        decide_zero_on_reachables(square, t, Budget(max_point_bits=8))
+    assert find_witness(square, t, Budget(max_point_bits=8)) is None
+    assert decide_zero_on_reachables(square, t, Budget(max_point_bits=9)) == NotEqual(("a",) * 4)
+
+
+def test_witness_search_stops_where_unstepped_values_could_hide_a_smaller_witness():
+    # t vanishes on every word up to length 2.  At 4 bits a a (X = 16) is not
+    # stepped, and a walk that went on would report a a b (X = 81), though
+    # a a a (X = 256) precedes it
+    sys = PolynomialSystem.make(
+        ("X",), {"a", "b"}, {("X", "a"): P("X") * P("X"), ("X", "b"): P("X") + 1}, {"X": 2}
+    )
+    t = Polynomial.const(1)
+    for w in _shortlex("ab", 2):
+        t = t * (P("X") - eval_polynomial(sys, "X", w))
+    assert find_witness(sys, t) == ("a", "a", "a")
+    assert find_witness(sys, t, Budget(max_point_bits=4)) is None
+
+
+def test_the_walk_matches_brute_force_over_words():
+    from hypothesis import assume, given, settings
+    from hypothesis import strategies as st
+
+    letters = ("a", "b")
+
+    @st.composite
+    def affine_or_quadratic(draw):
+        indices = ("x", "y")[: draw(st.integers(1, 2))]
+
+        def poly():
+            p = Polynomial.const(draw(st.integers(-2, 2)))
+            for i in indices:
+                p = p + draw(st.integers(-2, 2)) * P(i)
+            if draw(st.booleans()):
+                p = p + draw(st.sampled_from([1, -1])) * P(draw(st.sampled_from(indices))) * P(
+                    draw(st.sampled_from(indices))
+                )
+            return p
+
+        rules = {(i, a): poly() for i in indices for a in letters}
+        base = {i: draw(st.integers(-2, 2)) for i in indices}
+        sys = PolynomialSystem.make(indices, letters, rules, base, ring="Z")
+        # t vanishes on the words up to length k but for a few, so the
+        # witness may lie deeper
+        i = draw(st.sampled_from(indices))
+        words = list(_shortlex(letters, draw(st.integers(0, 3))))
+        skip = draw(st.sets(st.sampled_from(words), max_size=2))
+        t = Polynomial.const(1)
+        for value in {eval_polynomial(sys, i, w) for w in words if w not in skip}:
+            t = t * (P(i) - value)
+        return sys, t
+
+    @st.composite
+    def finite_orbit(draw):
+        # signed monomials and constants over values in {-1, 0, 1}, or signed
+        # variables and constants over small values: every orbit is finite
+        indices = ("x", "y")[: draw(st.integers(1, 2))]
+        quadratic = draw(st.booleans())
+        values = st.integers(-1, 1) if quadratic else st.integers(-3, 3)
+
+        def rule():
+            if draw(st.booleans()):
+                return Polynomial.const(draw(values))
+            m = P(draw(st.sampled_from(indices)))
+            if quadratic and draw(st.booleans()):
+                m = m * P(draw(st.sampled_from(indices)))
+            return draw(st.sampled_from([1, -1])) * m
+
+        rules = {(i, a): rule() for i in indices for a in letters}
+        base = {i: draw(values) for i in indices}
+        return PolynomialSystem.make(indices, letters, rules, base, ring="Z")
+
+    @settings(deadline=None, max_examples=80)
+    @given(affine_or_quadratic())
+    def witnesses(case):
+        sys, t = case
+        first = next(
+            (w for w in _shortlex(letters, 5) if t.evaluate(eval_polynomial_vector(sys, w)) != 0),
+            None,
+        )
+        assert find_witness(sys, t, max_length=5) == first
+
+    @settings(deadline=None, max_examples=80)
+    @given(finite_orbit())
+    def orbits(sys):
+        # the orbit in order of first appearance over all words, level by
+        # level until a whole level adds nothing
+        orbit, length, grew = [], 0, True
+        while grew:
+            assume(length <= 12)
+            grew = False
+            for w in itertools.product(letters, repeat=length):
+                v = eval_polynomial_vector(sys, w)
+                if v not in orbit:
+                    orbit.append(v)
+                    grew = True
+            length += 1
+        points, closed = reachable_points(sys)
+        assert closed
+        assert points == orbit
+
+    witnesses()
+    orbits()

@@ -318,3 +318,8 @@ def test_substitution_preserves_derivation_steps(pow2_pda):
             )
             results = _variable_rewrites(pow2_pda, lhs[0])
             assert expected in [tuple(r) for r in results]
+
+
+def test_make_rejects_a_level_below_one():
+    with pytest.raises(DomainError, match="at least 1"):
+        KPda.make(0, ["q"], ["a"], GradedAlphabet.of(), {}, "q")

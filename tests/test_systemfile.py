@@ -268,6 +268,14 @@ def test_linrep_letters_must_match_the_matrices():
     assert rep.letters == {"a"}
 
 
+@pytest.mark.parametrize("level", [0, -1])
+def test_pda_level_below_one_is_rejected_at_its_line(level):
+    text = _block("pda", ["states: q", "terminals: a", f"level: {level}", "start: q"])
+    with pytest.raises(ParseError) as err:
+        parse_file(text, filename="f.sys")
+    assert str(err.value).startswith("f.sys:4: ") and "at least 1" in str(err.value)
+
+
 _EDITS = st.tuples(
     st.integers(0, 10**6), st.sampled_from(["", "x", "1", ":", "{", "}", "(", ";", "=", "->", "\n"])
 )
