@@ -6,34 +6,38 @@ input word exactly when its defining polynomial vanishes on that whole orbit.
 
 Two complementary engines answer vanishing questions:
 
-* ``vanishes_on_reachables`` saturates the ascending chain of ideals
-  generated by pulling the test polynomial back through the update maps.
-  The chain stabilizes after finitely many additions (ascending chain
-  condition), and on stabilization the polynomial vanishes on the orbit iff
-  every accumulated generator vanishes at the base vector.  One incremental
-  ``groebner.GroebnerBasis`` tests and extends the chain.  This is total:
-  it terminates on every input, so equality verdicts never need a variety
-  computation.
+* ``find_witness`` saturates the ascending chain of ideals generated by the
+  pull-backs g_w = t o P_w of the test polynomial, where g_w(base) = t(v(w)).
+  A FIFO queue of (word, g_w) pairs, letters in order, meets the words in
+  shortlex order, and one incremental ``groebner.GroebnerBasis`` tests and
+  extends the chain.  The first g_w nonzero at the base vector names the
+  minimal witness w, and an empty queue proves that t vanishes on the orbit:
+  a pull-back inside the ideal of earlier generators is not extended, as it
+  and its extensions combine pull-backs at shortlex-smaller words, which
+  vanish at the base.  The chain stabilizes (ascending chain condition), so
+  the pass is total and verdicts never need a variety computation.
 
 * ``zariski_closure`` computes the vanishing ideal of the orbit closure.
   Both of its paths fit polynomials to sampled orbit points with one
   algorithm, Buchberger-Moeller (``groebner.points_ideal``).  A finite
   orbit enumerated by sampling gets the exact ideal of its points.  For
   other orbits, the low-degree basis elements of the sampled points' ideal
-  are candidates, and each one is certified with the saturation engine, so
+  are candidates, and each one is certified with the saturation pass, so
   every returned generator provably vanishes on the whole orbit.
 
-Witness search and sampling share one breadth-first orbit walk that visits
-each distinct value vector once, at its shortlex-least word: v(w) = v(w')
-implies v(uw) = v(uw') for every word u (Tzeng), so dropping repeats keeps
-witnesses minimal, and the walk ends on finite orbits.  ``witness_length``
-and ``max_point_bits`` bound witness search; ``sample_points``,
-``sample_depth`` and ``max_point_bits`` bound sampling.  Resource limits
-raise ``BudgetExceededError``; a verdict is never traded for termination.
+Sampling and the length-capped witness search share one breadth-first orbit
+walk that visits each distinct value vector once, at its shortlex-least
+word: v(w) = v(w') implies v(uw) = v(uw') for every word u (Tzeng), so
+dropping repeats keeps witnesses minimal, and the walk ends on finite
+orbits.  ``sample_points``, ``sample_depth`` and ``max_point_bits`` bound
+sampling; ``max_point_bits`` and the length cap bound the capped search.
+Resource limits raise ``BudgetExceededError``; a verdict is never traded for
+termination.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -41,7 +45,7 @@ from typing import Optional, Union
 from .errors import BudgetExceededError, DomainError
 from .groebner import GroebnerBasis, Ideal, in_radical, points_ideal
 from .polynomials import Polynomial
-from .recurrences import PolynomialSystem, eval_polynomial_vector
+from .recurrences import PolynomialSystem, eval_polynomial_vector, product_system, rename_system
 from .words import Word
 
 
@@ -64,12 +68,18 @@ Verdict = Union[Equal, NotEqual]
 
 @dataclass(frozen=True)
 class Budget:
-    """Resource limits for the decision procedures."""
+    """Resource limits for the decision procedures.
+
+    ``chain_additions`` and ``max_basis`` bound the saturation pass, and
+    ``max_degree`` the closure's candidates.  ``sample_points``,
+    ``sample_depth`` and ``max_point_bits`` bound the orbit walk, that is
+    sampling and ``find_witness(max_length=...)``; no verdict depends on
+    them, since the saturation pass evaluates at the base vector only.
+    """
 
     chain_additions: int = 400
     max_basis: int = 4000
     max_degree: int = 8
-    witness_length: int = 10000
     sample_points: int = 120
     sample_depth: int = 512
     max_point_bits: int = 4096
@@ -84,31 +94,7 @@ DEFAULT_BUDGET = Budget()
 
 
 # ---------------------------------------------------------------------------
-# plumbing: renaming and products of systems
-
-
-def rename_system(sys: PolynomialSystem, prefix: str) -> PolynomialSystem:
-    env = {i: Polynomial.var(prefix + i) for i in sys.indices}
-    rules = {(prefix + i, a): p.substitute(env) for (i, a), p in sys.rules}
-    base = {prefix + i: v for i, v in sys.base}
-    return PolynomialSystem.make(
-        tuple(prefix + i for i in sys.indices), sys.input_alphabet, rules, base, ring=sys.ring
-    )
-
-
-def product_system(a: PolynomialSystem, b: PolynomialSystem) -> PolynomialSystem:
-    if a.input_alphabet != b.input_alphabet:
-        raise DomainError("product systems must share their input alphabet")
-    if set(a.indices) & set(b.indices):
-        raise DomainError("product systems must have disjoint index sets")
-    ring = "Z" if "Z" in (a.ring, b.ring) else "N"
-    return PolynomialSystem.make(
-        a.indices + b.indices,
-        a.input_alphabet,
-        {**a.rule_map, **b.rule_map},
-        {**a.base_map, **b.base_map},
-        ring=ring,
-    )
+# pull-backs and products
 
 
 def _sigma(sys: PolynomialSystem, a: str, g: Polynomial) -> Polynomial:
@@ -116,37 +102,44 @@ def _sigma(sys: PolynomialSystem, a: str, g: Polynomial) -> Polynomial:
     return g.substitute(sys.maps[a])
 
 
+def _paired(sys_a: PolynomialSystem, sys_b: PolynomialSystem) -> PolynomialSystem:
+    """The two systems side by side, their indices prefixed A_ and B_."""
+    return product_system(rename_system(sys_a, "A_"), rename_system(sys_b, "B_"))
+
+
 # ---------------------------------------------------------------------------
-# the saturation engine
+# the saturation pass and the orbit walk
 
 
 def vanishes_on_reachables(
     sys: PolynomialSystem, t: Polynomial, budget: Budget = DEFAULT_BUDGET
 ) -> bool:
-    """Decide whether t vanishes at every reachable value vector.
+    """Decide whether t vanishes at every reachable value vector."""
+    return find_witness(sys, t, budget) is None
 
-    Saturates G := {t} under the pull-backs sigma_a until every new pull-back
-    already reduces to zero; then t vanishes on the orbit iff all of G
-    vanishes at the base vector.  One ``GroebnerBasis`` serves the whole
-    chain, and each addition queues only its own S-pairs.
-    """
-    if not t.variables() <= set(sys.indices):
-        raise DomainError("test polynomial mentions variables outside the system")
+
+def _saturate(sys: PolynomialSystem, t: Polynomial, budget: Budget) -> Optional[Word]:
+    """The shortlex-least word w with t(v(w)) != 0, or None when there is
+    none: the saturation pass of the module docstring."""
     letters = sorted(sys.input_alphabet)
+    point = sys.base_vector()
     basis = GroebnerBasis([], sys.indices, budget.order, max_basis=budget.max_basis)
-    gens: list[Polynomial] = []
-    worklist: list[Polynomial] = [t]
-    while worklist:
-        g = worklist.pop()
+    additions = 0
+    queue = deque([((), t)])
+    while queue:
+        w, g = queue.popleft()
+        # every element of the ideal vanishes at the base, so a nonzero value
+        # is the witness before the basis needs to take g in
+        if g.evaluate(point) != 0:
+            return w
         if basis.add(g):
-            gens.append(g)
-            if len(gens) > budget.chain_additions:
+            additions += 1
+            if additions > budget.chain_additions:
                 raise BudgetExceededError(
                     "ideal chain did not stabilize within the addition budget"
                 )
-            worklist.extend(_sigma(sys, a, g) for a in letters)
-    point = sys.base_vector()
-    return all(g.evaluate(point) == 0 for g in gens)
+            queue.extend((w + (a,), _sigma(sys, a, g)) for a in letters)
+    return None
 
 
 def _orbit(sys: PolynomialSystem, max_bits: int):
@@ -180,45 +173,39 @@ def _orbit(sys: PolynomialSystem, max_bits: int):
         level = nxt
 
 
-def _first_nonzero(sys: PolynomialSystem, t: Polynomial, budget: Budget, cap: Optional[int] = None):
-    """(word, vector) at the minimal word where t is nonzero; (None, None) if
-    there is none up to length cap.  With no cap, t is known not to vanish, the
-    cap is ``witness_length``, and a limit that hides the witness raises."""
-    stop, limit = budget.witness_length if cap is None else cap, "witness_length"
-    for w, vec, big in _orbit(sys, budget.max_point_bits):
-        if len(w) > stop:
-            break
-        if t.evaluate(vec) != 0:
-            return w, vec
-        if big and len(w) < stop:
-            # the unstepped vector's successors might precede a longer find
-            stop, limit = len(w), "max_point_bits"
-    if cap is None:
-        raise BudgetExceededError(f"the witness lies beyond {limit} ({getattr(budget, limit)})")
-    return None, None
-
-
 def find_witness(
     sys: PolynomialSystem, t: Polynomial, budget: Budget = DEFAULT_BUDGET, max_length=None
 ) -> Optional[Word]:
     """Shortest word (lexicographically first among its length) at which t
-    evaluates to a nonzero value; None if there is none up to the length cap,
-    or none before values over ``max_point_bits`` bits cut the walk short."""
-    cap = budget.witness_length if max_length is None else max_length
-    return _first_nonzero(sys, t, budget, cap)[0]
+    evaluates to a nonzero value.  With no ``max_length`` this is exact:
+    None iff t vanishes on the whole orbit.  With one, the orbit walk looks
+    no further than that length, and None means there is none up to it, or
+    none before values over ``max_point_bits`` bits cut the walk short."""
+    if not t.variables() <= set(sys.indices):
+        raise DomainError("test polynomial mentions variables outside the system")
+    if max_length is None:
+        return _saturate(sys, t, budget)
+    for w, vec, big in _orbit(sys, budget.max_point_bits):
+        if len(w) > max_length:
+            break
+        if t.evaluate(vec) != 0:
+            return w
+        if big:
+            # the unstepped vector's successors might precede a longer find
+            max_length = min(max_length, len(w))
+    return None
 
 
 def decide_zero_on_reachables(
     sys: PolynomialSystem, t: Polynomial, budget: Budget = DEFAULT_BUDGET
 ) -> Verdict:
     """Equal when t vanishes on the whole orbit, else NotEqual with the
-    minimal witness word."""
-    quick = find_witness(sys, t, budget, max_length=3)
-    if quick is not None:
-        return NotEqual(quick)
-    if vanishes_on_reachables(sys, t, budget):
-        return Equal()
-    return NotEqual(_first_nonzero(sys, t, budget)[0])
+    minimal witness word.  A numeric scan of the words up to length 3 goes
+    first: it answers shallow witnesses before any pull-back is formed."""
+    witness = find_witness(sys, t, budget, max_length=3)
+    if witness is None:
+        witness = find_witness(sys, t, budget)
+    return Equal() if witness is None else NotEqual(witness)
 
 
 def decide_equal(
@@ -233,11 +220,8 @@ def decide_equal(
         raise DomainError(f"unknown index {i_a!r}")
     if i_b not in sys_b.indices:
         raise DomainError(f"unknown index {i_b!r}")
-    a = rename_system(sys_a, "A_")
-    b = rename_system(sys_b, "B_")
-    prod = product_system(a, b)
     t = Polynomial.var("A_" + i_a) - Polynomial.var("B_" + i_b)
-    return decide_zero_on_reachables(prod, t, budget)
+    return decide_zero_on_reachables(_paired(sys_a, sys_b), t, budget)
 
 
 @dataclass(frozen=True)
@@ -272,19 +256,13 @@ def decide_equal_fractions(
 ) -> Verdict:
     """Cross-multiplied zeroness of two fraction presentations on the
     reachable set of the combined system."""
-    a = rename_system(p.system, "A_")
-    b = rename_system(q.system, "B_")
-    prod = product_system(a, b)
+    def parts(f, prefix):
+        v = {i: Polynomial.var(prefix + i) for i in f.system.indices}
+        return v[f.num_plus] - v[f.num_minus], v[f.den_plus] - v[f.den_minus]
 
-    def v(prefix, name):
-        return Polynomial.var(prefix + name)
-
-    t = (v("A_", p.num_plus) - v("A_", p.num_minus)) * (
-        v("B_", q.den_plus) - v("B_", q.den_minus)
-    ) - (v("B_", q.num_plus) - v("B_", q.num_minus)) * (
-        v("A_", p.den_plus) - v("A_", p.den_minus)
-    )
-    return decide_zero_on_reachables(prod, t, budget)
+    (num_p, den_p), (num_q, den_q) = parts(p, "A_"), parts(q, "B_")
+    t = num_p * den_q - num_q * den_p
+    return decide_zero_on_reachables(_paired(p.system, q.system), t, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -310,9 +288,9 @@ def zariski_closure(sys: PolynomialSystem, budget: Budget = DEFAULT_BUDGET) -> I
     When sampling enumerates the whole orbit (within ``sample_points``), this
     is the exact ideal of its points.  Otherwise the sampled points' basis
     elements of degree up to ``max_degree`` are candidates: each one is
-    certified with the saturation engine, and a refuted one adds its
-    refuting point to the fit.  The result is then the ideal generated by
-    all orbit-vanishing polynomials of degree up to the budget.  If its
+    certified with the saturation pass, and a refuted one adds the point at
+    its minimal witness to the fit.  The result is then the ideal generated
+    by all orbit-vanishing polynomials of degree up to the budget.  If its
     variety is not invariant under every update map, generators of higher
     degree provably exist and a budget error is raised; otherwise the ideal
     is returned, and it is the full vanishing ideal whenever that ideal is
@@ -329,8 +307,9 @@ def zariski_closure(sys: PolynomialSystem, budget: Budget = DEFAULT_BUDGET) -> I
         for cand in points_ideal(points, variables, budget.max_degree):
             if not basis.reduce(cand):
                 continue
-            if not vanishes_on_reachables(sys, cand, budget):
-                points.append(_first_nonzero(sys, cand, budget)[1])
+            refutation = find_witness(sys, cand, budget)
+            if refutation is not None:
+                points.append(eval_polynomial_vector(sys, refutation))
                 break
             verified.append(cand)
             basis.add(cand)

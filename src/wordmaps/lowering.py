@@ -38,6 +38,8 @@ from .recurrences import (
     eval_catenative,
     eval_polynomial,
     eval_polynomial_vector,
+    product_system,
+    rename_system,
     suffix_walk,
 )
 from .words import Word
@@ -259,27 +261,10 @@ def skolem_product_system(
     if iv not in v.indices:
         raise DomainError(f"unknown index {iv!r}")
     (letter,) = u.input_alphabet
-
-    def uvar(i):
-        return f"u_{i}"
-
-    def vvar(i):
-        return f"v_{i}"
-
+    pair = product_system(rename_system(u, "u_"), rename_system(v, "v_"))
     acc = "w_acc"
-    indices = tuple(uvar(i) for i in u.indices) + tuple(vvar(i) for i in v.indices) + (acc,)
-    rules = {}
-    u_env = {i: Polynomial.var(uvar(i)) for i in u.indices}
-    v_env = {i: Polynomial.var(vvar(i)) for i in v.indices}
-    for (i, a), p in u.rules:
-        rules[(uvar(i), a)] = p.substitute(u_env)
-    for (i, a), p in v.rules:
-        rules[(vvar(i), a)] = p.substitute(v_env)
-    u_next = u.rule(iu, letter).substitute(u_env)
-    v_next = v.rule(iv, letter).substitute(v_env)
-    rules[(acc, letter)] = Polynomial.var(acc) * (u_next - v_next)
-    base = {uvar(i): val for i, val in u.base}
-    base.update({vvar(i): val for i, val in v.base})
-    base[acc] = u.base_value(iu) - v.base_value(iv)
-    system = PolynomialSystem.make(indices, u.input_alphabet, rules, base, ring="Z")
+    step = pair.rule("u_" + iu, letter) - pair.rule("v_" + iv, letter)
+    rules = {**pair.rule_map, (acc, letter): Polynomial.var(acc) * step}
+    base = {**pair.base_map, acc: u.base_value(iu) - v.base_value(iv)}
+    system = PolynomialSystem.make(pair.indices + (acc,), u.input_alphabet, rules, base, ring="Z")
     return SkolemProduct(system, acc)

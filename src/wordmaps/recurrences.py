@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import chain
+from itertools import chain, product as cartesian_product
 from typing import Mapping
 
 from .errors import DomainError, FuelExhaustedError
@@ -26,11 +26,14 @@ from .polynomials import Polynomial
 from .words import Word
 
 
-def _check_rules_total(indices, alphabet, rules, what):
-    for i in indices:
-        for a in alphabet:
-            if (i, a) not in rules:
-                raise DomainError(f"{what} has no rule for ({i!r}, {a!r})")
+def _check_rules_total(rules, what, *axes):
+    """The rule keys are exactly indices x letters (x classes)."""
+    keys = set(cartesian_product(*axes))
+    missing, extra = sorted(keys - rules.keys()), sorted(rules.keys() - keys)
+    if missing:
+        raise DomainError(f"{what} has no rule for {missing[0]!r}")
+    if extra:
+        raise DomainError(f"{what} has a rule for {extra[0]!r} outside its indices and letters")
 
 
 class _Lookup:
@@ -67,7 +70,7 @@ class CatenativeSystem(_Lookup):
         indices = tuple(indices)
         input_alphabet = frozenset(input_alphabet)
         output_alphabet = frozenset(output_alphabet)
-        _check_rules_total(indices, input_alphabet, rules, "catenative system")
+        _check_rules_total(rules, "catenative system", indices, input_alphabet)
         for (i, a), rhs in rules.items():
             for j in rhs:
                 if j not in indices:
@@ -103,7 +106,7 @@ class CompositionalSystem(_Lookup):
         indices = tuple(indices)
         input_alphabet = frozenset(input_alphabet)
         working = frozenset(working)
-        _check_rules_total(indices, input_alphabet, rules, "compositional system")
+        _check_rules_total(rules, "compositional system", indices, input_alphabet)
         for i in indices:
             if i not in base:
                 raise DomainError(f"no base homomorphism for index {i!r}")
@@ -193,11 +196,7 @@ class RegularSystem(_Lookup):
         indices = tuple(indices)
         input_alphabet = frozenset(input_alphabet)
         output_alphabet = frozenset(output_alphabet)
-        for i in indices:
-            for a in input_alphabet:
-                for d in classifier.classes():
-                    if (i, a, d) not in rules:
-                        raise DomainError(f"regular system misses rule ({i!r}, {a!r}, class {d!r})")
+        _check_rules_total(rules, "regular system", indices, input_alphabet, classifier.classes())
         for (i, a, d), rhs in rules.items():
             for j, shift in rhs:
                 if j not in indices:
@@ -238,7 +237,7 @@ class PolynomialSystem(_Lookup):
         input_alphabet = frozenset(input_alphabet)
         if ring not in ("N", "Z"):
             raise DomainError("ring must be 'N' or 'Z'")
-        _check_rules_total(indices, input_alphabet, rules, "polynomial system")
+        _check_rules_total(rules, "polynomial system", indices, input_alphabet)
         for (i, a), p in rules.items():
             if not p.variables() <= set(indices):
                 raise DomainError(
@@ -274,6 +273,32 @@ class PolynomialSystem(_Lookup):
         for (i, a), p in self.rules:
             out[a][i] = p
         return out
+
+
+def rename_system(sys: PolynomialSystem, prefix: str) -> PolynomialSystem:
+    """The same system with every index name prefixed."""
+    env = {i: Polynomial.var(prefix + i) for i in sys.indices}
+    rules = {(prefix + i, a): p.substitute(env) for (i, a), p in sys.rules}
+    base = {prefix + i: v for i, v in sys.base}
+    return PolynomialSystem.make(
+        tuple(prefix + i for i in sys.indices), sys.input_alphabet, rules, base, ring=sys.ring
+    )
+
+
+def product_system(a: PolynomialSystem, b: PolynomialSystem) -> PolynomialSystem:
+    """The two systems side by side: one input alphabet, disjoint indices."""
+    if a.input_alphabet != b.input_alphabet:
+        raise DomainError("product systems must share their input alphabet")
+    if set(a.indices) & set(b.indices):
+        raise DomainError("product systems must have disjoint index sets")
+    ring = "Z" if "Z" in (a.ring, b.ring) else "N"
+    return PolynomialSystem.make(
+        a.indices + b.indices,
+        a.input_alphabet,
+        {**a.rule_map, **b.rule_map},
+        {**a.base_map, **b.base_map},
+        ring=ring,
+    )
 
 
 # ---------------------------------------------------------------------------

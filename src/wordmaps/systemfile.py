@@ -36,7 +36,7 @@ from .errors import DomainError, ParseError
 from .kpda import KPda, Pop, Push
 from .morphisms import HDT0LSystem, Homomorphism, LinearRepresentation
 from .polynomials import format_polynomial, parse_polynomial
-from .pushdown import GradedAlphabet
+from .pushdown import GradedAlphabet, _is_ident_char
 from .recurrences import (
     CatenativeSystem,
     CompositionalSystem,
@@ -221,7 +221,7 @@ class _Block:
         return self.convert(lineno, key, fn, text)
 
     def words(self, key, default=_REQUIRED):
-        return self.one(key, default, lambda text: tuple(text.split()))
+        return self.one(key, default, _identifiers)
 
     def done(self):
         """Reject the first directive, in document order, that no accessor took."""
@@ -241,8 +241,17 @@ def _ints(text):
     return tuple(_int(tok) for tok in text.split())
 
 
+def _identifiers(text):
+    """The whitespace-separated tokens of a letter list, each an identifier."""
+    tokens = tuple(text.split())
+    for tok in tokens:
+        if not all(map(_is_ident_char, tok)):
+            raise ParseError(f"{tok!r} is not a letter")
+    return tokens
+
+
 _RULE_RE = re.compile(
-    r"^(?P<name>[\w']+)\s*\(\s*(?:eps|(?P<letter>[^\s)]+)\s+w)?\s*\)\s*"
+    r"^(?P<name>[\w']+)\s*\(\s*(?:eps|(?P<letter>[\w'′]+)\s+w)?\s*\)\s*"
     r"(?:@(?P<cls>\w+)\s*)?=\s*(?P<rhs>.*)$"
 )
 
@@ -496,9 +505,9 @@ def _parse_frac(blk) -> FractionSpec:
 
 
 def _parse_alphabet(blk) -> frozenset:
-    texts = [text for _, text in blk.many("letters")] + [m.string for _, m in blk.statements]
+    texts = blk.many("letters") + [(lineno, m.string) for lineno, m in blk.statements]
     blk.done()
-    return frozenset(a for text in texts for a in text.split())
+    return frozenset(a for n, text in texts for a in blk.convert(n, "letters", _identifiers, text))
 
 
 def _parse_graded(blk) -> GradedAlphabet:

@@ -250,6 +250,22 @@ def test_run_pda_trace(capsys):
     assert out == POW2_AA_TRACE
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "poly f { input: a ; f(eps) = 1 ; f(a w) = f ; f(b w) = f }",
+        "cat f {\n  input: a\n  output: x\n  f(eps) = x\n  f(a w) = f(w)\n  g(a w) = f(w)\n}",
+    ],
+)
+def test_a_rule_outside_the_indices_and_letters_is_an_error(capsys, tmp_path, text):
+    path = tmp_path / "extra.sys"
+    path.write_text(text + "\n")
+    code, out, err = run_cli(capsys, "equiv", str(path), "f", str(path), "f")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "outside its indices and letters" in err
+
+
 def test_run_pda_trace_rejects_a_machine_that_is_not_strongly_deterministic(capsys, tmp_path):
     path = tmp_path / "two.sys"
     path.write_text(

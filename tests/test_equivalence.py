@@ -1,7 +1,9 @@
+import collections
 import itertools
 import random
 import time
 from dataclasses import replace
+from importlib import resources
 
 import pytest
 
@@ -22,8 +24,11 @@ from wordmaps.equivalence import (
 )
 from wordmaps.errors import BudgetExceededError, DomainError
 from wordmaps.groebner import Ideal, groebner, normal_form
+from wordmaps.lowering import compose_level3
+from wordmaps.morphisms import LinearRepresentation
 from wordmaps.polynomials import Polynomial
 from wordmaps.recurrences import PolynomialSystem, eval_polynomial, eval_polynomial_vector
+from wordmaps.systemfile import parse_file
 
 from conftest import standard_monomial_count
 
@@ -114,30 +119,40 @@ def test_budget_error_propagates():
 
 
 def test_basis_budget_fires_inside_the_saturation_engine():
-    # the chain's basis for this (false) identity reaches four elements
-    t = P("F") * P("G") - P("F") ** 2 - 1
-    assert not vanishes_on_reachables(fib_pair(), t, Budget(max_basis=4))
+    # a tetranacci coordinate against its copy: the chain's basis collects
+    # the four differences A_Xi - B_Xi
+    indices = ("X0", "X1", "X2", "X3")
+    rules = {(i, "a"): P(j) for i, j in zip(indices, indices[1:])}
+    rules[("X3", "a")] = P("X0") + P("X1") + P("X2") + P("X3")
+    tetranacci = PolynomialSystem.make(indices, {"a"}, rules, {i: 1 for i in indices})
+    pair = product_system(rename_system(tetranacci, "A_"), rename_system(tetranacci, "B_"))
+    t = P("A_X0") - P("B_X0")
+    assert vanishes_on_reachables(pair, t, Budget(max_basis=4))
     with pytest.raises(BudgetExceededError, match="size budget"):
-        vanishes_on_reachables(fib_pair(), t, Budget(max_basis=3))
+        vanishes_on_reachables(pair, t, Budget(max_basis=3))
 
 
 def _reference_chain(sys, t, budget):
-    """The saturation loop with a normal form against the last reduced basis
+    """The saturation pass with a normal form against the last reduced basis
     and a basis recomputed from scratch for every addition: (verdict, number
-    of additions), with verdict None once the addition budget is exceeded."""
+    of additions), with verdict None once the addition budget is exceeded.
+    Generators are taken first in, first out, and the first one outside the
+    ideal that is nonzero at the base vector ends the pass with False."""
     variables = tuple(sys.indices)
     letters = sorted(sys.input_alphabet)
-    gens, basis, worklist = [], [], [t]
+    point = sys.base_vector()
+    gens, basis, worklist = [], [], collections.deque([t])
     while worklist:
-        g = worklist.pop()
+        g = worklist.popleft()
         if not normal_form(g, basis, variables, order=budget.order).is_zero():
+            if g.evaluate(point) != 0:
+                return False, len(gens)
             gens.append(g)
             if len(gens) > budget.chain_additions:
                 return None, len(gens)
             basis = groebner(basis + [g], variables, order=budget.order)
             worklist.extend(g.substitute(sys.maps[a]) for a in letters)
-    point = sys.base_vector()
-    return all(g.evaluate(point) == 0 for g in gens), len(gens)
+    return True, len(gens)
 
 
 def test_saturation_engine_matches_the_from_scratch_chain():
@@ -461,7 +476,7 @@ def test_vanishing_engine_agrees_with_sampling():
         t = P(i) - Polynomial.const(eval_polynomial(sys, i, ()))
         vanish = vanishes_on_reachables(sys, t)
         # the walk ends on a finite orbit and finds a witness whenever one exists
-        witness = find_witness(sys, t)
+        witness = find_witness(sys, t, max_length=10000)
         assert (witness is None) == vanish
         if witness is not None:
             vec = {j: eval_polynomial(sys, j, witness) for j in sys.indices}
@@ -510,26 +525,60 @@ def test_counter_witness_is_found_without_enumerating_words():
     assert time.perf_counter() - start < 2.0
 
 
-def test_closure_refutation_beyond_the_witness_budget_is_a_budget_error():
-    # three sampled points fit x(x-1)(x-2), refuted only at a^3
+def _lowered_gmap_pair():
+    """nu:(fibrep + C(n,4)) against nu:fibrep, both lowered: 106 variables,
+    and t = the difference of the output forms = C(value(w), 4)."""
+    text = resources.files("wordmaps").joinpath("data", "gmap.sys").read_text()
+    gmap = parse_file(text, filename="gmap")
+    nu = gmap.resolve("nu", "cat")[1]
+    fibrep = gmap.resolve("fibrep", "linrep")[1]
+    # fibrep's 2x2 matrix beside the 5x5 Pascal matrix, whose corner entry
+    # of its n-th power is C(n, 4)
+    (fib,) = (m for _, m in fibrep.matrices)
+    pascal = [[1 if k in (l, l - 1) else 0 for l in range(5)] for k in range(5)]
+    block = [list(row) + [0] * 5 for row in fib] + [[0, 0] + row for row in pascal]
+    both = LinearRepresentation.make(
+        fibrep.row + (1, 0, 0, 0, 0), {"x": tuple(map(tuple, block))}, fibrep.col + (0, 0, 0, 0, 1)
+    )
+    sides = [compose_level3(nu, "g", rep).lower() for rep in (both, fibrep)]
+    renamed = [rename_system(low.system, prefix) for low, prefix in zip(sides, ("A_", "B_"))]
+    t = Polynomial.zero()
+    for low, prefix, sign in zip(sides, ("A_", "B_"), (1, -1)):
+        t = t + sign * low.output_form.substitute({i: P(prefix + i) for i in low.system.indices})
+    return product_system(*renamed), t
+
+
+def test_lowered_gmap_pair_is_answered_by_the_quick_scan():
+    # without the length-3 scan, the saturation pass would pull t back
+    # through the degree-doubling maps of these 106 variables; the scan
+    # meets the witness 1 0 0 (value 4) first
+    pair, t = _lowered_gmap_pair()
+    assert len(pair.indices) == 106
+    start = time.perf_counter()
+    assert decide_zero_on_reachables(pair, t) == NotEqual(("1", "0", "0"))
+    assert time.perf_counter() - start < 2.0
+
+
+def test_closure_refutation_comes_from_the_saturation_pass():
+    # three sampled points fit x(x-1)(x-2), refuted only at a^3; the
+    # refuting point comes from the minimal witness, with no further search
     counter = PolynomialSystem.make(("X",), {"a"}, {("X", "a"): P("X") + 1}, {"X": 0})
-    with pytest.raises(BudgetExceededError, match=r"witness_length \(2\)"):
-        zariski_closure(counter, Budget(sample_points=3, witness_length=2))
+    closure = zariski_closure(counter, Budget(sample_points=3))
+    assert closure.is_zero_ideal()
+    assert repr(closure) == "<0>"
 
 
-def test_decide_budget_errors_name_the_limit_that_fired():
+def test_decisions_are_not_bounded_by_the_orbit_walk():
     t = _falling("X", 6)
-    with pytest.raises(BudgetExceededError, match=r"witness_length \(4\)"):
-        decide_zero_on_reachables(_counter(), t, Budget(witness_length=4))
-    verdict = decide_zero_on_reachables(_counter(), t, Budget(witness_length=6))
-    assert verdict == NotEqual(("a",) * 6)
-    # squaring from 2: 256 needs 9 bits, so a^3 is not stepped and a^4 stays hidden
+    assert decide_zero_on_reachables(_counter(), t) == NotEqual(("a",) * 6)
+    # squaring from 2: 256 needs 9 bits, so at 8 bits the walk does not step
+    # a^3 and cannot see a^4, but the saturation pass evaluates at the base only
     square = PolynomialSystem.make(("X",), {"a"}, {("X", "a"): P("X") * P("X")}, {"X": 2})
     t = (P("X") - 2) * (P("X") - 4) * (P("X") - 16) * (P("X") - 256)
-    with pytest.raises(BudgetExceededError, match=r"max_point_bits \(8\)"):
-        decide_zero_on_reachables(square, t, Budget(max_point_bits=8))
-    assert find_witness(square, t, Budget(max_point_bits=8)) is None
-    assert decide_zero_on_reachables(square, t, Budget(max_point_bits=9)) == NotEqual(("a",) * 4)
+    assert decide_zero_on_reachables(square, t, Budget(max_point_bits=8)) == NotEqual(("a",) * 4)
+    assert find_witness(square, t, Budget(max_point_bits=8)) == ("a",) * 4
+    assert find_witness(square, t, Budget(max_point_bits=8), max_length=10000) is None
+    assert find_witness(square, t, Budget(max_point_bits=9), max_length=10000) == ("a",) * 4
 
 
 def test_witness_search_stops_where_unstepped_values_could_hide_a_smaller_witness():
@@ -542,8 +591,9 @@ def test_witness_search_stops_where_unstepped_values_could_hide_a_smaller_witnes
     t = Polynomial.const(1)
     for w in _shortlex("ab", 2):
         t = t * (P("X") - eval_polynomial(sys, "X", w))
-    assert find_witness(sys, t) == ("a", "a", "a")
-    assert find_witness(sys, t, Budget(max_point_bits=4)) is None
+    assert find_witness(sys, t, max_length=10000) == ("a", "a", "a")
+    assert find_witness(sys, t, Budget(max_point_bits=4), max_length=10000) is None
+    assert find_witness(sys, t, Budget(max_point_bits=4)) == ("a", "a", "a")
 
 
 def test_the_walk_matches_brute_force_over_words():
@@ -630,3 +680,55 @@ def test_the_walk_matches_brute_force_over_words():
 
     witnesses()
     orbits()
+
+
+def test_saturation_witnesses_match_brute_force_over_words():
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    letters = ("a", "b")
+
+    @st.composite
+    def deep_witness(draw):
+        # affine maps of one or two variables, or quadratic ones of one, with
+        # small coefficients; t vanishes on every word up to length 3 (up to
+        # 4 or 5 for one affine variable), so the length-3 scan finds nothing
+        # and the saturation pass supplies the witness
+        shape = draw(st.sampled_from(["affine", "quadratic", "affine2"]))
+        indices = ("x", "y") if shape == "affine2" else ("x",)
+        small = st.integers(-1, 1)
+
+        def poly():
+            p = Polynomial.const(draw(small))
+            for i in indices:
+                p = p + draw(small) * P(i)
+            if shape == "quadratic" and draw(st.booleans()):
+                p = p + draw(st.sampled_from([1, -1])) * P("x") * P("x")
+            return p
+
+        rules = {(i, a): poly() for i in indices for a in letters}
+        base = {i: draw(small) for i in indices}
+        sys = PolynomialSystem.make(indices, letters, rules, base, ring="Z")
+        i = draw(st.sampled_from(indices))
+        depth = draw(st.integers(4, 5)) if shape == "affine" else 3
+        t = Polynomial.const(1)
+        for value in {eval_polynomial(sys, i, w) for w in _shortlex(letters, depth)}:
+            t = t * (P(i) - value)
+        return sys, t
+
+    @settings(deadline=None, max_examples=100)
+    @given(deep_witness())
+    def check(case):
+        sys, t = case
+        first = next(
+            (w for w in _shortlex(letters, 6) if t.evaluate(eval_polynomial_vector(sys, w)) != 0),
+            None,
+        )
+        verdict = decide_zero_on_reachables(sys, t)
+        if first is not None:
+            assert verdict == NotEqual(first)
+        elif verdict != Equal():
+            assert len(verdict.witness) > 6
+            assert t.evaluate(eval_polynomial_vector(sys, verdict.witness)) != 0
+
+    check()

@@ -341,3 +341,36 @@ def test_polynomial_linear_matches_linear_eval():
         w = ("a",) * n
         assert linear_eval(rep_f, w) == eval_polynomial(sys, "F", w)
         assert linear_eval(rep_g, w) == eval_polynomial(sys, "G", w)
+
+
+# ---------------------------------------------------------------------------
+# rule keys beyond indices x letters (x classes)
+
+
+def test_catenative_rejects_a_rule_for_an_index_without_a_base():
+    with pytest.raises(DomainError, match=r"rule for \('g', 'a'\) outside"):
+        CatenativeSystem.make(
+            ("f",), {"a"}, {"a"}, {("f", "a"): ("f",), ("g", "a"): ("f",)}, {"f": word("a")}
+        )
+
+
+def test_compositional_rejects_a_rule_for_an_unknown_letter():
+    ident = Homomorphism.identity({"x"})
+    with pytest.raises(DomainError, match=r"rule for \('f', 'b'\) outside"):
+        CompositionalSystem.make(("f",), {"a"}, {"x"}, {("f", "a"): ("f",), ("f", "b"): ()}, {"f": ident})
+
+
+def test_regular_rejects_a_rule_for_an_unknown_letter():
+    classifier = DfaClassifier.single_class({"a"})
+    rules = {("f", "a", "all"): (("f", ()),), ("f", "b", "all"): ()}
+    with pytest.raises(DomainError, match=r"rule for \('f', 'b', 'all'\) outside"):
+        RegularSystem.make(("f",), {"a"}, {"c"}, classifier, rules, {"f": word("c")})
+
+
+def test_polynomial_rejects_a_rule_for_an_unknown_letter():
+    X = Polynomial.var("X")
+    with pytest.raises(DomainError, match=r"rule for \('X', 'b'\) outside"):
+        PolynomialSystem.make(("X",), {"a"}, {("X", "a"): X, ("X", "b"): X}, {"X": 1})
+    # a missing rule is still named first
+    with pytest.raises(DomainError, match=r"no rule for \('Y', 'a'\)"):
+        PolynomialSystem.make(("X", "Y"), {"a"}, {("X", "a"): X, ("X", "b"): X}, {"X": 1, "Y": 1})

@@ -276,6 +276,26 @@ def test_pda_level_below_one_is_rejected_at_its_line(level):
     assert str(err.value).startswith("f.sys:4: ") and "at least 1" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "text,line",
+    [
+        ("alphabet A { x -> y }\n", 1),
+        (_block("alphabet", ["letters: a b", "c ->"]), 3),
+        (_block("cat", ["input: a ->", "output: x", "f(eps) = x", "f(a w) = f(w)"]), 2),
+        (_block("poly", ["input: a", "f(eps) = 1", "f(-> w) = f"]), 4),
+        (_block("graded", ["1: A ->", "2: B"]), 2),
+    ],
+)
+def test_letters_must_be_identifiers(text, line):
+    with pytest.raises(ParseError) as err:
+        parse_file(text, filename="f.sys")
+    assert str(err.value).startswith(f"f.sys:{line}: ")
+
+
+def test_letters_may_carry_primes_and_underscores():
+    assert parse_file(_block("alphabet", ["letters: x′ y_1 z'"])).resolve("k")[1] == {"x′", "y_1", "z'"}
+
+
 _EDITS = st.tuples(
     st.integers(0, 10**6), st.sampled_from(["", "x", "1", ":", "{", "}", "(", ";", "=", "->", "\n"])
 )
