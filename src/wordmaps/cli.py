@@ -248,7 +248,7 @@ def cmd_compose(args) -> int:
 def cmd_run_pda(args) -> int:
     sf = load_file(args.file)
     _, machine = sf.resolve(args.machine, "pda")
-    w = word(args.word) if args.word != "eps" else ()
+    w = parse_argument_word(machine, args.word)
     for outcome in steps(machine, w, fuel=args.fuel):
         if args.trace and isinstance(outcome, tuple):
             state, tops, state2, emitted = outcome

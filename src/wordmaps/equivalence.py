@@ -29,8 +29,8 @@ Sampling and the length-capped witness search share one breadth-first orbit
 walk that visits each distinct value vector once, at its shortlex-least
 word: v(w) = v(w') implies v(uw) = v(uw') for every word u (Tzeng), so
 dropping repeats keeps witnesses minimal, and the walk ends on finite
-orbits.  ``sample_points``, ``sample_depth`` and ``max_point_bits`` bound
-sampling; ``max_point_bits`` and the length cap bound the capped search.
+orbits.  ``sample_points`` and ``max_point_bits`` bound sampling;
+``max_point_bits`` and the length cap bound the capped search.
 Resource limits raise ``BudgetExceededError``; a verdict is never traded for
 termination.
 """
@@ -71,17 +71,17 @@ class Budget:
     """Resource limits for the decision procedures.
 
     ``chain_additions`` and ``max_basis`` bound the saturation pass, and
-    ``max_degree`` the closure's candidates.  ``sample_points``,
-    ``sample_depth`` and ``max_point_bits`` bound the orbit walk, that is
-    sampling and ``find_witness(max_length=...)``; no verdict depends on
-    them, since the saturation pass evaluates at the base vector only.
+    ``max_degree`` the closure's candidates.  ``sample_points`` and
+    ``max_point_bits`` bound the orbit walk, that is sampling and
+    ``find_witness(max_length=...)``; no verdict depends on them, since the
+    saturation pass evaluates at the base vector only.  Each level the walk
+    passes adds a point, so sampled words are shorter than ``sample_points``.
     """
 
     chain_additions: int = 400
     max_basis: int = 4000
     max_degree: int = 8
     sample_points: int = 120
-    sample_depth: int = 512
     max_point_bits: int = 4096
     order: str = "grevlex"
 
@@ -270,12 +270,12 @@ def decide_equal_fractions(
 
 
 def reachable_points(sys: PolynomialSystem, budget: Budget = DEFAULT_BUDGET):
-    """The first ``sample_points`` vectors of the orbit walk whose words are
-    at most ``sample_depth`` long, as (points, closed): closed is True when
-    the walk ended with every point stepped, which proves the orbit complete."""
+    """The first ``sample_points`` vectors of the orbit walk, as (points,
+    closed): closed is True when the walk ended with every point stepped,
+    which proves the orbit complete."""
     points, closed = [], True
     for w, vec, big in _orbit(sys, budget.max_point_bits):
-        if len(w) > budget.sample_depth or len(points) == budget.sample_points:
+        if len(points) == budget.sample_points:
             return points, False
         points.append(vec)
         closed = closed and not big

@@ -6,8 +6,10 @@ deterministic machine determines by itself which letter it emits at each
 step, which makes the computed map f(w) effective without guessing f(w)
 up front.  Acceptance requires halting in the start state with an empty
 store; an empty store in any other state is Stuck.
-Every reader of the transition table uses ``KPda.moves``, built once per
-machine; ``steps`` is the one stepping loop, behind ``run`` and ``--trace``.
+``KPda.moves`` is built once per machine.  ``steps`` is the one stepping loop
+of a deterministic run, behind ``run`` and ``--trace``; elsewhere one
+successor relation expands moves, and one bounded breadth-first search serves
+``derive`` and both sides of the derivation/computation agreement check.
 """
 
 from __future__ import annotations
@@ -225,14 +227,19 @@ def validate_normal_form(m: KPda) -> NormalFormReport:
 # semantics
 
 
+def _successors(m: KPda, state: str, store: IteratedPushdown) -> list:
+    """(read letter or EPS, next state, next store) for each enabled move."""
+    moves = m.moves.get((state, topsyms(store)), ())
+    return [(read, q2, op.apply(store)) for read, q2, op in moves]
+
+
 def step(m: KPda, c: Configuration) -> set[Configuration]:
     """All successor configurations under the transition table (generation
     mode: a transition labelled b appends b to the emitted word)."""
-    out = set()
-    for read, q2, op in m.moves.get((c.state, topsyms(c.store)), ()):
-        emitted = c.emitted + ((read,) if read != EPS else ())
-        out.add(Configuration(q2, emitted, op.apply(c.store)))
-    return out
+    return {
+        Configuration(q2, c.emitted + ((read,) if read != EPS else ()), store2)
+        for read, q2, store2 in _successors(m, c.state, c.store)
+    }
 
 
 def initial_store(m: KPda, w: Word) -> IteratedPushdown:
@@ -299,8 +306,7 @@ SententialForm = tuple[SententialItem, ...]
 def _variable_rewrites(m: KPda, v: Variable):
     """One-step productions for a single variable occurrence."""
     out = []
-    for read, q2, op in m.moves.get((v.left, topsyms(v.store)), ()):
-        store2 = op.apply(v.store)
+    for read, q2, store2 in _successors(m, v.left, v.store):
         prefix: tuple[SententialItem, ...] = (read,) if read != EPS else ()
         if store2.is_empty():
             if q2 == v.right:
@@ -316,25 +322,41 @@ def _variable_rewrites(m: KPda, v: Variable):
     return out
 
 
+def _form_rewrites(m: KPda, form: SententialForm) -> Iterator[SententialForm]:
+    """The forms one rewrite of a single variable occurrence away."""
+    for i, item in enumerate(form):
+        if isinstance(item, Variable):
+            for repl in _variable_rewrites(m, item):
+                yield form[:i] + tuple(repl) + form[i + 1:]
+
+
+def _search(start, successors, bound: int, goal=lambda node: False):
+    """Breadth-first search from start, at most ``bound`` levels deep.
+
+    Returns (verdict, seen): True when a goal node is reached (the start is
+    not tested), False when the reachable nodes run out first, None when
+    the bound cuts the search."""
+    seen = {start}
+    frontier = [start]
+    for _ in range(bound):
+        if not frontier:
+            return False, seen
+        nxt = []
+        for node in frontier:
+            for new in successors(node):
+                if new not in seen:
+                    if goal(new):
+                        return True, seen
+                    seen.add(new)
+                    nxt.append(new)
+        frontier = nxt
+    return (None if frontier else False), seen
+
+
 def derive(m: KPda, start: SententialForm, depth: int) -> set[SententialForm]:
     """All sentential forms derivable from start in at most depth one-step
     rewrites of a single variable occurrence."""
-    seen = {tuple(start)}
-    frontier = [tuple(start)]
-    for _ in range(depth):
-        nxt = []
-        for form in frontier:
-            for i, item in enumerate(form):
-                if isinstance(item, Variable):
-                    for repl in _variable_rewrites(m, item):
-                        new = form[:i] + tuple(repl) + form[i + 1:]
-                        if new not in seen:
-                            seen.add(new)
-                            nxt.append(new)
-        frontier = nxt
-        if not frontier:
-            break
-    return seen
+    return _search(tuple(start), lambda form: _form_rewrites(m, form), depth)[1]
 
 
 @dataclass(frozen=True)
@@ -357,56 +379,28 @@ class AgreementResult:
 
 
 def _derives_exactly(m: KPda, start: Variable, u: Word, bound: int) -> Optional[bool]:
-    """Bounded search for (p,w,q) ->* u; None when the bound is hit."""
-    target = tuple(u)
-    seen = {(start,)}
-    frontier: list[SententialForm] = [(start,)]
-    for _ in range(bound):
-        if not frontier:
-            return False
-        nxt = []
-        for form in frontier:
-            for i, item in enumerate(form):
-                if isinstance(item, Variable):
-                    for repl in _variable_rewrites(m, item):
-                        new = form[:i] + tuple(repl) + form[i + 1:]
-                        if new == target:
-                            return True
-                        terminals = [x for x in new if isinstance(x, str)]
-                        if len(terminals) > len(target):
-                            continue
-                        if new not in seen:
-                            seen.add(new)
-                            nxt.append(new)
-        frontier = nxt
-    return None if frontier else False
+    """Bounded search for (p,w,q) ->* u; None when the bound is hit.  Forms
+    with more terminals than u are dropped."""
+
+    def successors(form):
+        for new in _form_rewrites(m, form):
+            if sum(isinstance(x, str) for x in new) <= len(u):
+                yield new
+
+    return _search((start,), successors, bound, lambda form: form == u)[0]
 
 
 def _computes(m: KPda, p: str, u: Word, store: IteratedPushdown, q: str, bound: int) -> Optional[bool]:
-    """Bounded search for (p,u,w) |-* (q,eps,eps) in recognition mode."""
-    if store.is_empty():
-        return p == q and not u
-    start = (p, 0, store)
-    seen = {start}
-    frontier = [start]
-    for _ in range(bound):
-        if not frontier:
-            return False
-        nxt = []
-        for state, pos, st in frontier:
-            for read, q2, op in m.moves.get((state, topsyms(st)), ()):
-                if read != EPS and (pos == len(u) or read != u[pos]):
-                    continue
-                pos2 = pos + (1 if read != EPS else 0)
-                st2 = op.apply(st)
-                if st2.is_empty() and pos2 == len(u) and q2 == q:
-                    return True
-                nxt_cfg = (q2, pos2, st2)
-                if nxt_cfg not in seen:
-                    seen.add(nxt_cfg)
-                    nxt.append(nxt_cfg)
-        frontier = nxt
-    return None if frontier else False
+    """Bounded search for (p,u,w) |-* (q,eps,eps): the generation-mode runs
+    from (p, w) whose emitted word stays a prefix of u."""
+
+    def successors(c):
+        return (c2 for c2 in step(m, c) if c2.emitted == u[: len(c2.emitted)])
+
+    def goal(c):
+        return c.state == q and c.emitted == u and c.store.is_empty()
+
+    return _search(Configuration(p, (), store), successors, bound, goal)[0]
 
 
 def check_derivation_computation_agreement(
@@ -417,6 +411,6 @@ def check_derivation_computation_agreement(
     if store.is_empty():
         # variables exclude the empty store, so the claim is vacuous
         return AgreementResult(None, None, vacuous=True)
-    derives = _derives_exactly(m, Variable(p, store, q), tuple(u), bound)
-    computes = _computes(m, p, tuple(u), store, q, bound)
-    return AgreementResult(derives, computes)
+    u = tuple(u)
+    derives = _derives_exactly(m, Variable(p, store, q), u, bound)
+    return AgreementResult(derives, _computes(m, p, u, store, q, bound))

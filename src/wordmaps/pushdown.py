@@ -11,7 +11,7 @@ mutate their arguments, so they are safe for unrestricted concurrent use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Optional
 
 from .errors import DomainError, ParseError
@@ -40,7 +40,7 @@ class IteratedPushdown:
                 )
         object.__setattr__(self, "level", level)
         object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "_hash", hash((level, entries)))
+        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("IteratedPushdown is immutable")
@@ -69,7 +69,11 @@ class IteratedPushdown:
         )
 
     def __hash__(self):
-        return self._hash
+        h = self._hash
+        if h is None:
+            h = hash((self.level, self.entries))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def __repr__(self):
         return f"IteratedPushdown({self.level}, {serialize(self)!r})"
@@ -90,14 +94,16 @@ class GradedAlphabet:
     """k disjoint level sets of pushdown symbols, level 1 outermost."""
 
     levels: tuple[frozenset[Symbol], ...]
+    _level: dict[Symbol, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        seen: set[Symbol] = set()
-        for i, level in enumerate(self.levels, start=1):
-            dup = seen & level
+        level: dict[Symbol, int] = {}
+        for i, lv in enumerate(self.levels, start=1):
+            dup = level.keys() & lv
             if dup:
                 raise DomainError(f"symbols {sorted(dup)} occur in two levels (level {i})")
-            seen |= level
+            level.update(dict.fromkeys(lv, i))
+        object.__setattr__(self, "_level", level)
 
     @classmethod
     def of(cls, *levels) -> "GradedAlphabet":
@@ -109,16 +115,10 @@ class GradedAlphabet:
 
     @property
     def symbols(self) -> frozenset[Symbol]:
-        out: frozenset[Symbol] = frozenset()
-        for lv in self.levels:
-            out |= lv
-        return out
+        return frozenset(self._level)
 
     def level_of(self, sym: Symbol) -> Optional[int]:
-        for i, lv in enumerate(self.levels, start=1):
-            if sym in lv:
-                return i
-        return None
+        return self._level.get(sym)
 
 
 @dataclass(frozen=True)
@@ -156,19 +156,26 @@ def topsyms(pds: IteratedPushdown) -> tuple[Symbol, ...]:
     return tuple(out)
 
 
+def _rewrite_leftmost(name: str, j: int, pds: IteratedPushdown, rewrite) -> IteratedPushdown:
+    """Replace the entries of the leftmost level-j store by ``rewrite(entries)``;
+    the store is returned unchanged when that store is empty."""
+    if not 1 <= j <= pds.level:
+        raise DomainError(f"{name} level {j} out of range for a level-{pds.level} store")
+    if pds.is_empty():
+        return pds
+    if j == 1:
+        return IteratedPushdown(pds.level, rewrite(pds.entries))
+    sym, inner = pds.entries[0]
+    inner = _rewrite_leftmost(name, j - 1, inner, rewrite)
+    return IteratedPushdown(pds.level, ((sym, inner),) + pds.entries[1:])
+
+
 def pop(j: int, pds: IteratedPushdown) -> IteratedPushdown:
     """Pop the leftmost letter of level j (with everything bracketed after it).
 
     When the leftmost level-j store is empty the store is returned unchanged.
     """
-    if not 1 <= j <= pds.level:
-        raise DomainError(f"pop level {j} out of range for a level-{pds.level} store")
-    if pds.is_empty():
-        return pds
-    if j == 1:
-        return IteratedPushdown(pds.level, pds.entries[1:])
-    sym, inner = pds.entries[0]
-    return IteratedPushdown(pds.level, ((sym, pop(j - 1, inner)),) + pds.entries[1:])
+    return _rewrite_leftmost("pop", j, pds, lambda entries: entries[1:])
 
 
 def push(j: int, symbols, pds: IteratedPushdown) -> IteratedPushdown:
@@ -180,16 +187,9 @@ def push(j: int, symbols, pds: IteratedPushdown) -> IteratedPushdown:
     symbols = tuple(symbols)
     if not symbols:
         raise DomainError("push requires a non-empty word of symbols")
-    if not 1 <= j <= pds.level:
-        raise DomainError(f"push level {j} out of range for a level-{pds.level} store")
-    if pds.is_empty():
-        return pds
-    if j == 1:
-        _, body = pds.entries[0]
-        new = tuple((s, body) for s in symbols)
-        return IteratedPushdown(pds.level, new + pds.entries[1:])
-    sym, inner = pds.entries[0]
-    return IteratedPushdown(pds.level, ((sym, push(j - 1, symbols, inner)),) + pds.entries[1:])
+    return _rewrite_leftmost(
+        "push", j, pds, lambda entries: tuple((s, entries[0][1]) for s in symbols) + entries[1:]
+    )
 
 
 # ---------------------------------------------------------------------------

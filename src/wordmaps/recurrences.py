@@ -36,6 +36,16 @@ def _check_rules_total(rules, what, *axes):
         raise DomainError(f"{what} has a rule for {extra[0]!r} outside its indices and letters")
 
 
+def _check_base_total(base, what, indices):
+    """The base keys are exactly the indices."""
+    for i in indices:
+        if i not in base:
+            raise DomainError(f"no base value for index {i!r}")
+    extra = sorted(base.keys() - set(indices))
+    if extra:
+        raise DomainError(f"{what} has a base value for {extra[0]!r} outside its indices")
+
+
 class _Lookup:
     """rule(*key) and base_value(i) for a system whose ``rules`` and ``base``
     are sorted pairs; the maps are built on first use, once per object."""
@@ -75,9 +85,8 @@ class CatenativeSystem(_Lookup):
             for j in rhs:
                 if j not in indices:
                     raise DomainError(f"rule ({i},{a}) mentions unknown index {j!r}")
+        _check_base_total(base, "catenative system", indices)
         for i in indices:
-            if i not in base:
-                raise DomainError(f"no base value for index {i!r}")
             for b in base[i]:
                 if b not in output_alphabet:
                     raise DomainError(f"base of {i!r} uses letter {b!r} outside the output alphabet")
@@ -107,9 +116,8 @@ class CompositionalSystem(_Lookup):
         input_alphabet = frozenset(input_alphabet)
         working = frozenset(working)
         _check_rules_total(rules, "compositional system", indices, input_alphabet)
+        _check_base_total(base, "compositional system", indices)
         for i in indices:
-            if i not in base:
-                raise DomainError(f"no base homomorphism for index {i!r}")
             h = base[i]
             if h.source != working or not h.target <= working:
                 raise DomainError(f"base of {i!r} is not an endomorphism of the working alphabet")
@@ -204,9 +212,7 @@ class RegularSystem(_Lookup):
                 for s in shift:
                     if s not in input_alphabet:
                         raise DomainError(f"shift word letter {s!r} outside the input alphabet")
-        for i in indices:
-            if i not in base:
-                raise DomainError(f"no base value for index {i!r}")
+        _check_base_total(base, "regular system", indices)
         return cls(
             indices,
             input_alphabet,
@@ -249,9 +255,8 @@ class PolynomialSystem(_Lookup):
                     raise DomainError(f"rule ({i},{a}) has a non-integer coefficient {c}")
                 if ring == "N" and c < 0:
                     raise DomainError(f"rule ({i},{a}) has a negative coefficient in ring N")
+        _check_base_total(base, "polynomial system", indices)
         for i in indices:
-            if i not in base:
-                raise DomainError(f"no base value for index {i!r}")
             if ring == "N" and base[i] < 0:
                 raise DomainError(f"base of {i!r} is negative in ring N")
         return cls(

@@ -26,6 +26,7 @@ GOLDEN = [
     (("compose", "gmap", "nu", "fibword", "101", "--as-length"), "8\n"),
     (("eval", "gmap", "fibrep", "12"), "233\n"),
     (("compose", "gmap", "nu", "fibword", "10111", "--as-length"), "46368\n"),
+    (("run-pda", "pow2-pda", "pow2", "3"), "Accepted bbbbbbbb\n"),
 ]
 
 

@@ -368,7 +368,7 @@ def test_closure_generators_vanish_on_samples():
     # sampled reachable point
     sys = fib_pair()
     j = zariski_closure(sys)
-    points, _ = reachable_points(sys, Budget(sample_points=200, sample_depth=200))
+    points, _ = reachable_points(sys, Budget(sample_points=200))
     assert len(points) >= 200
     for g in j.generators:
         for pt in points:

@@ -1,5 +1,5 @@
 import random
-from itertools import count
+from itertools import count, product
 
 import pytest
 from importlib import resources
@@ -264,6 +264,30 @@ def test_agreement_pow2_instances(pow2_pda):
     res = check_derivation_computation_agreement(pow2_pda, "q0", store, "q0", ("b",), 40)
     assert res.computes is False
     assert res.derives is None and res.inconclusive and res.agree is None
+
+
+def test_recognition_search_matches_run_on_identity(identity_pda):
+    # run goes through steps, not the search, so it is an independent oracle
+    for n in range(4):
+        for w in product("ab", repeat=n):
+            store = initial_store(identity_pda, w)
+            for k in range(4):
+                for u in product("ab", repeat=k):
+                    res = check_derivation_computation_agreement(identity_pda, "q0", store, "q0", u, 6)
+                    if not w:
+                        assert res.vacuous
+                    else:
+                        assert res.computes is (run(identity_pda, w) == Accepted(u)), (w, u)
+
+
+def test_recognition_search_matches_run_on_pow2(pow2_pda):
+    for n in range(3):
+        w = ("a",) * n
+        store = initial_store(pow2_pda, w)
+        for k in range(6):
+            u = ("b",) * k
+            res = check_derivation_computation_agreement(pow2_pda, "q0", store, "q0", u, 12)
+            assert res.computes is (run(pow2_pda, w) == Accepted(u)), (n, k)
 
 
 # ---------------------------------------------------------------------------

@@ -374,3 +374,35 @@ def test_polynomial_rejects_a_rule_for_an_unknown_letter():
     # a missing rule is still named first
     with pytest.raises(DomainError, match=r"no rule for \('Y', 'a'\)"):
         PolynomialSystem.make(("X", "Y"), {"a"}, {("X", "a"): X, ("X", "b"): X}, {"X": 1, "Y": 1})
+
+
+# ---------------------------------------------------------------------------
+# base keys beyond the indices
+
+
+def test_catenative_rejects_a_base_for_an_unknown_index():
+    # the stray base word even uses a letter outside the output alphabet
+    with pytest.raises(DomainError, match=r"base value for 'g' outside its indices"):
+        CatenativeSystem.make(("f",), {"a"}, {"a"}, {("f", "a"): ("f",)}, {"f": word("a"), "g": word("z")})
+
+
+def test_compositional_rejects_a_base_for_an_unknown_index():
+    ident = Homomorphism.identity({"x"})
+    with pytest.raises(DomainError, match=r"base value for 'g' outside its indices"):
+        CompositionalSystem.make(("f",), {"a"}, {"x"}, {("f", "a"): ("f",)}, {"f": ident, "g": ident})
+
+
+def test_regular_rejects_a_base_for_an_unknown_index():
+    classifier = DfaClassifier.single_class({"a"})
+    rules = {("f", "a", "all"): (("f", ()),)}
+    with pytest.raises(DomainError, match=r"base value for 'g' outside its indices"):
+        RegularSystem.make(("f",), {"a"}, {"c"}, classifier, rules, {"f": word("c"), "g": word("c")})
+
+
+def test_polynomial_rejects_a_base_for_an_unknown_index():
+    x = Polynomial.var("x")
+    with pytest.raises(DomainError, match=r"base value for 'y' outside its indices"):
+        PolynomialSystem.make(("x",), {"a"}, {("x", "a"): x + 1}, {"x": 1, "y": 5})
+    # a missing base is still named first
+    with pytest.raises(DomainError, match=r"no base value for index 'x'"):
+        PolynomialSystem.make(("x",), {"a"}, {("x", "a"): x + 1}, {"y": 5})
