@@ -86,13 +86,12 @@ def resolve_sequence(sf: SystemFile, target: str, paper_literal=False):
     return kind, obj, None
 
 
-def parse_argument_word(obj, arg: str):
-    """An input word: either an integer n (unary input alphabet) or letters.
+def parse_argument_word(alphabet, arg: str):
+    """An input word: either an integer n (unary alphabet) or letters.
 
-    Letters win ties: an all-digit argument whose characters are all input
-    letters is read as a word.
+    Letters win ties: an all-digit argument whose characters are all letters
+    of the alphabet is read as a word.
     """
-    alphabet = obj.input_alphabet
     if arg != "eps" and all(c in alphabet for c in arg):
         return tuple(arg)
     if arg.isdigit():
@@ -121,8 +120,9 @@ def _print_integer(n: int) -> None:
 def cmd_eval(args) -> int:
     sf = load_file(args.file)
     kind, obj, index = resolve_sequence(sf, args.target, paper_literal=args.paper_literal)
-    if kind in ("cat", "comp", "reg", "poly"):
-        w = parse_argument_word(obj, args.argument)
+    if kind not in ("cat", "comp", "reg", "poly", "hdt0l", "linrep"):
+        raise WordmapsError(f"cannot eval a {kind} target")
+    w = parse_argument_word(obj.letters if kind == "linrep" else obj.input_alphabet, args.argument)
     if kind == "cat":
         value = eval_catenative(obj, index, w)
     elif kind == "comp":
@@ -134,20 +134,10 @@ def cmd_eval(args) -> int:
         _print_integer(eval_polynomial(obj, index, w))
         return 0
     elif kind == "hdt0l":
-        w = parse_argument_word(obj, args.argument)
         value = eval_hdt0l(obj, w)
-    elif kind == "linrep":
-        if args.argument.isdigit():
-            letters = sorted(obj.letters)
-            if len(letters) != 1:
-                raise WordmapsError("an integer argument needs a single-letter representation")
-            w = (letters[0],) * int(args.argument)
-        else:
-            w = word(args.argument)
+    else:
         _print_integer(linear_eval(obj, w))
         return 0
-    else:
-        raise WordmapsError(f"cannot eval a {kind} target")
     if args.as_length:
         print(len(value))
     else:
@@ -237,7 +227,7 @@ def level3_mapping(sf: SystemFile, first_target: str, second_name: str):
 
 def cmd_compose(args) -> int:
     mapping = level3_mapping(load_file(args.file), args.first, args.second)
-    w = parse_argument_word(mapping.first, args.argument)
+    w = parse_argument_word(mapping.first.input_alphabet, args.argument)
     if args.as_length or isinstance(mapping.second, LinearRepresentation):
         _print_integer(mapping.value(w))
     else:
@@ -248,7 +238,7 @@ def cmd_compose(args) -> int:
 def cmd_run_pda(args) -> int:
     sf = load_file(args.file)
     _, machine = sf.resolve(args.machine, "pda")
-    w = parse_argument_word(machine, args.word)
+    w = parse_argument_word(machine.input_alphabet, args.word)
     for outcome in steps(machine, w, fuel=args.fuel):
         if args.trace and isinstance(outcome, tuple):
             state, tops, state2, emitted = outcome

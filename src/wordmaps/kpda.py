@@ -8,8 +8,9 @@ up front.  Acceptance requires halting in the start state with an empty
 store; an empty store in any other state is Stuck.
 ``KPda.moves`` is built once per machine.  ``steps`` is the one stepping loop
 of a deterministic run, behind ``run`` and ``--trace``; elsewhere one
-successor relation expands moves, and one bounded breadth-first search serves
-``derive`` and both sides of the derivation/computation agreement check.
+successor relation expands moves, and one bounded breadth-first search, which
+holds at most ``MAX_SEARCH_NODES`` nodes, serves ``derive`` and both sides of
+the derivation/computation agreement check.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Union
 
-from .errors import DomainError
+from .errors import BudgetExceededError, DomainError
 from .pushdown import (
     GradedAlphabet,
     IteratedPushdown,
@@ -330,15 +331,21 @@ def _form_rewrites(m: KPda, form: SententialForm) -> Iterator[SententialForm]:
                 yield form[:i] + tuple(repl) + form[i + 1:]
 
 
+# The most nodes one bounded search may hold; the largest search the test
+# suite makes holds 1,581.
+MAX_SEARCH_NODES = 20_000
+
+
 def _search(start, successors, bound: int, goal=lambda node: False):
     """Breadth-first search from start, at most ``bound`` levels deep.
 
     Returns (verdict, seen): True when a goal node is reached (the start is
     not tested), False when the reachable nodes run out first, None when
-    the bound cuts the search."""
+    the bound cuts the search.  Raises BudgetExceededError once it holds
+    more than MAX_SEARCH_NODES nodes."""
     seen = {start}
     frontier = [start]
-    for _ in range(bound):
+    for level in range(bound):
         if not frontier:
             return False, seen
         nxt = []
@@ -349,13 +356,27 @@ def _search(start, successors, bound: int, goal=lambda node: False):
                         return True, seen
                     seen.add(new)
                     nxt.append(new)
+            if len(seen) > MAX_SEARCH_NODES:
+                raise BudgetExceededError(
+                    f"bounded search holds more than MAX_SEARCH_NODES = {MAX_SEARCH_NODES} "
+                    f"nodes at level {level + 1} of {bound}"
+                )
         frontier = nxt
     return (None if frontier else False), seen
 
 
+def _verdict(start, successors, bound: int, goal) -> Optional[bool]:
+    """The verdict of ``_search``, None also past MAX_SEARCH_NODES."""
+    try:
+        return _search(start, successors, bound, goal)[0]
+    except BudgetExceededError:
+        return None
+
+
 def derive(m: KPda, start: SententialForm, depth: int) -> set[SententialForm]:
     """All sentential forms derivable from start in at most depth one-step
-    rewrites of a single variable occurrence."""
+    rewrites of a single variable occurrence.  Raises BudgetExceededError
+    when they outnumber MAX_SEARCH_NODES."""
     return _search(tuple(start), lambda form: _form_rewrites(m, form), depth)[1]
 
 
@@ -379,7 +400,7 @@ class AgreementResult:
 
 
 def _derives_exactly(m: KPda, start: Variable, u: Word, bound: int) -> Optional[bool]:
-    """Bounded search for (p,w,q) ->* u; None when the bound is hit.  Forms
+    """Bounded search for (p,w,q) ->* u; None when a bound is hit.  Forms
     with more terminals than u are dropped."""
 
     def successors(form):
@@ -387,7 +408,7 @@ def _derives_exactly(m: KPda, start: Variable, u: Word, bound: int) -> Optional[
             if sum(isinstance(x, str) for x in new) <= len(u):
                 yield new
 
-    return _search((start,), successors, bound, lambda form: form == u)[0]
+    return _verdict((start,), successors, bound, lambda form: form == u)
 
 
 def _computes(m: KPda, p: str, u: Word, store: IteratedPushdown, q: str, bound: int) -> Optional[bool]:
@@ -400,14 +421,15 @@ def _computes(m: KPda, p: str, u: Word, store: IteratedPushdown, q: str, bound: 
     def goal(c):
         return c.state == q and c.emitted == u and c.store.is_empty()
 
-    return _search(Configuration(p, (), store), successors, bound, goal)[0]
+    return _verdict(Configuration(p, (), store), successors, bound, goal)
 
 
 def check_derivation_computation_agreement(
     m: KPda, p: str, store: IteratedPushdown, q: str, u: Word, bound: int
 ) -> AgreementResult:
     """Evaluate both sides of the derivation/computation correspondence by
-    bounded search; inconclusive sides are reported distinctly."""
+    bounded search; a side that its depth bound or MAX_SEARCH_NODES cuts is
+    reported as None."""
     if store.is_empty():
         # variables exclude the empty store, so the claim is vacuous
         return AgreementResult(None, None, vacuous=True)

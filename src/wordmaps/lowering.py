@@ -27,6 +27,7 @@ from .morphisms import (
     eval_hdt0l,
     incidence,
     mat_mul,
+    suffix_walk,
     vec_mat,
     word_product,
 )
@@ -40,7 +41,6 @@ from .recurrences import (
     eval_polynomial_vector,
     product_system,
     rename_system,
-    suffix_walk,
 )
 from .words import Word
 
@@ -67,11 +67,8 @@ def catenative_to_hdt0l(sys: CatenativeSystem, i0: str) -> HDT0LSystem:
 
 def hdt0l_to_catenative(sys: HDT0LSystem) -> CatenativeSystem:
     """Indices are the working letters; the rule word of (V, a) is H^a(V)."""
-    indices = tuple(sorted(sys.working))
-    rules = {(v, a): sys.table(a).images[v] for v in indices for a in sys.input_alphabet}
-    base = {v: sys.final.images[v] for v in indices}
     return CatenativeSystem.make(
-        indices, sys.input_alphabet, sys.output_alphabet, rules, base
+        sorted(sys.working), sys.input_alphabet, sys.output_alphabet, sys.rule_map, sys.final.images
     )
 
 

@@ -6,8 +6,10 @@ convention is load-bearing: iterating a word-indexed family of morphisms on a
 seed applies the morphism of the first letter first,
 ``H^{uv}(c) == H^v(H^u(c))``.
 
-``word_product`` multiplies letter matrices along a word one maximal run a^k
-at a time, by repeated squaring: O(log k) squarings of M_a per run.
+``suffix_walk``, behind HDT0L systems (rule (V, a) is H^a(V)) and the
+catenative, compositional and level-3 values, computes at each suffix only the
+indices the requested value reads.  ``word_product`` multiplies letter matrices
+along a word one maximal run a^k at a time: O(log k) squarings of M_a per run.
 """
 
 from __future__ import annotations
@@ -146,6 +148,10 @@ class HDT0LSystem:
     def table_map(self) -> dict[str, Homomorphism]:
         return dict(self.tables)
 
+    @cached_property
+    def rule_map(self) -> dict[tuple[str, str], Word]:  # (V, a) |-> H^a(V)
+        return {(v, a): h.images[v] for a, h in self.tables for v in self.working}
+
     def table(self, a: str) -> Homomorphism:
         if a not in self.table_map:
             raise DomainError(f"no table for input letter {a!r}")
@@ -159,16 +165,42 @@ class HDT0LSystem:
         return self.final.is_identity()
 
 
+def concat(parts) -> Word:
+    return tuple(chain.from_iterable(parts))
+
+
+def check_word(sys, w: Word):
+    for a in w:
+        if a not in sys.input_alphabet:
+            raise DomainError(f"letter {a!r} is outside the input alphabet")
+
+
+def suffix_walk(sys, i: str, w: Word, values: Mapping, product):
+    """f_i(w) for f_j(aw) = product(f_k(w) for k in sys.rule_map[(j, a)]), with
+    every f_j(eps) in values.  A forward pass records the indices f_i(w) reads
+    at each suffix, one set per distinct (indices, letter) step; the backward
+    pass computes only those."""
+    if i not in values:
+        raise DomainError(f"unknown index {i!r}")
+    check_word(sys, w)
+    rules, demand, steps = sys.rule_map, [frozenset((i,))], {}
+    for a in w:
+        key = (demand[-1], a)
+        if key not in steps:
+            steps[key] = frozenset(k for j in key[0] for k in rules[(j, a)])
+        demand.append(steps[key])
+    for a, need in zip(reversed(w), reversed(demand[:-1])):
+        values = {j: product(values[k] for k in rules[(j, a)]) for j in need}
+    return values[i]
+
+
 def image_of_word(sys: HDT0LSystem, w: Word) -> Word:
     """H^w(seed), the morphism of the first letter applying first."""
-    cur: Word = (sys.seed,)
-    for a in w:
-        cur = sys.table(a)(cur)
-    return cur
+    return suffix_walk(sys, sys.seed, w, {v: (v,) for v in sys.working}, concat)
 
 
 def eval_hdt0l(sys: HDT0LSystem, w: Word) -> Word:
-    return sys.final(image_of_word(sys, w))
+    return suffix_walk(sys, sys.seed, w, sys.final.images, concat)
 
 
 # ---------------------------------------------------------------------------

@@ -5,23 +5,20 @@ values), compositional (endomorphism values), regular (congruence-classified
 rules with shift words, evaluated by fuel-bounded rewriting), and polynomial
 (bignum values).  Systems build their lookup maps once, on first use.
 
-Evaluation walks suffixes from the right, carrying the whole value vector,
-so each rule is expanded once per suffix even when rules duplicate their
-argument; at the first letter only the requested index is computed.
-``suffix_walk`` is that one walk for the catenative, compositional and (in
-``lowering``) level-3 matrix values.  Regular systems cannot use it (shift
-words change the argument), hence the rewriting loop with fuel.
+Catenative and compositional values come from ``morphisms.suffix_walk``.
+Regular systems cannot use it (shift words change the argument), hence the
+rewriting loop with fuel; polynomial values keep their own loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import chain, product as cartesian_product
+from itertools import product as cartesian_product
 from typing import Mapping
 
 from .errors import DomainError, FuelExhaustedError
-from .morphisms import Homomorphism, compose
+from .morphisms import Homomorphism, check_word, compose, concat, suffix_walk
 from .polynomials import Polynomial
 from .words import Word
 
@@ -310,30 +307,13 @@ def product_system(a: PolynomialSystem, b: PolynomialSystem) -> PolynomialSystem
 # evaluation
 
 
-def _check_word(sys, w: Word):
-    for a in w:
-        if a not in sys.input_alphabet:
-            raise DomainError(f"letter {a!r} is outside the input alphabet")
-
-
 def _check_index(sys, i):
     if i not in sys.indices:
         raise DomainError(f"unknown index {i!r}")
 
 
-def suffix_walk(sys, i: str, w: Word, values: Mapping, product):
-    """f_i(w) for f_j(aw) = product(f_k(w) for k in rule(j, a)), where values
-    holds the f_j(eps) and product multiplies an iterable of values."""
-    _check_index(sys, i)
-    _check_word(sys, w)
-    rules = sys.rule_map
-    for a in reversed(w[1:]):
-        values = {j: product(values[k] for k in rules[(j, a)]) for j in sys.indices}
-    return product(values[k] for k in rules[(i, w[0])]) if w else values[i]
-
-
 def eval_catenative(sys: CatenativeSystem, i: str, w: Word) -> Word:
-    return suffix_walk(sys, i, w, sys.base_map, lambda parts: tuple(chain.from_iterable(parts)))
+    return suffix_walk(sys, i, w, sys.base_map, concat)
 
 
 def eval_compositional(sys: CompositionalSystem, i: str, w: Word) -> Homomorphism:
@@ -351,7 +331,7 @@ def eval_regular(sys: RegularSystem, i: str, w: Word, fuel: int = 10**5) -> Word
     """Rewrite f_i(w) until every term is a base case; the class of the tail
     (the argument minus its first letter) selects the rule."""
     _check_index(sys, i)
-    _check_word(sys, w)
+    check_word(sys, w)
     rules = sys.rule_map
     base = sys.base_map
     terms: list[tuple[str, Word]] = [(i, tuple(w))]
@@ -360,7 +340,7 @@ def eval_regular(sys: RegularSystem, i: str, w: Word, fuel: int = 10**5) -> Word
         while pos < len(terms) and not terms[pos][1]:
             pos += 1
         if pos == len(terms):
-            return tuple(chain.from_iterable(base[j] for j, _ in terms))
+            return concat(base[j] for j, _ in terms)
         if fuel <= 0:
             raise FuelExhaustedError(
                 f"regular evaluation of ({i!r}, {w!r}) did not finish", partial=tuple(terms)
@@ -379,7 +359,7 @@ def eval_polynomial(sys: PolynomialSystem, i: str, w: Word) -> int:
 
 
 def eval_polynomial_vector(sys: PolynomialSystem, w: Word) -> dict[str, int]:
-    _check_word(sys, w)
+    check_word(sys, w)
     rules = sys.rule_map
     values = sys.base_vector()
     for a in reversed(w):

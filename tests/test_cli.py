@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from wordmaps.cli import main
@@ -107,6 +109,54 @@ def test_integer_beyond_the_digit_limit_is_an_error(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "digits" in err
+
+
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        (("compose", "gmap", "nu", "fibrep", "0" * 64 + "1"), "1\n"),
+        (("compose", "gmap", "nu", "fibword", "0" * 64 + "1"), "b\n"),
+        (("eval", "gmap", "nu", "0" * 64), "eps\n"),
+    ],
+)
+def test_evaluation_computes_only_the_indices_it_reads(capsys, argv, expected):
+    # the helper p(w) = x^(2^|w|) is never read here; computing it would
+    # build 2^64 letters, or their Fibonacci matrix
+    began = time.perf_counter()
+    assert run_cli(capsys, *argv)[:2] == (0, expected)
+    assert time.perf_counter() - began < 2
+
+
+_DIGIT_LINREPS = """
+linrep r {
+  letters: 1
+  dim: 1
+  row: 1
+  mat 1 = [ 2 ]
+  col: 1
+}
+
+linrep two {
+  letters: 1 x
+  dim: 1
+  row: 1
+  mat 1 = [ 2 ]
+  mat x = [ 3 ]
+  col: 1
+}
+"""
+
+
+def test_linrep_arguments_read_digit_letters_as_a_word(capsys, tmp_path):
+    path = tmp_path / "digits.sys"
+    path.write_text(_DIGIT_LINREPS)
+    assert run_cli(capsys, "eval", str(path), "r", "11")[:2] == (0, "4\n")
+    assert run_cli(capsys, "eval", str(path), "r", "3")[:2] == (0, "8\n")
+    assert run_cli(capsys, "eval", str(path), "two", "1x1")[:2] == (0, "12\n")
+    assert run_cli(capsys, "eval", "gmap", "fibrep", "5")[:2] == (0, "8\n")
+    code, out, err = run_cli(capsys, "eval", str(path), "two", "3")
+    assert code == 2 and out == ""
+    assert err == "error: an integer argument needs a unary input alphabet; give a word instead\n"
 
 
 def test_paper_literal_flag(capsys):

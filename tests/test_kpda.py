@@ -1,12 +1,14 @@
 import random
+import time
 from itertools import count, product
 
 import pytest
 from importlib import resources
 
-from wordmaps.errors import DomainError
+from wordmaps.errors import BudgetExceededError, DomainError
 from wordmaps.kpda import (
     Accepted,
+    MAX_SEARCH_NODES,
     Configuration,
     FuelExhausted,
     KPda,
@@ -288,6 +290,25 @@ def test_recognition_search_matches_run_on_pow2(pow2_pda):
             u = ("b",) * k
             res = check_derivation_computation_agreement(pow2_pda, "q0", store, "q0", u, 12)
             assert res.computes is (run(pow2_pda, w) == Accepted(u)), (n, k)
+
+
+def test_searches_stop_at_their_node_cap(pow2_pda):
+    # the derivation side's forms grow about x3 per level; bound 25 would
+    # hold millions of them without MAX_SEARCH_NODES
+    began = time.perf_counter()
+    for n in range(3):
+        store = initial_store(pow2_pda, ("a",) * n)
+        for k in range(6):
+            u = ("b",) * k
+            deep = check_derivation_computation_agreement(pow2_pda, "q0", store, "q0", u, 25)
+            shallow = check_derivation_computation_agreement(pow2_pda, "q0", store, "q0", u, 12)
+            for side in ("derives", "computes"):
+                if getattr(shallow, side) is not None:
+                    assert getattr(deep, side) is getattr(shallow, side), (n, k, side)
+    assert time.perf_counter() - began < 60
+    start = (Variable("q0", initial_store(pow2_pda, ("a", "a")), "q0"),)
+    with pytest.raises(BudgetExceededError, match=f"MAX_SEARCH_NODES = {MAX_SEARCH_NODES}"):
+        derive(pow2_pda, start, 25)
 
 
 # ---------------------------------------------------------------------------

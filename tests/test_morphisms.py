@@ -111,6 +111,53 @@ def test_image_prefix_first_on_random_splits():
         assert image_of_word(sys, w) == hv(hu((sys.seed,)))
 
 
+@st.composite
+def _hdt0l_and_word(draw):
+    """1-3 working letters, 1-2 input letters, images of length 0-3 (erasing
+    tables and finals included), words up to length 8."""
+    working = "pqr"[: draw(st.integers(1, 3))]
+    inputs = "xy"[: draw(st.integers(1, 2))]
+
+    def hom(letters):
+        images = {v: draw(st.lists(st.sampled_from(letters), max_size=3)) for v in working}
+        return Homomorphism(images, source=working, target=letters)
+
+    tables = {a: hom(working) for a in inputs}
+    sys = HDT0LSystem.make(inputs, working, tables, hom("bc"), draw(st.sampled_from(working)))
+    return sys, tuple(draw(st.lists(st.sampled_from(inputs), max_size=8)))
+
+
+@settings(deadline=None, max_examples=200)
+@given(_hdt0l_and_word())
+def test_hdt0l_evaluation_matches_a_letter_by_letter_loop(case):
+    sys, w = case
+    cur = (sys.seed,)
+    for a in w:
+        cur = sys.table(a)(cur)
+    assert image_of_word(sys, w) == cur
+    assert eval_hdt0l(sys, w) == sys.final(cur)
+
+
+def test_hdt0l_evaluation_skips_working_letters_the_seed_never_reaches():
+    # z doubles at every letter: a walk computing every working letter would
+    # build a 2^200-letter image of z
+    working = frozenset({"s", "z"})
+    table = Homomorphism({"s": ("s",), "z": ("z", "z")}, source=working, target=working)
+    final = Homomorphism({"s": ("b",), "z": ("b",)}, source=working, target={"b"})
+    sys = HDT0LSystem.make({"x"}, working, {"x": table}, final, "s")
+    assert image_of_word(sys, ("x",) * 200) == ("s",)
+    assert eval_hdt0l(sys, ("x",) * 200) == ("b",)
+
+
+def test_hdt0l_unknown_letter_after_an_erasing_table():
+    working = frozenset({"q"})
+    erase = Homomorphism({"q": ()}, source=working, target=working)
+    sys = HDT0LSystem.make({"x"}, working, {"x": erase}, Homomorphism.identity(working), "q")
+    assert eval_hdt0l(sys, ("x", "x")) == ()
+    with pytest.raises(DomainError, match="letter 'y' is outside the input alphabet"):
+        eval_hdt0l(sys, ("x", "y"))
+
+
 def test_parikh_and_incidence():
     assert parikh(word("xxy"), ("x", "y")) == (2, 1)
     ident = Homomorphism.identity({"x", "y"})
