@@ -4,32 +4,40 @@ The reachable set of a polynomial recurrence system is the orbit of its base
 vector under the per-letter update maps.  A sequence identity holds for every
 input word exactly when its defining polynomial vanishes on that whole orbit.
 
-Two complementary engines answer vanishing questions:
+``find_witness`` names the shortlex-least word at which a test polynomial t
+is nonzero, or proves there is none.  On affine systems (update polynomials
+of degree <= 1) it takes the span walk: the orbit walk below reads t at each
+new point, the first nonzero value names the witness, and a point is stepped
+only if its moment vector (the values of the monomials of degree <= deg t)
+is independent of the earlier ones.  Affine maps act linearly on moment
+vectors and t is linear in them, so m(v(w)) = sum c_i m(v(w_i)) over
+shortlex-smaller w_i gives t(v(uw)) = sum c_i t(v(uw_i)) for every word u:
+verdicts stay exact and witnesses minimal (Tzeng, SIAM J. Comput. 21, 1992;
+Benedikt, Duff, Sharad and Worrell, LICS 2017).
 
-* ``find_witness`` saturates the ascending chain of ideals generated by the
-  pull-backs g_w = t o P_w of the test polynomial, where g_w(base) = t(v(w)).
-  A FIFO queue of (word, g_w) pairs, letters in order, meets the words in
-  shortlex order, and one incremental ``groebner.GroebnerBasis`` tests and
-  extends the chain.  The first g_w nonzero at the base vector names the
-  minimal witness w, and an empty queue proves that t vanishes on the orbit:
-  a pull-back inside the ideal of earlier generators is not extended, as it
-  and its extensions combine pull-backs at shortlex-smaller words, which
-  vanish at the base.  The chain stabilizes (ascending chain condition), so
-  the pass is total and verdicts never need a variety computation.
+On other systems it takes the saturation pass over the ascending chain of
+ideals generated by the pull-backs g_w = t o P_w, where g_w(base) = t(v(w)).
+A FIFO queue of (word, g_w) pairs, letters in order, meets the words in
+shortlex order, and one incremental ``groebner.GroebnerBasis`` tests and
+extends the chain.  The first g_w nonzero at the base vector names the
+minimal witness w, and an empty queue proves that t vanishes on the orbit: a
+pull-back inside the ideal of earlier generators is not extended, as it and
+its extensions combine pull-backs at shortlex-smaller words, which vanish at
+the base.  The chain stabilizes (ascending chain condition), so the pass is
+total and verdicts never need a variety computation.
 
-* ``zariski_closure`` computes the vanishing ideal of the orbit closure.
-  Both of its paths fit polynomials to sampled orbit points with one
-  algorithm, Buchberger-Moeller (``groebner.points_ideal``).  A finite
-  orbit enumerated by sampling gets the exact ideal of its points.  For
-  other orbits, the low-degree basis elements of the sampled points' ideal
-  are candidates, and each one is certified with the saturation pass, so
-  every returned generator provably vanishes on the whole orbit.
+``zariski_closure`` computes the vanishing ideal of the orbit closure.  Both
+of its paths fit polynomials to sampled orbit points with Buchberger-Moeller
+(``groebner.points_ideal``).  A finite orbit enumerated by sampling gets the
+exact ideal of its points.  For other orbits, the low-degree basis elements
+of the sampled points' ideal are candidates, each certified with
+``find_witness``, so every returned generator vanishes on the whole orbit.
 
-Sampling and the length-capped witness search share one breadth-first orbit
-walk that visits each distinct value vector once, at its shortlex-least
-word: v(w) = v(w') implies v(uw) = v(uw') for every word u (Tzeng), so
-dropping repeats keeps witnesses minimal, and the walk ends on finite
-orbits.  ``sample_points`` and ``max_point_bits`` bound sampling;
+Sampling, the length-capped witness search and the span walk share one
+breadth-first orbit walk that visits each distinct value vector once, at its
+shortlex-least word: v(w) = v(w') implies v(uw) = v(uw') for every word u
+(Tzeng), so dropping repeats keeps witnesses minimal, and the walk ends on
+finite orbits.  ``sample_points`` and ``max_point_bits`` bound sampling;
 ``max_point_bits`` and the length cap bound the capped search.
 Resource limits raise ``BudgetExceededError``; a verdict is never traded for
 termination.
@@ -43,7 +51,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .errors import BudgetExceededError, DomainError
-from .groebner import GroebnerBasis, Ideal, in_radical, points_ideal
+from .groebner import GroebnerBasis, Ideal, _eliminate, in_radical, points_ideal
 from .polynomials import Polynomial
 from .recurrences import PolynomialSystem, eval_polynomial_vector, product_system, rename_system
 from .words import Word
@@ -70,12 +78,11 @@ Verdict = Union[Equal, NotEqual]
 class Budget:
     """Resource limits for the decision procedures.
 
-    ``chain_additions`` and ``max_basis`` bound the saturation pass, and
-    ``max_degree`` the closure's candidates.  ``sample_points`` and
-    ``max_point_bits`` bound the orbit walk, that is sampling and
-    ``find_witness(max_length=...)``; no verdict depends on them, since the
-    saturation pass evaluates at the base vector only.  Each level the walk
-    passes adds a point, so sampled words are shorter than ``sample_points``.
+    ``chain_additions`` bounds the saturation pass's additions and the span
+    walk's rank, ``max_basis`` the pass's basis, ``max_degree`` the closure's
+    candidates.  ``sample_points`` and ``max_point_bits`` bound sampling and
+    ``find_witness(max_length=...)``; no verdict depends on them.  Each level
+    the walk passes adds a point, so sampled words are shorter than that.
     """
 
     chain_additions: int = 400
@@ -84,6 +91,10 @@ class Budget:
     sample_points: int = 120
     max_point_bits: int = 4096
     order: str = "grevlex"
+
+    def fits(self, vec) -> bool:
+        """Whether every value of the vector has at most ``max_point_bits`` bits."""
+        return max(map(int.bit_length, vec.values()), default=0) <= self.max_point_bits
 
     @classmethod
     def scaled(cls, n: int, order: str = "grevlex") -> "Budget":
@@ -108,7 +119,7 @@ def _paired(sys_a: PolynomialSystem, sys_b: PolynomialSystem) -> PolynomialSyste
 
 
 # ---------------------------------------------------------------------------
-# the saturation pass and the orbit walk
+# the saturation pass, the span walk and the orbit walk
 
 
 def vanishes_on_reachables(
@@ -142,18 +153,43 @@ def _saturate(sys: PolynomialSystem, t: Polynomial, budget: Budget) -> Optional[
     return None
 
 
-def _orbit(sys: PolynomialSystem, max_bits: int):
-    """Yield (word, vector, big) once per distinct reachable value vector,
-    breadth-first, with the shortlex-least word reaching it.  A vector with
-    a value over max_bits bits is ``big`` and is not stepped."""
+def _span_walk(sys: PolynomialSystem, t: Polynomial, budget: Budget) -> Optional[Word]:
+    """``find_witness`` on an affine system: the span walk of the module docstring."""
+    # moment j >= 1 is moment p times index i, for (p, i) = links[j - 1]:
+    # each monomial of degree <= deg t once, its indices in sequence order
+    indices, links, level, rows = sys.indices, [], [(0, 0)], []
+    for _ in range(t.degree()):
+        grown = [(p, k) for p, low in level for k in range(low, len(indices))]
+        level = [(len(links) + j, k) for j, (_, k) in enumerate(grown, 1)]
+        links += [(p, indices[k]) for p, k in grown]
+
+    def independent(vec):
+        moments = [1]
+        for p, i in links:
+            moments.append(moments[p] * vec[i])
+        pivot, row, _ = _eliminate(moments, {}, rows)
+        if pivot is not None:
+            rows.append((pivot, row, {}))
+            if len(rows) > budget.chain_additions:
+                raise BudgetExceededError("moment span did not close within the addition budget")
+        return pivot is not None
+
+    for w, vec in _orbit(sys, independent):
+        if t.evaluate(vec) != 0:
+            return w
+    return None
+
+
+def _orbit(sys: PolynomialSystem, stepped):
+    """Yield (word, vector) once per distinct reachable value vector,
+    breadth-first, with the shortlex-least word reaching it.  When the next
+    one is asked for, the vector is stepped if ``stepped(vector)`` holds."""
     letters, maps, indices = sorted(sys.input_alphabet), sys.maps, sys.indices
     vec = sys.base_vector()
-    # keys and bit sizes go through map(), cheaper than a generator per step
-    key = tuple(map(vec.__getitem__, indices))
-    seen = {key}
-    big = max(map(int.bit_length, key), default=0) > max_bits
-    yield (), vec, big
-    level = [] if big else [((), vec)]
+    # keys go through map(), cheaper than a generator per step
+    seen = {tuple(map(vec.__getitem__, indices))}
+    yield (), vec
+    level = [((), vec)] if stepped(vec) else []
     while level:
         nxt = []
         # words are read first letter first: a letter in front of each word of
@@ -165,10 +201,9 @@ def _orbit(sys: PolynomialSystem, max_bits: int):
                 key = tuple(map(new.__getitem__, indices))
                 if key not in seen:
                     seen.add(key)
-                    big = max(map(int.bit_length, key), default=0) > max_bits
                     aw = (a,) + w
-                    yield aw, new, big
-                    if not big:
+                    yield aw, new
+                    if stepped(new):
                         nxt.append((aw, new))
         level = nxt
 
@@ -184,13 +219,13 @@ def find_witness(
     if not t.variables() <= set(sys.indices):
         raise DomainError("test polynomial mentions variables outside the system")
     if max_length is None:
-        return _saturate(sys, t, budget)
-    for w, vec, big in _orbit(sys, budget.max_point_bits):
+        return _span_walk(sys, t, budget) if sys.degree <= 1 else _saturate(sys, t, budget)
+    for w, vec in _orbit(sys, budget.fits):
         if len(w) > max_length:
             break
         if t.evaluate(vec) != 0:
             return w
-        if big:
+        if not budget.fits(vec):
             # the unstepped vector's successors might precede a longer find
             max_length = min(max_length, len(w))
     return None
@@ -200,9 +235,9 @@ def decide_zero_on_reachables(
     sys: PolynomialSystem, t: Polynomial, budget: Budget = DEFAULT_BUDGET
 ) -> Verdict:
     """Equal when t vanishes on the whole orbit, else NotEqual with the
-    minimal witness word.  A numeric scan of the words up to length 3 goes
-    first: it answers shallow witnesses before any pull-back is formed."""
-    witness = find_witness(sys, t, budget, max_length=3)
+    minimal witness word.  Before the saturation pass, a numeric scan of the
+    words up to length 3 answers shallow witnesses without a pull-back."""
+    witness = None if sys.degree <= 1 else find_witness(sys, t, budget, max_length=3)
     if witness is None:
         witness = find_witness(sys, t, budget)
     return Equal() if witness is None else NotEqual(witness)
@@ -273,13 +308,12 @@ def reachable_points(sys: PolynomialSystem, budget: Budget = DEFAULT_BUDGET):
     """The first ``sample_points`` vectors of the orbit walk, as (points,
     closed): closed is True when the walk ended with every point stepped,
     which proves the orbit complete."""
-    points, closed = [], True
-    for w, vec, big in _orbit(sys, budget.max_point_bits):
+    points = []
+    for w, vec in _orbit(sys, budget.fits):
         if len(points) == budget.sample_points:
             return points, False
         points.append(vec)
-        closed = closed and not big
-    return points, closed
+    return points, all(map(budget.fits, points))
 
 
 def zariski_closure(sys: PolynomialSystem, budget: Budget = DEFAULT_BUDGET) -> Ideal:
@@ -288,7 +322,7 @@ def zariski_closure(sys: PolynomialSystem, budget: Budget = DEFAULT_BUDGET) -> I
     When sampling enumerates the whole orbit (within ``sample_points``), this
     is the exact ideal of its points.  Otherwise the sampled points' basis
     elements of degree up to ``max_degree`` are candidates: each one is
-    certified with the saturation pass, and a refuted one adds the point at
+    certified with ``find_witness``, and a refuted one adds the point at
     its minimal witness to the fit.  The result is then the ideal generated
     by all orbit-vanishing polynomials of degree up to the budget.  If its
     variety is not invariant under every update map, generators of higher

@@ -412,6 +412,30 @@ def in_radical(p: Polynomial, ideal: Ideal, max_basis=None) -> bool:
     return any(g.is_constant() and not g.is_zero() for g in basis)
 
 
+def _eliminate(vec: list[int], poly: dict, rows) -> tuple[Optional[int], list[int], dict]:
+    """Reduce the integer vector vec, and the polynomial poly it carries, against
+    echelon rows (pivot, row, row_poly) fraction-free, keeping the pair primitive.
+    Returns vec's first nonzero position or None, vec and poly."""
+    for pivot, row, row_poly in rows:
+        c = vec[pivot]
+        if c:
+            # d*vec - c*row with d the row's pivot value, then divide the
+            # pair by its content
+            d = row[pivot]
+            g = math.gcd(c, d)
+            d, c = d // g, c // g
+            vec = [d * a - c * b for a, b in zip(vec, row)]
+            for m in poly:
+                poly[m] *= d
+            for m, rc in row_poly.items():
+                poly[m] = poly.get(m, 0) - c * rc
+            g = math.gcd(*vec, *poly.values())
+            if g > 1:
+                vec = [a // g for a in vec]
+                poly = {m: a // g for m, a in poly.items()}
+    return next((k for k, a in enumerate(vec) if a), None), vec, poly
+
+
 def points_ideal(
     points: Iterable[Mapping[str, int]], variables: Sequence[str], max_degree: Optional[int] = None
 ) -> list[Polynomial]:
@@ -452,25 +476,7 @@ def points_ideal(
         if any(_divides(lead, t) for lead in leads):
             continue
         vec = [math.prod(c**e for c, e in zip(pt, t)) for pt in pts]
-        poly = {t: 1}
-        for pivot, row, row_poly in rows:
-            c = vec[pivot]
-            if c:
-                # d*vec - c*row with d the row's pivot value, then divide the
-                # pair by its content (fraction-free elimination)
-                d = row[pivot]
-                g = math.gcd(c, d)
-                d, c = d // g, c // g
-                vec = [d * a - c * b for a, b in zip(vec, row)]
-                for m in poly:
-                    poly[m] *= d
-                for m, rc in row_poly.items():
-                    poly[m] = poly.get(m, 0) - c * rc
-                g = math.gcd(*vec, *poly.values())
-                if g != 1:
-                    vec = [a // g for a in vec]
-                    poly = {m: a // g for m, a in poly.items()}
-        pivot = next((k for k, a in enumerate(vec) if a), None)
+        pivot, vec, poly = _eliminate(vec, {t: 1}, rows)
         if pivot is None:
             basis.append({m: c for m, c in poly.items() if c})
             leads.append(t)

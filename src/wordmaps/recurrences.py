@@ -276,11 +276,19 @@ class PolynomialSystem(_Lookup):
             out[a][i] = p
         return out
 
+    @cached_property
+    def degree(self) -> int:
+        """The largest degree of an update polynomial."""
+        return max((p.degree() for _, p in self.rules), default=-1)
+
 
 def rename_system(sys: PolynomialSystem, prefix: str) -> PolynomialSystem:
-    """The same system with every index name prefixed."""
-    env = {i: Polynomial.var(prefix + i) for i in sys.indices}
-    rules = {(prefix + i, a): p.substitute(env) for (i, a), p in sys.rules}
+    """The same system with every index name prefixed.  A shared prefix keeps
+    each monomial's variables sorted, so no substitution is needed."""
+    def renamed(p):
+        return Polynomial({tuple((prefix + v, e) for v, e in m): c for m, c in p.terms.items()})
+
+    rules = {(prefix + i, a): renamed(p) for (i, a), p in sys.rules}
     base = {prefix + i: v for i, v in sys.base}
     return PolynomialSystem.make(
         tuple(prefix + i for i in sys.indices), sys.input_alphabet, rules, base, ring=sys.ring

@@ -101,6 +101,8 @@ def _strip_comment(line: str) -> str:
 
 def _split_statements(line: str):
     """Split on ';' outside of '{...}' (inline homomorphism bodies)."""
+    if "{" not in line and "}" not in line:
+        return [p.strip() for p in line.split(";") if p.strip()]
     parts = []
     depth = 0
     cur = []

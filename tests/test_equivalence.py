@@ -12,6 +12,7 @@ from wordmaps.equivalence import (
     Equal,
     FractionPresentation,
     NotEqual,
+    _saturate,
     decide_equal,
     decide_equal_fractions,
     decide_zero_on_reachables,
@@ -120,10 +121,13 @@ def test_budget_error_propagates():
 
 def test_basis_budget_fires_inside_the_saturation_engine():
     # a tetranacci coordinate against its copy: the chain's basis collects
-    # the four differences A_Xi - B_Xi
+    # the four differences A_Xi - B_Xi.  A squaring index that t never reads
+    # makes the system non-affine, so it takes the saturation pass
     indices = ("X0", "X1", "X2", "X3")
     rules = {(i, "a"): P(j) for i, j in zip(indices, indices[1:])}
     rules[("X3", "a")] = P("X0") + P("X1") + P("X2") + P("X3")
+    rules[("Q", "a")] = P("Q") * P("Q")
+    indices += ("Q",)
     tetranacci = PolynomialSystem.make(indices, {"a"}, rules, {i: 1 for i in indices})
     pair = product_system(rename_system(tetranacci, "A_"), rename_system(tetranacci, "B_"))
     t = P("A_X0") - P("B_X0")
@@ -194,16 +198,17 @@ def test_saturation_engine_matches_the_from_scratch_chain():
     def check(case, order):
         sys, t = case
         budget = Budget(chain_additions=10, order=order)
+        # the saturation pass itself: affine draws would take the span walk
         verdict, additions = _reference_chain(sys, t, budget)
         if verdict is None:
             with pytest.raises(BudgetExceededError, match="addition budget"):
-                vanishes_on_reachables(sys, t, budget)
+                _saturate(sys, t, budget)
             return
-        assert vanishes_on_reachables(sys, t, budget) == verdict
+        assert (_saturate(sys, t, budget) is None) == verdict
         # the chain makes exactly as many additions
         if additions:
             with pytest.raises(BudgetExceededError, match="addition budget"):
-                vanishes_on_reachables(sys, t, replace(budget, chain_additions=additions - 1))
+                _saturate(sys, t, replace(budget, chain_additions=additions - 1))
 
     check()
 
@@ -732,3 +737,93 @@ def test_saturation_witnesses_match_brute_force_over_words():
             assert t.evaluate(eval_polynomial_vector(sys, verdict.witness)) != 0
 
     check()
+
+
+# ---------------------------------------------------------------------------
+# the span walk on affine systems
+
+
+def test_span_walk_matches_the_saturation_pass_and_brute_force():
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    @st.composite
+    def affine_case(draw):
+        indices = ("x", "y", "z")[: draw(st.integers(1, 3))]
+        letters = ("a", "b")[: draw(st.integers(1, 2))]
+        small = st.integers(-1, 1)
+
+        def linear(lead=None):
+            p = Polynomial.const(draw(small))
+            for i in indices:
+                p = p + (draw(st.sampled_from([1, -1])) if i == lead else draw(small)) * P(i)
+            return p
+
+        # an identity rule now and then leaves invariants, hence Equal cases
+        rules = {
+            (i, a): P(i) if draw(st.integers(0, 3)) == 0 else linear()
+            for i in indices for a in letters
+        }
+        base = {i: draw(small) for i in indices}
+        sys = PolynomialSystem.make(indices, letters, rules, base, ring="Z")
+        # t of degree 1-3: its k-th factor is a nonconstant linear form minus
+        # its value at the k-th word or at a random short one, so that t
+        # vanishes there and witnesses lie deeper
+        words = list(_shortlex(letters, 3))
+        t = Polynomial.const(1)
+        for k in range(draw(st.integers(1, 3))):
+            form = linear(lead=draw(st.sampled_from(indices)))
+            w = words[k] if draw(st.booleans()) else draw(st.sampled_from(words))
+            t = t * (form - form.evaluate(eval_polynomial_vector(sys, w)))
+        return sys, t
+
+    @settings(deadline=None, max_examples=150)
+    @given(affine_case())
+    def check(case):
+        sys, t = case
+        witness = find_witness(sys, t)
+        assert witness == _saturate(sys, t, Budget())
+        letters = sorted(sys.input_alphabet)
+        first = next(
+            (w for w in _shortlex(letters, 6) if t.evaluate(eval_polynomial_vector(sys, w)) != 0),
+            None,
+        )
+        if witness is None or len(witness) > 6:
+            assert first is None
+        else:
+            assert witness == first
+
+    check()
+
+
+def test_addition_budget_bounds_the_span_rank():
+    # X = 0, 1, ..., 5 give six independent moment vectors (1, X, ..., X^6)
+    # before t is nonzero at X = 6
+    t = _falling("X", 6)
+    assert decide_zero_on_reachables(_counter(), t, Budget(chain_additions=6)) == NotEqual(("a",) * 6)
+    with pytest.raises(BudgetExceededError, match="addition budget"):
+        decide_zero_on_reachables(_counter(), t, Budget(chain_additions=5))
+
+
+def test_affine_decisions_build_no_basis_and_no_pull_back(monkeypatch):
+    import wordmaps.equivalence as equivalence
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an affine decision reached the saturation engine")
+
+    monkeypatch.setattr(equivalence, "GroebnerBasis", forbidden)
+    monkeypatch.setattr(Polynomial, "substitute", forbidden)
+    assert decide_equal(fib_pair(), "F", fib_triple(), "F") == Equal()
+    assert decide_equal(fib_pair(), "F", fib_pair(second_base=2), "F") == NotEqual(("a",))
+    assert decide_zero_on_reachables(_counter(), _falling("X", 6)) == NotEqual(("a",) * 6)
+
+
+def test_two_letter_affine_witness_is_quick():
+    sys = PolynomialSystem.make(
+        ("X", "Y"), {"a", "b"},
+        {("X", "a"): P("X") + 1, ("X", "b"): P("X") + P("Y"), ("Y", "a"): P("Y"), ("Y", "b"): P("Y") + 1},
+        {"X": 0, "Y": 0}, ring="Z",
+    )
+    start = time.perf_counter()
+    assert decide_zero_on_reachables(sys, _falling("X", 14)) == NotEqual(("b",) * 6)
+    assert time.perf_counter() - start < 0.5

@@ -20,6 +20,7 @@ from wordmaps.recurrences import (
     eval_polynomial,
     eval_regular,
     is_strict,
+    rename_system,
 )
 from wordmaps.words import word
 
@@ -406,3 +407,48 @@ def test_polynomial_rejects_a_base_for_an_unknown_index():
     # a missing base is still named first
     with pytest.raises(DomainError, match=r"no base value for index 'x'"):
         PolynomialSystem.make(("x",), {"a"}, {("x", "a"): x + 1}, {"y": 5})
+
+
+# ---------------------------------------------------------------------------
+# renaming
+
+
+def test_rename_system_matches_the_substituted_rename():
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    @st.composite
+    def systems(draw):
+        names = st.sampled_from(["x", "Y", "a1", "b_0", "Z9"])
+        indices = tuple(draw(st.lists(names, min_size=1, max_size=4, unique=True)))
+        letters = ("a", "b")[: draw(st.integers(1, 2))]
+
+        def poly():
+            p = Polynomial.const(draw(st.integers(-3, 3)))
+            for _ in range(draw(st.integers(0, 3))):
+                term = Polynomial.const(draw(st.integers(-3, 3)))
+                for _ in range(draw(st.integers(0, 3))):
+                    term = term * Polynomial.var(draw(st.sampled_from(indices)))
+                p = p + term
+            return p
+
+        rules = {(i, a): poly() for i in indices for a in letters}
+        base = {i: draw(st.integers(-3, 3)) for i in indices}
+        sys = PolynomialSystem.make(indices, letters, rules, base, ring="Z")
+        return sys, draw(st.sampled_from(["A_", "B_", "p"]))
+
+    @settings(deadline=None, max_examples=100)
+    @given(systems())
+    def check(case):
+        sys, prefix = case
+        env = {i: Polynomial.var(prefix + i) for i in sys.indices}
+        expected = PolynomialSystem.make(
+            tuple(prefix + i for i in sys.indices),
+            sys.input_alphabet,
+            {(prefix + i, a): p.substitute(env) for (i, a), p in sys.rules},
+            {prefix + i: v for i, v in sys.base},
+            ring=sys.ring,
+        )
+        assert rename_system(sys, prefix) == expected
+
+    check()
