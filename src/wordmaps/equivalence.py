@@ -53,7 +53,7 @@ from typing import Optional, Union
 from .errors import BudgetExceededError, DomainError
 from .groebner import GroebnerBasis, Ideal, _eliminate, in_radical, points_ideal
 from .polynomials import Polynomial
-from .recurrences import PolynomialSystem, eval_polynomial_vector, product_system, rename_system
+from .recurrences import PolynomialSystem, _step, eval_polynomial_vector, product_system, rename_system
 from .words import Word
 
 
@@ -195,9 +195,8 @@ def _orbit(sys: PolynomialSystem, stepped):
         # words are read first letter first: a letter in front of each word of
         # the previous level, letters outermost, keeps the level lexicographic
         for a in letters:
-            step = maps[a].items()
             for w, vec in level:
-                new = {i: p.evaluate_int(vec) for i, p in step}
+                new = _step(maps[a], vec)
                 key = tuple(map(new.__getitem__, indices))
                 if key not in seen:
                     seen.add(key)

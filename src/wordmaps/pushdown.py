@@ -7,6 +7,8 @@ the first bracketed block of the store.
 
 Stores are immutable values.  All operations return fresh stores and never
 mutate their arguments, so they are safe for unrestricted concurrent use.
+The constructor validates stores built from outside; ``pop`` and ``push``
+rebuild from valid parts and check only the pushed symbols.
 """
 
 from __future__ import annotations
@@ -44,6 +46,15 @@ class IteratedPushdown:
 
     def __setattr__(self, name, value):
         raise AttributeError("IteratedPushdown is immutable")
+
+    @classmethod
+    def _trusted(cls, level: int, entries: tuple) -> "IteratedPushdown":
+        """A store over entries that are valid for the level, unchecked."""
+        out = cls.__new__(cls)
+        object.__setattr__(out, "level", level)
+        object.__setattr__(out, "entries", entries)
+        object.__setattr__(out, "_hash", None)
+        return out
 
     @classmethod
     def empty(cls, level: int) -> "IteratedPushdown":
@@ -164,10 +175,10 @@ def _rewrite_leftmost(name: str, j: int, pds: IteratedPushdown, rewrite) -> Iter
     if pds.is_empty():
         return pds
     if j == 1:
-        return IteratedPushdown(pds.level, rewrite(pds.entries))
+        return IteratedPushdown._trusted(pds.level, rewrite(pds.entries))
     sym, inner = pds.entries[0]
     inner = _rewrite_leftmost(name, j - 1, inner, rewrite)
-    return IteratedPushdown(pds.level, ((sym, inner),) + pds.entries[1:])
+    return IteratedPushdown._trusted(pds.level, ((sym, inner),) + pds.entries[1:])
 
 
 def pop(j: int, pds: IteratedPushdown) -> IteratedPushdown:
@@ -187,9 +198,14 @@ def push(j: int, symbols, pds: IteratedPushdown) -> IteratedPushdown:
     symbols = tuple(symbols)
     if not symbols:
         raise DomainError("push requires a non-empty word of symbols")
-    return _rewrite_leftmost(
-        "push", j, pds, lambda entries: tuple((s, entries[0][1]) for s in symbols) + entries[1:]
-    )
+
+    def rewrite(entries):
+        for s in symbols:
+            if not isinstance(s, str) or not s:
+                raise DomainError(f"bad pushdown symbol {s!r}")
+        return tuple((s, entries[0][1]) for s in symbols) + entries[1:]
+
+    return _rewrite_leftmost("push", j, pds, rewrite)
 
 
 # ---------------------------------------------------------------------------

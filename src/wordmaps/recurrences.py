@@ -7,7 +7,7 @@ rules with shift words, evaluated by fuel-bounded rewriting), and polynomial
 
 Catenative and compositional values come from ``morphisms.suffix_walk``.
 Regular systems cannot use it (shift words change the argument), hence the
-rewriting loop with fuel; polynomial values keep their own loop.
+rewriting loop with fuel; polynomial values step integer rows per letter.
 """
 
 from __future__ import annotations
@@ -283,15 +283,15 @@ class PolynomialSystem(_Lookup):
 
 
 def rename_system(sys: PolynomialSystem, prefix: str) -> PolynomialSystem:
-    """The same system with every index name prefixed.  A shared prefix keeps
-    each monomial's variables sorted, so no substitution is needed."""
+    """The same system with every index name prefixed.  A shared prefix keeps the
+    monomials and the rule and base pairs sorted: nothing to substitute or re-check."""
     def renamed(p):
         return Polynomial({tuple((prefix + v, e) for v, e in m): c for m, c in p.terms.items()})
 
-    rules = {(prefix + i, a): renamed(p) for (i, a), p in sys.rules}
-    base = {prefix + i: v for i, v in sys.base}
-    return PolynomialSystem.make(
-        tuple(prefix + i for i in sys.indices), sys.input_alphabet, rules, base, ring=sys.ring
+    return PolynomialSystem(
+        tuple(prefix + i for i in sys.indices), sys.input_alphabet,
+        tuple(((prefix + i, a), renamed(p)) for (i, a), p in sys.rules),
+        tuple((prefix + i, v) for i, v in sys.base), sys.ring,
     )
 
 
@@ -301,13 +301,9 @@ def product_system(a: PolynomialSystem, b: PolynomialSystem) -> PolynomialSystem
         raise DomainError("product systems must share their input alphabet")
     if set(a.indices) & set(b.indices):
         raise DomainError("product systems must have disjoint index sets")
-    ring = "Z" if "Z" in (a.ring, b.ring) else "N"
-    return PolynomialSystem.make(
-        a.indices + b.indices,
-        a.input_alphabet,
-        {**a.rule_map, **b.rule_map},
-        {**a.base_map, **b.base_map},
-        ring=ring,
+    return PolynomialSystem(  # distinct keys: sorting compares no polynomials
+        a.indices + b.indices, a.input_alphabet, tuple(sorted(a.rules + b.rules)),
+        tuple(sorted(a.base + b.base)), "Z" if "Z" in (a.ring, b.ring) else "N",
     )
 
 
@@ -366,12 +362,25 @@ def eval_polynomial(sys: PolynomialSystem, i: str, w: Word) -> int:
     return eval_polynomial_vector(sys, w)[i]
 
 
+def _step(ps: dict[str, Polynomial], vec: dict[str, int]) -> dict[str, int]:
+    """One letter's update ``maps[a]``: ``make`` admitted only int coefficients over the indices."""
+    out = {}
+    for i, p in ps.items():
+        total = 0
+        for m, c in p.terms.items():
+            for v, e in m:
+                x = vec[v] if e == 1 else vec[v] ** e
+                c = x if c == 1 else c * x  # 1 * x and 0 + c would copy a bignum
+            total = c if total == 0 else total + c
+        out[i] = total
+    return out
+
+
 def eval_polynomial_vector(sys: PolynomialSystem, w: Word) -> dict[str, int]:
     check_word(sys, w)
-    rules = sys.rule_map
     values = sys.base_vector()
     for a in reversed(w):
-        values = {j: rules[(j, a)].evaluate_int(values) for j in sys.indices}
+        values = _step(sys.maps[a], values)
     return values
 
 

@@ -199,6 +199,25 @@ def test_run_matches_a_loop_over_step_at_every_fuel(identity_pda, pow2_pda):
     assert isinstance(run(stuck_with_empty_store, ("a",)), Stuck)
 
 
+def test_run_validates_as_many_stores_for_a_long_word_as_for_a_short_one(identity_pda, monkeypatch):
+    # only the initial store passes the checking constructor; pops and
+    # pushes rebuild valid stores without it
+    calls = []
+    check = IteratedPushdown.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        check(self, *args, **kwargs)
+
+    monkeypatch.setattr(IteratedPushdown, "__init__", counted)
+    counts = []
+    for n in (10, 100):
+        calls.clear()
+        assert run(identity_pda, ("a", "b") * n) == Accepted(("a", "b") * n)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+
+
 def test_run_with_exactly_enough_fuel(identity_pda):
     # acceptance is observed on the halting configuration, not charged a step
     assert run(identity_pda, ("a",), fuel=1) == Accepted(("a",))

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -17,7 +18,7 @@ from wordmaps.pushdown import (
     topsyms,
 )
 
-from conftest import WORKED_GAMMA, WORKED_SYMBOLS, WORKED_UNDET, pt, random_store
+from conftest import WORKED_GAMMA, WORKED_SYMBOLS, WORKED_UNDET, pt, random_graded_store, random_store
 
 
 # ---------------------------------------------------------------------------
@@ -66,6 +67,41 @@ def test_empty_leftmost_leaves_invariant():
     empty = IteratedPushdown.empty(2)
     assert pop(1, empty) == empty
     assert push(1, ("X",), empty) == empty
+
+
+@pytest.mark.parametrize("bad", ["", 3])
+def test_push_checks_the_symbols_it_places(omega, bad):
+    with pytest.raises(DomainError, match=re.escape(f"bad pushdown symbol {bad!r}")):
+        push(1, (bad,), omega)
+    with pytest.raises(DomainError, match=re.escape(f"bad pushdown symbol {bad!r}")):
+        push(3, ("A3", bad), omega)
+    # nothing is placed on an empty leftmost store, so nothing is checked
+    empty = IteratedPushdown.empty(3)
+    assert push(1, (bad,), empty) == empty
+    p = parse("A1[]B1[A2]", 2)
+    assert push(2, (bad,), p) == p
+
+
+def _revalidated(store):
+    """The store rebuilt through the checking constructor at every level."""
+    return IteratedPushdown(store.level, tuple((s, _revalidated(b)) for s, b in store.entries))
+
+
+@given(st.randoms(use_true_random=False), st.lists(st.tuples(st.booleans(), st.integers(1, 3)), max_size=6))
+def test_pop_and_push_build_stores_the_constructor_accepts(rng, ops):
+    # a graded level-3 store, then pops and pushes of graded symbols, each
+    # result fed to the next operation
+    store = random_graded_store(rng, WORKED_GAMMA)
+    for is_push, j in ops:
+        if is_push:
+            pool = sorted(WORKED_GAMMA.levels[j - 1])
+            store = push(j, tuple(rng.choice(pool) for _ in range(rng.randrange(1, 3))), store)
+        else:
+            store = pop(j, store)
+        assert IteratedPushdown(store.level, store.entries) == store
+        checked = _revalidated(store)
+        assert checked == store and hash(checked) == hash(store)
+        assert is_graded(store, WORKED_GAMMA)
 
 
 # ---------------------------------------------------------------------------

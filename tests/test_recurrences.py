@@ -1,9 +1,11 @@
 import math
 import random
-from itertools import chain
+from itertools import chain, product
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from wordmaps.equivalence import Budget, reachable_points
 from wordmaps.errors import DomainError, FuelExhaustedError
 from wordmaps.lowering import compositional_to_level3
 from wordmaps.morphisms import Homomorphism, compose
@@ -18,8 +20,10 @@ from wordmaps.recurrences import (
     eval_catenative,
     eval_compositional,
     eval_polynomial,
+    eval_polynomial_vector,
     eval_regular,
     is_strict,
+    product_system,
     rename_system,
 )
 from wordmaps.words import word
@@ -413,42 +417,86 @@ def test_polynomial_rejects_a_base_for_an_unknown_index():
 # renaming
 
 
-def test_rename_system_matches_the_substituted_rename():
-    from hypothesis import given, settings
-    from hypothesis import strategies as st
+@st.composite
+def _z_systems(draw):
+    """Polynomial systems with coefficients of either sign, degree <= 3, and
+    beside the indices the rules read an index "u" that no rule reads; ring
+    N when every coefficient and base value allows it and a draw asks for it."""
+    names = st.sampled_from(["x", "Y", "a1", "b_0", "Z9"])
+    read = tuple(draw(st.lists(names, min_size=1, max_size=3, unique=True)))
+    letters = ("a", "b")[: draw(st.integers(1, 2))]
 
-    @st.composite
-    def systems(draw):
-        names = st.sampled_from(["x", "Y", "a1", "b_0", "Z9"])
-        indices = tuple(draw(st.lists(names, min_size=1, max_size=4, unique=True)))
-        letters = ("a", "b")[: draw(st.integers(1, 2))]
-
-        def poly():
-            p = Polynomial.const(draw(st.integers(-3, 3)))
+    def poly():
+        p = Polynomial.const(draw(st.integers(-3, 3)))
+        for _ in range(draw(st.integers(0, 3))):
+            term = Polynomial.const(draw(st.integers(-3, 3)))
             for _ in range(draw(st.integers(0, 3))):
-                term = Polynomial.const(draw(st.integers(-3, 3)))
-                for _ in range(draw(st.integers(0, 3))):
-                    term = term * Polynomial.var(draw(st.sampled_from(indices)))
-                p = p + term
-            return p
+                term = term * Polynomial.var(draw(st.sampled_from(read)))
+            p = p + term
+        return p
 
-        rules = {(i, a): poly() for i in indices for a in letters}
-        base = {i: draw(st.integers(-3, 3)) for i in indices}
-        sys = PolynomialSystem.make(indices, letters, rules, base, ring="Z")
-        return sys, draw(st.sampled_from(["A_", "B_", "p"]))
+    indices = read + ("u",)
+    rules = {(i, a): poly() for i in indices for a in letters}
+    base = {i: draw(st.integers(-3, 3)) for i in indices}
+    signs = [c for p in rules.values() for c in p.terms.values()] + list(base.values())
+    ring = "N" if min(signs, default=0) >= 0 and draw(st.booleans()) else "Z"
+    return PolynomialSystem.make(indices, letters, rules, base, ring=ring)
 
-    @settings(deadline=None, max_examples=100)
-    @given(systems())
-    def check(case):
-        sys, prefix = case
-        env = {i: Polynomial.var(prefix + i) for i in sys.indices}
-        expected = PolynomialSystem.make(
-            tuple(prefix + i for i in sys.indices),
-            sys.input_alphabet,
-            {(prefix + i, a): p.substitute(env) for (i, a), p in sys.rules},
-            {prefix + i: v for i, v in sys.base},
-            ring=sys.ring,
+
+@settings(deadline=None, max_examples=100)
+@given(_z_systems(), st.sampled_from(["A_", "B_", "p"]))
+def test_rename_system_matches_the_substituted_rename(sys, prefix):
+    env = {i: Polynomial.var(prefix + i) for i in sys.indices}
+    expected = PolynomialSystem.make(
+        tuple(prefix + i for i in sys.indices),
+        sys.input_alphabet,
+        {(prefix + i, a): p.substitute(env) for (i, a), p in sys.rules},
+        {prefix + i: v for i, v in sys.base},
+        ring=sys.ring,
+    )
+    assert rename_system(sys, prefix) == expected
+
+
+@settings(deadline=None, max_examples=100)
+@given(_z_systems(), _z_systems())
+def test_rename_and_product_equal_the_made_systems(sys_a, sys_b):
+    # both skip make's checks, so they must build exactly what make builds
+    assume(sys_a.input_alphabet == sys_b.input_alphabet)
+    a, b = rename_system(sys_a, "A_"), rename_system(sys_b, "B_")
+    # B_ before A_ merges pairs that are out of order
+    cases = [(a, [a]), (b, [b]), (product_system(a, b), [a, b]), (product_system(b, a), [b, a])]
+    for built, parts in cases:
+        made = PolynomialSystem.make(
+            built.indices,
+            built.input_alphabet,
+            {key: p for part in parts for key, p in part.rules},
+            {i: v for part in parts for i, v in part.base},
+            ring="Z" if any(part.ring == "Z" for part in parts) else "N",
         )
-        assert rename_system(sys, prefix) == expected
+        assert built == made and hash(built) == hash(made)
 
-    check()
+
+def _reference_vector(sys, w):
+    values = dict(sys.base)
+    for a in reversed(w):
+        values = {i: sys.rule(i, a).evaluate_int(values) for i in sys.indices}
+    return values
+
+
+@settings(deadline=None, max_examples=60)
+@given(_z_systems())
+def test_integer_step_matches_evaluate_int(sys):
+    # every word up to length 6 in shortlex order, and the vectors the orbit
+    # walk must visit: each one at its first word
+    letters = sorted(sys.input_alphabet)
+    words = [w for n in range(7) for w in product(letters, repeat=n)]
+    first, seen = [], set()
+    for w in words:
+        vec = _reference_vector(sys, w)
+        assert eval_polynomial_vector(sys, w) == vec
+        key = tuple(vec[i] for i in sys.indices)
+        if key not in seen:
+            seen.add(key)
+            first.append(vec)
+    budget = Budget(sample_points=len(first), max_point_bits=10**6)
+    assert reachable_points(sys, budget)[0] == first
