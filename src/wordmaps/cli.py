@@ -9,6 +9,7 @@ paths to real files take precedence.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from importlib import resources
 from pathlib import Path
@@ -318,9 +319,14 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built on its first call: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except FuelExhaustedError as e:

@@ -17,9 +17,12 @@ Benedikt, Duff, Sharad and Worrell, LICS 2017).
 
 On other systems it takes the saturation pass over the ascending chain of
 ideals generated by the pull-backs g_w = t o P_w, where g_w(base) = t(v(w)).
-A FIFO queue of (word, g_w) pairs, letters in order, meets the words in
+A FIFO queue of (wa, g_w) pairs, letters in order, meets the words in
 shortlex order, and one incremental ``groebner.GroebnerBasis`` tests and
-extends the chain.  The first g_w nonzero at the base vector names the
+extends the chain.  g_wa is pulled back only when its pair is dequeued, so
+a witness leaves the queued pull-backs unbuilt, and from one power table per
+letter kept for the whole pass, so each power of an update polynomial is
+built once per decision.  The first g_w nonzero at the base vector names the
 minimal witness w, and an empty queue proves that t vanishes on the orbit: a
 pull-back inside the ideal of earlier generators is not extended, as it and
 its extensions combine pull-backs at shortlex-smaller words, which vanish at
@@ -52,7 +55,7 @@ from typing import Optional, Union
 
 from .errors import BudgetExceededError, DomainError
 from .groebner import GroebnerBasis, Ideal, _eliminate, in_radical, points_ideal
-from .polynomials import Polynomial
+from .polynomials import Polynomial, _powers, _substitute
 from .recurrences import PolynomialSystem, _step, eval_polynomial_vector, product_system, rename_system
 from .words import Word
 
@@ -108,9 +111,15 @@ DEFAULT_BUDGET = Budget()
 # pull-backs and products
 
 
-def _sigma(sys: PolynomialSystem, a: str, g: Polynomial) -> Polynomial:
-    """Pull g back through the letter-a update map: g(P_{1,a}, ..., P_{n,a})."""
-    return g.substitute(sys.maps[a])
+def _tables(sys: PolynomialSystem) -> dict:
+    """Per letter, a power table of its update map, for one call's pull-backs."""
+    return {a: _powers(env) for a, env in sys.maps.items()}
+
+
+def _sigma(tables: dict, a: str, g: Polynomial) -> Polynomial:
+    """Pull g back through the letter-a update map, g(P_{1,a}, ..., P_{n,a}),
+    from the calling pass's tables: each power of an image is built once."""
+    return _substitute(g.terms, tables[a])
 
 
 def _paired(sys_a: PolynomialSystem, sys_b: PolynomialSystem) -> PolynomialSystem:
@@ -135,10 +144,14 @@ def _saturate(sys: PolynomialSystem, t: Polynomial, budget: Budget) -> Optional[
     letters = sorted(sys.input_alphabet)
     point = sys.base_vector()
     basis = GroebnerBasis([], sys.indices, budget.order, max_basis=budget.max_basis)
+    tables = _tables(sys)
     additions = 0
+    # (wa, g_w) is pulled back to g_wa when it is dequeued
     queue = deque([((), t)])
     while queue:
         w, g = queue.popleft()
+        if w:
+            g = _sigma(tables, w[-1], g)
         # every element of the ideal vanishes at the base, so a nonzero value
         # is the witness before the basis needs to take g in
         if g.evaluate(point) != 0:
@@ -149,7 +162,7 @@ def _saturate(sys: PolynomialSystem, t: Polynomial, budget: Budget) -> Optional[
                 raise BudgetExceededError(
                     "ideal chain did not stabilize within the addition budget"
                 )
-            queue.extend((w + (a,), _sigma(sys, a, g)) for a in letters)
+            queue.extend((w + (a,), g) for a in letters)
     return None
 
 
@@ -359,8 +372,9 @@ def zariski_closure(sys: PolynomialSystem, budget: Budget = DEFAULT_BUDGET) -> I
 def _is_invariant(sys: PolynomialSystem, j: Ideal, letters, budget: Budget) -> bool:
     """V(j) is mapped into itself by every update map: each pulled-back
     generator lies in the radical."""
+    tables = _tables(sys)
     for g in j.generators:
         for a in letters:
-            if not in_radical(_sigma(sys, a, g), j, max_basis=budget.max_basis):
+            if not in_radical(_sigma(tables, a, g), j, max_basis=budget.max_basis):
                 return False
     return True

@@ -18,6 +18,7 @@ from .errors import DomainError, ParseError
 Monomial = tuple[tuple[str, int], ...]
 
 MONO_ONE: Monomial = ()
+_ONE = {MONO_ONE: 1}  # the terms of 1; never mutated
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -144,17 +145,7 @@ class Polynomial:
         return _coerce(other) + (-self)
 
     def __mul__(self, other):
-        other_terms = _coerce(other).terms.items()
-        res: dict[Monomial, Scalar] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other_terms:
-                m = mono_mul(m1, m2)
-                s = res.get(m, 0) + c1 * c2
-                if s:
-                    res[m] = s
-                else:
-                    res.pop(m, None)
-        return _normalised(res)
+        return _normalised(_mul_into({}, self.terms, _coerce(other).terms))
 
     __rmul__ = __mul__
 
@@ -195,27 +186,59 @@ class Polynomial:
         return val
 
     def substitute(self, env: Mapping[str, "Polynomial"]) -> "Polynomial":
-        # powers[v][e] is env[v] ** e, built once per call by one product each
-        powers: dict[str, list[Polynomial]] = {}
-        res: dict[Monomial, Scalar] = {}
-        for m, c in self.terms.items():
-            part = _wrap({tuple((v, e) for v, e in m if v not in env): c})
-            for v, e in m:
-                if v in env:
-                    pw = powers.setdefault(v, [Polynomial.const(1)])
-                    while len(pw) <= e:
-                        pw.append(pw[-1] * env[v])
-                    part = part * pw[e]
-            for mm, cc in part.terms.items():
-                s = res.get(mm, 0) + cc
-                if s:
-                    res[mm] = s
-                else:
-                    res.pop(mm, None)
-        return _normalised(res)
+        return _substitute(self.terms, _powers(env))
 
     def __repr__(self):
         return format_polynomial(self)
+
+
+def _mul_into(res: dict[Monomial, Scalar], a: dict, b: dict) -> dict[Monomial, Scalar]:
+    """Add the product of the term dicts a and b into res and return res."""
+    b = b.items()
+    for m1, c1 in a.items():
+        for m2, c2 in b:
+            m = mono_mul(m1, m2)
+            s = res.get(m, 0) + c1 * c2
+            if s:
+                res[m] = s
+            else:  # c1 * c2 != 0, so m was there
+                del res[m]
+    return res
+
+
+def _powers(env: Mapping[str, "Polynomial"]) -> dict[str, list[dict]]:
+    """A substitution table for env: each variable whose image is not the
+    variable itself, with the term dicts of its image's powers, [1, image]
+    so far.  ``_substitute`` grows the lists on demand, so a caller that
+    keeps the table builds each power once over all its substitutions."""
+    table = {}
+    for v, p in env.items():
+        terms = _coerce(p).terms
+        if terms != {((v, 1),): 1}:
+            table[v] = [_ONE, terms]
+    return table
+
+
+def _substitute(terms: dict[Monomial, Scalar], table: dict[str, list[dict]]) -> "Polynomial":
+    """The polynomial of these terms with each variable of the table replaced
+    by its image (see ``_powers``); other variables stay as they are."""
+    res: dict[Monomial, Scalar] = {}
+    for m, c in terms.items():
+        kept, factors = [], []
+        for v, e in m:
+            pw = table.get(v)
+            if pw is None:
+                kept.append((v, e))
+                continue
+            while len(pw) <= e:
+                pw.append(_mul_into({}, pw[-1], pw[1]))
+            factors.append(pw[e])
+        # the last product goes straight into res
+        part = {tuple(kept): c}
+        for f in factors[:-1]:
+            part = _mul_into({}, part, f)
+        _mul_into(res, part, factors[-1] if factors else _ONE)
+    return _normalised(res)
 
 
 def _value(terms: Mapping[Monomial, Scalar], point: Mapping[str, Scalar]) -> Scalar:

@@ -19,7 +19,7 @@ from typing import Mapping
 
 from .errors import DomainError, FuelExhaustedError
 from .morphisms import Homomorphism, check_word, compose, concat, suffix_walk
-from .polynomials import Polynomial
+from .polynomials import Polynomial, _wrap
 from .words import Word
 
 
@@ -286,7 +286,7 @@ def rename_system(sys: PolynomialSystem, prefix: str) -> PolynomialSystem:
     """The same system with every index name prefixed.  A shared prefix keeps the
     monomials and the rule and base pairs sorted: nothing to substitute or re-check."""
     def renamed(p):
-        return Polynomial({tuple((prefix + v, e) for v, e in m): c for m, c in p.terms.items()})
+        return _wrap({tuple((prefix + v, e) for v, e in m): c for m, c in p.terms.items()})
 
     return PolynomialSystem(
         tuple(prefix + i for i in sys.indices), sys.input_alphabet,

@@ -94,6 +94,33 @@ frac plain {
     assert code == 0 and out == "Equal\n"
 
 
+def test_main_builds_its_parser_once_and_reuses_it_after_an_error(capsys, monkeypatch):
+    import wordmaps.cli as cli
+
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "fib"])  # too few arguments: argparse exits 2
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+    def forbidden():
+        raise AssertionError("main built a second parser")
+
+    monkeypatch.setattr(cli, "build_parser", forbidden)
+    # alternating subcommands and options: none leaks into the next call
+    calls = [
+        (("eval", "factorial", "u", "4", "--as-length"), 0, "15\n"),
+        (("run-pda", "pow2-pda", "pow2", "aaa"), 0, "Accepted bbbbbbbb\n"),
+        (("eval", "factorial", "u", "2"), 0, "babaab\n"),
+        (("equiv", "fibonacci", "F", "fibonacci", "Fbad"), 1, "NotEqual a\n"),
+        (("compose", "gmap", "nu", "fibword", "101", "--as-length"), 0, "8\n"),
+        (("equiv", "fibonacci", "F", "fibonacci", "F3"), 0, "Equal\n"),
+        (("eval", "fibonacci", "Nope", "3"), 2, ""),
+        (("eval", "fib", "F", "10"), 0, "89\n"),
+    ]
+    for argv, code, out in calls * 2:
+        assert run_cli(capsys, *argv)[:2] == (code, out)
+
+
 def test_error_exit_code(capsys):
     code, out, err = run_cli(capsys, "eval", "fibonacci", "Nope", "3")
     assert code == 2

@@ -213,6 +213,90 @@ def test_saturation_engine_matches_the_from_scratch_chain():
     check()
 
 
+def test_pull_backs_from_shared_power_tables_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    from wordmaps.equivalence import _sigma, _tables
+
+    @st.composite
+    def cases(draw):
+        indices = ("X0", "X1", "X2")[: draw(st.integers(1, 3))]
+        letters = ("a", "b")[: draw(st.integers(1, 2))]
+
+        def poly(max_degree):
+            p = Polynomial.const(draw(st.integers(-2, 2)))
+            for _ in range(draw(st.integers(1, 3))):
+                term = Polynomial.const(draw(st.sampled_from([1, -1, 2, -3])))
+                for _ in range(draw(st.integers(0, max_degree))):
+                    term = term * P(draw(st.sampled_from(indices)))
+                p = p + term
+            return p
+
+        # identity images are skipped by the tables; at most one nonlinear map
+        # keeps the composed degrees small
+        nonlinear = draw(st.sampled_from([None, *[(i, a) for i in indices for a in letters]]))
+        rules = {
+            (i, a): P(i) if draw(st.integers(0, 3)) == 0 else poly(2 if (i, a) == nonlinear else 1)
+            for i in indices for a in letters
+        }
+        sys = PolynomialSystem.make(indices, letters, rules, {i: 0 for i in indices}, ring="Z")
+        words = draw(st.lists(st.lists(st.sampled_from(letters), max_size=4), min_size=1, max_size=4))
+        return sys, poly(2), words
+
+    @settings(deadline=None, max_examples=80)
+    @given(cases())
+    def check(case):
+        sys, t, words = case
+        symbols = {i: sympy.Symbol(i) for i in sys.indices}
+
+        def to_sympy(p):
+            return sum(
+                (c * sympy.Mul(*(symbols[v] ** e for v, e in m)) for m, c in p.terms.items()),
+                sympy.Integer(0),
+            )
+
+        # one table per letter for all the chains, as in one saturation pass
+        tables = _tables(sys)
+        for w in words:
+            ours, theirs = t, to_sympy(t)
+            for a in w:
+                ours = _sigma(tables, a, ours)
+                theirs = theirs.subs(
+                    {symbols[i]: to_sympy(p) for i, p in sys.maps[a].items()}, simultaneous=True
+                )
+            assert all(type(c) is int and c for c in ours.terms.values())
+            assert sympy.expand(theirs - to_sympy(ours)) == 0
+
+    check()
+
+
+def test_deep_pair_builds_each_power_of_an_image_once(monkeypatch):
+    import wordmaps.equivalence as equivalence
+    from wordmaps.polynomials import _powers
+
+    built = []
+
+    class Powers(list):
+        def append(self, terms):
+            built.append((id(self[1]), len(self)))  # (image, exponent)
+            super().append(terms)
+
+    def recording(env):
+        return {v: Powers(pw) for v, pw in _powers(env).items()}
+
+    monkeypatch.setattr(equivalence, "_powers", recording)
+    sys_y = PolynomialSystem.make(
+        ("Y",), {"a", "b"}, {("Y", "a"): P("Y") + 1, ("Y", "b"): P("Y") + _falling("Y", 8)},
+        {"Y": 0}, ring="Z",
+    )
+    assert decide_equal(_counter(), "X", sys_y, "Y") == NotEqual(("b",) + ("a",) * 8)
+    # B_Y's two images, each raised to the powers 2..8 once; A_X's b-image is
+    # A_X itself and builds none
+    assert len(built) == len(set(built)) == 14
+
+
 def _random_system(rng, n_vars=3, letters=("a", "b"), degree=2):
     indices = tuple(f"X{k}" for k in range(rng.randrange(1, n_vars + 1)))
     letters = letters[: rng.randrange(1, len(letters) + 1)]
@@ -807,11 +891,17 @@ def test_addition_budget_bounds_the_span_rank():
 
 def test_affine_decisions_build_no_basis_and_no_pull_back(monkeypatch):
     import wordmaps.equivalence as equivalence
+    import wordmaps.polynomials as polynomials
 
     def forbidden(*args, **kwargs):
         raise AssertionError("an affine decision reached the saturation engine")
 
     monkeypatch.setattr(equivalence, "GroebnerBasis", forbidden)
+    # every pull-back goes through _sigma or Polynomial.substitute, both of
+    # them through polynomials._substitute
+    monkeypatch.setattr(equivalence, "_sigma", forbidden)
+    monkeypatch.setattr(equivalence, "_substitute", forbidden)
+    monkeypatch.setattr(polynomials, "_substitute", forbidden)
     monkeypatch.setattr(Polynomial, "substitute", forbidden)
     assert decide_equal(fib_pair(), "F", fib_triple(), "F") == Equal()
     assert decide_equal(fib_pair(), "F", fib_pair(second_base=2), "F") == NotEqual(("a",))
