@@ -1,122 +1,132 @@
 """Buchberger Groebner bases, normal forms, elimination, intersections, and
 the ideals of finite point sets.
 
-Polynomials are converted to dense exponent tuples over an explicit variable
-sequence, with primitive integer coefficients (denominators cleared, content
-divided out), for the duration of a computation.  The kernel is fraction-free:
-reduction cross-multiplies by leading coefficients instead of dividing, and
-points are eliminated Bareiss-style.  Division pops the working terms from a
-heap, computing each term's order key once.  Results come back as Polynomials,
-made monic (or rescaled to the exact remainder) only on the way out.  Supported
-monomial orders, with flat int tuple keys:
-grevlex (default), lex, and the block orders used for elimination (the
-dropped block is compared first, so the basis splits off the elimination
-ideal).  A ``GroebnerBasis`` is completed incrementally (Gebauer and Moeller,
-J. Symb. Comp. 6, 1988): ``add`` queues only the new element's S-pairs.
-``groebner`` returns its reduced form, deterministic given the generator
-list, the variable sequence, and the order.
+During a computation a polynomial maps packed monomials to primitive integer
+coefficients (denominators cleared, content divided out).  A packed monomial
+is one int (Monagan and Pearce, CASC 2007): the order's key fields above the
+exponents e_1..e_n, each field W bits with a guard top bit.  Grevlex keys are
+the partial sums e_1+...+e_n, ..., e_1+e_2, e_1, comparing like (deg, -e_n,
+..., -e_2); lex has none; a block order, used for elimination with the
+dropped block first, has one grevlex group per block.  Comparing monomials
+compares ints, multiplying adds them, and a divides b iff b - a sets no guard
+bit.  W follows the inputs' degrees; a field reaching 2^(W-2) raises
+``_Overflow`` and the work is redone at 2W, so no field wraps.  Heap division
+(Monagan and Pearce, J. Symb. Comp. 46, 2011) cross-multiplies by leading
+coefficients and points are eliminated Bareiss-style, fraction-free; results
+are made monic (or rescaled to the exact remainder) on the way out.  A
+``GroebnerBasis`` is completed incrementally (Gebauer and Moeller, J. Symb.
+Comp. 6, 1988): ``add`` queues only the new element's S-pairs.  ``groebner``
+returns its reduced form, deterministic given the generators, the variable
+sequence, and the order.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
+import itertools
 import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import BudgetExceededError, DomainError
-from .polynomials import Polynomial
-
-Exps = tuple[int, ...]
+from .polynomials import Polynomial, _normalised
 
 
-def _lex_key(e: Exps):
-    return e
+class _Overflow(Exception):
+    """A monomial field reached 2^(W-2)."""
 
 
-def _grevlex_key(e: Exps):
-    return (sum(e), *[-x for x in reversed(e)])
+@functools.lru_cache(maxsize=64)
+class _Codec:
+    """Packing of monomials over n variables for an order, W bits a field."""
+
+    def __init__(self, order: str, n: int, block: int, width: int):
+        groups = {"lex": [], "grevlex": [(0, n)], "block-grevlex": [(0, block), (block, n)]}
+        if order not in groups:
+            raise DomainError(f"unknown monomial order {order!r}")
+        # each field as the range of variables it sums, from the top
+        fields = [range(lo, k) for lo, hi in groups[order] for k in range(hi, lo, -1)]
+        fields += [range(i, i + 1) for i in range(n)]
+        top = len(fields) - 1
+        self.spec, self.width = (order, n, block), width
+        self.cols = [sum(1 << width * (top - f) for f, vs in enumerate(fields) if i in vs) for i in range(n)]
+        self.guard = sum(1 << width * f + width - 1 for f in range(top + 1))
+        # the top two bits of every field: one of them set is an overflow
+        self.full = self.guard | self.guard >> 1
+        self.mask = (1 << width) - 1
+        self.shifts = [width * (n - 1 - i) for i in range(n)]
+
+    def pack(self, exps) -> int:
+        return sum(e * c for e, c in zip(exps, self.cols))
+
+    def unpack(self, m: int) -> tuple[int, ...]:
+        return tuple(m >> s & self.mask for s in self.shifts)
+
+    def lcm(self, a: int, b: int) -> int:
+        return self.pack(map(max, self.unpack(a), self.unpack(b)))
 
 
-def _make_key(order: str, block: int = 0):
-    if order == "lex":
-        return _lex_key
-    if order == "grevlex":
-        return _grevlex_key
-    if order == "block-grevlex":
-        return lambda e: _grevlex_key(e[:block]) + _grevlex_key(e[block:])
-    raise DomainError(f"unknown monomial order {order!r}")
+def _codec(order: str, n: int, block: int, degree: int) -> _Codec:
+    """The codec whose fields stay below 2^(W-2) on monomials of this degree."""
+    return _Codec(order, n, block, max(8, degree.bit_length() + 2))
 
 
-def _to_internal(p: Polynomial, variables: Sequence[str]) -> tuple[dict[Exps, int], Fraction]:
+def _widening(codec: _Codec, compute):
+    """compute(codec), redone at twice the width while a field overflows."""
+    while True:
+        try:
+            return compute(codec)
+        except _Overflow:
+            codec = _Codec(*codec.spec, 2 * codec.width)
+
+
+def _to_internal(p: Polynomial, variables: Sequence[str], codec: _Codec) -> tuple[dict[int, int], Fraction]:
     """The primitive integer polynomial q and the rational m with p = m*q."""
-    index = {v: i for i, v in enumerate(variables)}
+    missing = p.variables() - set(variables)
+    if missing:
+        raise DomainError(f"variable {min(missing)!r} missing from the variable sequence")
+    if p.degree() >= 1 << codec.width - 2:
+        raise _Overflow
+    cols = dict(zip(variables, codec.cols))
     den = math.lcm(*(c.denominator for c in p.terms.values()))
-    out: dict[Exps, int] = {}
-    for mono, c in p.terms.items():
-        exps = [0] * len(variables)
-        for v, e in mono:
-            if v not in index:
-                raise DomainError(f"variable {v!r} missing from the variable sequence")
-            exps[index[v]] = e
-        out[tuple(exps)] = c.numerator * (den // c.denominator)
+    out = {sum(e * cols[v] for v, e in mono): c.numerator * (den // c.denominator) for mono, c in p.terms.items()}
     content = math.gcd(*out.values()) or 1
-    return {e: c // content for e, c in out.items()}, Fraction(content, den)
+    return {m: c // content for m, c in out.items()}, Fraction(content, den)
 
 
-def _from_internal(d: dict[Exps, int], variables: Sequence[str], scale: Fraction) -> Polynomial:
-    """The polynomial scale*d."""
-    terms = {}
-    for exps, c in d.items():
-        mono = tuple((variables[i], e) for i, e in enumerate(exps) if e)
-        terms[mono] = c * scale
-    return Polynomial(terms)
+def _from_internal(d: dict[int, int], variables: Sequence[str], scale: Fraction, codec: _Codec) -> Polynomial:
+    """The polynomial scale*d, for a nonzero Fraction scale."""
+    return _normalised({tuple((variables[i], e) for i, e in enumerate(codec.unpack(m)) if e): c * scale
+                        for m, c in d.items()})
 
 
-def _primitive(d: dict[Exps, int]) -> dict[Exps, int]:
+def _primitive(d: dict[int, int]) -> dict[int, int]:
     """d divided by the gcd of its coefficients."""
     g = math.gcd(*d.values())
     return d if g == 1 else {m: c // g for m, c in d.items()}
 
 
-def _divides(a: Exps, b: Exps) -> bool:
-    return all(x <= y for x, y in zip(a, b))
-
-
-def _sub_exps(a: Exps, b: Exps) -> Exps:
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def _add_exps(a: Exps, b: Exps) -> Exps:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _lcm_exps(a: Exps, b: Exps) -> Exps:
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def _lt(d: dict[Exps, int], key) -> Exps:
-    return max(d, key=key)
-
-
-def _reduce(p: dict, basis: list[dict], lts: list[Exps], key) -> tuple[dict, int]:
+def _reduce(p: dict, basis: list[dict], lts: list[int], codec: _Codec) -> tuple[dict, int]:
     """Full multivariate division of p by the nonzero basis, whose leading
-    terms are lts, without division: the remainder comes back as s*r, where
-    r is the remainder over the rationals and s a nonzero integer.  A term is
-    pushed on a heap of negated keys as it enters work; cancelled ones are
-    skipped when popped."""
+    terms are lts, without division: the remainder comes back as s*r, for r
+    the remainder over the rationals and s a positive integer.  A term enters
+    a heap of negated monomials as it enters work; cancelled ones are skipped."""
+    guard, full = codec.guard, codec.full
+    push, pop = heapq.heappush, heapq.heappop
     work = dict(p)
-    heap = [([-x for x in key(m)], m) for m in work]
+    heap = [-m for m in work]
     heapq.heapify(heap)
-    rem: dict[Exps, int] = {}
+    rem: dict[int, int] = {}
     s = 1
     while work:
-        t = heapq.heappop(heap)[1]
+        t = -pop(heap)
         c = work.get(t)
         if c is None:
             continue
         for g_lt, g in zip(lts, basis):
-            if _divides(g_lt, t):
+            shift = t - g_lt
+            if not shift & guard:
                 lg = g[g_lt]
                 q = math.gcd(c, lg)
                 if lg < 0:
@@ -129,12 +139,13 @@ def _reduce(p: dict, basis: list[dict], lts: list[Exps], key) -> tuple[dict, int
                         work[m] *= a
                     for m in rem:
                         rem[m] *= a
-                shift = _sub_exps(t, g_lt)
                 for m, gc in g.items():
-                    mm = _add_exps(m, shift)
+                    mm = m + shift
+                    if mm & full:
+                        raise _Overflow
                     v = work.get(mm, 0) - b * gc
                     if mm not in work:
-                        heapq.heappush(heap, ([-x for x in key(mm)], mm))
+                        push(heap, -mm)
                     if v:
                         work[mm] = v
                     else:
@@ -146,52 +157,61 @@ def _reduce(p: dict, basis: list[dict], lts: list[Exps], key) -> tuple[dict, int
     return rem, s
 
 
-def _spoly(f: dict, g: dict, key) -> dict:
+def _spoly(f: dict, g: dict, codec: _Codec) -> dict:
     """lc(g)*(l/lt(f))*f - lc(f)*(l/lt(g))*g for l the lcm of the leading
     terms: lc(f)*lc(g) times the S-polynomial of the monic f and g."""
-    lf, lg = _lt(f, key), _lt(g, key)
+    lf, lg = max(f), max(g)
     cf, cg = f[lf], g[lg]
-    l = _lcm_exps(lf, lg)
-    out: dict[Exps, int] = {}
-    for m, c in f.items():
-        mm = _add_exps(m, _sub_exps(l, lf))
-        out[mm] = out.get(mm, 0) + cg * c
-    for m, c in g.items():
-        mm = _add_exps(m, _sub_exps(l, lg))
-        v = out.get(mm, 0) - cf * c
-        if v:
-            out[mm] = v
-        else:
-            out.pop(mm, None)
+    l = codec.lcm(lf, lg)
+    out: dict[int, int] = {}
+    for d, shift, sign in ((f, l - lf, cg), (g, l - lg, -cf)):
+        for m, c in d.items():
+            mm = m + shift
+            if mm & codec.full:
+                raise _Overflow
+            out[mm] = out.get(mm, 0) + sign * c
     return {m: c for m, c in out.items() if c}
 
 
 class GroebnerBasis:
     """A minimal Groebner basis of primitive integer polynomials G, with leading
-    terms LT.  Pending S-pairs (i, j), i > j, wait in one heap keyed by their
-    lcm and are skipped by the product and chain criteria.  ``peak`` is the
-    largest size an appended element brought G to; over ``max_basis`` it raises."""
+    terms LT, packed by ``codec``.  Pending S-pairs (lcm, i, j), i > j, wait in
+    one heap and are skipped by the product and chain criteria.  ``peak`` is
+    the largest size an appended element brought G to; over ``max_basis`` it raises."""
 
     def __init__(self, gens: Iterable[Polynomial], variables: Sequence[str], order: str = "grevlex",
                  block: int = 0, max_basis: Optional[int] = None):
+        gens = [p for p in gens if not p.is_zero()]
         self.variables = tuple(variables)
-        self.key = _make_key(order, block)
+        self.codec = _codec(order, len(self.variables), block, max((p.degree() for p in gens), default=0))
         self.max_basis = max_basis
         self.G: list[dict] = []
-        self.LT: list[Exps] = []
+        self.LT: list[int] = []
         self.peak = 0
         self._pairs: list[tuple] = []
         self._done: set[tuple[int, int]] = set()
         # every pair among the first _old elements is treated
         self._old = 0
         for p in gens:
-            if not p.is_zero():
-                self._push(_to_internal(p, self.variables)[0])
+            self._push(_to_internal(p, self.variables, self.codec)[0])
         self._complete()
+
+    def _widening(self, compute):
+        """``_widening`` that repacks the basis to each wider codec; the pairs stay a heap."""
+        def repacked(codec):
+            old = self.codec
+            if codec is not old:
+                self.codec = codec
+                self.G[:] = [{codec.pack(old.unpack(m)): c for m, c in g.items()} for g in self.G]
+                self.LT[:] = [codec.pack(old.unpack(t)) for t in self.LT]
+                self._pairs[:] = [(codec.pack(old.unpack(l)), i, j) for l, i, j in self._pairs]
+            return compute(codec)
+
+        return _widening(self.codec, repacked)
 
     def reduce(self, p: Polynomial) -> dict:
         """A nonzero multiple of p's normal form, empty iff p lies in the ideal."""
-        return _reduce(_to_internal(p, self.variables)[0], self.G, self.LT, self.key)[0]
+        return self._widening(lambda c: _reduce(_to_internal(p, self.variables, c)[0], self.G, self.LT, c)[0])
 
     def add(self, p: Polynomial) -> bool:
         """Extend the ideal by p, queueing only its remainder's pairs; False if p is in it."""
@@ -207,22 +227,26 @@ class GroebnerBasis:
 
     def reduced(self) -> list[Polynomial]:
         """The reduced monic basis, by decreasing leading term."""
-        G = list(self.G)
-        # one pass suffices: the leading terms never change, so an element
-        # stays reduced once its tail is
-        for i, g in enumerate(G):
-            r, _ = _reduce(g, G[:i] + G[i + 1:], self.LT[:i] + self.LT[i + 1:], self.key)
-            G[i] = _primitive(r)
-        ranked = sorted(zip(self.LT, G), key=lambda tg: self.key(tg[0]), reverse=True)
-        return [_from_internal(g, self.variables, Fraction(1, g[t])) for t, g in ranked]
+        def tails(codec):
+            G = list(self.G)
+            # one pass suffices: the leading terms never change, so an element
+            # stays reduced once its tail is
+            for i, g in enumerate(G):
+                G[i] = _primitive(_reduce(g, G[:i] + G[i + 1:], self.LT[:i] + self.LT[i + 1:], codec)[0])
+            return G
+
+        G = self._widening(tails)
+        ranked = sorted(zip(self.LT, G), key=lambda tg: tg[0], reverse=True)
+        return [_from_internal(g, self.variables, Fraction(1, g[t]), self.codec) for t, g in ranked]
 
     def _push(self, g: dict) -> None:
         self.G.append(g)
-        self.LT.append(_lt(g, self.key))
+        self.LT.append(max(g))
         i = len(self.G) - 1
+        # an lcm's fields stay below 2^(W-1): it is compared and divided
+        # into, and the S-polynomial's products are checked
         for j in range(i):
-            lcm = _lcm_exps(self.LT[i], self.LT[j])
-            heapq.heappush(self._pairs, (self.key(lcm), i, j, lcm))
+            heapq.heappush(self._pairs, (self.codec.lcm(self.LT[i], self.LT[j]), i, j))
 
     def _append(self, r: dict) -> None:
         self.peak = max(self.peak, len(self.G) + 1)
@@ -236,23 +260,22 @@ class GroebnerBasis:
     def _complete(self) -> None:
         G, LT = self.G, self.LT
         while self._pairs:
-            _, i, j, lcm = heapq.heappop(self._pairs)
+            lcm, i, j = heapq.heappop(self._pairs)
             self._done.add((i, j))
-            if lcm == _add_exps(LT[i], LT[j]):
+            if lcm == LT[i] + LT[j]:
                 continue
-            if any(
-                k != i and k != j and _divides(LT[k], lcm)
-                and self._treated(i, k) and self._treated(j, k)
-                for k in range(len(G))
-            ):
+            guard = self.codec.guard
+            if any(k != i and k != j and not (lcm - LT[k]) & guard and self._treated(i, k) and self._treated(j, k)
+                   for k in range(len(G))):
                 continue
-            r, _ = _reduce(_spoly(G[i], G[j], self.key), G, LT, self.key)
+            r = self._widening(lambda c: _reduce(_spoly(G[i], G[j], c), G, LT, c)[0])
             if r:
                 self._append(r)
         # drop every element whose leading term another one's divides; of
         # equal leading terms, the first stays
+        guard = self.codec.guard
         keep = [i for i, t in enumerate(LT) if not any(
-            _divides(u, t) and (u != t or j < i) for j, u in enumerate(LT) if j != i)]
+            not (t - u) & guard and (u != t or j < i) for j, u in enumerate(LT) if j != i)]
         self.G = [G[i] for i in keep]
         self.LT = [LT[i] for i in keep]
         self._done.clear()
@@ -260,19 +283,11 @@ class GroebnerBasis:
 
 
 def default_variables(polys: Iterable[Polynomial]) -> tuple[str, ...]:
-    vs: set[str] = set()
-    for p in polys:
-        vs |= p.variables()
-    return tuple(sorted(vs))
+    return tuple(sorted(set().union(*(p.variables() for p in polys))))
 
 
-def groebner(
-    gens: Iterable[Polynomial],
-    variables: Optional[Sequence[str]] = None,
-    order: str = "grevlex",
-    block: int = 0,
-    max_basis: Optional[int] = None,
-) -> list[Polynomial]:
+def groebner(gens: Iterable[Polynomial], variables: Optional[Sequence[str]] = None, order: str = "grevlex",
+             block: int = 0, max_basis: Optional[int] = None) -> list[Polynomial]:
     """The reduced, auto-reduced, monic Groebner basis of the given ideal."""
     gens = list(gens)
     if variables is None:
@@ -280,38 +295,36 @@ def groebner(
     return GroebnerBasis(gens, variables, order, block, max_basis).reduced()
 
 
-def s_polynomial(
-    f: Polynomial, g: Polynomial, variables: Optional[Sequence[str]] = None, order: str = "grevlex"
-) -> Polynomial:
+def s_polynomial(f: Polynomial, g: Polynomial, variables: Optional[Sequence[str]] = None,
+                 order: str = "grevlex") -> Polynomial:
     if variables is None:
         variables = default_variables([f, g])
-    key = _make_key(order)
-    fi, gi = _to_internal(f, variables)[0], _to_internal(g, variables)[0]
-    scale = Fraction(1, fi[_lt(fi, key)] * gi[_lt(gi, key)])
-    return _from_internal(_spoly(fi, gi, key), variables, scale)
+
+    def compute(codec):
+        fi, gi = _to_internal(f, variables, codec)[0], _to_internal(g, variables, codec)[0]
+        scale = Fraction(1, fi[max(fi)] * gi[max(gi)])
+        return _from_internal(_spoly(fi, gi, codec), variables, scale, codec)
+
+    return _widening(_codec(order, len(variables), 0, max(f.degree(), g.degree())), compute)
 
 
-def normal_form(
-    p: Polynomial,
-    basis: Iterable[Polynomial],
-    variables: Optional[Sequence[str]] = None,
-    order: str = "grevlex",
-    block: int = 0,
-) -> Polynomial:
+def normal_form(p: Polynomial, basis: Iterable[Polynomial], variables: Optional[Sequence[str]] = None,
+                order: str = "grevlex", block: int = 0) -> Polynomial:
     """Division remainder of p by a basis (unique when the basis is Groebner
     for the order).  Fresh variables of p extend the sequence at the end,
     which preserves the order among the old monomials."""
-    basis = list(basis)
+    basis = [g for g in basis if not g.is_zero()]
     if variables is None:
         variables = default_variables(basis)
-    extra = sorted(p.variables() - set(variables))
-    variables = tuple(variables) + tuple(extra)
-    key = _make_key(order, block)
-    internal = [_to_internal(g, variables)[0] for g in basis if not g.is_zero()]
-    lts = [_lt(g, key) for g in internal]
-    q, m = _to_internal(p, variables)
-    r, s = _reduce(q, internal, lts, key)
-    return _from_internal(r, variables, m / s)
+    variables = tuple(variables) + tuple(sorted(p.variables() - set(variables)))
+
+    def compute(codec):
+        internal = [_to_internal(g, variables, codec)[0] for g in basis]
+        q, m = _to_internal(p, variables, codec)
+        r, s = _reduce(q, internal, [max(g) for g in internal], codec)
+        return _from_internal(r, variables, m / s, codec)
+
+    return _widening(_codec(order, len(variables), block, max(g.degree() for g in [p, *basis])), compute)
 
 
 class Ideal:
@@ -319,19 +332,16 @@ class Ideal:
 
     def __init__(self, generators: Iterable[Polynomial], variables=None):
         self.generators = tuple(g for g in generators if not g.is_zero())
-        self._variables = None if variables is None else tuple(variables)
+        self._variables = default_variables(self.generators) if variables is None else tuple(variables)
         self._bases: dict[str, GroebnerBasis] = {}
 
     def variables(self) -> tuple[str, ...]:
-        if self._variables is not None:
-            return self._variables
-        return default_variables(self.generators)
+        return self._variables
 
     def _basis(self, order: str, max_basis=None) -> GroebnerBasis:
         gb = self._bases.get(order)
         if gb is None:
-            gb = GroebnerBasis(self.generators, self.variables(), order, max_basis=max_basis)
-            self._bases[order] = gb
+            gb = self._bases[order] = GroebnerBasis(self.generators, self.variables(), order, max_basis=max_basis)
         # a cached basis answers to the budget it would have met when computed
         gb.check_budget(max_basis)
         return gb
@@ -352,9 +362,7 @@ class Ideal:
         return not self.generators
 
     def same_ideal(self, other: "Ideal") -> bool:
-        return all(self.contains(g) for g in other.generators) and all(
-            other.contains(g) for g in self.generators
-        )
+        return all(map(self.contains, other.generators)) and all(map(other.contains, self.generators))
 
     def __repr__(self):
         gens = ", ".join(repr(g) for g in self.generators) or "0"
@@ -373,21 +381,13 @@ def eliminate(ideal: Ideal, drop: Iterable[str], max_basis=None) -> Ideal:
     dropped = sorted(drop & set(ideal.variables()))
     if not dropped:
         return Ideal(ideal.generators, keep)
-    variables = tuple(dropped) + tuple(keep)
-    basis = groebner(
-        ideal.generators, variables, order="block-grevlex", block=len(dropped), max_basis=max_basis
-    )
-    kept = [g for g in basis if g.variables() <= set(keep)]
-    return Ideal(kept, keep)
+    basis = groebner(ideal.generators, (*dropped, *keep), "block-grevlex", len(dropped), max_basis)
+    return Ideal([g for g in basis if g.variables() <= set(keep)], keep)
 
 
 def _fresh_var(taken, stem="t"):
-    name = f"_{stem}"
-    n = 0
-    while name in taken:
-        n += 1
-        name = f"_{stem}{n}"
-    return name
+    names = (f"_{stem}{n or ''}" for n in itertools.count())
+    return next(name for name in names if name not in taken)
 
 
 def ideal_intersect(i: Ideal, j: Ideal, max_basis=None) -> Ideal:
@@ -396,8 +396,7 @@ def ideal_intersect(i: Ideal, j: Ideal, max_basis=None) -> Ideal:
     t = _fresh_var(vs)
     tp = Polynomial.var(t)
     gens = [tp * g for g in i.generators] + [(Polynomial.const(1) - tp) * g for g in j.generators]
-    combined = Ideal(gens, tuple([t] + sorted(vs)))
-    return eliminate(combined, {t}, max_basis=max_basis)
+    return eliminate(Ideal(gens, (t, *sorted(vs))), {t}, max_basis=max_basis)
 
 
 def in_radical(p: Polynomial, ideal: Ideal, max_basis=None) -> bool:
@@ -436,9 +435,8 @@ def _eliminate(vec: list[int], poly: dict, rows) -> tuple[Optional[int], list[in
     return next((k for k, a in enumerate(vec) if a), None), vec, poly
 
 
-def points_ideal(
-    points: Iterable[Mapping[str, int]], variables: Sequence[str], max_degree: Optional[int] = None
-) -> list[Polynomial]:
+def points_ideal(points: Iterable[Mapping[str, int]], variables: Sequence[str],
+                 max_degree: Optional[int] = None) -> list[Polynomial]:
     """The reduced grevlex Groebner basis of the ideal of all polynomials
     vanishing on a finite point set (Buchberger-Moeller).
 
@@ -452,8 +450,7 @@ def points_ideal(
     ideal of all vanishing polynomials of degree <= D.
 
     Coordinates must be ints (a DomainError names the variable of any other
-    value): the elimination is fraction-free, on integer vectors kept
-    primitive together with their polynomials.
+    value): the elimination is fraction-free, on primitive integer vectors.
     """
     variables = tuple(variables)
     pts = []
@@ -462,30 +459,32 @@ def points_ideal(
             if not isinstance(p[v], int):
                 raise DomainError(f"points_ideal needs integer coordinates; {v!r} is {p[v]!r}")
         pts.append(tuple(p[v] for v in variables))
+    # at most len(pts) monomials are standard, and they are closed under
+    # division, so no queued monomial has a degree above len(pts)
+    codec = _codec("grevlex", len(variables), 0, len(pts))
     # echelon rows: (pivot, integer evaluation vector, the polynomial it evaluates)
-    rows: list[tuple[int, list[int], dict[Exps, int]]] = []
-    basis: list[dict[Exps, int]] = []
-    leads: list[Exps] = []
-    start = (0,) * len(variables)
-    queue = [(_grevlex_key(start), start)]
-    queued = {start}
+    rows: list[tuple[int, list[int], dict[int, int]]] = []
+    basis, leads = [], []  # the basis elements and their leading terms
+    # (monomial t = x*s, its degree, the evaluation vectors of s and of x):
+    # t's vector is their product
+    ones, coords = [1] * len(pts), list(zip(*pts))
+    queue, queued = [(0, 0, ones, ones)], {0}
     while queue:
-        _, t = heapq.heappop(queue)
-        if max_degree is not None and sum(t) > max_degree:
+        t, degree, vs, xs = heapq.heappop(queue)
+        if max_degree is not None and degree > max_degree:
             break
-        if any(_divides(lead, t) for lead in leads):
+        if any(not (t - lead) & codec.guard for lead in leads):
             continue
-        vec = [math.prod(c**e for c, e in zip(pt, t)) for pt in pts]
-        pivot, vec, poly = _eliminate(vec, {t: 1}, rows)
+        vec = [a * c for a, c in zip(vs, xs)]
+        pivot, row, poly = _eliminate(vec, {t: 1}, rows)
         if pivot is None:
             basis.append({m: c for m, c in poly.items() if c})
             leads.append(t)
             continue
-        rows.append((pivot, vec, poly))
-        for i in range(len(t)):
-            u = t[:i] + (t[i] + 1,) + t[i + 1:]
-            if u not in queued:
-                queued.add(u)
-                heapq.heappush(queue, (_grevlex_key(u), u))
+        rows.append((pivot, row, poly))
+        for x, xs in zip(codec.cols, coords):
+            if t + x not in queued:
+                queued.add(t + x)
+                heapq.heappush(queue, (t + x, degree + 1, vec, xs))
     # poly[t] is the leading coefficient of the element with leading term t
-    return [_from_internal(g, variables, Fraction(1, g[t])) for g, t in zip(basis, leads)]
+    return [_from_internal(g, variables, Fraction(1, g[t]), codec) for g, t in zip(basis, leads)]

@@ -7,6 +7,7 @@ from importlib import resources
 
 import pytest
 
+from wordmaps import equivalence
 from wordmaps.equivalence import (
     Budget,
     Equal,
@@ -614,13 +615,15 @@ def test_counter_witness_is_found_without_enumerating_words():
     assert time.perf_counter() - start < 2.0
 
 
+def _gmap(name, kind):
+    text = resources.files("wordmaps").joinpath("data", "gmap.sys").read_text()
+    return parse_file(text, filename="gmap").resolve(name, kind)[1]
+
+
 def _lowered_gmap_pair():
     """nu:(fibrep + C(n,4)) against nu:fibrep, both lowered: 106 variables,
     and t = the difference of the output forms = C(value(w), 4)."""
-    text = resources.files("wordmaps").joinpath("data", "gmap.sys").read_text()
-    gmap = parse_file(text, filename="gmap")
-    nu = gmap.resolve("nu", "cat")[1]
-    fibrep = gmap.resolve("fibrep", "linrep")[1]
+    fibrep = _gmap("fibrep", "linrep")
     # fibrep's 2x2 matrix beside the 5x5 Pascal matrix, whose corner entry
     # of its n-th power is C(n, 4)
     (fib,) = (m for _, m in fibrep.matrices)
@@ -629,7 +632,14 @@ def _lowered_gmap_pair():
     both = LinearRepresentation.make(
         fibrep.row + (1, 0, 0, 0, 0), {"x": tuple(map(tuple, block))}, fibrep.col + (0, 0, 0, 0, 1)
     )
-    sides = [compose_level3(nu, "g", rep).lower() for rep in (both, fibrep)]
+    return _lowered_nu_pair(both, fibrep)
+
+
+def _lowered_nu_pair(second_a, second_b):
+    """nu:second_a against nu:second_b, both lowered and side by side, and t
+    the difference of their output forms."""
+    nu = _gmap("nu", "cat")
+    sides = [compose_level3(nu, "g", second).lower() for second in (second_a, second_b)]
     renamed = [rename_system(low.system, prefix) for low, prefix in zip(sides, ("A_", "B_"))]
     t = Polynomial.zero()
     for low, prefix, sign in zip(sides, ("A_", "B_"), (1, -1)):
@@ -646,6 +656,22 @@ def test_lowered_gmap_pair_is_answered_by_the_quick_scan():
     start = time.perf_counter()
     assert decide_zero_on_reachables(pair, t) == NotEqual(("1", "0", "0"))
     assert time.perf_counter() - start < 2.0
+
+
+def test_lowered_gmap_equal_pair_is_decided_by_the_saturation_pass(monkeypatch):
+    # the paper's example: G(w) = F(value of w) through a linear
+    # representation and through an HDT0L system.  The maps agree, so the
+    # length-3 scan finds nothing and the saturation pass must close its chain
+    pair, t = _lowered_nu_pair(_gmap("fibrep", "linrep"), _gmap("fibword", "hdt0l"))
+    assert len(pair.indices) == 16
+    assert t == P("A_u_g_0_0") - P("B_u_g_1_0") - P("B_u_g_1_1")
+    passes = []
+    saturate = equivalence._saturate
+    monkeypatch.setattr(equivalence, "_saturate", lambda *args: passes.append(args) or saturate(*args))
+    start = time.perf_counter()
+    assert decide_zero_on_reachables(pair, t) == Equal()
+    assert time.perf_counter() - start < 1.0
+    assert len(passes) == 1
 
 
 def test_closure_refutation_comes_from_the_saturation_pass():

@@ -289,6 +289,130 @@ def test_basis_reduced_and_monic():
 
 
 # ---------------------------------------------------------------------------
+# packed monomials
+
+
+def _grevlex_key(e):
+    return (sum(e), *(-x for x in reversed(e)))
+
+
+def _reference_key(order, e, block):
+    if order == "lex":
+        return tuple(e)
+    if order == "grevlex":
+        return _grevlex_key(e)
+    return _grevlex_key(e[:block]) + _grevlex_key(e[block:])
+
+
+def test_codec_matches_tuple_keys():
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    from wordmaps.groebner import _Codec
+
+    width = 8
+    limit = 1 << width - 2  # every field of a packed monomial stays below this
+
+    def parts(total, cuts):
+        """total split into len(cuts) + 1 nonnegative parts."""
+        cuts = sorted(c % (total + 1) for c in cuts)
+        return [b - a for a, b in zip([0, *cuts], [*cuts, total])]
+
+    def group(k):
+        # a grevlex group's degree is a field: it may reach the limit exactly
+        total = st.one_of(st.just(limit - 1), st.integers(0, limit - 1))
+        return st.builds(parts, total, st.lists(st.integers(0, limit), min_size=k - 1, max_size=k - 1))
+
+    @st.composite
+    def case(draw):
+        order = draw(st.sampled_from(["lex", "grevlex", "block-grevlex"]))
+        n = draw(st.integers(1, 5))
+        block = draw(st.integers(0, n)) if order == "block-grevlex" else 0
+        if order == "lex":
+            exps = st.lists(st.one_of(st.just(limit - 1), st.integers(0, limit - 1)), min_size=n, max_size=n)
+        elif order == "grevlex":
+            exps = group(n)
+        else:
+            exps = st.builds(lambda a, b: a + b, group(block) if block else st.just([]),
+                             group(n - block) if block < n else st.just([]))
+        return order, n, block, draw(st.lists(exps, min_size=4, max_size=4))
+
+    @settings(deadline=None, max_examples=300)
+    @given(case())
+    def check(c):
+        order, n, block, (a, b, c_, d) = c
+        codec = _Codec(order, n, block, width)
+        key = lambda e: _reference_key(order, e, block)
+        pa, pb, pc, pd = map(codec.pack, (a, b, c_, d))
+        assert codec.unpack(pa) == tuple(a)
+        assert (pa < pb) == (key(a) < key(b)) and (pa == pb) == (a == b)
+        # sums of two packed monomials carry into no neighbouring field
+        ab, cd = [x + y for x, y in zip(a, b)], [x + y for x, y in zip(c_, d)]
+        assert codec.unpack(pa + pb) == tuple(ab)
+        assert (pa + pb < pc + pd) == (key(ab) < key(cd))
+        assert (not (pb - pa) & codec.guard) == all(x <= y for x, y in zip(a, b))
+        # the test also holds against a sum or an lcm, whose fields may pass
+        # the limit but stay below the guard bit
+        assert (not (pc + pd - pa) & codec.guard) == all(x <= y for x, y in zip(a, cd))
+        assert codec.unpack(codec.lcm(pa, pb)) == tuple(map(max, a, b))
+        assert (codec.lcm(pa, pb) < pc) == (key(list(map(max, a, b))) < key(c_))
+
+    check()
+
+
+def test_field_overflow_repacks_at_twice_the_width(monkeypatch):
+    import wordmaps.groebner as kernel
+
+    # the inputs have degree 300, so the fields start 11 bits wide; y^90000,
+    # above 2^16, first appears while reducing
+    widths = []
+    widening = kernel._widening
+    monkeypatch.setattr(kernel, "_widening", lambda codec, compute: widening(
+        codec, lambda c: (widths.append(c.width), compute(c))[1]))
+    assert normal_form(x**300, [x - y**300], ("x", "y"), "lex") == y**90000
+    assert widths == [11, 22]
+    widths.clear()
+    basis = GroebnerBasis([x - y**300], ("x", "y"), "lex")
+    assert basis.codec.width == 11
+    assert basis.add(x**300)
+    assert widths == [11, 22] and basis.codec.width == 22
+    assert basis.reduced() == [x - y**300, y**90000]
+    assert not basis.add(y**90001 - x * y**89701)
+    # an added polynomial of a degree the fields cannot hold
+    basis = GroebnerBasis([x - y], ("x", "y", "z"), "lex")
+    assert basis.codec.width == 8
+    assert basis.add(z**5000 - 1)
+    assert basis.codec.width == 16
+    assert basis.reduced() == [x - y, z**5000 - 1]
+
+
+def test_repacking_keeps_every_stored_monomial_in_range():
+    class Checked(GroebnerBasis):
+        def _widening(self, compute):
+            def checked(codec):
+                # the pending pairs' lcms are packed like the basis
+                assert all(l == codec.lcm(self.LT[i], self.LT[j]) for l, i, j in self._pairs)
+                waiting.setdefault(codec.width, len(self._pairs))
+                return compute(codec)
+
+            return super()._widening(checked)
+
+    # the first ideal meets y^600 in an S-polynomial, whose remainder is
+    # stored with no reduction step to check it; the second one overflows
+    # while two S-pairs wait (sympy's lex bases are the ones asserted)
+    for gens, want in [
+        ([x * z - y**300, x * y**300 - 1], [x * y**300 - 1, x * z - y**300, y**600 - z]),
+        ([x - y**300, x**2 - z, x * z - 1], [x - z**2, y**300 - z**2, z**3 - 1]),
+    ]:
+        waiting = {}
+        basis = Checked(gens, ("x", "y", "z"), "lex")
+        assert sorted(waiting) == [11, 22]
+        assert not any(m & basis.codec.full for g in basis.G for m in g)
+        assert basis.reduced() == want
+    assert waiting[22] == 2
+
+
+# ---------------------------------------------------------------------------
 # elimination, intersection, radicals
 
 
