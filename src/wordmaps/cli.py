@@ -14,13 +14,7 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-from .equivalence import (
-    Budget,
-    FractionPresentation,
-    NotEqual,
-    decide_equal,
-    decide_equal_fractions,
-)
+from .equivalence import Budget, FractionPresentation, NotEqual, _decide_quotients, _indexed
 from .errors import FuelExhaustedError, WordmapsError
 from .groebner import groebner
 from .kpda import Accepted, Stuck, steps
@@ -152,26 +146,21 @@ def _budget(args) -> Budget:
     return Budget.scaled(args.budget, order=args.order)
 
 
+def _quotient(sf: SystemFile, target: str):
+    """The (system, num, den) shape of an equiv target: an indexed poly
+    sequence or a frac."""
+    kind, obj, index = resolve_sequence(sf, target)
+    if kind == "poly":
+        return _indexed(obj, index)
+    if kind != "frac":
+        raise WordmapsError(f"cannot decide the equality of a {kind} target")
+    _, system = sf.resolve(obj.system_name, "poly")
+    return FractionPresentation(system, obj.num_plus, obj.num_minus, obj.den_plus, obj.den_minus)._shape()
+
+
 def cmd_equiv(args) -> int:
-    sf_a = load_file(args.file_a)
-    sf_b = load_file(args.file_b)
-    name_a, _ = split_target(args.target_a)
-    kind_a, _ = sf_a.resolve(name_a)
-    budget = _budget(args)
-    if kind_a == "frac":
-        _, spec_a = sf_a.resolve(name_a, "frac")
-        _, spec_b = sf_b.resolve(split_target(args.target_b)[0], "frac")
-        _, sys_a = sf_a.resolve(spec_a.system_name, "poly")
-        _, sys_b = sf_b.resolve(spec_b.system_name, "poly")
-        verdict = decide_equal_fractions(
-            FractionPresentation(sys_a, spec_a.num_plus, spec_a.num_minus, spec_a.den_plus, spec_a.den_minus),
-            FractionPresentation(sys_b, spec_b.num_plus, spec_b.num_minus, spec_b.den_plus, spec_b.den_minus),
-            budget,
-        )
-    else:
-        _, sys_a, i_a = resolve_sequence(sf_a, args.target_a)
-        _, sys_b, i_b = resolve_sequence(sf_b, args.target_b)
-        verdict = decide_equal(sys_a, i_a, sys_b, i_b, budget)
+    sf_a, sf_b = load_file(args.file_a), load_file(args.file_b)
+    verdict = _decide_quotients(_quotient(sf_a, args.target_a), _quotient(sf_b, args.target_b), _budget(args))
     if isinstance(verdict, NotEqual):
         print(f"NotEqual {show_word(verdict.witness)}")
         return 1

@@ -29,12 +29,20 @@ its extensions combine pull-backs at shortlex-smaller words, which vanish at
 the base.  The chain stabilizes (ascending chain condition), so the pass is
 total and verdicts never need a variety computation.
 
+``decide_equal`` and ``decide_equal_fractions`` decide one shape, a quotient
+num/den of polynomials over a system: the sequence X_i is X_i/1 and a
+fraction presentation is (g - h)/(fp - gp).  Two quotients agree at every
+word exactly when t = A(num_p) B(den_q) - B(num_q) A(den_p) vanishes on the
+orbit of the paired system, A and B prefixing the two systems' indices.
+
 ``zariski_closure`` computes the vanishing ideal of the orbit closure.  Both
 of its paths fit polynomials to sampled orbit points with Buchberger-Moeller
 (``groebner.points_ideal``).  A finite orbit enumerated by sampling gets the
-exact ideal of its points.  For other orbits, the low-degree basis elements
-of the sampled points' ideal are candidates, each certified with
-``find_witness``, so every returned generator vanishes on the whole orbit.
+exact ideal of its points.  For other orbits, the sampled points' basis
+elements of degree <= D generate an ideal J, returned once J is inductive:
+its generators vanish at the base vector and their pull-backs under every
+letter lie in J, so sigma_a(J) is inside J and J vanishes on the whole orbit
+(Sankaranarayanan, Sipma and Manna, POPL 2004).
 
 Sampling, the length-capped witness search and the span walk share one
 breadth-first orbit walk that visits each distinct value vector once, at its
@@ -54,9 +62,9 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .errors import BudgetExceededError, DomainError
-from .groebner import GroebnerBasis, Ideal, _eliminate, in_radical, points_ideal
+from .groebner import GroebnerBasis, Ideal, _eliminate, points_ideal
 from .polynomials import Polynomial, _powers, _substitute
-from .recurrences import PolynomialSystem, _step, eval_polynomial_vector, product_system, rename_system
+from .recurrences import PolynomialSystem, _prefixed, _step, eval_polynomial_vector, product_system, rename_system
 from .words import Word
 
 
@@ -263,12 +271,29 @@ def decide_equal(
     budget: Budget = DEFAULT_BUDGET,
 ) -> Verdict:
     """Decide pointwise equality of two polynomially recurrent sequences."""
-    if i_a not in sys_a.indices:
-        raise DomainError(f"unknown index {i_a!r}")
-    if i_b not in sys_b.indices:
-        raise DomainError(f"unknown index {i_b!r}")
-    t = Polynomial.var("A_" + i_a) - Polynomial.var("B_" + i_b)
-    return decide_zero_on_reachables(_paired(sys_a, sys_b), t, budget)
+    return _decide_quotients(_indexed(sys_a, i_a), _indexed(sys_b, i_b), budget)
+
+
+_ONE = Polynomial.const(1)  # the denominator of every indexed shape
+
+
+def _indexed(sys: PolynomialSystem, i: str) -> tuple:
+    """The (system, num, den) shape of the sequence X_i, which is X_i/1."""
+    if i not in sys.indices:
+        raise DomainError(f"unknown index {i!r}")
+    return sys, Polynomial.var(i), _ONE
+
+
+def _decide_quotients(p: tuple, q: tuple, budget: Budget) -> Verdict:
+    """Whether two (system, num, den) shapes agree at every word, by the t of
+    the module docstring; an indexed shape's denominator is not multiplied in."""
+    (sys_p, num_p, den_p), (sys_q, num_q, den_q) = p, q
+    lhs, rhs = _prefixed(num_p, "A_"), _prefixed(num_q, "B_")
+    if den_q is not _ONE:
+        lhs = lhs * _prefixed(den_q, "B_")
+    if den_p is not _ONE:
+        rhs = rhs * _prefixed(den_p, "A_")
+    return decide_zero_on_reachables(_paired(sys_p, sys_q), lhs - rhs, budget)
 
 
 @dataclass(frozen=True)
@@ -290,12 +315,17 @@ class FractionPresentation:
             if i not in self.system.indices:
                 raise DomainError(f"unknown index {i!r}")
 
+    def _shape(self) -> tuple:
+        """The (system, num, den) shape (g - h)/(fp - gp)."""
+        v = Polynomial.var
+        return self.system, v(self.num_plus) - v(self.num_minus), v(self.den_plus) - v(self.den_minus)
+
     def eval(self, w: Word) -> Fraction:
         vec = eval_polynomial_vector(self.system, w)
-        den = vec[self.den_plus] - vec[self.den_minus]
+        num, den = (f.evaluate(vec) for f in self._shape()[1:])
         if den == 0:
             raise DomainError(f"denominator vanished at {w!r}")
-        return Fraction(vec[self.num_plus] - vec[self.num_minus], den)
+        return Fraction(num, den)
 
 
 def decide_equal_fractions(
@@ -303,13 +333,7 @@ def decide_equal_fractions(
 ) -> Verdict:
     """Cross-multiplied zeroness of two fraction presentations on the
     reachable set of the combined system."""
-    def parts(f, prefix):
-        v = {i: Polynomial.var(prefix + i) for i in f.system.indices}
-        return v[f.num_plus] - v[f.num_minus], v[f.den_plus] - v[f.den_minus]
-
-    (num_p, den_p), (num_q, den_q) = parts(p, "A_"), parts(q, "B_")
-    t = num_p * den_q - num_q * den_p
-    return decide_zero_on_reachables(_paired(p.system, q.system), t, budget)
+    return _decide_quotients(p._shape(), q._shape(), budget)
 
 
 # ---------------------------------------------------------------------------
@@ -333,48 +357,35 @@ def zariski_closure(sys: PolynomialSystem, budget: Budget = DEFAULT_BUDGET) -> I
 
     When sampling enumerates the whole orbit (within ``sample_points``), this
     is the exact ideal of its points.  Otherwise the sampled points' basis
-    elements of degree up to ``max_degree`` are candidates: each one is
-    certified with ``find_witness``, and a refuted one adds the point at
-    its minimal witness to the fit.  The result is then the ideal generated
-    by all orbit-vanishing polynomials of degree up to the budget.  If its
-    variety is not invariant under every update map, generators of higher
-    degree provably exist and a budget error is raised; otherwise the ideal
-    is returned, and it is the full vanishing ideal whenever that ideal is
-    generated within the degree budget.
+    elements of degree up to ``max_degree`` generate a candidate ideal J,
+    returned once it is inductive: every generator vanishes at the base
+    vector and every generator's pull-back under every letter reduces to 0
+    modulo J, so J vanishes on the whole orbit, and J is then the ideal
+    generated by all orbit-vanishing polynomials of degree up to the budget.
+    Otherwise the first generator that ``find_witness`` refutes adds the
+    point at its minimal witness to the fit.  When none is refuted, a
+    pull-back that vanishes on the orbit lies outside J, so generators of
+    higher degree provably exist and a budget error is raised.  The result
+    is the full vanishing ideal whenever that ideal is generated within the
+    degree budget.
     """
     variables = tuple(sys.indices)
     points, orbit_closed = reachable_points(sys, budget)
     if orbit_closed:
         return Ideal(points_ideal(points, variables), variables)
 
-    verified: list[Polynomial] = []
-    basis = GroebnerBasis([], variables)
+    base, letters, tables = sys.base_vector(), sorted(sys.input_alphabet), _tables(sys)
     while True:
-        for cand in points_ideal(points, variables, budget.max_degree):
-            if not basis.reduce(cand):
-                continue
-            refutation = find_witness(sys, cand, budget)
+        cands = points_ideal(points, variables, budget.max_degree)
+        basis = GroebnerBasis(cands, variables, max_basis=budget.max_basis)
+        if all(g.evaluate(base) == 0 for g in cands) and not any(
+                basis.reduce(_sigma(tables, a, g)) for g in cands for a in letters):
+            return Ideal(cands, variables)
+        for g in cands:
+            refutation = find_witness(sys, g, budget)
+            # () is a witness too: the base vector, when no point was sampled
             if refutation is not None:
                 points.append(eval_polynomial_vector(sys, refutation))
                 break
-            verified.append(cand)
-            basis.add(cand)
         else:
-            break
-    verified_ideal = Ideal(verified, variables)
-    if _is_invariant(sys, verified_ideal, sorted(sys.input_alphabet), budget):
-        return verified_ideal
-    raise BudgetExceededError(
-        "closure generators above the degree budget remain; raise the budget"
-    )
-
-
-def _is_invariant(sys: PolynomialSystem, j: Ideal, letters, budget: Budget) -> bool:
-    """V(j) is mapped into itself by every update map: each pulled-back
-    generator lies in the radical."""
-    tables = _tables(sys)
-    for g in j.generators:
-        for a in letters:
-            if not in_radical(_sigma(tables, a, g), j, max_basis=budget.max_basis):
-                return False
-    return True
+            raise BudgetExceededError("closure generators above the degree budget remain; raise the budget")

@@ -96,8 +96,10 @@ def _to_internal(p: Polynomial, variables: Sequence[str], codec: _Codec) -> tupl
 
 
 def _from_internal(d: dict[int, int], variables: Sequence[str], scale: Fraction, codec: _Codec) -> Polynomial:
-    """The polynomial scale*d, for a nonzero Fraction scale."""
-    return _normalised({tuple((variables[i], e) for i, e in enumerate(codec.unpack(m)) if e): c * scale
+    """The polynomial scale*d, for a nonzero Fraction scale, its monomials
+    spelled in variable-name order whatever the order of the sequence."""
+    mask, spell = codec.mask, sorted(zip(variables, codec.shifts))
+    return _normalised({tuple([(v, e) for v, s in spell if (e := m >> s & mask)]): c * scale
                         for m, c in d.items()})
 
 
@@ -297,6 +299,8 @@ def groebner(gens: Iterable[Polynomial], variables: Optional[Sequence[str]] = No
 
 def s_polynomial(f: Polynomial, g: Polynomial, variables: Optional[Sequence[str]] = None,
                  order: str = "grevlex") -> Polynomial:
+    if f.is_zero() or g.is_zero():
+        raise DomainError("the S-polynomial of a zero polynomial is undefined")
     if variables is None:
         variables = default_variables([f, g])
 

@@ -282,15 +282,18 @@ class PolynomialSystem(_Lookup):
         return max((p.degree() for _, p in self.rules), default=-1)
 
 
+def _prefixed(p: Polynomial, prefix: str) -> Polynomial:
+    """p with every variable name prefixed, by re-keying its monomials: a
+    shared prefix keeps each monomial's variables sorted."""
+    return _wrap({tuple([(prefix + v, e) for v, e in m]): c for m, c in p.terms.items()})
+
+
 def rename_system(sys: PolynomialSystem, prefix: str) -> PolynomialSystem:
     """The same system with every index name prefixed.  A shared prefix keeps the
     monomials and the rule and base pairs sorted: nothing to substitute or re-check."""
-    def renamed(p):
-        return _wrap({tuple((prefix + v, e) for v, e in m): c for m, c in p.terms.items()})
-
     return PolynomialSystem(
         tuple(prefix + i for i in sys.indices), sys.input_alphabet,
-        tuple(((prefix + i, a), renamed(p)) for (i, a), p in sys.rules),
+        tuple(((prefix + i, a), _prefixed(p, prefix)) for (i, a), p in sys.rules),
         tuple((prefix + i, v) for i, v in sys.base), sys.ring,
     )
 

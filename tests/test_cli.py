@@ -94,6 +94,91 @@ frac plain {
     assert code == 0 and out == "Equal\n"
 
 
+def test_equiv_rejects_a_target_that_is_neither_poly_nor_frac(capsys):
+    for argv in (("gmap", "nu", "gmap", "nu"), ("fibonacci", "F", "fibonacci", "fibrep")):
+        code, out, err = run_cli(capsys, "equiv", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "cannot decide" in err
+
+
+MIXED = """
+poly X {
+  input: a b
+  ring: N
+  X(eps) = 1
+  X(a w) = 2 * X
+  X(b w) = X + 1
+}
+
+poly quot {
+  input: a b
+  ring: N
+  N(eps) = 1
+  M(eps) = 1
+  D(eps) = 1
+  C(eps) = 0
+  Z(eps) = 0
+  N(a w) = 4 * N
+  N(b w) = N + D
+  M(a w) = 4 * M
+  M(b w) = M + D + C
+  D(a w) = 2 * D
+  D(b w) = D
+  C(a w) = C + D
+  C(b w) = C
+  Z(a w) = Z
+  Z(b w) = Z
+}
+
+frac same {
+  system: quot
+  g: N
+  h: Z
+  fp: D
+  gp: Z
+}
+
+frac drifts {
+  system: quot
+  g: M
+  h: Z
+  fp: D
+  gp: Z
+}
+"""
+
+
+def test_equiv_decides_a_frac_against_an_indexed_poly_target(capsys, tmp_path):
+    from fractions import Fraction
+    from itertools import product
+
+    from wordmaps.cli import load_file
+    from wordmaps.recurrences import eval_polynomial_vector
+    from wordmaps.words import show_word
+
+    path = tmp_path / "mixed.sys"
+    path.write_text(MIXED)
+    sf = load_file(str(path))
+    quot, x = sf.resolve("quot", "poly")[1], sf.resolve("X", "poly")[1]
+    words = [w for n in range(9) for w in product("ab", repeat=n)]
+
+    def brute(frac):
+        spec = sf.resolve(frac, "frac")[1]
+        for w in words:
+            v = eval_polynomial_vector(quot, w)
+            q = Fraction(v[spec.num_plus] - v[spec.num_minus], v[spec.den_plus] - v[spec.den_minus])
+            if q != eval_polynomial_vector(x, w)["X"]:
+                return 1, f"NotEqual {show_word(w)}\n"
+        return 0, "Equal\n"
+
+    expected = {frac: brute(frac) for frac in ("same", "drifts")}
+    assert expected["same"] == (0, "Equal\n") and expected["drifts"][0] == 1
+    for frac, verdict in expected.items():
+        for argv in ((str(path), frac, str(path), "X"), (str(path), "X.X", str(path), frac)):
+            code, out, _ = run_cli(capsys, "equiv", *argv)
+            assert (code, out) == verdict, argv
+
+
 def test_main_builds_its_parser_once_and_reuses_it_after_an_error(capsys, monkeypatch):
     import wordmaps.cli as cli
 

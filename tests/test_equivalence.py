@@ -472,6 +472,9 @@ def test_closure_fibonacci_catches_the_quartic_invariant():
     invariant = (P("F") ** 2 + P("F") * P("G") - P("G") ** 2) ** 2 - 1
     assert j.contains(invariant)
     assert not j.contains(P("F") - P("G"))
+    # indices out of name order change nothing, the spelling of monomials included
+    swapped = PolynomialSystem.make(("G", "F"), sys.input_alphabet, dict(sys.rules), sys.base_map)
+    assert zariski_closure(swapped).generators == j.generators == (invariant,)
 
 
 def _rotation12():
@@ -523,6 +526,10 @@ def test_closure_parabola_orbit():
     )
     j = zariski_closure(sys)
     assert j.same_ideal(Ideal([P("y") - P("x") * P("x")]))
+    # with no sampled point the first fit is <1>, inductive but not zero at
+    # the base vector: its refutation at eps starts the fit from the base
+    j = zariski_closure(sys, Budget(sample_points=0))
+    assert j.same_ideal(Ideal([P("y") - P("x") * P("x")])) and repr(j) == "<x^2 - y>"
 
 
 def test_closure_truncation_semantics_at_tiny_degree_budget():

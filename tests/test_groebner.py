@@ -273,6 +273,44 @@ def test_spolynomials_reduce_to_zero():
             assert normal_form(s, basis, variables).is_zero()
 
 
+def test_s_polynomial_of_zero_is_a_domain_error():
+    for f, g in ((Polynomial.zero(), x), (x * y - 1, Polynomial.zero())):
+        with pytest.raises(DomainError, match="zero polynomial"):
+            s_polynomial(f, g)
+
+
+def test_results_are_spelled_in_name_order_whatever_the_variable_sequence():
+    # a monomial order follows positions in the variable sequence, so renaming
+    # the variables along a permutation renames every result; == compares
+    # term keys, which spell each monomial's variables in name order
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    names = ("x", "y", "z")
+    mono = st.tuples(*[st.integers(0, 2)] * 3).map(
+        lambda exps: tuple((v, e) for v, e in zip(names, exps) if e)
+    )
+    poly = st.dictionaries(mono, st.integers(-3, 3), max_size=3).map(Polynomial)
+    coords = st.lists(st.tuples(*[st.integers(-3, 3)] * 3), min_size=1, max_size=6)
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.permutations(names), st.lists(poly, max_size=3), poly, coords, st.sampled_from(["grevlex", "lex"]))
+    def check(perm, gens, p, coords, order):
+        env = {v: Polynomial.var(w) for v, w in zip(names, perm)}
+
+        def renamed(f):
+            return f.substitute(env)
+
+        basis = groebner(gens, names, order)
+        assert groebner(map(renamed, gens), perm, order) == list(map(renamed, basis))
+        remainder = normal_form(p, basis, names, order)
+        assert normal_form(renamed(p), map(renamed, basis), perm, order) == renamed(remainder)
+        points = points_ideal([dict(zip(names, c)) for c in coords], names)
+        assert points_ideal([dict(zip(perm, c)) for c in coords], perm) == list(map(renamed, points))
+
+    check()
+
+
 def test_basis_deterministic():
     gens = [x * x - y, x ** 3 - x]
     assert groebner(gens) == groebner(gens)
