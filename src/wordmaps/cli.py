@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .equivalence import Budget, FractionPresentation, NotEqual, _decide_quotients, _indexed
 from .errors import FuelExhaustedError, WordmapsError
-from .groebner import groebner
+from .groebner import ORDERS, groebner
 from .kpda import Accepted, Stuck, steps
 from .lowering import (
     catenative_to_hdt0l,
@@ -45,10 +45,20 @@ def data_names():
     return sorted(p.name[:-4] for p in _data_dir().iterdir() if p.name.endswith(".sys"))
 
 
+def _file_error(verb: str, path: str, e: Exception) -> WordmapsError:
+    """The error for a file that could not be read or written, naming its path."""
+    why = e.strerror if isinstance(e, OSError) and e.strerror else e
+    return WordmapsError(f"cannot {verb} {path!r}: {why}")
+
+
 def load_file(spec: str) -> SystemFile:
     path = Path(spec)
     if path.exists():
-        return parse_file(path.read_text(), filename=str(path))
+        try:
+            text = path.read_text()
+        except (OSError, UnicodeDecodeError) as e:
+            raise _file_error("read", spec, e) from e
+        return parse_file(text, filename=str(path))
     names = data_names()
     matches = [n for n in names if n == spec] or [n for n in names if n.startswith(spec)]
     if len(matches) != 1:
@@ -198,7 +208,10 @@ def cmd_lower(args) -> int:
     else:
         raise WordmapsError(f"unknown lowering {args.what!r}")
     if args.output:
-        Path(args.output).write_text(out + "\n")
+        try:
+            Path(args.output).write_text(out + "\n")
+        except OSError as e:
+            raise _file_error("write", args.output, e) from e
     else:
         print(out)
     return 0
@@ -256,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--fuel", type=int, default=10**6, help="step budget for runs and rewriting")
     common.add_argument("--budget", type=int, default=None, help="resource budget for decisions")
-    common.add_argument("--order", default="grevlex", choices=["grevlex", "lex"])
+    common.add_argument("--order", default="grevlex", choices=ORDERS)
     common.add_argument("--paper-literal", action="store_true", help="prefer *_literal variants")
 
     p = argparse.ArgumentParser(prog="wordmaps", description=__doc__)

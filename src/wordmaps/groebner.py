@@ -6,18 +6,17 @@ coefficients (denominators cleared, content divided out).  A packed monomial
 is one int (Monagan and Pearce, CASC 2007): the order's key fields above the
 exponents e_1..e_n, each field W bits with a guard top bit.  Grevlex keys are
 the partial sums e_1+...+e_n, ..., e_1+e_2, e_1, comparing like (deg, -e_n,
-..., -e_2); lex has none; a block order, used for elimination with the
-dropped block first, has one grevlex group per block.  Comparing monomials
-compares ints, multiplying adds them, and a divides b iff b - a sets no guard
-bit.  W follows the inputs' degrees; a field reaching 2^(W-2) raises
-``_Overflow`` and the work is redone at 2W, so no field wraps.  Heap division
-(Monagan and Pearce, J. Symb. Comp. 46, 2011) cross-multiplies by leading
-coefficients and points are eliminated Bareiss-style, fraction-free; results
-are made monic (or rescaled to the exact remainder) on the way out.  A
-``GroebnerBasis`` is completed incrementally (Gebauer and Moeller, J. Symb.
-Comp. 6, 1988): ``add`` queues only the new element's S-pairs.  ``groebner``
-returns its reduced form, deterministic given the generators, the variable
-sequence, and the order.
+..., -e_2); lex, which also serves elimination with the dropped variables
+first, has none.  Comparing monomials compares ints, multiplying adds them,
+and a divides b iff b - a sets no guard bit.  W follows the inputs' degrees; a
+field reaching 2^(W-2) raises ``_Overflow`` and the work is redone at 2W, so
+no field wraps.  Heap division (Monagan and Pearce, J. Symb. Comp. 46, 2011)
+cross-multiplies by leading coefficients and points are eliminated
+Bareiss-style, fraction-free; results are made monic (or rescaled to the exact
+remainder) on the way out.  A ``GroebnerBasis`` is completed incrementally
+(Gebauer and Moeller, J. Symb. Comp. 6, 1988): ``add`` queues only the new
+element's S-pairs.  ``groebner`` returns its reduced form, deterministic given
+the generators, the variable sequence, and the order.
 """
 
 from __future__ import annotations
@@ -33,6 +32,9 @@ from .errors import BudgetExceededError, DomainError
 from .polynomials import Polynomial, _normalised
 
 
+ORDERS = ("grevlex", "lex")
+
+
 class _Overflow(Exception):
     """A monomial field reached 2^(W-2)."""
 
@@ -41,15 +43,14 @@ class _Overflow(Exception):
 class _Codec:
     """Packing of monomials over n variables for an order, W bits a field."""
 
-    def __init__(self, order: str, n: int, block: int, width: int):
-        groups = {"lex": [], "grevlex": [(0, n)], "block-grevlex": [(0, block), (block, n)]}
-        if order not in groups:
+    def __init__(self, order: str, n: int, width: int):
+        if order not in ORDERS:
             raise DomainError(f"unknown monomial order {order!r}")
         # each field as the range of variables it sums, from the top
-        fields = [range(lo, k) for lo, hi in groups[order] for k in range(hi, lo, -1)]
+        fields = [range(0, k) for k in range(n, 0, -1)] if order == "grevlex" else []
         fields += [range(i, i + 1) for i in range(n)]
         top = len(fields) - 1
-        self.spec, self.width = (order, n, block), width
+        self.spec, self.width = (order, n), width
         self.cols = [sum(1 << width * (top - f) for f, vs in enumerate(fields) if i in vs) for i in range(n)]
         self.guard = sum(1 << width * f + width - 1 for f in range(top + 1))
         # the top two bits of every field: one of them set is an overflow
@@ -67,9 +68,9 @@ class _Codec:
         return self.pack(map(max, self.unpack(a), self.unpack(b)))
 
 
-def _codec(order: str, n: int, block: int, degree: int) -> _Codec:
+def _codec(order: str, n: int, degree: int) -> _Codec:
     """The codec whose fields stay below 2^(W-2) on monomials of this degree."""
-    return _Codec(order, n, block, max(8, degree.bit_length() + 2))
+    return _Codec(order, n, max(8, degree.bit_length() + 2))
 
 
 def _widening(codec: _Codec, compute):
@@ -182,10 +183,10 @@ class GroebnerBasis:
     the largest size an appended element brought G to; over ``max_basis`` it raises."""
 
     def __init__(self, gens: Iterable[Polynomial], variables: Sequence[str], order: str = "grevlex",
-                 block: int = 0, max_basis: Optional[int] = None):
+                 max_basis: Optional[int] = None):
         gens = [p for p in gens if not p.is_zero()]
         self.variables = tuple(variables)
-        self.codec = _codec(order, len(self.variables), block, max((p.degree() for p in gens), default=0))
+        self.codec = _codec(order, len(self.variables), max((p.degree() for p in gens), default=0))
         self.max_basis = max_basis
         self.G: list[dict] = []
         self.LT: list[int] = []
@@ -289,12 +290,12 @@ def default_variables(polys: Iterable[Polynomial]) -> tuple[str, ...]:
 
 
 def groebner(gens: Iterable[Polynomial], variables: Optional[Sequence[str]] = None, order: str = "grevlex",
-             block: int = 0, max_basis: Optional[int] = None) -> list[Polynomial]:
+             max_basis: Optional[int] = None) -> list[Polynomial]:
     """The reduced, auto-reduced, monic Groebner basis of the given ideal."""
     gens = list(gens)
     if variables is None:
         variables = default_variables(gens)
-    return GroebnerBasis(gens, variables, order, block, max_basis).reduced()
+    return GroebnerBasis(gens, variables, order, max_basis).reduced()
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, variables: Optional[Sequence[str]] = None,
@@ -309,11 +310,11 @@ def s_polynomial(f: Polynomial, g: Polynomial, variables: Optional[Sequence[str]
         scale = Fraction(1, fi[max(fi)] * gi[max(gi)])
         return _from_internal(_spoly(fi, gi, codec), variables, scale, codec)
 
-    return _widening(_codec(order, len(variables), 0, max(f.degree(), g.degree())), compute)
+    return _widening(_codec(order, len(variables), max(f.degree(), g.degree())), compute)
 
 
 def normal_form(p: Polynomial, basis: Iterable[Polynomial], variables: Optional[Sequence[str]] = None,
-                order: str = "grevlex", block: int = 0) -> Polynomial:
+                order: str = "grevlex") -> Polynomial:
     """Division remainder of p by a basis (unique when the basis is Groebner
     for the order).  Fresh variables of p extend the sequence at the end,
     which preserves the order among the old monomials."""
@@ -328,7 +329,7 @@ def normal_form(p: Polynomial, basis: Iterable[Polynomial], variables: Optional[
         r, s = _reduce(q, internal, [max(g) for g in internal], codec)
         return _from_internal(r, variables, m / s, codec)
 
-    return _widening(_codec(order, len(variables), block, max(g.degree() for g in [p, *basis])), compute)
+    return _widening(_codec(order, len(variables), max(g.degree() for g in [p, *basis])), compute)
 
 
 class Ideal:
@@ -373,19 +374,14 @@ class Ideal:
         return f"<{gens}>"
 
 
-def ideal_membership(p: Polynomial, ideal: Ideal, order: str = "grevlex") -> bool:
-    return ideal.contains(p, order)
-
-
 def eliminate(ideal: Ideal, drop: Iterable[str], max_basis=None) -> Ideal:
-    """The intersection with the subring that omits the dropped variables,
-    via a block order putting the dropped block first."""
+    """The intersection with the subring that omits the dropped variables: the
+    elements of a lex basis, dropped variables first, that are free of them
+    (the Elimination Theorem; Cox, Little and O'Shea, ch. 3 sec. 1)."""
     drop = set(drop)
     keep = [v for v in ideal.variables() if v not in drop]
     dropped = sorted(drop & set(ideal.variables()))
-    if not dropped:
-        return Ideal(ideal.generators, keep)
-    basis = groebner(ideal.generators, (*dropped, *keep), "block-grevlex", len(dropped), max_basis)
+    basis = groebner(ideal.generators, (*dropped, *keep), "lex", max_basis)
     return Ideal([g for g in basis if g.variables() <= set(keep)], keep)
 
 
@@ -406,13 +402,10 @@ def ideal_intersect(i: Ideal, j: Ideal, max_basis=None) -> Ideal:
 def in_radical(p: Polynomial, ideal: Ideal, max_basis=None) -> bool:
     """Rabinowitsch trick: p is in the radical iff 1 lies in the ideal
     extended with 1 - z*p for a fresh z."""
-    if p.is_zero():
-        return True
     vs = set(ideal.variables()) | p.variables()
     z = _fresh_var(vs, "z")
-    gens = list(ideal.generators) + [Polynomial.const(1) - Polynomial.var(z) * p]
-    basis = groebner(gens, tuple(sorted(vs)) + (z,), order="grevlex", max_basis=max_basis)
-    return any(g.is_constant() and not g.is_zero() for g in basis)
+    gens = [*ideal.generators, Polynomial.const(1) - Polynomial.var(z) * p]
+    return not GroebnerBasis(gens, (*sorted(vs), z), max_basis=max_basis).reduce(Polynomial.const(1))
 
 
 def _eliminate(vec: list[int], poly: dict, rows) -> tuple[Optional[int], list[int], dict]:
@@ -465,7 +458,7 @@ def points_ideal(points: Iterable[Mapping[str, int]], variables: Sequence[str],
         pts.append(tuple(p[v] for v in variables))
     # at most len(pts) monomials are standard, and they are closed under
     # division, so no queued monomial has a degree above len(pts)
-    codec = _codec("grevlex", len(variables), 0, len(pts))
+    codec = _codec("grevlex", len(variables), len(pts))
     # echelon rows: (pivot, integer evaluation vector, the polynomial it evaluates)
     rows: list[tuple[int, list[int], dict[int, int]]] = []
     basis, leads = [], []  # the basis elements and their leading terms

@@ -33,6 +33,15 @@ def _check_rules_total(rules, what, *axes):
         raise DomainError(f"{what} has a rule for {extra[0]!r} outside its indices and letters")
 
 
+def _check_rule_indices(named, indices):
+    """Every index named on a rule's right-hand side is one of the indices;
+    named holds (rule key, indices named) pairs."""
+    for key, js in named:
+        for j in js:
+            if j not in indices:
+                raise DomainError(f"rule ({','.join(key)}) mentions unknown index {j!r}")
+
+
 def _check_base_total(base, what, indices):
     """The base keys are exactly the indices."""
     for i in indices:
@@ -78,10 +87,7 @@ class CatenativeSystem(_Lookup):
         input_alphabet = frozenset(input_alphabet)
         output_alphabet = frozenset(output_alphabet)
         _check_rules_total(rules, "catenative system", indices, input_alphabet)
-        for (i, a), rhs in rules.items():
-            for j in rhs:
-                if j not in indices:
-                    raise DomainError(f"rule ({i},{a}) mentions unknown index {j!r}")
+        _check_rule_indices(rules.items(), indices)
         _check_base_total(base, "catenative system", indices)
         for i in indices:
             for b in base[i]:
@@ -113,6 +119,7 @@ class CompositionalSystem(_Lookup):
         input_alphabet = frozenset(input_alphabet)
         working = frozenset(working)
         _check_rules_total(rules, "compositional system", indices, input_alphabet)
+        _check_rule_indices(rules.items(), indices)
         _check_base_total(base, "compositional system", indices)
         for i in indices:
             h = base[i]
@@ -202,10 +209,12 @@ class RegularSystem(_Lookup):
         input_alphabet = frozenset(input_alphabet)
         output_alphabet = frozenset(output_alphabet)
         _check_rules_total(rules, "regular system", indices, input_alphabet, classifier.classes())
-        for (i, a, d), rhs in rules.items():
-            for j, shift in rhs:
-                if j not in indices:
-                    raise DomainError(f"rule ({i},{a},{d}) mentions unknown index {j!r}")
+        uncovered = sorted(input_alphabet - {a for _, a in classifier.transition_map})
+        if uncovered:
+            raise DomainError(f"classifier has no transition for letter {uncovered[0]!r}")
+        _check_rule_indices(((key, [j for j, _ in rhs]) for key, rhs in rules.items()), indices)
+        for rhs in rules.values():
+            for _, shift in rhs:
                 for s in shift:
                     if s not in input_alphabet:
                         raise DomainError(f"shift word letter {s!r} outside the input alphabet")

@@ -429,6 +429,49 @@ def test_a_rule_outside_the_indices_and_letters_is_an_error(capsys, tmp_path, te
     assert err.startswith("error:") and "outside its indices and letters" in err
 
 
+@pytest.mark.parametrize(
+    "text,argv,wanted",
+    [
+        ("comp f {\n  input: a\n  working: x\n  f(eps) = { x -> x }\n  f(a w) = zz(w)\n}",
+         ("f", "a"), "mentions unknown index 'zz'"),
+        ("reg r {\n  input: a b\n  output: c\n  classes: q\n  start: q\n  step: q a -> q\n"
+         "  f(eps) = c\n  f(a w) = f(w) f(w)\n  f(b w) = f(w)\n}",
+         ("r.f", "ba"), "classifier has no transition for letter 'b'"),
+    ],
+    ids=["comp", "reg"],
+)
+def test_a_system_defined_on_some_words_only_is_an_error(capsys, tmp_path, text, argv, wanted):
+    path = tmp_path / "partial.sys"
+    path.write_text(text + "\n")
+    code, out, err = run_cli(capsys, "eval", str(path), *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and wanted in err
+
+
+def test_a_directory_is_not_a_file(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "eval", str(tmp_path), "f", "3")
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot read {str(tmp_path)!r}: Is a directory\n"
+
+
+def test_a_file_that_is_not_utf8_is_an_error(capsys, tmp_path):
+    path = tmp_path / "bom.sys"
+    path.write_bytes(b"\xff\xfe")
+    for argv in (("eval", str(path), "f", "3"), ("lower", "skolem", "skolem-demo", "pow2.U", "lin.V", "--file-b", str(path))):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read {str(path)!r}: 'utf-8' codec can't decode")
+
+
+def test_an_unwritable_output_path_is_an_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "x"
+    code, out, err = run_cli(capsys, "lower", "unary", "gmap", "fibword", "-o", str(target))
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write {str(target)!r}: No such file or directory\n"
+    assert not target.parent.exists()
+
+
 def test_run_pda_trace_rejects_a_machine_that_is_not_strongly_deterministic(capsys, tmp_path):
     path = tmp_path / "two.sys"
     path.write_text(

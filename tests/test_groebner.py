@@ -12,7 +12,6 @@ from wordmaps.groebner import (
     eliminate,
     groebner,
     ideal_intersect,
-    ideal_membership,
     in_radical,
     normal_form,
     points_ideal,
@@ -223,6 +222,8 @@ def test_trivial_bases():
 
 def test_membership_examples():
     assert Ideal([x]).contains(x * x)
+    assert Ideal([x]).contains(x * y)
+    assert not Ideal([x]).contains(y)
     assert not Ideal([x, y]).contains(Polynomial.const(1))
     nf = normal_form(y, groebner([x * x - y]), ("x", "y"))
     assert nf == y  # y is irreducible modulo the basis
@@ -334,12 +335,10 @@ def _grevlex_key(e):
     return (sum(e), *(-x for x in reversed(e)))
 
 
-def _reference_key(order, e, block):
+def _reference_key(order, e):
     if order == "lex":
         return tuple(e)
-    if order == "grevlex":
-        return _grevlex_key(e)
-    return _grevlex_key(e[:block]) + _grevlex_key(e[block:])
+    return _grevlex_key(e)
 
 
 def test_codec_matches_tuple_keys():
@@ -363,24 +362,20 @@ def test_codec_matches_tuple_keys():
 
     @st.composite
     def case(draw):
-        order = draw(st.sampled_from(["lex", "grevlex", "block-grevlex"]))
+        order = draw(st.sampled_from(["lex", "grevlex"]))
         n = draw(st.integers(1, 5))
-        block = draw(st.integers(0, n)) if order == "block-grevlex" else 0
         if order == "lex":
             exps = st.lists(st.one_of(st.just(limit - 1), st.integers(0, limit - 1)), min_size=n, max_size=n)
-        elif order == "grevlex":
-            exps = group(n)
         else:
-            exps = st.builds(lambda a, b: a + b, group(block) if block else st.just([]),
-                             group(n - block) if block < n else st.just([]))
-        return order, n, block, draw(st.lists(exps, min_size=4, max_size=4))
+            exps = group(n)
+        return order, n, draw(st.lists(exps, min_size=4, max_size=4))
 
     @settings(deadline=None, max_examples=300)
     @given(case())
     def check(c):
-        order, n, block, (a, b, c_, d) = c
-        codec = _Codec(order, n, block, width)
-        key = lambda e: _reference_key(order, e, block)
+        order, n, (a, b, c_, d) = c
+        codec = _Codec(order, n, width)
+        key = lambda e: _reference_key(order, e)
         pa, pb, pc, pd = map(codec.pack, (a, b, c_, d))
         assert codec.unpack(pa) == tuple(a)
         assert (pa < pb) == (key(a) < key(b)) and (pa == pb) == (a == b)
@@ -489,6 +484,25 @@ def test_in_radical():
     assert in_radical(x, Ideal([x * x]))
     assert not in_radical(y, Ideal([x * x]))
     assert in_radical(x + y, Ideal([(x + y) ** 3]))
+    # a member of the ideal, anything against the unit ideal, and 1 against a
+    # proper ideal
+    assert in_radical(x * y - x, Ideal([x * y - x, y * z]))
+    assert in_radical(Polynomial.zero(), Ideal([x]))
+    for p in (x, y * z + 2, Polynomial.const(3)):
+        assert in_radical(p, Ideal([Polynomial.const(1)]))
+        assert in_radical(p, Ideal([x - 1, x]))
+    assert not in_radical(Polynomial.const(1), Ideal([x * x, y]))
+    assert not in_radical(Polynomial.const(1), Ideal([]))
+
+
+def test_block_grevlex_is_not_an_order():
+    for call in (
+        lambda: groebner([x - y], ("x", "y"), order="block-grevlex"),
+        lambda: GroebnerBasis([x - y], ("x", "y"), order="block-grevlex"),
+        lambda: normal_form(x, [x - y], ("x", "y"), order="block-grevlex"),
+    ):
+        with pytest.raises(DomainError, match="unknown monomial order 'block-grevlex'"):
+            call()
 
 
 def test_budget_error():
@@ -510,11 +524,6 @@ def test_cached_basis_keeps_its_size_budget():
         assert ideal.contains(x ** 3 - 1)
 
 
-def test_ideal_membership_function():
-    assert ideal_membership(x * y, Ideal([x]))
-    assert not ideal_membership(y, Ideal([x]))
-
-
 def test_cross_check_against_sympy():
     sympy = pytest.importorskip("sympy")
     from hypothesis import given, settings
@@ -529,12 +538,20 @@ def test_cross_check_against_sympy():
             *sympy.symbols(names), domain="QQ",
         )
 
-    mono = st.tuples(*[st.integers(0, 2)] * 3).map(
-        lambda exps: tuple((v, e) for v, e in zip(variables, exps) if e)
-    )
+    def monomials(top):
+        return st.tuples(*[st.integers(0, top)] * 3).map(
+            lambda exps: tuple((v, e) for v, e in zip(variables, exps) if e)
+        )
+
+    mono = monomials(2)
     coeff = st.integers(-3, 3) | st.fractions(-3, 3, max_denominator=4)
     poly = st.dictionaries(mono, coeff, min_size=1, max_size=3).map(Polynomial)
     ideals = st.lists(poly.filter(bool), min_size=1, max_size=3)
+    # multilinear generators for the Rabinowitsch and intersection checks: on
+    # `ideals`, whose generators reach degree 6, a few examples in a few
+    # hundred take minutes, in sympy and here alike
+    linear = st.dictionaries(monomials(1), coeff, min_size=1, max_size=3).map(Polynomial)
+    linear_ideals = st.lists(linear.filter(bool), min_size=1, max_size=3)
 
     @settings(deadline=None, max_examples=60)
     @given(ideals, st.sampled_from(["grevlex", "lex"]))
@@ -582,8 +599,34 @@ def test_cross_check_against_sympy():
         assert {to_sympy(g) for g in ours} == set(theirs.polys), [str(g) for g in gens]
         assert (not basis.reduce(p)) == theirs.reduce(to_sympy(p))[1].is_zero
 
+    @settings(deadline=None, max_examples=40)
+    @given(linear_ideals, poly)
+    def check_in_radical(gens, p):
+        # Rabinowitsch: p is in the radical of I iff I + <1 - z*p> is the unit ideal
+        zs = sympy.Symbol("z_")
+        rab = [to_sympy(g).as_expr() for g in gens] + [1 - zs * to_sympy(p).as_expr()]
+        theirs = sympy.groebner(rab, *symbols, zs, order="grevlex", domain="QQ")
+        assert in_radical(p, Ideal(gens, variables)) == (list(theirs.exprs) == [1]), [str(g) for g in gens]
+
+    @settings(deadline=None, max_examples=40)
+    @given(linear_ideals, linear_ideals)
+    def check_intersect(gens_i, gens_j):
+        # the ideal of sympy's lex elimination of t from t*I + (1 - t)*J
+        t = sympy.Symbol("t_")
+        tI = [t * to_sympy(g).as_expr() for g in gens_i]
+        tJ = [(1 - t) * to_sympy(g).as_expr() for g in gens_j]
+        lex = sympy.groebner(tI + tJ, t, *symbols, order="lex", domain="QQ")
+        theirs = [sympy.Poly(g, *symbols, domain="QQ") for g in lex.exprs if not g.has(t)]
+        ours = [to_sympy(g) for g in ideal_intersect(Ideal(gens_i, variables), Ideal(gens_j, variables)).generators]
+        assert bool(ours) == bool(theirs)
+        if ours:
+            assert all(sympy.groebner(ours, *symbols, domain="QQ").contains(g) for g in theirs)
+            assert all(sympy.groebner(theirs, *symbols, domain="QQ").contains(g) for g in ours)
+
     check_basis()
     check_eliminate()
+    check_in_radical()
+    check_intersect()
     check_normal_form()
     check_incremental()
 

@@ -372,6 +372,14 @@ def test_regular_rejects_a_rule_for_an_unknown_letter():
         RegularSystem.make(("f",), {"a"}, {"c"}, classifier, rules, {"f": word("c")})
 
 
+def test_regular_rejects_a_classifier_without_a_transition_for_an_input_letter():
+    # the classifier reads a only: the system would be defined on a* alone
+    classifier = DfaClassifier.make({"q"}, "q", {("q", "a"): "q"})
+    rules = {("f", "a", "q"): (("f", ()),), ("f", "b", "q"): (("f", ()), ("f", ()))}
+    with pytest.raises(DomainError, match="classifier has no transition for letter 'b'"):
+        RegularSystem.make(("f",), {"a", "b"}, {"c"}, classifier, rules, {"f": word("c")})
+
+
 def test_polynomial_rejects_a_rule_for_an_unknown_letter():
     X = Polynomial.var("X")
     with pytest.raises(DomainError, match=r"rule for \('X', 'b'\) outside"):

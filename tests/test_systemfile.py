@@ -29,18 +29,16 @@ def test_fibonacci_file_contents():
     assert len(eval_catenative(fword, "f", ("a",) * 6)) == 13
 
 
-def test_unknown_index_is_named_in_the_error():
-    text = """
-cat bad {
-  input: a
-  output: b
-  f(eps) = b
-  f(a w) = f(w) g(w)
+UNKNOWN_INDEX = {
+    "cat": "cat bad {\n  input: a\n  output: b\n  f(eps) = b\n  f(a w) = f(w) g(w)\n}\n",
+    "comp": "comp bad {\n  input: a\n  working: x\n  f(eps) = { x -> x }\n  f(a w) = f(w) g(w)\n}\n",
 }
-"""
-    with pytest.raises(DomainError) as err:
-        parse_file(text)
-    assert "g" in str(err.value)
+
+
+@pytest.mark.parametrize("kind", sorted(UNKNOWN_INDEX))
+def test_unknown_index_is_named_in_the_error(kind):
+    with pytest.raises(DomainError, match=r"rule \(f,a\) mentions unknown index 'g'"):
+        parse_file(UNKNOWN_INDEX[kind])
 
 
 def test_parse_error_positions():
