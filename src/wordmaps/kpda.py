@@ -271,9 +271,10 @@ def steps(m: KPda, w: Word, fuel: int = 10**6) -> Iterator:
         if m.gamma.level_of(a) != m.level:
             raise DomainError(f"input letter {a!r} must be a level-{m.level} pushdown symbol")
     state, emitted, store = m.start_state, [], initial_store(m, w)
+    moves = m.moves
     while not store.is_empty() and fuel > 0:
         tops = topsyms(store)
-        enabled = m.moves.get((state, tops))
+        enabled = moves.get((state, tops))
         if not enabled:
             break
         ((read, q2, op),) = enabled
@@ -315,9 +316,10 @@ def _variable_rewrites(m: KPda, v: Variable):
         else:
             out.append(prefix + (Variable(q2, store2, v.right),))
     # decomposition rule: split the top-level entry sequence
-    for cut in range(1, len(v.store.entries)):
-        eta = IteratedPushdown(v.store.level, v.store.entries[:cut])
-        eta2 = IteratedPushdown(v.store.level, v.store.entries[cut:])
+    level, entries = v.store.level, v.store.entries
+    for cut in range(1, len(entries)):
+        eta = IteratedPushdown(level, entries[:cut])
+        eta2 = IteratedPushdown(level, entries[cut:])
         for r in sorted(m.states):
             out.append((Variable(v.left, eta, r), Variable(r, eta2, v.right)))
     return out

@@ -5,10 +5,13 @@ a level-(k-1) store.  The level-0 store is empty by definition, so the
 recursion bottoms out.  Level 1 is the outermost level: ``pop(1, .)`` drops
 the first bracketed block of the store.
 
-Stores are immutable values.  All operations return fresh stores and never
-mutate their arguments, so they are safe for unrestricted concurrent use.
-The constructor validates stores built from outside; ``pop`` and ``push``
-rebuild from valid parts and check only the pushed symbols.
+Stores are immutable values, safe for unrestricted concurrent use.  Each
+level of a store is a chain of cons cells, so operations never mutate their
+arguments and share every unchanged tail with them: ``pop(1, .)`` returns
+the tail, ``push(1, .)`` conses one cell per pushed symbol onto it, and an
+operation at level j rebuilds only the j leftmost cells.  The constructor
+validates stores built from outside; ``pop`` and ``push`` rebuild from valid
+parts and check only their level and the pushed symbols.
 """
 
 from __future__ import annotations
@@ -20,11 +23,19 @@ from .errors import DomainError, ParseError
 
 Symbol = str
 
+_new = object.__new__
+
 
 class IteratedPushdown:
-    """A level-j nested stack: a sequence of (symbol, level-(j-1) store) pairs."""
+    """A level-j nested stack: a sequence of (symbol, level-(j-1) store) pairs.
 
-    __slots__ = ("level", "entries", "_hash")
+    A non-empty store is a cons cell: its head symbol, the body under that
+    head, the store of the remaining entries and the entry count.  The empty
+    store of a level has no head.  ``entries`` builds the tuple of pairs on
+    demand; ``==`` and ``hash`` compare the sequences of pairs.
+    """
+
+    __slots__ = ("_level", "_sym", "_body", "_rest", "_size", "_hash")
 
     def __init__(self, level: int, entries=()):
         entries = tuple(entries)
@@ -32,29 +43,33 @@ class IteratedPushdown:
             raise DomainError("store level must be >= 0")
         if level == 0 and entries:
             raise DomainError("a level-0 store has no entries")
+        _check_symbols(sym for sym, _ in entries)
         for sym, inner in entries:
-            if not isinstance(sym, str) or not sym:
-                raise DomainError(f"bad pushdown symbol {sym!r}")
             if inner.level != level - 1:
                 raise DomainError(
                     f"entry {sym!r} carries a level-{inner.level} store inside "
                     f"a level-{level} store (expected level {level - 1})"
                 )
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "_hash", None)
+        head = _empty(level)
+        for sym, inner in reversed(entries):
+            head = _cons(sym, inner, head)
+        self._level, self._sym, self._body, self._rest, self._size, self._hash = (
+            level, head._sym, head._body, head._rest, head._size, None
+        )
 
-    def __setattr__(self, name, value):
-        raise AttributeError("IteratedPushdown is immutable")
+    @property
+    def level(self) -> int:
+        return self._level
 
-    @classmethod
-    def _trusted(cls, level: int, entries: tuple) -> "IteratedPushdown":
-        """A store over entries that are valid for the level, unchecked."""
-        out = cls.__new__(cls)
-        object.__setattr__(out, "level", level)
-        object.__setattr__(out, "entries", entries)
-        object.__setattr__(out, "_hash", None)
-        return out
+    @property
+    def entries(self) -> tuple:
+        """The (symbol, body) pairs, outermost first."""
+        out = []
+        cell = self
+        while cell._size:
+            out.append((cell._sym, cell._body))
+            cell = cell._rest
+        return tuple(out)
 
     @classmethod
     def empty(cls, level: int) -> "IteratedPushdown":
@@ -67,23 +82,38 @@ class IteratedPushdown:
         return cls(level, tuple((a, body) for a in letters))
 
     def is_empty(self) -> bool:
-        return not self.entries
+        return not self._size
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self._size
 
     def __eq__(self, other):
-        return (
-            isinstance(other, IteratedPushdown)
-            and self.level == other.level
-            and self.entries == other.entries
-        )
+        if not isinstance(other, IteratedPushdown):
+            return False
+        a, b = self, other
+        if a._level != b._level or a._size != b._size:
+            return False
+        while a is not b and a._size:
+            if a._sym != b._sym or a._body != b._body:
+                return False
+            a, b = a._rest, b._rest
+        return True
 
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = hash((self.level, self.entries))
-            object.__setattr__(self, "_hash", h)
+            # hash the cells from the first hashed one (or the empty tail)
+            # back up to this one, so a long chain costs no deep recursion
+            pending = []
+            cell = self
+            while cell._hash is None and cell._size:
+                pending.append(cell)
+                cell = cell._rest
+            h = cell._hash
+            if h is None:
+                h = cell._hash = hash(cell._level)
+            for cell in reversed(pending):
+                h = cell._hash = hash((cell._sym, cell._body, h))
         return h
 
     def __repr__(self):
@@ -98,6 +128,24 @@ class IteratedPushdown:
             yield sym, 1, inner
             for s, d, b in inner.symbols():
                 yield s, d + 1, b
+
+
+def _empty(level: int) -> IteratedPushdown:
+    cell = _new(IteratedPushdown)
+    cell._level, cell._sym, cell._body, cell._rest, cell._size, cell._hash = level, None, None, None, 0, None
+    return cell
+
+
+def _cons(sym: Symbol, body: IteratedPushdown, rest: IteratedPushdown) -> IteratedPushdown:
+    """The store ``rest`` with the entry (sym, body) in front, unchecked."""
+    cell = _new(IteratedPushdown)
+    cell._level = rest._level
+    cell._sym = sym
+    cell._body = body
+    cell._rest = rest
+    cell._size = rest._size + 1
+    cell._hash = None
+    return cell
 
 
 @dataclass(frozen=True)
@@ -158,27 +206,50 @@ VariableWord = tuple[Variable, ...]
 def topsyms(pds: IteratedPushdown) -> tuple[Symbol, ...]:
     """The word of leftmost symbols level by level, stopping at the first
     empty inner store.  ``topsyms(empty) == ()``."""
-    out = []
-    cur = pds
-    while cur.entries:
-        sym, inner = cur.entries[0]
-        out.append(sym)
-        cur = inner
-    return tuple(out)
+    out = ()
+    while pds._size:
+        out += (pds._sym,)
+        pds = pds._body
+    return out
 
 
-def _rewrite_leftmost(name: str, j: int, pds: IteratedPushdown, rewrite) -> IteratedPushdown:
-    """Replace the entries of the leftmost level-j store by ``rewrite(entries)``;
-    the store is returned unchanged when that store is empty."""
-    if not 1 <= j <= pds.level:
-        raise DomainError(f"{name} level {j} out of range for a level-{pds.level} store")
-    if pds.is_empty():
+def _rewrite_leftmost(j: int, pds: IteratedPushdown, rewrite, arg=None) -> IteratedPushdown:
+    """Replace the leftmost level-j store s by ``rewrite(s, arg)``, rebuilding
+    only the j - 1 cells above it; the store is returned unchanged when s is
+    empty.  Unchecked: the caller ensures 1 <= j <= pds.level."""
+    if not pds._size:
         return pds
     if j == 1:
-        return IteratedPushdown._trusted(pds.level, rewrite(pds.entries))
-    sym, inner = pds.entries[0]
-    inner = _rewrite_leftmost(name, j - 1, inner, rewrite)
-    return IteratedPushdown._trusted(pds.level, ((sym, inner),) + pds.entries[1:])
+        return rewrite(pds, arg)
+    body = _rewrite_leftmost(j - 1, pds._body, rewrite, arg)
+    if body is pds._body:
+        return pds
+    return _cons(pds._sym, body, pds._rest)
+
+
+def _check_symbols(symbols) -> None:
+    for s in symbols:
+        if not isinstance(s, str) or not s:
+            raise DomainError(f"bad pushdown symbol {s!r}")
+
+
+def _drop_head(pds: IteratedPushdown, _) -> IteratedPushdown:
+    return pds._rest
+
+
+def _place(pds: IteratedPushdown, symbols) -> IteratedPushdown:
+    """The symbols, each over the head's body, in place of the head; checked
+    here, so nothing is checked when there is no head to replace."""
+    _check_symbols(symbols)
+    body, out = pds._body, pds._rest
+    for s in reversed(symbols):
+        out = _cons(s, body, out)
+    return out
+
+
+def _check_level(name: str, j: int, pds: IteratedPushdown) -> None:
+    if not 1 <= j <= pds._level:
+        raise DomainError(f"{name} level {j} out of range for a level-{pds._level} store")
 
 
 def pop(j: int, pds: IteratedPushdown) -> IteratedPushdown:
@@ -186,7 +257,8 @@ def pop(j: int, pds: IteratedPushdown) -> IteratedPushdown:
 
     When the leftmost level-j store is empty the store is returned unchanged.
     """
-    return _rewrite_leftmost("pop", j, pds, lambda entries: entries[1:])
+    _check_level("pop", j, pds)
+    return _rewrite_leftmost(j, pds, _drop_head)
 
 
 def push(j: int, symbols, pds: IteratedPushdown) -> IteratedPushdown:
@@ -198,14 +270,8 @@ def push(j: int, symbols, pds: IteratedPushdown) -> IteratedPushdown:
     symbols = tuple(symbols)
     if not symbols:
         raise DomainError("push requires a non-empty word of symbols")
-
-    def rewrite(entries):
-        for s in symbols:
-            if not isinstance(s, str) or not s:
-                raise DomainError(f"bad pushdown symbol {s!r}")
-        return tuple((s, entries[0][1]) for s in symbols) + entries[1:]
-
-    return _rewrite_leftmost("push", j, pds, rewrite)
+    _check_level("push", j, pds)
+    return _rewrite_leftmost(j, pds, _place, symbols)
 
 
 # ---------------------------------------------------------------------------

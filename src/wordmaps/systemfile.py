@@ -20,6 +20,8 @@ line.  ``_Block`` splits a body once into two sorts of statement:
 Each kind's parser takes its directives through the block's accessors, so an
 unknown, repeated, missing or malformed directive is a ``ParseError`` at its
 line (a missing one at the block header), reported after any bad statement.
+A check of the block's whole object (an unknown index, a missing transition)
+is a ``ParseError`` at the block header.
 Only regular rules take an ``@class`` annotation after the head and shift
 letters before ``w`` on the right-hand side.  Inline homomorphisms are
 written ``{ x -> x y ; y -> eps }``; working letters they leave out map to
@@ -548,7 +550,12 @@ def parse_file(text: str, filename: Optional[str] = None) -> SystemFile:
         if kind not in _KINDS:
             raise ParseError(f"unknown block kind {kind!r}", line=header, filename=filename)
         parse, statement = _KINDS[kind]
-        out.add(kind, name, parse(_Block(kind, name, body, header, filename, statement)), line=header)
+        try:
+            obj = parse(_Block(kind, name, body, header, filename, statement))
+        except DomainError as e:
+            # the checks of the *System.make constructors know no positions
+            raise ParseError(str(e), line=header, filename=filename) from e
+        out.add(kind, name, obj, line=header)
     return out
 
 

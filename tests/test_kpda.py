@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import time
 from itertools import count, product
@@ -5,6 +6,7 @@ from itertools import count, product
 import pytest
 from importlib import resources
 
+from wordmaps import pushdown
 from wordmaps.errors import BudgetExceededError, DomainError
 from wordmaps.kpda import (
     Accepted,
@@ -216,6 +218,66 @@ def test_run_validates_as_many_stores_for_a_long_word_as_for_a_short_one(identit
         assert run(identity_pda, ("a", "b") * n) == Accepted(("a", "b") * n)
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
+
+
+def _relabel_pda():
+    # level 1: push_1 replaces a head a by c and a head b by c c, then each c
+    # is emitted and popped, so every push sits on a long tail
+    return KPda.make(1, ["q0", "q1"], ["c"], GradedAlphabet.of(["a", "b", "c"]), {
+        ("q0", "", ("a",)): {("q1", Push(1, ("c",)))},
+        ("q0", "", ("b",)): {("q1", Push(1, ("c", "c")))},
+        ("q0", "c", ("c",)): {("q0", Pop(1))},
+        ("q1", "c", ("c",)): {("q0", Pop(1))},
+    }, "q0", input_alphabet=["a", "b"])
+
+
+@pytest.mark.parametrize("name, words", [
+    ("id1", [("a", "b") * 400, ("a", "b") * 1600]),
+    ("pow2", [("a",) * 6, ("a",) * 8]),
+    ("relabel", [("a", "b") * 400, ("a", "b") * 1600]),
+])
+def test_run_allocates_at_most_level_plus_widest_push_cells_per_step(name, words, identity_pda, pow2_pda,
+                                                                     monkeypatch):
+    # pop_1 returns the shared tail and a level-j operation rebuilds the j
+    # leftmost cells, so beyond the initial store a step allocates at most
+    # (level + widest push) cells, however long the stores grow
+    m = {"id1": identity_pda, "pow2": pow2_pda, "relabel": _relabel_pda()}[name]
+    widest = max((len(op.symbols) for moves in m.moves.values() for _, _, op in moves
+                  if isinstance(op, Push)), default=0)
+    cells = []
+    new = pushdown._new
+    monkeypatch.setattr(pushdown, "_new", lambda cls: cells.append(cls) or new(cls))
+    for w in words:
+        cells.clear()
+        initial_store(m, w)
+        initial = len(cells)
+        cells.clear()
+        trace = list(steps(m, w))
+        assert isinstance(trace.pop(), Accepted)
+        assert initial >= len(w)
+        assert len(cells) - initial <= (m.level + widest) * len(trace), (len(w), len(cells), len(trace))
+
+
+def _built_without_make(m, key, op):
+    # dataclasses.replace runs KPda's own constructor, not KPda.make's checks
+    return dataclasses.replace(m, delta=((key, frozenset({("q0", op)})),))
+
+
+@pytest.mark.parametrize("op, message", [
+    (Pop(3), "pop level 3 out of range for a level-2 store"),
+    (Push(2, ()), "push requires a non-empty word"),
+    (Push(2, ("a", "")), "bad pushdown symbol ''"),
+    (Push(2, ("a", 3)), "bad pushdown symbol 3"),
+])
+def test_run_checks_the_moves_of_a_machine_built_without_make(op, message):
+    m = _built_without_make(_toy({}), ("q0", "", ("S", "a")), op)
+    with pytest.raises(DomainError, match=message):
+        run(m, ("a",))
+
+
+def test_run_stops_on_an_empty_store_even_under_an_empty_topsyms_key(identity_pda):
+    m = _built_without_make(identity_pda, ("q0", "", ()), Push(1, ("a",)))
+    assert list(steps(m, (), fuel=10)) == [Accepted(())]
 
 
 def test_run_with_exactly_enough_fuel(identity_pda):

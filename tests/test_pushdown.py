@@ -1,5 +1,6 @@
 import random
 import re
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -181,6 +182,95 @@ def test_push1_then_pop1_drops_the_new_head(store, sym):
     assert pushed.entries[0][0] == sym
     assert pushed.entries[0][1] == store.entries[0][1]
     assert pop(1, pushed) == pop(1, store)
+
+
+# A reference model of stores: the tuple of (symbol, body) pairs, each body in
+# the same form, with the level carried alongside.
+
+
+def _ref_of(store):
+    return tuple((sym, _ref_of(body)) for sym, body in store.entries)
+
+
+def _ref_pop(j, ref):
+    if not ref:
+        return ref
+    (sym, body), rest = ref[0], ref[1:]
+    if j == 1:
+        return rest
+    return ((sym, _ref_pop(j - 1, body)),) + rest
+
+
+def _ref_push(j, symbols, ref):
+    if not ref:
+        return ref
+    (sym, body), rest = ref[0], ref[1:]
+    if j == 1:
+        return tuple((s, body) for s in symbols) + rest
+    return ((sym, _ref_push(j - 1, symbols, body)),) + rest
+
+
+def _ref_topsyms(ref):
+    return (ref[0][0],) + _ref_topsyms(ref[0][1]) if ref else ()
+
+
+def _ref_serialize(level, ref):
+    return "".join(sym if level == 1 else f"{sym}[{_ref_serialize(level - 1, body)}]" for sym, body in ref)
+
+
+def _ref_store(level, ref):
+    return IteratedPushdown(level, tuple((sym, _ref_store(level - 1, body)) for sym, body in ref))
+
+
+_store_ops = st.lists(
+    st.tuples(st.booleans(), st.integers(1, 3), st.lists(_symbols, min_size=1, max_size=3), st.booleans()),
+    max_size=12,
+)
+
+
+@given(st.one_of(_stores(1), _stores(2), _stores(3)), _store_ops)
+def test_pop_and_push_agree_with_a_tuple_reference_model(store, ops):
+    # each operation applies to the latest store; some hashes are taken as
+    # the stores appear, so later stores find hashed tails under them
+    level = store.level
+    seen = [(store, _ref_of(store))]
+    for is_push, j, symbols, hash_now in ops:
+        j = min(j, level)
+        store, ref = seen[-1]
+        if is_push:
+            store, ref = push(j, symbols, store), _ref_push(j, tuple(symbols), ref)
+        else:
+            store, ref = pop(j, store), _ref_pop(j, ref)
+        if hash_now:
+            hash(store)
+        seen.append((store, ref))
+    for store, ref in seen:
+        assert _ref_of(store) == ref
+        assert len(store) == len(ref) and store.is_empty() == (not ref)
+        assert topsyms(store) == _ref_topsyms(ref)
+        assert serialize(store) == _ref_serialize(level, ref)
+        for rebuilt in (IteratedPushdown(level, store.entries), _ref_store(level, ref)):
+            assert rebuilt == store and store == rebuilt and hash(rebuilt) == hash(store)
+    for (a, ref_a), (b, ref_b) in product(seen, repeat=2):
+        assert (a == b) == (ref_a == ref_b)
+        if ref_a == ref_b:
+            assert hash(a) == hash(b)
+
+
+def test_long_stores_hash_and_compare_without_deep_recursion():
+    w = ("A", "B") * 20_000
+    a, b = IteratedPushdown.from_word(w), IteratedPushdown.from_word(w)
+    assert a == b and hash(a) == hash(b)
+    pushed = push(1, ("C",), a)
+    assert len(a) == len(pushed) == len(w) and len(pop(1, a)) == len(w) - 1
+    assert pop(1, a) != a and pushed != a and pop(1, pushed) == pop(1, a)
+    hash(pushed)
+
+
+def test_stores_are_immutable(omega):
+    for attr in ("level", "entries", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(omega, attr, 1)
 
 
 # ---------------------------------------------------------------------------

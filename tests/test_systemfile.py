@@ -37,8 +37,11 @@ UNKNOWN_INDEX = {
 
 @pytest.mark.parametrize("kind", sorted(UNKNOWN_INDEX))
 def test_unknown_index_is_named_in_the_error(kind):
-    with pytest.raises(DomainError, match=r"rule \(f,a\) mentions unknown index 'g'"):
-        parse_file(UNKNOWN_INDEX[kind])
+    # the error of the system's own check, placed at the block's header line
+    with pytest.raises(ParseError, match=r"^bad\.sys:1: rule \(f,a\) mentions unknown index 'g'$") as err:
+        parse_file(UNKNOWN_INDEX[kind], filename="bad.sys")
+    assert (err.value.filename, err.value.line) == ("bad.sys", 1)
+    assert isinstance(err.value.__cause__, DomainError)
 
 
 def test_parse_error_positions():
