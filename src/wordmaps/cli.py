@@ -265,9 +265,20 @@ def cmd_groebner(args) -> int:
     return 0
 
 
+def _fuel(text: str) -> int:
+    """A --fuel value: an int >= 0, or argparse's usage error (exit 2)."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, not {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--fuel", type=int, default=10**6, help="step budget for runs and rewriting")
+    common.add_argument("--fuel", type=_fuel, default=10**6, help="step budget for runs and rewriting (>= 0)")
     common.add_argument("--budget", type=int, default=None, help="resource budget for decisions")
     common.add_argument("--order", default="grevlex", choices=ORDERS)
     common.add_argument("--paper-literal", action="store_true", help="prefer *_literal variants")

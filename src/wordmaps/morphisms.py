@@ -166,17 +166,25 @@ class HDT0LSystem:
 
 
 def concat(parts) -> Word:
+    """The product of a list of words.  Words are tuples, so a one-part
+    product is that part itself; more than two parts are joined in one pass,
+    as folding ``+`` would copy quadratically."""
+    if len(parts) == 1:
+        return parts[0]
+    if len(parts) == 2:
+        return parts[0] + parts[1]
     return tuple(chain.from_iterable(parts))
 
 
 def check_word(sys, w: Word):
-    for a in w:
-        if a not in sys.input_alphabet:
-            raise DomainError(f"letter {a!r} is outside the input alphabet")
+    if not sys.input_alphabet.issuperset(w):
+        for a in w:
+            if a not in sys.input_alphabet:
+                raise DomainError(f"letter {a!r} is outside the input alphabet")
 
 
 def suffix_walk(sys, i: str, w: Word, values: Mapping, product):
-    """f_i(w) for f_j(aw) = product(f_k(w) for k in sys.rule_map[(j, a)]), with
+    """f_i(w) for f_j(aw) = product([f_k(w) for k in sys.rule_map[(j, a)]]), with
     every f_j(eps) in values.  A forward pass records the indices f_i(w) reads
     at each suffix, one set per distinct (indices, letter) step; the backward
     pass computes only those."""
@@ -190,7 +198,7 @@ def suffix_walk(sys, i: str, w: Word, values: Mapping, product):
             steps[key] = frozenset(k for j in key[0] for k in rules[(j, a)])
         demand.append(steps[key])
     for a, need in zip(reversed(w), reversed(demand[:-1])):
-        values = {j: product(values[k] for k in rules[(j, a)]) for j in need}
+        values = {j: product([values[k] for k in rules[(j, a)]]) for j in need}
     return values[i]
 
 

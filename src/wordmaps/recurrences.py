@@ -7,19 +7,22 @@ rules with shift words, evaluated by fuel-bounded rewriting), and polynomial
 
 Catenative and compositional values come from ``morphisms.suffix_walk``.
 Regular systems cannot use it (shift words change the argument), hence the
-rewriting loop with fuel; polynomial values step integer rows per letter.
+rewriting loop with fuel, over a stack of pending terms.  Polynomial values
+step integer rows per letter, except on affine systems (every update of
+degree <= 1): there a run a^k of equal letters takes O(log k) steps, through
+the maps of a^1, a^2, a^4, ... (squared by substitution, once per call).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import product as cartesian_product
+from itertools import chain, product as cartesian_product
 from typing import Mapping
 
 from .errors import DomainError, FuelExhaustedError
 from .morphisms import Homomorphism, check_word, compose, concat, suffix_walk
-from .polynomials import Polynomial, _wrap
+from .polynomials import Polynomial, _powers, _substitute, _wrap
 from .words import Word
 
 
@@ -344,29 +347,33 @@ def is_strict(sys: RegularSystem) -> bool:
 
 
 def eval_regular(sys: RegularSystem, i: str, w: Word, fuel: int = 10**5) -> Word:
-    """Rewrite f_i(w) until every term is a base case; the class of the tail
-    (the argument minus its first letter) selects the rule."""
+    """Rewrite f_i(w) until every term is a base case, leftmost term first;
+    the class of the tail (the argument minus its first letter) selects the
+    rule.  The pending terms sit on a stack, leftmost on top, so a rewrite
+    costs the length of its right-hand side."""
     _check_index(sys, i)
     check_word(sys, w)
-    rules = sys.rule_map
-    base = sys.base_map
-    terms: list[tuple[str, Word]] = [(i, tuple(w))]
-    pos = 0
-    while True:
-        while pos < len(terms) and not terms[pos][1]:
-            pos += 1
-        if pos == len(terms):
-            return concat(base[j] for j, _ in terms)
+    rules, base, classify = sys.rule_map, sys.base_map, sys.classifier.classify
+    done: list[str] = []  # indices of the finished terms, left to right
+    stack: list[tuple[str, Word]] = [(i, tuple(w))]
+    classes: dict[Word, str] = {}
+    while stack:
+        j, v = stack.pop()
+        if not v:
+            done.append(j)
+            continue
         if fuel <= 0:
+            partial = [(k, ()) for k in done] + [(j, v)] + stack[::-1]
             raise FuelExhaustedError(
-                f"regular evaluation of ({i!r}, {w!r}) did not finish", partial=tuple(terms)
+                f"regular evaluation of ({i!r}, {w!r}) did not finish", partial=tuple(partial)
             )
-        j, v = terms[pos]
-        a, tail = v[0], v[1:]
-        d = sys.classifier.classify(tail)
-        rhs = rules[(j, a, d)]
-        terms[pos:pos + 1] = [(k, u + tail) for k, u in rhs]
+        tail = v[1:]
+        d = classes.get(tail)
+        if d is None:
+            d = classes[tail] = classify(tail)
+        stack.extend([(k, u + tail) for k, u in reversed(rules[(j, v[0], d)])])
         fuel -= 1
+    return concat([base[j] for j in done])
 
 
 def eval_polynomial(sys: PolynomialSystem, i: str, w: Word) -> int:
@@ -388,11 +395,44 @@ def _step(ps: dict[str, Polynomial], vec: dict[str, int]) -> dict[str, int]:
     return out
 
 
+def _run(ps: list[dict[str, Polynomial]], k: int, vec: dict[str, int]) -> dict[str, int]:
+    """vec after k steps of the affine map ps[0]: one step per set bit of k,
+    through ps[t], the map of 2^t steps.  ps grows on demand, each map the
+    last one substituted into itself; the square of an affine map is affine."""
+    t = 0
+    while True:
+        if k & 1:
+            vec = _step(ps[t], vec)
+        k >>= 1
+        if not k:
+            return vec
+        t += 1
+        if t == len(ps):
+            table = _powers(ps[-1])
+            ps.append({i: _substitute(p.terms, table) for i, p in ps[-1].items()})
+
+
 def eval_polynomial_vector(sys: PolynomialSystem, w: Word) -> dict[str, int]:
+    """The values at w, stepping its letters last to first.  On an affine
+    system (degree <= 1) a run a^k of two or more letters takes O(log k)
+    steps, through the maps of a^1, a^2, a^4, ..., built once per call."""
     check_word(sys, w)
-    values = sys.base_vector()
-    for a in reversed(w):
-        values = _step(sys.maps[a], values)
+    values, maps = sys.base_vector(), sys.maps
+    if sys.degree > 1:
+        for a in reversed(w):
+            values = _step(maps[a], values)
+        return values
+    powers: dict[str, list] = {}  # a |-> the maps of a^1, a^2, a^4, ...
+    prev, k = None, 0
+    for a in chain(reversed(w), (None,)):  # the None closes the last run
+        if a == prev:
+            k += 1
+            continue
+        if k == 1:
+            values = _step(maps[prev], values)
+        elif k:
+            values = _run(powers.setdefault(prev, [maps[prev]]), k, values)
+        prev, k = a, 1
     return values
 
 

@@ -1,4 +1,5 @@
 import time
+from pathlib import Path
 
 import pytest
 
@@ -308,6 +309,24 @@ def test_fuel_flag_reports_exhaustion(capsys):
         assert "FuelExhausted" in err
     finally:
         os.unlink(path)
+
+
+SHIFT_SYS = str(Path(__file__).resolve().parents[1] / "perfbench" / "data" / "shift.sys")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("eval", SHIFT_SYS, "shift.f", "ab"), ("run-pda", "pow2-pda", "pow2", "aa")],
+    ids=["eval", "run-pda"],
+)
+def test_negative_fuel_is_a_usage_error_and_zero_fuel_is_legal(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--fuel", "-1"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "argument --fuel: must be >= 0, not -1" in err
+    code, out, err = run_cli(capsys, *argv, "--fuel", "0")
+    assert code == 1 and "FuelExhausted" in out + err
 
 
 def test_lower_emits_reparseable_files(capsys, tmp_path):

@@ -1,6 +1,7 @@
 import math
 import random
 from itertools import chain, product
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -27,6 +28,8 @@ from wordmaps.recurrences import (
     rename_system,
 )
 from wordmaps.words import word
+
+SHIFT_SYS = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "shift.sys"
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +296,67 @@ def test_regular_class_selection_uses_the_tail():
     assert eval_regular(sys, "f", ("a", "a"), fuel=100) == word("xx")
 
 
+def _splice_rewriter(sys, i, w, fuel):
+    """The former list-splice rewriter, as a reference: the value and the
+    rewrites it took, or the partial terms when the fuel ran out."""
+    terms, pos, used = [(i, tuple(w))], 0, 0
+    while True:
+        while pos < len(terms) and not terms[pos][1]:
+            pos += 1
+        if pos == len(terms):
+            return tuple(chain.from_iterable(sys.base_value(j) for j, _ in terms)), used
+        if fuel <= 0:
+            return "partial", tuple(terms)
+        j, v = terms[pos]
+        a, tail = v[0], v[1:]
+        terms[pos:pos + 1] = [(k, u + tail) for k, u in sys.rule(j, a, sys.classifier.classify(tail))]
+        fuel -= 1
+        used += 1
+
+
+def _regular_outcome(sys, i, w, fuel):
+    try:
+        return eval_regular(sys, i, w, fuel)
+    except FuelExhaustedError as e:
+        return "partial", e.partial
+
+
+def _shift_system():
+    from wordmaps.cli import load_file
+
+    return load_file(str(SHIFT_SYS)).resolve("shift", "reg")[1]
+
+
+def test_regular_matches_the_splice_rewriter_on_the_shift_system():
+    shift = _shift_system()
+    for n in range(9):
+        for w in product("ab", repeat=n):
+            for i in shift.indices:
+                value, _ = _splice_rewriter(shift, i, w, 10**5)
+                assert eval_regular(shift, i, w) == value
+
+
+def test_regular_partial_terms_match_the_splice_rewriter_at_every_fuel():
+    shift = _shift_system()
+    w = tuple("abab")
+    value, rewrites = _splice_rewriter(shift, "f", w, 10**5)
+    assert rewrites > 5
+    for fuel in range(rewrites + 1):
+        expected = _splice_rewriter(shift, "f", w, fuel)
+        assert _regular_outcome(shift, "f", w, fuel) == (expected if fuel < rewrites else value)
+        assert expected[0] == "partial" or fuel == rewrites
+    # f(a w) = f(a a w) never finishes: one term, a letter longer per rewrite
+    classifier = DfaClassifier.single_class({"a"})
+    (label,) = classifier.classes()
+    growing = RegularSystem.make(
+        ("f",), {"a"}, {"b"}, classifier, {("f", "a", label): (("f", ("a", "a")),)}, {"f": word("b")}
+    )
+    for fuel in (0, 1, 10, 100):
+        expected = _splice_rewriter(growing, "f", ("a",), fuel)
+        assert _regular_outcome(growing, "f", ("a",), fuel) == expected
+        assert expected == ("partial", (("f", ("a",) * (fuel + 1)),))
+
+
 # ---------------------------------------------------------------------------
 # polynomial
 
@@ -508,3 +572,56 @@ def test_integer_step_matches_evaluate_int(sys):
             first.append(vec)
     budget = Budget(sample_points=len(first), max_point_bits=10**6)
     assert reachable_points(sys, budget)[0] == first
+
+
+# ---------------------------------------------------------------------------
+# polynomial evaluation against evaluate_int, letter by letter
+
+
+@st.composite
+def _dense_systems(draw, degree):
+    """Ring-Z systems over {a, b} on 1-4 indices, with coefficients and
+    constant terms of either sign: affine rules, plus for degree 2 one
+    quadratic term in the (x, a) rule."""
+    indices = ("x", "y", "z", "t")[: draw(st.integers(1, 4))]
+    coeff = st.integers(-3, 3)
+
+    def poly():
+        p = Polynomial.const(draw(coeff))
+        for i in indices:
+            p = p + draw(coeff) * Polynomial.var(i)
+        return p
+
+    rules = {(i, a): poly() for i in indices for a in "ab"}
+    if degree == 2:
+        square = Polynomial.var("x") * Polynomial.var(draw(st.sampled_from(indices)))
+        rules[("x", "a")] = rules[("x", "a")] + draw(st.sampled_from([-2, -1, 1, 2])) * square
+    return PolynomialSystem.make(indices, "ab", rules, {i: draw(coeff) for i in indices}, ring="Z")
+
+
+@settings(deadline=None, max_examples=40)
+@given(_dense_systems(1), st.lists(st.tuples(st.sampled_from("ab"), st.integers(1, 300)), max_size=8))
+def test_affine_runs_match_evaluate_int_letter_by_letter(sys, runs):
+    assert sys.degree <= 1
+    w = tuple(chain.from_iterable((a,) * k for a, k in runs))
+    assert eval_polynomial_vector(sys, w) == _reference_vector(sys, w)
+
+
+@settings(deadline=None, max_examples=40)
+@given(_dense_systems(2), st.lists(st.sampled_from("ab"), max_size=12))
+def test_polynomial_vector_matches_evaluate_int_on_degree_two_systems(sys, w):
+    assert sys.degree == 2
+    assert eval_polynomial_vector(sys, tuple(w)) == _reference_vector(sys, tuple(w))
+
+
+def test_fibonacci_on_long_runs_matches_the_closed_form():
+    # F(a^n) = Fib(n + 1) = B / 2^n where (1 + sqrt 5)^(n + 1) = A + B sqrt 5
+    from wordmaps.cli import load_file
+
+    fib = load_file("fibonacci").resolve("F", "poly")[1]
+    for n in (0, 1, 2, 3, 4, 1000, 4097):
+        a, b = 1, 0
+        for _ in range(n + 1):
+            a, b = a + 5 * b, a + b
+        assert b % 2**n == 0
+        assert eval_polynomial(fib, "F", ("a",) * n) == b >> n
