@@ -33,7 +33,7 @@ from .recurrences import (
     eval_polynomial,
     eval_regular,
 )
-from .systemfile import SystemFile, format_declaration, parse_file
+from .systemfile import SystemFile, format_declaration, parse_file, unique_match
 from .words import show_word, word
 
 
@@ -60,35 +60,33 @@ def load_file(spec: str) -> SystemFile:
             raise _file_error("read", spec, e) from e
         return parse_file(text, filename=str(path))
     names = data_names()
-    matches = [n for n in names if n == spec] or [n for n in names if n.startswith(spec)]
-    if len(matches) != 1:
-        raise WordmapsError(
-            f"no file {spec!r}; bundled examples: {', '.join(names)}"
-        )
-    text = _data_dir().joinpath(matches[0] + ".sys").read_text()
-    return parse_file(text, filename=matches[0])
+    name = unique_match(spec, names)
+    if name is None:
+        raise WordmapsError(f"no file {spec!r}; bundled examples: {', '.join(names)}")
+    text = _data_dir().joinpath(name + ".sys").read_text()
+    return parse_file(text, filename=name)
 
 
-def split_target(target: str):
-    if "." in target:
-        name, index = target.split(".", 1)
-        return name, index
-    return target, None
-
-
-def resolve_sequence(sf: SystemFile, target: str, paper_literal=False):
-    """A (kind, system, index) triple for an indexed sequence target."""
-    name, index = split_target(target)
-    kind, obj = sf.resolve(name, paper_literal=paper_literal)
+def resolve_sequence(
+    sf: SystemFile, target: str, paper_literal=False, kinds=None, refusal="{name!r} is a {kind}, expected {kinds}"
+):
+    """The (kind, object, index) of a command-line target NAME or NAME.INDEX.
+    A bare NAME of an indexed kind takes the index of the same name, else the
+    first; other kinds take none.  A kind outside ``kinds``, the kinds the
+    calling command takes, is refused in the ``refusal`` sentence."""
+    name, dot, index = target.partition(".")
+    found = sf.lookup(name, paper_literal)
+    kind, obj = sf.declarations[found]
     if kind in ("cat", "comp", "reg", "poly"):
-        if index is None:
+        if not dot:
             index = name if name in obj.indices else obj.indices[0]
         if index not in obj.indices:
             raise WordmapsError(f"{name!r} has no index {index!r}")
-        return kind, obj, index
-    if index is not None:
+    elif dot:
         raise WordmapsError(f"{kind} target {name!r} takes no index")
-    return kind, obj, None
+    if kinds is not None and kind not in kinds:
+        raise WordmapsError(refusal.format(name=found, kind=kind, kinds=" or ".join(kinds)))
+    return kind, obj, index or None
 
 
 def parse_argument_word(alphabet, arg: str):
@@ -124,29 +122,27 @@ def _print_integer(n: int) -> None:
 
 def cmd_eval(args) -> int:
     sf = load_file(args.file)
-    kind, obj, index = resolve_sequence(sf, args.target, paper_literal=args.paper_literal)
-    if kind not in ("cat", "comp", "reg", "poly", "hdt0l", "linrep"):
-        raise WordmapsError(f"cannot eval a {kind} target")
+    kinds = ("cat", "comp", "reg", "poly", "hdt0l", "linrep")
+    kind, obj, index = resolve_sequence(sf, args.target, args.paper_literal, kinds, "cannot eval a {kind} target")
     w = parse_argument_word(obj.letters if kind == "linrep" else obj.input_alphabet, args.argument)
     if kind == "cat":
         value = eval_catenative(obj, index, w)
     elif kind == "comp":
-        print(repr(eval_compositional(obj, index, w)))
-        return 0
+        value = eval_compositional(obj, index, w)
     elif kind == "reg":
         value = eval_regular(obj, index, w, fuel=args.fuel)
     elif kind == "poly":
-        _print_integer(eval_polynomial(obj, index, w))
-        return 0
+        value = eval_polynomial(obj, index, w)
     elif kind == "hdt0l":
         value = eval_hdt0l(obj, w)
     else:
-        _print_integer(linear_eval(obj, w))
-        return 0
-    if args.as_length:
-        print(len(value))
+        value = linear_eval(obj, w)
+    if isinstance(value, int):
+        _print_integer(value)
+    elif isinstance(value, tuple):
+        print(len(value) if args.as_length else show_word(value))
     else:
-        print(show_word(value))
+        print(repr(value))
     return 0
 
 
@@ -156,21 +152,21 @@ def _budget(args) -> Budget:
     return Budget.scaled(args.budget, order=args.order)
 
 
-def _quotient(sf: SystemFile, target: str):
+def _quotient(sf: SystemFile, target: str, paper_literal: bool):
     """The (system, num, den) shape of an equiv target: an indexed poly
     sequence or a frac."""
-    kind, obj, index = resolve_sequence(sf, target)
+    refusal = "cannot decide the equality of a {kind} target"
+    kind, obj, index = resolve_sequence(sf, target, paper_literal, ("poly", "frac"), refusal)
     if kind == "poly":
         return _indexed(obj, index)
-    if kind != "frac":
-        raise WordmapsError(f"cannot decide the equality of a {kind} target")
     _, system = sf.resolve(obj.system_name, "poly")
     return FractionPresentation(system, obj.num_plus, obj.num_minus, obj.den_plus, obj.den_minus)._shape()
 
 
 def cmd_equiv(args) -> int:
     sf_a, sf_b = load_file(args.file_a), load_file(args.file_b)
-    verdict = _decide_quotients(_quotient(sf_a, args.target_a), _quotient(sf_b, args.target_b), _budget(args))
+    p, q = _quotient(sf_a, args.target_a, args.paper_literal), _quotient(sf_b, args.target_b, args.paper_literal)
+    verdict = _decide_quotients(p, q, _budget(args))
     if isinstance(verdict, NotEqual):
         print(f"NotEqual {show_word(verdict.witness)}")
         return 1
@@ -178,35 +174,36 @@ def cmd_equiv(args) -> int:
     return 0
 
 
+# lower WHAT for a plain conversion: (the kind it takes, the kind it emits, the
+# emitted block's name suffix, the conversion of the target's object and index)
+CONVERSIONS = {
+    "cat-to-hdt0l": ("cat", "hdt0l", "_hdt0l", catenative_to_hdt0l),
+    "hdt0l-to-cat": ("hdt0l", "cat", "_cat", lambda obj, _: hdt0l_to_catenative(obj)),
+    "unary": ("hdt0l", "linrep", "_rep", lambda obj, _: unary_lowering(obj)),
+}
+
+
 def cmd_lower(args) -> int:
     if args.what in ("series", "skolem") and args.linrep is None:
         wanted = "a second stage" if args.what == "series" else "a second target"
         raise WordmapsError(f"lower {args.what} needs {wanted}")
     sf = load_file(args.file)
-    if args.what == "cat-to-hdt0l":
-        _, sys, index = resolve_sequence(sf, args.target)
-        out = format_declaration("hdt0l", f"{split_target(args.target)[0]}_hdt0l", catenative_to_hdt0l(sys, index))
-    elif args.what == "hdt0l-to-cat":
-        name, _ = split_target(args.target)
-        _, sys = sf.resolve(name, "hdt0l")
-        out = format_declaration("cat", f"{name}_cat", hdt0l_to_catenative(sys))
-    elif args.what == "unary":
-        name, _ = split_target(args.target)
-        _, sys = sf.resolve(name, "hdt0l")
-        out = format_declaration("linrep", f"{name}_rep", unary_lowering(sys))
+    name = args.target.partition(".")[0]
+    if args.what in CONVERSIONS:
+        takes, emits, suffix, convert = CONVERSIONS[args.what]
+        _, obj, index = resolve_sequence(sf, args.target, args.paper_literal, (takes,))
+        out = format_declaration(emits, name + suffix, convert(obj, index))
     elif args.what == "series":
-        lowered = level3_mapping(sf, args.target, args.linrep).lower()
-        out = format_declaration("poly", f"{split_target(args.target)[0]}_poly", lowered.system)
+        lowered = level3_mapping(sf, args.target, args.linrep, args.paper_literal).lower()
+        out = format_declaration("poly", f"{name}_poly", lowered.system)
         out += f"\n# output form: {format_polynomial(lowered.output_form)}"
-    elif args.what == "skolem":
-        _, sys_u, i_u = resolve_sequence(sf, args.target)
+    else:
+        _, sys_u, i_u = resolve_sequence(sf, args.target, args.paper_literal, ("poly",))
         sf_v = load_file(args.file_b) if args.file_b else sf
-        _, sys_v, i_v = resolve_sequence(sf_v, args.linrep)
+        _, sys_v, i_v = resolve_sequence(sf_v, args.linrep, args.paper_literal, ("poly",))
         sk = skolem_product_system(sys_u, i_u, sys_v, i_v)
         out = format_declaration("poly", "skolem_product", sk.system)
         out += f"\n# product index: {sk.product_index}"
-    else:
-        raise WordmapsError(f"unknown lowering {args.what!r}")
     if args.output:
         try:
             Path(args.output).write_text(out + "\n")
@@ -217,19 +214,19 @@ def cmd_lower(args) -> int:
     return 0
 
 
-def level3_mapping(sf: SystemFile, first_target: str, second_name: str):
+def level3_mapping(sf: SystemFile, first_target: str, second_target: str, paper_literal: bool):
     """The level-3 mapping of a cat target followed by an hdt0l or linrep."""
-    kind1, first, index = resolve_sequence(sf, first_target)
-    if kind1 != "cat":
-        raise WordmapsError(f"the first stage must be a cat declaration, not {kind1}")
-    kind2, second = sf.resolve(second_name)
-    if kind2 not in ("hdt0l", "linrep"):
-        raise WordmapsError("the second stage must be an hdt0l or linrep declaration")
+    _, first, index = resolve_sequence(
+        sf, first_target, paper_literal, ("cat",), "the first stage must be a cat declaration, not {kind}"
+    )
+    _, second, _ = resolve_sequence(
+        sf, second_target, paper_literal, ("hdt0l", "linrep"), "the second stage must be an hdt0l or linrep declaration"
+    )
     return compose_level3(first, index, second)
 
 
 def cmd_compose(args) -> int:
-    mapping = level3_mapping(load_file(args.file), args.first, args.second)
+    mapping = level3_mapping(load_file(args.file), args.first, args.second, args.paper_literal)
     w = parse_argument_word(mapping.first.input_alphabet, args.argument)
     if args.as_length or isinstance(mapping.second, LinearRepresentation):
         _print_integer(mapping.value(w))
@@ -240,7 +237,7 @@ def cmd_compose(args) -> int:
 
 def cmd_run_pda(args) -> int:
     sf = load_file(args.file)
-    _, machine = sf.resolve(args.machine, "pda")
+    _, machine, _ = resolve_sequence(sf, args.machine, args.paper_literal, ("pda",))
     w = parse_argument_word(machine.input_alphabet, args.word)
     for outcome in steps(machine, w, fuel=args.fuel):
         if args.trace and isinstance(outcome, tuple):
@@ -258,15 +255,15 @@ def cmd_run_pda(args) -> int:
 
 def cmd_groebner(args) -> int:
     sf = load_file(args.file)
-    _, ideal = sf.resolve(args.ideal, "ideal")
+    _, ideal, _ = resolve_sequence(sf, args.ideal, args.paper_literal, ("ideal",))
     basis = groebner(ideal.generators, ideal.variables(), order=args.order)
     for g in basis:
         print(format_polynomial(g))
     return 0
 
 
-def _fuel(text: str) -> int:
-    """A --fuel value: an int >= 0, or argparse's usage error (exit 2)."""
+def _count(text: str) -> int:
+    """A --fuel or --budget value: an int >= 0, or argparse's usage error (exit 2)."""
     try:
         n = int(text)
     except ValueError:
@@ -278,10 +275,10 @@ def _fuel(text: str) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--fuel", type=_fuel, default=10**6, help="step budget for runs and rewriting (>= 0)")
-    common.add_argument("--budget", type=int, default=None, help="resource budget for decisions")
+    common.add_argument("--fuel", type=_count, default=10**6, help="step budget for runs and rewriting (>= 0)")
+    common.add_argument("--budget", type=_count, default=None, help="resource budget for decisions (>= 0)")
     common.add_argument("--order", default="grevlex", choices=ORDERS)
-    common.add_argument("--paper-literal", action="store_true", help="prefer *_literal variants")
+    common.add_argument("--paper-literal", action="store_true", help="prefer *_literal variants of every target")
 
     p = argparse.ArgumentParser(prog="wordmaps", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)

@@ -117,7 +117,7 @@ class Level3Mapping:
         identity = _identity(rep.dimension)
         base = {j: word_product(identity, rep, v, mat_mul) for j, v in self.first.base}
         m = suffix_walk(
-            self.first, self.first_index, w, base, lambda ms: reduce(mat_mul, ms, identity)
+            self.first, self.first_index, w, base, lambda ms: reduce(mat_mul, ms) if ms else identity
         )
         return dot(vec_mat(rep.row, m), rep.col)
 
@@ -237,9 +237,8 @@ class SkolemProduct:
 def _require_linear(sys: PolynomialSystem, name: str):
     if len(sys.input_alphabet) != 1:
         raise DomainError(f"{name} must have a unary input alphabet")
-    for (_, _), p in sys.rules:
-        if p.degree() > 1:
-            raise DomainError(f"{name} must be linear (degree <= 1 rules)")
+    if sys.degree > 1:
+        raise DomainError(f"{name} must be linear (degree <= 1 rules)")
 
 
 def skolem_product_system(

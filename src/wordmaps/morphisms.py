@@ -161,9 +161,6 @@ class HDT0LSystem:
     def output_alphabet(self) -> frozenset[str]:
         return self.final.target
 
-    def is_dt0l(self) -> bool:
-        return self.final.is_identity()
-
 
 def concat(parts) -> Word:
     """The product of a list of words.  Words are tuples, so a one-part

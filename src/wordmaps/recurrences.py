@@ -337,7 +337,7 @@ def eval_catenative(sys: CatenativeSystem, i: str, w: Word) -> Word:
 
 def eval_compositional(sys: CompositionalSystem, i: str, w: Word) -> Homomorphism:
     identity = Homomorphism.identity(sys.working)
-    return suffix_walk(sys, i, w, sys.base_map, lambda hs: reduce(compose, hs, identity))
+    return suffix_walk(sys, i, w, sys.base_map, lambda hs: reduce(compose, hs) if hs else identity)
 
 
 def is_strict(sys: RegularSystem) -> bool:

@@ -60,31 +60,38 @@ class FractionSpec:
     den_minus: str
 
 
+def unique_match(name: str, names) -> Optional[str]:
+    """``name`` if it is one of ``names``, else the one of ``names`` it
+    prefixes; None when it prefixes none or several."""
+    matches = [name] if name in names else [n for n in names if n.startswith(name)]
+    return matches[0] if len(matches) == 1 else None
+
+
 @dataclass
 class SystemFile:
-    declarations: dict = field(default_factory=dict)  # name -> (kind, object)
-    order: list = field(default_factory=list)
+    declarations: dict = field(default_factory=dict)  # name -> (kind, object), in file order
     filename: Optional[str] = None
 
     def add(self, kind: str, name: str, obj, line=None):
         if name in self.declarations:
             raise ParseError(f"duplicate declaration {name!r}", line=line, filename=self.filename)
         self.declarations[name] = (kind, obj)
-        self.order.append(name)
 
     def names(self):
-        return list(self.order)
+        return list(self.declarations)
+
+    def lookup(self, name: str, paper_literal: bool = False) -> str:
+        """The declared name ``name`` denotes: its ``_literal`` variant under
+        ``paper_literal`` when there is one, else its ``unique_match``."""
+        if paper_literal and f"{name}_literal" in self.declarations:
+            return f"{name}_literal"
+        found = unique_match(name, self.declarations)
+        if found is None:
+            raise DomainError(f"no declaration named {name!r}")
+        return found
 
     def resolve(self, name: str, kind: Optional[str] = None, paper_literal: bool = False):
-        lookup = name
-        if paper_literal and f"{name}_literal" in self.declarations:
-            lookup = f"{name}_literal"
-        if lookup not in self.declarations:
-            matches = [n for n in self.order if n.startswith(name)]
-            if len(matches) == 1:
-                lookup = matches[0]
-            else:
-                raise DomainError(f"no declaration named {name!r}")
+        lookup = self.lookup(name, paper_literal)
         got_kind, obj = self.declarations[lookup]
         if kind is not None and got_kind != kind:
             raise DomainError(f"{lookup!r} is a {got_kind}, expected {kind}")
@@ -662,8 +669,4 @@ def format_declaration(kind: str, name: str, obj) -> str:
 
 
 def format_file(sf: SystemFile) -> str:
-    chunks = []
-    for name in sf.order:
-        kind, obj = sf.declarations[name]
-        chunks.append(format_declaration(kind, name, obj))
-    return "\n\n".join(chunks) + "\n"
+    return "\n\n".join(format_declaration(kind, name, obj) for name, (kind, obj) in sf.declarations.items()) + "\n"

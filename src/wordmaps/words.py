@@ -9,8 +9,6 @@ from __future__ import annotations
 
 Word = tuple[str, ...]
 
-EPSILON: Word = ()
-
 
 def word(text: str) -> Word:
     """Parse a word from text.

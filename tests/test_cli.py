@@ -1,3 +1,5 @@
+import re
+import shlex
 import time
 from pathlib import Path
 
@@ -568,3 +570,117 @@ def test_a_malformed_integer_directive_is_a_parse_error(capsys, tmp_path, text, 
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: {path}:2: ") and "expected an integer" in err
+
+
+@pytest.mark.parametrize("budget", ["-5", "-1"])
+def test_negative_budget_is_a_usage_error_and_zero_budget_is_legal(capsys, budget):
+    argv = ("equiv", "factorial", "FC", "factorial", "FC")
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--budget", budget])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"argument --budget: must be >= 0, not {budget}" in err
+    # a zero budget reaches the decision, whose budget error names the limit
+    assert run_cli(capsys, *argv, "--budget", "0") == (2, "", "error: Groebner basis exceeded the size budget (0)\n")
+
+
+LITERAL = """
+poly P {
+  input: a
+  X(eps) = 1
+  X(a w) = 2 * X
+}
+
+poly P_literal {
+  input: a
+  X(eps) = 1
+  X(a w) = X * X + 1
+}
+
+poly Q {
+  input: a
+  X(eps) = 1
+  X(a w) = X + X
+}
+"""
+
+
+def test_paper_literal_applies_to_every_target(capsys, tmp_path):
+    path = tmp_path / "literal.sys"
+    path.write_text(LITERAL)
+    argv = ("equiv", str(path), "P", str(path), "Q")
+    assert run_cli(capsys, *argv) == (0, "Equal\n", "")
+    # P_literal runs 1, 2, 5, ... against Q's 1, 2, 4, ...: the shortest
+    # witness is aa
+    assert run_cli(capsys, *argv, "--paper-literal") == (1, "NotEqual aa\n", "")
+
+
+REPO = Path(__file__).resolve().parents[1]
+# one file with a declaration of every kind: the bundled npown, gmap and
+# pow2-pda next to the benchmark's fraction, regular and ideal files
+ALL_KINDS_FILES = [
+    *(REPO / "src" / "wordmaps" / "data" / f"{n}.sys" for n in ("npown", "gmap", "pow2-pda")),
+    *(REPO / "perfbench" / "data" / f"{n}.sys" for n in ("fractions", "shift", "ideals")),
+]
+KIND_TARGET = {
+    "cat": "f", "comp": "H", "reg": "shift", "poly": "pair", "hdt0l": "fibword",
+    "linrep": "fibrep", "pda": "pow2", "hom": "out", "frac": "telescoped", "ideal": "katsura2",
+}
+UNINDEXED = ("hdt0l", "linrep", "pda", "hom", "frac", "ideal")
+# every target position of every command: the kinds it takes, and its argv
+# around the target T in the file F
+POSITIONS = [
+    ("eval", {"cat", "comp", "reg", "poly", "hdt0l", "linrep"}, ("eval", "F", "T", "3")),
+    ("equiv.a", {"poly", "frac"}, ("equiv", "F", "T", "F", "pair")),
+    ("equiv.b", {"poly", "frac"}, ("equiv", "F", "pair", "F", "T")),
+    ("compose.first", {"cat"}, ("compose", "F", "T", "fibrep", "101")),
+    ("compose.second", {"hdt0l", "linrep"}, ("compose", "F", "nu", "T", "101")),
+    ("cat-to-hdt0l", {"cat"}, ("lower", "cat-to-hdt0l", "F", "T")),
+    ("hdt0l-to-cat", {"hdt0l"}, ("lower", "hdt0l-to-cat", "F", "T")),
+    ("unary", {"hdt0l"}, ("lower", "unary", "F", "T")),
+    ("series.first", {"cat"}, ("lower", "series", "F", "T", "fibrep")),
+    ("series.second", {"hdt0l", "linrep"}, ("lower", "series", "F", "nu", "T")),
+    ("skolem.first", {"poly"}, ("lower", "skolem", "F", "T", "pair")),
+    ("skolem.second", {"poly"}, ("lower", "skolem", "F", "pair", "T")),
+    ("run-pda", {"pda"}, ("run-pda", "F", "T", "aa")),
+    ("groebner", {"ideal"}, ("groebner", "F", "T")),
+]
+REFUSED = [
+    pytest.param(argv, kind, target, id=f"{position}-{target}")
+    for position, takes, argv in POSITIONS
+    for kind, name in KIND_TARGET.items()
+    for target in ([name] if kind not in takes else []) + ([name + ".x"] if kind in UNINDEXED else [])
+]
+
+
+@pytest.mark.parametrize("argv,kind,target", REFUSED)
+def test_every_refused_target_is_one_error_line(capsys, tmp_path, argv, kind, target):
+    path = tmp_path / "kinds.sys"
+    path.write_text("\n".join(f.read_text() for f in ALL_KINDS_FILES))
+    argv = [str(path) if a == "F" else target if a == "T" else a for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    name, dot, _ = target.partition(".")
+    if dot:  # an index is refused before the kind
+        assert err == f"error: {kind} target {name!r} takes no index\n"
+
+
+def _readme_cli_lines():
+    text = (REPO / "README.md").read_text()
+    block = text[text.index("## CLI"):].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("wordmaps ") and "FILE IDEAL" not in line]
+
+
+@pytest.mark.parametrize("line", _readme_cli_lines())
+def test_readme_cli_block(capsys, line):
+    command, _, comment = line.partition("#")
+    comment = comment.strip()
+    code, out, err = run_cli(capsys, *shlex.split(command)[1:])
+    assert code == (1 if comment.startswith("NotEqual") else 0), err
+    emits = re.match(r"emits an? (\w+) block", comment)
+    if emits:
+        assert out.startswith(f"{emits.group(1)} ")
+    elif comment:
+        # the expected value runs up to a gap of two spaces, " = " or " ("
+        assert out == re.split(r"\s{2,}| = | \(", comment)[0] + "\n"

@@ -250,6 +250,14 @@ def test_series_lowering_empty_rule_is_identity_constants():
         assert low.eval(("a",) * n) == linear_eval(rep, eval_catenative(sys, "f", ("a",) * n))
 
 
+def test_level3_value_of_an_empty_rule_product_is_the_identity():
+    sys = CatenativeSystem.make(("f",), {"a"}, {"b"}, {("f", "a"): ()}, {"f": word("bb")})
+    rep = LinearRepresentation.make((1, 0), {"b": ((1, 1), (0, 1))}, (1, 1))
+    mapping = compose_level3(sys, "f", rep)
+    for n in range(4):
+        assert mapping.value(("a",) * n) == linear_eval(rep, eval_catenative(sys, "f", ("a",) * n))
+
+
 def test_series_lowering_fibonacci_dtol():
     nu = _gmap_nu()
     rep = LinearRepresentation.make((1, 0), {"x": ((1, 1), (1, 0))}, (1, 0))

@@ -147,6 +147,21 @@ def test_h_base_is_identity():
     assert eval_compositional(sys, "H", ()).is_identity()
 
 
+def test_h_rule_products_equal_the_fold_from_the_identity():
+    # a rule product starts at its first factor; the value, repr included, is
+    # the one folded from the identity over every factor
+    from functools import reduce
+
+    from wordmaps.morphisms import suffix_walk
+
+    sys = npown_h()
+    identity = Homomorphism.identity(sys.working)
+    for n in range(6):
+        for w in product("abc", repeat=n):
+            folded = suffix_walk(sys, "H", w, sys.base_map, lambda hs: reduce(compose, hs, identity))
+            assert repr(eval_compositional(sys, "H", w)) == repr(folded), w
+
+
 def test_h_literal_self_composition_squares_exponents():
     # brute-forcing the a-rule H(a u) = H(u) H(u): exponents square with
     # each a, so H(a^p b c^q) = [x^(q^(2^p)), x^(q^(2^p - 1))]

@@ -68,8 +68,8 @@ def test_reprint_round_trip_stable(name):
     sf = parse_file(_text(name), filename=name)
     printed = format_file(sf)
     sf2 = parse_file(printed, filename=name + ":printed")
-    assert sf.order == sf2.order
-    for key in sf.order:
+    assert sf.names() == sf2.names()
+    for key in sf.names():
         kind1, obj1 = sf.declarations[key]
         kind2, obj2 = sf2.declarations[key]
         assert kind1 == kind2
@@ -156,11 +156,11 @@ def _comparable(kind, obj):
 
 def test_reprint_round_trip_of_the_kinds_outside_the_bundled_files():
     sf = parse_file(INLINE_KINDS, filename="inline.sys")
-    assert [sf.declarations[n][0] for n in sf.order] == ["reg", "frac", "ideal", "alphabet", "graded"]
+    assert [sf.declarations[n][0] for n in sf.names()] == ["reg", "frac", "ideal", "alphabet", "graded"]
     printed = format_file(sf)
     sf2 = parse_file(printed, filename="inline.sys:printed")
-    assert sf.order == sf2.order
-    for key in sf.order:
+    assert sf.names() == sf2.names()
+    for key in sf.names():
         kind, obj = sf.declarations[key]
         assert sf2.declarations[key][0] == kind
         assert _comparable(kind, obj) == _comparable(kind, sf2.declarations[key][1]), key
