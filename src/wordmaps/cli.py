@@ -17,7 +17,7 @@ from pathlib import Path
 from .equivalence import Budget, FractionPresentation, NotEqual, _decide_quotients, _indexed
 from .errors import FuelExhaustedError, WordmapsError
 from .groebner import ORDERS, groebner
-from .kpda import Accepted, Stuck, steps
+from .kpda import Accepted, Stuck, run, steps
 from .lowering import (
     catenative_to_hdt0l,
     compose_level3,
@@ -159,7 +159,7 @@ def _quotient(sf: SystemFile, target: str, paper_literal: bool):
     kind, obj, index = resolve_sequence(sf, target, paper_literal, ("poly", "frac"), refusal)
     if kind == "poly":
         return _indexed(obj, index)
-    _, system = sf.resolve(obj.system_name, "poly")
+    _, system = sf.declarations[obj.system_name]  # parse_file checked it names a poly
     return FractionPresentation(system, obj.num_plus, obj.num_minus, obj.den_plus, obj.den_minus)._shape()
 
 
@@ -239,10 +239,13 @@ def cmd_run_pda(args) -> int:
     sf = load_file(args.file)
     _, machine, _ = resolve_sequence(sf, args.machine, args.paper_literal, ("pda",))
     w = parse_argument_word(machine.input_alphabet, args.word)
-    for outcome in steps(machine, w, fuel=args.fuel):
-        if args.trace and isinstance(outcome, tuple):
-            state, tops, state2, emitted = outcome
-            print(f"{state} | tops {' '.join(tops)} -> {state2} | out {show_word(emitted)}")
+    if args.trace:
+        for outcome in steps(machine, w, fuel=args.fuel):
+            if isinstance(outcome, tuple):
+                state, tops, state2, emitted = outcome
+                print(f"{state} | tops {' '.join(tops)} -> {state2} | out {show_word(emitted)}")
+    else:
+        outcome = run(machine, w, fuel=args.fuel)
     if isinstance(outcome, Accepted):
         print(f"Accepted {show_word(outcome.output)}")
         return 0

@@ -6,11 +6,13 @@ deterministic machine determines by itself which letter it emits at each
 step, which makes the computed map f(w) effective without guessing f(w)
 up front.  Acceptance requires halting in the start state with an empty
 store; an empty store in any other state is Stuck.
-``KPda.moves`` is built once per machine.  ``steps`` is the one stepping loop
-of a deterministic run, behind ``run`` and ``--trace``; elsewhere one
-successor relation expands moves, and one bounded breadth-first search, which
-holds at most ``MAX_SEARCH_NODES`` nodes, serves ``derive`` and both sides of
-the derivation/computation agreement check.
+``KPda.moves`` is built once per machine.  ``steps`` is the one definition of
+a deterministic run, move by move: it serves ``--trace`` and replays every
+outcome of ``run`` other than Accepted.  ``run`` steps each block of the store
+once and skips a block met again by its summary.  Elsewhere one successor
+relation expands moves, and one bounded breadth-first search, which holds at
+most ``MAX_SEARCH_NODES`` nodes, serves ``derive`` and both sides of the
+derivation/computation agreement check.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .pushdown import (
     GradedAlphabet,
     IteratedPushdown,
     Variable,
+    head,
     pop,
     push,
     topsyms,
@@ -258,11 +261,8 @@ def initial_store(m: KPda, w: Word) -> IteratedPushdown:
     return cur
 
 
-def steps(m: KPda, w: Word, fuel: int = 10**6) -> Iterator:
-    """Run the unique computation of a strongly deterministic machine on the
-    initial store built from w.  Yields (state, topsyms word, next state,
-    emitted letters so far: one list, grown in place) per step, then the
-    RunOutcome."""
+def _checked_initial_store(m: KPda, w: Word) -> IteratedPushdown:
+    """The initial store of a run on w, after the checks every run makes."""
     if not validate_strongly_deterministic(m):
         raise DomainError("run requires a strongly deterministic machine")
     for a in w:
@@ -270,7 +270,15 @@ def steps(m: KPda, w: Word, fuel: int = 10**6) -> Iterator:
             raise DomainError(f"input letter {a!r} is not in the machine's input alphabet")
         if m.gamma.level_of(a) != m.level:
             raise DomainError(f"input letter {a!r} must be a level-{m.level} pushdown symbol")
-    state, emitted, store = m.start_state, [], initial_store(m, w)
+    return initial_store(m, w)
+
+
+def steps(m: KPda, w: Word, fuel: int = 10**6) -> Iterator:
+    """Run the unique computation of a strongly deterministic machine on the
+    initial store built from w, one move at a time.  Yields (state, topsyms
+    word, next state, emitted letters so far: one list, grown in place) per
+    step, then the RunOutcome."""
+    state, emitted, store = m.start_state, [], _checked_initial_store(m, w)
     moves = m.moves
     while not store.is_empty() and fuel > 0:
         tops = topsyms(store)
@@ -291,11 +299,66 @@ def steps(m: KPda, w: Word, fuel: int = 10**6) -> Iterator:
         yield FuelExhausted(c) if fuel <= 0 else Stuck(c)
 
 
-def run(m: KPda, w: Word, fuel: int = 10**6) -> RunOutcome:
-    """The outcome of ``steps``: Accepted, Stuck or FuelExhausted."""
+def _replay(m: KPda, w: Word, fuel: int) -> RunOutcome:
     for outcome in steps(m, w, fuel):
         pass
     return outcome
+
+
+def run(m: KPda, w: Word, fuel: int = 10**6) -> RunOutcome:
+    """The outcome of ``steps``: Accepted, Stuck or FuelExhausted, in time
+    proportional to the output plus the moves of distinct blocks, not to all
+    moves.
+
+    A block is the store's head entry (symbol, body), entered in some state.
+    A move reads only topsyms and rewrites only the head, so the moves until
+    that entry, and all that a push_1 put in its place, have been popped
+    depend on (state, symbol, body) alone.  Each block is stepped once and
+    summarised by its exit state, its stretch of the output and its move
+    count; a block met again is skipped by its summary (Cook's linear-time
+    simulation of deterministic pushdown machines).  Open blocks sit on an
+    explicit stack; one ends when the store is again the store of the entries
+    after it, which the operations share unchanged.  Only Accepted is read
+    off the summaries.  A missing move, a move count above ``fuel``, a block
+    met again while still open (a run that never ends) or an empty store in
+    another state than the start are replayed by ``steps``, so those
+    outcomes, like every DomainError of a move, are exactly its own."""
+    store = _checked_initial_store(m, w)
+    state, out, count, moves = m.start_state, [], 0, m.moves
+    # (state, symbol, body) -> (exit state, output start, output end, moves),
+    # or None while the block is open
+    summaries: dict = {}
+    blocks = []  # open blocks: (key, output start, moves at entry, the store they end in)
+    while True:
+        sym, body, rest = head(store)
+        while blocks and blocks[-1][3] is store:
+            key, start, entry, _ = blocks.pop()
+            summaries[key] = (state, start, len(out), count - entry)
+        if sym is None:
+            break
+        key = (state, sym, body)
+        summary = summaries.get(key, ())  # () for a block not met yet
+        if summary:
+            state, start, end, n = summary
+            count += n
+            if count > fuel:
+                return _replay(m, w, fuel)
+            out += out[start:end]
+            store = rest
+            continue
+        enabled = moves.get((state, topsyms(store)))
+        if summary is None or not enabled or count >= fuel:
+            return _replay(m, w, fuel)
+        summaries[key] = None
+        blocks.append((key, len(out), count, rest))
+        ((read, state, op),) = enabled
+        if read != EPS:
+            out.append(read)
+        store = op.apply(store)
+        count += 1
+    if state != m.start_state:
+        return _replay(m, w, fuel)
+    return Accepted(tuple(out))
 
 
 # ---------------------------------------------------------------------------

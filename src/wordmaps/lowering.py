@@ -210,7 +210,10 @@ class LoweredSeries:
     output_form: Polynomial
 
     def eval(self, w: Word) -> int:
-        return self.output_form.evaluate_int(eval_polynomial_vector(self.system, w))
+        """K at the values at w; letter by letter, only the indices K reads
+        and the ones they read in turn are stepped."""
+        form = self.output_form
+        return form.evaluate_int(eval_polynomial_vector(self.system, w, form.variables()))
 
 
 def series_to_polynomial_system(

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, groupby
+from itertools import chain, groupby, repeat
 from typing import Iterable, Mapping
 
 from .errors import DomainError
@@ -180,21 +180,42 @@ def check_word(sys, w: Word):
                 raise DomainError(f"letter {a!r} is outside the input alphabet")
 
 
+def demand(w: Word, wanted: frozenset, reads):
+    """(a, the indices needed at the suffix of w that starts with a) for each
+    letter a of w, last letter first.  The whole of w needs ``wanted``; past a
+    letter a, a suffix needs every index that ``reads(j, a)`` names for an
+    index j needed before it.  The forward pass makes one set per distinct
+    (indices, letter) step and stops at the first set that every letter of w
+    maps to itself, which every shorter suffix then needs too."""
+    letters, steps, stable = set(w), {}, {}
+
+    def after(need, a):
+        key = (need, a)
+        if key not in steps:
+            steps[key] = frozenset().union(*[reads(j, a) for j in need])
+        return steps[key]
+
+    needs = [wanted]
+    for a in w:
+        need = needs[-1]
+        if need not in stable:
+            stable[need] = all(after(need, b) == need for b in letters)
+        if stable[need]:
+            break
+        needs.append(after(need, a))
+    past = len(w) + 1 - len(needs)  # the letters after the last set recorded
+    return zip(reversed(w), chain(repeat(needs[-1], past), reversed(needs[:-1])))
+
+
 def suffix_walk(sys, i: str, w: Word, values: Mapping, product):
     """f_i(w) for f_j(aw) = product([f_k(w) for k in sys.rule_map[(j, a)]]), with
-    every f_j(eps) in values.  A forward pass records the indices f_i(w) reads
-    at each suffix, one set per distinct (indices, letter) step; the backward
-    pass computes only those."""
+    every f_j(eps) in values.  A forward pass (``demand``) records the indices
+    f_i(w) reads at each suffix; the backward pass computes only those."""
     if i not in values:
         raise DomainError(f"unknown index {i!r}")
     check_word(sys, w)
-    rules, demand, steps = sys.rule_map, [frozenset((i,))], {}
-    for a in w:
-        key = (demand[-1], a)
-        if key not in steps:
-            steps[key] = frozenset(k for j in key[0] for k in rules[(j, a)])
-        demand.append(steps[key])
-    for a, need in zip(reversed(w), reversed(demand[:-1])):
+    rules = sys.rule_map
+    for a, need in demand(w, frozenset((i,)), lambda j, a: rules[(j, a)]):
         values = {j: product([values[k] for k in rules[(j, a)]]) for j in need}
     return values[i]
 

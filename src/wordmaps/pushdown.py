@@ -213,6 +213,12 @@ def topsyms(pds: IteratedPushdown) -> tuple[Symbol, ...]:
     return out
 
 
+def head(pds: IteratedPushdown) -> tuple[Symbol, IteratedPushdown, IteratedPushdown]:
+    """The symbol and body of the store's leftmost entry and the store of the
+    entries after it; (None, None, None) for an empty store."""
+    return pds._sym, pds._body, pds._rest
+
+
 def _rewrite_leftmost(j: int, pds: IteratedPushdown, rewrite, arg=None) -> IteratedPushdown:
     """Replace the leftmost level-j store s by ``rewrite(s, arg)``, rebuilding
     only the j - 1 cells above it; the store is returned unchanged when s is

@@ -8,9 +8,10 @@ rules with shift words, evaluated by fuel-bounded rewriting), and polynomial
 Catenative and compositional values come from ``morphisms.suffix_walk``.
 Regular systems cannot use it (shift words change the argument), hence the
 rewriting loop with fuel, over a stack of pending terms.  Polynomial values
-step integer rows per letter, except on affine systems (every update of
-degree <= 1): there a run a^k of equal letters takes O(log k) steps, through
-the maps of a^1, a^2, a^4, ... (squared by substitution, once per call).
+step integer rows per letter, only for the indices the wanted values read
+(``morphisms.demand``), except on affine systems (every update of degree
+<= 1): there a run a^k of equal letters takes O(log k) steps, through the
+maps of a^1, a^2, a^4, ... (squared by substitution, once per call).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from itertools import chain, product as cartesian_product
 from typing import Mapping
 
 from .errors import DomainError, FuelExhaustedError
-from .morphisms import Homomorphism, check_word, compose, concat, suffix_walk
+from .morphisms import Homomorphism, check_word, compose, concat, demand, suffix_walk
 from .polynomials import Polynomial, _powers, _substitute, _wrap
 from .words import Word
 
@@ -378,15 +379,16 @@ def eval_regular(sys: RegularSystem, i: str, w: Word, fuel: int = 10**5) -> Word
 
 def eval_polynomial(sys: PolynomialSystem, i: str, w: Word) -> int:
     _check_index(sys, i)
-    return eval_polynomial_vector(sys, w)[i]
+    return eval_polynomial_vector(sys, w, (i,))[i]
 
 
-def _step(ps: dict[str, Polynomial], vec: dict[str, int]) -> dict[str, int]:
-    """One letter's update ``maps[a]``: ``make`` admitted only int coefficients over the indices."""
+def _step(ps: dict[str, Polynomial], vec: dict[str, int], indices=None) -> dict[str, int]:
+    """One letter's update ``maps[a]``, of the given indices (default: all of
+    them): ``make`` admitted only int coefficients over the indices."""
     out = {}
-    for i, p in ps.items():
+    for i in ps if indices is None else indices:
         total = 0
-        for m, c in p.terms.items():
+        for m, c in ps[i].terms.items():
             for v, e in m:
                 x = vec[v] if e == 1 else vec[v] ** e
                 c = x if c == 1 else c * x  # 1 * x and 0 + c would copy a bignum
@@ -412,15 +414,19 @@ def _run(ps: list[dict[str, Polynomial]], k: int, vec: dict[str, int]) -> dict[s
             ps.append({i: _substitute(p.terms, table) for i, p in ps[-1].items()})
 
 
-def eval_polynomial_vector(sys: PolynomialSystem, w: Word) -> dict[str, int]:
-    """The values at w, stepping its letters last to first.  On an affine
-    system (degree <= 1) a run a^k of two or more letters takes O(log k)
-    steps, through the maps of a^1, a^2, a^4, ..., built once per call."""
+def eval_polynomial_vector(sys: PolynomialSystem, w: Word, wanted=None) -> dict[str, int]:
+    """The values at w of every index, or of at least the indices in
+    ``wanted``, stepping its letters last to first.  Letter by letter (degree
+    >= 2) a step computes only the indices that the wanted values at w read
+    (``demand``).  On an affine system (degree <= 1) every index is
+    computed, and a run a^k of two or more letters takes O(log k) steps,
+    through the maps of a^1, a^2, a^4, ..., built once per call."""
     check_word(sys, w)
     values, maps = sys.base_vector(), sys.maps
     if sys.degree > 1:
-        for a in reversed(w):
-            values = _step(maps[a], values)
+        wanted = frozenset(sys.indices if wanted is None else wanted)
+        for a, need in demand(w, wanted, lambda j, a: maps[a][j].variables()):
+            values = _step(maps[a], values, need)
         return values
     powers: dict[str, list] = {}  # a |-> the maps of a^1, a^2, a^4, ...
     prev, k = None, 0

@@ -21,7 +21,9 @@ Each kind's parser takes its directives through the block's accessors, so an
 unknown, repeated, missing or malformed directive is a ``ParseError`` at its
 line (a missing one at the block header), reported after any bad statement.
 A check of the block's whole object (an unknown index, a missing transition)
-is a ``ParseError`` at the block header.
+is a ``ParseError`` at the block header; so is a ``frac`` block whose
+``system:`` is not the exact name of a ``poly`` block of the same file,
+checked once every block is read.
 Only regular rules take an ``@class`` annotation after the head and shift
 letters before ``w`` on the right-hand side.  Inline homomorphisms are
 written ``{ x -> x y ; y -> eps }``; working letters they leave out map to
@@ -553,6 +555,7 @@ _KINDS = {
 
 def parse_file(text: str, filename: Optional[str] = None) -> SystemFile:
     out = SystemFile(filename=filename)
+    fracs = []  # (header, name, system name) of each frac block
     for kind, name, body, header in _blocks(text, filename):
         if kind not in _KINDS:
             raise ParseError(f"unknown block kind {kind!r}", line=header, filename=filename)
@@ -563,6 +566,11 @@ def parse_file(text: str, filename: Optional[str] = None) -> SystemFile:
             # the checks of the *System.make constructors know no positions
             raise ParseError(str(e), line=header, filename=filename) from e
         out.add(kind, name, obj, line=header)
+        if kind == "frac":
+            fracs.append((header, name, obj.system_name))
+    for header, name, system in fracs:
+        if out.declarations.get(system, ("",))[0] != "poly":
+            raise ParseError(f"frac {name} names no poly block {system!r}", line=header, filename=filename)
     return out
 
 

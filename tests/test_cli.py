@@ -493,6 +493,28 @@ def test_an_unwritable_output_path_is_an_error(capsys, tmp_path):
     assert not target.parent.exists()
 
 
+def test_run_pda_prints_the_traced_outcome_and_exit_code_through_kpda_run(capsys, tmp_path, monkeypatch):
+    import wordmaps.cli as cli
+    from wordmaps import kpda
+
+    path = tmp_path / "dead.sys"
+    path.write_text("pda dead {\n  level: 1\n  states: q0 q1\n  terminals: x\n  input: a\n"
+                    "  gamma 1: a\n  start: q0\n  q0 , x , a -> q1 , pop_1\n}\n")
+    calls = []
+    monkeypatch.setattr(cli, "run", lambda *args, **kw: calls.append(args) or kpda.run(*args, **kw))
+    cases = [
+        (("pow2-pda", "pow2", "aaa"), 0, "Accepted bbbbbbbb\n"),
+        (("pow2-pda", "pow2", "aaa", "--fuel", "20"), 1, "FuelExhausted\n"),
+        ((str(path), "dead", "aa"), 1, "Stuck in state q1 after x\n"),
+        ((str(path), "dead", "a"), 1, "Stuck in state q1 after x\n"),
+    ]
+    for argv, code, last in cases:
+        assert run_cli(capsys, "run-pda", *argv) == (code, last, "")
+        traced = run_cli(capsys, "run-pda", *argv, "--trace")
+        assert traced[0] == code and traced[1].endswith("\n" + last)
+    assert len(calls) == len(cases)  # --trace steps instead
+
+
 def test_run_pda_trace_rejects_a_machine_that_is_not_strongly_deterministic(capsys, tmp_path):
     path = tmp_path / "two.sys"
     path.write_text(

@@ -294,6 +294,107 @@ def test_acceptance_needs_start_state():
     assert isinstance(out, Stuck)
 
 
+def _last(items):
+    for item in items:
+        pass
+    return item
+
+
+def _random_machine(draw, st):
+    """A strongly deterministic machine of level 1-3 with states q0 q1:
+    level-i symbols Ai Bi below the top level, the input letters a b on it.
+    A (state, topsyms) key is left undefined with probability 1/10; else its
+    one move, into q0 with probability 2/3, mostly pops the deepest head it
+    sees or, when that head is a top-level letter, pushes 1-3 level-1 symbols
+    in place of the block, which repeats blocks; the rest are pops and pushes
+    of 1-3 symbols at any level."""
+    level = draw(st.integers(1, 3))
+    levels = [[f"A{i}", f"B{i}"] for i in range(1, level)] + [["a", "b"]]
+    states = ["q0", "q1"]
+    delta = {}
+    for q in states:
+        for tops in (t for n in range(1, level + 1) for t in product(*levels[:n])):
+            shape = draw(st.integers(0, 9))
+            if shape == 0:
+                continue
+            if shape <= 4:
+                op = Pop(len(tops))
+            elif shape <= 7 and len(tops) == level:
+                op = Push(1, tuple(draw(st.lists(st.sampled_from(levels[0]), min_size=1, max_size=3))))
+            else:
+                j = draw(st.integers(1, level))
+                pool = levels[j - 1] if draw(st.integers(0, 5)) else [s for lv in levels for s in lv]
+                symbols = tuple(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3)))
+                op = draw(st.sampled_from([Pop(j), Push(j, symbols)]))
+            read = draw(st.sampled_from(["", "", "x", "y"]))
+            delta[(q, read, tops)] = {(draw(st.sampled_from(["q0", "q0", "q1"])), op)}
+    return KPda.make(level, states, ["x", "y"], GradedAlphabet.of(*levels), delta, "q0",
+                     input_alphabet=["a", "b"], bottom_symbols=[lv[0] for lv in levels[:-1]])
+
+
+def test_run_equals_the_last_outcome_of_steps_on_random_machines():
+    from hypothesis import HealthCheck, given, settings
+    from hypothesis import strategies as st
+
+    probe = 2000  # the runs that end within this many moves are also checked at fuel 10**6
+
+    machines = st.composite(lambda draw: _random_machine(draw, st))()
+
+    @settings(deadline=None, max_examples=200, suppress_health_check=[HealthCheck.too_slow])
+    @given(machines, st.lists(st.sampled_from("ab"), min_size=1, max_size=6))
+    def check(m, w):
+        w = tuple(w)
+        outcome = _last(steps(m, w, probe))
+        fuels = {0, 1, 2, 3, probe}
+        if not isinstance(outcome, FuelExhausted):
+            # a run of n moves: one move short of its end, just enough, and all
+            n = len(list(steps(m, w))) - 1
+            fuels |= {n - 1, n, 10**6}
+        for fuel in sorted(fuels):
+            assert run(m, w, fuel) == _last(steps(m, w, fuel)), fuel
+
+    check()
+
+
+def test_a_block_that_reenters_itself_exhausts_the_fuel_as_steps_does():
+    # the head S becomes S S: the first S is the same block, entered again
+    # before it ends, so the run never ends
+    m = KPda.make(1, ["q"], [], GradedAlphabet.of(["S"]), {("q", "", ("S",)): {("q", Push(1, ("S", "S")))}},
+                  "q", input_alphabet=["S"])
+    for fuel in (1, 10, 1000):
+        expected = FuelExhausted(Configuration("q", (), IteratedPushdown.from_word(("S",) * (fuel + 1))))
+        assert run(m, ("S",), fuel) == _last(steps(m, ("S",), fuel)) == expected
+
+
+@pytest.mark.parametrize("op, message", [
+    (Pop(2), "pop level 2 out of range for a level-1 store"),
+    (Push(1, ("a", "")), "bad pushdown symbol ''"),
+])
+def test_a_bad_move_after_a_summarised_block_raises_as_steps_does(identity_pda, op, message):
+    # a, a: the second block is read off the first one's summary; b then
+    # meets the bad move, which the first two moves' fuel never reaches
+    bad = (("q0", "", ("b",)), frozenset({("q0", op)}))
+    m = dataclasses.replace(identity_pda, delta=identity_pda.delta[:1] + (bad,))
+    w = ("a", "a", "b")
+    for f in (run, lambda m, w: _last(steps(m, w))):
+        with pytest.raises(DomainError, match=message):
+            f(m, w)
+    assert run(m, w, 2) == _last(steps(m, w, 2)) == FuelExhausted(
+        Configuration("q0", ("a", "a"), IteratedPushdown.from_word(("b",))))
+
+
+def test_run_applies_moves_linear_in_n_on_pow2(pow2_pda, monkeypatch):
+    # each block is stepped once and replayed from its summary after, so the
+    # 2^n letters of pow2(a^n) cost O(n) applied moves
+    applied = []
+    for cls in (Pop, Push):
+        monkeypatch.setattr(cls, "apply", lambda op, store, apply=cls.apply: applied.append(op) or apply(op, store))
+    for n in (4, 8, 16):
+        applied.clear()
+        assert run(pow2_pda, ("a",) * n) == Accepted(("b",) * 2 ** n)
+        assert len(applied) <= 3 * (n + 1), (n, len(applied))
+
+
 # ---------------------------------------------------------------------------
 # derivations
 

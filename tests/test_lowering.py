@@ -26,6 +26,7 @@ from wordmaps.recurrences import (
     CatenativeSystem,
     PolynomialSystem,
     eval_catenative,
+    eval_polynomial_vector,
 )
 from wordmaps.words import word
 
@@ -264,6 +265,19 @@ def test_series_lowering_fibonacci_dtol():
     low = series_to_polynomial_system(nu, rep, "g")
     for w in _all_words(("0", "1"), 8):
         assert low.eval(w) == linear_eval(rep, eval_catenative(nu, "g", w))
+
+
+def test_series_lowering_steps_only_the_indices_its_output_form_reads():
+    nu = _gmap_nu()
+    rep = LinearRepresentation.make((1, 0), {"x": ((1, 1), (1, 0))}, (1, 0))
+    low = series_to_polynomial_system(nu, rep, "g")
+    wanted = low.output_form.variables()
+    assert low.system.degree > 1 and len(wanted) < len(low.system.indices)
+    for w in _all_words(("0", "1"), 6):
+        values = eval_polynomial_vector(low.system, w, wanted)
+        full = eval_polynomial_vector(low.system, w)
+        assert set(values) == (wanted if w else set(full))
+        assert {i: full[i] for i in wanted} == {i: values[i] for i in wanted}
 
 
 def test_series_lowering_random_instances():

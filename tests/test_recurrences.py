@@ -629,6 +629,21 @@ def test_polynomial_vector_matches_evaluate_int_on_degree_two_systems(sys, w):
     assert eval_polynomial_vector(sys, tuple(w)) == _reference_vector(sys, tuple(w))
 
 
+@settings(deadline=None, max_examples=60)
+@given(_z_systems(), st.lists(st.sampled_from("ab"), max_size=10), st.data())
+def test_wanted_indices_equal_the_full_vector(sys, w, data):
+    # letter by letter only the indices the wanted ones read are stepped;
+    # u, which no rule reads, drops out after the first letter
+    w = tuple(a for a in w if a in sys.input_alphabet)
+    full = _reference_vector(sys, w)
+    wanted = data.draw(st.sets(st.sampled_from(sys.indices), min_size=1))
+    values = eval_polynomial_vector(sys, w, wanted)
+    assert {i: values[i] for i in wanted} == {i: full[i] for i in wanted}
+    if sys.degree > 1 and w:
+        assert set(values) == wanted
+    assert {i: eval_polynomial(sys, i, w) for i in sys.indices} == full == eval_polynomial_vector(sys, w)
+
+
 def test_fibonacci_on_long_runs_matches_the_closed_form():
     # F(a^n) = Fib(n + 1) = B / 2^n where (1 + sqrt 5)^(n + 1) = A + B sqrt 5
     from wordmaps.cli import load_file

@@ -128,7 +128,7 @@ reg parity {
 }
 
 frac half {
-  system: parity
+  system: halves
   g: F
   h: Z
   fp: Two
@@ -147,6 +147,18 @@ graded stack {
   1: A B
   2: C
 }
+
+poly halves {
+  input: a
+  F(eps) = 1
+  Z(eps) = 0
+  Two(eps) = 2
+  One(eps) = 1
+  F(a w) = Two * F
+  Z(a w) = Z
+  Two(a w) = Two
+  One(a w) = One
+}
 """
 
 
@@ -156,7 +168,7 @@ def _comparable(kind, obj):
 
 def test_reprint_round_trip_of_the_kinds_outside_the_bundled_files():
     sf = parse_file(INLINE_KINDS, filename="inline.sys")
-    assert [sf.declarations[n][0] for n in sf.names()] == ["reg", "frac", "ideal", "alphabet", "graded"]
+    assert [sf.declarations[n][0] for n in sf.names()] == ["reg", "frac", "ideal", "alphabet", "graded", "poly"]
     printed = format_file(sf)
     sf2 = parse_file(printed, filename="inline.sys:printed")
     assert sf.names() == sf2.names()
@@ -231,7 +243,21 @@ def _malformed_cases():
 
 @pytest.mark.parametrize("kind", VALID_BODIES)
 def test_the_valid_bodies_parse(kind):
-    assert parse_file(_block(kind, VALID_BODIES[kind][0]), filename="f.sys").names() == ["k"]
+    # a frac block's system: must name a poly block of the same file
+    poly = "poly s {\n  input: a\n  A(eps) = 1\n  A(a w) = A\n}\n" if kind == "frac" else ""
+    sf = parse_file(_block(kind, VALID_BODIES[kind][0]) + poly, filename="f.sys")
+    assert sf.names() == ["k"] + ["s"] * bool(poly)
+
+
+@pytest.mark.parametrize("system", ["pa", "nope", "F"])
+def test_a_frac_must_name_a_poly_block_of_its_file_exactly(system):
+    # pa only prefixes pair, nope names nothing and F is an alphabet
+    text = "poly pair {\n  input: a\n  A(eps) = 1\n  A(a w) = A\n}\nalphabet F { a }\n"
+    text += _block("frac", [f"system: {system}", "g: A", "h: A", "fp: A", "gp: A"])
+    with pytest.raises(ParseError) as err:
+        parse_file(text, filename="f.sys")
+    assert str(err.value) == f"f.sys:7: frac k names no poly block {system!r}"
+    assert parse_file(text.replace(f"system: {system}", "system: pair")).names() == ["pair", "F", "k"]
 
 
 @pytest.mark.parametrize("text,line,wanted", _malformed_cases())
