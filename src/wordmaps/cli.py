@@ -103,6 +103,8 @@ def parse_argument_word(alphabet, arg: str):
                 "an integer argument needs a unary input alphabet; give a word instead"
             )
         (letter,) = alphabet
+        if len(arg.lstrip("0")) > 18:  # 10^18 letters fit no memory; past 2^63 no index either
+            raise WordmapsError(f"an integer argument of {len(arg)} digits is too large for a word")
         return (letter,) * int(arg)
     return word(arg)
 

@@ -217,7 +217,7 @@ def _orbit(sys: PolynomialSystem, stepped):
         # the previous level, letters outermost, keeps the level lexicographic
         for a in letters:
             for w, vec in level:
-                new = _step(maps[a], vec)
+                new = _step(vec, maps[a])
                 key = tuple(map(new.__getitem__, indices))
                 if key not in seen:
                     seen.add(key)

@@ -73,7 +73,7 @@ class KPda:
     states: frozenset[str]
     terminals: frozenset[str]
     gamma: GradedAlphabet
-    delta: tuple  # canonicalized Delta items, see __post_init__
+    delta: tuple  # sorted (key, frozenset of moves) pairs, canonicalised by make
     start_state: str
     input_alphabet: frozenset[str] = frozenset()
     bottom_symbols: tuple[str, ...] = ()
@@ -265,7 +265,7 @@ def _checked_initial_store(m: KPda, w: Word) -> IteratedPushdown:
     """The initial store of a run on w, after the checks every run makes."""
     if not validate_strongly_deterministic(m):
         raise DomainError("run requires a strongly deterministic machine")
-    for a in w:
+    for a in dict.fromkeys(w):  # each letter once, in the order of first occurrence
         if a not in m.input_alphabet:
             raise DomainError(f"input letter {a!r} is not in the machine's input alphabet")
         if m.gamma.level_of(a) != m.level:

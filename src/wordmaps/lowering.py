@@ -109,16 +109,21 @@ class Level3Mapping:
             return self.second
         return _length_representation(self.second)
 
+    @cached_property
+    def base_matrices(self) -> dict:
+        """j |-> the matrix of the first stage's base word g_j(eps)."""
+        rep, square = self.representation, lambda m: mat_mul(m, m)
+        one = _identity(rep.dimension)
+        return {j: word_product(one, v, rep.matrix, mat_mul, square) for j, v in self.first.base}
+
     def value(self, w: Word) -> int:
         """row . M_{g_i(w)} . col, which is |eval(w)| for an HDT0L second
         stage.  The first stage's rules run over matrices, so the stage-1 word
         is never built."""
         rep = self.representation
         identity = _identity(rep.dimension)
-        base = {j: word_product(identity, rep, v, mat_mul) for j, v in self.first.base}
-        m = suffix_walk(
-            self.first, self.first_index, w, base, lambda ms: reduce(mat_mul, ms) if ms else identity
-        )
+        m = suffix_walk(self.first, self.first_index, w, self.base_matrices,
+                        lambda ms: reduce(mat_mul, ms) if ms else identity)
         return dot(vec_mat(rep.row, m), rep.col)
 
     def lower(self) -> LoweredSeries:
@@ -128,15 +133,13 @@ class Level3Mapping:
         g, rep = self.first, self.representation
         d = rep.dimension
         cells = [(k, l) for k in range(d) for l in range(d)]
-        identity = _identity(d)
         sym = {i: _symbolic_matrix(i, d) for i in g.indices}
-        one = tuple(tuple(Polynomial.const(x) for x in row) for row in identity)
+        one = tuple(tuple(Polynomial.const(x) for x in row) for row in _identity(d))
         rules = {}
         for (i, a), rhs in g.rules:
             prod = reduce(mat_mul, (sym[j] for j in rhs), one)
             rules.update({(_entry_var(i, k, l), a): prod[k][l] for k, l in cells})
-        numeric = {i: word_product(identity, rep, w, mat_mul) for i, w in g.base}
-        base = {_entry_var(i, k, l): m[k][l] for i, m in numeric.items() for k, l in cells}
+        base = {_entry_var(i, k, l): m[k][l] for i, m in self.base_matrices.items() for k, l in cells}
         ring = "N" if all(
             all(x >= 0 for row in m for x in row) for _, m in rep.matrices
         ) and all(v >= 0 for v in base.values()) else "Z"

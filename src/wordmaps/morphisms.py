@@ -8,15 +8,15 @@ seed applies the morphism of the first letter first,
 
 ``suffix_walk``, behind HDT0L systems (rule (V, a) is H^a(V)) and the
 catenative, compositional and level-3 values, computes at each suffix only the
-indices the requested value reads.  ``word_product`` multiplies letter matrices
-along a word one maximal run a^k at a time: O(log k) squarings of M_a per run.
+indices the requested value reads.  ``word_product`` takes letter matrices and
+affine polynomial maps along a word one run a^k at a time, in O(log k) steps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, groupby, repeat
+from itertools import chain, repeat
 from typing import Iterable, Mapping
 
 from .errors import DomainError
@@ -183,7 +183,7 @@ def check_word(sys, w: Word):
 def demand(w: Word, wanted: frozenset, reads):
     """(a, the indices needed at the suffix of w that starts with a) for each
     letter a of w, last letter first.  The whole of w needs ``wanted``; past a
-    letter a, a suffix needs every index that ``reads(j, a)`` names for an
+    letter a, a suffix needs every index that ``reads[(j, a)]`` names for an
     index j needed before it.  The forward pass makes one set per distinct
     (indices, letter) step and stops at the first set that every letter of w
     maps to itself, which every shorter suffix then needs too."""
@@ -192,7 +192,7 @@ def demand(w: Word, wanted: frozenset, reads):
     def after(need, a):
         key = (need, a)
         if key not in steps:
-            steps[key] = frozenset().union(*[reads(j, a) for j in need])
+            steps[key] = frozenset().union(*[reads[(j, a)] for j in need])
         return steps[key]
 
     needs = [wanted]
@@ -215,7 +215,7 @@ def suffix_walk(sys, i: str, w: Word, values: Mapping, product):
         raise DomainError(f"unknown index {i!r}")
     check_word(sys, w)
     rules = sys.rule_map
-    for a, need in demand(w, frozenset((i,)), lambda j, a: rules[(j, a)]):
+    for a, need in demand(w, frozenset((i,)), rules):
         values = {j: product([values[k] for k in rules[(j, a)]]) for j in need}
     return values[i]
 
@@ -307,20 +307,33 @@ class LinearRepresentation:
         return frozenset(self.matrix_map)
 
 
-def word_product(x, rep: LinearRepresentation, w: Word, mul):
-    """x . M_{w_1} ... M_{w_n}; mul is vec_mat for a row vector x, mat_mul for a matrix.
-    A run a^k costs floor(log2 k) squarings of M_a and one mul per set bit of k."""
-    for a, run in groupby(w):
-        k = len(list(run))
-        m = rep.matrix(a)
-        while k > 1:  # x . m^k == (x . m^(k & 1)) . (m m)^(k >> 1)
-            if k & 1:
-                x = mul(x, m)
-            m = mat_mul(m, m)
-            k >>= 1
-        x = mul(x, m)
+def word_product(x, w: Word, first, mul, square):
+    """x acted on by the letters of the sequence w in order: a run a^k applies
+    ``mul(x, m)`` once per set bit of k, m from the maps of a^1, a^2, a^4, ...
+    built from ``first(a)`` by ``square`` once per call.  A one-run word (a^n)
+    is counted by ``w.count``; others letter by letter, up to a closing None."""
+    powers, prev, k = {}, None, 0  # powers: a |-> the maps of a^1, a^2, a^4, ...
+    if w and w[0] == w[-1] and w.count(w[0]) == len(w):
+        w, prev, k = (), w[0], len(w)
+    for a in chain(w, (None,)):
+        if a == prev:
+            k += 1
+            continue
+        if k:
+            ms = powers.get(prev) or powers.setdefault(prev, [first(prev)])
+            t = 0
+            while True:
+                if k & 1:
+                    x = mul(x, ms[t])
+                k >>= 1
+                if not k:
+                    break
+                t += 1
+                if t == len(ms):
+                    ms.append(square(ms[-1]))
+        prev, k = a, 1
     return x
 
 
 def linear_eval(rep: LinearRepresentation, w: Word) -> int:
-    return dot(word_product(rep.row, rep, w, vec_mat), rep.col)
+    return dot(word_product(rep.row, w, rep.matrix, vec_mat, lambda m: mat_mul(m, m)), rep.col)

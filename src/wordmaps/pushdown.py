@@ -78,8 +78,11 @@ class IteratedPushdown:
     @classmethod
     def from_word(cls, letters, level: int = 1) -> "IteratedPushdown":
         """The store holding each letter over an empty body, outermost first."""
-        body = cls.empty(level - 1)
-        return cls(level, tuple((a, body) for a in letters))
+        body, store, letters = cls.empty(level - 1), _empty(level), tuple(letters)
+        _check_symbols(letters)
+        for a in reversed(letters):
+            store = _cons(a, body, store)
+        return store
 
     def is_empty(self) -> bool:
         return not self._size

@@ -10,19 +10,19 @@ Regular systems cannot use it (shift words change the argument), hence the
 rewriting loop with fuel, over a stack of pending terms.  Polynomial values
 step integer rows per letter, only for the indices the wanted values read
 (``morphisms.demand``), except on affine systems (every update of degree
-<= 1): there a run a^k of equal letters takes O(log k) steps, through the
-maps of a^1, a^2, a^4, ... (squared by substitution, once per call).
+<= 1): there ``morphisms.word_product`` takes a run a^k of equal letters in
+O(log k) steps, through the maps of a^1, a^2, a^4, ... squared by substitution.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import chain, product as cartesian_product
+from itertools import product as cartesian_product
 from typing import Mapping
 
 from .errors import DomainError, FuelExhaustedError
-from .morphisms import Homomorphism, check_word, compose, concat, demand, suffix_walk
+from .morphisms import Homomorphism, check_word, compose, concat, demand, suffix_walk, word_product
 from .polynomials import Polynomial, _powers, _substitute, _wrap
 from .words import Word
 
@@ -290,6 +290,11 @@ class PolynomialSystem(_Lookup):
         return out
 
     @cached_property
+    def read_map(self) -> dict[tuple[str, str], frozenset[str]]:
+        """(i, a) |-> the indices that P_{i,a} reads."""
+        return {key: p.variables() for key, p in self.rules}
+
+    @cached_property
     def degree(self) -> int:
         """The largest degree of an update polynomial."""
         return max((p.degree() for _, p in self.rules), default=-1)
@@ -382,7 +387,7 @@ def eval_polynomial(sys: PolynomialSystem, i: str, w: Word) -> int:
     return eval_polynomial_vector(sys, w, (i,))[i]
 
 
-def _step(ps: dict[str, Polynomial], vec: dict[str, int], indices=None) -> dict[str, int]:
+def _step(vec: dict[str, int], ps: dict[str, Polynomial], indices=None) -> dict[str, int]:
     """One letter's update ``maps[a]``, of the given indices (default: all of
     them): ``make`` admitted only int coefficients over the indices."""
     out = {}
@@ -397,49 +402,27 @@ def _step(ps: dict[str, Polynomial], vec: dict[str, int], indices=None) -> dict[
     return out
 
 
-def _run(ps: list[dict[str, Polynomial]], k: int, vec: dict[str, int]) -> dict[str, int]:
-    """vec after k steps of the affine map ps[0]: one step per set bit of k,
-    through ps[t], the map of 2^t steps.  ps grows on demand, each map the
-    last one substituted into itself; the square of an affine map is affine."""
-    t = 0
-    while True:
-        if k & 1:
-            vec = _step(ps[t], vec)
-        k >>= 1
-        if not k:
-            return vec
-        t += 1
-        if t == len(ps):
-            table = _powers(ps[-1])
-            ps.append({i: _substitute(p.terms, table) for i, p in ps[-1].items()})
+def _square(ps: dict[str, Polynomial]) -> dict[str, Polynomial]:
+    """ps substituted into itself; the square of an affine map is affine."""
+    table = _powers(ps)
+    return {i: _substitute(p.terms, table) for i, p in ps.items()}
 
 
 def eval_polynomial_vector(sys: PolynomialSystem, w: Word, wanted=None) -> dict[str, int]:
     """The values at w of every index, or of at least the indices in
     ``wanted``, stepping its letters last to first.  Letter by letter (degree
     >= 2) a step computes only the indices that the wanted values at w read
-    (``demand``).  On an affine system (degree <= 1) every index is
-    computed, and a run a^k of two or more letters takes O(log k) steps,
-    through the maps of a^1, a^2, a^4, ..., built once per call."""
+    (``demand``).  On an affine system (degree <= 1) every index is computed
+    by ``word_product`` on the reversed word: a run a^k takes one step per set
+    bit of k, through the maps of a^1, a^2, a^4, ..., built once per call."""
     check_word(sys, w)
     values, maps = sys.base_vector(), sys.maps
     if sys.degree > 1:
         wanted = frozenset(sys.indices if wanted is None else wanted)
-        for a, need in demand(w, wanted, lambda j, a: maps[a][j].variables()):
-            values = _step(maps[a], values, need)
+        for a, need in demand(w, wanted, sys.read_map):
+            values = _step(values, maps[a], need)
         return values
-    powers: dict[str, list] = {}  # a |-> the maps of a^1, a^2, a^4, ...
-    prev, k = None, 0
-    for a in chain(reversed(w), (None,)):  # the None closes the last run
-        if a == prev:
-            k += 1
-            continue
-        if k == 1:
-            values = _step(maps[prev], values)
-        elif k:
-            values = _run(powers.setdefault(prev, [maps[prev]]), k, values)
-        prev, k = a, 1
-    return values
+    return word_product(values, w[::-1], maps.__getitem__, _step, _square)
 
 
 # ---------------------------------------------------------------------------

@@ -226,6 +226,15 @@ def test_integer_beyond_the_digit_limit_is_an_error(capsys, argv):
     assert err.startswith("error:") and "digits" in err
 
 
+@pytest.mark.parametrize("command", [("eval", "fibonacci", "F"), ("run-pda", "pow2-pda", "pow2")])
+def test_an_integer_argument_too_large_for_a_word_is_an_error(capsys, command):
+    # 10^20 does not fit an index; counts that fit one but not memory are not
+    # tried, as the word would be allocated
+    code, out, err = run_cli(capsys, *command, str(10**20))
+    assert (code, out) == (2, "")
+    assert err == "error: an integer argument of 21 digits is too large for a word\n"
+
+
 @pytest.mark.parametrize(
     "argv,expected",
     [

@@ -4,6 +4,8 @@ from functools import reduce
 
 import pytest
 
+from wordmaps import lowering
+from wordmaps.cli import load_file
 from wordmaps.errors import DomainError
 from wordmaps.lowering import (
     catenative_to_hdt0l,
@@ -20,6 +22,7 @@ from wordmaps.morphisms import (
     eval_hdt0l,
     linear_eval,
     mat_mul,
+    word_product,
 )
 from wordmaps.polynomials import Polynomial
 from wordmaps.recurrences import (
@@ -323,6 +326,24 @@ def test_series_lowering_base_matrices_are_the_word_products():
             for k in range(d):
                 for l in range(d):
                     assert low.system.base_value(f"u_{i}_{k}_{l}") == expected[k][l]
+
+
+def test_level3_base_matrices_are_built_once_for_value_and_lower(monkeypatch):
+    calls = []
+
+    def recording(*args):
+        calls.append(args[1])
+        return word_product(*args)
+
+    monkeypatch.setattr(lowering, "word_product", recording)
+    gmap = load_file("gmap")
+    nu, fibrep = gmap.resolve("nu", "cat")[1], gmap.resolve("fibrep", "linrep")[1]
+    m = compose_level3(nu, "g", fibrep)
+    values = [m.value(tuple(w)) for w in ("1", "10", "1101")]
+    low = m.lower()
+    assert sorted(calls) == sorted(w for _, w in nu.base)
+    assert values == [linear_eval(fibrep, eval_catenative(nu, "g", tuple(w))) for w in ("1", "10", "1101")]
+    assert [low.eval(tuple(w)) for w in ("1", "10", "1101")] == values
 
 
 def test_series_lowering_size_is_polynomial():

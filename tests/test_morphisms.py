@@ -1,8 +1,10 @@
 import random
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wordmaps import morphisms
 from wordmaps.errors import DomainError
 from wordmaps.morphisms import (
     HDT0LSystem,
@@ -11,10 +13,12 @@ from wordmaps.morphisms import (
     apply,
     compose,
     compose_all,
+    dot,
     eval_hdt0l,
     image_of_word,
     incidence,
     linear_eval,
+    mat_mul,
     parikh,
     vec_mat,
 )
@@ -225,6 +229,23 @@ def test_linear_eval_matches_a_letter_by_letter_product(case):
     for a in w:
         v = vec_mat(v, rep.matrix(a))
     assert linear_eval(rep, w) == sum(x * y for x, y in zip(v, rep.col))
+
+
+def test_linear_eval_squares_each_letters_matrix_once_per_call(monkeypatch):
+    # (a^5 b)^3: a's runs share M_a^2 and M_a^4; b's runs of one square nothing
+    ma, mb = ((1, 1), (1, 0)), ((2, 0), (1, 1))
+    rep = LinearRepresentation.make((1, 0), {"a": ma, "b": mb}, (1, 1))
+    squared = []
+
+    def recording(x, y):
+        if x is y:
+            squared.append(x)
+        return mat_mul(x, y)
+
+    monkeypatch.setattr(morphisms, "mat_mul", recording)
+    w = ("a",) * 5 + ("b",)
+    assert linear_eval(rep, w * 3) == dot(reduce(vec_mat, [rep.matrix(a) for a in w * 3], rep.row), rep.col)
+    assert squared == [ma, mat_mul(ma, ma)]
 
 
 def test_linear_eval_unknown_letter_after_a_long_run():

@@ -30,6 +30,26 @@ def test_topsyms(omega):
     assert topsyms(omega) == ("A1", "A2", "A3")
 
 
+@pytest.mark.parametrize("letters", [(), ("a",), ("a", "b", "a"), ("ab", "c") * 50])
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_from_word_equals_the_checked_constructor(letters, level):
+    body = IteratedPushdown.empty(level - 1)
+    store = IteratedPushdown.from_word(iter(letters), level)
+    expected = IteratedPushdown(level, [(a, body) for a in letters])
+    assert store == expected and hash(store) == hash(expected)
+    assert (store.level, store.entries, len(store)) == (level, expected.entries, len(letters))
+
+
+@pytest.mark.parametrize("letters,level,message", [
+    (("a", ""), 1, "bad pushdown symbol ''"),
+    (("a", 3), 2, "bad pushdown symbol 3"),
+    (("a",), 0, "store level must be >= 0"),
+])
+def test_from_word_rejects_bad_letters_and_levels(letters, level, message):
+    with pytest.raises(DomainError, match=re.escape(message)):
+        IteratedPushdown.from_word(letters, level)
+
+
 def test_topsyms_trivial():
     assert topsyms(IteratedPushdown.empty(3)) == ()
     assert topsyms(parse("A1[]", 3)) == ("A1",)  # stops at the empty inner store

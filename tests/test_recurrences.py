@@ -6,11 +6,12 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from wordmaps import recurrences
 from wordmaps.equivalence import Budget, reachable_points
 from wordmaps.errors import DomainError, FuelExhaustedError
 from wordmaps.lowering import compositional_to_level3
 from wordmaps.morphisms import Homomorphism, compose
-from wordmaps.polynomials import Polynomial
+from wordmaps.polynomials import Polynomial, _powers
 from wordmaps.recurrences import (
     CatenativeSystem,
     CompositionalSystem,
@@ -620,6 +621,27 @@ def test_affine_runs_match_evaluate_int_letter_by_letter(sys, runs):
     assert sys.degree <= 1
     w = tuple(chain.from_iterable((a,) * k for a, k in runs))
     assert eval_polynomial_vector(sys, w) == _reference_vector(sys, w)
+
+
+def test_affine_runs_square_each_letters_map_once_per_call(monkeypatch):
+    # (a^5 b)^3, stepped last letter first: a's runs share the maps of a^2
+    # and a^4; b's runs of one square nothing
+    P = Polynomial.var
+    sys = PolynomialSystem.make(
+        ("x", "y"), "ab",
+        {("x", "a"): P("x") + P("y"), ("y", "a"): P("x") + 1, ("x", "b"): 2 * P("y"), ("y", "b"): P("x") - 3},
+        {"x": 1, "y": 2}, ring="Z",
+    )
+    squared = []
+
+    def recording(env):
+        squared.append(env)
+        return _powers(env)
+
+    monkeypatch.setattr(recurrences, "_powers", recording)
+    w = (("a",) * 5 + ("b",)) * 3
+    assert eval_polynomial_vector(sys, w) == _reference_vector(sys, w)
+    assert len(squared) == 2 and squared[0] is sys.maps["a"]
 
 
 @settings(deadline=None, max_examples=40)
