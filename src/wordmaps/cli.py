@@ -97,7 +97,7 @@ def parse_argument_word(alphabet, arg: str):
     """
     if arg != "eps" and all(c in alphabet for c in arg):
         return tuple(arg)
-    if arg.isdigit():
+    if arg.isdecimal():
         if len(alphabet) != 1:
             raise WordmapsError(
                 "an integer argument needs a unary input alphabet; give a word instead"
@@ -105,7 +105,10 @@ def parse_argument_word(alphabet, arg: str):
         (letter,) = alphabet
         if len(arg.lstrip("0")) > 18:  # 10^18 letters fit no memory; past 2^63 no index either
             raise WordmapsError(f"an integer argument of {len(arg)} digits is too large for a word")
-        return (letter,) * int(arg)
+        try:
+            return (letter,) * int(arg)
+        except MemoryError:
+            raise WordmapsError(f"a word of {int(arg)} letters does not fit in memory") from None
     return word(arg)
 
 

@@ -10,6 +10,7 @@ an expression is the union of what occurs in it.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
@@ -152,13 +153,16 @@ class Polynomial:
     def __pow__(self, n: int):
         if n < 0:
             raise DomainError("negative polynomial power")
-        out = Polynomial.const(1)
+        if n == 0:
+            return Polynomial.const(1)
         base = self
-        while n:
+        while not n & 1:
+            base, n = base * base, n >> 1
+        out = base  # base**(lowest set bit of n); square for each higher bit
+        while n := n >> 1:
+            base = base * base
             if n & 1:
                 out = out * base
-            base = base * base
-            n >>= 1
         return out
 
     def __eq__(self, other):
@@ -290,29 +294,18 @@ def format_polynomial(p: Polynomial) -> str:
 # expression parser: + - * ^ ( ) over integer literals and identifiers
 
 
+_EXPR_TOKEN = re.compile(r"\d+|\w[\w']*|\S")
+
+
 def _tokenize_expr(text: str):
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c in "+-*^()":
-            yield c, i
-            i += 1
-        elif c.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            yield text[i:j], i
-            i = j
-        elif c.isalpha() or c == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] in "_'"):
-                j += 1
-            yield text[i:j], i
-            i = j
-        else:
-            raise ParseError(f"unexpected character {c!r} in expression", column=i + 1)
+    """The (token, pos) pairs of an expression: operators, decimal integers
+    and identifiers (a letter or '_', then letters, digits, '_' and "'")."""
+    tokens = [(m[0], m.start()) for m in _EXPR_TOKEN.finditer(text)]
+    for tok, at in tokens:
+        c = tok[0]
+        if not (c in "+-*^()" or c.isdecimal() or c.isalpha() or c == "_"):
+            raise ParseError(f"unexpected character {c!r} in expression", column=at + 1)
+    return tokens
 
 
 def parse_polynomial(text: str, variables: Iterable[str] | None = None) -> Polynomial:
@@ -320,7 +313,7 @@ def parse_polynomial(text: str, variables: Iterable[str] | None = None) -> Polyn
 
     When a variable universe is given, unknown identifiers are rejected.
     """
-    tokens = list(_tokenize_expr(text))
+    tokens = _tokenize_expr(text)
     allowed = None if variables is None else set(variables)
     pos = 0
 
@@ -345,7 +338,7 @@ def parse_polynomial(text: str, variables: Iterable[str] | None = None) -> Polyn
             take()
             return p
         value, at = take()
-        if value.isdigit():
+        if value.isdecimal():
             return Polynomial.const(int(value))
         if value[0].isalpha() or value[0] == "_":
             if allowed is not None and value not in allowed:
@@ -361,7 +354,7 @@ def parse_polynomial(text: str, variables: Iterable[str] | None = None) -> Polyn
         while peek() == "^":
             take()
             tok, at = take() if pos < len(tokens) else (None, -1)
-            if tok is None or not tok.isdigit():
+            if tok is None or not tok.isdecimal():
                 raise ParseError("'^' must be followed by a nonnegative integer", column=at + 1)
             p = p ** int(tok)
         return p

@@ -16,6 +16,7 @@ parts and check only their level and the pushed symbols.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Optional
 
@@ -286,11 +287,8 @@ def push(j: int, symbols, pds: IteratedPushdown) -> IteratedPushdown:
 # ---------------------------------------------------------------------------
 # bracket serialization
 
-_IDENT_EXTRA = "_'′"
-
-
-def _is_ident_char(c: str) -> bool:
-    return c.isalnum() or c in _IDENT_EXTRA
+# a character of a symbol or letter: a letter, a digit, '_', "'" or '′'
+_IDENT_CHAR = r"[\w'′]"
 
 
 def serialize(pds: IteratedPushdown, elide_innermost: bool = True) -> str:
@@ -312,58 +310,36 @@ def serialize(pds: IteratedPushdown, elide_innermost: bool = True) -> str:
 
 
 def _tokenize_brackets(text: str, alphabet=None, filename=None):
-    """Yield (kind, value, pos) tokens; kind in {'sym', 'open', 'close'}."""
-    symbols = None
+    """The (kind, value, pos) tokens of a bracket word; kind in {'sym', 'open', 'close'}."""
+    symbol = _IDENT_CHAR + "+"
     if alphabet is not None:
-        symbols = sorted(
-            alphabet.symbols if isinstance(alphabet, GradedAlphabet) else alphabet,
-            key=len,
-            reverse=True,
-        )
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c == "[":
-            yield "open", "[", i
-            i += 1
-        elif c == "]":
-            yield "close", "]", i
-            i += 1
-        elif _is_ident_char(c):
-            if symbols is not None:
-                for s in symbols:
-                    if text.startswith(s, i):
-                        yield "sym", s, i
-                        i += len(s)
-                        break
-                else:
-                    raise ParseError(
-                        f"no alphabet symbol matches at {text[i:i + 12]!r}",
-                        column=i + 1,
-                        filename=filename,
-                    )
-            else:
-                j = i
-                while j < len(text) and _is_ident_char(text[j]):
-                    j += 1
-                yield "sym", text[i:j], i
-                i = j
-        else:
-            raise ParseError(f"unexpected character {c!r}", column=i + 1, filename=filename)
+        symbols = alphabet.symbols if isinstance(alphabet, GradedAlphabet) else alphabet
+        # an alternation takes its first branch that matches: the longest
+        # symbol, tried only where a symbol character stands
+        symbol = "|".join(map(re.escape, sorted(symbols, key=len, reverse=True))) or "(?!)"
+        symbol = f"(?={_IDENT_CHAR})(?:{symbol})"
+    # a symbol character that starts no symbol, or any other character, is an error
+    pattern = rf"(?P<open>\[)|(?P<close>\])|(?P<sym>{symbol})|(?P<nomatch>{_IDENT_CHAR})|(?P<bad>\S)"
+    tokens = []
+    for m in re.finditer(pattern, text):
+        kind, value, at = m.lastgroup, m[0], m.start()
+        if kind == "nomatch":
+            raise ParseError(f"no alphabet symbol matches at {text[at:at + 12]!r}", column=at + 1, filename=filename)
+        if kind == "bad":
+            raise ParseError(f"unexpected character {value!r}", column=at + 1, filename=filename)
+        tokens.append((kind, value, at))
+    return tokens
 
 
 def parse(text: str, level: int, alphabet=None, filename=None) -> IteratedPushdown:
     """Parse a bracket word into a level-``level`` store.
 
-    Without an alphabet, symbols are maximal identifier runs; with one,
-    greedy longest-match tokenization over its symbols is used (needed when
-    serialized symbols abut, as in ``A3C3``).  A symbol with no bracketed
+    Without an alphabet, a symbol is a maximal run of letters, digits, ``_``,
+    ``'`` and ``′``; with one, the longest alphabet symbol that matches (needed
+    when serialized symbols abut, as in ``A3C3``).  A symbol with no bracketed
     body denotes a symbol over the empty store of the next level down.
     """
-    tokens = list(_tokenize_brackets(text, alphabet, filename))
+    tokens = _tokenize_brackets(text, alphabet, filename)
     pos = 0
 
     def parse_store(lv: int) -> IteratedPushdown:

@@ -6,8 +6,12 @@ A file is a sequence of named blocks::
         ...statements...
     }
 
-``#`` starts a comment.  Statements are lines, or ``;``-separated parts of a
-line.  ``_Block`` splits a body once into two sorts of statement:
+``#`` starts a comment.  ``_blocks`` reads the lines in one loop, in which a
+block is open or not: a one-line block ``kind name { ... }`` has its header
+as its first and last line, and a line that is only ``}`` closes the others.
+Statements are lines, or ``;``-separated parts of a line, split only where
+the braces before the ``;`` balance.  ``_Block`` splits a body once into two
+sorts of statement:
 
 * directives ``key: text``, keyed by one or two words (``input: a b``,
   ``gamma 2: S``, ``1: A B``), kept with their line numbers;
@@ -40,7 +44,7 @@ from .errors import DomainError, ParseError
 from .kpda import KPda, Pop, Push
 from .morphisms import HDT0LSystem, Homomorphism, LinearRepresentation
 from .polynomials import format_polynomial, parse_polynomial
-from .pushdown import GradedAlphabet, _is_ident_char
+from .pushdown import _IDENT_CHAR, GradedAlphabet
 from .recurrences import (
     CatenativeSystem,
     CompositionalSystem,
@@ -104,77 +108,50 @@ class SystemFile:
 # scanning
 
 
-def _strip_comment(line: str) -> str:
-    if "#" in line:
-        line = line[: line.index("#")]
-    return line.rstrip()
-
-
 def _split_statements(line: str):
-    """Split on ';' outside of '{...}' (inline homomorphism bodies)."""
-    if "{" not in line and "}" not in line:
-        return [p.strip() for p in line.split(";") if p.strip()]
-    parts = []
-    depth = 0
-    cur = []
-    for ch in line:
-        if ch == "{":
-            depth += 1
-        elif ch == "}":
-            depth -= 1
-        if ch == ";" and depth == 0:
-            parts.append("".join(cur))
-            cur = []
+    """Split on ';' outside of '{...}' (inline homomorphism bodies): a part
+    joins the one before it while that one's braces do not balance."""
+    parts = line.split(";")
+    i = 1
+    while i < len(parts):
+        if parts[i - 1].count("{") != parts[i - 1].count("}"):
+            parts[i - 1] += ";" + parts.pop(i)
         else:
-            cur.append(ch)
-    parts.append("".join(cur))
+            i += 1
     return [p.strip() for p in parts if p.strip()]
 
 
+_HEADER_RE = re.compile(r"(\w+)\s+(\w+)\s*:?\s*\{\s*(.*)")
+
+
 def _blocks(text: str, filename):
-    """Yield (kind, name, [(lineno, statement), ...], header_lineno)."""
-    lines = text.splitlines()
-    i = 0
-    while i < len(lines):
-        raw = _strip_comment(lines[i])
-        i += 1
-        if not raw.strip():
-            continue
-        m = re.match(r"^\s*(\w+)\s+(\w+)\s*:?\s*\{(.*)$", raw)
-        if not m:
-            raise ParseError(
-                f"expected a block header 'kind name {{', got {raw.strip()!r}",
-                line=i,
-                filename=filename,
-            )
-        kind, name, rest = m.group(1), m.group(2), m.group(3)
-        header_line = i
-        body = []
-        if rest.strip().endswith("}") and rest.count("}") > rest.count("{"):
-            # one-line block: kind name { ... }
-            inner = rest.strip()[:-1]
-            for part in _split_statements(inner):
-                body.append((header_line, part))
-            yield kind, name, body, header_line
-            continue
-        if rest.strip():
-            raise ParseError(
-                "a block header must end its line with '{'", line=i, filename=filename
-            )
-        while True:
-            if i >= len(lines):
-                raise ParseError(
-                    f"block {name!r} is missing its closing '}}'",
-                    line=header_line,
-                    filename=filename,
-                )
-            stmt = _strip_comment(lines[i])
-            i += 1
-            if stmt.strip() == "}":
-                break
-            for part in _split_statements(stmt):
-                body.append((i, part))
-        yield kind, name, body, header_line
+    """Yield (kind, name, [(lineno, statement), ...], header_lineno).
+
+    A header line opens a block; a one-line block ``kind name { ... }`` is
+    also its own last line, and a line that is only ``}`` closes the others.
+    """
+    header = None
+    for lineno, line in enumerate(text.splitlines(), 1):
+        line = line.partition("#")[0].strip()
+        if header is None:
+            if not line:
+                continue
+            m = _HEADER_RE.fullmatch(line)
+            if not m:
+                raise ParseError(f"expected a block header 'kind name {{', got {line!r}", lineno, filename=filename)
+            kind, name, line = m.groups()
+            header, body = lineno, []
+            closed = line.endswith("}") and line.count("}") > line.count("{")
+            if line and not closed:
+                raise ParseError("a block header must end its line with '{'", lineno, filename=filename)
+        else:
+            closed = line == "}"
+        body += [(lineno, part) for part in _split_statements(line[:-1] if closed else line)]
+        if closed:
+            yield kind, name, body, header
+            header = None
+    if header is not None:
+        raise ParseError(f"block {name!r} is missing its closing '}}'", header, filename=filename)
 
 
 _DIRECTIVE_RE = re.compile(r"^(\w+(?:\s+\w+)?)\s*:\s*(.*)$")
@@ -254,11 +231,14 @@ def _ints(text):
     return tuple(_int(tok) for tok in text.split())
 
 
+_LETTER_RE = re.compile(_IDENT_CHAR + "+")
+
+
 def _identifiers(text):
     """The whitespace-separated tokens of a letter list, each an identifier."""
     tokens = tuple(text.split())
     for tok in tokens:
-        if not all(map(_is_ident_char, tok)):
+        if not _LETTER_RE.fullmatch(tok):
             raise ParseError(f"{tok!r} is not a letter")
     return tokens
 
@@ -524,7 +504,7 @@ def _parse_alphabet(blk) -> frozenset:
 
 
 def _parse_graded(blk) -> GradedAlphabet:
-    height = sum(key.isdigit() for key in blk.directives)
+    height = sum(key.isdecimal() for key in blk.directives)
     levels = [blk.words(str(i)) for i in range(1, height + 1)]
     blk.done()
     return GradedAlphabet.of(*levels)
@@ -583,6 +563,23 @@ def _format_hom(h: Homomorphism) -> str:
     return "{ " + body + " }"
 
 
+def _index_terms(rhs) -> str:
+    return " ".join(f"{j}(w)" for j in rhs) or "eps"
+
+
+def _shifted_terms(rhs) -> str:
+    return " ".join(f"{j}({' '.join(u) + ' ' if u else ''}w)" for j, u in rhs) or "eps"
+
+
+def _recurrence_lines(obj, base, rhs) -> list:
+    """The ``i(eps) = ...`` and ``i(a w)[ @class] = ...`` lines of a recurrence
+    system, its base values shown by ``base`` and its right-hand sides by ``rhs``."""
+    lines = [f"  {i}(eps) = {base(v)}" for i, v in obj.base]
+    for (i, a, *cls), r in obj.rules:
+        lines.append(f"  {i}({a} w){''.join(' @' + d for d in cls)} = {rhs(r)}")
+    return lines
+
+
 def format_declaration(kind: str, name: str, obj) -> str:
     lines = [f"{kind} {name} {{"]
     if kind == "alphabet":
@@ -596,19 +593,11 @@ def format_declaration(kind: str, name: str, obj) -> str:
     elif kind == "cat":
         lines.append(f"  input: {' '.join(sorted(obj.input_alphabet))}")
         lines.append(f"  output: {' '.join(sorted(obj.output_alphabet))}")
-        for i, w in obj.base:
-            lines.append(f"  {i}(eps) = {show_word(w)}")
-        for (i, a), rhs in obj.rules:
-            body = " ".join(f"{j}(w)" for j in rhs) or "eps"
-            lines.append(f"  {i}({a} w) = {body}")
+        lines += _recurrence_lines(obj, show_word, _index_terms)
     elif kind == "comp":
         lines.append(f"  input: {' '.join(sorted(obj.input_alphabet))}")
         lines.append(f"  working: {' '.join(sorted(obj.working))}")
-        for i, h in obj.base:
-            lines.append(f"  {i}(eps) = {_format_hom(h)}")
-        for (i, a), rhs in obj.rules:
-            body = " ".join(f"{j}(w)" for j in rhs) or "eps"
-            lines.append(f"  {i}({a} w) = {body}")
+        lines += _recurrence_lines(obj, _format_hom, _index_terms)
     elif kind == "reg":
         lines.append(f"  input: {' '.join(sorted(obj.input_alphabet))}")
         lines.append(f"  output: {' '.join(sorted(obj.output_alphabet))}")
@@ -617,18 +606,11 @@ def format_declaration(kind: str, name: str, obj) -> str:
         lines.append(f"  start: {cls.start}")
         for (q, a), q2 in cls.transitions:
             lines.append(f"  step: {q} {a} -> {q2}")
-        for i, w in obj.base:
-            lines.append(f"  {i}(eps) = {show_word(w)}")
-        for (i, a, d), rhs in obj.rules:
-            body = " ".join(f"{j}({' '.join(u) + ' ' if u else ''}w)" for j, u in rhs) or "eps"
-            lines.append(f"  {i}({a} w) @{d} = {body}")
+        lines += _recurrence_lines(obj, show_word, _shifted_terms)
     elif kind == "poly":
         lines.append(f"  input: {' '.join(sorted(obj.input_alphabet))}")
         lines.append(f"  ring: {obj.ring}")
-        for i, v in obj.base:
-            lines.append(f"  {i}(eps) = {v}")
-        for (i, a), p in obj.rules:
-            lines.append(f"  {i}({a} w) = {format_polynomial(p)}")
+        lines += _recurrence_lines(obj, str, format_polynomial)
     elif kind == "hdt0l":
         lines.append(f"  input: {' '.join(sorted(obj.input_alphabet))}")
         lines.append(f"  working: {' '.join(sorted(obj.working))}")

@@ -228,11 +228,31 @@ def test_integer_beyond_the_digit_limit_is_an_error(capsys, argv):
 
 @pytest.mark.parametrize("command", [("eval", "fibonacci", "F"), ("run-pda", "pow2-pda", "pow2")])
 def test_an_integer_argument_too_large_for_a_word_is_an_error(capsys, command):
-    # 10^20 does not fit an index; counts that fit one but not memory are not
-    # tried, as the word would be allocated
+    # 10^20 does not fit an index
     code, out, err = run_cli(capsys, *command, str(10**20))
     assert (code, out) == (2, "")
     assert err == "error: an integer argument of 21 digits is too large for a word\n"
+
+
+def test_an_integer_argument_that_fits_no_memory_is_an_error(capsys):
+    # 18 digits fit an index, and the allocator refuses the word at once; a
+    # count that an address space could map would be allocated, so none is tried
+    code, out, err = run_cli(capsys, "eval", "fibonacci", "F", "999999999999999999")
+    assert (code, out) == (2, "")
+    assert err == "error: a word of 999999999999999999 letters does not fit in memory\n"
+
+
+def test_a_digit_that_is_not_decimal_is_not_an_integer_argument(capsys):
+    code, out, err = run_cli(capsys, "eval", "fibonacci", "F", "²")
+    assert (code, out, err) == (2, "", "error: letter '²' is outside the input alphabet\n")
+
+
+def test_a_digit_that_is_not_decimal_in_a_rule_is_a_parse_error(capsys, tmp_path):
+    path = tmp_path / "p.sys"
+    path.write_text("poly p {\n  input: a\n  p(eps) = 1\n  p(a w) = p^²\n}\n")
+    code, out, err = run_cli(capsys, "eval", str(path), "p", "3")
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}:4: in rule p(a w): unexpected character '²' in expression\n"
 
 
 @pytest.mark.parametrize(

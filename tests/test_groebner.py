@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from wordmaps.errors import BudgetExceededError, DomainError
+from wordmaps.errors import BudgetExceededError, DomainError, ParseError
 from wordmaps.groebner import (
     GroebnerBasis,
     Ideal,
@@ -54,6 +54,46 @@ def test_unary_minus_binds_looser_than_power():
     p = parse_polynomial("y - x^2")
     assert format_polynomial(p) == "-x^2 + y"
     assert parse_polynomial(format_polynomial(p)) == p
+
+
+@pytest.mark.parametrize(
+    "text,message,column",
+    [
+        ("x + 2 * y $ 3", "unexpected character '$' in expression", 11),
+        ("'x", "unexpected character \"'\" in expression", 1),
+        ("x ½", "unexpected character '½' in expression", 3),
+        ("x\xa0# 1", "unexpected character '#' in expression", 3),
+        ("2 * (x + é))", "unexpected token ')'", 12),
+        ("x ^ y", "'^' must be followed by a nonnegative integer", 5),
+    ],
+)
+def test_expression_errors_name_their_column(text, message, column):
+    with pytest.raises(ParseError) as err:
+        parse_polynomial(text)
+    assert (str(err.value), err.value.column) == (message, column)
+
+
+@pytest.mark.parametrize("text", ["x^²", "x ²", "2²", "x ^ 1²"])
+def test_a_digit_that_is_not_decimal_is_an_unexpected_character(text):
+    with pytest.raises(ParseError, match="^unexpected character '²' in expression$"):
+        parse_polynomial(text)
+
+
+def test_power_by_squaring_multiplies_only_what_it_uses(monkeypatch):
+    p = x + 2 * y - 1
+    expected = Polynomial.const(1)
+    for n in range(21):
+        assert p**n == expected, n
+        expected = expected * p
+    products = []
+    mul = Polynomial.__mul__
+    monkeypatch.setattr(Polynomial, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+    for n in range(1, 21):
+        products.clear()
+        p**n
+        # one square per bit after the first, one product per further set bit
+        assert len(products) == n.bit_length() - 1 + bin(n).count("1") - 1, n
+    assert p**0 == 1 and p**1 == p
 
 
 def test_poly_substitute():

@@ -162,20 +162,47 @@ def test_parse_errors_carry_position():
         parse("A1[A2[A3[B1]]]", 2)  # nested too deep for level 2
 
 
+@pytest.mark.parametrize(
+    "text,level,alphabet,message,column",
+    [
+        ("A1[A2]#", 2, None, "unexpected character '#'", 7),
+        ("A1 - B1", 1, ["A1", "B1"], "unexpected character '-'", 4),
+        ("A1 B x", 2, ["A1", "B1"], "no alphabet symbol matches at 'B x'", 4),
+        ("A1", 2, [], "no alphabet symbol matches at 'A1'", 1),
+        ("A1 B1[A2", 2, None, "missing ']' for the body of 'B1'", 4),
+        ("A1[A2[A3]]", 2, None, "symbol 'A3' nested too deep", 7),
+        ("A1[A2]]", 2, None, "unexpected ']'", 7),
+        ("A B C[", 1, "ABC", "missing ']' for the body of 'C'", 5),
+        ("[A", 1, "ABC", "unexpected '['", 1),
+    ],
+)
+def test_bracket_word_errors_name_their_column(text, level, alphabet, message, column):
+    with pytest.raises(ParseError) as err:
+        parse(text, level, alphabet)
+    assert (str(err.value), err.value.column) == (message, column)
+
+
 _symbols = st.sampled_from("ABCD")
+# symbols one of which prefixes another, so that only the longest match
+# reads a serialized store back
+_PREFIXED = ("A", "A3", "C3", "x", "x'", "z′")
 
 
-def _stores(level):
+def _stores(level, symbols=_symbols):
     if level == 0:
         return st.just(IteratedPushdown.empty(0))
     return st.lists(
-        st.tuples(_symbols, _stores(level - 1)), max_size=3
+        st.tuples(symbols, _stores(level - 1, symbols)), max_size=3
     ).map(lambda entries: IteratedPushdown(level, tuple(entries)))
 
 
-@given(st.one_of(_stores(1), _stores(2), _stores(3)))
-def test_roundtrip_property(store):
+@given(
+    st.one_of(_stores(1), _stores(2), _stores(3)),
+    st.one_of(*(_stores(k, st.sampled_from(_PREFIXED)) for k in (1, 2, 3))),
+)
+def test_roundtrip_property(store, prefixed):
     assert parse(serialize(store), store.level, "ABCD") == store
+    assert parse(serialize(prefixed), prefixed.level, _PREFIXED) == prefixed
 
 
 @given(st.one_of(_stores(2), _stores(3)), st.integers(1, 3), st.lists(_symbols, min_size=1, max_size=3))

@@ -53,6 +53,32 @@ def test_parse_error_positions():
     assert "2" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "text,wanted",
+    [
+        ("alphabet A { a }\n\n  oops here # note\n", "f.sys:3: expected a block header 'kind name {', got 'oops here'"),
+        ("alphabet A { a }\ncat c { input: a\n}\n", "f.sys:2: a block header must end its line with '{'"),
+        ("hom h { x -> x } y\n", "f.sys:1: a block header must end its line with '{'"),
+        ("alphabet A { a }\n# c\ncat c {\n  input: a\n  } ;\n", "f.sys:3: block 'c' is missing its closing '}'"),
+        ("hom h { x -> x ; { ; y -> y }\n", "f.sys:1: a block header must end its line with '{'"),
+        ("hom h {\n  x -> x ; { ; y -> y }\n}\n", "f.sys:2: cannot parse statement '{ ; y -> y }'"),
+    ],
+)
+def test_block_scanning_errors_name_their_line(text, wanted):
+    with pytest.raises(ParseError) as err:
+        parse_file(text, filename="f.sys")
+    assert str(err.value) == wanted
+
+
+def test_a_semicolon_splits_statements_only_where_the_braces_before_it_balance():
+    one_line = "comp c { input: a ; working: x y ; H(eps) = { x -> x y ; y -> eps } ; H(a w) = H(w) }\n"
+    lines = "comp c {\n  input: a\n  working: x y\n  H(eps) = { x -> x y ; y -> eps }\n  H(a w) = H(w)\n}\n"
+    assert parse_file(one_line).resolve("c") == parse_file(lines).resolve("c")
+    # after an unbalanced '}' the rest of the line is one statement
+    _, h = parse_file("hom h {\n  x -> x } ; y\n}\n").resolve("h")
+    assert h.images == {"x": ("x", "}", ";", "y")}
+
+
 def test_duplicate_declaration_rejected():
     text = "alphabet A { letters: a }\nalphabet A { letters: b }\n"
     with pytest.raises(ParseError):
@@ -319,12 +345,19 @@ def test_letters_must_be_identifiers(text, line):
     assert str(err.value).startswith(f"f.sys:{line}: ")
 
 
+def test_a_graded_level_key_must_be_a_decimal_number():
+    with pytest.raises(ParseError) as err:
+        parse_file(_block("graded", ["1: A", "²: B"]), filename="f.sys")
+    assert str(err.value) == "f.sys:3: unknown directive '²'"
+
+
 def test_letters_may_carry_primes_and_underscores():
     assert parse_file(_block("alphabet", ["letters: x′ y_1 z'"])).resolve("k")[1] == {"x′", "y_1", "z'"}
 
 
 _EDITS = st.tuples(
-    st.integers(0, 10**6), st.sampled_from(["", "x", "1", ":", "{", "}", "(", ";", "=", "->", "\n"])
+    st.integers(0, 10**6),
+    st.sampled_from(["", "x", "1", ":", "{", "}", "(", ";", "=", "->", "\n", "²", "٣", "é", "′", "#"]),
 )
 
 
