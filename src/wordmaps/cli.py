@@ -103,12 +103,13 @@ def parse_argument_word(alphabet, arg: str):
                 "an integer argument needs a unary input alphabet; give a word instead"
             )
         (letter,) = alphabet
-        if len(arg.lstrip("0")) > 18:  # 10^18 letters fit no memory; past 2^63 no index either
-            raise WordmapsError(f"an integer argument of {len(arg)} digits is too large for a word")
+        digits = arg.lstrip("".join({c for c in arg if int(c) == 0})) or "0"  # zeros of any script
+        if len(digits) > 18:  # 10^18 letters fit no memory; past 2^63 no index either
+            raise WordmapsError(f"an integer argument of {len(digits)} digits is too large for a word")
         try:
-            return (letter,) * int(arg)
+            return (letter,) * int(digits)
         except MemoryError:
-            raise WordmapsError(f"a word of {int(arg)} letters does not fit in memory") from None
+            raise WordmapsError(f"a word of {int(digits)} letters does not fit in memory") from None
     return word(arg)
 
 

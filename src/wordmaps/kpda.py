@@ -6,10 +6,10 @@ deterministic machine determines by itself which letter it emits at each
 step, which makes the computed map f(w) effective without guessing f(w)
 up front.  Acceptance requires halting in the start state with an empty
 store; an empty store in any other state is Stuck.
-``KPda.moves`` is built once per machine.  ``steps`` is the one definition of
-a deterministic run, move by move: it serves ``--trace`` and replays every
-outcome of ``run`` other than Accepted.  ``run`` steps each block of the store
-once and skips a block met again by its summary.  Elsewhere one successor
+``KPda.moves`` is built once per machine.  ``run`` steps each block of the
+store once and skips a block met again by its summary; ``steps`` walks the
+same run move by move for ``--trace``.  Both read the outcome off the
+configuration they stop in by one rule, ``_outcome``.  Elsewhere one successor
 relation expands moves, and one bounded breadth-first search, which holds at
 most ``MAX_SEARCH_NODES`` nodes, serves ``derive`` and both sides of the
 derivation/computation agreement check.
@@ -273,6 +273,15 @@ def _checked_initial_store(m: KPda, w: Word) -> IteratedPushdown:
     return initial_store(m, w)
 
 
+def _outcome(m: KPda, state: str, emitted, store: IteratedPushdown, spent: bool) -> RunOutcome:
+    """The outcome of a run stopped in (state, emitted, store), for ``run``
+    and ``steps`` alike; ``spent`` says whether the fuel ran out."""
+    c = Configuration(state, tuple(emitted), store)
+    if store.is_empty():
+        return Accepted(c.emitted) if state == m.start_state else Stuck(c)
+    return FuelExhausted(c) if spent else Stuck(c)
+
+
 def steps(m: KPda, w: Word, fuel: int = 10**6) -> Iterator:
     """Run the unique computation of a strongly deterministic machine on the
     initial store built from w, one move at a time.  Yields (state, topsyms
@@ -292,17 +301,7 @@ def steps(m: KPda, w: Word, fuel: int = 10**6) -> Iterator:
         yield state, tops, q2, emitted
         state = q2
         fuel -= 1
-    c = Configuration(state, tuple(emitted), store)
-    if store.is_empty():
-        yield Accepted(c.emitted) if state == m.start_state else Stuck(c)
-    else:
-        yield FuelExhausted(c) if fuel <= 0 else Stuck(c)
-
-
-def _replay(m: KPda, w: Word, fuel: int) -> RunOutcome:
-    for outcome in steps(m, w, fuel):
-        pass
-    return outcome
+    yield _outcome(m, state, emitted, store, fuel <= 0)
 
 
 def run(m: KPda, w: Word, fuel: int = 10**6) -> RunOutcome:
@@ -316,13 +315,13 @@ def run(m: KPda, w: Word, fuel: int = 10**6) -> RunOutcome:
     depend on (state, symbol, body) alone.  Each block is stepped once and
     summarised by its exit state, its stretch of the output and its move
     count; a block met again is skipped by its summary (Cook's linear-time
-    simulation of deterministic pushdown machines).  Open blocks sit on an
-    explicit stack; one ends when the store is again the store of the entries
-    after it, which the operations share unchanged.  Only Accepted is read
-    off the summaries.  A missing move, a move count above ``fuel``, a block
-    met again while still open (a run that never ends) or an empty store in
-    another state than the start are replayed by ``steps``, so those
-    outcomes, like every DomainError of a move, are exactly its own."""
+    simulation of deterministic pushdown machines) if its moves fit in the
+    fuel.  Open blocks sit on an explicit stack; one ends when the store is
+    again the store of the entries after it, which the operations share
+    unchanged.  A block that would overrun the fuel, or one met again while
+    open (a run that never ends), is stepped into without a new record.  The
+    walk's configuration is exact after every move it counts, so the outcome
+    and a move's DomainError are those of ``steps``."""
     store = _checked_initial_store(m, w)
     state, out, count, moves = m.start_state, [], 0, m.moves
     # (state, symbol, body) -> (exit state, output start, output end, moves),
@@ -334,31 +333,28 @@ def run(m: KPda, w: Word, fuel: int = 10**6) -> RunOutcome:
         while blocks and blocks[-1][3] is store:
             key, start, entry, _ = blocks.pop()
             summaries[key] = (state, start, len(out), count - entry)
-        if sym is None:
+        if sym is None or count >= fuel:
             break
         key = (state, sym, body)
         summary = summaries.get(key, ())  # () for a block not met yet
-        if summary:
+        if summary and count + summary[3] <= fuel:
             state, start, end, n = summary
             count += n
-            if count > fuel:
-                return _replay(m, w, fuel)
             out += out[start:end]
             store = rest
             continue
         enabled = moves.get((state, topsyms(store)))
-        if summary is None or not enabled or count >= fuel:
-            return _replay(m, w, fuel)
-        summaries[key] = None
-        blocks.append((key, len(out), count, rest))
+        if not enabled:
+            break
+        if summary == ():
+            summaries[key] = None
+            blocks.append((key, len(out), count, rest))
         ((read, state, op),) = enabled
         if read != EPS:
             out.append(read)
         store = op.apply(store)
         count += 1
-    if state != m.start_state:
-        return _replay(m, w, fuel)
-    return Accepted(tuple(out))
+    return _outcome(m, state, out, store, count >= fuel)
 
 
 # ---------------------------------------------------------------------------

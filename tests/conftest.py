@@ -20,6 +20,27 @@ WORKED_UNDET = GradedAlphabet.of(
 
 WORKED_SYMBOLS = set(WORKED_GAMMA.symbols) | set(WORKED_UNDET.symbols)
 
+# The bundled pow2 machine with its emissions going to q2, which copies q0's
+# moves: on a^n it emits b^(2^n) and empties its store in q2, not the start
+# state, so the run ends Stuck after as many moves as pow2's accepted run.
+POW2_STUCK_SYS = """pda pow2stuck {
+  level: 2
+  states: q0 q1 q2
+  terminals: b
+  input: a
+  gamma 1: S
+  gamma 2: a
+  start: q0
+  bottoms: S
+  q0 , eps , S a -> q1 , pop_2
+  q1 , eps , S a -> q0 , push_1(S S)
+  q1 , eps , S -> q0 , push_1(S S)
+  q0 , b , S -> q2 , pop_1
+  q2 , eps , S a -> q1 , pop_2
+  q2 , b , S -> q2 , pop_1
+}
+"""
+
 
 @pytest.fixture
 def worked_gamma():

@@ -7,6 +7,8 @@ import pytest
 
 from wordmaps.cli import main
 
+from conftest import POW2_STUCK_SYS
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -232,6 +234,16 @@ def test_an_integer_argument_too_large_for_a_word_is_an_error(capsys, command):
     code, out, err = run_cli(capsys, *command, str(10**20))
     assert (code, out) == (2, "")
     assert err == "error: an integer argument of 21 digits is too large for a word\n"
+
+
+@pytest.mark.parametrize("argument, expected", [
+    ("٠" * 19, "1\n"),  # 19 Arabic-Indic zeros: the count 0
+    ("٠٠٥", "8\n"),
+    ("0" * 19 + "5", "8\n"),
+    ("0" * 5000 + "7", "21\n"),  # more digits than int() takes from a string
+])
+def test_an_integer_argument_is_read_by_its_significant_digits(capsys, argument, expected):
+    assert run_cli(capsys, "eval", "fibonacci", "F", argument) == (0, expected, "")
 
 
 def test_an_integer_argument_that_fits_no_memory_is_an_error(capsys):
@@ -529,6 +541,8 @@ def test_run_pda_prints_the_traced_outcome_and_exit_code_through_kpda_run(capsys
     path = tmp_path / "dead.sys"
     path.write_text("pda dead {\n  level: 1\n  states: q0 q1\n  terminals: x\n  input: a\n"
                     "  gamma 1: a\n  start: q0\n  q0 , x , a -> q1 , pop_1\n}\n")
+    stuck = tmp_path / "pow2stuck.sys"
+    stuck.write_text(POW2_STUCK_SYS)
     calls = []
     monkeypatch.setattr(cli, "run", lambda *args, **kw: calls.append(args) or kpda.run(*args, **kw))
     cases = [
@@ -536,6 +550,7 @@ def test_run_pda_prints_the_traced_outcome_and_exit_code_through_kpda_run(capsys
         (("pow2-pda", "pow2", "aaa", "--fuel", "20"), 1, "FuelExhausted\n"),
         ((str(path), "dead", "aa"), 1, "Stuck in state q1 after x\n"),
         ((str(path), "dead", "a"), 1, "Stuck in state q1 after x\n"),
+        ((str(stuck), "pow2stuck", "aaa"), 1, "Stuck in state q2 after bbbbbbbb\n"),
     ]
     for argv, code, last in cases:
         assert run_cli(capsys, "run-pda", *argv) == (code, last, "")

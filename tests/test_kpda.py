@@ -39,6 +39,8 @@ from wordmaps.pushdown import (
 )
 from wordmaps.systemfile import parse_file
 
+from conftest import POW2_STUCK_SYS
+
 
 def _bundled(name):
     text = resources.files("wordmaps").joinpath("data", name + ".sys").read_text()
@@ -53,6 +55,11 @@ def identity_pda():
 @pytest.fixture(scope="module")
 def pow2_pda():
     return _bundled("pow2-pda").resolve("pow2", "pda")[1]
+
+
+@pytest.fixture(scope="module")
+def pow2_stuck_pda():
+    return parse_file(POW2_STUCK_SYS).resolve("pow2stuck", "pda")[1]
 
 
 def _toy(delta, states=("q0", "q1"), terminals=("a", "b")):
@@ -175,12 +182,13 @@ def _reference_run(m, w, fuel):
     return (Accepted(c.emitted) if c.state == m.start_state else Stuck(c)), trace
 
 
-def test_run_matches_a_loop_over_step_at_every_fuel(identity_pda, pow2_pda):
+def test_run_matches_a_loop_over_step_at_every_fuel(identity_pda, pow2_pda, pow2_stuck_pda):
     stuck_without_move = _toy({("q0", "a", ("S", "a")): {("q1", Pop(1))}})
     stuck_with_empty_store = _toy({("q0", "", ("S", "a")): {("q1", Pop(2))}})
     cases = [
         (identity_pda, ("a", "b", "b", "a")),
         (pow2_pda, ("a",) * 3),
+        (pow2_stuck_pda, ("a",) * 3),
         (stuck_without_move, ("a", "b")),
         (stuck_with_empty_store, ("a",)),
     ]
@@ -383,16 +391,30 @@ def test_a_bad_move_after_a_summarised_block_raises_as_steps_does(identity_pda, 
         Configuration("q0", ("a", "a"), IteratedPushdown.from_word(("b",))))
 
 
-def test_run_applies_moves_linear_in_n_on_pow2(pow2_pda, monkeypatch):
-    # each block is stepped once and replayed from its summary after, so the
-    # 2^n letters of pow2(a^n) cost O(n) applied moves
+def test_run_applies_moves_linear_in_n_on_pow2(pow2_pda, pow2_stuck_pda, monkeypatch):
+    # each block is stepped once and skipped by its summary after, so the
+    # 2^n letters of pow2(a^n) cost O(n) applied moves; so do a run that ends
+    # Stuck and runs cut short of their fuel, whose outcomes are read off the
+    # same walk
+    n_moves = {n: len(list(steps(pow2_pda, ("a",) * n))) - 1 for n in (4, 8, 12, 16)}
     applied = []
     for cls in (Pop, Push):
         monkeypatch.setattr(cls, "apply", lambda op, store, apply=cls.apply: applied.append(op) or apply(op, store))
-    for n in (4, 8, 16):
+    for n, total in n_moves.items():
+        w = ("a",) * n
         applied.clear()
-        assert run(pow2_pda, ("a",) * n) == Accepted(("b",) * 2 ** n)
+        assert run(pow2_pda, w) == Accepted(("b",) * 2 ** n)
         assert len(applied) <= 3 * (n + 1), (n, len(applied))
+        applied.clear()
+        stuck = run(pow2_stuck_pda, w)
+        assert isinstance(stuck, Stuck) and stuck.configuration.state == "q2", n
+        assert stuck.configuration.emitted == ("b",) * 2 ** n
+        assert len(applied) <= 4 * (n + 1), (n, len(applied))
+        for fuel in (total - 1, total // 2, total // 3):
+            applied.clear()
+            cut = run(pow2_pda, w, fuel)
+            assert isinstance(cut, FuelExhausted), (n, fuel)
+            assert len(applied) <= 4 * (n + 1), (n, fuel, len(applied))
 
 
 # ---------------------------------------------------------------------------
