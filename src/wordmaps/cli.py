@@ -19,13 +19,14 @@ from .errors import FuelExhaustedError, WordmapsError
 from .groebner import ORDERS, groebner
 from .kpda import Accepted, Stuck, run, steps
 from .lowering import (
+    _length_representation,
     catenative_to_hdt0l,
     compose_level3,
     hdt0l_to_catenative,
     skolem_product_system,
     unary_lowering,
 )
-from .morphisms import LinearRepresentation, linear_eval, eval_hdt0l
+from .morphisms import LinearRepresentation, check_word, eval_hdt0l, linear_eval
 from .polynomials import format_polynomial
 from .recurrences import (
     eval_catenative,
@@ -131,7 +132,12 @@ def cmd_eval(args) -> int:
     kinds = ("cat", "comp", "reg", "poly", "hdt0l", "linrep")
     kind, obj, index = resolve_sequence(sf, args.target, args.paper_literal, kinds, "cannot eval a {kind} target")
     w = parse_argument_word(obj.letters if kind == "linrep" else obj.input_alphabet, args.argument)
-    if kind == "cat":
+    if args.as_length and kind in ("cat", "hdt0l"):
+        # the length representation reads the length off without the word
+        check_word(obj, w)
+        hdt0l = obj if kind == "hdt0l" else catenative_to_hdt0l(obj, index)
+        value = linear_eval(_length_representation(hdt0l), w)
+    elif kind == "cat":
         value = eval_catenative(obj, index, w)
     elif kind == "comp":
         value = eval_compositional(obj, index, w)
@@ -153,9 +159,7 @@ def cmd_eval(args) -> int:
 
 
 def _budget(args) -> Budget:
-    if args.budget is None:
-        return Budget(order=args.order)
-    return Budget.scaled(args.budget, order=args.order)
+    return Budget() if args.budget is None else Budget.scaled(args.budget)
 
 
 def _quotient(sf: SystemFile, target: str, paper_literal: bool):

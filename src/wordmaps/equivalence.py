@@ -63,6 +63,7 @@ from typing import Optional, Union
 
 from .errors import BudgetExceededError, DomainError
 from .groebner import GroebnerBasis, Ideal, _eliminate, points_ideal
+from .morphisms import check_index
 from .polynomials import Polynomial, _powers, _substitute
 from .recurrences import PolynomialSystem, _prefixed, _step, eval_polynomial_vector, product_system, rename_system
 from .words import Word
@@ -101,15 +102,14 @@ class Budget:
     max_degree: int = 8
     sample_points: int = 120
     max_point_bits: int = 4096
-    order: str = "grevlex"
 
     def fits(self, vec) -> bool:
         """Whether every value of the vector has at most ``max_point_bits`` bits."""
         return max(map(int.bit_length, vec.values()), default=0) <= self.max_point_bits
 
     @classmethod
-    def scaled(cls, n: int, order: str = "grevlex") -> "Budget":
-        return cls(chain_additions=n, max_basis=10 * n, order=order)
+    def scaled(cls, n: int) -> "Budget":
+        return cls(chain_additions=n, max_basis=10 * n)
 
 
 DEFAULT_BUDGET = Budget()
@@ -151,7 +151,7 @@ def _saturate(sys: PolynomialSystem, t: Polynomial, budget: Budget) -> Optional[
     none: the saturation pass of the module docstring."""
     letters = sorted(sys.input_alphabet)
     point = sys.base_vector()
-    basis = GroebnerBasis([], sys.indices, budget.order, max_basis=budget.max_basis)
+    basis = GroebnerBasis([], sys.indices, max_basis=budget.max_basis)
     tables = _tables(sys)
     additions = 0
     # (wa, g_w) is pulled back to g_wa when it is dequeued
@@ -274,26 +274,18 @@ def decide_equal(
     return _decide_quotients(_indexed(sys_a, i_a), _indexed(sys_b, i_b), budget)
 
 
-_ONE = Polynomial.const(1)  # the denominator of every indexed shape
-
-
 def _indexed(sys: PolynomialSystem, i: str) -> tuple:
     """The (system, num, den) shape of the sequence X_i, which is X_i/1."""
-    if i not in sys.indices:
-        raise DomainError(f"unknown index {i!r}")
-    return sys, Polynomial.var(i), _ONE
+    check_index(sys, i)
+    return sys, Polynomial.var(i), Polynomial.const(1)
 
 
 def _decide_quotients(p: tuple, q: tuple, budget: Budget) -> Verdict:
     """Whether two (system, num, den) shapes agree at every word, by the t of
-    the module docstring; an indexed shape's denominator is not multiplied in."""
+    the module docstring."""
     (sys_p, num_p, den_p), (sys_q, num_q, den_q) = p, q
-    lhs, rhs = _prefixed(num_p, "A_"), _prefixed(num_q, "B_")
-    if den_q is not _ONE:
-        lhs = lhs * _prefixed(den_q, "B_")
-    if den_p is not _ONE:
-        rhs = rhs * _prefixed(den_p, "A_")
-    return decide_zero_on_reachables(_paired(sys_p, sys_q), lhs - rhs, budget)
+    t = _prefixed(num_p, "A_") * _prefixed(den_q, "B_") - _prefixed(num_q, "B_") * _prefixed(den_p, "A_")
+    return decide_zero_on_reachables(_paired(sys_p, sys_q), t, budget)
 
 
 @dataclass(frozen=True)
@@ -312,8 +304,7 @@ class FractionPresentation:
 
     def __post_init__(self):
         for i in (self.num_plus, self.num_minus, self.den_plus, self.den_minus):
-            if i not in self.system.indices:
-                raise DomainError(f"unknown index {i!r}")
+            check_index(self.system, i)
 
     def _shape(self) -> tuple:
         """The (system, num, den) shape (g - h)/(fp - gp)."""

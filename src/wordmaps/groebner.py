@@ -357,14 +357,9 @@ class Ideal:
     def contains(self, p: Polynomial, order: str = "grevlex") -> bool:
         if p.is_zero():
             return True
-        if not self.generators:
-            return False
         if p.variables() <= set(self.variables()):
             return not self._basis(order).reduce(p)
         return normal_form(p, self.groebner_basis(order), self.variables(), order).is_zero()
-
-    def is_zero_ideal(self) -> bool:
-        return not self.generators
 
     def same_ideal(self, other: "Ideal") -> bool:
         return all(map(self.contains, other.generators)) and all(map(other.contains, self.generators))

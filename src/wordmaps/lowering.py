@@ -23,6 +23,7 @@ from .morphisms import (
     HDT0LSystem,
     Homomorphism,
     LinearRepresentation,
+    check_index,
     dot,
     eval_hdt0l,
     incidence,
@@ -48,17 +49,16 @@ from .words import Word
 def catenative_to_hdt0l(sys: CatenativeSystem, i0: str) -> HDT0LSystem:
     """Working letters are the indices, the table of a reads off the rules,
     and the final homomorphism reads off the base values."""
-    if i0 not in sys.indices:
-        raise DomainError(f"unknown index {i0!r}")
+    check_index(sys, i0)
     working = frozenset(sys.indices)
     tables = {
         a: Homomorphism(
-            {i: sys.rule(i, a) for i in sys.indices}, source=working, target=working
+            {i: sys.rule_map[(i, a)] for i in sys.indices}, source=working, target=working
         )
         for a in sys.input_alphabet
     }
     final = Homomorphism(
-        {i: sys.base_value(i) for i in sys.indices},
+        sys.base_map,
         source=working,
         target=sys.output_alphabet,
     )
@@ -81,7 +81,7 @@ def _length_representation(sys: HDT0LSystem) -> LinearRepresentation:
     matrices of the tables, and col_v = |final(v)|."""
     order = tuple(sorted(sys.working))
     row = tuple(1 if v == sys.seed else 0 for v in order)
-    matrices = {a: incidence(sys.table(a), order, order) for a in sys.input_alphabet}
+    matrices = {a: incidence(sys.table(a), order) for a in sys.input_alphabet}
     col = tuple(len(sys.final.images[v]) for v in order)
     return LinearRepresentation.make(row, matrices, col)
 
@@ -156,8 +156,7 @@ def compose_level3(
 ) -> Level3Mapping:
     """w |-> second(g_{i0}(w)), once the second stage is known to read every
     letter the first stage emits."""
-    if i0 not in g.indices:
-        raise DomainError(f"unknown index {i0!r}")
+    check_index(g, i0)
     if isinstance(second, LinearRepresentation):
         if not g.output_alphabet <= second.letters:
             raise DomainError("the representation must cover the catenative output alphabet")
@@ -258,15 +257,13 @@ def skolem_product_system(
     _require_linear(v, "second system")
     if u.input_alphabet != v.input_alphabet:
         raise DomainError("the two systems must share their unary input alphabet")
-    if iu not in u.indices:
-        raise DomainError(f"unknown index {iu!r}")
-    if iv not in v.indices:
-        raise DomainError(f"unknown index {iv!r}")
+    check_index(u, iu)
+    check_index(v, iv)
     (letter,) = u.input_alphabet
     pair = product_system(rename_system(u, "u_"), rename_system(v, "v_"))
     acc = "w_acc"
-    step = pair.rule("u_" + iu, letter) - pair.rule("v_" + iv, letter)
+    step = pair.rule_map[("u_" + iu, letter)] - pair.rule_map[("v_" + iv, letter)]
     rules = {**pair.rule_map, (acc, letter): Polynomial.var(acc) * step}
-    base = {**pair.base_map, acc: u.base_value(iu) - v.base_value(iv)}
+    base = {**pair.base_map, acc: u.base_map[iu] - v.base_map[iv]}
     system = PolynomialSystem.make(pair.indices + (acc,), u.input_alphabet, rules, base, ring="Z")
     return SkolemProduct(system, acc)

@@ -55,11 +55,9 @@ class Homomorphism:
         return cls({a: (a,) for a in alphabet}, source=alphabet, target=alphabet)
 
     @classmethod
-    def bracket(cls, image_x, image_y, letters=("x", "y")) -> "Homomorphism":
+    def bracket(cls, image_x, image_y) -> "Homomorphism":
         """The two-letter shorthand [w, w']: x -> w, y -> w'."""
-        x, y = letters
-        both = frozenset(letters)
-        return cls({x: tuple(image_x), y: tuple(image_y)}, source=both, target=both)
+        return cls({"x": tuple(image_x), "y": tuple(image_y)}, source="xy", target="xy")
 
     def __call__(self, w: Word) -> Word:
         out = []
@@ -89,10 +87,6 @@ class Homomorphism:
         return "{" + body + "}"
 
 
-def apply(h: Homomorphism, w: Word) -> Word:
-    return h(w)
-
-
 def compose(f: Homomorphism, g: Homomorphism) -> Homomorphism:
     """The homomorphism applying f first: compose(f, g)(w) = g(f(w))."""
     if not f.target <= g.source:
@@ -103,14 +97,6 @@ def compose(f: Homomorphism, g: Homomorphism) -> Homomorphism:
     return Homomorphism(
         {a: g(f.images[a]) for a in f.source}, source=f.source, target=g.target
     )
-
-
-def compose_all(factors, alphabet) -> Homomorphism:
-    """Fold a sequence of endomorphisms, the leftmost factor applying first."""
-    out = Homomorphism.identity(alphabet)
-    for h in factors:
-        out = compose(out, h)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +157,11 @@ def concat(parts) -> Word:
     if len(parts) == 2:
         return parts[0] + parts[1]
     return tuple(chain.from_iterable(parts))
+
+
+def check_index(sys, i: str):
+    if i not in sys.indices:
+        raise DomainError(f"unknown index {i!r}")
 
 
 def check_word(sys, w: Word):
@@ -245,11 +236,11 @@ def parikh(w: Word, letters) -> tuple[int, ...]:
     return tuple(counts[a] for a in letters)
 
 
-def incidence(h: Homomorphism, source_order=None, target_order=None) -> Matrix:
-    """Row V lists the letter counts of h(V); parikh(h(w)) = parikh(w) . M."""
-    rows = tuple(sorted(h.source)) if source_order is None else tuple(source_order)
-    cols = rows if target_order is None else tuple(target_order)
-    return tuple(parikh(h.images[a], cols) for a in rows)
+def incidence(h: Homomorphism, order=None) -> Matrix:
+    """Row V lists the letter counts of h(V), rows and columns in ``order``
+    (default: sorted source letters); parikh(h(w)) = parikh(w) . M."""
+    order = tuple(sorted(h.source)) if order is None else tuple(order)
+    return tuple(parikh(h.images[a], order) for a in order)
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:

@@ -22,7 +22,7 @@ from itertools import product as cartesian_product
 from typing import Mapping
 
 from .errors import DomainError, FuelExhaustedError
-from .morphisms import Homomorphism, check_word, compose, concat, demand, suffix_walk, word_product
+from .morphisms import Homomorphism, check_index, check_word, compose, concat, demand, suffix_walk, word_product
 from .polynomials import Polynomial, _powers, _substitute, _wrap
 from .words import Word
 
@@ -57,8 +57,8 @@ def _check_base_total(base, what, indices):
 
 
 class _Lookup:
-    """rule(*key) and base_value(i) for a system whose ``rules`` and ``base``
-    are sorted pairs; the maps are built on first use, once per object."""
+    """``rule_map`` and ``base_map``, the dicts of a system whose ``rules`` and
+    ``base`` are sorted pairs; each is built on first use, once per object."""
 
     @cached_property
     def rule_map(self) -> dict:
@@ -67,12 +67,6 @@ class _Lookup:
     @cached_property
     def base_map(self) -> dict:
         return dict(self.base)
-
-    def rule(self, *key):
-        return self.rule_map[key]
-
-    def base_value(self, i):
-        return self.base_map[i]
 
 
 @dataclass(frozen=True)
@@ -172,8 +166,8 @@ class DfaClassifier:
         )
 
     @classmethod
-    def single_class(cls, alphabet, label="all") -> "DfaClassifier":
-        return cls.make({"q"}, "q", {("q", a): "q" for a in alphabet}, {"q": label})
+    def single_class(cls, alphabet) -> "DfaClassifier":
+        return cls.make({"q"}, "q", {("q", a): "q" for a in alphabet}, {"q": "all"})
 
     def classes(self) -> frozenset[str]:
         return frozenset(c for _, c in self.class_of)
@@ -332,11 +326,6 @@ def product_system(a: PolynomialSystem, b: PolynomialSystem) -> PolynomialSystem
 # evaluation
 
 
-def _check_index(sys, i):
-    if i not in sys.indices:
-        raise DomainError(f"unknown index {i!r}")
-
-
 def eval_catenative(sys: CatenativeSystem, i: str, w: Word) -> Word:
     return suffix_walk(sys, i, w, sys.base_map, concat)
 
@@ -357,7 +346,7 @@ def eval_regular(sys: RegularSystem, i: str, w: Word, fuel: int = 10**5) -> Word
     the class of the tail (the argument minus its first letter) selects the
     rule.  The pending terms sit on a stack, leftmost on top, so a rewrite
     costs the length of its right-hand side."""
-    _check_index(sys, i)
+    check_index(sys, i)
     check_word(sys, w)
     rules, base, classify = sys.rule_map, sys.base_map, sys.classifier.classify
     done: list[str] = []  # indices of the finished terms, left to right
@@ -383,7 +372,7 @@ def eval_regular(sys: RegularSystem, i: str, w: Word, fuel: int = 10**5) -> Word
 
 
 def eval_polynomial(sys: PolynomialSystem, i: str, w: Word) -> int:
-    _check_index(sys, i)
+    check_index(sys, i)
     return eval_polynomial_vector(sys, w, (i,))[i]
 
 

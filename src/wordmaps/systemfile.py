@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import DomainError, ParseError
+from .groebner import Ideal
 from .kpda import KPda, Pop, Push
 from .morphisms import HDT0LSystem, Homomorphism, LinearRepresentation
 from .polynomials import format_polynomial, parse_polynomial
@@ -82,9 +83,6 @@ class SystemFile:
         if name in self.declarations:
             raise ParseError(f"duplicate declaration {name!r}", line=line, filename=self.filename)
         self.declarations[name] = (kind, obj)
-
-    def names(self):
-        return list(self.declarations)
 
     def lookup(self, name: str, paper_literal: bool = False) -> str:
         """The declared name ``name`` denotes: its ``_literal`` variant under
@@ -480,8 +478,6 @@ def _parse_pda(blk) -> KPda:
 
 
 def _parse_ideal(blk):
-    from .groebner import Ideal
-
     variables = blk.words("vars")
     gens = [
         blk.convert(lineno, "gen", lambda t: parse_polynomial(t, variables), text)

@@ -34,6 +34,10 @@ GOLDEN = [
     (("eval", "gmap", "fibrep", "12"), "233\n"),
     (("compose", "gmap", "nu", "fibword", "10111", "--as-length"), "46368\n"),
     (("run-pda", "pow2-pda", "pow2", "3"), "Accepted bbbbbbbb\n"),
+    (("eval", "gmap", "fibword", "4"), "bbbbb\n"),
+    # the length of an hdt0l value comes from its length representation; the
+    # word b^F(101) fits no memory
+    (("eval", "gmap", "fibword", "101", "--as-length"), "927372692193078999176\n"),
 ]
 
 
@@ -363,11 +367,12 @@ SHIFT_SYS = str(Path(__file__).resolve().parents[1] / "perfbench" / "data" / "sh
     ids=["eval", "run-pda"],
 )
 def test_negative_fuel_is_a_usage_error_and_zero_fuel_is_legal(capsys, argv):
-    with pytest.raises(SystemExit) as exc:
-        main([*argv, "--fuel", "-1"])
-    assert exc.value.code == 2
-    out, err = capsys.readouterr()
-    assert out == "" and "argument --fuel: must be >= 0, not -1" in err
+    for fuel, why in (("-1", "must be >= 0, not -1"), ("abc", "invalid int value: 'abc'")):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--fuel", fuel])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"argument --fuel: {why}" in err
     code, out, err = run_cli(capsys, *argv, "--fuel", "0")
     assert code == 1 and "FuelExhausted" in out + err
 
@@ -730,6 +735,26 @@ def test_every_refused_target_is_one_error_line(capsys, tmp_path, argv, kind, ta
     name, dot, _ = target.partition(".")
     if dot:  # an index is refused before the kind
         assert err == f"error: {kind} target {name!r} takes no index\n"
+
+
+@pytest.mark.parametrize(
+    "argv,wanted",
+    [
+        (("eval", "fib", "Fword.zz", "3"), "'Fword' has no index 'zz'"),
+        (("eval", "nosuch", "F", "3"), "no file 'nosuch'; bundled examples: factorial, fibonacci, gmap, "
+                                       "identity-pda, npown, pow2-pda, skolem-demo"),
+        (("run-pda", "pow2-pda", "pow2", "ab"), "input letter 'b' is not in the machine's input alphabet"),
+        (("run-pda", "LEVEL1", "pow2", "aS"), "input letter 'S' must be a level-2 pushdown symbol"),
+    ],
+    ids=["unknown-index", "unknown-file", "run-pda-letter", "run-pda-level"],
+)
+def test_a_refused_argument_is_one_error_line(capsys, tmp_path, argv, wanted):
+    # LEVEL1 is pow2 with its level-1 symbol S among the input letters
+    path = tmp_path / "level1.sys"
+    pow2 = (REPO / "src" / "wordmaps" / "data" / "pow2-pda.sys").read_text()
+    path.write_text(pow2.replace("input: a", "input: a S"))
+    argv = [str(path) if a == "LEVEL1" else a for a in argv]
+    assert run_cli(capsys, *argv) == (2, "", f"error: {wanted}\n")
 
 
 def _readme_cli_lines():

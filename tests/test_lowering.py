@@ -325,7 +325,7 @@ def test_series_lowering_base_matrices_are_the_word_products():
             expected = reduce(mat_mul, (mats[a] for a in w), identity)
             for k in range(d):
                 for l in range(d):
-                    assert low.system.base_value(f"u_{i}_{k}_{l}") == expected[k][l]
+                    assert low.system.base_map[f"u_{i}_{k}_{l}"] == expected[k][l]
 
 
 def test_level3_base_matrices_are_built_once_for_value_and_lower(monkeypatch):
@@ -354,7 +354,7 @@ def test_series_lowering_size_is_polynomial():
     assert len(low.system.indices) == len(cat.indices) * d * d
     for (i, a), p in low.system.rules:
         stem = i.split("_")[1]
-        assert p.degree() <= len(cat.rule(stem, a))
+        assert p.degree() <= len(cat.rule_map[(stem, a)])
 
 
 # ---------------------------------------------------------------------------

@@ -123,7 +123,7 @@ def test_catenative_definitional_unfolding():
                 w = tuple(rng.choice(sorted(sys.input_alphabet)) for _ in range(n))
                 direct = eval_catenative(sys, i, (a,) + w)
                 unfolded = tuple(
-                    chain.from_iterable(eval_catenative(sys, j, w) for j in sys.rule(i, a))
+                    chain.from_iterable(eval_catenative(sys, j, w) for j in sys.rule_map[(i, a)])
                 )
                 assert direct == unfolded
 
@@ -191,7 +191,7 @@ def test_compositional_unfolding_extensional():
         a = rng.choice("abc")
         lhs = eval_compositional(sys, "H", (a,) + u)
         rhs = Homomorphism.identity(sys.working)
-        for j in sys.rule("H", a):
+        for j in sys.rule_map[("H", a)]:
             rhs = compose(rhs, eval_compositional(sys, j, u))
         assert lhs == rhs
 
@@ -320,12 +320,12 @@ def _splice_rewriter(sys, i, w, fuel):
         while pos < len(terms) and not terms[pos][1]:
             pos += 1
         if pos == len(terms):
-            return tuple(chain.from_iterable(sys.base_value(j) for j, _ in terms)), used
+            return tuple(chain.from_iterable(sys.base_map[j] for j, _ in terms)), used
         if fuel <= 0:
             return "partial", tuple(terms)
         j, v = terms[pos]
         a, tail = v[0], v[1:]
-        terms[pos:pos + 1] = [(k, u + tail) for k, u in sys.rule(j, a, sys.classifier.classify(tail))]
+        terms[pos:pos + 1] = [(k, u + tail) for k, u in sys.rule_map[(j, a, sys.classifier.classify(tail))]]
         fuel -= 1
         used += 1
 
@@ -567,7 +567,7 @@ def test_rename_and_product_equal_the_made_systems(sys_a, sys_b):
 def _reference_vector(sys, w):
     values = dict(sys.base)
     for a in reversed(w):
-        values = {i: sys.rule(i, a).evaluate_int(values) for i in sys.indices}
+        values = {i: sys.rule_map[(i, a)].evaluate_int(values) for i in sys.indices}
     return values
 
 

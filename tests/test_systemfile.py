@@ -18,7 +18,7 @@ def _text(name):
 @pytest.mark.parametrize("name", BUNDLED)
 def test_bundled_files_parse(name):
     sf = parse_file(_text(name), filename=name)
-    assert sf.names()
+    assert sf.declarations
 
 
 def test_fibonacci_file_contents():
@@ -94,8 +94,8 @@ def test_reprint_round_trip_stable(name):
     sf = parse_file(_text(name), filename=name)
     printed = format_file(sf)
     sf2 = parse_file(printed, filename=name + ":printed")
-    assert sf.names() == sf2.names()
-    for key in sf.names():
+    assert list(sf.declarations) == list(sf2.declarations)
+    for key in sf.declarations:
         kind1, obj1 = sf.declarations[key]
         kind2, obj2 = sf2.declarations[key]
         assert kind1 == kind2
@@ -194,11 +194,11 @@ def _comparable(kind, obj):
 
 def test_reprint_round_trip_of_the_kinds_outside_the_bundled_files():
     sf = parse_file(INLINE_KINDS, filename="inline.sys")
-    assert [sf.declarations[n][0] for n in sf.names()] == ["reg", "frac", "ideal", "alphabet", "graded", "poly"]
+    assert [sf.declarations[n][0] for n in sf.declarations] == ["reg", "frac", "ideal", "alphabet", "graded", "poly"]
     printed = format_file(sf)
     sf2 = parse_file(printed, filename="inline.sys:printed")
-    assert sf.names() == sf2.names()
-    for key in sf.names():
+    assert list(sf.declarations) == list(sf2.declarations)
+    for key in sf.declarations:
         kind, obj = sf.declarations[key]
         assert sf2.declarations[key][0] == kind
         assert _comparable(kind, obj) == _comparable(kind, sf2.declarations[key][1]), key
@@ -251,6 +251,21 @@ def _block(kind, body):
     return f"{kind} k {{\n" + "".join(f"  {line}\n" for line in body) + "}\n"
 
 
+# (kind, a last statement that the valid body of VALID_BODIES refuses, the
+# refusal, the case id): a statement that repeats or contradicts another
+REFUSED_LAST_LINES = [
+    ("cat", "f(eps) = b", "two base cases for 'f'", "cat-two-base-cases"),
+    ("cat", "f(a w) = f(w) f(w)", "duplicate rule for f(a w)", "cat-two-rules"),
+    ("cat", "f(a w) @c = f(w)", "cat rules take no @class", "cat-class"),
+    ("poly", "F(a w) @c = F", "poly rules take no @class", "poly-class"),
+    ("hdt0l", "table x = { p -> p ; q -> q }", "two tables for letter 'x'", "hdt0l-two-tables"),
+    ("hdt0l", "final = { p -> b ; q -> b }", "repeated 'final ='", "hdt0l-two-finals"),
+    ("linrep", "mat x = [ 1 0 / 0 1 ]", "two matrices for letter 'x'", "linrep-two-mats"),
+    ("reg", "step: c a -> c", "two steps for state 'c' on letter 'a'", "reg-two-steps"),
+    ("pda", "q , a , A -> q , push_1()", "push needs at least one symbol", "pda-empty-push"),
+]
+
+
 def _malformed_cases():
     for kind, (body, single, required, bad) in VALID_BODIES.items():
         end = len(body) + 2  # the line after the body (the header is line 1)
@@ -265,6 +280,9 @@ def _malformed_cases():
             yield pytest.param(missing, 1, "needs", id=f"{kind}-missing")
         if bad is not None:
             yield pytest.param(_block(kind, body + [bad]), end, "cannot parse", id=f"{kind}-unparsable")
+    for kind, last, wanted, case in REFUSED_LAST_LINES:
+        body = VALID_BODIES[kind][0]
+        yield pytest.param(_block(kind, body + [last]), len(body) + 2, wanted, id=case)
 
 
 @pytest.mark.parametrize("kind", VALID_BODIES)
@@ -272,7 +290,7 @@ def test_the_valid_bodies_parse(kind):
     # a frac block's system: must name a poly block of the same file
     poly = "poly s {\n  input: a\n  A(eps) = 1\n  A(a w) = A\n}\n" if kind == "frac" else ""
     sf = parse_file(_block(kind, VALID_BODIES[kind][0]) + poly, filename="f.sys")
-    assert sf.names() == ["k"] + ["s"] * bool(poly)
+    assert list(sf.declarations) == ["k"] + ["s"] * bool(poly)
 
 
 @pytest.mark.parametrize("system", ["pa", "nope", "F"])
@@ -283,7 +301,7 @@ def test_a_frac_must_name_a_poly_block_of_its_file_exactly(system):
     with pytest.raises(ParseError) as err:
         parse_file(text, filename="f.sys")
     assert str(err.value) == f"f.sys:7: frac k names no poly block {system!r}"
-    assert parse_file(text.replace(f"system: {system}", "system: pair")).names() == ["pair", "F", "k"]
+    assert list(parse_file(text.replace(f"system: {system}", "system: pair")).declarations) == ["pair", "F", "k"]
 
 
 @pytest.mark.parametrize("text,line,wanted", _malformed_cases())
