@@ -11,12 +11,14 @@ first, has none.  Comparing monomials compares ints, multiplying adds them,
 and a divides b iff b - a sets no guard bit.  W follows the inputs' degrees; a
 field reaching 2^(W-2) raises ``_Overflow`` and the work is redone at 2W, so
 no field wraps.  Heap division (Monagan and Pearce, J. Symb. Comp. 46, 2011)
-cross-multiplies by leading coefficients and points are eliminated
-Bareiss-style, fraction-free; results are made monic (or rescaled to the exact
-remainder) on the way out.  A ``GroebnerBasis`` is completed incrementally
-(Gebauer and Moeller, J. Symb. Comp. 6, 1988): ``add`` queues only the new
-element's S-pairs.  ``groebner`` returns its reduced form, deterministic given
-the generators, the variable sequence, and the order.
+cross-multiplies by leading coefficients.  The ideal of a point set comes
+from fraction-free elimination of integer evaluation vectors over its pivot
+points only, each reduction dividing out its content once, after its last row
+step.  Results are made monic (or rescaled to the exact remainder) on the way
+out.  A ``GroebnerBasis`` is completed incrementally (Gebauer and Moeller,
+J. Symb. Comp. 6, 1988): ``add`` queues only the new element's S-pairs.
+``groebner`` returns its reduced form, deterministic given the generators, the
+variable sequence, and the order.
 """
 
 from __future__ import annotations
@@ -405,13 +407,16 @@ def in_radical(p: Polynomial, ideal: Ideal, max_basis=None) -> bool:
 
 def _eliminate(vec: list[int], poly: dict, rows) -> tuple[Optional[int], list[int], dict]:
     """Reduce the integer vector vec, and the polynomial poly it carries, against
-    echelon rows (pivot, row, row_poly) fraction-free, keeping the pair primitive.
-    Returns vec's first nonzero position or None, vec and poly."""
+    echelon rows (pivot, row, row_poly) fraction-free: a row step takes
+    d*vec - c*row, for d the row's pivot value and c vec's value there, both
+    divided by their gcd.  After the last step the pair is divided by its
+    content; every step scales it by a positive factor, so this is the pair
+    that dividing after each step would give.  Returns vec's first nonzero
+    position or None, vec and poly."""
+    stepped = False
     for pivot, row, row_poly in rows:
         c = vec[pivot]
         if c:
-            # d*vec - c*row with d the row's pivot value, then divide the
-            # pair by its content
             d = row[pivot]
             g = math.gcd(c, d)
             d, c = d // g, c // g
@@ -420,29 +425,40 @@ def _eliminate(vec: list[int], poly: dict, rows) -> tuple[Optional[int], list[in
                 poly[m] *= d
             for m, rc in row_poly.items():
                 poly[m] = poly.get(m, 0) - c * rc
-            g = math.gcd(*vec, *poly.values())
-            if g > 1:
-                vec = [a // g for a in vec]
-                poly = {m: a // g for m, a in poly.items()}
+            stepped = True
+    if stepped:
+        g = math.gcd(*vec, *poly.values())
+        if g > 1:
+            vec = [a // g for a in vec]
+            poly = {m: a // g for m, a in poly.items()}
     return next((k for k, a in enumerate(vec) if a), None), vec, poly
 
 
 def points_ideal(points: Iterable[Mapping[str, int]], variables: Sequence[str],
                  max_degree: Optional[int] = None) -> list[Polynomial]:
     """The reduced grevlex Groebner basis of the ideal of all polynomials
-    vanishing on a finite point set (Buchberger-Moeller).
+    vanishing on a finite point set (Buchberger-Moeller, with the lazy choice
+    of points of Abbott, Bigatti, Kreuzer and Robbiano, J. Symb. Comp. 30, 2000).
 
     Monomials are visited in increasing grevlex order, skipping multiples of
-    the leading terms found so far.  A monomial's evaluation vector over the
-    points is reduced against those of the standard monomials before it: if
-    it reduces to zero, t - sum c*s is a basis element with leading term t;
-    otherwise t is standard and its successors x_i*t are queued.  With
-    max_degree=D the visit stops above degree D, leaving the basis elements
-    of degree <= D; grevlex is degree-compatible, so these generate the
-    ideal of all vanishing polynomials of degree <= D.
+    the leading terms found so far.  A monomial t's values at the active
+    points are reduced against those of the standard monomials before it,
+    each of which has its pivot at one active point.  If they do not reduce
+    to zero, t is standard.  If they do, the reduced polynomial
+    t - sum c*s is the one combination that vanishes on the active points:
+    at the first idle point where it does not vanish, that point becomes
+    active, every row takes its polynomial's value there, and t is standard
+    with its pivot at it; if it vanishes on every point, it is a basis
+    element with leading term t.  A standard t queues its successors x_i*t.
+    With max_degree=D the visit stops above degree D, leaving the basis
+    elements of degree <= D; grevlex is degree-compatible, so these generate
+    the ideal of all vanishing polynomials of degree <= D, and at most as
+    many points as standard monomials are ever active.  Without a bound
+    every point is active from the start.
 
     Coordinates must be ints (a DomainError names the variable of any other
-    value): the elimination is fraction-free, on primitive integer vectors.
+    value): the elimination is fraction-free, on integer vectors whose
+    content ``_eliminate`` divides out once per reduction.
     """
     variables = tuple(variables)
     pts = []
@@ -454,21 +470,39 @@ def points_ideal(points: Iterable[Mapping[str, int]], variables: Sequence[str],
     # at most len(pts) monomials are standard, and they are closed under
     # division, so no queued monomial has a degree above len(pts)
     codec = _codec("grevlex", len(variables), len(pts))
-    # echelon rows: (pivot, integer evaluation vector, the polynomial it evaluates)
+    capped = max_degree is not None
+    # the active points in the order they became active, and the idle ones
+    active, idle = ([], list(range(len(pts)))) if capped else (range(len(pts)), [])
+    # echelon rows: (pivot, values at the active points, the polynomial they evaluate)
     rows: list[tuple[int, list[int], dict[int, int]]] = []
     basis, leads = [], []  # the basis elements and their leading terms
+    # each visited monomial's values at every point
+    values: dict[int, list[int]] = {}
     # (monomial t = x*s, its degree, the evaluation vectors of s and of x):
     # t's vector is their product
     ones, coords = [1] * len(pts), list(zip(*pts))
     queue, queued = [(0, 0, ones, ones)], {0}
     while queue:
         t, degree, vs, xs = heapq.heappop(queue)
-        if max_degree is not None and degree > max_degree:
+        if capped and degree > max_degree:
             break
-        if any(not (t - lead) & codec.guard for lead in leads):
+        if leads and any(not (t - lead) & codec.guard for lead in leads):
             continue
         vec = [a * c for a, c in zip(vs, xs)]
-        pivot, row, poly = _eliminate(vec, {t: 1}, rows)
+        pivot, row, poly = _eliminate([vec[i] for i in active] if capped else vec, {t: 1}, rows)
+        # values are read only while some point is idle
+        if idle:
+            values[t] = vec
+        if pivot is None and idle:
+            for k, i in enumerate(idle):
+                if v := sum(c * values[m][i] for m, c in poly.items()):
+                    del idle[k]
+                    for _, r, p in rows:
+                        r.append(sum(c * values[m][i] for m, c in p.items()))
+                    pivot = len(active)
+                    active.append(i)
+                    row.append(v)
+                    break
         if pivot is None:
             basis.append({m: c for m, c in poly.items() if c})
             leads.append(t)

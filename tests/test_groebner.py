@@ -1,13 +1,16 @@
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+from wordmaps import groebner as groebner_module
 from wordmaps.errors import BudgetExceededError, DomainError, ParseError
 from wordmaps.groebner import (
     GroebnerBasis,
     Ideal,
+    _eliminate,
     default_variables,
     eliminate,
     groebner,
@@ -737,6 +740,83 @@ def test_points_ideal_fibonacci_orbit():
     rows = [[sympy.ZZ(pt["x"] ** i * pt["y"] ** j) for i, j in monomials] for pt in points]
     rank = DomainMatrix(rows, (len(points), len(monomials)), sympy.ZZ).rank()
     assert len(monomials) - rank == sum(i >= 4 for i, _ in monomials)
+
+
+def test_points_ideal_point_breaking_a_candidate_late():
+    # x - y vanishes on the first 40 points and is broken only by the last
+    points = [{"x": i, "y": i} for i in range(40)] + [{"x": 3, "y": 7}]
+    assert points_ideal(points[:40], ("x", "y"), max_degree=2) == [x - y]
+    capped = points_ideal(points, ("x", "y"), max_degree=2)
+    assert capped == [g for g in points_ideal(points, ("x", "y")) if g.degree() <= 2]
+    assert capped and x - y not in capped
+    assert all(g.evaluate(pt) == 0 for g in capped for pt in points)
+    shuffled = list(points)
+    random.Random(5).shuffle(shuffled)
+    for order in (points[::-1], shuffled):
+        assert points_ideal(order, ("x", "y"), max_degree=2) == capped
+
+
+def _eliminate_stepwise(vec, poly, rows):
+    """``groebner._eliminate`` as it was, with the content divided out after
+    every row step."""
+    for pivot, row, row_poly in rows:
+        c = vec[pivot]
+        if c:
+            d = row[pivot]
+            g = math.gcd(c, d)
+            d, c = d // g, c // g
+            vec = [d * a - c * b for a, b in zip(vec, row)]
+            poly = {m: d * poly.get(m, 0) - c * row_poly.get(m, 0) for m in poly.keys() | row_poly.keys()}
+            g = math.gcd(*vec, *poly.values())
+            if g > 1:
+                vec = [a // g for a in vec]
+                poly = {m: a // g for m, a in poly.items()}
+    return next((k for k, a in enumerate(vec) if a), None), vec, poly
+
+
+def test_eliminate_divides_the_content_once():
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    def cases(bound):
+        entry = st.integers(-bound, bound)
+        polys = st.dictionaries(st.integers(0, 6), entry, max_size=4)
+
+        def rows(n):
+            # a nonzero pivot value, negative as often as positive
+            pivot_value = st.integers(1, bound).flatmap(lambda v: st.sampled_from((v, -v)))
+            row = st.tuples(st.integers(0, n - 1), st.lists(entry, min_size=n, max_size=n), pivot_value, polys)
+            return st.lists(row.map(lambda r: (r[0], r[1][:r[0]] + [r[2]] + r[1][r[0] + 1:], r[3])), max_size=6)
+
+        return st.integers(1, 5).flatmap(
+            lambda n: st.tuples(st.lists(entry, min_size=n, max_size=n), polys, rows(n)))
+
+    def check(case):
+        vec, poly, rows = case
+        assert _eliminate(list(vec), dict(poly), rows) == _eliminate_stepwise(vec, poly, rows)
+
+    settings(deadline=None)(given(cases(5))(check))()
+    settings(deadline=None)(given(cases(10**12))(check))()
+
+
+def test_points_ideal_eliminates_over_at_most_rank_points(monkeypatch):
+    # the Fibonacci orbit's evaluation matrix in degree <= 8 has rank 30
+    lengths = []
+
+    def recording(vec, poly, rows):
+        lengths.append(len(vec))
+        lengths.extend(len(row) for _, row, _ in rows)
+        return _eliminate(vec, poly, rows)
+
+    monkeypatch.setattr(groebner_module, "_eliminate", recording)
+    fib = [0, 1]
+    while len(fib) < 481:
+        fib.append(fib[-1] + fib[-2])
+    for count in (120, 480):
+        lengths.clear()
+        basis = points_ideal([{"x": fib[i], "y": fib[i + 1]} for i in range(count)], ("x", "y"), max_degree=8)
+        assert [format_polynomial(g) for g in basis] == ["-2 * x * y^3 - x^2 * y^2 + 2 * x^3 * y + x^4 + y^4 - 1"]
+        assert lengths and max(lengths) <= 30
 
 
 def test_points_ideal_needs_integer_points():
