@@ -159,7 +159,7 @@ def cmd_eval(args) -> int:
 
 
 def _budget(args) -> Budget:
-    return Budget() if args.budget is None else Budget.scaled(args.budget)
+    return Budget() if args.budget is None else Budget(chain_additions=args.budget, max_basis=10 * args.budget)
 
 
 def _quotient(sf: SystemFile, target: str, paper_literal: bool):
@@ -357,6 +357,9 @@ def main(argv=None) -> int:
         return 1
     except WordmapsError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: the result does not fit in memory", file=sys.stderr)
         return 2
 
 

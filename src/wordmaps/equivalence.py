@@ -5,25 +5,28 @@ vector under the per-letter update maps.  A sequence identity holds for every
 input word exactly when its defining polynomial vanishes on that whole orbit.
 
 ``find_witness`` names the shortlex-least word at which a test polynomial t
-is nonzero, or proves there is none.  On affine systems (update polynomials
-of degree <= 1) it takes the span walk: the orbit walk below reads t at each
-new point, the first nonzero value names the witness, and a point is stepped
-only if its moment vector (the values of the monomials of degree <= deg t)
-is independent of the earlier ones.  Affine maps act linearly on moment
-vectors and t is linear in them, so m(v(w)) = sum c_i m(v(w_i)) over
-shortlex-smaller w_i gives t(v(uw)) = sum c_i t(v(uw_i)) for every word u:
-verdicts stay exact and witnesses minimal (Tzeng, SIAM J. Comput. 21, 1992;
-Benedikt, Duff, Sharad and Worrell, LICS 2017).
+is nonzero, or proves there is none; every exact entry reads its answer.
+On affine systems (update polynomials of degree <= 1) it takes the span
+walk: the orbit walk below reads t at each new point, the first nonzero
+value names the witness, and a point is stepped only if its moment vector
+(the values of the monomials of degree <= deg t) is independent of the
+earlier ones.  Affine maps act linearly on moment vectors and t is linear
+in them, so m(v(w)) = sum c_i m(v(w_i)) over shortlex-smaller w_i gives
+t(v(uw)) = sum c_i t(v(uw_i)) for every word u: verdicts stay exact and
+witnesses minimal (Tzeng, SIAM J. Comput. 21, 1992; Benedikt, Duff, Sharad
+and Worrell, LICS 2017).
 
-On other systems it takes the saturation pass over the ascending chain of
-ideals generated by the pull-backs g_w = t o P_w, where g_w(base) = t(v(w)).
-A FIFO queue of (wa, g_w) pairs, letters in order, meets the words in
-shortlex order, and one incremental ``groebner.GroebnerBasis`` tests and
-extends the chain.  g_wa is pulled back only when its pair is dequeued, so
-a witness leaves the queued pull-backs unbuilt, and from one power table per
-letter kept for the whole pass, so each power of an update polynomial is
-built once per decision.  The first g_w nonzero at the base vector names the
-minimal witness w, and an empty queue proves that t vanishes on the orbit: a
+On other systems the orbit walk first scans the words up to length 3, which
+answers shallow witnesses without a pull-back; only when it finds nothing
+does the saturation pass run, over the ascending chain of ideals generated
+by the pull-backs g_w = t o P_w, where g_w(base) = t(v(w)).  A FIFO queue
+of (wa, g_w) pairs, letters in order, meets the words in shortlex order,
+and one incremental ``groebner.GroebnerBasis`` tests and extends the chain.
+g_wa is pulled back only when its pair is dequeued, so a witness leaves the
+queued pull-backs unbuilt, and from one power table per letter kept for the
+whole pass, so each power of an update polynomial is built once per
+decision.  The first g_w nonzero at the base vector names the minimal
+witness w, and an empty queue proves that t vanishes on the orbit: a
 pull-back inside the ideal of earlier generators is not extended, as it and
 its extensions combine pull-backs at shortlex-smaller words, which vanish at
 the base.  The chain stabilizes (ascending chain condition), so the pass is
@@ -44,12 +47,13 @@ its generators vanish at the base vector and their pull-backs under every
 letter lie in J, so sigma_a(J) is inside J and J vanishes on the whole orbit
 (Sankaranarayanan, Sipma and Manna, POPL 2004).
 
-Sampling, the length-capped witness search and the span walk share one
-breadth-first orbit walk that visits each distinct value vector once, at its
-shortlex-least word: v(w) = v(w') implies v(uw) = v(uw') for every word u
-(Tzeng), so dropping repeats keeps witnesses minimal, and the walk ends on
-finite orbits.  ``sample_points`` and ``max_point_bits`` bound sampling;
-``max_point_bits`` and the length cap bound the capped search.
+Sampling, the capped walk (the scan, or ``find_witness`` with a
+``max_length``) and the span walk share one breadth-first orbit walk that
+visits each distinct value vector once, at its shortlex-least word:
+v(w) = v(w') implies v(uw) = v(uw') for every word u (Tzeng), so dropping
+repeats keeps witnesses minimal, and the walk ends on finite orbits.
+``sample_points`` and ``max_point_bits`` bound sampling; ``max_point_bits``
+and the length cap bound the capped walk.
 Resource limits raise ``BudgetExceededError``; a verdict is never traded for
 termination.
 """
@@ -92,9 +96,9 @@ class Budget:
 
     ``chain_additions`` bounds the saturation pass's additions and the span
     walk's rank, ``max_basis`` the pass's basis, ``max_degree`` the closure's
-    candidates.  ``sample_points`` and ``max_point_bits`` bound sampling and
-    ``find_witness(max_length=...)``; no verdict depends on them.  Each level
-    the walk passes adds a point, so sampled words are shorter than that.
+    candidates, ``sample_points`` sampling and ``max_point_bits`` sampling
+    and ``find_witness``'s capped walk; no verdict depends on those two.  Each
+    level the walk passes adds a point, so sampled words are shorter than that.
     """
 
     chain_additions: int = 400
@@ -106,10 +110,6 @@ class Budget:
     def fits(self, vec) -> bool:
         """Whether every value of the vector has at most ``max_point_bits`` bits."""
         return max(map(int.bit_length, vec.values()), default=0) <= self.max_point_bits
-
-    @classmethod
-    def scaled(cls, n: int) -> "Budget":
-        return cls(chain_additions=n, max_basis=10 * n)
 
 
 DEFAULT_BUDGET = Budget()
@@ -232,34 +232,34 @@ def find_witness(
     sys: PolynomialSystem, t: Polynomial, budget: Budget = DEFAULT_BUDGET, max_length=None
 ) -> Optional[Word]:
     """Shortest word (lexicographically first among its length) at which t
-    evaluates to a nonzero value.  With no ``max_length`` this is exact:
-    None iff t vanishes on the whole orbit.  With one, the orbit walk looks
-    no further than that length, and None means there is none up to it, or
-    none before values over ``max_point_bits`` bits cut the walk short."""
+    evaluates to a nonzero value.  With no ``max_length`` this is the exact
+    decision: the span walk on an affine system, else the capped walk to
+    length 3 and, when that finds nothing, the saturation pass; None iff t
+    vanishes on the whole orbit.  With one, only the capped walk runs, and
+    None means none up to that length, or none before values over
+    ``max_point_bits`` bits cut the walk short."""
     if not t.variables() <= set(sys.indices):
         raise DomainError("test polynomial mentions variables outside the system")
-    if max_length is None:
-        return _span_walk(sys, t, budget) if sys.degree <= 1 else _saturate(sys, t, budget)
+    if max_length is None and sys.degree <= 1:
+        return _span_walk(sys, t, budget)
+    cap = 3 if max_length is None else max_length
     for w, vec in _orbit(sys, budget.fits):
-        if len(w) > max_length:
+        if len(w) > cap:
             break
         if t.evaluate(vec) != 0:
             return w
         if not budget.fits(vec):
             # the unstepped vector's successors might precede a longer find
-            max_length = min(max_length, len(w))
-    return None
+            cap = min(cap, len(w))
+    return None if max_length is not None else _saturate(sys, t, budget)
 
 
 def decide_zero_on_reachables(
     sys: PolynomialSystem, t: Polynomial, budget: Budget = DEFAULT_BUDGET
 ) -> Verdict:
-    """Equal when t vanishes on the whole orbit, else NotEqual with the
-    minimal witness word.  Before the saturation pass, a numeric scan of the
-    words up to length 3 answers shallow witnesses without a pull-back."""
-    witness = None if sys.degree <= 1 else find_witness(sys, t, budget, max_length=3)
-    if witness is None:
-        witness = find_witness(sys, t, budget)
+    """The verdict of ``find_witness``: Equal when t vanishes on the whole
+    orbit, else NotEqual with the minimal witness word."""
+    witness = find_witness(sys, t, budget)
     return Equal() if witness is None else NotEqual(witness)
 
 

@@ -95,12 +95,9 @@ class Level3Mapping:
     first_index: str
     second: HDT0LSystem | LinearRepresentation
 
-    def stage1(self, w: Word) -> Word:
-        return eval_catenative(self.first, self.first_index, w)
-
     def eval(self, w: Word) -> Word:
         """The output word of an HDT0L second stage, from the stage-1 word."""
-        return eval_hdt0l(self.second, self.stage1(w))
+        return eval_hdt0l(self.second, eval_catenative(self.first, self.first_index, w))
 
     @cached_property
     def representation(self) -> LinearRepresentation:

@@ -388,12 +388,9 @@ def _parse_poly(blk) -> PolynomialSystem:
         (i, a): blk.convert(lineno, f"in rule {i}({a} w)", lambda t: parse_polynomial(t, indices), rhs)
         for (i, a, _), (lineno, rhs) in rules.items()
     }
-    base = {}
-    for i, (lineno, rhs) in bases.items():
-        value = blk.convert(lineno, f"in base {i}(eps)", lambda t: parse_polynomial(t, ()), rhs)
-        if not value.is_constant() or value.constant_value().denominator != 1:
-            raise blk.error(f"base of {i!r} must be an integer", lineno)
-        base[i] = value.constant_value().numerator
+    # no variables and no division, so each base value is an int
+    base = {i: blk.convert(lineno, f"in base {i}(eps)", lambda t: parse_polynomial(t, ()), rhs).constant_value()
+            for i, (lineno, rhs) in bases.items()}
     inp, ring = blk.words("input"), blk.one("ring", "N")
     blk.done()
     return PolynomialSystem.make(indices, inp, steps, base, ring=ring)

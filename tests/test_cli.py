@@ -1,5 +1,8 @@
+import os
 import re
 import shlex
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -256,6 +259,22 @@ def test_an_integer_argument_that_fits_no_memory_is_an_error(capsys):
     code, out, err = run_cli(capsys, "eval", "fibonacci", "F", "999999999999999999")
     assert (code, out) == (2, "")
     assert err == "error: a word of 999999999999999999 letters does not fit in memory\n"
+
+
+def test_a_result_that_fits_no_memory_is_an_error():
+    # the word b^F(101) outgrows a 400 MB address space, which the child
+    # process sets for itself alone
+    pytest.importorskip("resource")
+    script = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))\n"
+        "from wordmaps.cli import main\n"
+        "sys.exit(main(['eval', 'gmap', 'fibword', '101']))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "error: the result does not fit in memory\n"
 
 
 def test_a_digit_that_is_not_decimal_is_not_an_integer_argument(capsys):

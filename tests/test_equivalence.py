@@ -24,13 +24,13 @@ from wordmaps.equivalence import (
     vanishes_on_reachables,
     zariski_closure,
 )
-from wordmaps.errors import BudgetExceededError, DomainError
+from wordmaps.errors import BudgetExceededError, DomainError, WordmapsError
 from wordmaps.groebner import Ideal, groebner, normal_form
 from wordmaps.lowering import catenative_to_hdt0l, compose_level3, skolem_product_system
 from wordmaps.morphisms import LinearRepresentation
 from wordmaps.polynomials import Polynomial
 from wordmaps.recurrences import CatenativeSystem, PolynomialSystem, eval_polynomial, eval_polynomial_vector
-from wordmaps.systemfile import parse_file
+from wordmaps.systemfile import format_declaration, parse_file
 
 from conftest import standard_monomial_count
 
@@ -143,9 +143,13 @@ _FIB_REP = LinearRepresentation.make((1, 0), {"b": ((1, 1), (1, 0))}, (1, 0))
          "closure generators above the degree budget remain; raise the budget"),
         (lambda: find_witness(fib_pair(), P("F") - P("zz")), DomainError,
          "test polynomial mentions variables outside the system"),
+        (lambda: parse_file("poly p {\n  input: a\n  A(eps) = 1\n  A(a w) = A\n}\n").resolve("p", "cat"),
+         DomainError, "'p' is a poly, expected cat"),
+        (lambda: format_declaration("nope", "k", fib_pair()), DomainError, "cannot format kind 'nope'"),
     ],
     ids=["decide_equal.a", "decide_equal.b", "FractionPresentation", "compose_level3", "catenative_to_hdt0l",
-         "skolem.u", "skolem.v", "zariski_closure-degree", "find_witness-variable"],
+         "skolem.u", "skolem.v", "zariski_closure-degree", "find_witness-variable", "resolve-kind",
+         "format_declaration-kind"],
 )
 def test_every_library_refusal_names_its_cause(call, error, message):
     with pytest.raises(error) as err:
@@ -756,6 +760,80 @@ def test_witness_search_stops_where_unstepped_values_could_hide_a_smaller_witnes
     assert find_witness(sys, t, max_length=10000) == ("a", "a", "a")
     assert find_witness(sys, t, Budget(max_point_bits=4), max_length=10000) is None
     assert find_witness(sys, t, Budget(max_point_bits=4)) == ("a", "a", "a")
+
+
+def test_every_exact_entry_runs_the_shallow_scan():
+    # squaring from 2: t = X - 2 vanishes at the base, so the saturation pass
+    # would add t to its chain and exceed a budget of no additions; the scan
+    # meets a (X = 4) first
+    square = PolynomialSystem.make(("X",), {"a"}, {("X", "a"): P("X") * P("X")}, {"X": 2})
+    t, budget = P("X") - 2, Budget(chain_additions=0)
+    with pytest.raises(BudgetExceededError):
+        _saturate(square, t, budget)
+    assert find_witness(square, t, budget) == ("a",)
+    assert vanishes_on_reachables(square, t, budget) is False
+    assert decide_zero_on_reachables(square, t, budget) == NotEqual(("a",))
+
+
+def test_the_exact_entries_agree_with_each_other_and_brute_force():
+    from hypothesis import assume, given, settings
+    from hypothesis import strategies as st
+
+    @st.composite
+    def case(draw):
+        indices = ("x", "y")[: draw(st.integers(1, 2))]
+        letters = ("a", "b")[: draw(st.integers(1, 2))]
+        monomials = [Polynomial.const(1)] + [P(i) for i in indices]
+        monomials += [P(i) * P(j) for k, i in enumerate(indices) for j in indices[k:]]
+
+        def poly(coefficients, degree=2):
+            return sum((draw(coefficients) * m for m in monomials if m.degree() <= degree), Polynomial.zero())
+
+        rules = {(i, a): poly(st.integers(-2, 2)) for i in indices for a in letters}
+        base = {i: draw(st.integers(-3, 3)) for i in indices}
+        sys = PolynomialSystem.make(indices, letters, rules, base, ring="Z")
+        assume(sys.degree > 1)
+        # t vanishes at two words of length <= 3, or at one when it is a
+        # quadratic q - q(v(w)); the k-th factor often at the k-th word, so
+        # that witnesses lie deeper
+        words = list(_shortlex(letters, 3))
+        t = Polynomial.const(1)
+        for k, degree in enumerate((1, 1) if draw(st.booleans()) else (2,)):
+            q = poly(st.integers(-2, 2), degree)
+            w = words[k] if draw(st.booleans()) else draw(st.sampled_from(words))
+            t = t * (q - q.evaluate(eval_polynomial_vector(sys, w)))
+        budget = Budget(chain_additions=draw(st.sampled_from([0, 1, 3, 20])),
+                        max_basis=draw(st.sampled_from([2, 200])))
+        return sys, t, budget
+
+    def outcome(call):
+        try:
+            return call()
+        except WordmapsError as e:
+            return type(e)
+
+    @settings(deadline=None, max_examples=200)
+    @given(case())
+    def check(drawn):
+        sys, t, budget = drawn
+        witness = outcome(lambda: find_witness(sys, t, budget))
+        vanishes = outcome(lambda: vanishes_on_reachables(sys, t, budget))
+        verdict = outcome(lambda: decide_zero_on_reachables(sys, t, budget))
+        if isinstance(witness, type):
+            assert vanishes is verdict is witness
+            return
+        assert vanishes == (witness is None)
+        assert verdict == (Equal() if witness is None else NotEqual(witness))
+        first = next(
+            (w for w in _shortlex(sys.input_alphabet, 5) if t.evaluate(eval_polynomial_vector(sys, w)) != 0),
+            None,
+        )
+        if witness is None or len(witness) > 5:
+            assert first is None
+        else:
+            assert witness == first
+
+    check()
 
 
 def test_the_walk_matches_brute_force_over_words():

@@ -149,7 +149,7 @@ def test_compose_level3_staged_equals_direct():
         i0 = rng.choice(g.indices)
         m = compose_level3(g, i0, h)
         for w in _all_words(sorted(g.input_alphabet), 4):
-            assert m.eval(w) == eval_hdt0l(h, m.stage1(w))
+            assert m.eval(w) == eval_hdt0l(h, eval_catenative(m.first, m.first_index, w))
             assert m.value(w) == len(m.eval(w))
 
 

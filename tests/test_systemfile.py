@@ -263,6 +263,25 @@ REFUSED_LAST_LINES = [
     ("linrep", "mat x = [ 1 0 / 0 1 ]", "two matrices for letter 'x'", "linrep-two-mats"),
     ("reg", "step: c a -> c", "two steps for state 'c' on letter 'a'", "reg-two-steps"),
     ("pda", "q , a , A -> q , push_1()", "push needs at least one symbol", "pda-empty-push"),
+    ("reg", "f(eps) @q = b", "base cases take no @class", "reg-base-class"),
+    ("reg", "step: q a q", "classifier step must be 'STATE LETTER -> STATE'", "reg-step-arrow"),
+]
+
+# (kind, a whole body that is refused, the line of the refusal, the refusal,
+# the case id): a statement that cannot stand, or a directive that is missing
+# or contradicts the data
+REFUSED_BODIES = [
+    ("cat", ["input: a", "output: b", "f(eps) = b", "f(a w) = f(a w)"], 5, "cat rules take no shift letters",
+     "cat-shift"),
+    ("comp", ["input: a", "working: x", "H(eps) = { x y }", "H(a w) = H(w)"], 4, "bad homomorphism rule 'x y'",
+     "comp-base-no-arrow"),
+    ("comp", ["input: a", "working: x", "H(eps) = x -> x", "H(a w) = H(w)"], 4, "expected a homomorphism body",
+     "comp-base-no-braces"),
+    ("hdt0l", VALID_BODIES["hdt0l"][0][:-1], 1, "hdt0l k needs 'final ='", "hdt0l-no-final"),
+    ("linrep", ["letters: x", "dim: 2", "row: 1 0", "col: 1 0"], 1, "linrep k needs at least one 'mat'",
+     "linrep-no-mat"),
+    ("linrep", ["dim: 2", "row: 1", "mat x = [ 1 ]", "col: 1"], 2, "declared dim 2 does not match the data",
+     "linrep-dim"),
 ]
 
 
@@ -283,6 +302,8 @@ def _malformed_cases():
     for kind, last, wanted, case in REFUSED_LAST_LINES:
         body = VALID_BODIES[kind][0]
         yield pytest.param(_block(kind, body + [last]), len(body) + 2, wanted, id=case)
+    for kind, body, line, wanted, case in REFUSED_BODIES:
+        yield pytest.param(_block(kind, body), line, wanted, id=case)
 
 
 @pytest.mark.parametrize("kind", VALID_BODIES)
