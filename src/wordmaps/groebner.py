@@ -18,7 +18,16 @@ step.  Results are made monic (or rescaled to the exact remainder) on the way
 out.  A ``GroebnerBasis`` is completed incrementally (Gebauer and Moeller,
 J. Symb. Comp. 6, 1988): ``add`` queues only the new element's S-pairs.
 ``groebner`` returns its reduced form, deterministic given the generators, the
-variable sequence, and the order.
+variable sequence, and the order.  A variable sequence names each variable once.
+
+A lex basis starts from the grevlex one.  If its leading terms hold a pure
+power of every variable (the ideal is zero-dimensional, or 1 leads the unit
+ideal), the lex basis comes by linear algebra over the quotient (Faugere,
+Gianni, Lazard and Mora, J. Symb. Comp. 16, 1993): for a quotient of
+dimension D, at most n*D + 1 normal forms, each a sparse vector reduced
+against the earlier ones, so the cost stays near-linear in D while the normal
+forms stay sparse.  Otherwise lex Buchberger runs from the generators, after
+the grevlex basis it could not use.
 """
 
 from __future__ import annotations
@@ -82,6 +91,15 @@ def _widening(codec: _Codec, compute):
             return compute(codec)
         except _Overflow:
             codec = _Codec(*codec.spec, 2 * codec.width)
+
+
+def _distinct(variables: Iterable[str]) -> tuple[str, ...]:
+    """The variable sequence as a tuple; a DomainError names a repeated variable."""
+    variables = tuple(variables)
+    if len(set(variables)) < len(variables):
+        repeated = next(v for i, v in enumerate(variables) if v in variables[:i])
+        raise DomainError(f"variable {repeated!r} repeats in the variable sequence")
+    return variables
 
 
 def _to_internal(p: Polynomial, variables: Sequence[str], codec: _Codec) -> tuple[dict[int, int], Fraction]:
@@ -162,6 +180,34 @@ def _reduce(p: dict, basis: list[dict], lts: list[int], codec: _Codec) -> tuple[
     return rem, s
 
 
+def _eliminate_sparse(vec: dict, poly: dict, rows: dict) -> tuple[dict, dict]:
+    """Reduce the sparse vector vec, and the polynomial poly it carries, against
+    rows keyed by their largest monomial, fraction-free as ``_eliminate`` does,
+    until vec is empty or its largest monomial keys no row; the pair's content
+    is divided out once, after the last row step."""
+    stepped = False
+    while vec and (top := max(vec)) in rows:
+        row, row_poly = rows[top]
+        d, c = row[top], vec[top]
+        g = math.gcd(c, d)
+        d, c = d // g, c // g
+        for out, sub in ((vec, row), (poly, row_poly)):
+            for m in out:
+                out[m] *= d
+            for m, b in sub.items():
+                if v := out.get(m, 0) - c * b:
+                    out[m] = v
+                else:
+                    out.pop(m, None)
+        stepped = True
+    if stepped:
+        g = math.gcd(*vec.values(), *poly.values())
+        if g > 1:
+            vec = {m: a // g for m, a in vec.items()}
+            poly = {m: a // g for m, a in poly.items()}
+    return vec, poly
+
+
 def _spoly(f: dict, g: dict, codec: _Codec) -> dict:
     """lc(g)*(l/lt(f))*f - lc(f)*(l/lt(g))*g for l the lcm of the leading
     terms: lc(f)*lc(g) times the S-polynomial of the monic f and g."""
@@ -182,12 +228,14 @@ class GroebnerBasis:
     """A minimal Groebner basis of primitive integer polynomials G, with leading
     terms LT, packed by ``codec``.  Pending S-pairs (lcm, i, j), i > j, wait in
     one heap and are skipped by the product and chain criteria.  ``peak`` is
-    the largest size an appended element brought G to; over ``max_basis`` it raises."""
+    the largest size an appended element brought G to, and for a lex basis
+    also the grevlex completion's peak and the size of a converted basis;
+    over ``max_basis`` it raises."""
 
     def __init__(self, gens: Iterable[Polynomial], variables: Sequence[str], order: str = "grevlex",
                  max_basis: Optional[int] = None):
         gens = [p for p in gens if not p.is_zero()]
-        self.variables = tuple(variables)
+        self.variables = _distinct(variables)
         self.codec = _codec(order, len(self.variables), max((p.degree() for p in gens), default=0))
         self.max_basis = max_basis
         self.G: list[dict] = []
@@ -197,9 +245,84 @@ class GroebnerBasis:
         self._done: set[tuple[int, int]] = set()
         # every pair among the first _old elements is treated
         self._old = 0
+        if order == "lex":
+            grevlex = GroebnerBasis(gens, self.variables, "grevlex", max_basis)
+            self.peak = grevlex.peak
+            # variable index -> exponent of the leading term that is a power
+            # of that variable alone (every index, exponent 0, when 1 leads the
+            # unit ideal); one for every variable means a zero-dimensional ideal
+            n = len(self.variables)
+            pure = {i: e[i] for e in map(grevlex.codec.unpack, grevlex.LT) for i in range(n) if e[i] == sum(e)}
+            if len(pure) == n:
+                self._convert(grevlex, sum(pure.values()))
+                return
         for p in gens:
             self._push(_to_internal(p, self.variables, self.codec)[0])
         self._complete()
+
+    def _convert(self, grevlex: "GroebnerBasis", degree: int) -> None:
+        """Take the lex basis from the zero-dimensional (or unit) ideal's grevlex
+        basis, whose pure powers' exponents sum to degree, by linear algebra
+        over its quotient (FGLM: Faugere, Gianni, Lazard and Mora, J. Symb.
+        Comp. 16, 1993).  Monomials t are visited in increasing lex order,
+        skipping multiples of the lex leading terms found so far; each is
+        x_i*s for s lex-standard, so its normal form N(t) is the remainder of
+        x_i*N(s) by the reduced grevlex basis, a sparse dict over
+        grevlex-packed monomials.  N(t) is reduced against the rows of the
+        standard monomials before t, carrying its lex polynomial: if it reduces
+        to zero, the polynomial is the reduced basis element with leading term
+        t; otherwise t is standard.  For a quotient of dimension D this takes
+        at most n*D + 1 normal forms, and lex exponents up to D."""
+        G, old, n = grevlex._tails(), grevlex.codec, len(self.variables)
+        # no monomial of the reduced grevlex basis, and no standard monomial
+        # times a variable, has a degree above the pure powers' sum
+        gc = _codec("grevlex", n, degree)
+        if gc is not old:
+            G = [{gc.pack(old.unpack(m)): c for m, c in g.items()} for g in G]
+        LT = [max(g) for g in G]
+
+        def convert(codec):
+            # the normal form of each standard monomial s as (N, d): N/d, N primitive
+            forms: dict[int, tuple[dict[int, int], int]] = {}
+            # echelon rows by their largest monomial: (vector, the lex polynomial
+            # whose normal form it is)
+            rows: dict[int, tuple[dict[int, int], dict[int, int]]] = {}
+            basis, leads = [], []
+            # (t, i, s) with t = x_i*s; the monomial 1 has i = -1
+            queue, queued = [(0, -1, 0)], {0}
+            while queue:
+                t, i, s = heapq.heappop(queue)
+                if any(not (t - lead) & codec.guard for lead in leads):
+                    continue
+                if t & codec.full:
+                    raise _Overflow
+                if i < 0:
+                    p, d = {0: 1}, 1
+                else:
+                    form, d = forms[s]
+                    p = {m + gc.cols[i]: c for m, c in form.items()}
+                r, scale = _reduce(p, G, LT, gc)
+                d *= scale
+                g = math.gcd(d, *r.values())
+                if g > 1:
+                    r, d = {m: c // g for m, c in r.items()}, d // g
+                vec, poly = _eliminate_sparse(dict(r), {t: d}, rows)
+                if not vec:
+                    basis.append(poly)
+                    leads.append(t)
+                    continue
+                rows[max(vec)] = vec, poly
+                forms[t] = r, d
+                for i, x in enumerate(codec.cols):
+                    if t + x not in queued:
+                        queued.add(t + x)
+                        heapq.heappush(queue, (t + x, i, t))
+            return basis, leads
+
+        self.G, self.LT = self._widening(convert)
+        self.peak = max(self.peak, len(self.G))
+        self.check_budget(self.max_basis)
+        self._old = len(self.G)
 
     def _widening(self, compute):
         """``_widening`` that repacks the basis to each wider codec; the pairs stay a heap."""
@@ -230,8 +353,8 @@ class GroebnerBasis:
         if max_basis is not None and self.peak > max_basis:
             raise BudgetExceededError(f"Groebner basis exceeded the size budget ({max_basis})")
 
-    def reduced(self) -> list[Polynomial]:
-        """The reduced monic basis, by decreasing leading term."""
+    def _tails(self) -> list[dict]:
+        """G with each element's tail reduced by the others, made primitive."""
         def tails(codec):
             G = list(self.G)
             # one pass suffices: the leading terms never change, so an element
@@ -240,7 +363,11 @@ class GroebnerBasis:
                 G[i] = _primitive(_reduce(g, G[:i] + G[i + 1:], self.LT[:i] + self.LT[i + 1:], codec)[0])
             return G
 
-        G = self._widening(tails)
+        return self._widening(tails)
+
+    def reduced(self) -> list[Polynomial]:
+        """The reduced monic basis, by decreasing leading term."""
+        G = self._tails()
         ranked = sorted(zip(self.LT, G), key=lambda tg: tg[0], reverse=True)
         return [_from_internal(g, self.variables, Fraction(1, g[t]), self.codec) for t, g in ranked]
 
@@ -304,8 +431,7 @@ def s_polynomial(f: Polynomial, g: Polynomial, variables: Optional[Sequence[str]
                  order: str = "grevlex") -> Polynomial:
     if f.is_zero() or g.is_zero():
         raise DomainError("the S-polynomial of a zero polynomial is undefined")
-    if variables is None:
-        variables = default_variables([f, g])
+    variables = default_variables([f, g]) if variables is None else _distinct(variables)
 
     def compute(codec):
         fi, gi = _to_internal(f, variables, codec)[0], _to_internal(g, variables, codec)[0]
@@ -323,7 +449,7 @@ def normal_form(p: Polynomial, basis: Iterable[Polynomial], variables: Optional[
     basis = [g for g in basis if not g.is_zero()]
     if variables is None:
         variables = default_variables(basis)
-    variables = tuple(variables) + tuple(sorted(p.variables() - set(variables)))
+    variables = _distinct(variables) + tuple(sorted(p.variables() - set(variables)))
 
     def compute(codec):
         internal = [_to_internal(g, variables, codec)[0] for g in basis]
@@ -339,7 +465,7 @@ class Ideal:
 
     def __init__(self, generators: Iterable[Polynomial], variables=None):
         self.generators = tuple(g for g in generators if not g.is_zero())
-        self._variables = default_variables(self.generators) if variables is None else tuple(variables)
+        self._variables = default_variables(self.generators) if variables is None else _distinct(variables)
         self._bases: dict[str, GroebnerBasis] = {}
 
     def variables(self) -> tuple[str, ...]:
@@ -460,7 +586,7 @@ def points_ideal(points: Iterable[Mapping[str, int]], variables: Sequence[str],
     value): the elimination is fraction-free, on integer vectors whose
     content ``_eliminate`` divides out once per reduction.
     """
-    variables = tuple(variables)
+    variables = _distinct(variables)
     pts = []
     for p in points:
         for v in variables:

@@ -25,7 +25,7 @@ from wordmaps.equivalence import (
     zariski_closure,
 )
 from wordmaps.errors import BudgetExceededError, DomainError, WordmapsError
-from wordmaps.groebner import Ideal, groebner, normal_form
+from wordmaps.groebner import GroebnerBasis, Ideal, groebner, normal_form, points_ideal, s_polynomial
 from wordmaps.lowering import catenative_to_hdt0l, compose_level3, skolem_product_system
 from wordmaps.morphisms import LinearRepresentation
 from wordmaps.polynomials import Polynomial
@@ -146,10 +146,23 @@ _FIB_REP = LinearRepresentation.make((1, 0), {"b": ((1, 1), (1, 0))}, (1, 0))
         (lambda: parse_file("poly p {\n  input: a\n  A(eps) = 1\n  A(a w) = A\n}\n").resolve("p", "cat"),
          DomainError, "'p' is a poly, expected cat"),
         (lambda: format_declaration("nope", "k", fib_pair()), DomainError, "cannot format kind 'nope'"),
+        # a repeated variable would give two fields to one name
+        (lambda: GroebnerBasis([P("x") - 1], ("x", "y", "x")), DomainError,
+         "variable 'x' repeats in the variable sequence"),
+        (lambda: groebner([P("x") - 1], ("y", "x", "y"), "lex"), DomainError,
+         "variable 'y' repeats in the variable sequence"),
+        (lambda: normal_form(P("x"), [P("x") - 1], ("x", "x")), DomainError,
+         "variable 'x' repeats in the variable sequence"),
+        (lambda: s_polynomial(P("x"), P("x") - 1, ("x", "x")), DomainError,
+         "variable 'x' repeats in the variable sequence"),
+        (lambda: points_ideal([{"x": 1}, {"x": 2}], ["x", "x"]), DomainError,
+         "variable 'x' repeats in the variable sequence"),
+        (lambda: Ideal([P("x") - 1], ("x", "x")), DomainError, "variable 'x' repeats in the variable sequence"),
     ],
     ids=["decide_equal.a", "decide_equal.b", "FractionPresentation", "compose_level3", "catenative_to_hdt0l",
          "skolem.u", "skolem.v", "zariski_closure-degree", "find_witness-variable", "resolve-kind",
-         "format_declaration-kind"],
+         "format_declaration-kind", "GroebnerBasis-repeat", "groebner-repeat", "normal_form-repeat",
+         "s_polynomial-repeat", "points_ideal-repeat", "Ideal-repeat"],
 )
 def test_every_library_refusal_names_its_cause(call, error, message):
     with pytest.raises(error) as err:

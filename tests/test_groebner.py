@@ -464,6 +464,12 @@ def test_field_overflow_repacks_at_twice_the_width(monkeypatch):
     assert basis.add(z**5000 - 1)
     assert basis.codec.width == 16
     assert basis.reduced() == [x - y, z**5000 - 1]
+    # a zero-dimensional ideal takes its lex basis from the grevlex one; the
+    # conversion meets y^64 above the 8-bit fields and is redone at 16 bits
+    widths.clear()
+    basis = GroebnerBasis([x**8 - y - 1, y**8 - x - 2], ("x", "y"), "lex")
+    assert widths[-2:] == [8, 16] and basis.codec.width == 16
+    assert [g.degree() for g in basis.reduced()] == [8, 64]
 
 
 def test_repacking_keeps_every_stored_monomial_in_range():
@@ -479,17 +485,117 @@ def test_repacking_keeps_every_stored_monomial_in_range():
 
     # the first ideal meets y^600 in an S-polynomial, whose remainder is
     # stored with no reduction step to check it; the second one overflows
-    # while two S-pairs wait (sympy's lex bases are the ones asserted)
-    for gens, want in [
-        ([x * z - y**300, x * y**300 - 1], [x * y**300 - 1, x * z - y**300, y**600 - z]),
-        ([x - y**300, x**2 - z, x * z - 1], [x - z**2, y**300 - z**2, z**3 - 1]),
+    # while two S-pairs wait (sympy's lex bases are the ones asserted).  Both
+    # are positive-dimensional, so lex Buchberger computes them: the second is
+    # zero-dimensional in x, y, z, and a free fourth variable w keeps it off
+    # the conversion from grevlex with the same S-pairs
+    for gens, variables, want in [
+        ([x * z - y**300, x * y**300 - 1], ("x", "y", "z"), [x * y**300 - 1, x * z - y**300, y**600 - z]),
+        ([x - y**300, x**2 - z, x * z - 1], ("x", "y", "z", "w"), [x - z**2, y**300 - z**2, z**3 - 1]),
     ]:
         waiting = {}
-        basis = Checked(gens, ("x", "y", "z"), "lex")
+        basis = Checked(gens, variables, "lex")
         assert sorted(waiting) == [11, 22]
         assert not any(m & basis.codec.full for g in basis.G for m in g)
         assert basis.reduced() == want
     assert waiting[22] == 2
+
+
+def _sympy_poly(sympy, p, names):
+    return sympy.Poly.from_dict(
+        {tuple(dict(m).get(v, 0) for v in names): c for m, c in p.terms.items()},
+        *sympy.symbols(names), domain="QQ",
+    )
+
+
+def test_lex_conversion_against_sympy(monkeypatch):
+    sympy = pytest.importorskip("sympy")
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    converted = []
+    convert = GroebnerBasis._convert
+    monkeypatch.setattr(GroebnerBasis, "_convert", lambda self, *a: converted.append(1) or convert(self, *a))
+    coeff = st.integers(-3, 3) | st.fractions(-3, 3, max_denominator=4)
+
+    def polys(variables, top):
+        exps = st.tuples(*[st.integers(0, top)] * len(variables)).filter(lambda e: sum(e) <= top)
+        mono = exps.map(lambda e: tuple((v, k) for v, k in zip(variables, e) if k))
+        return st.dictionaries(mono, coeff, min_size=1, max_size=3).map(Polynomial)
+
+    @st.composite
+    def ideals(draw):
+        """Zero-dimensional by construction: a univariate generator of degree 1-3
+        per variable and up to two more of degree <= 2 (mostly the unit ideal
+        when there are any), or x_i^d_i plus terms of lower total degree per
+        variable, whose quotients are larger; as controls, the unit ideal, a
+        variable no generator mentions (positive-dimensional), and one of the
+        per-variable generators dropped (either kind)."""
+        variables = ("x", "y", "z")[: draw(st.integers(1, 3))]
+        kind = draw(st.sampled_from(["zero-dimensional", "pure powers", "unit", "free", "dropped"]))
+        gens = []
+        for v in variables:
+            degree = draw(st.integers(1, 3))
+            if kind == "pure powers":
+                gens.append(Polynomial.var(v) ** degree + draw(polys(variables, degree - 1)))
+                continue
+            lead = draw(coeff.filter(bool))
+            tail = draw(st.lists(coeff, min_size=degree, max_size=degree))
+            gens.append(Polynomial({((v, degree),): lead, **{((v, k),) if k else (): c for k, c in enumerate(tail)}}))
+        if kind != "pure powers":
+            gens += draw(st.lists(polys(variables, 2).filter(bool), max_size=2))
+        if kind == "unit":
+            gens.insert(draw(st.integers(0, len(gens))), Polynomial.const(draw(coeff.filter(bool))))
+        elif kind == "free":
+            variables = (*variables, "w")
+        elif kind == "dropped":
+            del gens[draw(st.integers(0, len(variables) - 1))]
+        probe = draw(polys(variables, 3))
+        member = sum((g * draw(polys(variables, 1)) for g in gens), Polynomial.zero())
+        return kind, variables, gens, probe, member
+
+    @settings(deadline=None, max_examples=150)
+    @given(ideals())
+    def check(case):
+        kind, variables, gens, probe, member = case
+        converted.clear()
+        ours = groebner(gens, variables, "lex")
+        if kind != "dropped":
+            # a free variable leaves the ideal positive-dimensional, unless a
+            # random generator is a constant
+            assert bool(converted) == (kind != "free" or ours == [Polynomial.const(1)])
+        theirs = sympy.groebner([_sympy_poly(sympy, g, variables) for g in gens], *sympy.symbols(variables),
+                                order="lex", domain="QQ")
+        assert [_sympy_poly(sympy, g, variables) for g in ours] == list(theirs.polys), [str(g) for g in gens]
+        ideal = Ideal(gens, variables)
+        for p in (probe, member, probe + member):
+            assert ideal.contains(p, "lex") == ideal.contains(p)
+        assert ideal.contains(member, "lex")
+
+    check()
+
+
+def test_lex_conversion_work_is_bounded_and_its_exponents_widen(monkeypatch):
+    sympy = pytest.importorskip("sympy")
+    calls = []
+    reduce = groebner_module._reduce
+    monkeypatch.setattr(groebner_module, "_reduce", lambda *a: calls.append(1) or reduce(*a))
+    for k in (10, 20, 40):
+        # the quotient has dimension D = k^2: every standard monomial takes
+        # one normal form, and at most n*D + 1 are taken in all
+        gens = [x**k - 1, y**k - 1]
+        calls.clear()
+        GroebnerBasis(gens, ("x", "y"))._tails()
+        grevlex = len(calls)
+        calls.clear()
+        basis = GroebnerBasis(gens, ("x", "y"), "lex")
+        assert k * k <= len(calls) - grevlex <= 2 * k * k + 1
+        assert basis.reduced() == gens
+    # y^64 leads a lex basis element: above the fields the inputs' degrees give
+    gens = [x**8 - y - 1, y**8 - x - 2]
+    theirs = sympy.groebner([_sympy_poly(sympy, g, ("x", "y")) for g in gens], *sympy.symbols("x y"),
+                            order="lex", domain="QQ")
+    assert [_sympy_poly(sympy, g, ("x", "y")) for g in groebner(gens, ("x", "y"), "lex")] == list(theirs.polys)
 
 
 # ---------------------------------------------------------------------------
