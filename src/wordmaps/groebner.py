@@ -11,23 +11,27 @@ first, has none.  Comparing monomials compares ints, multiplying adds them,
 and a divides b iff b - a sets no guard bit.  W follows the inputs' degrees; a
 field reaching 2^(W-2) raises ``_Overflow`` and the work is redone at 2W, so
 no field wraps.  Heap division (Monagan and Pearce, J. Symb. Comp. 46, 2011)
-cross-multiplies by leading coefficients.  The ideal of a point set comes
-from fraction-free elimination of integer evaluation vectors over its pivot
-points only, each reduction dividing out its content once, after its last row
-step.  Results are made monic (or rescaled to the exact remainder) on the way
-out.  A ``GroebnerBasis`` is completed incrementally (Gebauer and Moeller,
-J. Symb. Comp. 6, 1988): ``add`` queues only the new element's S-pairs.
-``groebner`` returns its reduced form, deterministic given the generators, the
-variable sequence, and the order.  A variable sequence names each variable once.
+cross-multiplies by leading coefficients.  Results are made monic (or
+rescaled to the exact remainder) on the way out.  A ``GroebnerBasis`` is
+completed incrementally (Gebauer and Moeller, J. Symb. Comp. 6, 1988):
+``add`` queues only the new element's S-pairs.  ``groebner`` returns its
+reduced form, deterministic given the generators, the variable sequence, and
+the order.  A variable sequence names each variable once.
 
-A lex basis starts from the grevlex one.  If its leading terms hold a pure
-power of every variable (the ideal is zero-dimensional, or 1 leads the unit
-ideal), the lex basis comes by linear algebra over the quotient (Faugere,
-Gianni, Lazard and Mora, J. Symb. Comp. 16, 1993): for a quotient of
-dimension D, at most n*D + 1 normal forms, each a sparse vector reduced
-against the earlier ones, so the cost stays near-linear in D while the normal
-forms stay sparse.  Otherwise lex Buchberger runs from the generators, after
-the grevlex basis it could not use.
+The ideal of a finite point set, and the lex basis of a zero-dimensional
+ideal from its grevlex one, come from one walk over an ideal given by linear
+functionals (Marinari, Moeller and Mora, AAECC 4, 1993): monomials t = x_i*s,
+s standard, are visited in increasing order, skipping multiples of the leading
+terms found so far; if t's vector depends on those of the standard monomials
+before it, the dependency is the basis element with leading term t, else t is
+standard.  For points (Buchberger-Moeller) the vector holds t's values,
+eliminated fraction-free over pivot points only, the content divided out once
+per reduction.  For a lex basis (FGLM: Faugere, Gianni, Lazard and Mora, J.
+Symb. Comp. 16, 1993) it is t's sparse normal form modulo the grevlex basis,
+at most n*D + 1 of them for a quotient of dimension D.  A lex basis takes this
+route when the grevlex leading terms hold a pure power of every variable (the
+ideal is zero-dimensional, or 1 leads the unit ideal); otherwise lex
+Buchberger runs from the generators.
 """
 
 from __future__ import annotations
@@ -120,6 +124,8 @@ def _from_internal(d: dict[int, int], variables: Sequence[str], scale: Fraction,
     """The polynomial scale*d, for a nonzero Fraction scale, its monomials
     spelled in variable-name order whatever the order of the sequence."""
     mask, spell = codec.mask, sorted(zip(variables, codec.shifts))
+    if scale.denominator == 1:
+        scale = scale.numerator  # int products, as for 1/lc with lc = 1 or -1
     return _normalised({tuple([(v, e) for v, s in spell if (e := m >> s & mask)]): c * scale
                         for m, c in d.items()})
 
@@ -208,6 +214,30 @@ def _eliminate_sparse(vec: dict, poly: dict, rows: dict) -> tuple[dict, dict]:
     return vec, poly
 
 
+def _walk(codec: _Codec, dependency, stop: Optional[int] = None) -> tuple[list, list[int]]:
+    """The basis elements and leading terms of the module docstring's walk over
+    the monomials below stop: dependency(t, i, s), for t = x_i*s (i = -1 for
+    t = 1), returns the basis element with leading term t, or None if t is standard."""
+    basis, leads = [], []
+    queue, queued = [(0, -1, 0)], {0}
+    while queue:
+        t, i, s = heapq.heappop(queue)
+        if stop is not None and t >= stop:
+            break
+        if leads and any(not (t - lead) & codec.guard for lead in leads):
+            continue
+        g = dependency(t, i, s)
+        if g is not None:
+            basis.append(g)
+            leads.append(t)
+            continue
+        for j, x in enumerate(codec.cols):
+            if t + x not in queued:
+                queued.add(t + x)
+                heapq.heappush(queue, (t + x, j, t))
+    return basis, leads
+
+
 def _spoly(f: dict, g: dict, codec: _Codec) -> dict:
     """lc(g)*(l/lt(f))*f - lc(f)*(l/lt(g))*g for l the lcm of the leading
     terms: lc(f)*lc(g) times the S-polynomial of the monic f and g."""
@@ -254,48 +284,45 @@ class GroebnerBasis:
             n = len(self.variables)
             pure = {i: e[i] for e in map(grevlex.codec.unpack, grevlex.LT) for i in range(n) if e[i] == sum(e)}
             if len(pure) == n:
-                self._convert(grevlex, sum(pure.values()))
+                self._convert(grevlex, list(pure.values()))
                 return
         for p in gens:
             self._push(_to_internal(p, self.variables, self.codec)[0])
         self._complete()
 
-    def _convert(self, grevlex: "GroebnerBasis", degree: int) -> None:
-        """Take the lex basis from the zero-dimensional (or unit) ideal's grevlex
-        basis, whose pure powers' exponents sum to degree, by linear algebra
-        over its quotient (FGLM: Faugere, Gianni, Lazard and Mora, J. Symb.
-        Comp. 16, 1993).  Monomials t are visited in increasing lex order,
-        skipping multiples of the lex leading terms found so far; each is
-        x_i*s for s lex-standard, so its normal form N(t) is the remainder of
-        x_i*N(s) by the reduced grevlex basis, a sparse dict over
-        grevlex-packed monomials.  N(t) is reduced against the rows of the
-        standard monomials before t, carrying its lex polynomial: if it reduces
-        to zero, the polynomial is the reduced basis element with leading term
-        t; otherwise t is standard.  For a quotient of dimension D this takes
-        at most n*D + 1 normal forms, and lex exponents up to D."""
+    def _convert(self, grevlex: "GroebnerBasis", exponents: list[int]) -> None:
+        """Take the lex basis from the zero-dimensional (or unit) ideal's reduced
+        grevlex basis, whose pure powers have these exponents.  If each
+        element's lex leading term is its grevlex one, the two leading-term
+        ideals agree (both have codimension D), so the basis is already the lex
+        one.  Otherwise the walk's vector of t = x_i*s is its normal form N(t),
+        the remainder of x_i*N(s) by the grevlex basis, over grevlex-packed
+        monomials; it is reduced against the rows of the standard monomials
+        before t, carrying its lex polynomial."""
         G, old, n = grevlex._tails(), grevlex.codec, len(self.variables)
-        # no monomial of the reduced grevlex basis, and no standard monomial
-        # times a variable, has a degree above the pure powers' sum
-        gc = _codec("grevlex", n, degree)
-        if gc is not old:
-            G = [{gc.pack(old.unpack(m)): c for m, c in g.items()} for g in G]
-        LT = [max(g) for g in G]
-
-        def convert(codec):
+        # the lex staircase has at most prod(exponents) monomials and is closed
+        # under division, so no visited exponent exceeds that product
+        codec = self.codec = _codec("lex", n, math.prod(exponents))
+        # a grevlex-packed monomial's lowest n fields are its exponents
+        # e_1..e_n, so those fields alone compare in lex
+        lex = (1 << old.width * n) - 1
+        if all(max(g, key=lex.__and__) == t for g, t in zip(G, grevlex.LT)):
+            self.G = [{codec.pack(old.unpack(m)): c for m, c in g.items()} for g in G]
+            self.LT = [max(g) for g in self.G]
+        else:
+            # no monomial of the reduced grevlex basis, and no standard monomial
+            # times a variable, has a degree above the pure powers' sum
+            gc = _codec("grevlex", n, sum(exponents))
+            if gc is not old:
+                G = [{gc.pack(old.unpack(m)): c for m, c in g.items()} for g in G]
+            LT = [max(g) for g in G]
             # the normal form of each standard monomial s as (N, d): N/d, N primitive
             forms: dict[int, tuple[dict[int, int], int]] = {}
             # echelon rows by their largest monomial: (vector, the lex polynomial
             # whose normal form it is)
             rows: dict[int, tuple[dict[int, int], dict[int, int]]] = {}
-            basis, leads = [], []
-            # (t, i, s) with t = x_i*s; the monomial 1 has i = -1
-            queue, queued = [(0, -1, 0)], {0}
-            while queue:
-                t, i, s = heapq.heappop(queue)
-                if any(not (t - lead) & codec.guard for lead in leads):
-                    continue
-                if t & codec.full:
-                    raise _Overflow
+
+            def dependency(t, i, s):
                 if i < 0:
                     p, d = {0: 1}, 1
                 else:
@@ -308,18 +335,12 @@ class GroebnerBasis:
                     r, d = {m: c // g for m, c in r.items()}, d // g
                 vec, poly = _eliminate_sparse(dict(r), {t: d}, rows)
                 if not vec:
-                    basis.append(poly)
-                    leads.append(t)
-                    continue
+                    return poly
                 rows[max(vec)] = vec, poly
                 forms[t] = r, d
-                for i, x in enumerate(codec.cols):
-                    if t + x not in queued:
-                        queued.add(t + x)
-                        heapq.heappush(queue, (t + x, i, t))
-            return basis, leads
+                return None
 
-        self.G, self.LT = self._widening(convert)
+            self.G, self.LT = _walk(codec, dependency)
         self.peak = max(self.peak, len(self.G))
         self.check_budget(self.max_basis)
         self._old = len(self.G)
@@ -566,21 +587,18 @@ def points_ideal(points: Iterable[Mapping[str, int]], variables: Sequence[str],
     vanishing on a finite point set (Buchberger-Moeller, with the lazy choice
     of points of Abbott, Bigatti, Kreuzer and Robbiano, J. Symb. Comp. 30, 2000).
 
-    Monomials are visited in increasing grevlex order, skipping multiples of
-    the leading terms found so far.  A monomial t's values at the active
-    points are reduced against those of the standard monomials before it,
-    each of which has its pivot at one active point.  If they do not reduce
-    to zero, t is standard.  If they do, the reduced polynomial
-    t - sum c*s is the one combination that vanishes on the active points:
-    at the first idle point where it does not vanish, that point becomes
-    active, every row takes its polynomial's value there, and t is standard
-    with its pivot at it; if it vanishes on every point, it is a basis
-    element with leading term t.  A standard t queues its successors x_i*t.
-    With max_degree=D the visit stops above degree D, leaving the basis
-    elements of degree <= D; grevlex is degree-compatible, so these generate
-    the ideal of all vanishing polynomials of degree <= D, and at most as
-    many points as standard monomials are ever active.  Without a bound
-    every point is active from the start.
+    The walk's vector of a monomial t holds its values at the active points,
+    reduced against those of the standard monomials before it, each with its
+    pivot at one active point.  If they reduce to zero, the reduced polynomial
+    t - sum c*s is the one combination that vanishes on the active points: at
+    the first idle point where it does not vanish, that point becomes active,
+    every row takes its polynomial's value there, and t is standard with its
+    pivot at it; if it vanishes on every point, it is a basis element.  With
+    max_degree=D the walk stops above degree D, leaving the basis elements of
+    degree <= D; grevlex is degree-compatible, so these generate the ideal of
+    all vanishing polynomials of degree <= D, and at most as many points as
+    standard monomials are ever active.  Without a bound every point is
+    active from the start.
 
     Coordinates must be ints (a DomainError names the variable of any other
     value): the elimination is fraction-free, on integer vectors whose
@@ -601,42 +619,31 @@ def points_ideal(points: Iterable[Mapping[str, int]], variables: Sequence[str],
     active, idle = ([], list(range(len(pts)))) if capped else (range(len(pts)), [])
     # echelon rows: (pivot, values at the active points, the polynomial they evaluate)
     rows: list[tuple[int, list[int], dict[int, int]]] = []
-    basis, leads = [], []  # the basis elements and their leading terms
     # each visited monomial's values at every point
     values: dict[int, list[int]] = {}
-    # (monomial t = x*s, its degree, the evaluation vectors of s and of x):
-    # t's vector is their product
     ones, coords = [1] * len(pts), list(zip(*pts))
-    queue, queued = [(0, 0, ones, ones)], {0}
-    while queue:
-        t, degree, vs, xs = heapq.heappop(queue)
-        if capped and degree > max_degree:
-            break
-        if leads and any(not (t - lead) & codec.guard for lead in leads):
-            continue
-        vec = [a * c for a, c in zip(vs, xs)]
-        pivot, row, poly = _eliminate([vec[i] for i in active] if capped else vec, {t: 1}, rows)
-        # values are read only while some point is idle
-        if idle:
-            values[t] = vec
+
+    def dependency(t, i, s):
+        vec = values[t] = ones if i < 0 else [a * c for a, c in zip(values[s], coords[i])]
+        pivot, row, poly = _eliminate([vec[k] for k in active] if capped else vec, {t: 1}, rows)
         if pivot is None and idle:
-            for k, i in enumerate(idle):
-                if v := sum(c * values[m][i] for m, c in poly.items()):
+            for k, j in enumerate(idle):
+                if v := sum(c * values[m][j] for m, c in poly.items()):
                     del idle[k]
                     for _, r, p in rows:
-                        r.append(sum(c * values[m][i] for m, c in p.items()))
+                        r.append(sum(c * values[m][j] for m, c in p.items()))
                     pivot = len(active)
-                    active.append(i)
+                    active.append(j)
                     row.append(v)
                     break
         if pivot is None:
-            basis.append({m: c for m, c in poly.items() if c})
-            leads.append(t)
-            continue
+            return {m: c for m, c in poly.items() if c}
         rows.append((pivot, row, poly))
-        for x, xs in zip(codec.cols, coords):
-            if t + x not in queued:
-                queued.add(t + x)
-                heapq.heappush(queue, (t + x, degree + 1, vec, xs))
+        return None
+
+    # x_n^(D+1), the least grevlex monomial of degree D + 1 (with no
+    # variables, D + 1 itself: above the one monomial 1 iff D >= 0)
+    stop = (max_degree + 1) * (codec.cols or [1])[-1] if capped else None
+    basis, leads = _walk(codec, dependency, stop)
     # poly[t] is the leading coefficient of the element with leading term t
     return [_from_internal(g, variables, Fraction(1, g[t]), codec) for g, t in zip(basis, leads)]

@@ -169,16 +169,6 @@ RunOutcome = Union[Accepted, Stuck, FuelExhausted]
 # validation
 
 
-def validate_deterministic(m: KPda) -> bool:
-    """Card(delta(q,eps,g)) <= 1, Card(delta(q,b,g)) <= 1 and an eps move
-    excludes reading moves for the same (q, g)."""
-    for moves in m.moves.values():
-        reads = [read for read, _, _ in moves]
-        if len(set(reads)) < len(reads) or (EPS in reads and len(reads) > 1):
-            return False
-    return True
-
-
 def validate_strongly_deterministic(m: KPda) -> bool:
     """At most one transition for each (q, g) summed over all read letters."""
     return all(len(moves) <= 1 for moves in m.moves.values())

@@ -67,9 +67,6 @@ class Homomorphism:
             out.extend(self.images[a])
         return tuple(out)
 
-    def is_identity(self) -> bool:
-        return all(w == (a,) for a, w in self.images.items())
-
     def __eq__(self, other):
         return (
             isinstance(other, Homomorphism)
@@ -209,11 +206,6 @@ def suffix_walk(sys, i: str, w: Word, values: Mapping, product):
     for a, need in demand(w, frozenset((i,)), rules):
         values = {j: product([values[k] for k in rules[(j, a)]]) for j in need}
     return values[i]
-
-
-def image_of_word(sys: HDT0LSystem, w: Word) -> Word:
-    """H^w(seed), the morphism of the first letter applying first."""
-    return suffix_walk(sys, sys.seed, w, {v: (v,) for v in sys.working}, concat)
 
 
 def eval_hdt0l(sys: HDT0LSystem, w: Word) -> Word:

@@ -465,10 +465,16 @@ def test_field_overflow_repacks_at_twice_the_width(monkeypatch):
     assert basis.codec.width == 16
     assert basis.reduced() == [x - y, z**5000 - 1]
     # a zero-dimensional ideal takes its lex basis from the grevlex one; the
-    # conversion meets y^64 above the 8-bit fields and is redone at 16 bits
+    # conversion meets y^64, above the 8-bit fields the inputs' degrees give,
+    # so it runs once at the 9 bits that the pure powers' product 64 gives
     widths.clear()
+    walks = []
+    walk = kernel._walk
+    monkeypatch.setattr(kernel, "_walk", lambda codec, *a: (walks.append(codec.width), walk(codec, *a))[1])
     basis = GroebnerBasis([x**8 - y - 1, y**8 - x - 2], ("x", "y"), "lex")
-    assert widths[-2:] == [8, 16] and basis.codec.width == 16
+    assert walks == [9] and basis.codec.width == 9
+    # the only widths tried are the grevlex completion's, never redone
+    assert set(widths) == {8}
     assert [g.degree() for g in basis.reduced()] == [8, 64]
 
 
@@ -580,17 +586,25 @@ def test_lex_conversion_work_is_bounded_and_its_exponents_widen(monkeypatch):
     calls = []
     reduce = groebner_module._reduce
     monkeypatch.setattr(groebner_module, "_reduce", lambda *a: calls.append(1) or reduce(*a))
-    for k in (10, 20, 40):
-        # the quotient has dimension D = k^2: every standard monomial takes
-        # one normal form, and at most n*D + 1 are taken in all
-        gens = [x**k - 1, y**k - 1]
+
+    def extra_calls(gens):
+        """The lex basis of gens, and its _reduce calls beyond the grevlex side's."""
         calls.clear()
         GroebnerBasis(gens, ("x", "y"))._tails()
         grevlex = len(calls)
         calls.clear()
         basis = GroebnerBasis(gens, ("x", "y"), "lex")
-        assert k * k <= len(calls) - grevlex <= 2 * k * k + 1
-        assert basis.reduced() == gens
+        return len(calls) - grevlex, basis.reduced()
+
+    for k in (10, 20, 40):
+        # the quotient has dimension D = k^2: every standard monomial takes
+        # one normal form, and at most n*D + 1 are taken in all
+        count, basis = extra_calls([x**k - 1, y**k - x])
+        assert k * k <= count <= 2 * k * k + 1
+        assert basis == [x - y**k, y**(k * k) - 1]
+        # a grevlex basis whose lex leading terms are its grevlex ones is the
+        # lex basis, and takes no normal form
+        assert extra_calls([x**k - 1, y**k - 1]) == (0, [x**k - 1, y**k - 1])
     # y^64 leads a lex basis element: above the fields the inputs' degrees give
     gens = [x**8 - y - 1, y**8 - x - 2]
     theirs = sympy.groebner([_sympy_poly(sympy, g, ("x", "y")) for g in gens], *sympy.symbols("x y"),
@@ -824,6 +838,41 @@ def test_points_ideal_properties():
     # small coordinates, and wide ones whose eliminations carry large contents
     settings(deadline=None)(given(point_sets(3, 10), st.integers(0, 4))(check))()
     settings(deadline=None, max_examples=40)(given(point_sets(10**12, 40), st.integers(0, 4))(check))()
+
+
+def test_lex_basis_of_a_points_ideal_against_sympy():
+    # both callers of the walk: the points' grevlex basis, then its lex basis
+    # by conversion (a point set's ideal is zero-dimensional)
+    sympy = pytest.importorskip("sympy")
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    point_sets = st.integers(2, 3).flatmap(
+        lambda n: st.lists(st.tuples(*[st.integers(-5, 5)] * n), max_size=12))
+
+    @settings(deadline=None, max_examples=150)
+    @given(point_sets)
+    def check(coords):
+        variables = ("x", "y", "z")[: len(coords[0])] if coords else ("x", "y")
+        points = [dict(zip(variables, c)) for c in coords]
+        basis = points_ideal(points, variables)
+        lex = groebner(basis, variables, "lex")
+        theirs = sympy.groebner([_sympy_poly(sympy, g, variables) for g in basis], *sympy.symbols(variables),
+                                order="lex", domain="QQ")
+        assert [_sympy_poly(sympy, g, variables) for g in lex] == list(theirs.polys)
+        assert all(g.evaluate(pt) == 0 for g in basis + lex for pt in points)
+        for degree in (1, 2):
+            assert points_ideal(points, variables, degree) == [g for g in basis if g.degree() <= degree]
+
+    check()
+
+
+def test_points_ideal_with_no_variables():
+    # the one monomial 1 has degree 0: a cap D >= 0 keeps it, D < 0 drops it
+    for points, want in (([], [Polynomial.const(1)]), ([{}], []), ([{}, {}], [])):
+        assert points_ideal(points, ()) == want
+        assert points_ideal(points, (), 0) == points_ideal(points, (), 2) == want
+        assert points_ideal(points, (), -1) == []
 
 
 def test_points_ideal_fibonacci_orbit():

@@ -23,7 +23,6 @@ from wordmaps.kpda import (
     run,
     step,
     steps,
-    validate_deterministic,
     validate_level_partitioned,
     validate_normal_form,
     validate_strongly_deterministic,
@@ -73,18 +72,14 @@ def _toy(delta, states=("q0", "q1"), terminals=("a", "b")):
 
 
 def test_determinism_flags(identity_pda):
-    assert validate_deterministic(identity_pda)
     assert validate_strongly_deterministic(identity_pda)
     two = _toy({("q0", "a", ("S",)): {("q0", Pop(1)), ("q1", Pop(1))}})
-    assert not validate_deterministic(two)
     assert not validate_strongly_deterministic(two)
     empty = _toy({})
-    assert validate_deterministic(empty)
     assert validate_strongly_deterministic(empty)
     mixed = _toy({("q0", "", ("S",)): {("q0", Pop(1))},
                   ("q0", "a", ("S",)): {("q0", Pop(1))}})
     assert not validate_strongly_deterministic(mixed)
-    assert not validate_deterministic(mixed)  # eps move excludes reading moves
 
 
 def test_level_partition_and_normal_form(pow2_pda):

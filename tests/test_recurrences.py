@@ -145,7 +145,7 @@ def test_h_closed_forms():
 
 def test_h_base_is_identity():
     sys = npown_h()
-    assert eval_compositional(sys, "H", ()).is_identity()
+    assert eval_compositional(sys, "H", ()) == Homomorphism.identity(sys.working)
 
 
 def test_h_rule_products_equal_the_fold_from_the_identity():
