@@ -7,8 +7,11 @@ rules with shift words, evaluated by fuel-bounded rewriting), and polynomial
 
 Catenative and compositional values come from ``morphisms.suffix_walk``.
 Regular systems cannot use it (shift words change the argument), hence the
-rewriting loop with fuel, over a stack of pending terms.  Polynomial values
-step integer rows per letter, only for the indices the wanted values read
+rewriting loop with fuel, over a stack of pending terms; a term met again
+reuses the base terms and the rewrite count of its first rewriting (Cook's
+tabulation), so each distinct term is rewritten once, while the fuel counts
+every rewrite of the leftmost-first derivation.  Polynomial values step
+integer rows per letter, only for the indices the wanted values read
 (``morphisms.demand``), except on affine systems (every update of degree
 <= 1): there ``morphisms.word_product`` takes a run a^k of equal letters in
 O(log k) steps, through the maps of a^1, a^2, a^4, ... squared by substitution.
@@ -341,31 +344,64 @@ def is_strict(sys: RegularSystem) -> bool:
     return all(not u for _, rhs in sys.rules for _, u in rhs)
 
 
+_OPEN = (0, 0, float("inf"))  # an open term's record: its count never fits
+
+
 def eval_regular(sys: RegularSystem, i: str, w: Word, fuel: int = 10**5) -> Word:
     """Rewrite f_i(w) until every term is a base case, leftmost term first;
     the class of the tail (the argument minus its first letter) selects the
     rule.  The pending terms sit on a stack, leftmost on top, so a rewrite
-    costs the length of its right-hand side."""
+    costs the length of its right-hand side.
+
+    Each distinct term is rewritten once.  A term's rewriting depends only
+    on the term, and leftmost-first rewriting finishes a term before
+    anything to its right.  So when a term (j, v) with v no longer than w is
+    first rewritten, an end marker goes below its children; when the marker
+    pops, the term's stretch of ``done`` and its rewrite count are recorded.
+    Met again, the term extends ``done`` by that stretch and spends the
+    count if it fits in the fuel left, and is rewritten otherwise.  The fuel
+    thus counts every rewrite of the leftmost-first derivation, and a
+    partial is that derivation's at the fuel given.  Only tails no longer
+    than w keep their class, and a term whose marker is on the stack gets no
+    second one, so a looping or growing system holds no more than its
+    pending terms."""
     check_index(sys, i)
     check_word(sys, w)
     rules, base, classify = sys.rule_map, sys.base_map, sys.classifier.classify
+    n = len(w)
     done: list[str] = []  # indices of the finished terms, left to right
-    stack: list[tuple[str, Word]] = [(i, tuple(w))]
+    stack: list[tuple] = [(i, tuple(w))]  # pending terms, and (None, (term, start, fuel)) end markers
     classes: dict[Word, str] = {}
+    finished: dict[tuple[str, Word], tuple] = {}  # term -> (start, end, rewrites); _OPEN while marked
     while stack:
-        j, v = stack.pop()
+        term = stack.pop()
+        j, v = term
         if not v:
             done.append(j)
             continue
+        if j is None:
+            term, start, before = v
+            finished[term] = (start, len(done), before - fuel)
+            continue
+        seen = finished.get(term)
+        if seen is not None and seen[2] <= fuel:
+            done += done[seen[0]:seen[1]]
+            fuel -= seen[2]
+            continue
         if fuel <= 0:
-            partial = [(k, ()) for k in done] + [(j, v)] + stack[::-1]
+            partial = [(k, ()) for k in done] + [term] + [t for t in reversed(stack) if t[0] is not None]
             raise FuelExhaustedError(
                 f"regular evaluation of ({i!r}, {w!r}) did not finish", partial=tuple(partial)
             )
         tail = v[1:]
         d = classes.get(tail)
         if d is None:
-            d = classes[tail] = classify(tail)
+            d = classify(tail)
+            if len(tail) <= n:
+                classes[tail] = d
+        if seen is None and len(v) <= n:
+            finished[term] = _OPEN
+            stack.append((None, (term, len(done), fuel)))
         stack.extend([(k, u + tail) for k, u in reversed(rules[(j, v[0], d)])])
         fuel -= 1
     return concat([base[j] for j in done])

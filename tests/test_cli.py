@@ -377,7 +377,20 @@ def test_fuel_flag_reports_exhaustion(capsys):
         os.unlink(path)
 
 
-SHIFT_SYS = str(Path(__file__).resolve().parents[1] / "perfbench" / "data" / "shift.sys")
+def test_fuel_counts_every_rewrite_of_a_reused_term(capsys, tmp_path):
+    # f(a^18) takes 2^18 - 1 rewrites, most of them by reused terms
+    path = tmp_path / "dbl.sys"
+    path.write_text(
+        "reg dbl {\n  input: a\n  output: b\n  classes: c\n  start: c\n  step: c a -> c\n"
+        "  f(eps) = b\n  f(a w) @c = f(w) f(w)\n}\n"
+    )
+    argv = ("eval", str(path), "dbl.f", "a" * 18, "--as-length", "--fuel")
+    assert run_cli(capsys, *argv, "262143") == (0, "262144\n", "")
+    code, out, err = run_cli(capsys, *argv, "262142")
+    assert code == 1 and out == "" and "FuelExhausted" in err
+
+
+SHIFT_SYS =str(Path(__file__).resolve().parents[1] / "perfbench" / "data" / "shift.sys")
 
 
 @pytest.mark.parametrize(

@@ -337,6 +337,13 @@ def _regular_outcome(sys, i, w, fuel):
         return "partial", e.partial
 
 
+def _unary_regular(rhs):
+    """f(eps) = b and f(a w) = rhs over the letter a, in one class."""
+    classifier = DfaClassifier.single_class({"a"})
+    (label,) = classifier.classes()
+    return RegularSystem.make(("f",), {"a"}, {"b"}, classifier, {("f", "a", label): rhs}, {"f": word("b")})
+
+
 def _shift_system():
     from wordmaps.cli import load_file
 
@@ -362,15 +369,70 @@ def test_regular_partial_terms_match_the_splice_rewriter_at_every_fuel():
         assert _regular_outcome(shift, "f", w, fuel) == (expected if fuel < rewrites else value)
         assert expected[0] == "partial" or fuel == rewrites
     # f(a w) = f(a a w) never finishes: one term, a letter longer per rewrite
-    classifier = DfaClassifier.single_class({"a"})
-    (label,) = classifier.classes()
-    growing = RegularSystem.make(
-        ("f",), {"a"}, {"b"}, classifier, {("f", "a", label): (("f", ("a", "a")),)}, {"f": word("b")}
-    )
+    growing = _unary_regular((("f", ("a", "a")),))
     for fuel in (0, 1, 10, 100):
         expected = _splice_rewriter(growing, "f", ("a",), fuel)
         assert _regular_outcome(growing, "f", ("a",), fuel) == expected
         assert expected == ("partial", (("f", ("a",) * (fuel + 1)),))
+
+
+def test_regular_rewrites_each_distinct_term_once():
+    # f(a w) = f(w) f(w): f(a^16) is 2^16 - 1 rewrites over 16 distinct terms
+    class Counting(dict):
+        lookups = 0
+
+        def __getitem__(self, key):
+            Counting.lookups += 1
+            return dict.__getitem__(self, key)
+
+    double = _unary_regular((("f", ()), ("f", ())))
+    double.__dict__["rule_map"] = Counting(double.rule_map)
+    assert eval_regular(double, "f", ("a",) * 16, fuel=2**16 - 1) == ("b",) * 2**16
+    assert Counting.lookups == 16
+    with pytest.raises(FuelExhaustedError):
+        eval_regular(double, "f", ("a",) * 16, fuel=2**16 - 2)
+
+
+def test_regular_growing_system_holds_only_its_pending_terms():
+    # f(a w) = f(a a w): neither its terms nor its tails are kept, which at
+    # fuel 6,000 would take more than 100 MB
+    import tracemalloc
+
+    growing = _unary_regular((("f", ("a", "a")),))
+    expected = _splice_rewriter(growing, "f", ("a",), 6000)
+    tracemalloc.start()
+    try:
+        outcome = _regular_outcome(growing, "f", ("a",), 6000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert outcome == expected
+    assert peak < 2 * 2**20
+
+
+@st.composite
+def _parity_systems(draw):
+    """Regular systems over {a, b} with the parity of the a's as classes:
+    1-3 indices, right-hand sides of 0-3 terms with shift words of length
+    0-2, base words of length 0-2; non-terminating systems included."""
+    indices = ("f", "g", "h")[: draw(st.integers(1, 3))]
+    classifier = DfaClassifier.make(
+        {"even", "odd"}, "even",
+        {("even", "a"): "odd", ("odd", "a"): "even", ("even", "b"): "even", ("odd", "b"): "odd"},
+    )
+    shift = st.lists(st.sampled_from("ab"), max_size=2).map(tuple)
+    rhs = st.lists(st.tuples(st.sampled_from(indices), shift), max_size=3).map(tuple)
+    rules = {(i, a, d): draw(rhs) for i in indices for a in "ab" for d in ("even", "odd")}
+    base = {i: tuple(draw(st.lists(st.sampled_from("xy"), max_size=2))) for i in indices}
+    return RegularSystem.make(indices, {"a", "b"}, {"x", "y"}, classifier, rules, base)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_parity_systems(), st.lists(st.sampled_from("ab"), max_size=5).map(tuple), st.integers(0, 300), st.data())
+def test_regular_matches_the_splice_rewriter_on_random_systems(sys, w, fuel, data):
+    i = data.draw(st.sampled_from(sys.indices))
+    expected = _splice_rewriter(sys, i, w, fuel)
+    assert _regular_outcome(sys, i, w, fuel) == (expected if expected[0] == "partial" else expected[0])
 
 
 # ---------------------------------------------------------------------------
