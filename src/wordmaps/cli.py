@@ -174,7 +174,8 @@ def _quotient(sf: SystemFile, target: str, paper_literal: bool):
 
 
 def cmd_equiv(args) -> int:
-    sf_a, sf_b = load_file(args.file_a), load_file(args.file_b)
+    sf_a = load_file(args.file_a)
+    sf_b = sf_a if args.file_b == args.file_a else load_file(args.file_b)
     p, q = _quotient(sf_a, args.target_a, args.paper_literal), _quotient(sf_b, args.target_b, args.paper_literal)
     verdict = _decide_quotients(p, q, _budget(args))
     if isinstance(verdict, NotEqual):

@@ -5,7 +5,8 @@ vector under the per-letter update maps.  A sequence identity holds for every
 input word exactly when its defining polynomial vanishes on that whole orbit.
 
 ``find_witness`` names the shortlex-least word at which a test polynomial t
-is nonzero, or proves there is none; every exact entry reads its answer.
+is nonzero, or proves there is none; every exact entry takes its paths, a
+quotient comparison over its two systems side by side.
 On affine systems (update polynomials of degree <= 1) it takes the span
 walk: the orbit walk below reads t at each new point, the first nonzero
 value names the witness, and a point is stepped only if its moment vector
@@ -35,8 +36,14 @@ total and verdicts never need a variety computation.
 ``decide_equal`` and ``decide_equal_fractions`` decide one shape, a quotient
 num/den of polynomials over a system: the sequence X_i is X_i/1 and a
 fraction presentation is (g - h)/(fp - gp).  Two quotients agree at every
-word exactly when t = A(num_p) B(den_q) - B(num_q) A(den_p) vanishes on the
-orbit of the paired system, A and B prefixing the two systems' indices.
+word exactly when t = num_p(v_p) den_q(v_q) - num_q(v_q) den_p(v_p)
+vanishes on the orbit of the two systems walked side by side: a point is
+the pair (v_p, v_q) of their value vectors, each stepped by its own
+system's maps, and its moment vector reads p's variables, then q's, up to
+the degree of t with the two sides' variables kept apart.  The span walk
+and the scan read t at such points; only the saturation pass, which pulls
+t back, builds the product system with the indices prefixed A_ and B_,
+and t over it.
 
 ``zariski_closure`` computes the vanishing ideal of the orbit closure.  Both
 of its paths fit polynomials to sampled orbit points with Buchberger-Moeller
@@ -48,10 +55,11 @@ letter lie in J, so sigma_a(J) is inside J and J vanishes on the whole orbit
 (Sankaranarayanan, Sipma and Manna, POPL 2004).
 
 Sampling, the capped walk (the scan, or ``find_witness`` with a
-``max_length``) and the span walk share one breadth-first orbit walk that
-visits each distinct value vector once, at its shortlex-least word:
-v(w) = v(w') implies v(uw) = v(uw') for every word u (Tzeng), so dropping
-repeats keeps witnesses minimal, and the walk ends on finite orbits.
+``max_length``) and the span walk share one breadth-first orbit walk, over
+one system or two side by side, that visits each distinct point once, at
+its shortlex-least word: v(w) = v(w') implies v(uw) = v(uw') for every word
+u (Tzeng), so dropping repeats keeps witnesses minimal, and the walk ends on
+finite orbits.
 ``sample_points`` and ``max_point_bits`` bound sampling; ``max_point_bits``
 and the length cap bound the capped walk.
 Resource limits raise ``BudgetExceededError``; a verdict is never traded for
@@ -63,13 +71,22 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Optional, Union
 
 from .errors import BudgetExceededError, DomainError
 from .groebner import GroebnerBasis, Ideal, _eliminate, points_ideal
 from .morphisms import check_index
-from .polynomials import Polynomial, _powers, _substitute
-from .recurrences import PolynomialSystem, _prefixed, _step, eval_polynomial_vector, product_system, rename_system
+from .polynomials import Polynomial, _powers, _substitute, mono_degree
+from .recurrences import (
+    PolynomialSystem,
+    _prefixed,
+    _step,
+    check_shared_alphabet,
+    eval_polynomial_vector,
+    product_system,
+    rename_system,
+)
 from .words import Word
 
 
@@ -131,7 +148,8 @@ def _sigma(tables: dict, a: str, g: Polynomial) -> Polynomial:
 
 
 def _paired(sys_a: PolynomialSystem, sys_b: PolynomialSystem) -> PolynomialSystem:
-    """The two systems side by side, their indices prefixed A_ and B_."""
+    """The two systems side by side, their indices prefixed A_ and B_: the
+    system that a quotient comparison's saturation pass pulls t back over."""
     return product_system(rename_system(sys_a, "A_"), rename_system(sys_b, "B_"))
 
 
@@ -174,20 +192,22 @@ def _saturate(sys: PolynomialSystem, t: Polynomial, budget: Budget) -> Optional[
     return None
 
 
-def _span_walk(sys: PolynomialSystem, t: Polynomial, budget: Budget) -> Optional[Word]:
-    """``find_witness`` on an affine system: the span walk of the module docstring."""
-    # moment j >= 1 is moment p times index i, for (p, i) = links[j - 1]:
-    # each monomial of degree <= deg t once, its indices in sequence order
-    indices, links, level, rows = sys.indices, [], [(0, 0)], []
-    for _ in range(t.degree()):
-        grown = [(p, k) for p, low in level for k in range(low, len(indices))]
+def _span_walk(sides: tuple, value, degree: int, budget: Budget) -> Optional[Word]:
+    """``find_witness`` on affine sides: the span walk of the module
+    docstring, for the t of the given degree that ``value`` reads at a point."""
+    # moment j >= 1 is moment p times the variable in slot k, for
+    # (p, k) = links[j - 1]: each monomial of degree <= deg t once, its
+    # variables in the sides' index order
+    slots, links, level, rows = _slots(sides), [], [(0, 0)], []
+    for _ in range(degree):
+        grown = [(p, k) for p, low in level for k in range(low, len(slots))]
         level = [(len(links) + j, k) for j, (_, k) in enumerate(grown, 1)]
-        links += [(p, indices[k]) for p, k in grown]
+        links += grown
 
-    def independent(vec):
-        moments = [1]
-        for p, i in links:
-            moments.append(moments[p] * vec[i])
+    def independent(point):
+        values, moments = [point[s][i] for s, i in slots], [1]
+        for p, k in links:
+            moments.append(moments[p] * values[k])
         pivot, row, _ = _eliminate(moments, {}, rows)
         if pivot is not None:
             rows.append((pivot, row, {}))
@@ -195,30 +215,38 @@ def _span_walk(sys: PolynomialSystem, t: Polynomial, budget: Budget) -> Optional
                 raise BudgetExceededError("moment span did not close within the addition budget")
         return pivot is not None
 
-    for w, vec in _orbit(sys, independent):
-        if t.evaluate(vec) != 0:
+    for w, point in _orbit(sides, independent):
+        if value(point) != 0:
             return w
     return None
 
 
-def _orbit(sys: PolynomialSystem, stepped):
-    """Yield (word, vector) once per distinct reachable value vector,
-    breadth-first, with the shortlex-least word reaching it.  When the next
-    one is asked for, the vector is stepped if ``stepped(vector)`` holds."""
-    letters, maps, indices = sorted(sys.input_alphabet), sys.maps, sys.indices
-    vec = sys.base_vector()
-    # keys go through map(), cheaper than a generator per step
-    seen = {tuple(map(vec.__getitem__, indices))}
-    yield (), vec
-    level = [((), vec)] if stepped(vec) else []
+def _slots(sides: tuple) -> list:
+    """(side, index) for every variable of the sides, in the sides' index order."""
+    return [(s, i) for s, sys in enumerate(sides) for i in sys.indices]
+
+
+def _orbit(sides: tuple, stepped):
+    """Yield (word, point) once per distinct reachable point, breadth-first,
+    with the shortlex-least word reaching it.  A point is the tuple of the
+    sides' value vectors, each stepped by its own system's maps, and two
+    points are the same when their values in the sides' index order are;
+    the sides share one input alphabet.  When the next point is asked for,
+    the point is stepped if ``stepped(point)`` holds."""
+    letters, maps, slots = sorted(sides[0].input_alphabet), [sys.maps for sys in sides], _slots(sides)
+    point = tuple([sys.base_vector() for sys in sides])
+    seen = {tuple([point[s][i] for s, i in slots])}
+    yield (), point
+    level = [((), point)] if stepped(point) else []
     while level:
         nxt = []
         # words are read first letter first: a letter in front of each word of
         # the previous level, letters outermost, keeps the level lexicographic
         for a in letters:
-            for w, vec in level:
-                new = _step(vec, maps[a])
-                key = tuple(map(new.__getitem__, indices))
+            step = [m[a] for m in maps]
+            for w, point in level:
+                new = tuple(map(_step, point, step))
+                key = tuple([new[s][i] for s, i in slots])
                 if key not in seen:
                     seen.add(key)
                     aw = (a,) + w
@@ -240,18 +268,30 @@ def find_witness(
     ``max_point_bits`` bits cut the walk short."""
     if not t.variables() <= set(sys.indices):
         raise DomainError("test polynomial mentions variables outside the system")
-    if max_length is None and sys.degree <= 1:
-        return _span_walk(sys, t, budget)
+    return _witness((sys,), lambda point: t.evaluate(point[0]), t.degree, budget, max_length, lambda: (sys, t))
+
+
+def _witness(sides: tuple, value, degree, budget: Budget, max_length, saturation) -> Optional[Word]:
+    """``find_witness`` over the orbit of the sides walked side by side, for
+    the t that ``value`` reads at a point.  ``degree()`` gives deg t, which
+    only the span walk reads, and ``saturation()`` the (system, t) of the
+    saturation pass: each is computed only when its path runs."""
+    if max_length is None and max([sys.degree for sys in sides]) <= 1:
+        return _span_walk(sides, value, degree(), budget)
     cap = 3 if max_length is None else max_length
-    for w, vec in _orbit(sys, budget.fits):
+
+    def fits(point):
+        return all(map(budget.fits, point))
+
+    for w, point in _orbit(sides, fits):
         if len(w) > cap:
             break
-        if t.evaluate(vec) != 0:
+        if value(point) != 0:
             return w
-        if not budget.fits(vec):
-            # the unstepped vector's successors might precede a longer find
+        if not fits(point):
+            # the unstepped point's successors might precede a longer find
             cap = min(cap, len(w))
-    return None if max_length is not None else _saturate(sys, t, budget)
+    return None if max_length is not None else _saturate(*saturation(), budget)
 
 
 def decide_zero_on_reachables(
@@ -282,10 +322,34 @@ def _indexed(sys: PolynomialSystem, i: str) -> tuple:
 
 def _decide_quotients(p: tuple, q: tuple, budget: Budget) -> Verdict:
     """Whether two (system, num, den) shapes agree at every word, by the t of
-    the module docstring."""
+    the module docstring, read at the points of the two systems walked side
+    by side."""
     (sys_p, num_p, den_p), (sys_q, num_q, den_q) = p, q
-    t = _prefixed(num_p, "A_") * _prefixed(den_q, "B_") - _prefixed(num_q, "B_") * _prefixed(den_p, "A_")
-    return decide_zero_on_reachables(_paired(sys_p, sys_q), t, budget)
+    check_shared_alphabet(sys_p, sys_q)
+
+    def value(point):
+        v_p, v_q = point
+        return num_p.evaluate(v_p) * den_q.evaluate(v_q) - num_q.evaluate(v_q) * den_p.evaluate(v_p)
+
+    def saturation():
+        t = _prefixed(num_p, "A_") * _prefixed(den_q, "B_") - _prefixed(num_q, "B_") * _prefixed(den_p, "A_")
+        return _paired(sys_p, sys_q), t
+
+    degree = partial(_cross_degree, num_p, den_q, num_q, den_p)
+    witness = _witness((sys_p, sys_q), value, degree, budget, None, saturation)
+    return Equal() if witness is None else NotEqual(witness)
+
+
+def _cross_degree(num_p: Polynomial, den_q: Polynomial, num_q: Polynomial, den_p: Polynomial) -> int:
+    """deg t for t = num_p den_q - num_q den_p, p's and q's variables kept
+    apart: a term of t is a pair of monomials, one of each side, and the two
+    products' terms cancel only pairwise."""
+    terms = {}
+    for f, g, sign in ((num_p, den_q, 1), (den_p, num_q, -1)):
+        for m, c in f.terms.items():
+            for n, d in g.terms.items():
+                terms[m, n] = terms.get((m, n), 0) + sign * c * d
+    return max((mono_degree(m) + mono_degree(n) for (m, n), c in terms.items() if c), default=-1)
 
 
 @dataclass(frozen=True)
@@ -335,12 +399,19 @@ def reachable_points(sys: PolynomialSystem, budget: Budget = DEFAULT_BUDGET):
     """The first ``sample_points`` vectors of the orbit walk, as (points,
     closed): closed is True when the walk ended with every point stepped,
     which proves the orbit complete."""
-    points = []
-    for w, vec in _orbit(sys, budget.fits):
+    points, closed = [], True
+
+    def stepped(point):
+        nonlocal closed
+        fits = budget.fits(point[0])
+        closed = closed and fits
+        return fits
+
+    for w, (vec,) in _orbit((sys,), stepped):
         if len(points) == budget.sample_points:
             return points, False
         points.append(vec)
-    return points, all(map(budget.fits, points))
+    return points, closed
 
 
 def zariski_closure(sys: PolynomialSystem, budget: Budget = DEFAULT_BUDGET) -> Ideal:

@@ -313,10 +313,15 @@ def rename_system(sys: PolynomialSystem, prefix: str) -> PolynomialSystem:
     )
 
 
-def product_system(a: PolynomialSystem, b: PolynomialSystem) -> PolynomialSystem:
-    """The two systems side by side: one input alphabet, disjoint indices."""
+def check_shared_alphabet(a: PolynomialSystem, b: PolynomialSystem) -> None:
+    """Refuse two systems that read different input alphabets."""
     if a.input_alphabet != b.input_alphabet:
         raise DomainError("product systems must share their input alphabet")
+
+
+def product_system(a: PolynomialSystem, b: PolynomialSystem) -> PolynomialSystem:
+    """The two systems side by side: one input alphabet, disjoint indices."""
+    check_shared_alphabet(a, b)
     if set(a.indices) & set(b.indices):
         raise DomainError("product systems must have disjoint index sets")
     return PolynomialSystem(  # distinct keys: sorting compares no polynomials

@@ -106,6 +106,49 @@ frac plain {
     assert code == 0 and out == "Equal\n"
 
 
+TWO_ALPHABETS = """
+poly P {
+  input: a
+  X(eps) = 1
+  X(a w) = 2 * X
+}
+
+poly Q {
+  input: b
+  X(eps) = 1
+  X(b w) = X + 2
+}
+"""
+
+
+def test_equiv_parses_a_file_named_by_both_targets_once(capsys, monkeypatch, tmp_path):
+    import wordmaps.cli as cli
+
+    parsed = []
+    parse = cli.parse_file
+    monkeypatch.setattr(cli, "parse_file", lambda text, filename: parsed.append(filename) or parse(text, filename))
+    path = tmp_path / "two.sys"
+    path.write_text(TWO_ALPHABETS.replace("input: b", "input: a").replace("(b w)", "(a w)"))
+    cases = [
+        (("fibonacci", "F", "fibonacci", "F3"), (0, "Equal\n", ""), ["fibonacci"]),
+        (("fibonacci", "F", "fibonacci", "Fbad"), (1, "NotEqual a\n", ""), ["fibonacci"]),
+        (("skolem-demo", "fibz", "fibonacci", "F"), (0, "Equal\n", ""), ["skolem-demo", "fibonacci"]),
+        ((str(path), "P", str(path), "Q"), (1, "NotEqual a\n", ""), [str(path)]),
+    ]
+    for argv, result, files in cases:
+        parsed.clear()
+        assert run_cli(capsys, "equiv", *argv) == result
+        assert parsed == files
+
+
+def test_equiv_refuses_systems_over_different_alphabets(capsys, tmp_path):
+    path = tmp_path / "two.sys"
+    path.write_text(TWO_ALPHABETS)
+    assert run_cli(capsys, "equiv", str(path), "P", str(path), "Q") == (
+        2, "", "error: product systems must share their input alphabet\n"
+    )
+
+
 def test_equiv_rejects_a_target_that_is_neither_poly_nor_frac(capsys):
     for argv in (("gmap", "nu", "gmap", "nu"), ("fibonacci", "F", "fibonacci", "fibrep")):
         code, out, err = run_cli(capsys, "equiv", *argv)

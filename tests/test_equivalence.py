@@ -3,6 +3,7 @@ import itertools
 import random
 import time
 from dataclasses import replace
+from functools import partial
 from importlib import resources
 
 import pytest
@@ -109,8 +110,15 @@ def test_two_letter_alphabet_decision():
 
 def test_alphabet_mismatch_rejected():
     other = PolynomialSystem.make(("X",), {"b"}, {("X", "b"): P("X")}, {"X": 1})
-    with pytest.raises(DomainError):
+    message = "product systems must share their input alphabet"
+    with pytest.raises(DomainError) as err:
         decide_equal(fib_pair(), "F", other, "X")
+    assert str(err.value) == message
+    with pytest.raises(DomainError) as err:
+        decide_equal_fractions(
+            FractionPresentation(fib_pair(), "F", "G", "G", "F"), FractionPresentation(other, "X", "X", "X", "X")
+        )
+    assert str(err.value) == message
 
 
 def _cubes():
@@ -738,6 +746,15 @@ def test_lowered_gmap_equal_pair_is_decided_by_the_saturation_pass(monkeypatch):
     assert len(passes) == 1
 
 
+def test_a_point_too_large_to_step_leaves_the_sample_open():
+    # X flips between 0 and 300: at 8 bits the walk does not step 300, so it
+    # ends with both points but proves nothing about the orbit
+    flip = PolynomialSystem.make(("X",), {"a"}, {("X", "a"): 300 - P("X")}, {"X": 0}, ring="Z")
+    assert reachable_points(flip) == ([{"X": 0}, {"X": 300}], True)
+    assert reachable_points(flip, Budget(max_point_bits=8)) == ([{"X": 0}, {"X": 300}], False)
+    assert reachable_points(flip, Budget(max_point_bits=9)) == ([{"X": 0}, {"X": 300}], True)
+
+
 def test_closure_refutation_comes_from_the_saturation_pass():
     # three sampled points fit x(x-1)(x-2), refuted only at a^3; the
     # refuting point comes from the minimal witness, with no further search
@@ -1081,3 +1098,127 @@ def test_two_letter_affine_witness_is_quick():
     start = time.perf_counter()
     assert decide_zero_on_reachables(sys, _falling("X", 14)) == NotEqual(("b",) * 6)
     assert time.perf_counter() - start < 0.5
+
+
+# ---------------------------------------------------------------------------
+# quotient comparisons walk the two systems side by side
+
+
+def _renamed_product_decision(p, q, budget):
+    """The decision of two (system, num, den) shapes on the renamed product
+    system, with t prefixed through ``Polynomial.substitute``."""
+    (sys_p, num_p, den_p), (sys_q, num_q, den_q) = p, q
+
+    def prefixed(f, sys, prefix):
+        return f.substitute({i: P(prefix + i) for i in sys.indices})
+
+    t = prefixed(num_p, sys_p, "A_") * prefixed(den_q, sys_q, "B_") - prefixed(num_q, sys_q, "B_") * prefixed(
+        den_p, sys_p, "A_"
+    )
+    pair = product_system(rename_system(sys_p, "A_"), rename_system(sys_q, "B_"))
+    return decide_zero_on_reachables(pair, t, budget)
+
+
+def _outcome(call):
+    try:
+        return call()
+    except BudgetExceededError as e:
+        return ("budget", str(e))
+
+
+def test_quotient_decisions_match_the_renamed_product_system():
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    @st.composite
+    def system(draw, indices, letters, quadratic):
+        small = st.integers(-1, 1)
+
+        def linear():
+            p = Polynomial.const(draw(small))
+            for i in indices:
+                p = p + draw(small) * P(i)
+            return p
+
+        rules = {(i, a): linear() for i in indices for a in letters}
+        if quadratic:
+            key = draw(st.sampled_from(sorted(rules)))
+            rules[key] = rules[key] + draw(st.sampled_from([1, -1])) * P(draw(st.sampled_from(indices))) * P(
+                draw(st.sampled_from(indices))
+            )
+        base = {i: draw(st.integers(-2, 2)) for i in indices}
+        return PolynomialSystem.make(indices, letters, rules, base, ring="Z")
+
+    @st.composite
+    def case(draw):
+        # the sides often share index names, which the renamed product keeps apart
+        shape = draw(st.sampled_from(["affine", "quadratic", "fractions", "cancel"]))
+        letters = ("a", "b")[: draw(st.integers(1, 2))]
+        quadratic = shape == "quadratic" or (shape == "fractions" and draw(st.booleans()))
+        on_p, least = draw(st.booleans()), 1 if shape in ("affine", "quadratic") else 2
+        sys_p = draw(system(("x", "y")[: draw(st.integers(least, 2))], letters, quadratic and on_p))
+        sys_q = draw(system(("x", "y", "z")[: draw(st.integers(least, 3))], letters, quadratic and not on_p))
+        if draw(st.integers(0, 3)) == 0:
+            # one system on both sides: equal pairs, which the scan cannot settle
+            sys_q = sys_p
+        if shape in ("affine", "quadratic"):
+            i, j = draw(st.sampled_from(sys_p.indices)), draw(st.sampled_from(sys_q.indices))
+            p, q = (sys_p, P(i), Polynomial.const(1)), (sys_q, P(j), Polynomial.const(1))
+            decide = partial(decide_equal, sys_p, i, sys_q, j)
+        else:
+            fracs = []
+            for sys in (sys_p, sys_q):
+                num = [draw(st.sampled_from(sys.indices)) for _ in range(2)]
+                # a nonconstant denominator, or num/num, whose cross products cancel
+                den = num if shape == "cancel" else draw(st.permutations(sys.indices))[:2]
+                fracs.append(FractionPresentation(sys, *num, *den))
+            p, q = (f._shape() for f in fracs)
+            decide = partial(decide_equal_fractions, *fracs)
+        chain = draw(st.sampled_from([0, 1, 2, 3, 5, 8] + ([] if quadratic else [400])))
+        budget = Budget(chain_additions=chain, max_basis=60) if quadratic else Budget(chain_additions=chain)
+        return p, q, decide, budget
+
+    @settings(deadline=None, max_examples=400)
+    @given(case())
+    def check(drawn):
+        p, q, decide, budget = drawn
+        assert _outcome(lambda: decide(budget)) == _outcome(lambda: _renamed_product_decision(p, q, budget))
+
+    check()
+
+
+def test_cancelling_cross_products_leave_the_true_degree():
+    # (X - U)/(X - U) against (Y - U)/(Y - U): the cross products cancel and
+    # t is 0, so the span walk's moment vectors are the constant 1 and the
+    # rank is 1, however far X and Y run
+    sys_p = PolynomialSystem.make(("X", "U"), {"a"}, {("X", "a"): P("X") + 1, ("U", "a"): P("U")}, {"X": 1, "U": 0})
+    sys_q = PolynomialSystem.make(("Y", "U"), {"a"}, {("Y", "a"): 2 * P("Y"), ("U", "a"): P("U")}, {"Y": 1, "U": 0})
+    p, q = FractionPresentation(sys_p, "X", "U", "X", "U"), FractionPresentation(sys_q, "Y", "U", "Y", "U")
+    for chain in (0, 1):
+        budget = Budget(chain_additions=chain)
+        got = _outcome(lambda: decide_equal_fractions(p, q, budget))
+        assert got == _outcome(lambda: _renamed_product_decision(p._shape(), q._shape(), budget))
+        assert got == (Equal() if chain else ("budget", "moment span did not close within the addition budget"))
+
+
+def test_quotient_pairs_build_the_product_only_for_the_saturation_pass(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a quotient comparison built the renamed product before the saturation pass")
+
+    for name in ("_paired", "_prefixed", "rename_system", "product_system"):
+        monkeypatch.setattr(equivalence, name, forbidden)
+    # the span walk, and the scan meeting its witness
+    assert decide_equal(fib_pair(), "F", fib_triple(), "F") == Equal()
+    assert decide_equal(fib_pair(), "F", fib_pair(second_base=2), "F") == NotEqual(("a",))
+    square = PolynomialSystem.make(("X",), {"a"}, {("X", "a"): P("X") * P("X")}, {"X": 2})
+    cube = PolynomialSystem.make(("X",), {"a"}, {("X", "a"): P("X") * P("X") * P("X")}, {"X": 2})
+    assert decide_equal(square, "X", cube, "X") == NotEqual(("a",))
+    monkeypatch.undo()
+
+    # an equal non-affine pair: the scan finds nothing and the pass runs once,
+    # over the product and the prefixed t
+    built = []
+    paired = equivalence._paired
+    monkeypatch.setattr(equivalence, "_paired", lambda *args: built.append(args) or paired(*args))
+    assert decide_equal(square, "X", square, "X") == Equal()
+    assert built == [(square, square)]
