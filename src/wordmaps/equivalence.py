@@ -54,14 +54,14 @@ its generators vanish at the base vector and their pull-backs under every
 letter lie in J, so sigma_a(J) is inside J and J vanishes on the whole orbit
 (Sankaranarayanan, Sipma and Manna, POPL 2004).
 
-Sampling, the capped walk (the scan, or ``find_witness`` with a
-``max_length``) and the span walk share one breadth-first orbit walk, over
-one system or two side by side, that visits each distinct point once, at
-its shortlex-least word: v(w) = v(w') implies v(uw) = v(uw') for every word
-u (Tzeng), so dropping repeats keeps witnesses minimal, and the walk ends on
-finite orbits.
+Sampling, the scan and the span walk share one breadth-first orbit walk,
+over one system or two side by side, that visits each distinct point once,
+at its shortlex-least word: v(w) = v(w') implies v(uw) = v(uw') for every
+word u (Tzeng), so dropping repeats keeps witnesses minimal, and the walk
+ends on finite orbits.
 ``sample_points`` and ``max_point_bits`` bound sampling; ``max_point_bits``
-and the length cap bound the capped walk.
+bounds the scan, which stops at the length of a point it did not step, as
+that point's successors might hide a smaller witness.
 Resource limits raise ``BudgetExceededError``; a verdict is never traded for
 termination.
 """
@@ -114,8 +114,8 @@ class Budget:
     ``chain_additions`` bounds the saturation pass's additions and the span
     walk's rank, ``max_basis`` the pass's basis, ``max_degree`` the closure's
     candidates, ``sample_points`` sampling and ``max_point_bits`` sampling
-    and ``find_witness``'s capped walk; no verdict depends on those two.  Each
-    level the walk passes adds a point, so sampled words are shorter than that.
+    and the length-3 scan; no verdict depends on those two.  Each level the
+    walk passes adds a point, so sampled words are shorter than that.
     """
 
     chain_additions: int = 400
@@ -130,6 +130,8 @@ class Budget:
 
 
 DEFAULT_BUDGET = Budget()
+
+_SCAN_LENGTH = 3  # the longest words the scan reads before the saturation pass
 
 
 # ---------------------------------------------------------------------------
@@ -256,29 +258,24 @@ def _orbit(sides: tuple, stepped):
         level = nxt
 
 
-def find_witness(
-    sys: PolynomialSystem, t: Polynomial, budget: Budget = DEFAULT_BUDGET, max_length=None
-) -> Optional[Word]:
+def find_witness(sys: PolynomialSystem, t: Polynomial, budget: Budget = DEFAULT_BUDGET) -> Optional[Word]:
     """Shortest word (lexicographically first among its length) at which t
-    evaluates to a nonzero value.  With no ``max_length`` this is the exact
-    decision: the span walk on an affine system, else the capped walk to
-    length 3 and, when that finds nothing, the saturation pass; None iff t
-    vanishes on the whole orbit.  With one, only the capped walk runs, and
-    None means none up to that length, or none before values over
-    ``max_point_bits`` bits cut the walk short."""
+    evaluates to a nonzero value, or None iff t vanishes on the whole orbit:
+    the span walk on an affine system, else the scan to length 3 and, when
+    that finds nothing, the saturation pass."""
     if not t.variables() <= set(sys.indices):
         raise DomainError("test polynomial mentions variables outside the system")
-    return _witness((sys,), lambda point: t.evaluate(point[0]), t.degree, budget, max_length, lambda: (sys, t))
+    return _witness((sys,), lambda point: t.evaluate(point[0]), t.degree, budget, lambda: (sys, t))
 
 
-def _witness(sides: tuple, value, degree, budget: Budget, max_length, saturation) -> Optional[Word]:
+def _witness(sides: tuple, value, degree, budget: Budget, saturation) -> Optional[Word]:
     """``find_witness`` over the orbit of the sides walked side by side, for
     the t that ``value`` reads at a point.  ``degree()`` gives deg t, which
     only the span walk reads, and ``saturation()`` the (system, t) of the
     saturation pass: each is computed only when its path runs."""
-    if max_length is None and max([sys.degree for sys in sides]) <= 1:
+    if max([sys.degree for sys in sides]) <= 1:
         return _span_walk(sides, value, degree(), budget)
-    cap = 3 if max_length is None else max_length
+    cap = _SCAN_LENGTH
 
     def fits(point):
         return all(map(budget.fits, point))
@@ -291,7 +288,7 @@ def _witness(sides: tuple, value, degree, budget: Budget, max_length, saturation
         if not fits(point):
             # the unstepped point's successors might precede a longer find
             cap = min(cap, len(w))
-    return None if max_length is not None else _saturate(*saturation(), budget)
+    return _saturate(*saturation(), budget)
 
 
 def decide_zero_on_reachables(
@@ -336,7 +333,7 @@ def _decide_quotients(p: tuple, q: tuple, budget: Budget) -> Verdict:
         return _paired(sys_p, sys_q), t
 
     degree = partial(_cross_degree, num_p, den_q, num_q, den_p)
-    witness = _witness((sys_p, sys_q), value, degree, budget, None, saturation)
+    witness = _witness((sys_p, sys_q), value, degree, budget, saturation)
     return Equal() if witness is None else NotEqual(witness)
 
 

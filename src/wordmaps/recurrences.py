@@ -139,15 +139,15 @@ class CompositionalSystem(_Lookup):
 class DfaClassifier:
     """A complete deterministic finite-state classifier over an alphabet,
     standing in for a finite-index congruence; supplied by the user, never
-    computed from a machine."""
+    computed from a machine.  A word's class is the state it reaches, so the
+    classes are the states, as a ``.sys`` block's ``classes:`` line names them."""
 
     states: frozenset[str]
     start: str
     transitions: tuple  # sorted ((state, letter), state) pairs
-    class_of: tuple  # sorted (state, class) pairs
 
     @classmethod
-    def make(cls, states, start, transitions: Mapping, class_of: Mapping | None = None):
+    def make(cls, states, start, transitions: Mapping):
         states = frozenset(states)
         if start not in states:
             raise DomainError(f"start state {start!r} unknown")
@@ -159,29 +159,16 @@ class DfaClassifier:
         for (q, a), q2 in transitions.items():
             if q not in states or q2 not in states:
                 raise DomainError(f"classifier transition ({q},{a}) -> {q2} uses unknown states")
-        if class_of is None:
-            class_of = {q: q for q in states}
-        return cls(
-            states,
-            start,
-            tuple(sorted(transitions.items())),
-            tuple(sorted(class_of.items())),
-        )
+        return cls(states, start, tuple(sorted(transitions.items())))
 
     @classmethod
     def single_class(cls, alphabet) -> "DfaClassifier":
-        return cls.make({"q"}, "q", {("q", a): "q" for a in alphabet}, {"q": "all"})
-
-    def classes(self) -> frozenset[str]:
-        return frozenset(c for _, c in self.class_of)
+        """The one-state classifier ``all``, which puts every word in one class."""
+        return cls.make({"all"}, "all", {("all", a): "all" for a in alphabet})
 
     @cached_property
     def transition_map(self) -> dict[tuple[str, str], str]:
         return dict(self.transitions)
-
-    @cached_property
-    def class_map(self) -> dict[str, str]:
-        return dict(self.class_of)
 
     def classify(self, w: Word) -> str:
         trans = self.transition_map
@@ -190,7 +177,7 @@ class DfaClassifier:
             if (q, a) not in trans:
                 raise DomainError(f"classifier has no transition for letter {a!r}")
             q = trans[(q, a)]
-        return self.class_map[q]
+        return q
 
 
 @dataclass(frozen=True)
@@ -209,7 +196,7 @@ class RegularSystem(_Lookup):
         indices = tuple(indices)
         input_alphabet = frozenset(input_alphabet)
         output_alphabet = frozenset(output_alphabet)
-        _check_rules_total(rules, "regular system", indices, input_alphabet, classifier.classes())
+        _check_rules_total(rules, "regular system", indices, input_alphabet, classifier.states)
         uncovered = sorted(input_alphabet - {a for _, a in classifier.transition_map})
         if uncovered:
             raise DomainError(f"classifier has no transition for letter {uncovered[0]!r}")
@@ -463,7 +450,7 @@ def catenative_to_regular(sys: CatenativeSystem) -> RegularSystem:
     """View a catenative system as a regular one: a single congruence class
     and empty shift words."""
     classifier = DfaClassifier.single_class(sys.input_alphabet)
-    (label,) = classifier.classes()
+    (label,) = classifier.states
     rules = {
         (i, a, label): tuple((j, ()) for j in rhs) for (i, a), rhs in sys.rules
     }

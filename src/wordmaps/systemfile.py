@@ -372,10 +372,10 @@ def _parse_reg(blk) -> RegularSystem:
     classifier = DfaClassifier.make(classes, start, steps)
     reg_rules = {}
     for (i, a, cls), rhs in terms.items():
-        if cls is not None and cls not in classifier.classes():
+        if cls is not None and cls not in classifier.states:
             raise blk.error(f"unknown class {cls!r}", rules[(i, a, cls)][0])
         # an unannotated rule applies to every class
-        for d in classifier.classes() if cls is None else [cls]:
+        for d in classifier.states if cls is None else [cls]:
             reg_rules[(i, a, d)] = rhs
     base = {i: word(rhs) for i, (_, rhs) in bases.items()}
     return RegularSystem.make(tuple(sorted(bases)), inp, out, classifier, reg_rules, base)
@@ -469,8 +469,7 @@ def _parse_pda(blk) -> KPda:
     inp, bottoms = blk.words("input", ()), blk.words("bottoms", ())
     blk.done()
     return KPda.make(
-        level, states, terminals, gamma, delta, start,
-        input_alphabet=inp, bottom_symbols=bottoms, name=blk.name,
+        level, states, terminals, gamma, delta, start, input_alphabet=inp, bottom_symbols=bottoms
     )
 
 

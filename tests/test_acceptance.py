@@ -585,7 +585,7 @@ def test_criterion_12_kpda_runner():
 @criterion(13, "fuel: a looping regular system always exhausts, strict systems never do")
 def test_criterion_13_fuel_semantics():
     classifier = DfaClassifier.single_class({"a"})
-    (label,) = classifier.classes()
+    (label,) = classifier.states
     loop = RegularSystem.make(
         ("f",), {"a"}, {"b"}, classifier,
         {("f", "a", label): (("f", ("a",)),)},

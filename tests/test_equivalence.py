@@ -637,12 +637,12 @@ def test_vanishing_engine_agrees_with_sampling():
         i = rng.choice(sys.indices)
         t = P(i) - Polynomial.const(eval_polynomial(sys, i, ()))
         vanish = vanishes_on_reachables(sys, t)
-        # the walk ends on a finite orbit and finds a witness whenever one exists
-        witness = find_witness(sys, t, max_length=10000)
-        assert (witness is None) == vanish
-        if witness is not None:
-            vec = {j: eval_polynomial(sys, j, witness) for j in sys.indices}
-            assert t.evaluate(vec) != 0
+        # brute force over every word up to length 6 finds the same first
+        # nonzero word, and none where t vanishes
+        words = _shortlex(sys.input_alphabet, 6)
+        first = next((w for w in words if t.evaluate({i: eval_polynomial(sys, i, w)}) != 0), None)
+        assert (first is None) == vanish
+        assert find_witness(sys, t) == first
 
 
 def test_rename_and_product_systems():
@@ -773,8 +773,7 @@ def test_decisions_are_not_bounded_by_the_orbit_walk():
     t = (P("X") - 2) * (P("X") - 4) * (P("X") - 16) * (P("X") - 256)
     assert decide_zero_on_reachables(square, t, Budget(max_point_bits=8)) == NotEqual(("a",) * 4)
     assert find_witness(square, t, Budget(max_point_bits=8)) == ("a",) * 4
-    assert find_witness(square, t, Budget(max_point_bits=8), max_length=10000) is None
-    assert find_witness(square, t, Budget(max_point_bits=9), max_length=10000) == ("a",) * 4
+    assert find_witness(square, t, Budget(max_point_bits=9)) == ("a",) * 4
 
 
 def test_witness_search_stops_where_unstepped_values_could_hide_a_smaller_witness():
@@ -787,8 +786,7 @@ def test_witness_search_stops_where_unstepped_values_could_hide_a_smaller_witnes
     t = Polynomial.const(1)
     for w in _shortlex("ab", 2):
         t = t * (P("X") - eval_polynomial(sys, "X", w))
-    assert find_witness(sys, t, max_length=10000) == ("a", "a", "a")
-    assert find_witness(sys, t, Budget(max_point_bits=4), max_length=10000) is None
+    assert find_witness(sys, t) == ("a", "a", "a")
     assert find_witness(sys, t, Budget(max_point_bits=4)) == ("a", "a", "a")
 
 
@@ -927,7 +925,10 @@ def test_the_walk_matches_brute_force_over_words():
             (w for w in _shortlex(letters, 5) if t.evaluate(eval_polynomial_vector(sys, w)) != 0),
             None,
         )
-        assert find_witness(sys, t, max_length=5) == first
+        # the orbit walk, every point stepped, read up to length 5
+        walk = equivalence._orbit((sys,), lambda point: True)
+        short = itertools.takewhile(lambda item: len(item[0]) <= 5, walk)
+        assert next((w for w, (vec,) in short if t.evaluate(vec) != 0), None) == first
 
     @settings(deadline=None, max_examples=80)
     @given(finite_orbit())

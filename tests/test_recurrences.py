@@ -211,7 +211,7 @@ def test_eval_level3():
 
 def _looping_regular():
     classifier = DfaClassifier.single_class({"a"})
-    (label,) = classifier.classes()
+    (label,) = classifier.states
     return RegularSystem.make(
         ("f",), {"a"}, {"b"}, classifier,
         {("f", "a", label): (("f", ("a",)),)},
@@ -282,14 +282,11 @@ def test_classifier_over_bracket_words():
         trans[("sym", b)] = "deep"
         trans[("deep", b)] = "deep"
         trans[("flat", b)] = "flat"
-    classifier = DfaClassifier.make(
-        states, "start", trans,
-        {"start": "no", "sym": "no", "flat": "no", "deep": "yes"},
-    )
+    classifier = DfaClassifier.make(states, "start", trans)
     nested = IteratedPushdown(2, (("A", IteratedPushdown.from_word(("B",), 1)),))
     flat = IteratedPushdown.from_word(("A", "B"), 1)
-    assert classifier.classify(tuple(serialize(nested))) == "yes"
-    assert classifier.classify(tuple(serialize(flat))) == "no"
+    assert classifier.classify(tuple(serialize(nested))) == "deep"
+    assert classifier.classify(tuple(serialize(flat))) == "flat"
 
 
 def test_regular_class_selection_uses_the_tail():
@@ -340,7 +337,7 @@ def _regular_outcome(sys, i, w, fuel):
 def _unary_regular(rhs):
     """f(eps) = b and f(a w) = rhs over the letter a, in one class."""
     classifier = DfaClassifier.single_class({"a"})
-    (label,) = classifier.classes()
+    (label,) = classifier.states
     return RegularSystem.make(("f",), {"a"}, {"b"}, classifier, {("f", "a", label): rhs}, {"f": word("b")})
 
 

@@ -4,8 +4,8 @@ from importlib import resources
 from hypothesis import given, settings, strategies as st
 
 from wordmaps.errors import DomainError, ParseError, WordmapsError
-from wordmaps.recurrences import eval_catenative, eval_polynomial
-from wordmaps.systemfile import format_file, parse_file
+from wordmaps.recurrences import catenative_to_regular, eval_catenative, eval_polynomial
+from wordmaps.systemfile import format_declaration, format_file, parse_file
 from wordmaps.words import word
 
 BUNDLED = ["fibonacci", "factorial", "npown", "gmap", "skolem-demo", "identity-pda", "pow2-pda"]
@@ -203,6 +203,12 @@ def test_reprint_round_trip_of_the_kinds_outside_the_bundled_files():
         assert sf2.declarations[key][0] == kind
         assert _comparable(kind, obj) == _comparable(kind, sf2.declarations[key][1]), key
     assert format_file(sf2) == printed
+    # a library-built regular system: its classes are its classifier's states
+    reg = catenative_to_regular(parse_file(_text("fibonacci")).resolve("Fword", "cat")[1])
+    assert parse_file(format_declaration("reg", "r", reg)).resolve("r", "reg")[1] == reg
+    # a machine is its transitions: the block's name only keys the declaration
+    renamed = parse_file(_text("pow2-pda").replace("pda pow2 {", "pda other {"))
+    assert renamed.resolve("other", "pda")[1] == parse_file(_text("pow2-pda")).resolve("pow2", "pda")[1]
 
 
 # kind -> (a valid body, index of a single-valued directive, index of a
