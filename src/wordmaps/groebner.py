@@ -33,10 +33,9 @@ route when the grevlex leading terms hold a pure power of every variable (the
 ideal is zero-dimensional, or 1 leads the unit ideal); otherwise lex
 Buchberger runs from the generators.
 
-Point and moment vectors are nonzero almost everywhere, and normal forms touch
-few standard monomials, so each keeps its own elimination: ``_eliminate`` over
-lists, ``_eliminate_sparse`` over dicts keyed by monomial.  Each ran slower on
-the other's data in every case measured (``BENCH_39.json``).
+``_eliminate`` (list rows: point and moment vectors are nonzero almost
+everywhere) and ``_eliminate_sparse`` (dict rows: normal forms touch few
+standard monomials) each ran slower on the other's data (``BENCH_39.json``).
 """
 
 from __future__ import annotations

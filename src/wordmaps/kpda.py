@@ -77,6 +77,7 @@ class KPda:
     start_state: str
     input_alphabet: frozenset[str] = frozenset()
     bottom_symbols: tuple[str, ...] = ()
+    name: str = ""
 
     @classmethod
     def make(
@@ -89,6 +90,7 @@ class KPda:
         start_state: str,
         input_alphabet: Iterable[str] = (),
         bottom_symbols: Iterable[str] = (),
+        name: str = "",
     ) -> "KPda":
         if level < 1:
             raise DomainError(f"level must be at least 1, got {level}")
@@ -120,6 +122,7 @@ class KPda:
             start_state=start_state,
             input_alphabet=frozenset(input_alphabet),
             bottom_symbols=tuple(bottom_symbols),
+            name=name,
         )
         if gamma.height != level:
             raise DomainError("graded alphabet height must equal the machine level")

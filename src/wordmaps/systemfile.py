@@ -469,7 +469,8 @@ def _parse_pda(blk) -> KPda:
     inp, bottoms = blk.words("input", ()), blk.words("bottoms", ())
     blk.done()
     return KPda.make(
-        level, states, terminals, gamma, delta, start, input_alphabet=inp, bottom_symbols=bottoms
+        level, states, terminals, gamma, delta, start,
+        input_alphabet=inp, bottom_symbols=bottoms, name=blk.name,
     )
 
 

@@ -773,7 +773,14 @@ def test_decisions_are_not_bounded_by_the_orbit_walk():
     t = (P("X") - 2) * (P("X") - 4) * (P("X") - 16) * (P("X") - 256)
     assert decide_zero_on_reachables(square, t, Budget(max_point_bits=8)) == NotEqual(("a",) * 4)
     assert find_witness(square, t, Budget(max_point_bits=8)) == ("a",) * 4
-    assert find_witness(square, t, Budget(max_point_bits=9)) == ("a",) * 4
+    # squaring from 16: a (X = 256) needs 9 bits, so only at 9 bits does the
+    # scan step it and meet a a; at 8 bits the saturation pass must find it
+    square = PolynomialSystem.make(("X",), {"a"}, {("X", "a"): P("X") * P("X")}, {"X": 16})
+    t = (P("X") - 16) * (P("X") - 256)
+    assert find_witness(square, t, Budget(max_point_bits=9, chain_additions=0)) == ("a", "a")
+    with pytest.raises(BudgetExceededError):
+        find_witness(square, t, Budget(max_point_bits=8, chain_additions=0))
+    assert find_witness(square, t, Budget(max_point_bits=8)) == ("a", "a")
 
 
 def test_witness_search_stops_where_unstepped_values_could_hide_a_smaller_witness():

@@ -187,19 +187,19 @@ def test_run_matches_a_loop_over_step_at_every_fuel(identity_pda, pow2_pda, pow2
         (stuck_without_move, ("a", "b")),
         (stuck_with_empty_store, ("a",)),
     ]
-    for k, (m, w) in enumerate(cases):
+    for m, w in cases:
         # the least fuel that finishes the run is its number of steps
         n = next(f for f in count() if not isinstance(_reference_run(m, w, f)[0], FuelExhausted))
         for fuel in range(n + 2):
             expected, expected_trace = _reference_run(m, w, fuel)
             got = run(m, w, fuel)
-            assert type(got) is type(expected) and got == expected, (k, w, fuel)
+            assert type(got) is type(expected) and got == expected, (m.name, w, fuel)
             trace = []
             for item in steps(m, w, fuel):
                 if isinstance(item, tuple):
                     q, tops, q2, emitted = item
                     trace.append((q, tops, q2, tuple(emitted)))
-            assert item == expected and trace == expected_trace, (k, w, fuel)
+            assert item == expected and trace == expected_trace, (m.name, w, fuel)
     assert isinstance(run(stuck_without_move, ("a", "b")), Stuck)
     assert isinstance(run(stuck_with_empty_store, ("a",)), Stuck)
 

@@ -206,9 +206,6 @@ def test_reprint_round_trip_of_the_kinds_outside_the_bundled_files():
     # a library-built regular system: its classes are its classifier's states
     reg = catenative_to_regular(parse_file(_text("fibonacci")).resolve("Fword", "cat")[1])
     assert parse_file(format_declaration("reg", "r", reg)).resolve("r", "reg")[1] == reg
-    # a machine is its transitions: the block's name only keys the declaration
-    renamed = parse_file(_text("pow2-pda").replace("pda pow2 {", "pda other {"))
-    assert renamed.resolve("other", "pda")[1] == parse_file(_text("pow2-pda")).resolve("pow2", "pda")[1]
 
 
 # kind -> (a valid body, index of a single-valued directive, index of a
