@@ -11,7 +11,7 @@ store once and skips a block met again by its summary; ``steps`` walks the
 same run move by move for ``--trace``.  Both read the outcome off the
 configuration they stop in by one rule, ``_outcome``.  Elsewhere one successor
 relation expands moves, and one bounded breadth-first search, which holds at
-most ``MAX_SEARCH_NODES`` nodes, serves ``derive`` and both sides of the
+most ``MAX_SEARCH_NODES`` nodes, decides both sides of the
 derivation/computation agreement check.
 """
 
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Union
 
-from .errors import BudgetExceededError, DomainError
+from .errors import DomainError
 from .pushdown import (
     GradedAlphabet,
     IteratedPushdown,
@@ -387,48 +387,28 @@ def _form_rewrites(m: KPda, form: SententialForm) -> Iterator[SententialForm]:
 MAX_SEARCH_NODES = 20_000
 
 
-def _search(start, successors, bound: int, goal=lambda node: False):
-    """Breadth-first search from start, at most ``bound`` levels deep.
-
-    Returns (verdict, seen): True when a goal node is reached (the start is
-    not tested), False when the reachable nodes run out first, None when
-    the bound cuts the search.  Raises BudgetExceededError once it holds
-    more than MAX_SEARCH_NODES nodes."""
+def _search(start, successors, bound: int, goal) -> Optional[bool]:
+    """Breadth-first search from start, at most ``bound`` levels deep: True
+    when a goal node is reached (the start is not tested), False when the
+    reachable nodes run out first, None when the bound cuts the search or
+    it holds more than MAX_SEARCH_NODES nodes."""
     seen = {start}
     frontier = [start]
-    for level in range(bound):
+    for _ in range(bound):
         if not frontier:
-            return False, seen
+            return False
         nxt = []
         for node in frontier:
             for new in successors(node):
                 if new not in seen:
                     if goal(new):
-                        return True, seen
+                        return True
                     seen.add(new)
                     nxt.append(new)
             if len(seen) > MAX_SEARCH_NODES:
-                raise BudgetExceededError(
-                    f"bounded search holds more than MAX_SEARCH_NODES = {MAX_SEARCH_NODES} "
-                    f"nodes at level {level + 1} of {bound}"
-                )
+                return None
         frontier = nxt
-    return (None if frontier else False), seen
-
-
-def _verdict(start, successors, bound: int, goal) -> Optional[bool]:
-    """The verdict of ``_search``, None also past MAX_SEARCH_NODES."""
-    try:
-        return _search(start, successors, bound, goal)[0]
-    except BudgetExceededError:
-        return None
-
-
-def derive(m: KPda, start: SententialForm, depth: int) -> set[SententialForm]:
-    """All sentential forms derivable from start in at most depth one-step
-    rewrites of a single variable occurrence.  Raises BudgetExceededError
-    when they outnumber MAX_SEARCH_NODES."""
-    return _search(tuple(start), lambda form: _form_rewrites(m, form), depth)[1]
+    return None if frontier else False
 
 
 @dataclass(frozen=True)
@@ -459,7 +439,7 @@ def _derives_exactly(m: KPda, start: Variable, u: Word, bound: int) -> Optional[
             if sum(isinstance(x, str) for x in new) <= len(u):
                 yield new
 
-    return _verdict((start,), successors, bound, lambda form: form == u)
+    return _search((start,), successors, bound, lambda form: form == u)
 
 
 def _computes(m: KPda, p: str, u: Word, store: IteratedPushdown, q: str, bound: int) -> Optional[bool]:
@@ -472,7 +452,7 @@ def _computes(m: KPda, p: str, u: Word, store: IteratedPushdown, q: str, bound: 
     def goal(c):
         return c.state == q and c.emitted == u and c.store.is_empty()
 
-    return _verdict(Configuration(p, (), store), successors, bound, goal)
+    return _search(Configuration(p, (), store), successors, bound, goal)
 
 
 def check_derivation_computation_agreement(

@@ -274,6 +274,11 @@ class LinearRepresentation:
             if len(m) != d or any(len(r) != d for r in m):
                 raise DomainError(f"matrix for {a!r} is not {d}x{d}")
             norm[a] = m
+        parts = {"row": row, "column": col, **{f"matrix for {a!r}": sum(m, ()) for a, m in norm.items()}}
+        for where, values in parts.items():
+            bad = [v for v in values if not isinstance(v, int)]
+            if bad:
+                raise DomainError(f"{where} has a non-int entry {bad[0]!r}")
         return cls(d, row, tuple(sorted(norm.items())), col)
 
     @cached_property

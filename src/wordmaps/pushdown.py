@@ -176,10 +176,6 @@ class GradedAlphabet:
     def height(self) -> int:
         return len(self.levels)
 
-    @property
-    def symbols(self) -> frozenset[Symbol]:
-        return frozenset(self._level)
-
     def level_of(self, sym: Symbol) -> Optional[int]:
         return self._level.get(sym)
 
@@ -291,32 +287,30 @@ def push(j: int, symbols, pds: IteratedPushdown) -> IteratedPushdown:
 _IDENT_CHAR = r"[\w'′]"
 
 
-def serialize(pds: IteratedPushdown, elide_innermost: bool = True) -> str:
+def serialize(pds: IteratedPushdown) -> str:
     """Render a store as a bracket word; ``[``/``]`` stand for the extended
     alphabet's opening/closing letters.
 
-    The canonical form elides the bracketed empty bodies at the innermost
-    level (level-0 bodies) and keeps explicit brackets everywhere else, which
-    reproduces the usual displayed notation.  Pass ``elide_innermost=False``
-    for the fully bracketed form.
+    The bracketed empty bodies at the innermost level (level-0 bodies) are
+    elided and explicit brackets kept everywhere else, which reproduces the
+    usual displayed notation; ``parse`` also reads the fully bracketed form.
     """
     parts = []
     for sym, inner in pds.entries:
-        if inner.level == 0 and elide_innermost:
+        if inner.level == 0:
             parts.append(sym)
         else:
-            parts.append(sym + "[" + serialize(inner, elide_innermost) + "]")
+            parts.append(sym + "[" + serialize(inner) + "]")
     return "".join(parts)
 
 
-def _tokenize_brackets(text: str, alphabet=None, filename=None):
+def _tokenize_brackets(text: str, alphabet=None):
     """The (kind, value, pos) tokens of a bracket word; kind in {'sym', 'open', 'close'}."""
     symbol = _IDENT_CHAR + "+"
     if alphabet is not None:
-        symbols = alphabet.symbols if isinstance(alphabet, GradedAlphabet) else alphabet
         # an alternation takes its first branch that matches: the longest
         # symbol, tried only where a symbol character stands
-        symbol = "|".join(map(re.escape, sorted(symbols, key=len, reverse=True))) or "(?!)"
+        symbol = "|".join(map(re.escape, sorted(alphabet, key=len, reverse=True))) or "(?!)"
         symbol = f"(?={_IDENT_CHAR})(?:{symbol})"
     # a symbol character that starts no symbol, or any other character, is an error
     pattern = rf"(?P<open>\[)|(?P<close>\])|(?P<sym>{symbol})|(?P<nomatch>{_IDENT_CHAR})|(?P<bad>\S)"
@@ -324,14 +318,14 @@ def _tokenize_brackets(text: str, alphabet=None, filename=None):
     for m in re.finditer(pattern, text):
         kind, value, at = m.lastgroup, m[0], m.start()
         if kind == "nomatch":
-            raise ParseError(f"no alphabet symbol matches at {text[at:at + 12]!r}", column=at + 1, filename=filename)
+            raise ParseError(f"no alphabet symbol matches at {text[at:at + 12]!r}", column=at + 1)
         if kind == "bad":
-            raise ParseError(f"unexpected character {value!r}", column=at + 1, filename=filename)
+            raise ParseError(f"unexpected character {value!r}", column=at + 1)
         tokens.append((kind, value, at))
     return tokens
 
 
-def parse(text: str, level: int, alphabet=None, filename=None) -> IteratedPushdown:
+def parse(text: str, level: int, alphabet=None) -> IteratedPushdown:
     """Parse a bracket word into a level-``level`` store.
 
     Without an alphabet, a symbol is a maximal run of letters, digits, ``_``,
@@ -339,7 +333,7 @@ def parse(text: str, level: int, alphabet=None, filename=None) -> IteratedPushdo
     when serialized symbols abut, as in ``A3C3``).  A symbol with no bracketed
     body denotes a symbol over the empty store of the next level down.
     """
-    tokens = _tokenize_brackets(text, alphabet, filename)
+    tokens = _tokenize_brackets(text, alphabet)
     pos = 0
 
     def parse_store(lv: int) -> IteratedPushdown:
@@ -350,14 +344,12 @@ def parse(text: str, level: int, alphabet=None, filename=None) -> IteratedPushdo
             at = tokens[pos][2]
             pos += 1
             if lv == 0:
-                raise ParseError(f"symbol {sym!r} nested too deep", column=at + 1, filename=filename)
+                raise ParseError(f"symbol {sym!r} nested too deep", column=at + 1)
             if pos < len(tokens) and tokens[pos][0] == "open":
                 pos += 1
                 body = parse_store(lv - 1)
                 if pos >= len(tokens) or tokens[pos][0] != "close":
-                    raise ParseError(
-                        f"missing ']' for the body of {sym!r}", column=at + 1, filename=filename
-                    )
+                    raise ParseError(f"missing ']' for the body of {sym!r}", column=at + 1)
                 pos += 1
             else:
                 body = IteratedPushdown.empty(lv - 1)
@@ -367,18 +359,12 @@ def parse(text: str, level: int, alphabet=None, filename=None) -> IteratedPushdo
     store = parse_store(level)
     if pos < len(tokens):
         kind, value, at = tokens[pos]
-        raise ParseError(f"unexpected {value!r}", column=at + 1, filename=filename)
+        raise ParseError(f"unexpected {value!r}", column=at + 1)
     return store
 
 
 # ---------------------------------------------------------------------------
 # terms, substitution, grading
-
-
-def is_term(pds: IteratedPushdown, undeterminates) -> bool:
-    """True iff every occurrence of an undeterminate is a leaf."""
-    undet = undeterminates.symbols if isinstance(undeterminates, GradedAlphabet) else set(undeterminates)
-    return all(body.is_empty() for sym, _, body in pds.symbols() if sym in undet)
 
 
 def substitute(term: IteratedPushdown, bindings: Mapping[Symbol, IteratedPushdown]) -> IteratedPushdown:

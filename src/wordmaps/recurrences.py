@@ -251,13 +251,15 @@ class PolynomialSystem(_Lookup):
                     raise DomainError(f"rule ({i},{a}) has a negative coefficient in ring N")
         _check_base_total(base, "polynomial system", indices)
         for i in indices:
+            if not isinstance(base[i], int):
+                raise DomainError(f"base of {i!r} must be an int, got {base[i]!r}")
             if ring == "N" and base[i] < 0:
                 raise DomainError(f"base of {i!r} is negative in ring N")
         return cls(
             indices,
             input_alphabet,
             tuple(sorted(rules.items())),
-            tuple(sorted((i, int(v)) for i, v in base.items())),
+            tuple(sorted(base.items())),
             ring,
         )
 

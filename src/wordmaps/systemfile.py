@@ -53,7 +53,7 @@ from .recurrences import (
     PolynomialSystem,
     RegularSystem,
 )
-from .words import Word, show_word, word
+from .words import show_word, word
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ WORKED_UNDET = GradedAlphabet.of(
     ["O3", "O3p"],
 )
 
-WORKED_SYMBOLS = set(WORKED_GAMMA.symbols) | set(WORKED_UNDET.symbols)
+WORKED_SYMBOLS = set().union(*WORKED_GAMMA.levels, *WORKED_UNDET.levels)
 
 # The bundled pow2 machine with its emissions going to q2, which copies q0's
 # moves: on a^n it emits b^(2^n) and empties its store in q2, not the start

@@ -6,11 +6,10 @@ from itertools import count, product
 import pytest
 from importlib import resources
 
-from wordmaps import pushdown
-from wordmaps.errors import BudgetExceededError, DomainError
+from wordmaps import kpda, pushdown
+from wordmaps.errors import DomainError
 from wordmaps.kpda import (
     Accepted,
-    MAX_SEARCH_NODES,
     Configuration,
     FuelExhausted,
     KPda,
@@ -18,7 +17,6 @@ from wordmaps.kpda import (
     Push,
     Stuck,
     check_derivation_computation_agreement,
-    derive,
     initial_store,
     run,
     step,
@@ -416,21 +414,16 @@ def test_run_applies_moves_linear_in_n_on_pow2(pow2_pda, pow2_stuck_pda, monkeyp
 # derivations
 
 
-def test_derive_depth0(identity_pda):
-    start = (Variable("q0", IteratedPushdown.from_word(("a",), 1), "q0"),)
-    assert derive(identity_pda, start, 0) == {start}
-
-
 def test_derive_identity_emits_letter(identity_pda):
-    start = (Variable("q0", IteratedPushdown.from_word(("a",), 1), "q0"),)
-    forms = derive(identity_pda, start, 1)
-    assert ("a",) in forms
+    store = IteratedPushdown.from_word(("a",), 1)
+    res = check_derivation_computation_agreement(identity_pda, "q0", store, "q0", ("a",), 1)
+    assert res.derives is True
 
 
 def test_derive_decomposition_shape(identity_pda):
     store = IteratedPushdown.from_word(("a", "b"), 1)
     start = (Variable("q0", store, "q0"),)
-    forms = derive(identity_pda, start, 1)
+    forms = set(kpda._form_rewrites(identity_pda, start))
     eta = IteratedPushdown.from_word(("a",), 1)
     eta2 = IteratedPushdown.from_word(("b",), 1)
     for r in identity_pda.states:
@@ -491,7 +484,7 @@ def test_recognition_search_matches_run_on_pow2(pow2_pda):
             assert res.computes is (run(pow2_pda, w) == Accepted(u)), (n, k)
 
 
-def test_searches_stop_at_their_node_cap(pow2_pda):
+def test_searches_stop_at_their_node_cap(pow2_pda, monkeypatch):
     # the derivation side's forms grow about x3 per level; bound 25 would
     # hold millions of them without MAX_SEARCH_NODES
     began = time.perf_counter()
@@ -505,9 +498,12 @@ def test_searches_stop_at_their_node_cap(pow2_pda):
                 if getattr(shallow, side) is not None:
                     assert getattr(deep, side) is getattr(shallow, side), (n, k, side)
     assert time.perf_counter() - began < 60
-    start = (Variable("q0", initial_store(pow2_pda, ("a", "a")), "q0"),)
-    with pytest.raises(BudgetExceededError, match=f"MAX_SEARCH_NODES = {MAX_SEARCH_NODES}"):
-        derive(pow2_pda, start, 25)
+    # the derivation side of a^2 -> b^4 is decided at bound 12 past 100 nodes
+    store, u = initial_store(pow2_pda, ("a", "a")), ("b",) * 4
+    assert check_derivation_computation_agreement(pow2_pda, "q0", store, "q0", u, 12).derives is True
+    monkeypatch.setattr(kpda, "MAX_SEARCH_NODES", 50)
+    res = check_derivation_computation_agreement(pow2_pda, "q0", store, "q0", u, 12)
+    assert res.derives is None and res.computes is True and res.inconclusive
 
 
 # ---------------------------------------------------------------------------

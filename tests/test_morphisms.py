@@ -1,4 +1,6 @@
 import random
+import re
+from fractions import Fraction
 from functools import reduce
 
 import pytest
@@ -261,6 +263,18 @@ def test_linear_eval_unknown_letter_after_a_long_run():
 def test_linear_representation_rejects_dimension_zero():
     with pytest.raises(DomainError, match="dimension 0"):
         LinearRepresentation.make((), {"x": ()}, ())
+
+
+@pytest.mark.parametrize("row,matrices,col,message", [
+    ((1, 0.5), {"a": ((1, 1), (0, 1))}, (1, 1), "row has a non-int entry 0.5"),
+    ((1, 0), {"a": ((1, 1), (0, Fraction(1, 3)))}, (1, 1), "matrix for 'a' has a non-int entry Fraction(1, 3)"),
+    ((1, 0), {"a": ((1, 1), (0, 1))}, ("1", 1), "column has a non-int entry '1'"),
+])
+def test_linear_representation_rejects_non_int_entries(row, matrices, col, message):
+    # a float or Fraction entry would make linear_eval return a non-integer
+    # (2.388888888888889 on the first two cases' data together, at aa)
+    with pytest.raises(DomainError, match=re.escape(message)):
+        LinearRepresentation.make(row, matrices, col)
 
 
 def test_homomorphism_extensional_equality():

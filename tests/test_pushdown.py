@@ -140,9 +140,7 @@ def test_serialize_empty():
 
 
 def test_serialize_full_form(omega):
-    full = serialize(omega, elide_innermost=False)
-    assert full == "A1[A2[A3[]C3[]]B2[D3[]C3[]]]B1[B2[B3[]D3[]]]"
-    assert parse(full, 3, WORKED_SYMBOLS) == omega
+    assert parse("A1[A2[A3[]C3[]]B2[D3[]C3[]]]B1[B2[B3[]D3[]]]", 3, WORKED_SYMBOLS) == omega
 
 
 def test_roundtrip_200_random_stores():
@@ -361,6 +359,12 @@ def test_substitution_level_mismatch():
         substitute(t, {"O1": pt("C2[A3]", 2)})
 
 
+def test_substitution_refuses_a_non_leaf_undeterminate():
+    t = pt("A1[O2[A3O3]]")
+    with pytest.raises(DomainError, match="'O2' occurs at a non-leaf position"):
+        substitute(t, {"O2": pt("C2[B3]", 2)})
+
+
 def _random_term_with_top_leaf(rng, leaf):
     # a level-2 term with the undeterminate only at depth 1
     store = random_store(rng, 2, "AB", 2)
@@ -390,14 +394,6 @@ def test_substitution_commutes_on_disjoint_undeterminates():
     assert substitute(substitute(t, b1), b2) == substitute(substitute(t, b2), b1)
 
 
-def test_is_term_leaf_discipline():
-    from wordmaps.pushdown import is_term
-
-    assert is_term(pt("A1[A2[A3O3]B2[D3C3]]O1"), WORKED_UNDET)
-    assert not is_term(pt("A1[O2[A3O3]]"), WORKED_UNDET)
-    assert is_term(IteratedPushdown.empty(3), WORKED_UNDET)
-
-
 def test_graded_verdicts():
     g, u = WORKED_GAMMA, WORKED_UNDET
     assert is_graded(pt("A1[A2[A3O3]B2[D3C3]]O1"), g, u)
@@ -409,6 +405,7 @@ def test_graded_verdicts():
     report = is_graded(pt("A1[A2[A3O2]]"), g, u)
     assert not report and "level" in report.violation
     assert is_graded(pt("A1[A2[]B2[]]"), g, u)
+    assert is_graded(IteratedPushdown.empty(3), g, u)
 
 
 def test_pop_push_preserve_grading(omega):

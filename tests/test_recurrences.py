@@ -1,5 +1,7 @@
 import math
 import random
+import re
+from fractions import Fraction
 from itertools import chain, product
 from pathlib import Path
 
@@ -468,6 +470,13 @@ def test_polynomial_base_and_errors():
         eval_polynomial(sys, "Y", ())
     with pytest.raises(DomainError):
         PolynomialSystem.make(("X",), {"a"}, {("X", "a"): -Polynomial.var("X")}, {"X": 1}, ring="N")
+
+
+@pytest.mark.parametrize("value", [Fraction(5, 2), 2.9, "7"])
+def test_polynomial_rejects_a_non_int_base(value):
+    # int(value) would store Fraction(5, 2) and 2.9 as 2, and "7" < 0 raises a TypeError
+    with pytest.raises(DomainError, match=re.escape(f"base of 'X' must be an int, got {value!r}")):
+        PolynomialSystem.make(("X",), {"a"}, {("X", "a"): 2 * Polynomial.var("X")}, {"X": value})
 
 
 def test_polynomial_linear_matches_linear_eval():
