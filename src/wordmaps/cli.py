@@ -14,7 +14,7 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-from .equivalence import Budget, FractionPresentation, NotEqual, _decide_quotients, _indexed
+from .equivalence import Budget, FractionPresentation, _indexed, _witness
 from .errors import FuelExhaustedError, WordmapsError
 from .groebner import ORDERS, groebner
 from .kpda import Accepted, Stuck, run, steps
@@ -169,7 +169,7 @@ def _quotient(sf: SystemFile, target: str, paper_literal: bool):
     kind, obj, index = resolve_sequence(sf, target, paper_literal, ("poly", "frac"), refusal)
     if kind == "poly":
         return _indexed(obj, index)
-    _, system = sf.declarations[obj.system_name]  # parse_file checked it names a poly
+    _, system = sf.declarations[obj.system_name]  # parse_file checked its poly and indices
     return FractionPresentation(system, obj.num_plus, obj.num_minus, obj.den_plus, obj.den_minus)._shape()
 
 
@@ -177,9 +177,9 @@ def cmd_equiv(args) -> int:
     sf_a = load_file(args.file_a)
     sf_b = sf_a if args.file_b == args.file_a else load_file(args.file_b)
     p, q = _quotient(sf_a, args.target_a, args.paper_literal), _quotient(sf_b, args.target_b, args.paper_literal)
-    verdict = _decide_quotients(p, q, _budget(args))
-    if isinstance(verdict, NotEqual):
-        print(f"NotEqual {show_word(verdict.witness)}")
+    witness = _witness(p, q, _budget(args))
+    if witness is not None:
+        print(f"NotEqual {show_word(witness)}")
         return 1
     print("Equal")
     return 0

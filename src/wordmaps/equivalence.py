@@ -4,11 +4,20 @@ The reachable set of a polynomial recurrence system is the orbit of its base
 vector under the per-letter update maps.  A sequence identity holds for every
 input word exactly when its defining polynomial vanishes on that whole orbit.
 
-``find_witness`` names the shortlex-least word at which a test polynomial t
-is nonzero, or proves there is none; every exact entry takes its paths, a
-quotient comparison over its two systems side by side.
-On affine systems (update polynomials of degree <= 1) it takes the span
-walk: the orbit walk below reads t at each new point, the first nonzero
+Every exact decision compares two (system, num, den) shapes, quotients
+num/den of polynomials over a system, and names the shortlex-least word at
+which they differ or proves there is none.  The sequence X_i is X_i/1, a
+fraction presentation is (g - h)/(fp - gp), and ``find_witness`` compares
+t/1 with 0/1 over the system with no indices.  Two quotients agree at every
+word exactly when t = num_p(v_p) den_q(v_q) - num_q(v_q) den_p(v_p)
+vanishes on the orbit of the two systems walked side by side: a point is
+the pair (v_p, v_q) of their value vectors, each stepped by its own
+system's maps, and its moment vector reads p's variables, then q's, up to
+the degree of t with the two sides' variables kept apart.  The system with
+no indices adds nothing to a point's key or its moment vector.
+
+When both systems are affine (update polynomials of degree <= 1) the
+decision takes the span walk: the orbit walk below reads t at each new point, the first nonzero
 value names the witness, and a point is stepped only if its moment vector
 (the values of the monomials of degree <= deg t) is independent of the
 earlier ones.  Affine maps act linearly on moment vectors and t is linear
@@ -17,7 +26,7 @@ t(v(uw)) = sum c_i t(v(uw_i)) for every word u: verdicts stay exact and
 witnesses minimal (Tzeng, SIAM J. Comput. 21, 1992; Benedikt, Duff, Sharad
 and Worrell, LICS 2017).
 
-On other systems the orbit walk first scans the words up to length 3, which
+Otherwise the orbit walk first scans the words up to length 3, which
 answers shallow witnesses without a pull-back; only when it finds nothing
 does the saturation pass run, over the ascending chain of ideals generated
 by the pull-backs g_w = t o P_w, where g_w(base) = t(v(w)).  A FIFO queue
@@ -33,17 +42,9 @@ its extensions combine pull-backs at shortlex-smaller words, which vanish at
 the base.  The chain stabilizes (ascending chain condition), so the pass is
 total and verdicts never need a variety computation.
 
-``decide_equal`` and ``decide_equal_fractions`` decide one shape, a quotient
-num/den of polynomials over a system: the sequence X_i is X_i/1 and a
-fraction presentation is (g - h)/(fp - gp).  Two quotients agree at every
-word exactly when t = num_p(v_p) den_q(v_q) - num_q(v_q) den_p(v_p)
-vanishes on the orbit of the two systems walked side by side: a point is
-the pair (v_p, v_q) of their value vectors, each stepped by its own
-system's maps, and its moment vector reads p's variables, then q's, up to
-the degree of t with the two sides' variables kept apart.  The span walk
-and the scan read t at such points; only the saturation pass, which pulls
-t back, builds the product system with the indices prefixed A_ and B_,
-and t over it.
+The span walk and the scan read t at the side-by-side points; only the
+saturation pass, which pulls t back, builds the product system with the
+indices prefixed A_ and B_, and t over it.
 
 ``zariski_closure`` computes the vanishing ideal of the orbit closure.  Both
 of its paths fit polynomials to sampled orbit points with Buchberger-Moeller
@@ -71,7 +72,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from typing import Optional, Union
 
 from .errors import BudgetExceededError, DomainError
@@ -195,8 +195,8 @@ def _saturate(sys: PolynomialSystem, t: Polynomial, budget: Budget) -> Optional[
 
 
 def _span_walk(sides: tuple, value, degree: int, budget: Budget) -> Optional[Word]:
-    """``find_witness`` on affine sides: the span walk of the module
-    docstring, for the t of the given degree that ``value`` reads at a point."""
+    """The span walk of the module docstring over affine sides, for the t of
+    the given degree that ``value`` reads at a point."""
     # moment j >= 1 is moment p times the variable in slot k, for
     # (p, k) = links[j - 1]: each monomial of degree <= deg t once, its
     # variables in the sides' index order
@@ -261,26 +261,35 @@ def _orbit(sides: tuple, stepped):
 def find_witness(sys: PolynomialSystem, t: Polynomial, budget: Budget = DEFAULT_BUDGET) -> Optional[Word]:
     """Shortest word (lexicographically first among its length) at which t
     evaluates to a nonzero value, or None iff t vanishes on the whole orbit:
-    the span walk on an affine system, else the scan to length 3 and, when
-    that finds nothing, the saturation pass."""
+    the comparison of t/1 over ``sys`` with 0/1 over the system with no
+    indices."""
     if not t.variables() <= set(sys.indices):
         raise DomainError("test polynomial mentions variables outside the system")
-    return _witness((sys,), lambda point: t.evaluate(point[0]), t.degree, budget, lambda: (sys, t))
+    one = Polynomial.const(1)
+    return _witness((sys, t, one), (PolynomialSystem((), sys.input_alphabet, (), ()), Polynomial.zero(), one), budget)
 
 
-def _witness(sides: tuple, value, degree, budget: Budget, saturation) -> Optional[Word]:
-    """``find_witness`` over the orbit of the sides walked side by side, for
-    the t that ``value`` reads at a point.  ``degree()`` gives deg t, which
-    only the span walk reads, and ``saturation()`` the (system, t) of the
-    saturation pass: each is computed only when its path runs."""
-    if max([sys.degree for sys in sides]) <= 1:
-        return _span_walk(sides, value, degree(), budget)
+def _witness(p: tuple, q: tuple, budget: Budget) -> Optional[Word]:
+    """The shortlex-least word at which two (system, num, den) shapes differ,
+    or None when they agree at every word: the t of the module docstring,
+    read at the points of the two systems walked side by side.  The span
+    walk when both systems are affine, else the scan to length 3 and, when
+    that finds nothing, the saturation pass over the renamed product."""
+    (sys_p, num_p, den_p), (sys_q, num_q, den_q) = p, q
+    check_shared_alphabet(sys_p, sys_q)
+
+    def value(point):
+        v_p, v_q = point
+        return num_p.evaluate(v_p) * den_q.evaluate(v_q) - num_q.evaluate(v_q) * den_p.evaluate(v_p)
+
+    if sys_p.affine and sys_q.affine:
+        return _span_walk((sys_p, sys_q), value, _cross_degree(num_p, den_q, num_q, den_p), budget)
     cap = _SCAN_LENGTH
 
     def fits(point):
         return all(map(budget.fits, point))
 
-    for w, point in _orbit(sides, fits):
+    for w, point in _orbit((sys_p, sys_q), fits):
         if len(w) > cap:
             break
         if value(point) != 0:
@@ -288,7 +297,13 @@ def _witness(sides: tuple, value, degree, budget: Budget, saturation) -> Optiona
         if not fits(point):
             # the unstepped point's successors might precede a longer find
             cap = min(cap, len(w))
-    return _saturate(*saturation(), budget)
+    t = _prefixed(num_p, "A_") * _prefixed(den_q, "B_") - _prefixed(num_q, "B_") * _prefixed(den_p, "A_")
+    return _saturate(_paired(sys_p, sys_q), t, budget)
+
+
+def _verdict(witness: Optional[Word]) -> Verdict:
+    """Equal when there is no witness, else NotEqual with it."""
+    return Equal() if witness is None else NotEqual(witness)
 
 
 def decide_zero_on_reachables(
@@ -296,8 +311,7 @@ def decide_zero_on_reachables(
 ) -> Verdict:
     """The verdict of ``find_witness``: Equal when t vanishes on the whole
     orbit, else NotEqual with the minimal witness word."""
-    witness = find_witness(sys, t, budget)
-    return Equal() if witness is None else NotEqual(witness)
+    return _verdict(find_witness(sys, t, budget))
 
 
 def decide_equal(
@@ -308,33 +322,13 @@ def decide_equal(
     budget: Budget = DEFAULT_BUDGET,
 ) -> Verdict:
     """Decide pointwise equality of two polynomially recurrent sequences."""
-    return _decide_quotients(_indexed(sys_a, i_a), _indexed(sys_b, i_b), budget)
+    return _verdict(_witness(_indexed(sys_a, i_a), _indexed(sys_b, i_b), budget))
 
 
 def _indexed(sys: PolynomialSystem, i: str) -> tuple:
     """The (system, num, den) shape of the sequence X_i, which is X_i/1."""
     check_index(sys, i)
     return sys, Polynomial.var(i), Polynomial.const(1)
-
-
-def _decide_quotients(p: tuple, q: tuple, budget: Budget) -> Verdict:
-    """Whether two (system, num, den) shapes agree at every word, by the t of
-    the module docstring, read at the points of the two systems walked side
-    by side."""
-    (sys_p, num_p, den_p), (sys_q, num_q, den_q) = p, q
-    check_shared_alphabet(sys_p, sys_q)
-
-    def value(point):
-        v_p, v_q = point
-        return num_p.evaluate(v_p) * den_q.evaluate(v_q) - num_q.evaluate(v_q) * den_p.evaluate(v_p)
-
-    def saturation():
-        t = _prefixed(num_p, "A_") * _prefixed(den_q, "B_") - _prefixed(num_q, "B_") * _prefixed(den_p, "A_")
-        return _paired(sys_p, sys_q), t
-
-    degree = partial(_cross_degree, num_p, den_q, num_q, den_p)
-    witness = _witness((sys_p, sys_q), value, degree, budget, saturation)
-    return Equal() if witness is None else NotEqual(witness)
 
 
 def _cross_degree(num_p: Polynomial, den_q: Polynomial, num_q: Polynomial, den_p: Polynomial) -> int:
@@ -385,7 +379,7 @@ def decide_equal_fractions(
 ) -> Verdict:
     """Cross-multiplied zeroness of two fraction presentations on the
     reachable set of the combined system."""
-    return _decide_quotients(p._shape(), q._shape(), budget)
+    return _verdict(_witness(p._shape(), q._shape(), budget))
 
 
 # ---------------------------------------------------------------------------

@@ -239,7 +239,7 @@ class SkolemProduct:
 def _require_linear(sys: PolynomialSystem, name: str):
     if len(sys.input_alphabet) != 1:
         raise DomainError(f"{name} must have a unary input alphabet")
-    if sys.degree > 1:
+    if not sys.affine:
         raise DomainError(f"{name} must be linear (degree <= 1 rules)")
 
 

@@ -276,7 +276,7 @@ class LinearRepresentation:
             norm[a] = m
         parts = {"row": row, "column": col, **{f"matrix for {a!r}": sum(m, ()) for a, m in norm.items()}}
         for where, values in parts.items():
-            bad = [v for v in values if not isinstance(v, int)]
+            bad = [v for v in values if not isinstance(v, int) or isinstance(v, bool)]
             if bad:
                 raise DomainError(f"{where} has a non-int entry {bad[0]!r}")
         return cls(d, row, tuple(sorted(norm.items())), col)

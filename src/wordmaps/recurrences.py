@@ -26,7 +26,7 @@ from typing import Mapping
 
 from .errors import DomainError, FuelExhaustedError
 from .morphisms import Homomorphism, check_index, check_word, compose, concat, demand, suffix_walk, word_product
-from .polynomials import Polynomial, _powers, _substitute, _wrap
+from .polynomials import Polynomial, _powers, _substitute, _wrap, mono_degree
 from .words import Word
 
 
@@ -251,7 +251,7 @@ class PolynomialSystem(_Lookup):
                     raise DomainError(f"rule ({i},{a}) has a negative coefficient in ring N")
         _check_base_total(base, "polynomial system", indices)
         for i in indices:
-            if not isinstance(base[i], int):
+            if not isinstance(base[i], int) or isinstance(base[i], bool):
                 raise DomainError(f"base of {i!r} must be an int, got {base[i]!r}")
             if ring == "N" and base[i] < 0:
                 raise DomainError(f"base of {i!r} is negative in ring N")
@@ -281,9 +281,10 @@ class PolynomialSystem(_Lookup):
         return {key: p.variables() for key, p in self.rules}
 
     @cached_property
-    def degree(self) -> int:
-        """The largest degree of an update polynomial."""
-        return max((p.degree() for _, p in self.rules), default=-1)
+    def affine(self) -> bool:
+        """Whether every update polynomial has degree <= 1, read up to the
+        first monomial of degree >= 2."""
+        return all(mono_degree(m) <= 1 for _, p in self.rules for m in p.terms)
 
 
 def _prefixed(p: Polynomial, prefix: str) -> Polynomial:
@@ -436,7 +437,7 @@ def eval_polynomial_vector(sys: PolynomialSystem, w: Word, wanted=None) -> dict[
     bit of k, through the maps of a^1, a^2, a^4, ..., built once per call."""
     check_word(sys, w)
     values, maps = sys.base_vector(), sys.maps
-    if sys.degree > 1:
+    if not sys.affine:
         wanted = frozenset(sys.indices if wanted is None else wanted)
         for a, need in demand(w, wanted, sys.read_map):
             values = _step(values, maps[a], need)

@@ -26,7 +26,8 @@ unknown, repeated, missing or malformed directive is a ``ParseError`` at its
 line (a missing one at the block header), reported after any bad statement.
 A check of the block's whole object (an unknown index, a missing transition)
 is a ``ParseError`` at the block header; so is a ``frac`` block whose
-``system:`` is not the exact name of a ``poly`` block of the same file,
+``system:`` is not the exact name of a ``poly`` block of the same file, or
+whose ``g:``, ``h:``, ``fp:`` or ``gp:`` is not an index of that block,
 checked once every block is read.
 Only regular rules take an ``@class`` annotation after the head and shift
 letters before ``w`` on the right-hand side.  Inline homomorphisms are
@@ -528,7 +529,7 @@ _KINDS = {
 
 def parse_file(text: str, filename: Optional[str] = None) -> SystemFile:
     out = SystemFile(filename=filename)
-    fracs = []  # (header, name, system name) of each frac block
+    fracs = []  # (header, name, FractionSpec) of each frac block
     for kind, name, body, header in _blocks(text, filename):
         if kind not in _KINDS:
             raise ParseError(f"unknown block kind {kind!r}", line=header, filename=filename)
@@ -540,10 +541,15 @@ def parse_file(text: str, filename: Optional[str] = None) -> SystemFile:
             raise ParseError(str(e), line=header, filename=filename) from e
         out.add(kind, name, obj, line=header)
         if kind == "frac":
-            fracs.append((header, name, obj.system_name))
-    for header, name, system in fracs:
-        if out.declarations.get(system, ("",))[0] != "poly":
-            raise ParseError(f"frac {name} names no poly block {system!r}", line=header, filename=filename)
+            fracs.append((header, name, obj))
+    for header, name, spec in fracs:
+        declared, system = out.declarations.get(spec.system_name, ("", None))
+        if declared != "poly":
+            raise ParseError(f"frac {name} names no poly block {spec.system_name!r}", line=header, filename=filename)
+        for i in (spec.num_plus, spec.num_minus, spec.den_plus, spec.den_minus):
+            if i not in system.indices:
+                raise ParseError(f"frac {name} names index {i!r}, which poly block {spec.system_name!r} lacks",
+                                 line=header, filename=filename)
     return out
 
 

@@ -755,6 +755,17 @@ def test_a_point_too_large_to_step_leaves_the_sample_open():
     assert reachable_points(flip, Budget(max_point_bits=9)) == ([{"X": 0}, {"X": 300}], True)
 
 
+def test_a_system_with_no_indices():
+    # the 0/1 side of every find_witness: its orbit is the one empty vector
+    empty = PolynomialSystem((), frozenset("ab"), (), ())
+    assert empty == PolynomialSystem.make((), "ab", {}, {})
+    assert find_witness(empty, Polynomial.const(3)) == ()
+    assert find_witness(empty, Polynomial.zero()) is None
+    closure = zariski_closure(empty)
+    assert closure.generators == () and closure.variables() == ()
+    assert repr(closure) == "<0>"
+
+
 def test_closure_refutation_comes_from_the_saturation_pass():
     # three sampled points fit x(x-1)(x-2), refuted only at a^3; the
     # refuting point comes from the minimal witness, with no further search
@@ -827,7 +838,7 @@ def test_the_exact_entries_agree_with_each_other_and_brute_force():
         rules = {(i, a): poly(st.integers(-2, 2)) for i in indices for a in letters}
         base = {i: draw(st.integers(-3, 3)) for i in indices}
         sys = PolynomialSystem.make(indices, letters, rules, base, ring="Z")
-        assume(sys.degree > 1)
+        assume(not sys.affine)
         # t vanishes at two words of length <= 3, or at one when it is a
         # quadratic q - q(v(w)); the k-th factor often at the k-th word, so
         # that witnesses lie deeper

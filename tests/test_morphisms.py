@@ -269,10 +269,14 @@ def test_linear_representation_rejects_dimension_zero():
     ((1, 0.5), {"a": ((1, 1), (0, 1))}, (1, 1), "row has a non-int entry 0.5"),
     ((1, 0), {"a": ((1, 1), (0, Fraction(1, 3)))}, (1, 1), "matrix for 'a' has a non-int entry Fraction(1, 3)"),
     ((1, 0), {"a": ((1, 1), (0, 1))}, ("1", 1), "column has a non-int entry '1'"),
+    ((True, False), {"a": ((1, 1), (0, 1))}, (1, 1), "row has a non-int entry True"),
+    ((1, 0), {"a": ((1, True), (0, 1))}, (1, 1), "matrix for 'a' has a non-int entry True"),
+    ((1, 0), {"a": ((1, 1), (0, 1))}, (1, False), "column has a non-int entry False"),
 ])
 def test_linear_representation_rejects_non_int_entries(row, matrices, col, message):
     # a float or Fraction entry would make linear_eval return a non-integer
-    # (2.388888888888889 on the first two cases' data together, at aa)
+    # (2.388888888888889 on the first two cases' data together, at aa); a bool
+    # passes isinstance(value, int), and the reprint read "row: True False"
     with pytest.raises(DomainError, match=re.escape(message)):
         LinearRepresentation.make(row, matrices, col)
 

@@ -311,8 +311,10 @@ def _malformed_cases():
 
 @pytest.mark.parametrize("kind", VALID_BODIES)
 def test_the_valid_bodies_parse(kind):
-    # a frac block's system: must name a poly block of the same file
-    poly = "poly s {\n  input: a\n  A(eps) = 1\n  A(a w) = A\n}\n" if kind == "frac" else ""
+    # a frac block's system: must name a poly block of the same file, which
+    # has the frac's g:, h:, fp: and gp: indices
+    rules = "".join(f"  {i}(eps) = 1\n  {i}(a w) = {i}\n" for i in "ABCD")
+    poly = "poly s {\n  input: a\n" + rules + "}\n" if kind == "frac" else ""
     sf = parse_file(_block(kind, VALID_BODIES[kind][0]) + poly, filename="f.sys")
     assert list(sf.declarations) == ["k"] + ["s"] * bool(poly)
 
@@ -326,6 +328,17 @@ def test_a_frac_must_name_a_poly_block_of_its_file_exactly(system):
         parse_file(text, filename="f.sys")
     assert str(err.value) == f"f.sys:7: frac k names no poly block {system!r}"
     assert list(parse_file(text.replace(f"system: {system}", "system: pair")).declarations) == ["pair", "F", "k"]
+
+
+@pytest.mark.parametrize("key", ["g", "h", "fp", "gp"])
+def test_a_frac_must_name_indices_of_its_poly_block(key):
+    # the file is refused when it is read, at the frac header, not when an
+    # equiv target resolves the frac
+    text = "poly pair {\n  input: a\n  A(eps) = 1\n  A(a w) = A\n}\n"
+    body = ["system: pair"] + [f"{k}: {'Nope' if k == key else 'A'}" for k in ("g", "h", "fp", "gp")]
+    with pytest.raises(ParseError) as err:
+        parse_file(text + _block("frac", body), filename="f.sys")
+    assert str(err.value) == "f.sys:6: frac k names index 'Nope', which poly block 'pair' lacks"
 
 
 @pytest.mark.parametrize("text,line,wanted", _malformed_cases())
