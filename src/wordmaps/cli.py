@@ -94,7 +94,8 @@ def parse_argument_word(alphabet, arg: str):
     """An input word: either an integer n (unary alphabet) or letters.
 
     Letters win ties: an all-digit argument whose characters are all letters
-    of the alphabet is read as a word.
+    of the alphabet is read as a word.  A lone letter of several characters
+    is that letter (``words.word`` over the alphabet).
     """
     if arg != "eps" and all(c in alphabet for c in arg):
         return tuple(arg)
@@ -111,7 +112,7 @@ def parse_argument_word(alphabet, arg: str):
             return (letter,) * int(digits)
         except MemoryError:
             raise WordmapsError(f"a word of {int(digits)} letters does not fit in memory") from None
-    return word(arg)
+    return word(arg, alphabet)
 
 
 def _print_integer(n: int) -> None:

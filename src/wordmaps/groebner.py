@@ -16,7 +16,9 @@ rescaled to the exact remainder) on the way out.  A ``GroebnerBasis`` is
 completed incrementally (Gebauer and Moeller, J. Symb. Comp. 6, 1988):
 ``add`` queues only the new element's S-pairs.  ``groebner`` returns its
 reduced form, deterministic given the generators, the variable sequence, and
-the order.  A variable sequence names each variable once.
+the order.  A variable sequence names each variable once.  An ``Ideal`` holds
+one grevlex basis, built on first use; membership, which no order changes, is
+one normal form against its reduced form.
 
 The ideal of a finite point set, and the lex basis of a zero-dimensional
 ideal from its grevlex one, come from one walk over an ideal given by linear
@@ -24,14 +26,15 @@ functionals (Marinari, Moeller and Mora, AAECC 4, 1993): monomials t = x_i*s,
 s standard, are visited in increasing order, skipping multiples of the leading
 terms found so far; if t's vector depends on those of the standard monomials
 before it, the dependency is the basis element with leading term t, else t is
-standard.  For points (Buchberger-Moeller) the vector holds t's values,
-eliminated fraction-free over pivot points only, the content divided out once
-per reduction.  For a lex basis (FGLM: Faugere, Gianni, Lazard and Mora, J.
-Symb. Comp. 16, 1993) it is t's sparse normal form modulo the grevlex basis,
-at most n*D + 1 of them for a quotient of dimension D.  A lex basis takes this
-route when the grevlex leading terms hold a pure power of every variable (the
-ideal is zero-dimensional, or 1 leads the unit ideal); otherwise lex
-Buchberger runs from the generators.
+standard.  For points (Buchberger-Moeller) the vector holds t's values at the
+points made active so far, eliminated fraction-free, the content divided out
+once per reduction; the walk stops above a degree bound, which is the number
+of points when none is given.  For a lex basis (FGLM: Faugere, Gianni, Lazard
+and Mora, J. Symb. Comp. 16, 1993) it is t's sparse normal form modulo the
+grevlex basis, at most n*D + 1 of them for a quotient of dimension D.  A lex
+basis takes this route when the grevlex leading terms hold a pure power of
+every variable (the ideal is zero-dimensional, or 1 leads the unit ideal);
+otherwise lex Buchberger runs from the generators.
 
 ``_eliminate`` (list rows: point and moment vectors are nonzero almost
 everywhere) and ``_eliminate_sparse`` (dict rows: normal forms touch few
@@ -466,14 +469,12 @@ def s_polynomial(f: Polynomial, g: Polynomial, variables: Optional[Sequence[str]
     return _widening(_codec(order, len(variables), max(f.degree(), g.degree())), compute)
 
 
-def normal_form(p: Polynomial, basis: Iterable[Polynomial], variables: Optional[Sequence[str]] = None,
+def normal_form(p: Polynomial, basis: Iterable[Polynomial], variables: Sequence[str],
                 order: str = "grevlex") -> Polynomial:
     """Division remainder of p by a basis (unique when the basis is Groebner
     for the order).  Fresh variables of p extend the sequence at the end,
     which preserves the order among the old monomials."""
     basis = [g for g in basis if not g.is_zero()]
-    if variables is None:
-        variables = default_variables(basis)
     variables = _distinct(variables) + tuple(sorted(p.variables() - set(variables)))
 
     def compute(codec):
@@ -486,33 +487,26 @@ def normal_form(p: Polynomial, basis: Iterable[Polynomial], variables: Optional[
 
 
 class Ideal:
-    """A polynomial ideal given by generators, with a cached basis per order."""
+    """A polynomial ideal given by generators, with its grevlex basis built on first use."""
 
     def __init__(self, generators: Iterable[Polynomial], variables=None):
         self.generators = tuple(g for g in generators if not g.is_zero())
         self._variables = default_variables(self.generators) if variables is None else _distinct(variables)
-        self._bases: dict[str, GroebnerBasis] = {}
+        self._basis: Optional[tuple[GroebnerBasis, list[Polynomial]]] = None
 
     def variables(self) -> tuple[str, ...]:
         return self._variables
 
-    def _basis(self, order: str, max_basis=None) -> GroebnerBasis:
-        gb = self._bases.get(order)
-        if gb is None:
-            gb = self._bases[order] = GroebnerBasis(self.generators, self.variables(), order, max_basis=max_basis)
+    def groebner_basis(self, max_basis=None) -> list[Polynomial]:
+        if self._basis is None:
+            gb = GroebnerBasis(self.generators, self._variables, max_basis=max_basis)
+            self._basis = gb, gb.reduced()
         # a cached basis answers to the budget it would have met when computed
-        gb.check_budget(max_basis)
-        return gb
+        self._basis[0].check_budget(max_basis)
+        return list(self._basis[1])
 
-    def groebner_basis(self, order: str = "grevlex", max_basis=None) -> list[Polynomial]:
-        return self._basis(order, max_basis).reduced()
-
-    def contains(self, p: Polynomial, order: str = "grevlex") -> bool:
-        if p.is_zero():
-            return True
-        if p.variables() <= set(self.variables()):
-            return not self._basis(order).reduce(p)
-        return normal_form(p, self.groebner_basis(order), self.variables(), order).is_zero()
+    def contains(self, p: Polynomial) -> bool:
+        return normal_form(p, self.groebner_basis(), self._variables).is_zero()
 
     def same_ideal(self, other: "Ideal") -> bool:
         return all(map(self.contains, other.generators)) and all(map(other.contains, self.generators))
@@ -582,7 +576,7 @@ def _eliminate(vec: list[int], poly: dict, rows) -> tuple[Optional[int], list[in
         if g > 1:
             vec = [a // g for a in vec]
             poly = {m: a // g for m, a in poly.items()}
-    return next((k for k, a in enumerate(vec) if a), None), vec, poly
+    return next(itertools.compress(itertools.count(), vec), None), vec, poly
 
 
 def points_ideal(points: Iterable[Mapping[str, int]], variables: Sequence[str],
@@ -597,12 +591,13 @@ def points_ideal(points: Iterable[Mapping[str, int]], variables: Sequence[str],
     t - sum c*s is the one combination that vanishes on the active points: at
     the first idle point where it does not vanish, that point becomes active,
     every row takes its polynomial's value there, and t is standard with its
-    pivot at it; if it vanishes on every point, it is a basis element.  With
-    max_degree=D the walk stops above degree D, leaving the basis elements of
-    degree <= D; grevlex is degree-compatible, so these generate the ideal of
-    all vanishing polynomials of degree <= D, and at most as many points as
-    standard monomials are ever active.  Without a bound every point is
-    active from the start.
+    pivot at it; if it vanishes on every point, it is a basis element.  The
+    walk stops above degree D, leaving the basis elements of degree <= D;
+    grevlex is degree-compatible, so these generate the ideal of all
+    vanishing polynomials of degree <= D, and at most as many points as
+    standard monomials are ever active.  D is max_degree, or the number of
+    points when no bound is given: the reduced basis of n points has no
+    element of degree above n, so the walk then returns all of it.
 
     Coordinates must be ints (a DomainError names the variable of any other
     value): the elimination is fraction-free, on integer vectors whose
@@ -618,9 +613,9 @@ def points_ideal(points: Iterable[Mapping[str, int]], variables: Sequence[str],
     # at most len(pts) monomials are standard, and they are closed under
     # division, so no queued monomial has a degree above len(pts)
     codec = _codec("grevlex", len(variables), len(pts))
-    capped = max_degree is not None
+    max_degree = len(pts) if max_degree is None else max_degree
     # the active points in the order they became active, and the idle ones
-    active, idle = ([], list(range(len(pts)))) if capped else (range(len(pts)), [])
+    active, idle = [], list(range(len(pts)))
     # echelon rows: (pivot, values at the active points, the polynomial they evaluate)
     rows: list[tuple[int, list[int], dict[int, int]]] = []
     # each visited monomial's values at every point
@@ -629,7 +624,7 @@ def points_ideal(points: Iterable[Mapping[str, int]], variables: Sequence[str],
 
     def dependency(t, i, s):
         vec = values[t] = ones if i < 0 else [a * c for a, c in zip(values[s], coords[i])]
-        pivot, row, poly = _eliminate([vec[k] for k in active] if capped else vec, {t: 1}, rows)
+        pivot, row, poly = _eliminate([vec[k] for k in active], {t: 1}, rows)
         if pivot is None and idle:
             for k, j in enumerate(idle):
                 if v := sum(c * values[m][j] for m, c in poly.items()):
@@ -647,7 +642,7 @@ def points_ideal(points: Iterable[Mapping[str, int]], variables: Sequence[str],
 
     # x_n^(D+1), the least grevlex monomial of degree D + 1 (with no
     # variables, D + 1 itself: above the one monomial 1 iff D >= 0)
-    stop = (max_degree + 1) * (codec.cols or [1])[-1] if capped else None
-    basis, leads = _walk(codec, dependency, stop)
-    # poly[t] is the leading coefficient of the element with leading term t
-    return [_from_internal(g, variables, Fraction(1, g[t]), codec) for g, t in zip(basis, leads)]
+    basis, leads = _walk(codec, dependency, (max_degree + 1) * (codec.cols or [1])[-1])
+    # g[t] leads the element with leading term t; 1 and -1 need no Fraction
+    return [_from_internal(g, variables, g[t] if abs(g[t]) == 1 else Fraction(1, g[t]), codec)
+            for g, t in zip(basis, leads)]

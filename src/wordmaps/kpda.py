@@ -128,6 +128,7 @@ class KPda:
             raise DomainError("graded alphabet height must equal the machine level")
         if start_state not in states:
             raise DomainError(f"start state {start_state!r} not among the states")
+        _check_bottoms(m)
         return m
 
     @cached_property
@@ -236,13 +237,17 @@ def step(m: KPda, c: Configuration) -> set[Configuration]:
     }
 
 
+def _check_bottoms(m: KPda) -> None:
+    """A level-k machine names k - 1 bottom symbols, one per store level above 1."""
+    need = m.level - 1
+    if len(m.bottom_symbols) != need:
+        raise DomainError(f"a level-{m.level} machine needs {need} designated bottom symbol"
+                          f"{'' if need == 1 else 's'}, got {len(m.bottom_symbols)}")
+
+
 def initial_store(m: KPda, w: Word) -> IteratedPushdown:
     """gamma_1[gamma_2[...[w]...]] with each input letter over an empty body."""
-    if len(m.bottom_symbols) != m.level - 1:
-        raise DomainError(
-            f"a level-{m.level} machine needs {m.level - 1} designated bottom symbols, "
-            f"got {len(m.bottom_symbols)}"
-        )
+    _check_bottoms(m)  # again, for a machine built without KPda.make
     cur = IteratedPushdown.from_word(w, 1)
     lv = 1
     for sym in reversed(m.bottom_symbols):

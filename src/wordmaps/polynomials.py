@@ -173,7 +173,8 @@ class Polynomial:
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = hash(tuple(sorted(self.terms.items())))
+            # a constant equals its value, so it hashes as its value
+            h = hash(self.terms.get(MONO_ONE, 0) if self.is_constant() else tuple(sorted(self.terms.items())))
             object.__setattr__(self, "_hash", h)
         return h
 

@@ -37,6 +37,7 @@ themselves.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Optional
@@ -307,7 +308,7 @@ _IMAGE_RE = re.compile(r"^\s*(?P<letter>\S+?)\s*->(?P<image>.*)$")
 
 
 def _images(blk, rules):
-    """{letter: image} from ``x -> w`` rules given as (lineno, text) pairs."""
+    """{letter: image text} from ``x -> w`` rules given as (lineno, text) pairs."""
     images = {}
     for lineno, rule in rules:
         m = _IMAGE_RE.match(rule)
@@ -315,7 +316,7 @@ def _images(blk, rules):
             raise blk.error(f"bad homomorphism rule {rule.strip()!r}", lineno)
         if m["letter"] in images:
             raise blk.error(f"two images for letter {m['letter']!r}", lineno)
-        images[m["letter"]] = word(m["image"])
+        images[m["letter"]] = m["image"]
     return images
 
 
@@ -328,8 +329,9 @@ def _inline_images(blk, lineno, text):
 
 
 def _working_hom(images, working, target) -> Homomorphism:
-    """The homomorphism on ``working`` with these images; unlisted letters map to themselves."""
-    images = images | {v: (v,) for v in working - images.keys()}
+    """The homomorphism on ``working`` with these images, each read as a word
+    over ``target``; unlisted letters map to themselves."""
+    images = {a: word(text, target) for a, text in images.items()} | {v: (v,) for v in working - images.keys()}
     return Homomorphism(images, source=working, target=target)
 
 
@@ -342,7 +344,7 @@ def _parse_cat(blk) -> CatenativeSystem:
     index_rules = _index_rules(blk, rules)
     inp, out = blk.words("input"), blk.words("output")
     blk.done()
-    base = {i: word(rhs) for i, (_, rhs) in bases.items()}
+    base = {i: word(rhs, out) for i, (_, rhs) in bases.items()}
     return CatenativeSystem.make(tuple(sorted(bases)), inp, out, index_rules, base)
 
 
@@ -378,7 +380,7 @@ def _parse_reg(blk) -> RegularSystem:
         # an unannotated rule applies to every class
         for d in classifier.states if cls is None else [cls]:
             reg_rules[(i, a, d)] = rhs
-    base = {i: word(rhs) for i, (_, rhs) in bases.items()}
+    base = {i: word(rhs, out) for i, (_, rhs) in bases.items()}
     return RegularSystem.make(tuple(sorted(bases)), inp, out, classifier, reg_rules, base)
 
 
@@ -507,7 +509,7 @@ def _parse_graded(blk) -> GradedAlphabet:
 def _parse_hom(blk) -> Homomorphism:
     images = _images(blk, [(lineno, m.string) for lineno, m in blk.statements])
     blk.done()
-    return Homomorphism(images)
+    return Homomorphism({a: word(text) for a, text in images.items()})
 
 
 # kind -> (block parser, pattern of its non-directive statements)
@@ -644,7 +646,8 @@ def format_declaration(kind: str, name: str, obj) -> str:
     elif kind == "ideal":
         lines.append(f"  vars: {' '.join(obj.variables())}")
         for g in obj.generators:
-            lines.append(f"  gen: {format_polynomial(g)}")
+            # scaled to integer coefficients, which the parser reads
+            lines.append(f"  gen: {format_polynomial(g * math.lcm(*(c.denominator for c in g.terms.values())))}")
     elif kind == "frac":
         lines.append(f"  system: {obj.system_name}")
         lines.append(f"  g: {obj.num_plus}")

@@ -7,22 +7,30 @@ so the tuple representation is used everywhere instead of ``str``.
 
 from __future__ import annotations
 
+from typing import Collection
+
 Word = tuple[str, ...]
 
 
-def word(text: str) -> Word:
+def word(text: str, alphabet: Collection[str] = ()) -> Word:
     """Parse a word from text.
 
     Whitespace-separated tokens become letters; a token without whitespace is
     split into single-character letters, so ``"abba"`` and ``"a b b a"`` both
-    denote the same four-letter word.  ``"eps"`` denotes the empty word.
+    denote the same four-letter word.  ``"eps"`` denotes the empty word.  A
+    lone token that is a letter of ``alphabet`` is that one letter, unless the
+    alphabet's one-character letters spell it, so ``show_word`` of a
+    one-letter word reads back.
     """
     text = text.strip()
     if text == "" or text == "eps":
         return ()
     parts = text.split()
     if len(parts) == 1:
-        return tuple(parts[0])
+        (tok,) = parts
+        if tok in alphabet and not all(c in alphabet for c in tok):
+            return (tok,)
+        return tuple(tok)
     return tuple(parts)
 
 

@@ -381,6 +381,37 @@ def test_linrep_arguments_read_digit_letters_as_a_word(capsys, tmp_path):
     assert err == "error: an integer argument needs a unary input alphabet; give a word instead\n"
 
 
+_MULTI_CHARACTER_LETTERS = """
+cat g {
+  input: a
+  output: x y
+  f1(eps) = x
+  g(eps) = y
+  f1(a w) = g(w)
+  g(a w) = f1(w)
+}
+
+cat f {
+  input: a1 b1
+  output: x
+  f(eps) = x
+  f(a1 w) = f(w) f(w)
+  f(b1 w) = f(w)
+}
+"""
+
+
+def test_a_one_letter_word_of_a_multi_character_letter_survives_printing_and_arguments(capsys, tmp_path):
+    path, lowered = tmp_path / "multi.sys", tmp_path / "lowered.sys"
+    path.write_text(_MULTI_CHARACTER_LETTERS)
+    assert run_cli(capsys, "lower", "cat-to-hdt0l", str(path), "g", "-o", str(lowered))[0] == 0
+    assert "table a = { f1 -> g; g -> f1 }" in lowered.read_text()
+    assert run_cli(capsys, "eval", str(lowered), "g_hdt0l", "aa")[:2] == (0, "y\n")
+    assert run_cli(capsys, "eval", str(lowered), "g_hdt0l", "a")[:2] == (0, "x\n")
+    assert run_cli(capsys, "eval", str(path), "f", "a1")[:2] == (0, "xx\n")
+    assert run_cli(capsys, "eval", str(path), "f", "a1 b1 a1")[:2] == (0, "xxxx\n")
+
+
 def test_paper_literal_flag(capsys):
     code, out, _ = run_cli(capsys, "eval", "factorial", "UV", "babaab", "--paper-literal")
     assert code == 0 and out == "1\n"

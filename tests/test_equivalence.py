@@ -178,6 +178,10 @@ def test_every_library_refusal_names_its_cause(call, error, message):
     assert str(err.value) == message
 
 
+def test_a_verdict_is_true_iff_it_is_equal():
+    assert bool(Equal()) is True and bool(NotEqual(("a",))) is False and bool(NotEqual(())) is False
+
+
 def test_budget_error_propagates():
     tiny = Budget(chain_additions=0)
     with pytest.raises(BudgetExceededError):

@@ -563,3 +563,49 @@ def test_substitution_preserves_derivation_steps(pow2_pda):
 def test_make_rejects_a_level_below_one():
     with pytest.raises(DomainError, match="at least 1"):
         KPda.make(0, ["q"], ["a"], GradedAlphabet.of(), {}, "q")
+
+
+def _make(**changes):
+    """KPda.make on the arguments of ``_toy({})``, some of them changed."""
+    args = dict(level=2, states=("q0", "q1"), terminals=("a", "b"), gamma=GradedAlphabet.of(["S"], ["a", "b"]),
+                delta={}, start_state="q0", input_alphabet=("a", "b"), bottom_symbols=("S",))
+    return KPda.make(**{**args, **changes})
+
+
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        (lambda: _make(delta={("q0", "", ()): set()}), DomainError, "TOPSYMS key () must have length 1..2"),
+        (lambda: _make(delta={("q0", "", ("S", "a", "a")): set()}), DomainError,
+         "TOPSYMS key ('S', 'a', 'a') must have length 1..2"),
+        (lambda: _make(delta={("q9", "", ("S",)): set()}), DomainError, "unknown state 'q9' in a transition key"),
+        (lambda: _make(delta={("q0", "c", ("S",)): set()}), DomainError, "read letter 'c' is not a terminal"),
+        (lambda: _make(delta={("q0", "", ("S",)): {("q9", Pop(1))}}), DomainError,
+         "unknown state 'q9' in a transition target"),
+        (lambda: _make(delta={("q0", "", ("S",)): {("q1", Pop(3))}}), DomainError,
+         "operation pop_3 has level outside 1..2"),
+        (lambda: _make(gamma=GradedAlphabet.of(["S", "a", "b"])), DomainError,
+         "graded alphabet height must equal the machine level"),
+        (lambda: _make(start_state="q9"), DomainError, "start state 'q9' not among the states"),
+        (lambda: _make(bottom_symbols=()), DomainError, "a level-2 machine needs 1 designated bottom symbol, got 0"),
+        (lambda: _make(level=3, gamma=GradedAlphabet.of(["S"], ["T"], ["a", "b"])), DomainError,
+         "a level-3 machine needs 2 designated bottom symbols, got 1"),
+        (lambda: _make(level=1, gamma=GradedAlphabet.of(["a", "b"])), DomainError,
+         "a level-1 machine needs 0 designated bottom symbols, got 1"),
+    ],
+    ids=["topsyms-empty", "topsyms-long", "key-state", "read-letter", "target-state", "op-level", "gamma-height", "start-state",
+         "bottoms-missing", "bottoms-short", "bottoms-extra"],
+)
+def test_every_make_refusal_names_its_cause(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message
+
+
+def test_the_level_partition_checks_the_topsyms_key_and_reports_its_violation():
+    # S is the level-1 symbol, so a key that reads a at level 1 breaks the grading
+    m = _toy({("q0", "", ("a",)): {("q1", Pop(1))}})
+    assert not validate_level_partitioned(m)
+    report = validate_normal_form(m)
+    assert not report and not report.level_partitioned
+    assert report.violations[0] == "LP: a transition uses a symbol outside its level"

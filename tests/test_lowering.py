@@ -422,3 +422,27 @@ def test_skolem_rejects_nonlinear():
     )
     with pytest.raises(DomainError):
         skolem_product_system(bad, "U", _pow2_z(), "U")
+
+
+def _counter(letters):
+    """X(c w) = X + 1 for every letter c, X(eps) = 0: linear over any alphabet."""
+    X = Polynomial.var("X")
+    return PolynomialSystem.make(("X",), letters, {("X", c): X + 1 for c in letters}, {"X": 0})
+
+
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        (lambda: skolem_product_system(_counter("ab"), "X", _counter("a"), "X"), DomainError,
+         "first system must have a unary input alphabet"),
+        (lambda: skolem_product_system(_counter("a"), "X", _counter("ab"), "X"), DomainError,
+         "second system must have a unary input alphabet"),
+        (lambda: skolem_product_system(_counter("a"), "X", _counter("b"), "X"), DomainError,
+         "the two systems must share their unary input alphabet"),
+    ],
+    ids=["first-alphabet", "second-alphabet", "shared-alphabet"],
+)
+def test_every_skolem_refusal_names_its_cause(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message

@@ -287,3 +287,47 @@ def test_homomorphism_extensional_equality():
     assert a == b and hash(a) == hash(b)
     c = Homomorphism({"x": ("x",), "y": ()})
     assert a != c
+
+
+_SWAP = Homomorphism({"p": ("q",), "q": ("p",)})
+
+
+def _hdt0l(**changes):
+    """HDT0LSystem.make over working letters p, q with one table, some arguments changed."""
+    args = dict(input_alphabet=("a",), working=("p", "q"), tables={"a": _SWAP},
+                final=Homomorphism({"p": ("x",), "q": ("y",)}), seed="p")
+    return HDT0LSystem.make(**{**args, **changes})
+
+
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        (lambda: Homomorphism({"x": ("y",)}, source="xz"), DomainError, "no image given for source letter 'z'"),
+        (lambda: Homomorphism({"x": ("y",), "z": ()}, source="x"), DomainError,
+         "image given for 'z' which is not a source letter"),
+        (lambda: Homomorphism({"x": ("y", "z")}, target="xy"), DomainError,
+         "image letters ['z'] outside the target alphabet"),
+        (lambda: setattr(_SWAP, "images", {}), AttributeError, "Homomorphism is immutable"),
+        (lambda: _hdt0l(input_alphabet=("a", "b")), DomainError, "no table for input letter 'b'"),
+        (lambda: _hdt0l(tables={"a": Homomorphism({"p": ("r",), "q": ()})}), DomainError,
+         "table for 'a' is not an endomorphism of the working alphabet"),
+        (lambda: _hdt0l(final=Homomorphism({"p": ("x",)})), DomainError,
+         "the final homomorphism must be defined on the working alphabet"),
+        (lambda: _hdt0l(seed="x"), DomainError, "seed 'x' is not a working letter"),
+        (lambda: _hdt0l().table("b"), DomainError, "no table for input letter 'b'"),
+        (lambda: parikh(("x", "z"), "xy"), DomainError, "letter 'z' is outside the alphabet ('x', 'y')"),
+        (lambda: LinearRepresentation.make((1, 0), {"a": ((1, 0), (0, 1))}, (1,)), DomainError,
+         "row and column dimensions differ"),
+        (lambda: LinearRepresentation.make((1, 0), {"a": ((1, 0), (0,))}, (1, 0)), DomainError,
+         "matrix for 'a' is not 2x2"),
+        (lambda: LinearRepresentation.make((1, 0), {"a": ((1, 0),)}, (1, 0)), DomainError,
+         "matrix for 'a' is not 2x2"),
+    ],
+    ids=["hom-no-image", "hom-outside-source", "hom-outside-target", "hom-immutable", "hdt0l-no-table", "hdt0l-table",
+         "hdt0l-final", "hdt0l-seed", "hdt0l-table-lookup", "parikh-letter", "linrep-row-col",
+         "linrep-ragged", "linrep-rows"],
+)
+def test_every_morphism_refusal_names_its_cause(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from wordmaps.errors import DomainError, ParseError
 from wordmaps.pushdown import (
+    GradedAlphabet,
     IteratedPushdown,
     Variable,
     is_graded,
@@ -421,3 +422,29 @@ def test_pop_push_preserve_grading(omega):
         assert is_graded(pop(j, store), WORKED_GAMMA)
         if j == level:
             assert is_graded(push(j, h, store), WORKED_GAMMA)
+
+
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        (lambda: IteratedPushdown(0, [("a", IteratedPushdown(0))]), DomainError, "a level-0 store has no entries"),
+        (lambda: IteratedPushdown(2, [("a", IteratedPushdown(0))]), DomainError,
+         "entry 'a' carries a level-0 store inside a level-2 store (expected level 1)"),
+        (lambda: GradedAlphabet.of(["a"], ["b", "a"]), DomainError, "symbols ['a'] occur in two levels (level 2)"),
+        (lambda: Variable("p", IteratedPushdown(1), "q"), DomainError, "a variable's store must be non-empty"),
+    ],
+    ids=["level-0-entries", "entry-level", "graded-duplicate", "variable-empty"],
+)
+def test_every_store_refusal_names_its_cause(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message
+
+
+def test_a_store_prints_compares_and_grades_as_its_bracket_word():
+    store = IteratedPushdown(2, [("S", IteratedPushdown.from_word("ab"))])
+    assert repr(store) == "IteratedPushdown(2, 'S[ab]')" and str(store) == "S[ab]"
+    assert str(Variable("p", store, "q")) == "(p, S[ab], q)"
+    assert store != "S[ab]" and store != ("S", "a", "b")
+    report = is_graded(store, GradedAlphabet.of(["S"], ["a"]))
+    assert not report and report.violation == "b is neither a pushdown symbol nor an undeterminate"

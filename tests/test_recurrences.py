@@ -747,3 +747,43 @@ def test_fibonacci_on_long_runs_matches_the_closed_form():
             a, b = a + 5 * b, a + b
         assert b % 2**n == 0
         assert eval_polynomial(fib, "F", ("a",) * n) == b >> n
+
+
+_P = Polynomial.var
+_ONE_CLASS = DfaClassifier.single_class("a")
+
+
+def _poly(rule=None, base=1, ring="N"):
+    """A one-index system F(a w) = rule (2 * F by default), F(eps) = base."""
+    return PolynomialSystem.make(("F",), "a", {("F", "a"): 2 * _P("F") if rule is None else rule}, {"F": base}, ring)
+
+
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        (lambda: CatenativeSystem.make(("f",), "a", "x", {("f", "a"): ("f",)}, {"f": ("x", "y")}), DomainError,
+         "base of 'f' uses letter 'y' outside the output alphabet"),
+        (lambda: CompositionalSystem.make(("H",), "a", "xy", {("H", "a"): ("H",)}, {"H": Homomorphism({"x": "z"})}),
+         DomainError, "base of 'H' is not an endomorphism of the working alphabet"),
+        (lambda: DfaClassifier.make({"e"}, "o", {("e", "a"): "e"}), DomainError, "start state 'o' unknown"),
+        (lambda: DfaClassifier.make({"e", "o"}, "e", {("e", "a"): "o"}), DomainError,
+         "classifier is not complete: missing ('o', 'a')"),
+        (lambda: DfaClassifier.make({"e"}, "e", {("e", "a"): "o"}), DomainError,
+         "classifier transition (e,a) -> o uses unknown states"),
+        (lambda: _ONE_CLASS.classify(("a", "b")), DomainError, "classifier has no transition for letter 'b'"),
+        (lambda: RegularSystem.make(("f",), "a", "x", _ONE_CLASS, {("f", "a", "all"): (("f", ("b",)),)},
+                                    {"f": ("x",)}), DomainError, "shift word letter 'b' outside the input alphabet"),
+        (lambda: _poly(ring="Q"), DomainError, "ring must be 'N' or 'Z'"),
+        (lambda: _poly(_P("F") + _P("G")), DomainError, "rule (F,a) uses variables ['G'] outside the index set"),
+        (lambda: _poly(Fraction(1, 2) * _P("F")), DomainError, "rule (F,a) has a non-integer coefficient 1/2"),
+        (lambda: _poly(base=-1), DomainError, "base of 'F' is negative in ring N"),
+        (lambda: product_system(_poly(), _poly()), DomainError, "product systems must have disjoint index sets"),
+    ],
+    ids=["cat-base-letter", "comp-base", "dfa-start", "dfa-incomplete", "dfa-states", "classify-letter",
+         "reg-shift-letter", "poly-ring", "poly-variable", "poly-coefficient", "poly-negative-base",
+         "product-overlap"],
+)
+def test_every_recurrence_refusal_names_its_cause(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from wordmaps.errors import DomainError, ParseError, WordmapsError
 from wordmaps.recurrences import catenative_to_regular, eval_catenative, eval_polynomial
 from wordmaps.systemfile import format_declaration, format_file, parse_file
-from wordmaps.words import word
+from wordmaps.words import show_word, word
 
 BUNDLED = ["fibonacci", "factorial", "npown", "gmap", "skolem-demo", "identity-pda", "pow2-pda"]
 
@@ -62,6 +62,7 @@ def test_parse_error_positions():
         ("alphabet A { a }\n# c\ncat c {\n  input: a\n  } ;\n", "f.sys:3: block 'c' is missing its closing '}'"),
         ("hom h { x -> x ; { ; y -> y }\n", "f.sys:1: a block header must end its line with '{'"),
         ("hom h {\n  x -> x ; { ; y -> y }\n}\n", "f.sys:2: cannot parse statement '{ ; y -> y }'"),
+        ("alphabet A { a }\nnope n {\n}\n", "f.sys:2: unknown block kind 'nope'"),
     ],
 )
 def test_block_scanning_errors_name_their_line(text, wanted):
@@ -285,6 +286,10 @@ REFUSED_BODIES = [
      "linrep-no-mat"),
     ("linrep", ["dim: 2", "row: 1", "mat x = [ 1 ]", "col: 1"], 2, "declared dim 2 does not match the data",
      "linrep-dim"),
+    ("cat", ["input: a", "output: b", "f(eps) = b", "f(a w) = f(w) +"], 5, "cannot parse right-hand side 'f(w) +'",
+     "cat-rhs"),
+    ("cat", ["input: a", "output: b", "f(eps) = b", "f(a w) = f(a)"], 5, "rule argument 'a' must end in 'w'",
+     "cat-rule-argument"),
 ]
 
 
@@ -427,3 +432,70 @@ def test_an_edited_file_parses_or_raises_a_library_error(name, edits):
         parse_file(text, filename="edited.sys")
     except WordmapsError:
         pass
+
+
+# (kind, a body with one-letter words of the multi-character letters x1 and
+# p1, how to read those words off the parsed object)
+ONE_LETTER_WORDS = [
+    ("cat", ["input: a", "output: x1 y", "f(eps) = x1", "f(a w) = f(w)"], lambda o: [dict(o.base)["f"]]),
+    ("reg", ["input: a", "output: x1 y", "classes: c", "start: c", "step: c a -> c", "f(eps) = x1",
+             "f(a w) = f(w)"], lambda o: [dict(o.base)["f"]]),
+    ("comp", ["input: a", "working: x1 y", "H(eps) = { y -> x1 }", "H(a w) = H(w)"],
+     lambda o: [dict(o.base)["H"].images["y"]]),
+    ("hdt0l", ["input: a", "working: p1 q", "output: x1 y", "seed: q", "table a = { q -> p1 }",
+               "final = { p1 -> x1 ; q -> y }"], lambda o: [o.table("a").images["q"], o.final.images["p1"]]),
+]
+
+
+@pytest.mark.parametrize("kind,body,read", ONE_LETTER_WORDS, ids=[c[0] for c in ONE_LETTER_WORDS])
+def test_a_one_letter_word_of_a_multi_character_letter_reads_back(kind, body, read):
+    obj = parse_file(_block(kind, body)).resolve("k", kind)[1]
+    assert all(len(w) == 1 and w[0] in ("x1", "p1") for w in read(obj))
+    printed = format_declaration(kind, "k", obj)
+    assert parse_file(printed).resolve("k", kind)[1] == obj
+
+
+def test_a_token_spelled_by_one_character_letters_still_splits():
+    # over {a, b, ab} the token ab reads as a b, as it did without the alphabet
+    cat = parse_file(_block("cat", ["input: a", "output: a b ab", "f(eps) = ab", "f(a w) = f(w) f(w)"]))
+    assert dict(cat.resolve("k", "cat")[1].base)["f"] == ("a", "b")
+    assert word("f1") == ("f", "1") and word("f1", {"f1", "g"}) == ("f1",)
+    assert word("ab", {"a", "b", "ab"}) == ("a", "b") and word("f1 g", {"f1"}) == ("f1", "g")
+    assert show_word(("f1", "g")) == "f1 g" and show_word(("f", "1")) == "f1"
+
+
+@pytest.mark.parametrize("indices", [("f1", "g"), ("F0", "F1", "F2"), ("x", "yy")])
+def test_hdt0l_lowering_round_trips_through_the_file_format(indices):
+    from wordmaps.lowering import catenative_to_hdt0l, hdt0l_to_catenative
+    from wordmaps.recurrences import CatenativeSystem
+
+    # each index steps to the next on a and to itself twice on b; the bases
+    # are one-letter words of multi-character output letters
+    nxt = dict(zip(indices, indices[1:] + indices[:1]))
+    rules = {**{(i, "a"): (nxt[i],) for i in indices}, **{(i, "b"): (i, i) for i in indices}}
+    base = {i: (f"o{k}",) for k, i in enumerate(indices)}
+    cat = CatenativeSystem.make(indices, ("a", "b"), tuple(base[i][0] for i in indices), rules, base)
+    hdt0l = catenative_to_hdt0l(cat, indices[0])
+    back = parse_file(format_declaration("hdt0l", "h", hdt0l)).resolve("h", "hdt0l")[1]
+    assert back == hdt0l
+    again = parse_file(format_declaration("cat", "c", hdt0l_to_catenative(back))).resolve("c", "cat")[1]
+    assert again == hdt0l_to_catenative(hdt0l)
+    for w in [(), ("a",), ("b", "a"), ("a", "b", "a")]:
+        assert eval_catenative(again, indices[0], w) == eval_catenative(cat, indices[0], w)
+
+
+def test_an_ideal_with_rational_generators_prints_integer_generators_that_read_back():
+    from wordmaps.groebner import Ideal, points_ideal
+
+    fitted = Ideal(points_ideal([{"x": 0, "y": 0}, {"x": 2, "y": 1}, {"x": 3, "y": 5}], ("x", "y")))
+    printed = format_declaration("ideal", "j", fitted)
+    assert "/" not in printed and "gen: 7 * y^2 + 20 * x - 47 * y" in printed
+    assert parse_file(printed).resolve("j", "ideal")[1].same_ideal(fitted)
+
+
+def test_a_pda_without_its_bottom_symbols_is_refused_at_its_header():
+    text = "\n".join(line for line in _text("pow2-pda").splitlines() if "bottoms:" not in line)
+    with pytest.raises(ParseError) as err:
+        parse_file(text, filename="pow2.sys")
+    header = next(n for n, line in enumerate(text.splitlines(), 1) if line.startswith("pda "))
+    assert str(err.value) == f"pow2.sys:{header}: a level-2 machine needs 1 designated bottom symbol, got 0"
