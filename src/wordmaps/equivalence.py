@@ -26,24 +26,33 @@ t(v(uw)) = sum c_i t(v(uw_i)) for every word u: verdicts stay exact and
 witnesses minimal (Tzeng, SIAM J. Comput. 21, 1992; Benedikt, Duff, Sharad
 and Worrell, LICS 2017).
 
-Otherwise the orbit walk first scans the words up to length 3, which
-answers shallow witnesses without a pull-back; only when it finds nothing
-does the saturation pass run, over the ascending chain of ideals generated
-by the pull-backs g_w = t o P_w, where g_w(base) = t(v(w)).  A FIFO queue
-of (wa, g_w) pairs, letters in order, meets the words in shortlex order,
-and one incremental ``groebner.GroebnerBasis`` tests and extends the chain.
-g_wa is pulled back only when its pair is dequeued, so a witness leaves the
-queued pull-backs unbuilt, and from one power table per letter kept for the
-whole pass, so each power of an update polynomial is built once per
-decision.  The first g_w nonzero at the base vector names the minimal
-witness w, and an empty queue proves that t vanishes on the orbit: a
+Otherwise two searches run side by side, and the first to finish answers;
+both give the same answer: inequivalence is semi-decided by enumeration
+beside the proof of equivalence (Culik and Karhumaki, "A new proof for the
+D0L sequence equivalence problem", 1986).  The orbit walk below reads t at
+each new point: its first nonzero value names the minimal witness, and a
+walk that ends with every point stepped has met the whole orbit, which
+proves t vanishes on it.  It runs alone through its first point longer than
+3 letters, which answers shallow witnesses without a pull-back, and then
+beside the saturation pass, over the ascending chain of ideals generated by
+the pull-backs g_w = t o P_w, where g_w(base) = t(v(w)).  After each
+dequeued pull-back g the walk gets credit for the terms of g and goes on
+while its credit is positive, a point costing 1 + bit_length // 64 for each
+of its values, so a deep witness among cheap points costs a few pull-backs.
+A FIFO queue of (wa, g_w) pairs, letters in order, meets the words in
+shortlex order, and one incremental ``groebner.GroebnerBasis`` tests and
+extends the chain.  g_wa is pulled back only when its pair is dequeued, so a
+witness leaves the queued pull-backs unbuilt, and from one power table per
+letter kept for the whole pass, so each power of an update polynomial is
+built once per decision.  The first g_w nonzero at the base vector names the
+minimal witness w, and an empty queue proves that t vanishes on the orbit: a
 pull-back inside the ideal of earlier generators is not extended, as it and
 its extensions combine pull-backs at shortlex-smaller words, which vanish at
 the base.  The chain stabilizes (ascending chain condition), so the pass is
 total and verdicts never need a variety computation.
 
-The span walk and the scan read t at the side-by-side points; only the
-saturation pass, which pulls t back, builds the product system with the
+The span walk and the orbit walk read t at the side-by-side points; only
+the saturation pass, which pulls t back, builds the product system with the
 indices prefixed A_ and B_, and t over it.
 
 ``zariski_closure`` computes the vanishing ideal of the orbit closure.  Both
@@ -55,20 +64,22 @@ its generators vanish at the base vector and their pull-backs under every
 letter lie in J, so sigma_a(J) is inside J and J vanishes on the whole orbit
 (Sankaranarayanan, Sipma and Manna, POPL 2004).
 
-Sampling, the scan and the span walk share one breadth-first orbit walk,
-over one system or two side by side, that visits each distinct point once,
-at its shortlex-least word: v(w) = v(w') implies v(uw) = v(uw') for every
-word u (Tzeng), so dropping repeats keeps witnesses minimal, and the walk
-ends on finite orbits.
+Sampling, the span walk and the walk beside the pass share one
+breadth-first orbit walk, over one system or two side by side, that visits
+each distinct point once, at its shortlex-least word: v(w) = v(w') implies
+v(uw) = v(uw') for every word u (Tzeng), so dropping repeats keeps
+witnesses minimal, and the walk ends on finite orbits.
 ``sample_points`` and ``max_point_bits`` bound sampling; ``max_point_bits``
-bounds the scan, which stops at the length of a point it did not step, as
-that point's successors might hide a smaller witness.
-Resource limits raise ``BudgetExceededError``; a verdict is never traded for
-termination.
+bounds the walk beside the pass, which stops at the length of a point it did
+not step, as that point's successors might hide a smaller witness, and
+leaves the verdict to the pass.  Resource limits raise
+``BudgetExceededError``; a verdict is never traded for termination, but a
+walk that answers before the pass meets a limit gives its verdict.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -114,8 +125,9 @@ class Budget:
     ``chain_additions`` bounds the saturation pass's additions and the span
     walk's rank, ``max_basis`` the pass's basis, ``max_degree`` the closure's
     candidates, ``sample_points`` sampling and ``max_point_bits`` sampling
-    and the length-3 scan; no verdict depends on those two.  Each level the
-    walk passes adds a point, so sampled words are shorter than that.
+    and the orbit walk that runs beside the pass; no verdict depends on
+    those two.  Each level the walk passes adds a point, so sampled words
+    are shorter than that.
     """
 
     chain_additions: int = 400
@@ -131,7 +143,7 @@ class Budget:
 
 DEFAULT_BUDGET = Budget()
 
-_SCAN_LENGTH = 3  # the longest words the scan reads before the saturation pass
+_HEAD_START = 3  # the orbit walk runs alone through its first point longer than this
 
 
 # ---------------------------------------------------------------------------
@@ -166,9 +178,11 @@ def vanishes_on_reachables(
     return find_witness(sys, t, budget) is None
 
 
-def _saturate(sys: PolynomialSystem, t: Polynomial, budget: Budget) -> Optional[Word]:
+def _saturate(sys: PolynomialSystem, t: Polynomial, budget: Budget, probe) -> Optional[Word]:
     """The shortlex-least word w with t(v(w)) != 0, or None when there is
-    none: the saturation pass of the module docstring."""
+    none: the saturation pass of the module docstring.  After each dequeued
+    pull-back g, ``probe(number of terms of g)`` returns the verdict of the
+    search running beside the pass, or None while it has none."""
     letters = sorted(sys.input_alphabet)
     point = sys.base_vector()
     basis = GroebnerBasis([], sys.indices, max_basis=budget.max_basis)
@@ -184,6 +198,9 @@ def _saturate(sys: PolynomialSystem, t: Polynomial, budget: Budget) -> Optional[
         # is the witness before the basis needs to take g in
         if g.evaluate(point) != 0:
             return w
+        answer = probe(len(g.terms))
+        if answer is not None:
+            return None if answer else answer.witness
         if basis.add(g):
             additions += 1
             if additions > budget.chain_additions:
@@ -221,6 +238,38 @@ def _span_walk(sides: tuple, value, degree: int, budget: Budget) -> Optional[Wor
         if value(point) != 0:
             return w
     return None
+
+
+def _paced_walk(sides: tuple, value, budget: Budget):
+    """The orbit walk that reads t beside the saturation pass, as a generator
+    of answers: NotEqual at the first point where ``value`` is nonzero, Equal
+    when the walk ended with every point stepped, None while it has neither.
+    The first ``next`` runs the head start, through the first point longer
+    than ``_HEAD_START``; from there each point costs 1 + bit_length // 64
+    for each of its values, paid from the credit that ``send`` adds, and the
+    walk goes on while its credit is positive.  It stops at the length of the
+    first point it did not step, and then answers None for ever."""
+    cap, credit, answer, big = math.inf, 0, None, None
+    # _orbit asks whether to step a point when the walk moves on from it
+    for w, point in _orbit(sides, lambda point: point is not big):
+        if len(w) > cap:
+            break
+        if value(point) != 0:
+            answer = NotEqual(w)
+            break
+        bits = [x.bit_length() for vec in point for x in vec.values()]
+        if max(bits, default=0) > budget.max_point_bits:
+            # the unstepped point's successors might precede a longer find
+            big, cap = point, min(cap, len(w))
+        if len(w) > _HEAD_START:
+            credit -= len(bits) + sum(b >> 6 for b in bits)
+            while credit <= 0:
+                credit += yield None
+    else:
+        if cap == math.inf:
+            answer = Equal()
+    while True:
+        yield answer
 
 
 def _slots(sides: tuple) -> list:
@@ -273,8 +322,9 @@ def _witness(p: tuple, q: tuple, budget: Budget) -> Optional[Word]:
     """The shortlex-least word at which two (system, num, den) shapes differ,
     or None when they agree at every word: the t of the module docstring,
     read at the points of the two systems walked side by side.  The span
-    walk when both systems are affine, else the scan to length 3 and, when
-    that finds nothing, the saturation pass over the renamed product."""
+    walk when both systems are affine, else the orbit walk's head start and,
+    when that has no answer, the saturation pass over the renamed product
+    with the walk going on beside it."""
     (sys_p, num_p, den_p), (sys_q, num_q, den_q) = p, q
     check_shared_alphabet(sys_p, sys_q)
 
@@ -284,21 +334,12 @@ def _witness(p: tuple, q: tuple, budget: Budget) -> Optional[Word]:
 
     if sys_p.affine and sys_q.affine:
         return _span_walk((sys_p, sys_q), value, _cross_degree(num_p, den_q, num_q, den_p), budget)
-    cap = _SCAN_LENGTH
-
-    def fits(point):
-        return all(map(budget.fits, point))
-
-    for w, point in _orbit((sys_p, sys_q), fits):
-        if len(w) > cap:
-            break
-        if value(point) != 0:
-            return w
-        if not fits(point):
-            # the unstepped point's successors might precede a longer find
-            cap = min(cap, len(w))
+    walk = _paced_walk((sys_p, sys_q), value, budget)
+    answer = next(walk)
+    if answer is not None:
+        return None if answer else answer.witness
     t = _prefixed(num_p, "A_") * _prefixed(den_q, "B_") - _prefixed(num_q, "B_") * _prefixed(den_p, "A_")
-    return _saturate(_paired(sys_p, sys_q), t, budget)
+    return _saturate(_paired(sys_p, sys_q), t, budget, walk.send)
 
 
 def _verdict(witness: Optional[Word]) -> Verdict:

@@ -51,7 +51,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import BudgetExceededError, DomainError
-from .polynomials import Polynomial, _normalised
+from .polynomials import Polynomial, _normalised, _wrap
 
 
 ORDERS = ("grevlex", "lex")
@@ -506,7 +506,17 @@ class Ideal:
         return list(self._basis[1])
 
     def contains(self, p: Polynomial) -> bool:
-        return normal_form(p, self.groebner_basis(), self._variables).is_zero()
+        """Whether p lies in the ideal over the ideal's variables and p's: p is
+        in I K[x, z] exactly when each of its coefficients as a polynomial in
+        the fresh variables z lies in I, which the cached basis, packed when
+        it was built, tests as the saturation pass does."""
+        self.groebner_basis()
+        basis, known = self._basis[0], set(self._variables)
+        coefficients: dict = {}
+        for m, c in p.terms.items():
+            fresh = tuple(ve for ve in m if ve[0] not in known)
+            coefficients.setdefault(fresh, {})[tuple(ve for ve in m if ve[0] in known)] = c
+        return not any(basis.reduce(_wrap(terms)) for terms in coefficients.values())
 
     def same_ideal(self, other: "Ideal") -> bool:
         return all(map(self.contains, other.generators)) and all(map(other.contains, self.generators))

@@ -54,6 +54,11 @@ def fib_triple():
     )
 
 
+def _no_answer(terms):
+    """A probe that never answers: ``_saturate`` runs the saturation pass alone."""
+    return None
+
+
 def _brute_equal(sys_a, i_a, sys_b, i_b, up_to):
     letters = sorted(sys_a.input_alphabet)
     level = [()]
@@ -272,13 +277,13 @@ def test_saturation_engine_matches_the_from_scratch_chain():
         verdict, additions = _reference_chain(sys, t, budget)
         if verdict is None:
             with pytest.raises(BudgetExceededError, match="addition budget"):
-                _saturate(sys, t, budget)
+                _saturate(sys, t, budget, _no_answer)
             return
-        assert (_saturate(sys, t, budget) is None) == verdict
+        assert (_saturate(sys, t, budget, _no_answer) is None) == verdict
         # the chain makes exactly as many additions
         if additions:
             with pytest.raises(BudgetExceededError, match="addition budget"):
-                _saturate(sys, t, replace(budget, chain_additions=additions - 1))
+                _saturate(sys, t, replace(budget, chain_additions=additions - 1), _no_answer)
 
     check()
 
@@ -361,7 +366,10 @@ def test_deep_pair_builds_each_power_of_an_image_once(monkeypatch):
         ("Y",), {"a", "b"}, {("Y", "a"): P("Y") + 1, ("Y", "b"): P("Y") + _falling("Y", 8)},
         {"Y": 0}, ring="Z",
     )
-    assert decide_equal(_counter(), "X", sys_y, "Y") == NotEqual(("b",) + ("a",) * 8)
+    # the saturation pass alone: beside it, the orbit walk meets the witness
+    # after two pull-backs
+    pair = equivalence._paired(_counter(), sys_y)
+    assert _saturate(pair, P("A_X") - P("B_Y"), Budget(), _no_answer) == ("b",) + ("a",) * 8
     # B_Y's two images, each raised to the powers 2..8 once; A_X's b-image is
     # A_X itself and builds none
     assert len(built) == len(set(built)) == 14
@@ -724,9 +732,9 @@ def _lowered_nu_pair(second_a, second_b):
 
 
 def test_lowered_gmap_pair_is_answered_by_the_quick_scan():
-    # without the length-3 scan, the saturation pass would pull t back
-    # through the degree-doubling maps of these 106 variables; the scan
-    # meets the witness 1 0 0 (value 4) first
+    # without the orbit walk's head start, the saturation pass would pull t
+    # back through the degree-doubling maps of these 106 variables; the head
+    # start meets the witness 1 0 0 (value 4) first
     pair, t = _lowered_gmap_pair()
     assert len(pair.indices) == 106
     start = time.perf_counter()
@@ -736,8 +744,9 @@ def test_lowered_gmap_pair_is_answered_by_the_quick_scan():
 
 def test_lowered_gmap_equal_pair_is_decided_by_the_saturation_pass(monkeypatch):
     # the paper's example: G(w) = F(value of w) through a linear
-    # representation and through an HDT0L system.  The maps agree, so the
-    # length-3 scan finds nothing and the saturation pass must close its chain
+    # representation and through an HDT0L system.  The maps agree on an
+    # infinite orbit, so the walk finds nothing and the saturation pass must
+    # close its chain
     pair, t = _lowered_nu_pair(_gmap("fibrep", "linrep"), _gmap("fibword", "hdt0l"))
     assert len(pair.indices) == 16
     assert t == P("A_u_g_0_0") - P("B_u_g_1_0") - P("B_u_g_1_1")
@@ -789,7 +798,7 @@ def test_decisions_are_not_bounded_by_the_orbit_walk():
     assert decide_zero_on_reachables(square, t, Budget(max_point_bits=8)) == NotEqual(("a",) * 4)
     assert find_witness(square, t, Budget(max_point_bits=8)) == ("a",) * 4
     # squaring from 16: a (X = 256) needs 9 bits, so only at 9 bits does the
-    # scan step it and meet a a; at 8 bits the saturation pass must find it
+    # walk step it and meet a a; at 8 bits the saturation pass must find it
     square = PolynomialSystem.make(("X",), {"a"}, {("X", "a"): P("X") * P("X")}, {"X": 16})
     t = (P("X") - 16) * (P("X") - 256)
     assert find_witness(square, t, Budget(max_point_bits=9, chain_additions=0)) == ("a", "a")
@@ -814,12 +823,12 @@ def test_witness_search_stops_where_unstepped_values_could_hide_a_smaller_witnes
 
 def test_every_exact_entry_runs_the_shallow_scan():
     # squaring from 2: t = X - 2 vanishes at the base, so the saturation pass
-    # would add t to its chain and exceed a budget of no additions; the scan
-    # meets a (X = 4) first
+    # would add t to its chain and exceed a budget of no additions; the
+    # walk's head start meets a (X = 4) first
     square = PolynomialSystem.make(("X",), {"a"}, {("X", "a"): P("X") * P("X")}, {"X": 2})
     t, budget = P("X") - 2, Budget(chain_additions=0)
     with pytest.raises(BudgetExceededError):
-        _saturate(square, t, budget)
+        _saturate(square, t, budget, _no_answer)
     assert find_witness(square, t, budget) == ("a",)
     assert vanishes_on_reachables(square, t, budget) is False
     assert decide_zero_on_reachables(square, t, budget) == NotEqual(("a",))
@@ -985,8 +994,8 @@ def test_saturation_witnesses_match_brute_force_over_words():
     def deep_witness(draw):
         # affine maps of one or two variables, or quadratic ones of one, with
         # small coefficients; t vanishes on every word up to length 3 (up to
-        # 4 or 5 for one affine variable), so the length-3 scan finds nothing
-        # and the saturation pass supplies the witness
+        # 4 or 5 for one affine variable), so the witness lies past the orbit
+        # walk's head start
         shape = draw(st.sampled_from(["affine", "quadratic", "affine2"]))
         indices = ("x", "y") if shape == "affine2" else ("x",)
         small = st.integers(-1, 1)
@@ -1070,7 +1079,7 @@ def test_span_walk_matches_the_saturation_pass_and_brute_force():
     def check(case):
         sys, t = case
         witness = find_witness(sys, t)
-        assert witness == _saturate(sys, t, Budget())
+        assert witness == _saturate(sys, t, Budget(), _no_answer)
         letters = sorted(sys.input_alphabet)
         first = next(
             (w for w in _shortlex(letters, 6) if t.evaluate(eval_polynomial_vector(sys, w)) != 0),
@@ -1182,7 +1191,7 @@ def test_quotient_decisions_match_the_renamed_product_system():
         sys_p = draw(system(("x", "y")[: draw(st.integers(least, 2))], letters, quadratic and on_p))
         sys_q = draw(system(("x", "y", "z")[: draw(st.integers(least, 3))], letters, quadratic and not on_p))
         if draw(st.integers(0, 3)) == 0:
-            # one system on both sides: equal pairs, which the scan cannot settle
+            # one system on both sides: equal pairs, which the head start cannot settle
             sys_q = sys_p
         if shape in ("affine", "quadratic"):
             i, j = draw(st.sampled_from(sys_p.indices)), draw(st.sampled_from(sys_q.indices))
@@ -1230,7 +1239,7 @@ def test_quotient_pairs_build_the_product_only_for_the_saturation_pass(monkeypat
 
     for name in ("_paired", "_prefixed", "rename_system", "product_system"):
         monkeypatch.setattr(equivalence, name, forbidden)
-    # the span walk, and the scan meeting its witness
+    # the span walk, and the walk's head start meeting its witness
     assert decide_equal(fib_pair(), "F", fib_triple(), "F") == Equal()
     assert decide_equal(fib_pair(), "F", fib_pair(second_base=2), "F") == NotEqual(("a",))
     square = PolynomialSystem.make(("X",), {"a"}, {("X", "a"): P("X") * P("X")}, {"X": 2})
@@ -1238,10 +1247,163 @@ def test_quotient_pairs_build_the_product_only_for_the_saturation_pass(monkeypat
     assert decide_equal(square, "X", cube, "X") == NotEqual(("a",))
     monkeypatch.undo()
 
-    # an equal non-affine pair: the scan finds nothing and the pass runs once,
+    # an equal non-affine pair: the walk finds nothing and the pass runs once,
     # over the product and the prefixed t
     built = []
     paired = equivalence._paired
     monkeypatch.setattr(equivalence, "_paired", lambda *args: built.append(args) or paired(*args))
     assert decide_equal(square, "X", square, "X") == Equal()
     assert built == [(square, square)]
+
+
+# ---------------------------------------------------------------------------
+# the orbit walk beside the saturation pass
+
+
+def _deep_y(length):
+    return PolynomialSystem.make(
+        ("Y",), {"a", "b"}, {("Y", "a"): P("Y") + 1, ("Y", "b"): P("Y") + _falling("Y", length)},
+        {"Y": 0}, ring="Z",
+    )
+
+
+def _pair_differs(sys_p, i, sys_q, j):
+    return lambda w: eval_polynomial(sys_p, i, w) != eval_polynomial(sys_q, j, w)
+
+
+def test_the_walk_beside_the_pass_meets_a_deep_witness_after_few_pull_backs(monkeypatch):
+    # X counts a's against Y(b w) = Y + Y(Y-1)...(Y-7): one new point a^k per
+    # length, then b a^8.  The pass alone dequeues 17 pull-backs to reach it
+    pulled = []
+    sigma = equivalence._sigma
+    monkeypatch.setattr(equivalence, "_sigma", lambda *args: pulled.append(args[1]) or sigma(*args))
+    witness = ("b",) + ("a",) * 8
+    assert decide_equal(_counter(), "X", _deep_y(8), "Y") == NotEqual(witness)
+    assert len(pulled) <= 3
+    pulled.clear()
+    pair = equivalence._paired(_counter(), _deep_y(8))
+    assert _saturate(pair, P("A_X") - P("B_Y"), Budget(), _no_answer) == witness
+    assert len(pulled) == 17
+    # the pass alone stops at its second addition; the walk answers first,
+    # and brute force confirms its witness
+    budget = Budget(chain_additions=1)
+    with pytest.raises(BudgetExceededError, match="addition budget"):
+        _saturate(pair, P("A_X") - P("B_Y"), budget, _no_answer)
+    assert decide_equal(_counter(), "X", _deep_y(8), "Y", budget) == NotEqual(witness)
+    differs = _pair_differs(_counter(), "X", _deep_y(8), "Y")
+    assert next(w for w in _shortlex("ab", 9) if differs(w)) == witness
+    assert decide_equal(_counter(), "X", _deep_y(36), "Y") == NotEqual(("b",) + ("a",) * 36)
+
+
+def test_a_finite_non_affine_orbit_is_equal_without_a_basis(monkeypatch):
+    # X(a) = X^2, X(b) = -X against Y(a) = Y^4, Y(b) = -Y^3, both from -1: the
+    # orbit is (-1, -1), (1, 1), and the head start steps all of it
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a finite orbit reached the saturation pass")
+
+    monkeypatch.setattr(equivalence, "GroebnerBasis", forbidden)
+    monkeypatch.setattr(equivalence, "_paired", forbidden)
+    sys_p = PolynomialSystem.make(("X",), {"a", "b"}, {("X", "a"): P("X") ** 2, ("X", "b"): -P("X")}, {"X": -1}, ring="Z")
+    sys_q = PolynomialSystem.make(("Y",), {"a", "b"}, {("Y", "a"): P("Y") ** 4, ("Y", "b"): -P("Y") ** 3}, {"Y": -1}, ring="Z")
+    assert not sys_p.affine and not sys_q.affine
+    assert decide_equal(sys_p, "X", sys_q, "Y") == Equal()
+    assert decide_zero_on_reachables(sys_p, P("X") ** 2 - 1) == Equal()
+    # at 0 bits no value fits, so no point is stepped and the pass must run
+    with pytest.raises(AssertionError, match="saturation pass"):
+        decide_equal(sys_p, "X", sys_q, "Y", Budget(max_point_bits=0))
+
+
+def test_the_walk_beside_the_pass_agrees_with_the_pass_alone_and_brute_force():
+    from hypothesis import assume, given, settings
+    from hypothesis import strategies as st
+
+    letters = ("a", "b")
+
+    @st.composite
+    def system(draw, finite):
+        indices = ("x", "y")[: draw(st.integers(1, 2))]
+        values = st.integers(-1, 1) if finite else st.integers(-2, 2)
+
+        def rule():
+            if finite:
+                # signed monomials of degree <= 2 and constants over {-1, 0, 1}
+                if draw(st.booleans()):
+                    return Polynomial.const(draw(values))
+                m = P(draw(st.sampled_from(indices)))
+                if draw(st.booleans()):
+                    m = m * P(draw(st.sampled_from(indices)))
+                return draw(st.sampled_from([1, -1])) * m
+            p = Polynomial.const(draw(values))
+            for i in indices:
+                p = p + draw(values) * P(i)
+            if draw(st.booleans()):
+                p = p + draw(st.sampled_from([1, -1])) * P(draw(st.sampled_from(indices))) * P(
+                    draw(st.sampled_from(indices))
+                )
+            return p
+
+        rules = {(i, a): rule() for i in indices for a in letters}
+        base = {i: draw(values) for i in indices}
+        return PolynomialSystem.make(indices, letters, rules, base, ring="Z")
+
+    @st.composite
+    def case(draw):
+        finite = draw(st.booleans())
+        sys_p = draw(system(finite))
+        # one system on both sides gives equal pairs, which only a finite
+        # orbit lets the walk settle
+        sys_q = sys_p if draw(st.integers(0, 2)) == 0 else draw(system(finite))
+        assume(not (sys_p.affine and sys_q.affine))
+        i, j = draw(st.sampled_from(sys_p.indices)), draw(st.sampled_from(sys_q.indices))
+        budget = Budget(chain_additions=draw(st.sampled_from([0, 1, 3, 20])), max_basis=60,
+                        max_point_bits=draw(st.sampled_from([1, 4, 8, 4096])))
+        return sys_p, i, sys_q, j, budget
+
+    def finite_orbit_agrees(sys_p, i, sys_q, j):
+        """Whether the pair's orbit, stepped to its end, is finite with X_i =
+        Y_j at every point; None when it has more than 200 points or a value
+        over 64 bits."""
+        def key(point):
+            return tuple(sorted(point[0].items())), tuple(sorted(point[1].items()))
+
+        start = (sys_p.base_vector(), sys_q.base_vector())
+        seen, todo = {key(start)}, collections.deque([start])
+        while todo:
+            v_p, v_q = todo.popleft()
+            if v_p[i] != v_q[j]:
+                return False
+            for a in letters:
+                new = ({k: p.evaluate(v_p) for k, p in sys_p.maps[a].items()},
+                       {k: p.evaluate(v_q) for k, p in sys_q.maps[a].items()})
+                if key(new) not in seen:
+                    if len(seen) == 200 or max(abs(x) for v in new for x in v.values()) >> 64:
+                        return None
+                    seen.add(key(new))
+                    todo.append(new)
+        return True
+
+    @settings(deadline=None, max_examples=300)
+    @given(case())
+    def check(drawn):
+        sys_p, i, sys_q, j, budget = drawn
+        lockstep = _outcome(lambda: decide_equal(sys_p, i, sys_q, j, budget))
+        pair = equivalence._paired(sys_p, sys_q)
+        alone = _outcome(lambda: equivalence._verdict(
+            _saturate(pair, P("A_" + i) - P("B_" + j), budget, _no_answer)))
+        if not isinstance(alone, tuple) or isinstance(lockstep, tuple):
+            # a budget stop of the pass alone that the walk did not beat is
+            # the same stop
+            assert lockstep == alone
+            if isinstance(lockstep, tuple):
+                return
+        # every verdict, also one the walk gave where the pass alone stopped
+        differs = _pair_differs(sys_p, i, sys_q, j)
+        first = next((w for w in _shortlex(letters, 6) if differs(w)), None)
+        if lockstep == Equal():
+            assert first is None
+            assert finite_orbit_agrees(sys_p, i, sys_q, j) in (True, None)
+        else:
+            assert differs(lockstep.witness)
+            assert lockstep.witness == first if len(lockstep.witness) <= 6 else first is None
+
+    check()

@@ -341,6 +341,50 @@ def test_membership_invariant_under_permutation_and_order():
             assert normal_form(p, groebner(gens, variables, "lex"), variables, "lex").is_zero() == expected
 
 
+def test_membership_with_fresh_variables_matches_normal_forms_and_sympy():
+    # p lies in I K[x, y, z, s, t] exactly when each of its coefficients over
+    # the fresh s and t lies in I; contains and same_ideal answer as one
+    # normal form against the reduced basis, over the extended sequence, does
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(43)
+    variables, names = ("x", "y", "z"), ("x", "y", "z", "s", "t")
+    symbols = sympy.symbols(names)
+
+    def random_poly(pool, size=3):
+        terms = {}
+        for _ in range(rng.randrange(1, size + 1)):
+            mono = tuple(sorted((v, rng.randrange(1, 3)) for v in rng.sample(pool, rng.randrange(0, 3))))
+            terms[mono] = terms.get(mono, 0) + rng.choice([-3, -2, -1, 1, 2, 3, Fraction(1, 2)])
+        return Polynomial(terms)
+
+    def to_sympy(p):
+        return sympy.Poly.from_dict(
+            {tuple(dict(m).get(v, 0) for v in names): c for m, c in p.terms.items()}, *symbols, domain="QQ"
+        )
+
+    checked = fresh = members = 0
+    for _ in range(25):
+        gens = [g for g in (random_poly(variables, 2) for _ in range(rng.randrange(1, 4))) if g]
+        ideal = Ideal(gens, variables)
+        basis = ideal.groebner_basis()
+        theirs = sympy.groebner([to_sympy(g) for g in gens], *symbols, order="grevlex", domain="QQ")
+        for k in range(40):
+            pool = names if k % 2 else variables
+            p = random_poly(pool)
+            if k % 4 < 2:
+                # a combination of the generators, now and then off by p
+                member = sum((random_poly(pool, 2) * g for g in gens), Polynomial.zero())
+                p = member + p if k % 8 == 0 else member
+            expected = normal_form(p, basis, variables).is_zero()
+            assert ideal.contains(p) == expected == theirs.contains(to_sympy(p)), (gens, p)
+            if k % 5 == 0:
+                assert Ideal([*gens, p], names).same_ideal(ideal) == expected
+            checked += 1
+            fresh += not p.variables() <= set(variables)
+            members += expected
+    assert checked == 1000 and fresh > 300 and 200 < members < 800
+
+
 def test_spolynomials_reduce_to_zero():
     cases = [
         [x * x - y, x ** 3 - x],
