@@ -81,11 +81,10 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .errors import BudgetExceededError, DomainError
+from .errors import BudgetExceededError, DomainError, Record
 from .groebner import GroebnerBasis, Ideal, _eliminate, points_ideal
 from .morphisms import check_index
 from .polynomials import Polynomial, _powers, _substitute, mono_degree
@@ -101,14 +100,12 @@ from .recurrences import (
 from .words import Word
 
 
-@dataclass(frozen=True)
-class Equal:
+class Equal(Record):
     def __bool__(self):
         return True
 
 
-@dataclass(frozen=True)
-class NotEqual:
+class NotEqual(Record):
     witness: Word
 
     def __bool__(self):
@@ -118,8 +115,7 @@ class NotEqual:
 Verdict = Union[Equal, NotEqual]
 
 
-@dataclass(frozen=True)
-class Budget:
+class Budget(Record):
     """Resource limits for the decision procedures.
 
     ``chain_additions`` bounds the saturation pass's additions and the span
@@ -384,8 +380,7 @@ def _cross_degree(num_p: Polynomial, den_q: Polynomial, num_q: Polynomial, den_p
     return max((mono_degree(m) + mono_degree(n) for (m, n), c in terms.items() if c), default=-1)
 
 
-@dataclass(frozen=True)
-class FractionPresentation:
+class FractionPresentation(Record):
     """f(w) = (g(w) - h(w)) / (fp(w) - gp(w)) over one polynomial system.
 
     Denominators are assumed nonzero for every input word; this is not

@@ -17,11 +17,10 @@ derivation/computation agreement check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Union
 
-from .errors import DomainError
+from .errors import DomainError, Record
 from .pushdown import (
     GradedAlphabet,
     IteratedPushdown,
@@ -36,8 +35,7 @@ from .words import Word
 EPS = ""  # the empty read letter
 
 
-@dataclass(frozen=True)
-class Pop:
+class Pop(Record):
     level: int
 
     def apply(self, store: IteratedPushdown) -> IteratedPushdown:
@@ -47,8 +45,7 @@ class Pop:
         return f"pop_{self.level}"
 
 
-@dataclass(frozen=True)
-class Push:
+class Push(Record):
     level: int
     symbols: tuple[str, ...]
 
@@ -65,8 +62,7 @@ Operation = Union[Pop, Push]
 Delta = dict[tuple[str, str, tuple[str, ...]], frozenset[tuple[str, Operation]]]
 
 
-@dataclass(frozen=True)
-class KPda:
+class KPda(Record):
     """A k-iterated pushdown automaton over a graded pushdown alphabet."""
 
     level: int
@@ -141,25 +137,21 @@ class KPda:
         return out
 
 
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(Record):
     state: str
     emitted: Word
     store: IteratedPushdown
 
 
-@dataclass(frozen=True)
-class Accepted:
+class Accepted(Record):
     output: Word
 
 
-@dataclass(frozen=True)
-class Stuck:
+class Stuck(Record):
     configuration: Configuration
 
 
-@dataclass(frozen=True)
-class FuelExhausted:
+class FuelExhausted(Record):
     configuration: Configuration
 
 
@@ -188,8 +180,7 @@ def validate_level_partitioned(m: KPda) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class NormalFormReport:
+class NormalFormReport(Record):
     level_partitioned: bool
     reads_pop1_only: bool
     pushes_pairs: bool
@@ -416,8 +407,7 @@ def _search(start, successors, bound: int, goal) -> Optional[bool]:
     return None if frontier else False
 
 
-@dataclass(frozen=True)
-class AgreementResult:
+class AgreementResult(Record):
     derives: Optional[bool]
     computes: Optional[bool]
     vacuous: bool = False

@@ -15,10 +15,9 @@ matrices act on the right, so the first letter's matrix is leftmost.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, reduce
 
-from .errors import DomainError
+from .errors import DomainError, Record
 from .morphisms import (
     HDT0LSystem,
     Homomorphism,
@@ -86,8 +85,7 @@ def _length_representation(sys: HDT0LSystem) -> LinearRepresentation:
     return LinearRepresentation.make(row, matrices, col)
 
 
-@dataclass(frozen=True)
-class Level3Mapping:
+class Level3Mapping(Record):
     """w |-> second(g_i(w)) for a catenative (DT0L) first stage g at index i;
     the second stage is an HDT0L system or a linear representation."""
 
@@ -200,8 +198,7 @@ def _symbolic_matrix(i: str, d: int):
     )
 
 
-@dataclass(frozen=True)
-class LoweredSeries:
+class LoweredSeries(Record):
     """A polynomial system tracking the matrix images of the catenative
     values, plus the linear output form K reading the answer off."""
 
@@ -226,8 +223,7 @@ def series_to_polynomial_system(
 # Skolem reduction: running product of differences
 
 
-@dataclass(frozen=True)
-class SkolemProduct:
+class SkolemProduct(Record):
     system: PolynomialSystem
     product_index: str
 

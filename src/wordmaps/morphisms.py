@@ -14,12 +14,11 @@ affine polynomial maps along a word one run a^k at a time, in O(log k) steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
 from typing import Iterable, Mapping
 
-from .errors import DomainError
+from .errors import DomainError, Record
 from .words import Word
 
 
@@ -100,8 +99,7 @@ def compose(f: Homomorphism, g: Homomorphism) -> Homomorphism:
 # HDT0L systems
 
 
-@dataclass(frozen=True)
-class HDT0LSystem:
+class HDT0LSystem(Record):
     """A word-indexed family of endomorphisms iterated on a seed, with a
     final coding homomorphism applied last: f(w) = final(H^w(seed))."""
 
@@ -250,8 +248,7 @@ def dot(v, u) -> int:
     return sum(x * y for x, y in zip(v, u))
 
 
-@dataclass(frozen=True)
-class LinearRepresentation:
+class LinearRepresentation(Record):
     """w |-> row . M_{w_1} ... M_{w_n} . col with exact bignum arithmetic."""
 
     dimension: int

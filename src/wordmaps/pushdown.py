@@ -17,10 +17,9 @@ parts and check only their level and the pushed symbols.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Optional
 
-from .errors import DomainError, ParseError
+from .errors import DomainError, ParseError, Record
 
 Symbol = str
 
@@ -152,12 +151,11 @@ def _cons(sym: Symbol, body: IteratedPushdown, rest: IteratedPushdown) -> Iterat
     return cell
 
 
-@dataclass(frozen=True)
-class GradedAlphabet:
+class GradedAlphabet(Record):
     """k disjoint level sets of pushdown symbols, level 1 outermost."""
 
     levels: tuple[frozenset[Symbol], ...]
-    _level: dict[Symbol, int] = field(init=False, repr=False, compare=False)
+    _level: dict[Symbol, int]  # symbol -> level, set by __post_init__
 
     def __post_init__(self):
         level: dict[Symbol, int] = {}
@@ -180,8 +178,7 @@ class GradedAlphabet:
         return self._level.get(sym)
 
 
-@dataclass(frozen=True)
-class Variable:
+class Variable(Record):
     """A (state, store, state) triple; the middle component is non-empty."""
 
     left: str
@@ -396,8 +393,7 @@ def substitute_word(word, bindings: Mapping[Symbol, IteratedPushdown]) -> Variab
     return tuple(Variable(v.left, substitute(v.store, bindings), v.right) for v in word)
 
 
-@dataclass(frozen=True)
-class GradingReport:
+class GradingReport(Record):
     ok: bool
     violation: Optional[str] = None
 

@@ -19,12 +19,11 @@ O(log k) steps, through the maps of a^1, a^2, a^4, ... squared by substitution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import product as cartesian_product
 from typing import Mapping
 
-from .errors import DomainError, FuelExhaustedError
+from .errors import DomainError, FuelExhaustedError, Record
 from .morphisms import Homomorphism, check_index, check_word, compose, concat, demand, suffix_walk, word_product
 from .polynomials import Polynomial, _powers, _substitute, _wrap, mono_degree
 from .words import Word
@@ -59,7 +58,7 @@ def _check_base_total(base, what, indices):
         raise DomainError(f"{what} has a base value for {extra[0]!r} outside its indices")
 
 
-class _Lookup:
+class _Lookup(Record):
     """``rule_map`` and ``base_map``, the dicts of a system whose ``rules`` and
     ``base`` are sorted pairs; each is built on first use, once per object."""
 
@@ -72,7 +71,6 @@ class _Lookup:
         return dict(self.base)
 
 
-@dataclass(frozen=True)
 class CatenativeSystem(_Lookup):
     """f_i(aw) = f_{a(i,a,1)}(w) ... f_{a(i,a,l)}(w) with word values."""
 
@@ -103,7 +101,6 @@ class CatenativeSystem(_Lookup):
         )
 
 
-@dataclass(frozen=True)
 class CompositionalSystem(_Lookup):
     """Same recursion with values in the endomorphisms of a working alphabet;
     the rule product is composition, leftmost factor applying first."""
@@ -135,8 +132,7 @@ class CompositionalSystem(_Lookup):
         )
 
 
-@dataclass(frozen=True)
-class DfaClassifier:
+class DfaClassifier(Record):
     """A complete deterministic finite-state classifier over an alphabet,
     standing in for a finite-index congruence; supplied by the user, never
     computed from a machine.  A word's class is the state it reaches, so the
@@ -180,7 +176,6 @@ class DfaClassifier:
         return q
 
 
-@dataclass(frozen=True)
 class RegularSystem(_Lookup):
     """f_i(aw) = prod_j f_{a(i,a,d,j)}(u_{i,a,d,j} w) for w in class d."""
 
@@ -217,7 +212,6 @@ class RegularSystem(_Lookup):
         )
 
 
-@dataclass(frozen=True)
 class PolynomialSystem(_Lookup):
     """f_i(aw) = P_{i,a}(f_1(w), ..., f_n(w)) with bignum values.
 

@@ -39,10 +39,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import DomainError, ParseError
+from .errors import DomainError, ParseError, Record
 from .groebner import Ideal
 from .kpda import KPda, Pop, Push
 from .morphisms import HDT0LSystem, Homomorphism, LinearRepresentation
@@ -58,8 +57,7 @@ from .recurrences import (
 from .words import show_word, word
 
 
-@dataclass(frozen=True)
-class FractionSpec:
+class FractionSpec(Record):
     """A fraction presentation referring to a polynomial system by name."""
 
     system_name: str
@@ -76,9 +74,8 @@ def unique_match(name: str, names) -> Optional[str]:
     return matches[0] if len(matches) == 1 else None
 
 
-@dataclass
-class SystemFile:
-    declarations: dict = field(default_factory=dict)  # name -> (kind, object), in file order
+class SystemFile(Record):
+    declarations: dict  # name -> (kind, object), in file order
     filename: Optional[str] = None
 
     def add(self, kind: str, name: str, obj, line=None):
@@ -530,7 +527,7 @@ _KINDS = {
 
 
 def parse_file(text: str, filename: Optional[str] = None) -> SystemFile:
-    out = SystemFile(filename=filename)
+    out = SystemFile({}, filename)
     fracs = []  # (header, name, FractionSpec) of each frac block
     for kind, name, body, header in _blocks(text, filename):
         if kind not in _KINDS:

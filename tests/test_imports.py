@@ -72,3 +72,26 @@ def test_the_guard_sees_an_unread_private_name():
         "b": ast.parse("from . import a\n\nclass _Box:\n    pass\n\nprint(a._used(), _Box)\n"),
     }
     assert _unread_private_names(trees) == ["a._x (line 2)", "a._left (line 7)"]
+
+
+def _imported_modules(tree: ast.Module) -> set[str]:
+    """The top-level modules a module imports, relative imports left out."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_dataclasses(path):
+    # each @dataclass costs its import about half a millisecond of generated
+    # code; errors.Record does the same work without it
+    assert "dataclasses" not in _imported_modules(ast.parse(path.read_text(), str(path)))
+
+
+def test_the_guard_sees_a_dataclasses_import():
+    tree = ast.parse("import os.path\nfrom dataclasses import dataclass\nfrom . import errors\n")
+    assert _imported_modules(tree) == {"os", "dataclasses"}

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import time
 from itertools import count, product
@@ -259,9 +258,14 @@ def test_run_allocates_at_most_level_plus_widest_push_cells_per_step(name, words
         assert len(cells) - initial <= (m.level + widest) * len(trace), (len(w), len(cells), len(trace))
 
 
+def _with_delta(m, delta):
+    # KPda's own constructor, not KPda.make's checks
+    return KPda(m.level, m.states, m.terminals, m.gamma, delta, m.start_state, m.input_alphabet,
+                m.bottom_symbols, m.name)
+
+
 def _built_without_make(m, key, op):
-    # dataclasses.replace runs KPda's own constructor, not KPda.make's checks
-    return dataclasses.replace(m, delta=((key, frozenset({("q0", op)})),))
+    return _with_delta(m, ((key, frozenset({("q0", op)})),))
 
 
 @pytest.mark.parametrize("op, message", [
@@ -375,7 +379,7 @@ def test_a_bad_move_after_a_summarised_block_raises_as_steps_does(identity_pda, 
     # a, a: the second block is read off the first one's summary; b then
     # meets the bad move, which the first two moves' fuel never reaches
     bad = (("q0", "", ("b",)), frozenset({("q0", op)}))
-    m = dataclasses.replace(identity_pda, delta=identity_pda.delta[:1] + (bad,))
+    m = _with_delta(identity_pda, identity_pda.delta[:1] + (bad,))
     w = ("a", "a", "b")
     for f in (run, lambda m, w: _last(steps(m, w))):
         with pytest.raises(DomainError, match=message):
