@@ -15,6 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
 from .errors import DomainError, ParseError
+from .words import SYMBOL
 
 Monomial = tuple[tuple[str, int], ...]
 
@@ -295,12 +296,19 @@ def format_polynomial(p: Polynomial) -> str:
 # expression parser: + - * ^ ( ) over integer literals and identifiers
 
 
-_EXPR_TOKEN = re.compile(r"\d+|\w[\w']*|\S")
+_EXPR_TOKEN = re.compile(rf"\d+|{SYMBOL}|\S")
+
+
+def check_variable_names(names: Iterable[str], what: str) -> None:
+    """Refuse a decimal numeral among ``names``: an expression reads it as a number."""
+    numeral = next((v for v in names if v.isdecimal()), None)
+    if numeral is not None:
+        raise DomainError(f"{what} {numeral!r} is a numeral, which an expression reads as a number")
 
 
 def _tokenize_expr(text: str):
     """The (token, pos) pairs of an expression: operators, decimal integers
-    and identifiers (a letter or '_', then letters, digits, '_' and "'")."""
+    and identifiers (a ``words.SYMBOL`` that starts with a letter or '_')."""
     tokens = [(m[0], m.start()) for m in _EXPR_TOKEN.finditer(text)]
     for tok, at in tokens:
         c = tok[0]

@@ -20,6 +20,7 @@ import re
 from typing import Iterator, Mapping, Optional
 
 from .errors import DomainError, ParseError, Record
+from .words import SYMBOL
 
 Symbol = str
 
@@ -280,9 +281,6 @@ def push(j: int, symbols, pds: IteratedPushdown) -> IteratedPushdown:
 # ---------------------------------------------------------------------------
 # bracket serialization
 
-# a character of a symbol or letter: a letter, a digit, '_', "'" or '′'
-_IDENT_CHAR = r"[\w'′]"
-
 
 def serialize(pds: IteratedPushdown) -> str:
     """Render a store as a bracket word; ``[``/``]`` stand for the extended
@@ -303,14 +301,14 @@ def serialize(pds: IteratedPushdown) -> str:
 
 def _tokenize_brackets(text: str, alphabet=None):
     """The (kind, value, pos) tokens of a bracket word; kind in {'sym', 'open', 'close'}."""
-    symbol = _IDENT_CHAR + "+"
+    symbol = SYMBOL
     if alphabet is not None:
         # an alternation takes its first branch that matches: the longest
         # symbol, tried only where a symbol character stands
         symbol = "|".join(map(re.escape, sorted(alphabet, key=len, reverse=True))) or "(?!)"
-        symbol = f"(?={_IDENT_CHAR})(?:{symbol})"
+        symbol = f"(?={SYMBOL})(?:{symbol})"
     # a symbol character that starts no symbol, or any other character, is an error
-    pattern = rf"(?P<open>\[)|(?P<close>\])|(?P<sym>{symbol})|(?P<nomatch>{_IDENT_CHAR})|(?P<bad>\S)"
+    pattern = rf"(?P<open>\[)|(?P<close>\])|(?P<sym>{symbol})|(?P<nomatch>{SYMBOL})|(?P<bad>\S)"
     tokens = []
     for m in re.finditer(pattern, text):
         kind, value, at = m.lastgroup, m[0], m.start()
@@ -325,10 +323,10 @@ def _tokenize_brackets(text: str, alphabet=None):
 def parse(text: str, level: int, alphabet=None) -> IteratedPushdown:
     """Parse a bracket word into a level-``level`` store.
 
-    Without an alphabet, a symbol is a maximal run of letters, digits, ``_``,
-    ``'`` and ``′``; with one, the longest alphabet symbol that matches (needed
-    when serialized symbols abut, as in ``A3C3``).  A symbol with no bracketed
-    body denotes a symbol over the empty store of the next level down.
+    Without an alphabet, a symbol is a maximal ``words.SYMBOL``; with one,
+    the longest alphabet symbol that matches (needed when serialized symbols
+    abut, as in ``A3C3``).  A symbol with no bracketed body denotes a symbol
+    over the empty store of the next level down.
     """
     tokens = _tokenize_brackets(text, alphabet)
     pos = 0

@@ -25,7 +25,7 @@ from typing import Mapping
 
 from .errors import DomainError, FuelExhaustedError, Record
 from .morphisms import Homomorphism, check_index, check_word, compose, concat, demand, suffix_walk, word_product
-from .polynomials import Polynomial, _powers, _substitute, _wrap, mono_degree
+from .polynomials import Polynomial, _powers, _substitute, _wrap, check_variable_names, mono_degree
 from .words import Word
 
 
@@ -231,6 +231,7 @@ class PolynomialSystem(_Lookup):
         input_alphabet = frozenset(input_alphabet)
         if ring not in ("N", "Z"):
             raise DomainError("ring must be 'N' or 'Z'")
+        check_variable_names(indices, "index")
         _check_rules_total(rules, "polynomial system", indices, input_alphabet)
         for (i, a), p in rules.items():
             if not p.variables() <= set(indices):

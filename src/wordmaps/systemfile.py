@@ -45,8 +45,8 @@ from .errors import DomainError, ParseError, Record
 from .groebner import Ideal
 from .kpda import KPda, Pop, Push
 from .morphisms import HDT0LSystem, Homomorphism, LinearRepresentation
-from .polynomials import format_polynomial, parse_polynomial
-from .pushdown import _IDENT_CHAR, GradedAlphabet
+from .polynomials import check_variable_names, format_polynomial, parse_polynomial
+from .pushdown import GradedAlphabet
 from .recurrences import (
     CatenativeSystem,
     CompositionalSystem,
@@ -54,7 +54,7 @@ from .recurrences import (
     PolynomialSystem,
     RegularSystem,
 )
-from .words import show_word, word
+from .words import SYMBOL, show_word, word
 
 
 class FractionSpec(Record):
@@ -228,7 +228,7 @@ def _ints(text):
     return tuple(_int(tok) for tok in text.split())
 
 
-_LETTER_RE = re.compile(_IDENT_CHAR + "+")
+_LETTER_RE = re.compile(SYMBOL)
 
 
 def _identifiers(text):
@@ -241,8 +241,8 @@ def _identifiers(text):
 
 
 _RULE_RE = re.compile(
-    r"^(?P<name>[\w']+)\s*\(\s*(?:eps|(?P<letter>[\w'′]+)\s+w)?\s*\)\s*"
-    r"(?:@(?P<cls>\w+)\s*)?=\s*(?P<rhs>.*)$"
+    rf"^(?P<name>{SYMBOL})\s*\(\s*(?:eps|(?P<letter>{SYMBOL})\s+w)?\s*\)\s*"
+    rf"(?:@(?P<cls>{SYMBOL})\s*)?=\s*(?P<rhs>.*)$"
 )
 
 
@@ -271,7 +271,7 @@ def _rules(blk, annotated=False):
     return bases, rules
 
 
-_TERM_RE = re.compile(r"\s*([\w']+)\s*\(\s*([^)]*?)\s*\)")
+_TERM_RE = re.compile(rf"\s*({SYMBOL})\s*\(\s*([^)]*?)\s*\)")
 _RHS_RE = re.compile(f"(?:{_TERM_RE.pattern})+")
 
 
@@ -362,7 +362,7 @@ def _parse_reg(blk) -> RegularSystem:
     start = blk.one("start")
     steps = {}
     for lineno, text in blk.many("step"):
-        m = re.fullmatch(r"(\w+)\s+(\w+)\s*->\s*(\w+)", text)
+        m = re.fullmatch(rf"({SYMBOL})\s+({SYMBOL})\s*->\s*({SYMBOL})", text)
         if not m:
             raise blk.error(f"classifier step must be 'STATE LETTER -> STATE', got {text!r}", lineno)
         if (m[1], m[2]) in steps:
@@ -396,7 +396,7 @@ def _parse_poly(blk) -> PolynomialSystem:
     return PolynomialSystem.make(indices, inp, steps, base, ring=ring)
 
 
-_TABLE_RE = re.compile(r"^(?:table\s+(?P<letter>[\w']+)|final)\s*=\s*(?P<hom>.*)$")
+_TABLE_RE = re.compile(rf"^(?:table\s+(?P<letter>{SYMBOL})|final)\s*=\s*(?P<hom>.*)$")
 
 
 def _parse_hdt0l(blk) -> HDT0LSystem:
@@ -420,7 +420,7 @@ def _parse_hdt0l(blk) -> HDT0LSystem:
     return HDT0LSystem.make(inp, working, homs, _working_hom(final, working, frozenset(out)), seed)
 
 
-_MAT_RE = re.compile(r"^mat\s+(?P<letter>[\w']+)\s*=\s*\[(?P<rows>.*)\]\s*$")
+_MAT_RE = re.compile(rf"^mat\s+(?P<letter>{SYMBOL})\s*=\s*\[(?P<rows>.*)\]\s*$")
 
 
 def _parse_linrep(blk) -> LinearRepresentation:
@@ -444,8 +444,8 @@ def _parse_linrep(blk) -> LinearRepresentation:
 
 
 _TRANS_RE = re.compile(
-    r"^(?P<q>[\w']+)\s*,\s*(?P<read>[\w']+)\s*,\s*(?P<tops>[\w' ]+?)\s*->\s*(?P<q2>[\w']+)\s*,\s*"
-    r"(?:pop_(?P<pop>\d+)|push_(?P<push>\d+)\s*\((?P<syms>[^)]*)\))\s*$"
+    rf"^(?P<q>{SYMBOL})\s*,\s*(?P<read>{SYMBOL})\s*,\s*(?P<tops>{SYMBOL}(?: +{SYMBOL})*)\s*->\s*"
+    rf"(?P<q2>{SYMBOL})\s*,\s*(?:pop_(?P<pop>\d+)|push_(?P<push>\d+)\s*\((?P<syms>[^)]*)\))\s*$"
 )
 
 
@@ -476,6 +476,7 @@ def _parse_pda(blk) -> KPda:
 
 def _parse_ideal(blk):
     variables = blk.words("vars")
+    check_variable_names(variables, "variable")
     gens = [
         blk.convert(lineno, "gen", lambda t: parse_polynomial(t, variables), text)
         for lineno, text in blk.many("gen")

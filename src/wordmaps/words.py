@@ -11,6 +11,10 @@ from typing import Collection
 
 Word = tuple[str, ...]
 
+# a symbol as every reader spells it (a letter, index, state, stack symbol or
+# variable): letters, digits, '_', "'" and '′'
+SYMBOL = r"[\w'′]+"
+
 
 def word(text: str, alphabet: Collection[str] = ()) -> Word:
     """Parse a word from text.

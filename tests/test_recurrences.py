@@ -481,6 +481,13 @@ def test_polynomial_rejects_a_non_int_base(value):
         PolynomialSystem.make(("X",), {"a"}, {("X", "a"): 2 * Polynomial.var("X")}, {"X": value})
 
 
+@pytest.mark.parametrize("index", ["1", "07", "٣"])
+def test_polynomial_rejects_a_numeral_index(index):
+    # the rule 2·X would print as "2 * 1", which reads back as the constant 2
+    with pytest.raises(DomainError, match=re.escape(f"index {index!r} is a numeral")):
+        PolynomialSystem.make((index,), {"a"}, {(index, "a"): 2 * Polynomial.var(index)}, {index: 1})
+
+
 def test_polynomial_linear_matches_linear_eval():
     # a unary linear system is a linear representation: the selector row,
     # the coefficient matrix of the rules, and the base vector as column

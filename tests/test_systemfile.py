@@ -1,10 +1,25 @@
-import pytest
+import math
 from importlib import resources
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from wordmaps.errors import DomainError, ParseError, WordmapsError
-from wordmaps.recurrences import catenative_to_regular, eval_catenative, eval_polynomial
+from wordmaps.groebner import Ideal
+from wordmaps.kpda import KPda, Pop, Push
+from wordmaps.morphisms import HDT0LSystem, Homomorphism, LinearRepresentation
+from wordmaps.polynomials import Polynomial
+from wordmaps.pushdown import GradedAlphabet
+from wordmaps.recurrences import (
+    CatenativeSystem,
+    CompositionalSystem,
+    DfaClassifier,
+    PolynomialSystem,
+    RegularSystem,
+    catenative_to_regular,
+    eval_catenative,
+    eval_polynomial,
+)
 from wordmaps.systemfile import format_declaration, format_file, parse_file
 from wordmaps.words import show_word, word
 
@@ -411,8 +426,139 @@ def test_a_graded_level_key_must_be_a_decimal_number():
     assert str(err.value) == "f.sys:3: unknown directive '²'"
 
 
-def test_letters_may_carry_primes_and_underscores():
-    assert parse_file(_block("alphabet", ["letters: x′ y_1 z'"])).resolve("k")[1] == {"x′", "y_1", "z'"}
+def _comparable(kind, obj):
+    # an Ideal compares by identity; its variables and generators are its data
+    return (obj.variables(), obj.generators) if kind == "ideal" else obj
+
+
+# (kind, a body with a symbol in one statement form, how to read its symbols
+# off the parsed object, the symbols): one case per statement form
+PRIMED_SYMBOLS = [
+    ("alphabet", ["letters: x′ y_1 z'"], lambda o: o, {"x′", "y_1", "z'"}),
+    ("reg", ["input: a", "output: b", "classes: q q'", "start: q", "step: q a -> q'", "step: q' a -> q",
+             "f(eps) = b", "f(a w) @q = f(w)", "f(a w) @q' = f(w) f(w)"], lambda o: o.classifier.states, {"q", "q'"}),
+    ("hdt0l", ["input: a′", "working: x", "output: b", "seed: x", "table a′ = { x -> x x }", "final = { x -> b }"],
+     lambda o: o.input_alphabet, {"a′"}),
+    ("linrep", ["row: 1 0", "col: 0 1", "mat a′ = [ 1 1 / 1 0 ]"], lambda o: o.letters, {"a′"}),
+    ("pda", ["level: 2", "states: q′", "terminals: a", "input: a", "gamma 1: a", "gamma 2: S′", "bottoms: S′",
+             "start: q′", "q′ , a , a S′ -> q′ , pop_1", "q′ , eps , S′ -> q′ , push_2(S′ S′)"],
+     lambda o: o.states | o.gamma.levels[1], {"q′", "S′"}),
+    ("cat", ["input: a", "output: b", "f′(eps) = b", "f′(a w) = f′(w) f′(w)"], lambda o: set(o.indices), {"f′"}),
+    ("poly", ["input: a", "X′(eps) = 1", "X′(a w) = 2 * X′ + 1"], lambda o: set(o.indices), {"X′"}),
+    ("ideal", ["vars: x′", "gen: x′^2 - 1"], lambda o: set(o.variables()), {"x′"}),
+]
+
+
+@pytest.mark.parametrize("kind,body,read,symbols", PRIMED_SYMBOLS, ids=[c[0] for c in PRIMED_SYMBOLS])
+def test_letters_may_carry_primes_and_underscores(kind, body, read, symbols):
+    obj = parse_file(_block(kind, body)).resolve("k", kind)[1]
+    assert read(obj) == symbols
+    back = parse_file(format_declaration(kind, "k", obj)).resolve("k", kind)[1]
+    assert _comparable(kind, back) == _comparable(kind, obj)
+
+
+# symbol characters: letters, a digit, '_', "'", '′' and a Greek letter; no
+# symbol spells eps, the empty word
+_CHARS = "abxX0_'′α"
+_SYMBOLS = st.text(_CHARS, min_size=1, max_size=3)
+# a polynomial variable starts with a letter or '_'
+_VARIABLES = st.builds(str.__add__, st.sampled_from("abxX_α"), st.text(_CHARS, max_size=2))
+
+
+def _alphabets(symbols=_SYMBOLS):
+    # a multi-character letter that the alphabet's one-character letters spell
+    # does not survive printing, so no alphabet holds one
+    return st.frozensets(symbols, min_size=1, max_size=3).filter(
+        lambda alphabet: not any(len(a) > 1 and set(a) <= alphabet for a in alphabet))
+
+
+def _words(alphabet):
+    return st.lists(st.sampled_from(sorted(alphabet)), max_size=3).map(tuple)
+
+
+def _polynomials(variables, coefficients):
+    monomials = st.lists(st.tuples(st.sampled_from(variables), st.integers(1, 2)), max_size=2)
+    terms = st.lists(st.tuples(coefficients, monomials), max_size=3)
+    return terms.map(lambda ts: sum((c * math.prod((Polynomial.var(v) ** e for v, e in m), start=Polynomial.const(1))
+                                     for c, m in ts), Polynomial.const(0)))
+
+
+@st.composite
+def _declarations(draw, kind):
+    """A random object of ``kind``, as the library builds it."""
+    def endomorphism(working, target=None):
+        images = {v: draw(_words(target or working)) for v in working}
+        return Homomorphism(images, source=working, target=target or working)
+
+    if kind in ("cat", "comp", "reg", "poly"):
+        indices = tuple(sorted(draw(st.frozensets(_VARIABLES if kind == "poly" else _SYMBOLS, min_size=1,
+                                                  max_size=3))))
+        inp = draw(_alphabets())
+        products = st.lists(st.sampled_from(indices), max_size=3).map(tuple)
+    if kind == "cat":
+        out = draw(_alphabets())
+        return CatenativeSystem.make(indices, inp, out, {(i, a): draw(products) for i in indices for a in inp},
+                                     {i: draw(_words(out)) for i in indices})
+    if kind == "comp":
+        working = draw(_alphabets())
+        return CompositionalSystem.make(indices, inp, working, {(i, a): draw(products) for i in indices for a in inp},
+                                        {i: endomorphism(working) for i in indices})
+    if kind == "reg":
+        out, states = draw(_alphabets()), sorted(draw(_alphabets()))
+        classifier = DfaClassifier.make(states, draw(st.sampled_from(states)),
+                                        {(q, a): draw(st.sampled_from(states)) for q in states for a in inp})
+        terms = st.lists(st.tuples(st.sampled_from(indices), _words(inp)), max_size=2).map(tuple)
+        rules = {(i, a, d): draw(terms) for i in indices for a in inp for d in states}
+        return RegularSystem.make(indices, inp, out, classifier, rules, {i: draw(_words(out)) for i in indices})
+    if kind == "poly":
+        ring = draw(st.sampled_from("NZ"))
+        coefficients = st.integers(0 if ring == "N" else -3, 3)
+        rules = {(i, a): draw(_polynomials(indices, coefficients)) for i in indices for a in inp}
+        return PolynomialSystem.make(indices, inp, rules, {i: draw(coefficients) for i in indices}, ring)
+    if kind == "hdt0l":
+        inp, working, out = draw(_alphabets()), draw(_alphabets()), draw(_alphabets())
+        return HDT0LSystem.make(inp, working, {a: endomorphism(working) for a in inp}, endomorphism(working, out),
+                                draw(st.sampled_from(sorted(working))))
+    if kind == "linrep":
+        d = draw(st.integers(1, 2))
+        vectors = st.lists(st.integers(-3, 3), min_size=d, max_size=d).map(tuple)
+        mats = {a: tuple(draw(vectors) for _ in range(d)) for a in draw(_alphabets())}
+        return LinearRepresentation.make(draw(vectors), mats, draw(vectors))
+    if kind == "pda":
+        level = draw(st.integers(1, 2))
+        states, terminals = sorted(draw(_alphabets())), sorted(draw(_alphabets()))
+        symbols = draw(st.lists(_SYMBOLS, min_size=level, max_size=4, unique=True))
+        stack = st.lists(st.sampled_from(symbols), min_size=1, max_size=level).map(tuple)
+        key = st.tuples(st.sampled_from(states), st.sampled_from(["", *terminals]), stack)
+        op = st.one_of(st.builds(Pop, st.integers(1, level)), st.builds(Push, st.integers(1, level), stack))
+        delta = draw(st.dictionaries(key, st.sets(st.tuples(st.sampled_from(states), op), min_size=1, max_size=2),
+                                     max_size=3))
+        gamma = GradedAlphabet.of(*(symbols[i::level] for i in range(level)))
+        return KPda.make(level, states, terminals, gamma, delta, draw(st.sampled_from(states)),
+                         input_alphabet=draw(st.frozensets(st.sampled_from(terminals))),
+                         bottom_symbols=[draw(st.sampled_from(symbols)) for _ in range(level - 1)], name="t")
+    variables = tuple(draw(st.lists(_VARIABLES, min_size=1, max_size=3, unique=True)))
+    return Ideal(draw(st.lists(_polynomials(variables, st.integers(-3, 3)), max_size=3)), variables)
+
+
+@pytest.mark.parametrize("kind", ["cat", "comp", "reg", "poly", "hdt0l", "linrep", "pda", "ideal"])
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_a_printed_declaration_reads_back_equal(kind, data):
+    # hom blocks are left out: they read their images without an alphabet
+    obj = data.draw(_declarations(kind))
+    back = parse_file(format_declaration(kind, "t", obj)).resolve("t", kind)[1]
+    assert _comparable(kind, back) == _comparable(kind, obj)
+
+
+@pytest.mark.parametrize("kind,body,what", [
+    ("ideal", ["vars: x 1", "gen: x - 1"], "variable '1'"),
+    ("poly", ["input: a", "1(eps) = 1", "1(a w) = 2 * 1"], "index '1'"),
+], ids=["ideal", "poly"])
+def test_a_numeral_variable_or_index_is_refused(kind, body, what):
+    # "2 * 1" would read back as the constant 2, with no error
+    with pytest.raises(ParseError, match=f"^f.sys:1: {what} is a numeral, which an expression reads as a number$"):
+        parse_file(_block(kind, body), filename="f.sys")
 
 
 _EDITS = st.tuples(
@@ -467,7 +613,6 @@ def test_a_token_spelled_by_one_character_letters_still_splits():
 @pytest.mark.parametrize("indices", [("f1", "g"), ("F0", "F1", "F2"), ("x", "yy")])
 def test_hdt0l_lowering_round_trips_through_the_file_format(indices):
     from wordmaps.lowering import catenative_to_hdt0l, hdt0l_to_catenative
-    from wordmaps.recurrences import CatenativeSystem
 
     # each index steps to the next on a and to itself twice on b; the bases
     # are one-letter words of multi-character output letters
@@ -485,7 +630,7 @@ def test_hdt0l_lowering_round_trips_through_the_file_format(indices):
 
 
 def test_an_ideal_with_rational_generators_prints_integer_generators_that_read_back():
-    from wordmaps.groebner import Ideal, points_ideal
+    from wordmaps.groebner import points_ideal
 
     fitted = Ideal(points_ideal([{"x": 0, "y": 0}, {"x": 2, "y": 1}, {"x": 3, "y": 5}], ("x", "y")))
     printed = format_declaration("ideal", "j", fitted)
