@@ -117,6 +117,8 @@ class HDT0LSystem(Record):
             if a not in tables:
                 raise DomainError(f"no table for input letter {a!r}")
         for a, h in tables.items():
+            if a not in input_alphabet:
+                raise DomainError(f"table for {a!r} outside the input alphabet")
             if not (h.source == working and h.target <= working):
                 raise DomainError(f"table for {a!r} is not an endomorphism of the working alphabet")
         if final.source != working:

@@ -300,10 +300,15 @@ _EXPR_TOKEN = re.compile(rf"\d+|{SYMBOL}|\S")
 
 
 def check_variable_names(names: Iterable[str], what: str) -> None:
-    """Refuse a decimal numeral among ``names``: an expression reads it as a number."""
+    """Refuse a name among ``names`` that an expression does not read as one
+    identifier: a decimal numeral reads as a number, and ``1x`` as 1 then x."""
+    names = tuple(names)
     numeral = next((v for v in names if v.isdecimal()), None)
     if numeral is not None:
         raise DomainError(f"{what} {numeral!r} is a numeral, which an expression reads as a number")
+    other = next((v for v in names if not (re.fullmatch(SYMBOL, v) and (v[0].isalpha() or v[0] == "_"))), None)
+    if other is not None:
+        raise DomainError(f"{what} {other!r} is not an identifier, a symbol that starts with a letter or '_'")
 
 
 def _tokenize_expr(text: str):

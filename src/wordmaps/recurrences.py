@@ -29,33 +29,39 @@ from .polynomials import Polynomial, _powers, _substitute, _wrap, check_variable
 from .words import Word
 
 
-def _check_rules_total(rules, what, *axes):
-    """The rule keys are exactly indices x letters (x classes)."""
-    keys = set(cartesian_product(*axes))
+def _check_recurrence(what, indices, input_alphabet, rules: Mapping, named, base: Mapping, *classes):
+    """The checks every species shares: the rule keys are exactly indices x
+    letters (x classes), every index a rule names is an index (``named`` holds
+    (rule key, indices named) pairs), and the base keys are exactly the
+    indices.  Returns the indices as a tuple, the input alphabet as a frozenset."""
+    indices, input_alphabet = tuple(indices), frozenset(input_alphabet)
+    keys = set(cartesian_product(indices, input_alphabet, *classes))
     missing, extra = sorted(keys - rules.keys()), sorted(rules.keys() - keys)
     if missing:
         raise DomainError(f"{what} has no rule for {missing[0]!r}")
     if extra:
         raise DomainError(f"{what} has a rule for {extra[0]!r} outside its indices and letters")
-
-
-def _check_rule_indices(named, indices):
-    """Every index named on a rule's right-hand side is one of the indices;
-    named holds (rule key, indices named) pairs."""
     for key, js in named:
         for j in js:
             if j not in indices:
                 raise DomainError(f"rule ({','.join(key)}) mentions unknown index {j!r}")
-
-
-def _check_base_total(base, what, indices):
-    """The base keys are exactly the indices."""
     for i in indices:
         if i not in base:
             raise DomainError(f"no base value for index {i!r}")
     extra = sorted(base.keys() - set(indices))
     if extra:
         raise DomainError(f"{what} has a base value for {extra[0]!r} outside its indices")
+    return indices, input_alphabet
+
+
+def _check_base_words(base: Mapping, indices, output_alphabet) -> frozenset:
+    """Every base word lies in the output alphabet, which is returned as a frozenset."""
+    output_alphabet = frozenset(output_alphabet)
+    for i in indices:
+        for b in base[i]:
+            if b not in output_alphabet:
+                raise DomainError(f"base of {i!r} uses letter {b!r} outside the output alphabet")
+    return output_alphabet
 
 
 class _Lookup(Record):
@@ -82,16 +88,9 @@ class CatenativeSystem(_Lookup):
 
     @classmethod
     def make(cls, indices, input_alphabet, output_alphabet, rules: Mapping, base: Mapping):
-        indices = tuple(indices)
-        input_alphabet = frozenset(input_alphabet)
-        output_alphabet = frozenset(output_alphabet)
-        _check_rules_total(rules, "catenative system", indices, input_alphabet)
-        _check_rule_indices(rules.items(), indices)
-        _check_base_total(base, "catenative system", indices)
-        for i in indices:
-            for b in base[i]:
-                if b not in output_alphabet:
-                    raise DomainError(f"base of {i!r} uses letter {b!r} outside the output alphabet")
+        indices, input_alphabet = _check_recurrence(
+            "catenative system", indices, input_alphabet, rules, rules.items(), base)
+        output_alphabet = _check_base_words(base, indices, output_alphabet)
         return cls(
             indices,
             input_alphabet,
@@ -113,12 +112,9 @@ class CompositionalSystem(_Lookup):
 
     @classmethod
     def make(cls, indices, input_alphabet, working, rules: Mapping, base: Mapping):
-        indices = tuple(indices)
-        input_alphabet = frozenset(input_alphabet)
+        indices, input_alphabet = _check_recurrence(
+            "compositional system", indices, input_alphabet, rules, rules.items(), base)
         working = frozenset(working)
-        _check_rules_total(rules, "compositional system", indices, input_alphabet)
-        _check_rule_indices(rules.items(), indices)
-        _check_base_total(base, "compositional system", indices)
         for i in indices:
             h = base[i]
             if h.source != working or not h.target <= working:
@@ -188,20 +184,18 @@ class RegularSystem(_Lookup):
 
     @classmethod
     def make(cls, indices, input_alphabet, output_alphabet, classifier, rules: Mapping, base: Mapping):
-        indices = tuple(indices)
-        input_alphabet = frozenset(input_alphabet)
-        output_alphabet = frozenset(output_alphabet)
-        _check_rules_total(rules, "regular system", indices, input_alphabet, classifier.states)
+        named = ((key, [j for j, _ in rhs]) for key, rhs in rules.items())
+        indices, input_alphabet = _check_recurrence(
+            "regular system", indices, input_alphabet, rules, named, base, classifier.states)
         uncovered = sorted(input_alphabet - {a for _, a in classifier.transition_map})
         if uncovered:
             raise DomainError(f"classifier has no transition for letter {uncovered[0]!r}")
-        _check_rule_indices(((key, [j for j, _ in rhs]) for key, rhs in rules.items()), indices)
         for rhs in rules.values():
             for _, shift in rhs:
                 for s in shift:
                     if s not in input_alphabet:
                         raise DomainError(f"shift word letter {s!r} outside the input alphabet")
-        _check_base_total(base, "regular system", indices)
+        output_alphabet = _check_base_words(base, indices, output_alphabet)
         return cls(
             indices,
             input_alphabet,
@@ -227,12 +221,11 @@ class PolynomialSystem(_Lookup):
 
     @classmethod
     def make(cls, indices, input_alphabet, rules: Mapping, base: Mapping, ring="N"):
-        indices = tuple(indices)
-        input_alphabet = frozenset(input_alphabet)
         if ring not in ("N", "Z"):
             raise DomainError("ring must be 'N' or 'Z'")
+        indices = tuple(indices)
         check_variable_names(indices, "index")
-        _check_rules_total(rules, "polynomial system", indices, input_alphabet)
+        indices, input_alphabet = _check_recurrence("polynomial system", indices, input_alphabet, rules, (), base)
         for (i, a), p in rules.items():
             if not p.variables() <= set(indices):
                 raise DomainError(
@@ -244,7 +237,6 @@ class PolynomialSystem(_Lookup):
                     raise DomainError(f"rule ({i},{a}) has a non-integer coefficient {c}")
                 if ring == "N" and c < 0:
                     raise DomainError(f"rule ({i},{a}) has a negative coefficient in ring N")
-        _check_base_total(base, "polynomial system", indices)
         for i in indices:
             if not isinstance(base[i], int) or isinstance(base[i], bool):
                 raise DomainError(f"base of {i!r} must be an int, got {base[i]!r}")

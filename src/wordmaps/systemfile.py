@@ -507,7 +507,7 @@ def _parse_graded(blk) -> GradedAlphabet:
 def _parse_hom(blk) -> Homomorphism:
     images = _images(blk, [(lineno, m.string) for lineno, m in blk.statements])
     blk.done()
-    return Homomorphism({a: word(text) for a, text in images.items()})
+    return Homomorphism({a: word(text, images) for a, text in images.items()})
 
 
 # kind -> (block parser, pattern of its non-directive statements)

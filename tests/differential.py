@@ -7,7 +7,12 @@ checkouts are compared by ``diff``:
   reprint reprints to itself;
 * ``cli ARGS EXIT STDOUT`` for every command of README.md's CLI block, run in
   process (``FILE IDEAL`` read as ``perfbench/data/ideals.sys cyclic3``), with
-  the repr of its stdout.
+  the repr of its stdout;
+* ``job WORKLOAD SEED NAME SHA256`` for every job of one pass of each
+  benchmark workload at each of ``SEEDS``, made by the checkout's own
+  ``perfbench/run.py``: the digest of the repr of the job's comparable output,
+  or of the exception it raised.  The jobs run in a child process with
+  ``PYTHONHASHSEED=0``, so the lines do not depend on the hash seed.
 
     python tests/differential.py [--tree CHECKOUT] > out.txt
 
@@ -21,10 +26,33 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
+import importlib.util
 import io
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
+
+
+WORKLOADS = ("decide", "closure", "generate")
+SEEDS = (101, 202)
+
+
+def print_jobs(tree: str) -> None:
+    """The ``job`` lines, from the jobs and ``comparable`` of ``tree``'s perfbench."""
+    spec = importlib.util.spec_from_file_location("run", Path(tree) / "perfbench" / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    sys.set_int_max_str_digits(0)  # some outputs are ints of more than 4,300 digits
+    for workload in WORKLOADS:
+        for seed in SEEDS:
+            for job in run.setup(workload, seed)[2]:
+                try:
+                    shown = repr(run.comparable(job.call()))
+                except Exception as e:  # a job's exception is its output
+                    shown = repr(e)
+                print("job", workload, seed, job.name, hashlib.sha256(shown.encode()).hexdigest())
 
 
 def main(argv=None) -> int:
@@ -55,7 +83,11 @@ def main(argv=None) -> int:
                 code = f"SystemExit {e.code}"
         shown = " ".join(a.replace(str(data), "perfbench/data") for a in args)
         print("cli", shown, code, repr(out.getvalue()))
-    return 0
+
+    sys.stdout.flush()  # the child writes the job lines to the same stdout
+    here = str(Path(__file__).resolve().parent)
+    child = f"import sys; sys.path.insert(0, {here!r}); import differential; differential.print_jobs({str(tree)!r})"
+    return subprocess.run([sys.executable, "-c", child], env={**os.environ, "PYTHONHASHSEED": "0"}).returncode
 
 
 if __name__ == "__main__":

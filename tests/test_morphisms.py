@@ -311,6 +311,7 @@ def _hdt0l(**changes):
         (lambda: _hdt0l(input_alphabet=("a", "b")), DomainError, "no table for input letter 'b'"),
         (lambda: _hdt0l(tables={"a": Homomorphism({"p": ("r",), "q": ()})}), DomainError,
          "table for 'a' is not an endomorphism of the working alphabet"),
+        (lambda: _hdt0l(tables={"a": _SWAP, "c": _SWAP}), DomainError, "table for 'c' outside the input alphabet"),
         (lambda: _hdt0l(final=Homomorphism({"p": ("x",)})), DomainError,
          "the final homomorphism must be defined on the working alphabet"),
         (lambda: _hdt0l(seed="x"), DomainError, "seed 'x' is not a working letter"),
@@ -324,7 +325,7 @@ def _hdt0l(**changes):
          "matrix for 'a' is not 2x2"),
     ],
     ids=["hom-no-image", "hom-outside-source", "hom-outside-target", "hom-immutable", "hdt0l-no-table", "hdt0l-table",
-         "hdt0l-final", "hdt0l-seed", "hdt0l-table-lookup", "parikh-letter", "linrep-row-col",
+         "hdt0l-stray-table", "hdt0l-final", "hdt0l-seed", "hdt0l-table-lookup", "parikh-letter", "linrep-row-col",
          "linrep-ragged", "linrep-rows"],
 )
 def test_every_morphism_refusal_names_its_cause(call, error, message):

@@ -780,15 +780,19 @@ def _poly(rule=None, base=1, ring="N"):
         (lambda: _ONE_CLASS.classify(("a", "b")), DomainError, "classifier has no transition for letter 'b'"),
         (lambda: RegularSystem.make(("f",), "a", "x", _ONE_CLASS, {("f", "a", "all"): (("f", ("b",)),)},
                                     {"f": ("x",)}), DomainError, "shift word letter 'b' outside the input alphabet"),
+        (lambda: RegularSystem.make(("f",), "a", "x", _ONE_CLASS, {("f", "a", "all"): (("f", ()),)},
+                                    {"f": ("z",)}), DomainError, "base of 'f' uses letter 'z' outside the output alphabet"),
         (lambda: _poly(ring="Q"), DomainError, "ring must be 'N' or 'Z'"),
         (lambda: _poly(_P("F") + _P("G")), DomainError, "rule (F,a) uses variables ['G'] outside the index set"),
         (lambda: _poly(Fraction(1, 2) * _P("F")), DomainError, "rule (F,a) has a non-integer coefficient 1/2"),
         (lambda: _poly(base=-1), DomainError, "base of 'F' is negative in ring N"),
+        (lambda: PolynomialSystem.make(("1x",), "a", {("1x", "a"): 2 * _P("1x")}, {"1x": 1}), DomainError,
+         "index '1x' is not an identifier, a symbol that starts with a letter or '_'"),
         (lambda: product_system(_poly(), _poly()), DomainError, "product systems must have disjoint index sets"),
     ],
     ids=["cat-base-letter", "comp-base", "dfa-start", "dfa-incomplete", "dfa-states", "classify-letter",
-         "reg-shift-letter", "poly-ring", "poly-variable", "poly-coefficient", "poly-negative-base",
-         "product-overlap"],
+         "reg-shift-letter", "reg-base-letter", "poly-ring", "poly-variable", "poly-coefficient",
+         "poly-negative-base", "poly-identifier", "product-overlap"],
 )
 def test_every_recurrence_refusal_names_its_cause(call, error, message):
     with pytest.raises(error) as err:

@@ -20,7 +20,7 @@ from wordmaps.recurrences import (
     eval_catenative,
     eval_polynomial,
 )
-from wordmaps.systemfile import format_declaration, format_file, parse_file
+from wordmaps.systemfile import FractionSpec, format_declaration, format_file, parse_file
 from wordmaps.words import show_word, word
 
 BUNDLED = ["fibonacci", "factorial", "npown", "gmap", "skolem-demo", "identity-pda", "pow2-pda"]
@@ -490,6 +490,19 @@ def _declarations(draw, kind):
         images = {v: draw(_words(target or working)) for v in working}
         return Homomorphism(images, source=working, target=target or working)
 
+    if kind == "alphabet":
+        return draw(_alphabets())
+    if kind == "graded":
+        height = draw(st.integers(1, 3))
+        symbols = draw(st.lists(_SYMBOLS, min_size=height, max_size=6, unique=True))
+        return GradedAlphabet.of(*(symbols[i::height] for i in range(height)))
+    if kind == "hom":
+        letters = draw(_alphabets())
+        return Homomorphism({a: draw(_words(letters)) for a in letters})
+    if kind == "frac":
+        # a frac names four indices of a poly block, drawn with it
+        poly = draw(_declarations("poly"))
+        return poly, FractionSpec("p", *(draw(st.sampled_from(poly.indices)) for _ in range(4)))
     if kind in ("cat", "comp", "reg", "poly"):
         indices = tuple(sorted(draw(st.frozensets(_VARIABLES if kind == "poly" else _SYMBOLS, min_size=1,
                                                   max_size=3))))
@@ -541,13 +554,16 @@ def _declarations(draw, kind):
     return Ideal(draw(st.lists(_polynomials(variables, st.integers(-3, 3)), max_size=3)), variables)
 
 
-@pytest.mark.parametrize("kind", ["cat", "comp", "reg", "poly", "hdt0l", "linrep", "pda", "ideal"])
+@pytest.mark.parametrize("kind", ["alphabet", "graded", "hom", "cat", "comp", "reg", "poly", "hdt0l", "linrep",
+                                  "pda", "ideal", "frac"])
 @settings(deadline=None, max_examples=60)
 @given(data=st.data())
 def test_a_printed_declaration_reads_back_equal(kind, data):
-    # hom blocks are left out: they read their images without an alphabet
-    obj = data.draw(_declarations(kind))
-    back = parse_file(format_declaration(kind, "t", obj)).resolve("t", kind)[1]
+    obj, text = data.draw(_declarations(kind)), ""
+    if kind == "frac":
+        poly, obj = obj
+        text = format_declaration("poly", "p", poly) + "\n\n"
+    back = parse_file(text + format_declaration(kind, "t", obj)).resolve("t", kind)[1]
     assert _comparable(kind, back) == _comparable(kind, obj)
 
 
@@ -558,6 +574,17 @@ def test_a_printed_declaration_reads_back_equal(kind, data):
 def test_a_numeral_variable_or_index_is_refused(kind, body, what):
     # "2 * 1" would read back as the constant 2, with no error
     with pytest.raises(ParseError, match=f"^f.sys:1: {what} is a numeral, which an expression reads as a number$"):
+        parse_file(_block(kind, body), filename="f.sys")
+
+
+@pytest.mark.parametrize("kind,body,what", [
+    ("ideal", ["vars: x 1x", "gen: x - 1"], "variable '1x'"),
+    ("poly", ["input: a", "1x(eps) = 1", "1x(a w) = 2"], "index '1x'"),
+], ids=["ideal", "poly"])
+def test_a_variable_or_index_that_is_not_an_identifier_is_refused(kind, body, what):
+    # an expression reads 1x as 1 then x, so "2 * 1x" would not read back
+    with pytest.raises(ParseError, match=f"^f.sys:1: {what} is not an identifier, a symbol that starts with a letter "
+                                         "or '_'$"):
         parse_file(_block(kind, body), filename="f.sys")
 
 
