@@ -12,34 +12,55 @@ t/1 with 0/1 over the system with no indices.  Two quotients agree at every
 word exactly when t = num_p(v_p) den_q(v_q) - num_q(v_q) den_p(v_p)
 vanishes on the orbit of the two systems walked side by side: a point is
 the pair (v_p, v_q) of their value vectors, each stepped by its own
-system's maps, and its moment vector reads p's variables, then q's, up to
-the degree of t with the two sides' variables kept apart.  The system with
-no indices adds nothing to a point's key or its moment vector.
+system's maps.
 
-When both systems are affine (update polynomials of degree <= 1) the
-decision takes the span walk: the orbit walk below reads t at each new point, the first nonzero
-value names the witness, and a point is stepped only if its moment vector
-(the values of the monomials of degree <= deg t) is independent of the
-earlier ones.  Affine maps act linearly on moment vectors and t is linear
-in them, so m(v(w)) = sum c_i m(v(w_i)) over shortlex-smaller w_i gives
-t(v(uw)) = sum c_i t(v(uw_i)) for every word u: verdicts stay exact and
-witnesses minimal (Tzeng, SIAM J. Comput. 21, 1992; Benedikt, Duff, Sharad
-and Worrell, LICS 2017).
+Before its engines the decision reduces t, exactly.  The indices of both
+systems are split into the coarsest congruence that refines their base
+values: two indices share a class only when, at every letter, their updates
+are one polynomial with each variable replaced by its class, and a class is
+the constant c when every member's update reads c at every letter
+(``recurrences._congruence``; Alpern, Wegman and Zadeck, POPL 1988).  By
+induction on the word the members of a class agree at every word and a
+constant class keeps its constant, so t rewritten over the classes takes
+t's value at every word: t = 0 proves equality, and otherwise the engines
+run on the system of the classes in t's cone of influence (Clarke, Grumberg
+and Peled, *Model Checking*, 1999), with the same verdict and witness.  A
+pass over the reduced system that stops on a budget hands over to the pass
+over the unreduced product, beside the same walk, so no verdict becomes a
+stop: the walk is paid per term of a pull-back, and reduced pull-backs are
+smaller.  Two
+systems are refined together, their classes named with the prefixes A_ and
+B_; a system against the system with no indices, as in ``find_witness``,
+reads its own congruence, its ``quotient``, built once per system.  An
+affine pair (every update polynomial of degree <= 1) is reduced once t is
+read at the base vector, any other pair after the orbit walk's head start
+below.
+
+When the reduced system is affine the decision takes the span walk: the
+orbit walk below reads t at each new point, the first nonzero value names
+the witness, and a point is stepped only if its moment vector (the values of
+the monomials of degree <= deg t) is independent of the earlier ones.
+Affine maps act linearly on moment vectors and t is linear in them, so
+m(v(w)) = sum c_i m(v(w_i)) over shortlex-smaller w_i gives t(v(uw)) = sum
+c_i t(v(uw_i)) for every word u: verdicts stay exact and witnesses minimal
+(Tzeng, SIAM J. Comput. 21, 1992; Benedikt, Duff, Sharad and Worrell, LICS
+2017).
 
 Otherwise two searches run side by side, and the first to finish answers;
 both give the same answer: inequivalence is semi-decided by enumeration
 beside the proof of equivalence (Culik and Karhumaki, "A new proof for the
 D0L sequence equivalence problem", 1986).  The orbit walk below reads t at
-each new point: its first nonzero value names the minimal witness, and a
-walk that ends with every point stepped has met the whole orbit, which
-proves t vanishes on it.  It runs alone through its first point longer than
-3 letters, which answers shallow witnesses without a pull-back, and then
-beside the saturation pass, over the ascending chain of ideals generated by
-the pull-backs g_w = t o P_w, where g_w(base) = t(v(w)).  After each
-dequeued pull-back g the walk gets credit for the terms of g and goes on
-while its credit is positive, a point costing 1 + bit_length // 64 for each
-of its values, so a deep witness among cheap points costs a few pull-backs.
-A FIFO queue of (wa, g_w) pairs, letters in order, meets the words in
+each point of the two systems: its first nonzero value names the minimal
+witness, and a walk that ends with every point stepped has met the whole
+orbit, which proves t vanishes on it.  It runs alone through its first
+point longer than 3 letters, which answers shallow witnesses without a
+reduction or a pull-back, and then beside the saturation pass over the
+reduced system, over the ascending chain of ideals generated by the
+pull-backs g_w = t o P_w, where g_w(base) = t(v(w)).  After each dequeued
+pull-back g the walk gets credit for the terms of g and goes on while its
+credit is positive, a point costing 1 + bit_length // 64 for each of its
+values, so a deep witness among cheap points costs a few pull-backs.  A
+FIFO queue of (wa, g_w) pairs, letters in order, meets the words in
 shortlex order, and one incremental ``groebner.GroebnerBasis`` tests and
 extends the chain.  g_wa is pulled back only when its pair is dequeued, so a
 witness leaves the queued pull-backs unbuilt, and from one power table per
@@ -50,10 +71,6 @@ pull-back inside the ideal of earlier generators is not extended, as it and
 its extensions combine pull-backs at shortlex-smaller words, which vanish at
 the base.  The chain stabilizes (ascending chain condition), so the pass is
 total and verdicts never need a variety computation.
-
-The span walk and the orbit walk read t at the side-by-side points; only
-the saturation pass, which pulls t back, builds the product system with the
-indices prefixed A_ and B_, and t over it.
 
 ``zariski_closure`` computes the vanishing ideal of the orbit closure.  Both
 of its paths fit polynomials to sampled orbit points with Buchberger-Moeller
@@ -87,9 +104,12 @@ from typing import Optional, Union
 from .errors import BudgetExceededError, DomainError, Record
 from .groebner import GroebnerBasis, Ideal, _eliminate, points_ideal
 from .morphisms import check_index
-from .polynomials import Polynomial, _powers, _substitute, mono_degree
+from .polynomials import Polynomial, _mul_into, _normalised, _powers, _substitute
 from .recurrences import (
     PolynomialSystem,
+    _classes_system,
+    _congruence,
+    _image,
     _prefixed,
     _step,
     check_shared_alphabet,
@@ -123,7 +143,8 @@ class Budget(Record):
     candidates, ``sample_points`` sampling and ``max_point_bits`` sampling
     and the orbit walk that runs beside the pass; no verdict depends on
     those two.  Each level the walk passes adds a point, so sampled words
-    are shorter than that.
+    are shorter than that.  Every limit is an int >= 0: another value, which
+    a comparison with a count would never meet, is refused.
     """
 
     chain_additions: int = 400
@@ -132,6 +153,12 @@ class Budget(Record):
     sample_points: int = 120
     max_point_bits: int = 4096
 
+    def __post_init__(self):
+        for name in self._fields:
+            n = getattr(self, name)
+            if type(n) is not int or n < 0:
+                raise DomainError(f"budget {name} must be an int >= 0, not {n!r}")
+
     def fits(self, vec) -> bool:
         """Whether every value of the vector has at most ``max_point_bits`` bits."""
         return max(map(int.bit_length, vec.values()), default=0) <= self.max_point_bits
@@ -139,11 +166,13 @@ class Budget(Record):
 
 DEFAULT_BUDGET = Budget()
 
+_ZERO, _UNIT = Polynomial.zero(), Polynomial.const(1)
+
 _HEAD_START = 3  # the orbit walk runs alone through its first point longer than this
 
 
 # ---------------------------------------------------------------------------
-# pull-backs and products
+# pull-backs
 
 
 def _tables(sys: PolynomialSystem) -> dict:
@@ -157,10 +186,57 @@ def _sigma(tables: dict, a: str, g: Polynomial) -> Polynomial:
     return _substitute(g.terms, tables[a])
 
 
-def _paired(sys_a: PolynomialSystem, sys_b: PolynomialSystem) -> PolynomialSystem:
-    """The two systems side by side, their indices prefixed A_ and B_: the
-    system that a quotient comparison's saturation pass pulls t back over."""
-    return product_system(rename_system(sys_a, "A_"), rename_system(sys_b, "B_"))
+# ---------------------------------------------------------------------------
+# the reduction: bisimilar and constant indices, then the cone of influence
+
+
+def _reduced(p: tuple, q: tuple) -> tuple:
+    """(sys, t) for two (system, num, den) shapes: t of the module docstring
+    over the classes of the coarsest congruence on the indices of both
+    systems, and the system of the classes in t's cone of influence, or None
+    when t is 0.  The classes of two systems take names with the prefixes A_
+    and B_; one system alone has its congruence in its ``quotient``."""
+    (sys_p, num_p, den_p), (sys_q, num_q, den_q) = p, q
+    sides, prefixes = (sys_p, sys_q), ("A_", "B_")
+    if sys_p.indices and sys_q.indices:
+        (of_p, of_q), images = _congruence(sides, prefixes)
+    else:
+        (of_p, quo_p), (of_q, quo_q) = sys_p.quotient, sys_q.quotient
+    t = _mul_into({}, _image(num_p.terms, of_p), _image(den_q.terms, of_q))
+    t = _normalised(_mul_into(t, {m: -c for m, c in _image(num_q.terms, of_q).items()}, _image(den_p.terms, of_p)))
+    if not t:
+        return None, t
+    if sys_p.indices and sys_q.indices:
+        return _cone(_classes_system(sides, prefixes, (of_p, of_q), images), t), t
+    return _cone(quo_p if quo_p.indices else quo_q, t), t
+
+
+def _product(p: tuple, q: tuple) -> tuple:
+    """(sys, t) without the reduction: the two systems side by side, their
+    indices prefixed A_ and B_, and t over them."""
+    (sys_p, num_p, den_p), (sys_q, num_q, den_q) = p, q
+    t = _prefixed(num_p, "A_") * _prefixed(den_q, "B_") - _prefixed(num_q, "B_") * _prefixed(den_p, "A_")
+    return product_system(rename_system(sys_p, "A_"), rename_system(sys_q, "B_")), t
+
+
+def _cone(sys: PolynomialSystem, t: Polynomial) -> PolynomialSystem:
+    """sys restricted to t's cone of influence, the indices that t reads
+    closed under the reads of their updates: sys itself when that is all of
+    them (Clarke, Grumberg and Peled, *Model Checking*, 1999)."""
+    reads, cone, todo = sys.read_map, set(), [v for m in t.terms for v, _ in m]
+    while todo:
+        i = todo.pop()
+        if i not in cone:
+            cone.add(i)
+            for a in sys.input_alphabet:
+                todo += reads[i, a]
+    if len(cone) == len(sys.indices):
+        return sys
+    return PolynomialSystem(
+        tuple([i for i in sys.indices if i in cone]), sys.input_alphabet,
+        tuple([rule for rule in sys.rules if rule[0][0] in cone]), tuple([b for b in sys.base if b[0] in cone]),
+        sys.ring,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -207,20 +283,19 @@ def _saturate(sys: PolynomialSystem, t: Polynomial, budget: Budget, probe) -> Op
     return None
 
 
-def _span_walk(sides: tuple, value, degree: int, budget: Budget) -> Optional[Word]:
-    """The span walk of the module docstring over affine sides, for the t of
-    the given degree that ``value`` reads at a point."""
+def _span_walk(sys: PolynomialSystem, t: Polynomial, budget: Budget) -> Optional[Word]:
+    """The span walk of the module docstring over an affine system."""
     # moment j >= 1 is moment p times the variable in slot k, for
     # (p, k) = links[j - 1]: each monomial of degree <= deg t once, its
-    # variables in the sides' index order
-    slots, links, level, rows = _slots(sides), [], [(0, 0)], []
-    for _ in range(degree):
-        grown = [(p, k) for p, low in level for k in range(low, len(slots))]
+    # variables in the system's index order
+    indices, links, level, rows = sys.indices, [], [(0, 0)], []
+    for _ in range(t.degree()):
+        grown = [(p, k) for p, low in level for k in range(low, len(indices))]
         level = [(len(links) + j, k) for j, (_, k) in enumerate(grown, 1)]
         links += grown
 
     def independent(point):
-        values, moments = [point[s][i] for s, i in slots], [1]
+        values, moments = [point[0][i] for i in indices], [1]
         for p, k in links:
             moments.append(moments[p] * values[k])
         pivot, row, _ = _eliminate(moments, {}, rows)
@@ -230,8 +305,8 @@ def _span_walk(sides: tuple, value, degree: int, budget: Budget) -> Optional[Wor
                 raise BudgetExceededError("moment span did not close within the addition budget")
         return pivot is not None
 
-    for w, point in _orbit(sides, independent):
-        if value(point) != 0:
+    for w, (vec,) in _orbit((sys,), independent):
+        if t.evaluate(vec) != 0:
             return w
     return None
 
@@ -310,17 +385,19 @@ def find_witness(sys: PolynomialSystem, t: Polynomial, budget: Budget = DEFAULT_
     indices."""
     if not t.variables() <= set(sys.indices):
         raise DomainError("test polynomial mentions variables outside the system")
-    one = Polynomial.const(1)
-    return _witness((sys, t, one), (PolynomialSystem((), sys.input_alphabet, (), ()), Polynomial.zero(), one), budget)
+    return _witness((sys, t, _UNIT), (PolynomialSystem((), sys.input_alphabet, (), ()), _ZERO, _UNIT), budget)
 
 
 def _witness(p: tuple, q: tuple, budget: Budget) -> Optional[Word]:
     """The shortlex-least word at which two (system, num, den) shapes differ,
-    or None when they agree at every word: the t of the module docstring,
-    read at the points of the two systems walked side by side.  The span
-    walk when both systems are affine, else the orbit walk's head start and,
-    when that has no answer, the saturation pass over the renamed product
-    with the walk going on beside it."""
+    or None when they agree at every word: the t of the module docstring.
+    An affine pair reads t at the base vector first, and any other pair in
+    the orbit walk's head start, at the points of the two systems walked side
+    by side.  Without an answer there, t is reduced: a zero t is None, and
+    otherwise the span walk, or on a reduced system that is not affine the
+    saturation pass with the walk going on beside it, decides t over the
+    reduced system; a budget stop of that pass hands over to the pass over
+    the unreduced product."""
     (sys_p, num_p, den_p), (sys_q, num_q, den_q) = p, q
     check_shared_alphabet(sys_p, sys_q)
 
@@ -328,14 +405,28 @@ def _witness(p: tuple, q: tuple, budget: Budget) -> Optional[Word]:
         v_p, v_q = point
         return num_p.evaluate(v_p) * den_q.evaluate(v_q) - num_q.evaluate(v_q) * den_p.evaluate(v_p)
 
+    probe = None
     if sys_p.affine and sys_q.affine:
-        return _span_walk((sys_p, sys_q), value, _cross_degree(num_p, den_q, num_q, den_p), budget)
-    walk = _paced_walk((sys_p, sys_q), value, budget)
-    answer = next(walk)
-    if answer is not None:
-        return None if answer else answer.witness
-    t = _prefixed(num_p, "A_") * _prefixed(den_q, "B_") - _prefixed(num_q, "B_") * _prefixed(den_p, "A_")
-    return _saturate(_paired(sys_p, sys_q), t, budget, walk.send)
+        if value((sys_p.base_map, sys_q.base_map)) != 0:
+            return ()
+    else:
+        walk = _paced_walk((sys_p, sys_q), value, budget)
+        answer = next(walk)
+        if answer is not None:
+            return None if answer else answer.witness
+        probe = walk.send
+    sys, t = _reduced(p, q)
+    if not t:
+        return None
+    if sys.affine:
+        return _span_walk(sys, t, budget)
+    try:
+        return _saturate(sys, t, budget, probe)
+    except BudgetExceededError:
+        # the walk is paid per term of a pull-back, and reduced pull-backs
+        # are smaller; the pass over the unreduced product pays it at least
+        # what it is paid without the reduction, so no verdict becomes a stop
+        return _saturate(*_product(p, q), budget, probe)
 
 
 def _verdict(witness: Optional[Word]) -> Verdict:
@@ -365,19 +456,7 @@ def decide_equal(
 def _indexed(sys: PolynomialSystem, i: str) -> tuple:
     """The (system, num, den) shape of the sequence X_i, which is X_i/1."""
     check_index(sys, i)
-    return sys, Polynomial.var(i), Polynomial.const(1)
-
-
-def _cross_degree(num_p: Polynomial, den_q: Polynomial, num_q: Polynomial, den_p: Polynomial) -> int:
-    """deg t for t = num_p den_q - num_q den_p, p's and q's variables kept
-    apart: a term of t is a pair of monomials, one of each side, and the two
-    products' terms cancel only pairwise."""
-    terms = {}
-    for f, g, sign in ((num_p, den_q, 1), (den_p, num_q, -1)):
-        for m, c in f.terms.items():
-            for n, d in g.terms.items():
-                terms[m, n] = terms.get((m, n), 0) + sign * c * d
-    return max((mono_degree(m) + mono_degree(n) for (m, n), c in terms.items() if c), default=-1)
+    return sys, Polynomial.var(i), _UNIT
 
 
 class FractionPresentation(Record):

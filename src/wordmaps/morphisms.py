@@ -15,7 +15,7 @@ affine polynomial maps along a word one run a^k at a time, in O(log k) steps.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain, groupby, repeat
 from typing import Iterable, Mapping
 
 from .errors import DomainError, Record
@@ -298,27 +298,22 @@ def word_product(x, w: Word, first, mul, square):
     """x acted on by the letters of the sequence w in order: a run a^k applies
     ``mul(x, m)`` once per set bit of k, m from the maps of a^1, a^2, a^4, ...
     built from ``first(a)`` by ``square`` once per call.  A one-run word (a^n)
-    is counted by ``w.count``; others letter by letter, up to a closing None."""
-    powers, prev, k = {}, None, 0  # powers: a |-> the maps of a^1, a^2, a^4, ...
-    if w and w[0] == w[-1] and w.count(w[0]) == len(w):
-        w, prev, k = (), w[0], len(w)
-    for a in chain(w, (None,)):
-        if a == prev:
-            k += 1
-            continue
-        if k:
-            ms = powers.get(prev) or powers.setdefault(prev, [first(prev)])
-            t = 0
-            while True:
-                if k & 1:
-                    x = mul(x, ms[t])
-                k >>= 1
-                if not k:
-                    break
-                t += 1
-                if t == len(ms):
-                    ms.append(square(ms[-1]))
-        prev, k = a, 1
+    is counted by ``w.count``, the runs of others by ``itertools.groupby``."""
+    one_run = w and w[0] == w[-1] and w.count(w[0]) == len(w)
+    powers = {}  # a |-> the maps of a^1, a^2, a^4, ...
+    for a, run in [(w[0], w)] if one_run else groupby(w):
+        k = len(run) if one_run else len(list(run))
+        ms = powers.get(a) or powers.setdefault(a, [first(a)])
+        t = 0
+        while True:
+            if k & 1:
+                x = mul(x, ms[t])
+            k >>= 1
+            if not k:
+                break
+            t += 1
+            if t == len(ms):
+                ms.append(square(ms[-1]))
     return x
 
 

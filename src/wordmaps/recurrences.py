@@ -25,7 +25,7 @@ from typing import Mapping
 
 from .errors import DomainError, FuelExhaustedError, Record
 from .morphisms import Homomorphism, check_index, check_word, compose, concat, demand, suffix_walk, word_product
-from .polynomials import Polynomial, _powers, _substitute, _wrap, check_variable_names, mono_degree
+from .polynomials import Polynomial, _powers, _substitute, _wrap, check_variable_names, mono_degree, mono_mul
 from .words import Word
 
 
@@ -268,6 +268,24 @@ class PolynomialSystem(_Lookup):
         return {key: p.variables() for key, p in self.rules}
 
     @cached_property
+    def first_steps(self) -> dict[str, dict[str, int]]:
+        """a |-> the value vector at the one-letter word a."""
+        return {a: _step(self.base_map, m) for a, m in self.maps.items()}
+
+    @cached_property
+    def quotient(self) -> tuple:
+        """(of, Q) for the coarsest congruence of ``_congruence`` on the
+        indices: of maps each index to its class, its value when it is
+        constant and else its first member, and Q is the system of the
+        classes that are not constant, the system itself when no index is
+        constant or shares its class."""
+        if not self.indices:
+            return {}, self
+        (of,), images = _congruence((self,), ("",))
+        quotient = _classes_system((self,), ("",), (of,), images)
+        return of, self if len(quotient.indices) == len(self.indices) else quotient
+
+    @cached_property
     def affine(self) -> bool:
         """Whether every update polynomial has degree <= 1, read up to the
         first monomial of degree >= 2."""
@@ -305,6 +323,89 @@ def product_system(a: PolynomialSystem, b: PolynomialSystem) -> PolynomialSystem
         a.indices + b.indices, a.input_alphabet, tuple(sorted(a.rules + b.rules)),
         tuple(sorted(a.base + b.base)), "Z" if "Z" in (a.ring, b.ring) else "N",
     )
+
+
+# ---------------------------------------------------------------------------
+# congruences: indices that agree at every word, and indices that are constant
+
+
+def _image(terms: dict, of: dict) -> dict:
+    """The term dict of a polynomial whose variable v stands for of[v]: a
+    value, an int, or the name of a variable."""
+    out = {}
+    for m, c in terms.items():
+        key = ()
+        for v, e in m:
+            k = of[v]
+            if type(k) is int:
+                c *= k**e
+            else:
+                key = mono_mul(key, ((k, e),))
+        if c:
+            c += out.get(key, 0)
+            if c:
+                out[key] = c
+            else:
+                del out[key]
+    return out
+
+
+def _congruence(sides: tuple, prefixes: tuple) -> tuple:
+    """The coarsest congruence on the indices of the systems ``sides``
+    together that refines their base values, as (of, images).  of[s] maps
+    side s's indices, in index order, to their classes: a constant class is
+    its value, and any other class is named after its first member with the
+    side's prefix.  images[s][i] lists the term dicts of i's updates over
+    the classes, letter by letter in sorted order.  Two indices of one class
+    take equal values at every word, and the indices of a constant class
+    their class's value, by induction on the word (Alpern, Wegman and
+    Zadeck, POPL 1988).
+
+    Every class starts as one base value, constant.  A round reads each
+    index's updates over the classes, the first round at the base vector,
+    and splits the classes by what they read at every letter; an index
+    leaves its constant class when it reads anything but the value.  Classes
+    only split, so a round that splits none has reached the fixpoint."""
+    letters = sorted(sides[0].input_alphabet)
+    values = {v for sys in sides for _, v in sys.base}
+    # a constant class reads its value at every letter, members or not
+    ids, of, rows = {(v, (v,) * len(letters)): v for v in values}, [], []
+    for prefix, sys in zip(prefixes, sides):
+        base, steps, maps = sys.base_map, [sys.first_steps[a] for a in letters], [sys.maps[a] for a in letters]
+        of.append({i: ids.setdefault((base[i], tuple([vec[i] for vec in steps])), prefix + i)
+                   for i in sys.indices})
+        rows.append([(i, prefix + i, [m[i].terms for m in maps]) for i in sys.indices])
+    reads = {v: (frozenset({((), v)} if v else ()),) * len(letters) for v in values}
+    count = len(ids)
+    while True:
+        ids, new, images = {(v, sig): v for v, sig in reads.items()}, [], []
+        for side, cls in zip(rows, of):
+            classes, image = {}, {}
+            for i, name, updates in side:
+                image[i] = terms = [_image(f, cls) for f in updates]
+                classes[i] = ids.setdefault((cls[i], tuple([frozenset(d.items()) for d in terms])), name)
+            new.append(classes)
+            images.append(image)
+        if len(ids) == count:
+            return of, images
+        count, of = len(ids), new
+
+
+def _classes_system(sides: tuple, prefixes: tuple, of, images) -> PolynomialSystem:
+    """The system of the classes of ``_congruence`` that are not constant,
+    in the order of their first members: each takes its first member's
+    updates over the classes and base value."""
+    letters = sorted(sides[0].input_alphabet)
+    indices, rules, base = [], [], []
+    for prefix, sys, cls, image in zip(prefixes, sides, of, images):
+        values = sys.base_map
+        for i, k in cls.items():
+            if k == prefix + i:
+                indices.append(k)
+                base.append((k, values[i]))
+                rules += [((k, a), _wrap(terms)) for a, terms in zip(letters, image[i])]
+    ring = "Z" if "Z" in [sys.ring for sys in sides] else "N"
+    return PolynomialSystem(tuple(indices), sides[0].input_alphabet, tuple(sorted(rules)), tuple(sorted(base)), ring)
 
 
 # ---------------------------------------------------------------------------

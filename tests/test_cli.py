@@ -749,9 +749,24 @@ def test_a_malformed_integer_directive_is_a_parse_error(capsys, tmp_path, text, 
     assert err.startswith(f"error: {path}:2: ") and "expected an integer" in err
 
 
+# (n+1)! beside M = n + 1 rather than factorial.sys's L = n + 2: equal to FC,
+# but no index of one presentation joins one of the other's
+FACTORIAL_BY_M = """
+poly FM {
+  input: a
+  M(eps) = 1
+  FC(eps) = 1
+  M(a w) = M + 1
+  FC(a w) = (M + 1) * FC
+}
+"""
+
+
 @pytest.mark.parametrize("budget", ["-5", "-1"])
-def test_negative_budget_is_a_usage_error_and_zero_budget_is_legal(capsys, budget):
-    argv = ("equiv", "factorial", "FC", "factorial", "FC")
+def test_negative_budget_is_a_usage_error_and_zero_budget_is_legal(capsys, budget, tmp_path):
+    path = tmp_path / "fm.sys"
+    path.write_text(FACTORIAL_BY_M)
+    argv = ("equiv", "factorial", "FC", str(path), "FM.FC")
     with pytest.raises(SystemExit) as exc:
         main([*argv, "--budget", budget])
     assert exc.value.code == 2
@@ -759,6 +774,7 @@ def test_negative_budget_is_a_usage_error_and_zero_budget_is_legal(capsys, budge
     assert out == "" and f"argument --budget: must be >= 0, not {budget}" in err
     # a zero budget reaches the decision, whose budget error names the limit
     assert run_cli(capsys, *argv, "--budget", "0") == (2, "", "error: Groebner basis exceeded the size budget (0)\n")
+    assert run_cli(capsys, *argv) == (0, "Equal\n", "")
 
 
 LITERAL = """

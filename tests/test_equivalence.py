@@ -53,6 +53,12 @@ def fib_triple():
     )
 
 
+def _paired(sys_a, sys_b):
+    """The two systems side by side, their indices prefixed A_ and B_: the
+    product that a comparison of two shapes reads t over."""
+    return product_system(rename_system(sys_a, "A_"), rename_system(sys_b, "B_"))
+
+
 def _no_answer(terms):
     """A probe that never answers: ``_saturate`` runs the saturation pass alone."""
     return None
@@ -170,11 +176,19 @@ _FIB_REP = LinearRepresentation.make((1, 0), {"b": ((1, 1), (1, 0))}, (1, 0))
         (lambda: points_ideal([{"x": 1}, {"x": 2}], ["x", "x"]), DomainError,
          "variable 'x' repeats in the variable sequence"),
         (lambda: Ideal([P("x") - 1], ("x", "x")), DomainError, "variable 'x' repeats in the variable sequence"),
+        # an unbounded sample would step points until max_point_bits stops it
+        (lambda: zariski_closure(fib_pair(), Budget(sample_points=-1)), DomainError,
+         "budget sample_points must be an int >= 0, not -1"),
+        (lambda: zariski_closure(fib_pair(), Budget(sample_points=2.5)), DomainError,
+         "budget sample_points must be an int >= 0, not 2.5"),
+        (lambda: Budget(chain_additions=True), DomainError, "budget chain_additions must be an int >= 0, not True"),
+        (lambda: Budget(max_point_bits=None), DomainError, "budget max_point_bits must be an int >= 0, not None"),
     ],
     ids=["decide_equal.a", "decide_equal.b", "FractionPresentation", "compose_level3", "catenative_to_hdt0l",
          "skolem.u", "skolem.v", "zariski_closure-degree", "find_witness-variable", "resolve-kind",
          "format_declaration-kind", "GroebnerBasis-repeat", "groebner-repeat", "normal_form-repeat",
-         "s_polynomial-repeat", "points_ideal-repeat", "Ideal-repeat"],
+         "s_polynomial-repeat", "points_ideal-repeat", "Ideal-repeat", "Budget-negative", "Budget-fraction",
+         "Budget-bool", "Budget-none"],
 )
 def test_every_library_refusal_names_its_cause(call, error, message):
     with pytest.raises(error) as err:
@@ -193,21 +207,22 @@ def test_budget_error_propagates():
         vanishes_on_reachables(fib_pair(), P("F") - P("G"), tiny)
 
 
+def _with_square(sys):
+    """sys beside an index Q that squares from 2 at every letter."""
+    rules = {**dict(sys.rules), **{("Q", a): P("Q") * P("Q") for a in sys.input_alphabet}}
+    return PolynomialSystem.make(sys.indices + ("Q",), sys.input_alphabet, rules, {**dict(sys.base), "Q": 2})
+
+
 def test_basis_budget_fires_inside_the_saturation_engine():
-    # a tetranacci coordinate against its copy: the chain's basis collects
-    # the four differences A_Xi - B_Xi.  A squaring index that t never reads
-    # makes the system non-affine, so it takes the saturation pass
-    indices = ("X0", "X1", "X2", "X3")
-    rules = {(i, "a"): P(j) for i, j in zip(indices, indices[1:])}
-    rules[("X3", "a")] = P("X0") + P("X1") + P("X2") + P("X3")
-    rules[("Q", "a")] = P("Q") * P("Q")
-    indices += ("Q",)
-    tetranacci = PolynomialSystem.make(indices, {"a"}, rules, {i: 1 for i in indices})
-    pair = product_system(rename_system(tetranacci, "A_"), rename_system(tetranacci, "B_"))
-    t = P("A_X0") - P("B_X0")
-    assert vanishes_on_reachables(pair, t, Budget(max_basis=4))
+    # the Fibonacci pair against its triple presentation, each value times
+    # its side's squaring index Q.  The two Q are one class, the two
+    # presentations are not, so t keeps the non-affine Q and takes the
+    # saturation pass; the chain's basis collects three pull-backs
+    pair = _paired(_with_square(fib_pair()), _with_square(fib_triple()))
+    t = P("A_F") * P("A_Q") - P("B_F") * P("B_Q")
+    assert vanishes_on_reachables(pair, t, Budget(max_basis=3))
     with pytest.raises(BudgetExceededError, match="size budget"):
-        vanishes_on_reachables(pair, t, Budget(max_basis=3))
+        vanishes_on_reachables(pair, t, Budget(max_basis=2))
 
 
 def _reference_chain(sys, t, budget):
@@ -369,7 +384,7 @@ def test_deep_pair_builds_each_power_of_an_image_once(monkeypatch):
     )
     # the saturation pass alone: beside it, the orbit walk meets the witness
     # after two pull-backs
-    pair = equivalence._paired(_counter(), sys_y)
+    pair = _paired(_counter(), sys_y)
     assert _saturate(pair, P("A_X") - P("B_Y"), Budget(), _no_answer) == ("b",) + ("a",) * 8
     # B_Y's two images, each raised to the powers 2..8 once; A_X's b-image is
     # A_X itself and builds none
@@ -1221,9 +1236,8 @@ def test_quotient_decisions_match_the_renamed_product_system():
 
 
 def test_cancelling_cross_products_leave_the_true_degree():
-    # (X - U)/(X - U) against (Y - U)/(Y - U): the cross products cancel and
-    # t is 0, so the span walk's moment vectors are the constant 1 and the
-    # rank is 1, however far X and Y run
+    # (X - U)/(X - U) against (Y - U)/(Y - U): the cross products cancel, so
+    # t is 0 and the verdict is Equal without a walk, however small the budget
     sys_p = PolynomialSystem.make(("X", "U"), {"a"}, {("X", "a"): P("X") + 1, ("U", "a"): P("U")}, {"X": 1, "U": 0})
     sys_q = PolynomialSystem.make(("Y", "U"), {"a"}, {("Y", "a"): 2 * P("Y"), ("U", "a"): P("U")}, {"Y": 1, "U": 0})
     p, q = FractionPresentation(sys_p, "X", "U", "X", "U"), FractionPresentation(sys_q, "Y", "U", "Y", "U")
@@ -1231,30 +1245,61 @@ def test_cancelling_cross_products_leave_the_true_degree():
         budget = Budget(chain_additions=chain)
         got = _outcome(lambda: decide_equal_fractions(p, q, budget))
         assert got == _outcome(lambda: _renamed_product_decision(p._shape(), q._shape(), budget))
-        assert got == (Equal() if chain else ("budget", "moment span did not close within the addition budget"))
+        assert got == Equal()
+    # terms that cancel once Dup and X are one class: t of degree 2 becomes
+    # s = Y - X - 1, and the span walk reads moments (1, X, Y), of rank 2 on
+    # the orbit (n, n, n + 1); moments of degree 2 would add X^2, of rank 3
+    sys = PolynomialSystem.make(
+        ("X", "Dup", "Y"), {"a"}, {("X", "a"): P("X") + 1, ("Dup", "a"): P("Dup") + 1, ("Y", "a"): P("Y") + 1},
+        {"X": 0, "Dup": 0, "Y": 1},
+    )
+    s = P("Y") - P("X") - 1
+    t = s * P("Dup") - s * P("X") + s
+    assert decide_zero_on_reachables(sys, t, Budget(chain_additions=2)) == Equal()
+    with pytest.raises(BudgetExceededError, match="moment span"):
+        decide_zero_on_reachables(sys, t, Budget(chain_additions=1))
+
+
+def _factorials():
+    """(n+1)! beside L = n + 2 and beside M = n + 1: equal sequences, but L
+    and M differ at every word, so no index of one side joins the other's."""
+    sys_p = PolynomialSystem.make(
+        ("L", "FC"), {"a"}, {("L", "a"): P("L") + 1, ("FC", "a"): P("L") * P("FC")}, {"L": 2, "FC": 1})
+    sys_q = PolynomialSystem.make(
+        ("M", "FC"), {"a"}, {("M", "a"): P("M") + 1, ("FC", "a"): (P("M") + 1) * P("FC")}, {"M": 1, "FC": 1})
+    return sys_p, sys_q
 
 
 def test_quotient_pairs_build_the_product_only_for_the_saturation_pass(monkeypatch):
     def forbidden(*args, **kwargs):
-        raise AssertionError("a quotient comparison built the renamed product before the saturation pass")
+        raise AssertionError("a quotient comparison built the reduced product before the saturation pass")
 
-    for name in ("_paired", "_prefixed", "rename_system", "product_system"):
-        monkeypatch.setattr(equivalence, name, forbidden)
-    # the span walk, and the walk's head start meeting its witness
-    assert decide_equal(fib_pair(), "F", fib_triple(), "F") == Equal()
-    assert decide_equal(fib_pair(), "F", fib_pair(second_base=2), "F") == NotEqual(("a",))
+    # the walk's head start meeting its witness reduces nothing
+    monkeypatch.setattr(equivalence, "_reduced", forbidden)
     square = PolynomialSystem.make(("X",), {"a"}, {("X", "a"): P("X") * P("X")}, {"X": 2})
     cube = PolynomialSystem.make(("X",), {"a"}, {("X", "a"): P("X") * P("X") * P("X")}, {"X": 2})
     assert decide_equal(square, "X", cube, "X") == NotEqual(("a",))
     monkeypatch.undo()
 
-    # an equal non-affine pair: the walk finds nothing and the pass runs once,
-    # over the product and the prefixed t
-    built = []
-    paired = equivalence._paired
-    monkeypatch.setattr(equivalence, "_paired", lambda *args: built.append(args) or paired(*args))
+    reduced, passes = [], []
+    reduce, saturate = equivalence._reduced, equivalence._saturate
+    monkeypatch.setattr(equivalence, "_reduced", lambda *args: reduced.append(reduce(*args)) or reduced[-1])
+    monkeypatch.setattr(equivalence, "_saturate", lambda *args: passes.append(args) or saturate(*args))
+    # affine pairs are reduced before the span walk, and take no pass
+    assert decide_equal(fib_pair(), "F", fib_triple(), "F") == Equal()
+    assert decide_equal(fib_pair(), "F", fib_pair(second_base=2), "F") == NotEqual(("a",))
+    assert len(reduced) == 2 and passes == []
+    # an equal non-affine pair: the walk finds nothing, and the pass runs
+    # once, over the reduced product and the reduced t
+    reduced.clear()
+    sys_p, sys_q = _factorials()
+    assert decide_equal(sys_p, "FC", sys_q, "FC") == Equal()
+    assert len(reduced) == 1 and [args[:2] for args in passes] == [reduced[0]]
+    assert reduced[0][0].indices == ("A_L", "A_FC", "B_M", "B_FC")
+    # one system against itself: its indices join their copies, t is 0
+    passes.clear()
     assert decide_equal(square, "X", square, "X") == Equal()
-    assert built == [(square, square)]
+    assert passes == []
 
 
 # ---------------------------------------------------------------------------
@@ -1282,7 +1327,7 @@ def test_the_walk_beside_the_pass_meets_a_deep_witness_after_few_pull_backs(monk
     assert decide_equal(_counter(), "X", _deep_y(8), "Y") == NotEqual(witness)
     assert len(pulled) <= 3
     pulled.clear()
-    pair = equivalence._paired(_counter(), _deep_y(8))
+    pair = _paired(_counter(), _deep_y(8))
     assert _saturate(pair, P("A_X") - P("B_Y"), Budget(), _no_answer) == witness
     assert len(pulled) == 17
     # the pass alone stops at its second addition; the walk answers first,
@@ -1303,7 +1348,7 @@ def test_a_finite_non_affine_orbit_is_equal_without_a_basis(monkeypatch):
         raise AssertionError("a finite orbit reached the saturation pass")
 
     monkeypatch.setattr(equivalence, "GroebnerBasis", forbidden)
-    monkeypatch.setattr(equivalence, "_paired", forbidden)
+    monkeypatch.setattr(equivalence, "_reduced", forbidden)
     sys_p = PolynomialSystem.make(("X",), {"a", "b"}, {("X", "a"): P("X") ** 2, ("X", "b"): -P("X")}, {"X": -1}, ring="Z")
     sys_q = PolynomialSystem.make(("Y",), {"a", "b"}, {("Y", "a"): P("Y") ** 4, ("Y", "b"): -P("Y") ** 3}, {"Y": -1}, ring="Z")
     assert not sys_p.affine and not sys_q.affine
@@ -1388,7 +1433,7 @@ def test_the_walk_beside_the_pass_agrees_with_the_pass_alone_and_brute_force():
     def check(drawn):
         sys_p, i, sys_q, j, budget = drawn
         lockstep = _outcome(lambda: decide_equal(sys_p, i, sys_q, j, budget))
-        pair = equivalence._paired(sys_p, sys_q)
+        pair = _paired(sys_p, sys_q)
         alone = _outcome(lambda: equivalence._verdict(
             _saturate(pair, P("A_" + i) - P("B_" + j), budget, _no_answer)))
         if not isinstance(alone, tuple) or isinstance(lockstep, tuple):
@@ -1408,3 +1453,226 @@ def test_the_walk_beside_the_pass_agrees_with_the_pass_alone_and_brute_force():
             assert lockstep.witness == first if len(lockstep.witness) <= 6 else first is None
 
     check()
+
+
+# ---------------------------------------------------------------------------
+# the reduction before the engines: bisimilar and constant indices, then the
+# cone of influence
+
+
+def _pair_632():
+    """Pair 632 of a grid of seeded non-affine pairs: a system and the same
+    system with X0 copied into Dup."""
+    rules = {
+        ("X0", "a"): P("X0") * P("X1") + 2 * P("X1") ** 2 - 1, ("X0", "b"): Polynomial.const(2),
+        ("X1", "a"): P("X0") * P("X1") + 2 * P("X0") - 1, ("X1", "b"): Polynomial.const(-3),
+    }
+    base = {"X0": 0, "X1": 2}
+    copy = {**rules, ("Dup", "a"): rules["X0", "a"], ("Dup", "b"): rules["X0", "b"]}
+    return (PolynomialSystem.make(("X0", "X1"), "ab", rules, base, ring="Z"),
+            PolynomialSystem.make(("X0", "X1", "Dup"), "ab", copy, {**base, "Dup": 0}, ring="Z"))
+
+
+def test_a_copied_index_is_equal_at_the_default_budget():
+    # the saturation pass over the product pulls back pull-backs whose
+    # coefficients grow past 50,000 bits; Dup joins X0 and t is 0
+    sys, copy = _pair_632()
+    start = time.perf_counter()
+    assert decide_equal(sys, "X0", copy, "Dup") == Equal()
+    assert time.perf_counter() - start < 0.05
+
+
+def _padded_fibrep(k):
+    """gmap's fibrep beside a k x k Pascal block, which its row starts at 1
+    and its column never reads."""
+    fibrep = _gmap("fibrep", "linrep")
+    (fib,) = (m for _, m in fibrep.matrices)
+    pascal = [[1 if a in (b, b - 1) else 0 for b in range(k)] for a in range(k)]
+    block = [list(row) + [0] * k for row in fib] + [[0, 0] + row for row in pascal]
+    return LinearRepresentation.make(
+        fibrep.row + (1,) + (0,) * (k - 1), {"x": tuple(map(tuple, block))}, fibrep.col + (0,) * k
+    )
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_a_padding_that_t_never_reads_costs_nothing(k):
+    # nu:fibrep padded against nu:fibword, lowered: the pass over the padded
+    # product took seconds at k = 1
+    pair, t = _lowered_nu_pair(_padded_fibrep(k), _gmap("fibword", "hdt0l"))
+    start = time.perf_counter()
+    assert decide_zero_on_reachables(pair, t) == Equal()
+    assert time.perf_counter() - start < 0.05
+
+
+def _renamed_copy(sys, order, names, dup):
+    """sys with its indices renamed by ``names``, listed in ``order``, and
+    index ``dup`` copied into an index Dup."""
+    rename = {i: P(names[i]) for i in sys.indices}
+    rules = {(names[i], a): p.substitute(rename) for (i, a), p in sys.rules}
+    rules.update({("Dup", a): rules[names[dup], a] for a in sys.input_alphabet})
+    base = {**{names[i]: v for i, v in sys.base}, "Dup": sys.base_map[dup]}
+    return PolynomialSystem.make(tuple(names[i] for i in order) + ("Dup",), sys.input_alphabet, rules, base, ring="Z")
+
+
+def test_a_renamed_permuted_copy_with_a_duplicate_needs_no_engine(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an engine ran on a pair that the reduction answers")
+
+    monkeypatch.setattr(equivalence, "_span_walk", forbidden)
+    monkeypatch.setattr(equivalence, "_saturate", forbidden)
+    names = {"F": "U", "H2": "V", "H3": "W"}
+    copy = _renamed_copy(fib_triple(), ("H3", "F", "H2"), names, "H2")
+    for i in fib_triple().indices:
+        assert decide_equal(fib_triple(), i, copy, names[i]) == Equal()
+    assert decide_equal(fib_triple(), "H2", copy, "Dup") == Equal()
+    # non-affine: the walk's head start finds nothing on the infinite orbit
+    sys = PolynomialSystem.make(
+        ("X", "Y", "Z"), "ab",
+        {("X", "a"): P("X") * P("Y") + 1, ("Y", "a"): P("Z"), ("Z", "a"): P("X") + P("Y"),
+         ("X", "b"): P("Z") ** 2, ("Y", "b"): P("Y"), ("Z", "b"): P("X") - 1},
+        {"X": 1, "Y": 2, "Z": 1}, ring="Z",
+    )
+    copy = _renamed_copy(sys, ("Z", "X", "Y"), {"X": "R", "Y": "S", "Z": "T"}, "Z")
+    assert decide_equal(sys, "X", copy, "R") == Equal()
+    assert decide_equal(sys, "Z", copy, "Dup") == Equal()
+    assert decide_equal_fractions(FractionPresentation(sys, "X", "Y", "Z", "Y"),
+                                  FractionPresentation(copy, "R", "S", "Dup", "S")) == Equal()
+
+
+def test_constant_indices_fold_and_the_cone_drops_the_rest():
+    # C is 1 at every word (C*C from 1) and K is 0 (K*X from 0), so X(a) =
+    # X + C counts a's; the cone of t leaves out the quadratic Q, so the
+    # reduced system is affine and takes the span walk
+    sys = PolynomialSystem.make(
+        ("X", "C", "K", "Q"), "ab",
+        {("X", "a"): P("X") + P("C"), ("X", "b"): P("X") + P("K"), ("C", "a"): P("C") * P("C"),
+         ("C", "b"): P("C"), ("K", "a"): P("K") * P("X"), ("K", "b"): P("K") + P("K") * P("Q"),
+         ("Q", "a"): P("Q") ** 2 + 1, ("Q", "b"): P("Q")},
+        {"X": 0, "C": 1, "K": 0, "Q": 1}, ring="Z",
+    )
+    of, quotient = sys.quotient
+    assert of == {"X": "X", "C": 1, "K": 0, "Q": "Q"} and quotient.indices == ("X", "Q")
+    t = _falling("X", 3) * P("C") + P("K") * P("Q")
+    empty = PolynomialSystem((), sys.input_alphabet, (), ())
+    reduced, reduced_t = equivalence._reduced((sys, t, Polynomial.const(1)), (empty, Polynomial.zero(), Polynomial.const(1)))
+    assert reduced.indices == ("X",) and reduced.affine and reduced_t == _falling("X", 3)
+    assert reduced.rule_map["X", "a"] == P("X") + 1 and reduced.rule_map["X", "b"] == P("X")
+    assert decide_zero_on_reachables(sys, t) == NotEqual(("a",) * 3)
+    assert decide_zero_on_reachables(sys, P("C") - 1) == Equal()
+    assert decide_zero_on_reachables(sys, P("C") * P("Q") - 1) == NotEqual(("a",))
+    # X is a counter of a's, index for index
+    counter = PolynomialSystem.make(("Y",), "ab", {("Y", "a"): P("Y") + 1, ("Y", "b"): P("Y")}, {"Y": 0}, ring="Z")
+    assert decide_equal(sys, "X", counter, "Y") == Equal()
+
+
+def test_the_reduction_keeps_every_verdict_and_witness():
+    from hypothesis import assume, example, given, settings
+    from hypothesis import strategies as st
+
+    @st.composite
+    def system(draw, letters):
+        indices = tuple(f"x{k}" for k in range(draw(st.integers(1, 4))))
+
+        def rule():
+            kind = draw(st.sampled_from(["constant", "copy", "absorbing", "linear", "quadratic"]))
+            if kind == "constant":
+                return Polynomial.const(draw(st.integers(-1, 2)))
+            if kind == "copy":
+                return P(draw(st.sampled_from(indices)))
+            if kind == "absorbing":
+                # constant from a base of 0 or 1, and a multiple of another index
+                i, j = draw(st.sampled_from(indices)), draw(st.sampled_from(indices))
+                return P(i) * P(j) if draw(st.booleans()) else P(i) * P(i)
+            p = Polynomial.const(draw(st.integers(-1, 1)))
+            for i in indices:
+                p = p + draw(st.integers(-1, 1)) * P(i)
+            if kind == "quadratic":
+                p = p + draw(st.sampled_from([1, -1])) * P(draw(st.sampled_from(indices))) * P(
+                    draw(st.sampled_from(indices)))
+            return p
+
+        rules = {(i, a): rule() for i in indices for a in letters}
+        base = {i: draw(st.sampled_from([0, 0, 1, 1, -1, 2])) for i in indices}
+        return PolynomialSystem.make(indices, letters, rules, base, ring="Z")
+
+    @st.composite
+    def case(draw):
+        letters = ("a", "b")[: draw(st.integers(1, 2))]
+        sys_p = draw(system(letters))
+        shape = draw(st.sampled_from(["copy", "copy", "perturbed", "other"]))
+        if shape == "other":
+            sys_q = draw(system(letters))
+            i, j = draw(st.sampled_from(sys_p.indices)), draw(st.sampled_from(sys_q.indices))
+            return sys_p, i, sys_q, j
+        # a renamed copy in another order, with one index duplicated
+        names = {i: f"y{k}" for k, i in enumerate(draw(st.permutations(sys_p.indices)))}
+        sys_q = _renamed_copy(sys_p, draw(st.permutations(sys_p.indices)), names, draw(st.sampled_from(sys_p.indices)))
+        if shape == "perturbed":
+            rules, base = dict(sys_q.rules), dict(sys_q.base)
+            if draw(st.booleans()):
+                k = draw(st.sampled_from(sys_q.indices))
+                base[k] += draw(st.sampled_from([1, -1]))
+            else:
+                key = draw(st.sampled_from(sorted(rules)))
+                rules[key] = rules[key] + draw(st.sampled_from([1, -1])) * P(draw(st.sampled_from(sys_q.indices)))
+            sys_q = PolynomialSystem.make(sys_q.indices, letters, rules, base, ring="Z")
+        i = draw(st.sampled_from(sys_p.indices))
+        j = draw(st.sampled_from([names[i], "Dup"]))
+        return sys_p, i, sys_q, j
+
+    def one_letter(indices, rules, base):
+        return PolynomialSystem.make(indices, "a", rules, base, ring="Z")
+
+    # Dup reads y1 at a, whose base differs from Dup's; x0 reads its base
+    # value 0 at a but x1 at a a, which is 1 there
+    copy = one_letter(("y0", "y1", "Dup"), {("y0", "a"): Polynomial.zero(), ("y1", "a"): P("y1"), ("Dup", "a"): P("y1")},
+                      {"y0": 0, "y1": 1, "Dup": 0})
+    late = one_letter(("x0", "x1"), {("x0", "a"): P("x1"), ("x1", "a"): P("x1") + 1}, {"x0": 0, "x1": 0})
+
+    @settings(deadline=None, max_examples=300)
+    @given(case())
+    @example((one_letter(("x0", "x1"), {("x0", "a"): Polynomial.zero(), ("x1", "a"): P("x1")}, {"x0": 0, "x1": 0}),
+              "x0", copy, "Dup"))
+    @example((late, "x0", one_letter(("y0",), {("y0", "a"): P("y0")}, {"y0": 0}), "y0"))
+    def check(drawn):
+        sys_p, i, sys_q, j = drawn
+        budget = Budget(chain_additions=8, max_basis=60)
+        verdict = _outcome(lambda: decide_equal(sys_p, i, sys_q, j, budget))
+        assume(not isinstance(verdict, tuple))
+        differs = _pair_differs(sys_p, i, sys_q, j)
+        first = next((w for w in _shortlex(sorted(sys_p.input_alphabet), 5) if differs(w)), None)
+        if verdict == Equal():
+            assert first is None
+        else:
+            assert differs(verdict.witness)
+            assert verdict.witness == first if len(verdict.witness) <= 5 else first is None
+        # the unreduced engines on the renamed product, at a small budget
+        pair, t = _paired(sys_p, sys_q), P("A_" + i) - P("B_" + j)
+        small = Budget(chain_additions=2, max_basis=20)
+        if pair.affine:
+            unreduced = _outcome(lambda: equivalence._verdict(equivalence._span_walk(pair, t, small)))
+        else:
+            unreduced = _outcome(lambda: equivalence._verdict(_saturate(pair, t, small, _no_answer)))
+        if not isinstance(unreduced, tuple):
+            assert verdict == unreduced
+
+    check()
+
+
+def test_a_reduced_pass_that_stops_on_a_budget_hands_over_to_the_unreduced_one(monkeypatch):
+    # X0 against Dup(a) = X0(a) + Dup (Dup + 1), which agrees with X0 while
+    # Dup stays in {-1, 0}: they differ first at a^5.  The copy's X0 and X1
+    # join the first system's, so the reduced pull-backs are smaller and pay
+    # the walk beside the pass less: at one addition the reduced pass stops
+    # before the walk reaches a^5, and the pass over the unreduced product,
+    # which pays it more, lets it answer
+    rules = {("X0", "a"): -P("X0") * P("X1") - 1, ("X1", "a"): P("X0")}
+    sys = PolynomialSystem.make(("X0", "X1"), "a", rules, {"X0": -1, "X1": 1}, ring="Z")
+    rules[("Dup", "a")] = rules["X0", "a"] + P("Dup") * (P("Dup") + 1)
+    copy = PolynomialSystem.make(("X0", "X1", "Dup"), "a", rules, {"X0": -1, "X1": 1, "Dup": -1}, ring="Z")
+    passes = []
+    saturate = equivalence._saturate
+    monkeypatch.setattr(equivalence, "_saturate", lambda *args: passes.append(args[0].indices) or saturate(*args))
+    assert decide_equal(sys, "X0", copy, "Dup", Budget(chain_additions=1)) == NotEqual(("a",) * 5)
+    assert passes == [("A_X0", "A_X1", "B_Dup"), ("A_X0", "A_X1", "B_X0", "B_X1", "B_Dup")]
+    assert next(w for w in _shortlex("a", 6) if _pair_differs(sys, "X0", copy, "Dup")(w)) == ("a",) * 5

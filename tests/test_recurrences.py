@@ -798,3 +798,28 @@ def test_every_recurrence_refusal_names_its_cause(call, error, message):
     with pytest.raises(error) as err:
         call()
     assert str(err.value) == message
+
+
+def test_a_quotient_folds_constant_indices_and_joins_bisimilar_ones():
+    P = Polynomial.var
+    # C stays 1 and Z stays 0; X and Dup swap roles at b but agree at every word
+    sys = PolynomialSystem.make(
+        ("X", "Dup", "C", "Z"), "ab",
+        {("X", "a"): P("X") + P("C"), ("X", "b"): 2 * P("Dup"), ("Dup", "a"): P("Dup") + P("C"),
+         ("Dup", "b"): 2 * P("X"), ("C", "a"): P("C") ** 2, ("C", "b"): P("C"),
+         ("Z", "a"): P("Z") * P("X"), ("Z", "b"): P("Z")},
+        {"X": 1, "Dup": 1, "C": 1, "Z": 0},
+    )
+    of, quotient = sys.quotient
+    assert of == {"X": "X", "Dup": "X", "C": 1, "Z": 0}
+    assert quotient.indices == ("X",) and quotient.base == (("X", 1),)
+    assert quotient.rule_map == {("X", "a"): P("X") + 1, ("X", "b"): 2 * P("X")}
+    assert sys.quotient is sys.quotient  # built once per system
+    for n in range(5):
+        for w in product("ab", repeat=n):
+            values, folded = eval_polynomial_vector(sys, w), eval_polynomial_vector(quotient, w)
+            assert all(values[i] == (k if type(k) is int else folded[k]) for i, k in of.items())
+    assert sys.first_steps == {a: eval_polynomial_vector(sys, (a,)) for a in "ab"}
+    # nothing to fold: the system is its own quotient
+    counter = PolynomialSystem.make(("X", "Y"), "a", {("X", "a"): P("X") + 1, ("Y", "a"): P("X") + P("Y")}, {"X": 0, "Y": 0})
+    assert counter.quotient == ({"X": "X", "Y": "Y"}, counter) and counter.quotient[1] is counter
