@@ -19,20 +19,20 @@ systems are split into the coarsest congruence that refines their base
 values: two indices share a class only when, at every letter, their updates
 are one polynomial with each variable replaced by its class, and a class is
 the constant c when every member's update reads c at every letter
-(``recurrences._congruence``; Alpern, Wegman and Zadeck, POPL 1988).  By
-induction on the word the members of a class agree at every word and a
-constant class keeps its constant, so t rewritten over the classes takes
-t's value at every word: t = 0 proves equality, and otherwise the engines
-run on the system of the classes in t's cone of influence (Clarke, Grumberg
-and Peled, *Model Checking*, 1999), with the same verdict and witness.  A
-pass over the reduced system that stops on a budget hands over to the pass
-over the unreduced product, beside the same walk, so no verdict becomes a
-stop: the walk is paid per term of a pull-back, and reduced pull-backs are
-smaller.  Two
-systems are refined together, their classes named with the prefixes A_ and
-B_; a system against the system with no indices, as in ``find_witness``,
-reads its own congruence, its ``quotient``, built once per system.  An
-affine pair (every update polynomial of degree <= 1) is reduced once t is
+(``_congruence``; Alpern, Wegman and Zadeck, POPL 1988).  By induction on
+the word the members of a class agree at every word and a constant class
+keeps its constant, so t rewritten over the classes takes t's value at every
+word: t = 0 proves equality, and otherwise the engines run on the system of
+the classes in t's cone of influence (Clarke, Grumberg and Peled, *Model
+Checking*, 1999), with the same verdict and witness.  One builder, ``_over``,
+makes that system from any class map of the two sides, a class named after
+its first member with the prefix A_ or B_; a system compared with the system
+with no indices, as in ``find_witness``, takes the same path, and the empty
+side adds no class.  A pass over the reduced system that stops on a budget
+hands over to the pass over the unreduced product, the builder's system over
+one class per index, beside the same walk, so no verdict becomes a stop: the
+walk is paid per term of a pull-back, and reduced pull-backs are smaller.
+An affine pair (every update polynomial of degree <= 1) is reduced once t is
 read at the base vector, any other pair after the orbit walk's head start
 below.
 
@@ -104,19 +104,8 @@ from typing import Optional, Union
 from .errors import BudgetExceededError, DomainError, Record
 from .groebner import GroebnerBasis, Ideal, _eliminate, points_ideal
 from .morphisms import check_index
-from .polynomials import Polynomial, _mul_into, _normalised, _powers, _substitute
-from .recurrences import (
-    PolynomialSystem,
-    _classes_system,
-    _congruence,
-    _image,
-    _prefixed,
-    _step,
-    check_shared_alphabet,
-    eval_polynomial_vector,
-    product_system,
-    rename_system,
-)
+from .polynomials import Polynomial, _mul_into, _normalised, _powers, _substitute, _wrap, mono_mul
+from .recurrences import PolynomialSystem, _step, check_shared_alphabet, eval_polynomial_vector
 from .words import Word
 
 
@@ -190,53 +179,104 @@ def _sigma(tables: dict, a: str, g: Polynomial) -> Polynomial:
 # the reduction: bisimilar and constant indices, then the cone of influence
 
 
-def _reduced(p: tuple, q: tuple) -> tuple:
-    """(sys, t) for two (system, num, den) shapes: t of the module docstring
-    over the classes of the coarsest congruence on the indices of both
-    systems, and the system of the classes in t's cone of influence, or None
-    when t is 0.  The classes of two systems take names with the prefixes A_
-    and B_; one system alone has its congruence in its ``quotient``."""
+def _image(terms: dict, of: dict) -> dict:
+    """The term dict of a polynomial whose variable v stands for of[v]: a
+    value, an int, or the name of a variable."""
+    out = {}
+    for m, c in terms.items():
+        key = ()
+        for v, e in m:
+            k = of[v]
+            if type(k) is int:
+                c *= k**e
+            else:
+                key = mono_mul(key, ((k, e),))
+        if c:
+            c += out.get(key, 0)
+            if c:
+                out[key] = c
+            else:
+                del out[key]
+    return out
+
+
+def _congruence(sides: tuple) -> list:
+    """The coarsest congruence on the indices of the two systems ``sides``
+    together that refines their base values, as one class map per side: it
+    maps the side's indices, in index order, to their classes, a constant
+    class to its value and any other class to its first member's name with
+    the side's prefix, A_ or B_.  Two indices of one class take equal values
+    at every word, and the indices of a constant class their class's value,
+    by induction on the word (Alpern, Wegman and Zadeck, POPL 1988).
+
+    Every class starts as one base value, constant.  A round reads each
+    index's updates over the classes, the first round at the base vector,
+    and splits the classes by what they read at every letter; an index
+    leaves its constant class when it reads anything but the value.  Classes
+    only split, so a round that splits none has reached the fixpoint."""
+    letters = sorted(sides[0].input_alphabet)
+    values = {v for sys in sides for _, v in sys.base}
+    # a constant class reads its value at every letter, members or not
+    ids, of, rows = {(v, (v,) * len(letters)): v for v in values}, [], []
+    for prefix, sys in zip(("A_", "B_"), sides):
+        base, steps, maps = sys.base_map, [sys.first_steps[a] for a in letters], [sys.maps[a] for a in letters]
+        of.append({i: ids.setdefault((base[i], tuple([vec[i] for vec in steps])), prefix + i)
+                   for i in sys.indices})
+        rows.append([(i, prefix + i, [m[i].terms for m in maps]) for i in sys.indices])
+    reads = {v: (frozenset({((), v)} if v else ()),) * len(letters) for v in values}
+    count = len(ids)
+    while True:
+        ids, new = {(v, sig): v for v, sig in reads.items()}, []
+        for side, cls in zip(rows, of):
+            new.append({i: ids.setdefault((cls[i], tuple([frozenset(_image(f, cls).items()) for f in updates])), name)
+                        for i, name, updates in side})
+        if len(ids) == count:
+            return of
+        count, of = len(ids), new
+
+
+def _over(p: tuple, q: tuple, of: tuple) -> tuple:
+    """(sys, t) for two (system, num, den) shapes and a class map per side,
+    ``of[s]`` mapping side s's indices to values or class names: t of the
+    module docstring over the classes, and the system of the classes in t's
+    cone of influence, the classes t reads closed under the reads of their
+    updates, or None when t is 0 (Clarke, Grumberg and Peled, *Model
+    Checking*, 1999).  A class takes its first member's updates over the
+    classes and base value; its index comes in its first member's order."""
     (sys_p, num_p, den_p), (sys_q, num_q, den_q) = p, q
-    sides, prefixes = (sys_p, sys_q), ("A_", "B_")
-    if sys_p.indices and sys_q.indices:
-        (of_p, of_q), images = _congruence(sides, prefixes)
-    else:
-        (of_p, quo_p), (of_q, quo_q) = sys_p.quotient, sys_q.quotient
+    of_p, of_q = of
     t = _mul_into({}, _image(num_p.terms, of_p), _image(den_q.terms, of_q))
     t = _normalised(_mul_into(t, {m: -c for m, c in _image(num_q.terms, of_q).items()}, _image(den_p.terms, of_p)))
     if not t:
         return None, t
-    if sys_p.indices and sys_q.indices:
-        return _cone(_classes_system(sides, prefixes, (of_p, of_q), images), t), t
-    return _cone(quo_p if quo_p.indices else quo_q, t), t
+    first = {}
+    for sys, cls in zip((sys_p, sys_q), of):
+        for i, k in cls.items():
+            if type(k) is not int and k not in first:
+                first[k] = sys, i, cls
+    letters, images, todo = sorted(sys_p.input_alphabet), {}, [v for m in t.terms for v, _ in m]
+    while todo:
+        k = todo.pop()
+        if k not in images:
+            sys, i, cls = first[k]
+            images[k] = terms = [_image(sys.maps[a][i].terms, cls) for a in letters]
+            todo += [v for image in terms for m in image for v, _ in m]
+    indices = [k for k in first if k in images]
+    rules = [((k, a), _wrap(image)) for k in indices for a, image in zip(letters, images[k])]
+    base = [(k, sys.base_map[i]) for k, (sys, i, _) in first.items() if k in images]
+    ring = "Z" if "Z" in (sys_p.ring, sys_q.ring) else "N"
+    return PolynomialSystem(tuple(indices), sys_p.input_alphabet, tuple(sorted(rules)), tuple(sorted(base)), ring), t
+
+
+def _reduced(p: tuple, q: tuple) -> tuple:
+    """``_over`` the classes of the coarsest congruence on both systems' indices."""
+    return _over(p, q, _congruence((p[0], q[0])))
 
 
 def _product(p: tuple, q: tuple) -> tuple:
-    """(sys, t) without the reduction: the two systems side by side, their
-    indices prefixed A_ and B_, and t over them."""
-    (sys_p, num_p, den_p), (sys_q, num_q, den_q) = p, q
-    t = _prefixed(num_p, "A_") * _prefixed(den_q, "B_") - _prefixed(num_q, "B_") * _prefixed(den_p, "A_")
-    return product_system(rename_system(sys_p, "A_"), rename_system(sys_q, "B_")), t
-
-
-def _cone(sys: PolynomialSystem, t: Polynomial) -> PolynomialSystem:
-    """sys restricted to t's cone of influence, the indices that t reads
-    closed under the reads of their updates: sys itself when that is all of
-    them (Clarke, Grumberg and Peled, *Model Checking*, 1999)."""
-    reads, cone, todo = sys.read_map, set(), [v for m in t.terms for v, _ in m]
-    while todo:
-        i = todo.pop()
-        if i not in cone:
-            cone.add(i)
-            for a in sys.input_alphabet:
-                todo += reads[i, a]
-    if len(cone) == len(sys.indices):
-        return sys
-    return PolynomialSystem(
-        tuple([i for i in sys.indices if i in cone]), sys.input_alphabet,
-        tuple([rule for rule in sys.rules if rule[0][0] in cone]), tuple([b for b in sys.base if b[0] in cone]),
-        sys.ring,
-    )
+    """``_over`` one class per index, the index with its side's prefix: the
+    two systems side by side, unreduced but for t's cone."""
+    return _over(p, q, ({i: "A_" + i for i in p[0].indices}, {i: "B_" + i for i in q[0].indices}))
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +437,7 @@ def _witness(p: tuple, q: tuple, budget: Budget) -> Optional[Word]:
     otherwise the span walk, or on a reduced system that is not affine the
     saturation pass with the walk going on beside it, decides t over the
     reduced system; a budget stop of that pass hands over to the pass over
-    the unreduced product."""
+    the unreduced product, restricted to t's cone."""
     (sys_p, num_p, den_p), (sys_q, num_q, den_q) = p, q
     check_shared_alphabet(sys_p, sys_q)
 

@@ -609,15 +609,15 @@ def points_ideal(points: Iterable[Mapping[str, int]], variables: Sequence[str],
     points when no bound is given: the reduced basis of n points has no
     element of degree above n, so the walk then returns all of it.
 
-    Coordinates must be ints (a DomainError names the variable of any other
-    value): the elimination is fraction-free, on integer vectors whose
-    content ``_eliminate`` divides out once per reduction.
+    Coordinates must be ints, not bools (a DomainError names the variable of
+    any other value): the elimination is fraction-free, on integer vectors
+    whose content ``_eliminate`` divides out once per reduction.
     """
     variables = _distinct(variables)
     pts = []
     for p in points:
         for v in variables:
-            if not isinstance(p[v], int):
+            if type(p[v]) is not int:
                 raise DomainError(f"points_ideal needs integer coordinates; {v!r} is {p[v]!r}")
         pts.append(tuple(p[v] for v in variables))
     # at most len(pts) monomials are standard, and they are closed under

@@ -2,6 +2,7 @@ import collections
 import itertools
 import random
 import time
+from fractions import Fraction
 from functools import partial
 from importlib import resources
 
@@ -18,9 +19,7 @@ from wordmaps.equivalence import (
     decide_equal_fractions,
     decide_zero_on_reachables,
     find_witness,
-    product_system,
     reachable_points,
-    rename_system,
     vanishes_on_reachables,
     zariski_closure,
 )
@@ -29,7 +28,14 @@ from wordmaps.groebner import GroebnerBasis, Ideal, groebner, normal_form, point
 from wordmaps.lowering import catenative_to_hdt0l, compose_level3, skolem_product_system
 from wordmaps.morphisms import LinearRepresentation
 from wordmaps.polynomials import Polynomial
-from wordmaps.recurrences import CatenativeSystem, PolynomialSystem, eval_polynomial, eval_polynomial_vector
+from wordmaps.recurrences import (
+    CatenativeSystem,
+    PolynomialSystem,
+    eval_polynomial,
+    eval_polynomial_vector,
+    product_system,
+    rename_system,
+)
 from wordmaps.systemfile import format_declaration, parse_file
 
 from conftest import standard_monomial_count
@@ -175,6 +181,10 @@ _FIB_REP = LinearRepresentation.make((1, 0), {"b": ((1, 1), (1, 0))}, (1, 0))
          "variable 'x' repeats in the variable sequence"),
         (lambda: points_ideal([{"x": 1}, {"x": 2}], ["x", "x"]), DomainError,
          "variable 'x' repeats in the variable sequence"),
+        (lambda: points_ideal([{"x": True}, {"x": 2}], ["x"]), DomainError,
+         "points_ideal needs integer coordinates; 'x' is True"),
+        (lambda: points_ideal([{"x": 1}, {"x": Fraction(1, 2)}], ["x"]), DomainError,
+         "points_ideal needs integer coordinates; 'x' is Fraction(1, 2)"),
         (lambda: Ideal([P("x") - 1], ("x", "x")), DomainError, "variable 'x' repeats in the variable sequence"),
         # an unbounded sample would step points until max_point_bits stops it
         (lambda: zariski_closure(fib_pair(), Budget(sample_points=-1)), DomainError,
@@ -187,8 +197,8 @@ _FIB_REP = LinearRepresentation.make((1, 0), {"b": ((1, 1), (1, 0))}, (1, 0))
     ids=["decide_equal.a", "decide_equal.b", "FractionPresentation", "compose_level3", "catenative_to_hdt0l",
          "skolem.u", "skolem.v", "zariski_closure-degree", "find_witness-variable", "resolve-kind",
          "format_declaration-kind", "GroebnerBasis-repeat", "groebner-repeat", "normal_form-repeat",
-         "s_polynomial-repeat", "points_ideal-repeat", "Ideal-repeat", "Budget-negative", "Budget-fraction",
-         "Budget-bool", "Budget-none"],
+         "s_polynomial-repeat", "points_ideal-repeat", "points_ideal-bool", "points_ideal-fraction",
+         "Ideal-repeat", "Budget-negative", "Budget-fraction", "Budget-bool", "Budget-none"],
 )
 def test_every_library_refusal_names_its_cause(call, error, message):
     with pytest.raises(error) as err:
@@ -1155,16 +1165,21 @@ def test_two_letter_affine_witness_is_quick():
 def _renamed_product_decision(p, q, budget):
     """The decision of two (system, num, den) shapes on the renamed product
     system, with t prefixed through ``Polynomial.substitute``."""
+    pair = product_system(rename_system(p[0], "A_"), rename_system(q[0], "B_"))
+    return decide_zero_on_reachables(pair, _renamed_t(p, q), budget)
+
+
+def _renamed_t(p, q):
+    """t of two (system, num, den) shapes over the renamed product system,
+    prefixed through ``Polynomial.substitute``."""
     (sys_p, num_p, den_p), (sys_q, num_q, den_q) = p, q
 
     def prefixed(f, sys, prefix):
         return f.substitute({i: P(prefix + i) for i in sys.indices})
 
-    t = prefixed(num_p, sys_p, "A_") * prefixed(den_q, sys_q, "B_") - prefixed(num_q, sys_q, "B_") * prefixed(
+    return prefixed(num_p, sys_p, "A_") * prefixed(den_q, sys_q, "B_") - prefixed(num_q, sys_q, "B_") * prefixed(
         den_p, sys_p, "A_"
     )
-    pair = product_system(rename_system(sys_p, "A_"), rename_system(sys_q, "B_"))
-    return decide_zero_on_reachables(pair, t, budget)
 
 
 def _outcome(call):
@@ -1550,13 +1565,12 @@ def test_constant_indices_fold_and_the_cone_drops_the_rest():
          ("Q", "a"): P("Q") ** 2 + 1, ("Q", "b"): P("Q")},
         {"X": 0, "C": 1, "K": 0, "Q": 1}, ring="Z",
     )
-    of, quotient = sys.quotient
-    assert of == {"X": "X", "C": 1, "K": 0, "Q": "Q"} and quotient.indices == ("X", "Q")
-    t = _falling("X", 3) * P("C") + P("K") * P("Q")
     empty = PolynomialSystem((), sys.input_alphabet, (), ())
+    assert equivalence._congruence((sys, empty)) == [{"X": "A_X", "C": 1, "K": 0, "Q": "A_Q"}, {}]
+    t = _falling("X", 3) * P("C") + P("K") * P("Q")
     reduced, reduced_t = equivalence._reduced((sys, t, Polynomial.const(1)), (empty, Polynomial.zero(), Polynomial.const(1)))
-    assert reduced.indices == ("X",) and reduced.affine and reduced_t == _falling("X", 3)
-    assert reduced.rule_map["X", "a"] == P("X") + 1 and reduced.rule_map["X", "b"] == P("X")
+    assert reduced.indices == ("A_X",) and reduced.affine and reduced_t == _falling("A_X", 3)
+    assert reduced.rule_map["A_X", "a"] == P("A_X") + 1 and reduced.rule_map["A_X", "b"] == P("A_X")
     assert decide_zero_on_reachables(sys, t) == NotEqual(("a",) * 3)
     assert decide_zero_on_reachables(sys, P("C") - 1) == Equal()
     assert decide_zero_on_reachables(sys, P("C") * P("Q") - 1) == NotEqual(("a",))
@@ -1676,3 +1690,33 @@ def test_a_reduced_pass_that_stops_on_a_budget_hands_over_to_the_unreduced_one(m
     assert decide_equal(sys, "X0", copy, "Dup", Budget(chain_additions=1)) == NotEqual(("a",) * 5)
     assert passes == [("A_X0", "A_X1", "B_Dup"), ("A_X0", "A_X1", "B_X0", "B_X1", "B_Dup")]
     assert next(w for w in _shortlex("a", 6) if _pair_differs(sys, "X0", copy, "Dup")(w)) == ("a",) * 5
+
+
+def test_the_hand_over_builds_the_renamed_product_restricted_to_the_cone():
+    def restricted(sys, cone):
+        return PolynomialSystem(
+            tuple([i for i in sys.indices if i in cone]), sys.input_alphabet,
+            tuple([rule for rule in sys.rules if rule[0][0] in cone]), tuple([b for b in sys.base if b[0] in cone]),
+            sys.ring,
+        )
+
+    # the pair of the hand-over test, whose cone is every index, and a pair
+    # whose t reads neither the quadratic Q nor the constant C that reads Q
+    rules = {("X0", "a"): -P("X0") * P("X1") - 1, ("X1", "a"): P("X0")}
+    sys = PolynomialSystem.make(("X0", "X1"), "a", rules, {"X0": -1, "X1": 1}, ring="Z")
+    rules[("Dup", "a")] = rules["X0", "a"] + P("Dup") * (P("Dup") + 1)
+    copy = PolynomialSystem.make(("X0", "X1", "Dup"), "a", rules, {"X0": -1, "X1": 1, "Dup": -1}, ring="Z")
+    counter = PolynomialSystem.make(
+        ("Q", "C", "X"), "a", {("Q", "a"): P("Q") ** 2 + P("X"), ("C", "a"): P("C") * P("Q"), ("X", "a"): P("X") + 1},
+        {"Q": 2, "C": 0, "X": 0}, ring="Z",
+    )
+    one = Polynomial.const(1)
+    cases = [
+        ((sys, P("X0"), one), (copy, P("Dup"), one), {"A_X0", "A_X1", "B_X0", "B_X1", "B_Dup"}),
+        ((counter, P("X") * P("X"), one), (fib_pair(), P("F"), one), {"A_X", "B_F", "B_G"}),
+    ]
+    for p, q, cone in cases:
+        pair = product_system(rename_system(p[0], "A_"), rename_system(q[0], "B_"))
+        built, t = equivalence._product(p, q)
+        assert built == restricted(pair, cone)
+        assert t == _renamed_t(p, q)

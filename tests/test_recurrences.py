@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from wordmaps import recurrences
+from wordmaps import equivalence, recurrences
 from wordmaps.equivalence import Budget, reachable_points
 from wordmaps.errors import DomainError, FuelExhaustedError
 from wordmaps.lowering import compositional_to_level3
@@ -810,16 +810,18 @@ def test_a_quotient_folds_constant_indices_and_joins_bisimilar_ones():
          ("Z", "a"): P("Z") * P("X"), ("Z", "b"): P("Z")},
         {"X": 1, "Dup": 1, "C": 1, "Z": 0},
     )
-    of, quotient = sys.quotient
-    assert of == {"X": "X", "Dup": "X", "C": 1, "Z": 0}
-    assert quotient.indices == ("X",) and quotient.base == (("X", 1),)
-    assert quotient.rule_map == {("X", "a"): P("X") + 1, ("X", "b"): 2 * P("X")}
-    assert sys.quotient is sys.quotient  # built once per system
+    # beside the system with no indices, which adds no class, and with a t
+    # that reads every index, so the cone keeps every class not constant
+    empty, one = PolynomialSystem((), sys.input_alphabet, (), ()), Polynomial.const(1)
+    of = equivalence._congruence((sys, empty))
+    assert of == [{"X": "A_X", "Dup": "A_X", "C": 1, "Z": 0}, {}]
+    t = P("X") + P("Dup") + P("C") + P("Z")
+    reduced, reduced_t = equivalence._reduced((sys, t, one), (empty, Polynomial.zero(), one))
+    assert reduced_t == 2 * P("A_X") + 1
+    assert reduced.indices == ("A_X",) and reduced.base == (("A_X", 1),)
+    assert reduced.rule_map == {("A_X", "a"): P("A_X") + 1, ("A_X", "b"): 2 * P("A_X")}
     for n in range(5):
         for w in product("ab", repeat=n):
-            values, folded = eval_polynomial_vector(sys, w), eval_polynomial_vector(quotient, w)
-            assert all(values[i] == (k if type(k) is int else folded[k]) for i, k in of.items())
+            values, folded = eval_polynomial_vector(sys, w), eval_polynomial_vector(reduced, w)
+            assert all(values[i] == (k if type(k) is int else folded[k]) for i, k in of[0].items())
     assert sys.first_steps == {a: eval_polynomial_vector(sys, (a,)) for a in "ab"}
-    # nothing to fold: the system is its own quotient
-    counter = PolynomialSystem.make(("X", "Y"), "a", {("X", "a"): P("X") + 1, ("Y", "a"): P("X") + P("Y")}, {"X": 0, "Y": 0})
-    assert counter.quotient == ({"X": "X", "Y": "Y"}, counter) and counter.quotient[1] is counter
