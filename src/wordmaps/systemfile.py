@@ -1,44 +1,28 @@
 """Parsing and printing of system-definition (``.sys``) files.
 
-A file is a sequence of named blocks::
+A file is a sequence of named blocks ``kind name { ... }``, in the format
+that README.md's File format section sets out.  ``_blocks`` reads the lines
+in one loop, in which a block is open or not; a statement is a line, or a
+part of one split at a ``;`` where the braces before it balance.  A statement
+``key: text`` is a directive; every other one must match its kind's pattern.
 
-    kind name {
-        ...statements...
-    }
-
-``#`` starts a comment.  ``_blocks`` reads the lines in one loop, in which a
-block is open or not: a one-line block ``kind name { ... }`` has its header
-as its first and last line, and a line that is only ``}`` closes the others.
-Statements are lines, or ``;``-separated parts of a line, split only where
-the braces before the ``;`` balance.  ``_Block`` splits a body once into two
-sorts of statement:
-
-* directives ``key: text``, keyed by one or two words (``input: a b``,
-  ``gamma 2: S``, ``1: A B``), kept with their line numbers;
-* every other statement, which must match its kind's pattern: rules
-  ``f(eps) = ...`` and ``f(a w) = ...`` (``cat``, ``comp``, ``reg``, ``poly``),
-  ``table a = {...}`` and ``final = {...}`` (``hdt0l``), ``mat a = [...]``
-  (``linrep``), transitions ``q , b , S a -> q2 , op`` (``pda``), images
-  ``x -> w`` (``hom``) and bare letters (``alphabet``).
-
-Each kind's parser takes its directives through the block's accessors, so an
-unknown, repeated, missing or malformed directive is a ``ParseError`` at its
-line (a missing one at the block header), reported after any bad statement.
-A check of the block's whole object (an unknown index, a missing transition)
-is a ``ParseError`` at the block header; so is a ``frac`` block whose
-``system:`` is not the exact name of a ``poly`` block of the same file, or
-whose ``g:``, ``h:``, ``fp:`` or ``gp:`` is not an index of that block,
-checked once every block is read.
-Only regular rules take an ``@class`` annotation after the head and shift
-letters before ``w`` on the right-hand side.  Inline homomorphisms are
-written ``{ x -> x y ; y -> eps }``; working letters they leave out map to
-themselves.
+``_KINDS`` describes each kind once, for both ``parse_file`` and
+``format_declaration``: its builder, and its entries in print order.  A
+``_Directive`` holds a key (a ``{}`` in it numbers the directive), a spelling
+(a reader of the text and a printer of one value), where the object holds
+the value, and whether it is required, optional or repeatable.  A
+``_Statements`` holds the pattern of the kind's other statements and their
+printer.  A builder reads the statements, then the directives through
+``_Block.read``, so a bad statement is reported before a bad directive.  A
+given optional directive must agree with the object built (a ``linrep``'s
+``dim:``), and a check of the whole object fails at the block header.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from operator import attrgetter, methodcaller
 from typing import Optional
 
 from .errors import DomainError, ParseError, Record
@@ -54,7 +38,7 @@ from .recurrences import (
     PolynomialSystem,
     RegularSystem,
 )
-from .words import SYMBOL, show_word, word
+from .words import SYMBOL, spell_word, word
 
 
 class FractionSpec(Record):
@@ -101,13 +85,12 @@ class SystemFile(Record):
         return got_kind, obj
 
 
-# ---------------------------------------------------------------------------
-# scanning
-
-
 def _split_statements(line: str):
     """Split on ';' outside of '{...}' (inline homomorphism bodies): a part
     joins the one before it while that one's braces do not balance."""
+    if ";" not in line:
+        line = line.strip()
+        return [line] if line else []
     parts = line.split(";")
     i = 1
     while i < len(parts):
@@ -151,31 +134,61 @@ def _blocks(text: str, filename):
         raise ParseError(f"block {name!r} is missing its closing '}}'", header, filename=filename)
 
 
+# ---------------------------------------------------------------------------
+# the description of a kind
+
+
 _DIRECTIVE_RE = re.compile(r"^(\w+(?:\s+\w+)?)\s*:\s*(.*)$")
-_REQUIRED = object()
+_REQUIRED, _OPTIONAL, _REPEATABLE = "required", "optional", "repeatable"
+
+
+class _Directive:
+    """A directive ``key: text``: ``spelling`` is (reader of the text, printer
+    of one value), ``value`` an attribute path or a function of the object.
+    An optional directive prints when its value is not empty; a repeatable
+    one prints once per item.  A ``{}`` in ``key`` numbers the directive 1,
+    2, ...: up to the value of the directive ``count``, or as many as given.
+    """
+
+    def __init__(self, key: str, spelling: tuple, value, mode: str = _REQUIRED, count: Optional[_Directive] = None):
+        self.key, self.spelling, self.mode, self.count = key, spelling, mode, count
+        self.value = attrgetter(value) if isinstance(value, str) else value
+
+    def lines(self, obj) -> list:
+        value, show = self.value(obj), self.spelling[1]
+        if "{}" in self.key:
+            return [f"{self.key.format(i)}: {show(v)}" for i, v in enumerate(value, 1)]
+        items = value if self.mode == _REPEATABLE else [value] if self.mode == _REQUIRED or value else []
+        return [f"{self.key}: {show(v)}" for v in items]
+
+
+class _Statements:
+    """A kind's statements that are not directives: ``pattern``, the regular
+    expression each must match, which ``re`` compiles when a block of the
+    kind is first read, and ``lines``, the printer of the object's statements."""
+
+    def __init__(self, pattern: str, lines):
+        self.pattern, self.lines = pattern, lines
 
 
 class _Block:
-    """One block body, split once into directives and statements.
+    """One block body, split once into directives, kept by key with their
+    line numbers, and statements, each matched by its kind's pattern."""
 
-    Directives (``key: text``) are kept by key with their line numbers;
-    every other statement must match the kind's statement pattern.  A parser
-    takes the directives it needs through the accessors, and ``done`` rejects
-    any it left.
-    """
-
-    def __init__(self, kind, name, body, header, filename, statement):
+    def __init__(self, kind, name, body, header, filename):
         self.kind, self.name, self.header, self.filename = kind, name, header, filename
+        statements, self.kind_directives = _READ[kind]
+        pattern = re.compile(statements.pattern) if statements else None
         self.directives = {}  # key -> [(lineno, text), ...]
         self.statements = []  # [(lineno, match), ...]
-        self.lines = {}  # key -> lineno of the directive taken by one()
+        self.given = ()  # (lineno, directive, value) of each optional directive read
         for lineno, stmt in body:
             d = _DIRECTIVE_RE.match(stmt)
             if d:
                 key = " ".join(d.group(1).split())
                 self.directives.setdefault(key, []).append((lineno, d.group(2).strip()))
                 continue
-            m = statement.match(stmt) if statement else None
+            m = pattern.match(stmt) if pattern else None
             if not m:
                 raise self.error(f"cannot parse statement {stmt!r}", lineno)
             self.statements.append((lineno, m))
@@ -190,31 +203,53 @@ class _Block:
         except ParseError as e:
             raise self.error(f"{what}: {e}", lineno) from None
 
-    def many(self, key):
-        """Every ``key:`` directive as (lineno, text), in document order."""
-        return self.directives.pop(key, [])
-
-    def one(self, key, default=_REQUIRED, fn=str):
-        """The single ``key:`` directive's text, passed through ``fn``."""
-        entries = self.many(key)
-        if len(entries) > 1:
-            raise self.error(f"repeated directive '{key}:'", entries[1][0])
-        if not entries:
-            if default is _REQUIRED:
-                raise self.error(f"{self.kind} {self.name} needs '{key}:'")
-            return default
-        lineno, text = entries[0]
-        self.lines[key] = lineno
-        return self.convert(lineno, key, fn, text)
-
-    def words(self, key, default=_REQUIRED):
-        return self.one(key, default, _identifiers)
-
-    def done(self):
-        """Reject the first directive, in document order, that no accessor took."""
+    def read(self) -> list:
+        """The kind's directive values in print order: (lineno, value) pairs
+        of a repeatable one, the values of a numbered one, None for a missing
+        optional one.  Then the first unknown directive is an error."""
+        values = []
+        for d in self.kind_directives:
+            if d.mode == _REPEATABLE:
+                values.append([(n, self.convert(n, d.key, d.spelling[0], text))
+                               for n, text in self.directives.pop(d.key, ())])
+            elif "{}" in d.key:
+                prefix = d.key.format("")
+                count = values[self.kind_directives.index(d.count)] if d.count else sum(
+                    k.startswith(prefix) and k[len(prefix):].isdecimal() for k in self.directives)
+                values.append([self._one(d, d.key.format(i)) for i in range(1, count + 1)])
+            else:
+                values.append(self._one(d, d.key))
         if self.directives:
             lineno, key = min((entries[0][0], key) for key, entries in self.directives.items())
             raise self.error(f"unknown directive {key!r}", lineno)
+        return values
+
+    def _one(self, d, key):
+        entries = self.directives.pop(key, None)
+        if entries is None:
+            if d.mode == _REQUIRED:
+                raise self.error(f"{self.kind} {self.name} needs '{key}:'")
+            return None
+        if len(entries) > 1:
+            raise self.error(f"repeated directive '{key}:'", entries[1][0])
+        lineno, text = entries[0]
+        value = self.convert(lineno, key, d.spelling[0], text)
+        if d.mode == _OPTIONAL:
+            self.given += ((lineno, d, value),)
+        return value
+
+    def build(self, builder):
+        """The object ``builder`` makes of the block, refused when it lacks the
+        value of a given optional directive."""
+        obj = builder(self)
+        for lineno, d, value in self.given:
+            if d.value(obj) != value:
+                raise self.error(f"declared {d.key} {d.spelling[1](value)} does not match the data", lineno)
+        return obj
+
+
+# ---------------------------------------------------------------------------
+# spellings of directive values: (reader of the text, printer of one value)
 
 
 def _int(text):
@@ -226,6 +261,13 @@ def _int(text):
 
 def _ints(text):
     return tuple(_int(tok) for tok in text.split())
+
+
+def _level(text):
+    level = _int(text)
+    if level < 1:
+        raise ParseError(f"must be at least 1, got {level}")
+    return level
 
 
 _LETTER_RE = re.compile(SYMBOL)
@@ -240,19 +282,38 @@ def _identifiers(text):
     return tokens
 
 
-_RULE_RE = re.compile(
-    rf"^(?P<name>{SYMBOL})\s*\(\s*(?:eps|(?P<letter>{SYMBOL})\s+w)?\s*\)\s*"
-    rf"(?:@(?P<cls>{SYMBOL})\s*)?=\s*(?P<rhs>.*)$"
-)
+def _ring(text):
+    if text not in ("N", "Z"):
+        raise ParseError(f"expected N or Z, got {text!r}")
+    return text
+
+
+def _joined(values) -> str:
+    return " ".join(map(str, values))
+
+
+def _integral(g) -> str:
+    """A generator scaled to integer coefficients, which the parser reads."""
+    return format_polynomial(g * math.lcm(*(c.denominator for c in g.terms.values())))
+
+
+_TEXT = (str, str)
+_INTS = (_ints, _joined)
+_LETTERS = (lambda text: frozenset(_identifiers(text)), lambda letters: " ".join(sorted(letters)))
+_SEQUENCE = (_identifiers, _joined)  # letters in their order
+
+# ---------------------------------------------------------------------------
+# statement forms, each a pattern and a printer
+
+
+_RULE = (rf"^(?P<name>{SYMBOL})\s*\(\s*(?:eps|(?P<letter>{SYMBOL})\s+w)?\s*\)\s*"
+         rf"(?:@(?P<cls>{SYMBOL})\s*)?=\s*(?P<rhs>.*)$")
 
 
 def _rules(blk, annotated=False):
-    """Read the rule statements of a block.
-
-    Returns ``bases`` {index: (lineno, rhs)} for the ``f(eps) = rhs``
-    statements and ``rules`` {(index, letter, class): (lineno, rhs)} for the
-    ``f(a w) @class = rhs`` ones; only an ``annotated`` kind takes a class.
-    """
+    """``bases`` {index: (lineno, rhs)} of a block's ``f(eps) = rhs`` rules and
+    ``rules`` {(index, letter, class): (lineno, rhs)} of its ``f(a w) @class =
+    rhs`` ones; only an ``annotated`` kind takes a class."""
     bases, rules = {}, {}
     for lineno, m in blk.statements:
         name, a, cls, rhs = m["name"], m["letter"], m["cls"], m["rhs"].strip()
@@ -269,6 +330,18 @@ def _rules(blk, annotated=False):
         else:
             rules[(name, a, cls)] = (lineno, rhs)
     return bases, rules
+
+
+def _rule_statements(base, rhs=lambda r: _terms((j, ()) for j in r)) -> _Statements:
+    """The rules of a recurrence system: ``i(eps) = ...``, its base values
+    shown by ``base(obj, value)``, and ``i(a w)[ @class] = ...``, its
+    right-hand sides shown by ``rhs`` (by default index products)."""
+    return _Statements(_RULE, lambda obj: [f"{i}(eps) = {base(obj, v)}" for i, v in obj.base] + [
+        f"{i}({a} w){''.join(' @' + d for d in cls)} = {rhs(r)}" for (i, a, *cls), r in obj.rules])
+
+
+def _output_word(obj, w) -> str:
+    return spell_word(w, obj.output_alphabet)
 
 
 _TERM_RE = re.compile(rf"\s*({SYMBOL})\s*\(\s*([^)]*?)\s*\)")
@@ -299,6 +372,10 @@ def _index_rules(blk, rules):
             raise blk.error(f"{blk.kind} rules take no shift letters", lineno)
         out[(i, a)] = tuple(j for j, _ in terms)
     return out
+
+
+def _terms(rhs) -> str:
+    return " ".join(f"{j}({' '.join(u) + ' ' if u else ''}w)" for j, u in rhs) or "eps"
 
 
 _IMAGE_RE = re.compile(r"^\s*(?P<letter>\S+?)\s*->(?P<image>.*)$")
@@ -332,43 +409,75 @@ def _working_hom(images, working, target) -> Homomorphism:
     return Homomorphism(images, source=working, target=target)
 
 
+def _image_lines(h, alphabet) -> list:
+    """The ``x -> w`` rules of ``h``, each image spelled to read back over ``alphabet``."""
+    return [f"{a} -> {spell_word(w, alphabet)}" for a, w in sorted(h.images.items())]
+
+
+def _hom_body(h, alphabet) -> str:
+    return "{ " + "; ".join(_image_lines(h, alphabet)) + " }"
+
+
+_TABLE = rf"^(?:table\s+(?P<letter>{SYMBOL})|final)\s*=\s*(?P<hom>.*)$"
+_MAT = rf"^mat\s+(?P<letter>{SYMBOL})\s*=\s*\[(?P<rows>.*)\]\s*$"
+# a read letter in quotes is that terminal, so that the terminal eps is no eps move
+_TRANSITION = (
+    rf"^(?P<q>{SYMBOL})\s*,\s*(?P<read>{SYMBOL}|\"{SYMBOL}\")\s*,\s*(?P<tops>{SYMBOL}(?: +{SYMBOL})*)\s*->\s*"
+    rf"(?P<q2>{SYMBOL})\s*,\s*(?:pop_(?P<pop>\d+)|push_(?P<push>\d+)\s*\((?P<syms>[^)]*)\))\s*$"
+)
+_SHOWN_READ = {"": "eps", "eps": '"eps"'}
+
+
+def _transition_lines(pda) -> list:
+    return [f"{q} , {_SHOWN_READ.get(read, read)} , {' '.join(tops)} -> {q2} , {op}"
+            for (q, read, tops), moves in pda.delta for q2, op in sorted(moves, key=str)]
+
+
 # ---------------------------------------------------------------------------
-# per-kind block parsers
+# builders: each reads its statements, then its directives by ``blk.read()``
 
 
-def _parse_cat(blk) -> CatenativeSystem:
+def _alphabet(blk) -> frozenset:
+    bare = [blk.convert(lineno, "letters", _identifiers, m.string) for lineno, m in blk.statements]
+    (listed,) = blk.read()
+    return frozenset().union(*(letters for _, letters in listed), *bare)
+
+
+def _hom(blk) -> Homomorphism:
+    images = _images(blk, [(lineno, m.string) for lineno, m in blk.statements])
+    blk.read()
+    return Homomorphism({a: word(text, images) for a, text in images.items()})
+
+
+def _cat(blk) -> CatenativeSystem:
     bases, rules = _rules(blk)
     index_rules = _index_rules(blk, rules)
-    inp, out = blk.words("input"), blk.words("output")
-    blk.done()
+    inp, out = blk.read()
     base = {i: word(rhs, out) for i, (_, rhs) in bases.items()}
     return CatenativeSystem.make(tuple(sorted(bases)), inp, out, index_rules, base)
 
 
-def _parse_comp(blk) -> CompositionalSystem:
+def _comp(blk) -> CompositionalSystem:
     bases, rules = _rules(blk)
     images = {i: _inline_images(blk, lineno, rhs) for i, (lineno, rhs) in bases.items()}
     index_rules = _index_rules(blk, rules)
-    inp, working = blk.words("input"), frozenset(blk.words("working"))
-    blk.done()
+    inp, working = blk.read()
     base = {i: _working_hom(im, working, working) for i, im in images.items()}
     return CompositionalSystem.make(tuple(sorted(bases)), inp, working, index_rules, base)
 
 
-def _parse_reg(blk) -> RegularSystem:
+def _reg(blk) -> RegularSystem:
     bases, rules = _rules(blk, annotated=True)
     terms = {key: _rhs_terms(blk, lineno, rhs) for key, (lineno, rhs) in rules.items()}
-    inp, out, classes = blk.words("input"), blk.words("output"), blk.words("classes")
-    start = blk.one("start")
+    inp, out, classes, start, step_lines = blk.read()
     steps = {}
-    for lineno, text in blk.many("step"):
+    for lineno, text in step_lines:
         m = re.fullmatch(rf"({SYMBOL})\s+({SYMBOL})\s*->\s*({SYMBOL})", text)
         if not m:
             raise blk.error(f"classifier step must be 'STATE LETTER -> STATE', got {text!r}", lineno)
         if (m[1], m[2]) in steps:
             raise blk.error(f"two steps for state {m[1]!r} on letter {m[2]!r}", lineno)
         steps[(m[1], m[2])] = m[3]
-    blk.done()
     classifier = DfaClassifier.make(classes, start, steps)
     reg_rules = {}
     for (i, a, cls), rhs in terms.items():
@@ -381,25 +490,19 @@ def _parse_reg(blk) -> RegularSystem:
     return RegularSystem.make(tuple(sorted(bases)), inp, out, classifier, reg_rules, base)
 
 
-def _parse_poly(blk) -> PolynomialSystem:
+def _poly(blk) -> PolynomialSystem:
     bases, rules = _rules(blk)
     indices = tuple(sorted(bases))
-    steps = {
-        (i, a): blk.convert(lineno, f"in rule {i}({a} w)", lambda t: parse_polynomial(t, indices), rhs)
-        for (i, a, _), (lineno, rhs) in rules.items()
-    }
+    steps = {(i, a): blk.convert(lineno, f"in rule {i}({a} w)", lambda t: parse_polynomial(t, indices), rhs)
+             for (i, a, _), (lineno, rhs) in rules.items()}
     # no variables and no division, so each base value is an int
     base = {i: blk.convert(lineno, f"in base {i}(eps)", lambda t: parse_polynomial(t, ()), rhs).constant_value()
             for i, (lineno, rhs) in bases.items()}
-    inp, ring = blk.words("input"), blk.one("ring", "N")
-    blk.done()
-    return PolynomialSystem.make(indices, inp, steps, base, ring=ring)
+    inp, ring = blk.read()
+    return PolynomialSystem.make(indices, inp, steps, base, ring=ring or "N")
 
 
-_TABLE_RE = re.compile(rf"^(?:table\s+(?P<letter>{SYMBOL})|final)\s*=\s*(?P<hom>.*)$")
-
-
-def _parse_hdt0l(blk) -> HDT0LSystem:
+def _hdt0l(blk) -> HDT0LSystem:
     tables, final = {}, None
     for lineno, m in blk.statements:
         images = _inline_images(blk, lineno, m["hom"])
@@ -411,19 +514,14 @@ def _parse_hdt0l(blk) -> HDT0LSystem:
             raise blk.error(f"two tables for letter {m['letter']!r}", lineno)
         else:
             tables[m["letter"]] = images
-    inp, working, out = blk.words("input"), frozenset(blk.words("working")), blk.words("output")
-    seed = blk.one("seed")
-    blk.done()
+    inp, working, out, seed = blk.read()
     if final is None:
         raise blk.error(f"hdt0l {blk.name} needs 'final ='")
     homs = {a: _working_hom(images, working, working) for a, images in tables.items()}
-    return HDT0LSystem.make(inp, working, homs, _working_hom(final, working, frozenset(out)), seed)
+    return HDT0LSystem.make(inp, working, homs, _working_hom(final, working, out), seed)
 
 
-_MAT_RE = re.compile(rf"^mat\s+(?P<letter>{SYMBOL})\s*=\s*\[(?P<rows>.*)\]\s*$")
-
-
-def _parse_linrep(blk) -> LinearRepresentation:
+def _linrep(blk) -> LinearRepresentation:
     mats = {}
     for lineno, m in blk.statements:
         a = m["letter"]
@@ -432,24 +530,11 @@ def _parse_linrep(blk) -> LinearRepresentation:
         mats[a] = tuple(blk.convert(lineno, f"mat {a}", _ints, r) for r in m["rows"].split("/"))
     if not mats:
         raise blk.error(f"linrep {blk.name} needs at least one 'mat'")
-    row, col = blk.one("row", fn=_ints), blk.one("col", fn=_ints)
-    dim, letters = blk.one("dim", None, _int), blk.words("letters", None)
-    blk.done()
-    rep = LinearRepresentation.make(row, mats, col)
-    if dim is not None and rep.dimension != dim:
-        raise blk.error(f"declared dim {dim} does not match the data", blk.lines["dim"])
-    if letters is not None and frozenset(letters) != rep.letters:
-        raise blk.error("declared letters do not match the matrices", blk.lines["letters"])
-    return rep
+    *_, row, col = blk.read()  # the declared letters and dim are checked against the result
+    return LinearRepresentation.make(row, mats, col)
 
 
-_TRANS_RE = re.compile(
-    rf"^(?P<q>{SYMBOL})\s*,\s*(?P<read>{SYMBOL})\s*,\s*(?P<tops>{SYMBOL}(?: +{SYMBOL})*)\s*->\s*"
-    rf"(?P<q2>{SYMBOL})\s*,\s*(?:pop_(?P<pop>\d+)|push_(?P<push>\d+)\s*\((?P<syms>[^)]*)\))\s*$"
-)
-
-
-def _parse_pda(blk) -> KPda:
+def _pda(blk) -> KPda:
     delta: dict = {}
     for lineno, m in blk.statements:
         if m["pop"]:
@@ -459,72 +544,66 @@ def _parse_pda(blk) -> KPda:
             if not syms:
                 raise blk.error("push needs at least one symbol", lineno)
             op = Push(int(m["push"]), syms)
-        read = "" if m["read"] == "eps" else m["read"]
+        read = "" if m["read"] == "eps" else m["read"].strip('"')
         delta.setdefault((m["q"], read, tuple(m["tops"].split())), set()).add((m["q2"], op))
-    level = blk.one("level", fn=_int)
-    if level < 1:
-        raise blk.error(f"level must be at least 1, got {level}", blk.lines["level"])
-    states, terminals, start = blk.words("states"), blk.words("terminals"), blk.one("start")
-    gamma = GradedAlphabet.of(*(blk.words(f"gamma {i}") for i in range(1, level + 1)))
-    inp, bottoms = blk.words("input", ()), blk.words("bottoms", ())
-    blk.done()
-    return KPda.make(
-        level, states, terminals, gamma, delta, start,
-        input_alphabet=inp, bottom_symbols=bottoms, name=blk.name,
-    )
+    level, states, terminals, inp, gamma, start, bottoms = blk.read()
+    return KPda.make(level, states, terminals, GradedAlphabet.of(*gamma), delta, start,
+                     input_alphabet=inp or (), bottom_symbols=bottoms or (), name=blk.name)
 
 
-def _parse_ideal(blk):
-    variables = blk.words("vars")
+def _ideal(blk):
+    variables, gens = blk.read()
     check_variable_names(variables, "variable")
-    gens = [
-        blk.convert(lineno, "gen", lambda t: parse_polynomial(t, variables), text)
-        for lineno, text in blk.many("gen")
-    ]
-    blk.done()
-    return Ideal(gens, variables)
+    return Ideal([blk.convert(lineno, "gen", lambda t: parse_polynomial(t, variables), text)
+                  for lineno, text in gens], variables)
 
 
-def _parse_frac(blk) -> FractionSpec:
-    spec = FractionSpec(*(blk.one(key) for key in ("system", "g", "h", "fp", "gp")))
-    blk.done()
-    return spec
+# ---------------------------------------------------------------------------
+# the kinds
 
 
-def _parse_alphabet(blk) -> frozenset:
-    texts = blk.many("letters") + [(lineno, m.string) for lineno, m in blk.statements]
-    blk.done()
-    return frozenset(a for n, text in texts for a in blk.convert(n, "letters", _identifiers, text))
+_INPUT = _Directive("input", _LETTERS, "input_alphabet")
+_OUTPUT = _Directive("output", _LETTERS, "output_alphabet")
+_WORKING = _Directive("working", _LETTERS, "working")
+_LEVEL = _Directive("level", (_level, str), "level")
 
-
-def _parse_graded(blk) -> GradedAlphabet:
-    height = sum(key.isdecimal() for key in blk.directives)
-    levels = [blk.words(str(i)) for i in range(1, height + 1)]
-    blk.done()
-    return GradedAlphabet.of(*levels)
-
-
-def _parse_hom(blk) -> Homomorphism:
-    images = _images(blk, [(lineno, m.string) for lineno, m in blk.statements])
-    blk.done()
-    return Homomorphism({a: word(text, images) for a, text in images.items()})
-
-
-# kind -> (block parser, pattern of its non-directive statements)
+# kind -> (builder, its directives and statements in print order)
 _KINDS = {
-    "alphabet": (_parse_alphabet, re.compile(r".+")),
-    "graded": (_parse_graded, None),
-    "hom": (_parse_hom, _IMAGE_RE),
-    "cat": (_parse_cat, _RULE_RE),
-    "comp": (_parse_comp, _RULE_RE),
-    "reg": (_parse_reg, _RULE_RE),
-    "poly": (_parse_poly, _RULE_RE),
-    "hdt0l": (_parse_hdt0l, _TABLE_RE),
-    "linrep": (_parse_linrep, _MAT_RE),
-    "pda": (_parse_pda, _TRANS_RE),
-    "ideal": (_parse_ideal, None),
-    "frac": (_parse_frac, None),
+    "alphabet": (_alphabet, (_Directive("letters", _LETTERS, lambda a: [a], _REPEATABLE),
+                             _Statements(".+", lambda a: []))),
+    "graded": (lambda blk: GradedAlphabet.of(*blk.read()[0]), (_Directive("{}", _LETTERS, "levels"),)),
+    "hom": (_hom, (_Statements(_IMAGE_RE.pattern, lambda h: _image_lines(h, h.source)),)),
+    "cat": (_cat, (_INPUT, _OUTPUT, _rule_statements(_output_word))),
+    "comp": (_comp, (_INPUT, _WORKING, _rule_statements(lambda o, h: _hom_body(h, o.working)))),
+    "reg": (_reg, (_INPUT, _OUTPUT, _Directive("classes", _LETTERS, "classifier.states"),
+                   _Directive("start", _TEXT, "classifier.start"),
+                   _Directive("step", (str, lambda t: f"{t[0][0]} {t[0][1]} -> {t[1]}"), "classifier.transitions",
+                              _REPEATABLE),  # read by _reg
+                   _rule_statements(_output_word, _terms))),
+    "poly": (_poly, (_INPUT, _Directive("ring", (_ring, str), "ring", _OPTIONAL),
+                     _rule_statements(lambda o, n: str(n), format_polynomial))),
+    "hdt0l": (_hdt0l, (_INPUT, _WORKING, _OUTPUT, _Directive("seed", _TEXT, "seed"), _Statements(
+        _TABLE, lambda o: [*(f"table {a} = {_hom_body(h, o.working)}" for a, h in o.tables),
+                           f"final = {_hom_body(o.final, o.output_alphabet)}"]))),
+    "linrep": (_linrep, (_Directive("letters", _LETTERS, "letters", _OPTIONAL),
+                         _Directive("dim", (_int, str), "dimension", _OPTIONAL), _Directive("row", _INTS, "row"),
+                         _Statements(_MAT, lambda o: [f"mat {a} = [ {' / '.join(map(_joined, m))} ]"
+                                                      for a, m in o.matrices]),
+                         _Directive("col", _INTS, "col"))),
+    "pda": (_pda, (_LEVEL, _Directive("states", _LETTERS, "states"), _Directive("terminals", _LETTERS, "terminals"),
+                   _Directive(_INPUT.key, _LETTERS, "input_alphabet", _OPTIONAL),
+                   _Directive("gamma {}", _LETTERS, "gamma.levels", count=_LEVEL),
+                   _Directive("start", _TEXT, "start_state"),
+                   _Directive("bottoms", _SEQUENCE, "bottom_symbols", _OPTIONAL),
+                   _Statements(_TRANSITION, _transition_lines))),
+    "ideal": (_ideal, (_Directive("vars", _SEQUENCE, methodcaller("variables")),
+                       _Directive("gen", (str, _integral), "generators", _REPEATABLE))),
+    "frac": (lambda blk: FractionSpec(*blk.read()), tuple(
+        _Directive(key, _TEXT, field) for key, field in zip(("system", "g", "h", "fp", "gp"), FractionSpec._fields))),
 }
+# kind -> (its _Statements or None, its directives), which _Block reads
+_READ = {kind: (next((e for e in entries if type(e) is _Statements), None),
+                tuple(e for e in entries if type(e) is _Directive)) for kind, (_, entries) in _KINDS.items()}
 
 
 def parse_file(text: str, filename: Optional[str] = None) -> SystemFile:
@@ -533,9 +612,8 @@ def parse_file(text: str, filename: Optional[str] = None) -> SystemFile:
     for kind, name, body, header in _blocks(text, filename):
         if kind not in _KINDS:
             raise ParseError(f"unknown block kind {kind!r}", line=header, filename=filename)
-        parse, statement = _KINDS[kind]
         try:
-            obj = parse(_Block(kind, name, body, header, filename, statement))
+            obj = _Block(kind, name, body, header, filename).build(_KINDS[kind][0])
         except DomainError as e:
             # the checks of the *System.make constructors know no positions
             raise ParseError(str(e), line=header, filename=filename) from e
@@ -553,109 +631,11 @@ def parse_file(text: str, filename: Optional[str] = None) -> SystemFile:
     return out
 
 
-# ---------------------------------------------------------------------------
-# printing
-
-
-def _format_hom(h: Homomorphism) -> str:
-    body = "; ".join(f"{a} -> {show_word(w)}" for a, w in sorted(h.images.items()))
-    return "{ " + body + " }"
-
-
-def _index_terms(rhs) -> str:
-    return " ".join(f"{j}(w)" for j in rhs) or "eps"
-
-
-def _shifted_terms(rhs) -> str:
-    return " ".join(f"{j}({' '.join(u) + ' ' if u else ''}w)" for j, u in rhs) or "eps"
-
-
-def _recurrence_lines(obj, base, rhs) -> list:
-    """The ``i(eps) = ...`` and ``i(a w)[ @class] = ...`` lines of a recurrence
-    system, its base values shown by ``base`` and its right-hand sides by ``rhs``."""
-    lines = [f"  {i}(eps) = {base(v)}" for i, v in obj.base]
-    for (i, a, *cls), r in obj.rules:
-        lines.append(f"  {i}({a} w){''.join(' @' + d for d in cls)} = {rhs(r)}")
-    return lines
-
-
 def format_declaration(kind: str, name: str, obj) -> str:
-    lines = [f"{kind} {name} {{"]
-    if kind == "alphabet":
-        lines.append(f"  letters: {' '.join(sorted(obj))}")
-    elif kind == "graded":
-        for i, level in enumerate(obj.levels, start=1):
-            lines.append(f"  {i}: {' '.join(sorted(level))}")
-    elif kind == "hom":
-        for a, w in sorted(obj.images.items()):
-            lines.append(f"  {a} -> {show_word(w)}")
-    elif kind == "cat":
-        lines.append(f"  input: {' '.join(sorted(obj.input_alphabet))}")
-        lines.append(f"  output: {' '.join(sorted(obj.output_alphabet))}")
-        lines += _recurrence_lines(obj, show_word, _index_terms)
-    elif kind == "comp":
-        lines.append(f"  input: {' '.join(sorted(obj.input_alphabet))}")
-        lines.append(f"  working: {' '.join(sorted(obj.working))}")
-        lines += _recurrence_lines(obj, _format_hom, _index_terms)
-    elif kind == "reg":
-        lines.append(f"  input: {' '.join(sorted(obj.input_alphabet))}")
-        lines.append(f"  output: {' '.join(sorted(obj.output_alphabet))}")
-        cls = obj.classifier
-        lines.append(f"  classes: {' '.join(sorted(cls.states))}")
-        lines.append(f"  start: {cls.start}")
-        for (q, a), q2 in cls.transitions:
-            lines.append(f"  step: {q} {a} -> {q2}")
-        lines += _recurrence_lines(obj, show_word, _shifted_terms)
-    elif kind == "poly":
-        lines.append(f"  input: {' '.join(sorted(obj.input_alphabet))}")
-        lines.append(f"  ring: {obj.ring}")
-        lines += _recurrence_lines(obj, str, format_polynomial)
-    elif kind == "hdt0l":
-        lines.append(f"  input: {' '.join(sorted(obj.input_alphabet))}")
-        lines.append(f"  working: {' '.join(sorted(obj.working))}")
-        lines.append(f"  output: {' '.join(sorted(obj.output_alphabet))}")
-        lines.append(f"  seed: {obj.seed}")
-        for a, h in obj.tables:
-            lines.append(f"  table {a} = {_format_hom(h)}")
-        lines.append(f"  final = {_format_hom(obj.final)}")
-    elif kind == "linrep":
-        lines.append(f"  letters: {' '.join(sorted(obj.letters))}")
-        lines.append(f"  dim: {obj.dimension}")
-        lines.append(f"  row: {' '.join(map(str, obj.row))}")
-        for a, m in obj.matrices:
-            body = " / ".join(" ".join(map(str, r)) for r in m)
-            lines.append(f"  mat {a} = [ {body} ]")
-        lines.append(f"  col: {' '.join(map(str, obj.col))}")
-    elif kind == "pda":
-        lines.append(f"  level: {obj.level}")
-        lines.append(f"  states: {' '.join(sorted(obj.states))}")
-        lines.append(f"  terminals: {' '.join(sorted(obj.terminals))}")
-        if obj.input_alphabet:
-            lines.append(f"  input: {' '.join(sorted(obj.input_alphabet))}")
-        for i, level in enumerate(obj.gamma.levels, start=1):
-            lines.append(f"  gamma {i}: {' '.join(sorted(level))}")
-        lines.append(f"  start: {obj.start_state}")
-        if obj.bottom_symbols:
-            lines.append(f"  bottoms: {' '.join(obj.bottom_symbols)}")
-        for (q, read, tops), moves in obj.delta:
-            for q2, op in sorted(moves, key=str):
-                shown = read if read else "eps"
-                lines.append(f"  {q} , {shown} , {' '.join(tops)} -> {q2} , {op}")
-    elif kind == "ideal":
-        lines.append(f"  vars: {' '.join(obj.variables())}")
-        for g in obj.generators:
-            # scaled to integer coefficients, which the parser reads
-            lines.append(f"  gen: {format_polynomial(g * math.lcm(*(c.denominator for c in g.terms.values())))}")
-    elif kind == "frac":
-        lines.append(f"  system: {obj.system_name}")
-        lines.append(f"  g: {obj.num_plus}")
-        lines.append(f"  h: {obj.num_minus}")
-        lines.append(f"  fp: {obj.den_plus}")
-        lines.append(f"  gp: {obj.den_minus}")
-    else:
+    if kind not in _KINDS:
         raise DomainError(f"cannot format kind {kind!r}")
-    lines.append("}")
-    return "\n".join(lines)
+    body = [f"  {line}" for entry in _KINDS[kind][1] for line in entry.lines(obj)]
+    return "\n".join([f"{kind} {name} {{", *body, "}"])
 
 
 def format_file(sf: SystemFile) -> str:

@@ -23,19 +23,20 @@ def word(text: str, alphabet: Collection[str] = ()) -> Word:
     split into single-character letters, so ``"abba"`` and ``"a b b a"`` both
     denote the same four-letter word.  ``"eps"`` denotes the empty word.  A
     lone token that is a letter of ``alphabet`` is that one letter, unless the
-    alphabet's one-character letters spell it, so ``show_word`` of a
-    one-letter word reads back.
+    alphabet's one-character letters spell it; a lone token in double quotes,
+    such as ``"ab"`` or ``"eps"``, is the one letter inside them.
     """
-    text = text.strip()
-    if text == "" or text == "eps":
-        return ()
     parts = text.split()
-    if len(parts) == 1:
-        (tok,) = parts
-        if tok in alphabet and not all(c in alphabet for c in tok):
-            return (tok,)
-        return tuple(tok)
-    return tuple(parts)
+    if len(parts) != 1:
+        return tuple(parts)
+    (tok,) = parts
+    if tok == "eps":
+        return ()
+    if len(tok) > 2 and tok[0] == '"' == tok[-1]:
+        return (tok[1:-1],)
+    if tok in alphabet and not all(c in alphabet for c in tok):
+        return (tok,)
+    return tuple(tok)
 
 
 def show_word(w: Word) -> str:
@@ -46,3 +47,11 @@ def show_word(w: Word) -> str:
         return "".join(w)
     return " ".join(w)
 
+
+def spell_word(w: Word, alphabet: Collection[str]) -> str:
+    """``show_word(w)`` if ``word`` reads it back over ``alphabet``, else a
+    one-letter word's letter in quotes or a longer word's letters apart."""
+    shown = show_word(w)
+    if word(shown, alphabet) == w:
+        return shown
+    return f'"{w[0]}"' if len(w) == 1 else " ".join(w)

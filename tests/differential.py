@@ -12,11 +12,18 @@ checkouts are compared by ``diff``:
   non-affine systems that compares an index with its exact copy (``grid_pair``),
   decided by ``decide_equal`` at the default budget; a call still running
   after ``GRID_ALARM_S`` seconds prints ``timeout``;
+* ``edit N NAME OUTCOME`` for each of ``EDITS`` edited copies of the reprinted
+  files, made from ``EDIT_SEED``: each replaces one to three characters by one
+  of ``REPLACEMENTS`` (the empty string deletes), and its outcome is the
+  digest of the copy's reprint or the text of the error that reading it raised;
 * ``job WORKLOAD SEED NAME SHA256`` for every job of one pass of each
   benchmark workload at each of ``SEEDS``, made by the checkout's own
   ``perfbench/run.py``: the digest of the repr of the job's comparable output,
-  or of the exception it raised.  The jobs run in a child process with
-  ``PYTHONHASHSEED=0``, so the lines do not depend on the hash seed.
+  or of the exception it raised.
+
+The edits and the jobs run in a child process with ``PYTHONHASHSEED=0``, so
+their lines do not depend on the hash seed (some errors name the first
+member of a set).
 
     python tests/differential.py [--tree CHECKOUT] > out.txt
 
@@ -45,6 +52,9 @@ WORKLOADS = ("decide", "closure", "generate")
 SEEDS = (101, 202)
 GRID_PAIRS = 1000
 GRID_ALARM_S = 10
+EDITS = 2000
+EDIT_SEED = 7919
+REPLACEMENTS = ("", "x", "1", ":", "{", "}", "(", ";", "=", "->", "\n", "²", "٣", "é", "′", "#", '"')
 
 
 def grid_pair(n: int, Polynomial, PolynomialSystem):
@@ -89,6 +99,31 @@ def grid_pair(n: int, Polynomial, PolynomialSystem):
     rules.update({("Dup", a): rules[(i, a)] for a in letters})
     copy = PolynomialSystem.make(indices + ("Dup",), letters, rules, {**base, "Dup": base[i]}, ring="Z")
     return sys_p, i, copy, "Dup"
+
+
+def data_files(tree: Path) -> list:
+    """(name, text) of each ``src/wordmaps/data`` and ``perfbench/data`` file."""
+    paths = sorted((tree / "src" / "wordmaps" / "data").glob("*.sys"))
+    paths += sorted((tree / "perfbench" / "data").glob("*.sys"))
+    return [(path.name, path.read_text()) for path in paths]
+
+
+def print_edits(tree: str) -> None:
+    """The ``edit`` lines, read by ``tree``'s library."""
+    sys.path.insert(0, str(Path(tree) / "src"))
+    from wordmaps.systemfile import format_file, parse_file
+
+    files, rng = data_files(Path(tree)), random.Random(EDIT_SEED)
+    for n in range(EDITS):
+        name, text = rng.choice(files)
+        for _ in range(rng.randint(1, 3)):
+            at = rng.randrange(len(text))
+            text = text[:at] + rng.choice(REPLACEMENTS) + text[at + 1 :]
+        try:
+            shown = hashlib.sha256(format_file(parse_file(text, filename=name)).encode()).hexdigest()
+        except Exception as e:  # a parse error is the edit's output
+            shown = f"{type(e).__name__}: {e}"
+        print("edit", n, name, shown)
 
 
 def print_grid() -> None:
@@ -142,11 +177,11 @@ def main(argv=None) -> int:
     from wordmaps.systemfile import format_file, parse_file
 
     data = tree / "perfbench" / "data"
-    for path in sorted((tree / "src" / "wordmaps" / "data").glob("*.sys")) + sorted(data.glob("*.sys")):
-        printed = format_file(parse_file(path.read_text(), filename=path.stem))
+    for name, text in data_files(tree):
+        printed = format_file(parse_file(text, filename=name.removesuffix(".sys")))
         stable = format_file(parse_file(printed)) == printed
         digest = hashlib.sha256(printed.encode()).hexdigest()
-        print("reprint", path.name, len(printed), digest, "stable" if stable else "unstable")
+        print("reprint", name, len(printed), digest, "stable" if stable else "unstable")
 
     readme = (tree / "README.md").read_text()
     block = re.search(r"## CLI\n.*?```sh\n(.*?)```", readme, re.S).group(1)
@@ -163,9 +198,10 @@ def main(argv=None) -> int:
         print("cli", shown, code, repr(out.getvalue()))
 
     print_grid()
-    sys.stdout.flush()  # the child writes the job lines to the same stdout
+    sys.stdout.flush()  # the child writes the edit and job lines to the same stdout
     here = str(Path(__file__).resolve().parent)
-    child = f"import sys; sys.path.insert(0, {here!r}); import differential; differential.print_jobs({str(tree)!r})"
+    child = (f"import sys; sys.path.insert(0, {here!r}); import differential; "
+             f"differential.print_edits({str(tree)!r}); differential.print_jobs({str(tree)!r})")
     return subprocess.run([sys.executable, "-c", child], env={**os.environ, "PYTHONHASHSEED": "0"}).returncode
 
 

@@ -1,5 +1,7 @@
 import math
+import re
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +22,7 @@ from wordmaps.recurrences import (
     eval_catenative,
     eval_polynomial,
 )
-from wordmaps.systemfile import FractionSpec, format_declaration, format_file, parse_file
+from wordmaps.systemfile import _KINDS, FractionSpec, _Directive, format_declaration, format_file, parse_file
 from wordmaps.words import show_word, word
 
 BUNDLED = ["fibonacci", "factorial", "npown", "gmap", "skolem-demo", "identity-pda", "pow2-pda"]
@@ -457,19 +459,16 @@ def test_letters_may_carry_primes_and_underscores(kind, body, read, symbols):
     assert _comparable(kind, back) == _comparable(kind, obj)
 
 
-# symbol characters: letters, a digit, '_', "'", '′' and a Greek letter; no
-# symbol spells eps, the empty word
+# symbol characters: letters, a digit, '_', "'", '′' and a Greek letter; a
+# symbol may also be eps, the bare spelling of the empty word
 _CHARS = "abxX0_'′α"
-_SYMBOLS = st.text(_CHARS, min_size=1, max_size=3)
+_SYMBOLS = st.one_of(st.text(_CHARS, min_size=1, max_size=3), st.just("eps"))
 # a polynomial variable starts with a letter or '_'
 _VARIABLES = st.builds(str.__add__, st.sampled_from("abxX_α"), st.text(_CHARS, max_size=2))
 
 
-def _alphabets(symbols=_SYMBOLS):
-    # a multi-character letter that the alphabet's one-character letters spell
-    # does not survive printing, so no alphabet holds one
-    return st.frozensets(symbols, min_size=1, max_size=3).filter(
-        lambda alphabet: not any(len(a) > 1 and set(a) <= alphabet for a in alphabet))
+def _alphabets():
+    return st.frozensets(_SYMBOLS, min_size=1, max_size=3)
 
 
 def _words(alphabet):
@@ -497,8 +496,9 @@ def _declarations(draw, kind):
         symbols = draw(st.lists(_SYMBOLS, min_size=height, max_size=6, unique=True))
         return GradedAlphabet.of(*(symbols[i::height] for i in range(height)))
     if kind == "hom":
-        letters = draw(_alphabets())
-        return Homomorphism({a: draw(_words(letters)) for a in letters})
+        # images over the source letters and letters of the target only
+        letters, target = draw(_alphabets()), draw(_alphabets())
+        return Homomorphism({a: draw(_words(letters | target)) for a in letters})
     if kind == "frac":
         # a frac names four indices of a poly block, drawn with it
         poly = draw(_declarations("poly"))
@@ -671,3 +671,52 @@ def test_a_pda_without_its_bottom_symbols_is_refused_at_its_header():
         parse_file(text, filename="pow2.sys")
     header = next(n for n, line in enumerate(text.splitlines(), 1) if line.startswith("pda "))
     assert str(err.value) == f"pow2.sys:{header}: a level-2 machine needs 1 designated bottom symbol, got 0"
+
+
+def test_a_base_word_of_a_letter_that_other_letters_spell_reads_back():
+    # over output a ab b a bare ab reads as the two letters a b
+    cat = CatenativeSystem.make(("f",), ("a",), ("a", "ab", "b"), {("f", "a"): ("f",)}, {"f": ("ab",)})
+    printed = format_declaration("cat", "c", cat)
+    assert 'f(eps) = "ab"' in printed
+    assert parse_file(printed).resolve("c", "cat")[1] == cat
+
+
+def test_a_hom_image_of_one_target_only_letter_reads_back():
+    # yz is no source letter, so a bare yz reads as y z
+    h = Homomorphism({"x": ("yz",)})
+    printed = format_declaration("hom", "h", h)
+    assert 'x -> "yz"' in printed
+    assert parse_file(printed).resolve("h", "hom")[1] == h
+
+
+def test_a_letter_named_eps_reads_back():
+    # a bare eps is the empty word: as a base word, and as a read letter
+    assert word("eps") == () and word('"eps"') == ("eps",) and word('"ab"', {"a", "b", "ab"}) == ("ab",)
+    cat = CatenativeSystem.make(("f",), ("a",), ("eps", "b"), {("f", "a"): ("f", "f")}, {"f": ("eps",)})
+    assert parse_file(format_declaration("cat", "c", cat)).resolve("c", "cat")[1] == cat
+    delta = {("q", "eps", ("S",)): {("q", Pop(1))}, ("q", "", ("S",)): {("q", Push(1, ("S", "S")))}}
+    pda = KPda.make(1, ("q",), ("eps", "b"), GradedAlphabet.of(("S",)), delta, "q", name="t")
+    printed = format_declaration("pda", "t", pda)
+    assert 'q , "eps" , S -> q , pop_1' in printed and "q , eps , S -> q , push_1" in printed
+    assert parse_file(printed).resolve("t", "pda")[1] == pda
+
+
+def test_a_ring_other_than_n_or_z_is_refused_at_its_line():
+    text = _block("poly", ["input: a", "ring: Q", "F(eps) = 1", "F(a w) = F"])
+    with pytest.raises(ParseError) as err:
+        parse_file(text, filename="f.sys")
+    assert str(err.value) == "f.sys:3: ring: expected N or Z, got 'Q'"
+
+
+def test_the_readme_kinds_table_lists_the_directives_and_statements_of_each_kind():
+    # a numbered directive's {} is i in the table: `gamma i:`, `i:`
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = readme[readme.index("| kind | required directives |"):].split("\n\n")[0].splitlines()[2:]
+    table = {}
+    for row in rows:
+        kind, *cells = (cell.strip() for cell in row.strip().strip("|").split("|"))
+        table[kind.strip("`")] = [set(re.findall(r"`([\w ]+):", cell)) for cell in cells[:3]] + [bool(cells[3])]
+    described = {kind: [{d.key.format("i") for d in entries if type(d) is _Directive and d.mode == mode}
+                        for mode in ("required", "optional", "repeatable")]
+                 + [any(type(e) is not _Directive for e in entries)] for kind, (_, entries) in _KINDS.items()}
+    assert table == described
