@@ -24,17 +24,12 @@ the word the members of a class agree at every word and a constant class
 keeps its constant, so t rewritten over the classes takes t's value at every
 word: t = 0 proves equality, and otherwise the engines run on the system of
 the classes in t's cone of influence (Clarke, Grumberg and Peled, *Model
-Checking*, 1999), with the same verdict and witness.  One builder, ``_over``,
-makes that system from any class map of the two sides, a class named after
-its first member with the prefix A_ or B_; a system compared with the system
-with no indices, as in ``find_witness``, takes the same path, and the empty
-side adds no class.  A pass over the reduced system that stops on a budget
-hands over to the pass over the unreduced product, the builder's system over
-one class per index, beside the same walk, so no verdict becomes a stop: the
-walk is paid per term of a pull-back, and reduced pull-backs are smaller.
-An affine pair (every update polynomial of degree <= 1) is reduced once t is
-read at the base vector, any other pair after the orbit walk's head start
-below.
+Checking*, 1999), with the same verdict and witness, a class named after its
+first member with the prefix A_ or B_; a system compared with the system with
+no indices, as in ``find_witness``, takes the same path, and the empty side
+adds no class.  An affine pair (every update polynomial of degree <= 1) is
+reduced once t is read at the base vector, any other pair after the orbit
+walk's head start below.
 
 When the reduced system is affine the decision takes the span walk: the
 orbit walk below reads t at each new point, the first nonzero value names
@@ -59,7 +54,10 @@ reduced system, over the ascending chain of ideals generated by the
 pull-backs g_w = t o P_w, where g_w(base) = t(v(w)).  After each dequeued
 pull-back g the walk gets credit for the terms of g and goes on while its
 credit is positive, a point costing 1 + bit_length // 64 for each of its
-values, so a deep witness among cheap points costs a few pull-backs.  A
+values, so a deep witness among cheap points costs a few pull-backs.  When
+the pass stops on a budget, the walk goes on alone for as much credit again
+as the pass paid it; its verdict is returned if it reaches one, and the
+pass's stop is raised otherwise.  A
 FIFO queue of (wa, g_w) pairs, letters in order, meets the words in
 shortlex order, and one incremental ``groebner.GroebnerBasis`` tests and
 extends the chain.  g_wa is pulled back only when its pair is dequeued, so a
@@ -91,7 +89,8 @@ bounds the walk beside the pass, which stops at the length of a point it did
 not step, as that point's successors might hide a smaller witness, and
 leaves the verdict to the pass.  Resource limits raise
 ``BudgetExceededError``; a verdict is never traded for termination, but a
-walk that answers before the pass meets a limit gives its verdict.
+walk that answers before the pass meets a limit, or within its allowance
+after, gives its verdict.
 """
 
 from __future__ import annotations
@@ -235,15 +234,16 @@ def _congruence(sides: tuple) -> list:
         count, of = len(ids), new
 
 
-def _over(p: tuple, q: tuple, of: tuple) -> tuple:
-    """(sys, t) for two (system, num, den) shapes and a class map per side,
-    ``of[s]`` mapping side s's indices to values or class names: t of the
-    module docstring over the classes, and the system of the classes in t's
-    cone of influence, the classes t reads closed under the reads of their
-    updates, or None when t is 0 (Clarke, Grumberg and Peled, *Model
-    Checking*, 1999).  A class takes its first member's updates over the
-    classes and base value; its index comes in its first member's order."""
+def _reduced(p: tuple, q: tuple) -> tuple:
+    """(sys, t) for two (system, num, den) shapes: t of the module docstring
+    over the classes of the coarsest congruence on both systems' indices,
+    and the system of the classes in t's cone of influence, the classes t
+    reads closed under the reads of their updates, or None when t is 0
+    (Clarke, Grumberg and Peled, *Model Checking*, 1999).  A class takes its
+    first member's updates over the classes and base value; its index comes
+    in its first member's order."""
     (sys_p, num_p, den_p), (sys_q, num_q, den_q) = p, q
+    of = _congruence((sys_p, sys_q))
     of_p, of_q = of
     t = _mul_into({}, _image(num_p.terms, of_p), _image(den_q.terms, of_q))
     t = _normalised(_mul_into(t, {m: -c for m, c in _image(num_q.terms, of_q).items()}, _image(den_p.terms, of_p)))
@@ -266,17 +266,6 @@ def _over(p: tuple, q: tuple, of: tuple) -> tuple:
     base = [(k, sys.base_map[i]) for k, (sys, i, _) in first.items() if k in images]
     ring = "Z" if "Z" in (sys_p.ring, sys_q.ring) else "N"
     return PolynomialSystem(tuple(indices), sys_p.input_alphabet, tuple(sorted(rules)), tuple(sorted(base)), ring), t
-
-
-def _reduced(p: tuple, q: tuple) -> tuple:
-    """``_over`` the classes of the coarsest congruence on both systems' indices."""
-    return _over(p, q, _congruence((p[0], q[0])))
-
-
-def _product(p: tuple, q: tuple) -> tuple:
-    """``_over`` one class per index, the index with its side's prefix: the
-    two systems side by side, unreduced but for t's cone."""
-    return _over(p, q, ({i: "A_" + i for i in p[0].indices}, {i: "B_" + i for i in q[0].indices}))
 
 
 # ---------------------------------------------------------------------------
@@ -436,8 +425,9 @@ def _witness(p: tuple, q: tuple, budget: Budget) -> Optional[Word]:
     by side.  Without an answer there, t is reduced: a zero t is None, and
     otherwise the span walk, or on a reduced system that is not affine the
     saturation pass with the walk going on beside it, decides t over the
-    reduced system; a budget stop of that pass hands over to the pass over
-    the unreduced product, restricted to t's cone."""
+    reduced system; after a budget stop of that pass the walk goes on alone
+    for as much credit again as the pass paid it, and the stop is raised
+    only if the walk has no answer then."""
     (sys_p, num_p, den_p), (sys_q, num_q, den_q) = p, q
     check_shared_alphabet(sys_p, sys_q)
 
@@ -445,7 +435,6 @@ def _witness(p: tuple, q: tuple, budget: Budget) -> Optional[Word]:
         v_p, v_q = point
         return num_p.evaluate(v_p) * den_q.evaluate(v_q) - num_q.evaluate(v_q) * den_p.evaluate(v_p)
 
-    probe = None
     if sys_p.affine and sys_q.affine:
         if value((sys_p.base_map, sys_q.base_map)) != 0:
             return ()
@@ -454,19 +443,26 @@ def _witness(p: tuple, q: tuple, budget: Budget) -> Optional[Word]:
         answer = next(walk)
         if answer is not None:
             return None if answer else answer.witness
-        probe = walk.send
     sys, t = _reduced(p, q)
     if not t:
         return None
     if sys.affine:
         return _span_walk(sys, t, budget)
+    paid = 0
+
+    def probe(terms):
+        nonlocal paid
+        paid += terms
+        return walk.send(terms)
+
     try:
         return _saturate(sys, t, budget, probe)
     except BudgetExceededError:
-        # the walk is paid per term of a pull-back, and reduced pull-backs
-        # are smaller; the pass over the unreduced product pays it at least
-        # what it is paid without the reduction, so no verdict becomes a stop
-        return _saturate(*_product(p, q), budget, probe)
+        # the walk goes on alone for as much credit again as the pass paid it
+        answer = walk.send(paid)
+        if answer is None:
+            raise
+        return None if answer else answer.witness
 
 
 def _verdict(witness: Optional[Word]) -> Verdict:

@@ -32,12 +32,11 @@ class Homomorphism:
         source = frozenset(images) if source is None else frozenset(source)
         used = frozenset(chain.from_iterable(images.values()))
         target = (source | used) if target is None else frozenset(target)
-        for a in source:
-            if a not in images:
-                raise DomainError(f"no image given for source letter {a!r}")
-        for a in images:
-            if a not in source:
-                raise DomainError(f"image given for {a!r} which is not a source letter")
+        missing, extra = source - images.keys(), images.keys() - source
+        if missing:
+            raise DomainError(f"no image given for source letter {min(missing)!r}")
+        if extra:
+            raise DomainError(f"image given for {min(extra)!r} which is not a source letter")
         if not used <= target:
             raise DomainError(f"image letters {sorted(used - target)} outside the target alphabet")
         object.__setattr__(self, "source", source)
@@ -113,10 +112,10 @@ class HDT0LSystem(Record):
     def make(cls, input_alphabet, working, tables: Mapping[str, Homomorphism], final, seed):
         input_alphabet = frozenset(input_alphabet)
         working = frozenset(working)
-        for a in input_alphabet:
-            if a not in tables:
-                raise DomainError(f"no table for input letter {a!r}")
-        for a, h in tables.items():
+        missing = input_alphabet - tables.keys()
+        if missing:
+            raise DomainError(f"no table for input letter {min(missing)!r}")
+        for a, h in sorted(tables.items()):
             if a not in input_alphabet:
                 raise DomainError(f"table for {a!r} outside the input alphabet")
             if not (h.source == working and h.target <= working):

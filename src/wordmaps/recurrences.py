@@ -41,7 +41,7 @@ def _check_recurrence(what, indices, input_alphabet, rules: Mapping, named, base
         raise DomainError(f"{what} has no rule for {missing[0]!r}")
     if extra:
         raise DomainError(f"{what} has a rule for {extra[0]!r} outside its indices and letters")
-    for key, js in named:
+    for key, js in sorted(named):
         for j in js:
             if j not in indices:
                 raise DomainError(f"rule ({','.join(key)}) mentions unknown index {j!r}")
@@ -143,12 +143,12 @@ class DfaClassifier(Record):
         states = frozenset(states)
         if start not in states:
             raise DomainError(f"start state {start!r} unknown")
-        letters = {a for (_, a) in transitions}
-        for q in states:
+        letters = sorted({a for (_, a) in transitions})
+        for q in sorted(states):
             for a in letters:
                 if (q, a) not in transitions:
                     raise DomainError(f"classifier is not complete: missing ({q!r}, {a!r})")
-        for (q, a), q2 in transitions.items():
+        for (q, a), q2 in sorted(transitions.items()):
             if q not in states or q2 not in states:
                 raise DomainError(f"classifier transition ({q},{a}) -> {q2} uses unknown states")
         return cls(states, start, tuple(sorted(transitions.items())))

@@ -1,6 +1,9 @@
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import chain, product
 from pathlib import Path
@@ -799,6 +802,37 @@ def test_every_recurrence_refusal_names_its_cause(call, error, message):
         call()
     assert str(err.value) == message
 
+
+
+def test_a_refusal_names_its_least_offender_under_any_hash_seed():
+    # each refusal finds its offender in a set, whose order changes with the
+    # hash seed; two processes with different seeds must print one message
+    script = """
+from wordmaps.morphisms import Homomorphism, HDT0LSystem
+from wordmaps.systemfile import parse_file
+reg = "reg r {\\n  input: a\\n  output: a\\n  classes: p q s\\n  start: p\\n  step: p a -> q\\n"
+cases = [
+    lambda: Homomorphism({"x": "x"}, source="xyzw"),
+    lambda: HDT0LSystem.make("abcd", "V", {"a": Homomorphism({"V": "V"})}, Homomorphism({"V": "b"}), "V"),
+    lambda: parse_file(reg + "  f(eps) = a\\n  f(a w) = f(w)\\n}\\n"),
+    lambda: parse_file(reg + "  step: q a -> q\\n  step: s a -> q\\n  f(eps) = a\\n  f(a w) = g(w)\\n}\\n"),
+]
+for case in cases:
+    try:
+        case()
+    except Exception as e:
+        print(e)
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    runs = [subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60,
+                           env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}).stdout
+            for seed in ("1", "2")]
+    assert runs[0] == runs[1] == (
+        "no image given for source letter 'w'\n"
+        "no table for input letter 'b'\n"
+        "1: classifier is not complete: missing ('q', 'a')\n"
+        "1: rule (f,a,p) mentions unknown index 'g'\n"
+    )
 
 def test_a_quotient_folds_constant_indices_and_joins_bisimilar_ones():
     P = Polynomial.var
